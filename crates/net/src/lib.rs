@@ -2,12 +2,13 @@
 //!
 //! Substitutes the paper's testbed (1 GHz Pentium III nodes on Myrinet
 //! with the GM user-level communication system): N in-process machines
-//! exchange packets over lock-free channels. Serialization work is done
-//! for real by corm-codegen; only the wire transit itself is modeled, via
-//! a calibrated [`CostModel`] that accrues *modeled network time* from the
-//! actual byte counts. This keeps the evaluation's shape (who wins, by
-//! what factor) a function of real work performed, while replacing the
-//! unavailable hardware.
+//! exchange packets over per-machine queues (or, selectably, real
+//! loopback sockets or a seeded lossy fabric — see [`transport`]).
+//! Serialization work is done for real by corm-codegen; only the wire
+//! transit itself is modeled, via a calibrated [`CostModel`] that accrues
+//! *modeled network time* from the actual byte counts. This keeps the
+//! evaluation's shape (who wins, by what factor) a function of real work
+//! performed, while replacing the unavailable hardware.
 //!
 //! The receive side mirrors the paper's GM setup: exactly one drainer per
 //! machine ("at any time only one thread can drain the network as
@@ -15,16 +16,15 @@
 
 pub mod cost;
 pub mod lossy;
+mod mesh;
 pub mod packet;
-pub mod reactor;
-pub mod tcp;
+mod reactor;
+mod receive;
+mod tcp;
 pub mod transport;
 
 pub use cost::CostModel;
-pub use lossy::{LossSpec, LossyTransport, Semantics};
+pub use lossy::{LossSpec, Semantics};
 pub use packet::Packet;
-pub use reactor::{BatchConfig, ReactorTransport};
-pub use tcp::TcpTransport;
-pub use transport::{
-    ClusterBarrier, Mailbox, Mailboxes, NetHandle, RecvError, Transport, TransportKind,
-};
+pub use receive::{Mailbox, Mailboxes, RecvError};
+pub use transport::{ClusterBarrier, NetHandle, Transport, TransportKind};

@@ -1,8 +1,10 @@
 //! Packets exchanged between machines, and their wire encoding.
 //!
 //! The in-process channel backend moves [`Packet`] values directly; the
-//! TCP backend frames the same values with [`Packet::encode_body`] /
-//! [`Packet::decode_body`]. Wire *statistics* are accounted from
+//! socket mesh frames the same values with
+//! [`Packet::encode_frame_append`] and the lossy fabric with
+//! [`Packet::encode_body`], both read back by [`Packet::decode_body`].
+//! Wire *statistics* are accounted from
 //! [`Packet::wire_bytes`] before the backend is invoked, so byte
 //! counters are identical across backends by construction.
 
@@ -83,112 +85,90 @@ impl Packet {
         }
     }
 
-    /// Encode everything *except* the payload bytes into a reusable
-    /// frame buffer: a 4-byte little-endian frame length prefix (the
-    /// length of the body that follows, payload included), then the
-    /// body — an 8-byte send timestamp (nanoseconds on the transport's
-    /// clock, for measured wire time), a tag byte, and the fields in
-    /// little-endian order, ending with the payload length. The payload
-    /// itself is returned as a slice borrowing the packet (empty for
-    /// payload-free packets), so the transport can send header and
-    /// payload with one vectored write and never copy the body.
-    /// `scratch` is cleared first and keeps its capacity across sends.
+    /// `Shutdown` and `PeerGone` are harness control, not cluster
+    /// traffic: they cost nothing on the wire, are never filtered as a
+    /// dead machine's traffic, and are exempt from injected faults.
+    pub(crate) fn is_control(&self) -> bool {
+        matches!(self, Packet::Shutdown | Packet::PeerGone { .. })
+    }
+
+    /// Append one *complete* frame to `out` without clearing it: a 4-byte
+    /// little-endian length prefix (the length of the body that
+    /// follows), then the body — an 8-byte send timestamp (nanoseconds
+    /// on the transport's clock, for measured wire time), a tag byte,
+    /// the fields in little-endian order ending with the payload length,
+    /// and the payload. This is the one encoder: the socket mesh appends
+    /// frames to a per-connection outbound buffer (several of them under
+    /// load, flushed with a single write), and [`Packet::encode_body`]
+    /// is this frame minus its prefix.
     ///
     /// Fails with a [`WireError`] naming the offending field and its
     /// frame offset when a length does not fit its `u32` header field
-    /// or the body would exceed [`MAX_FRAME`].
-    pub fn encode_frame_into<'a>(
-        &'a self,
-        ts_ns: u64,
-        scratch: &mut Vec<u8>,
-    ) -> Result<&'a [u8], WireError> {
-        scratch.clear();
-        self.encode_prefixed_header(ts_ns, scratch)
-    }
-
-    /// Append one *complete* frame — length prefix, body, and a copy of
-    /// the payload — to `out` without clearing it. This is the coalescing
-    /// primitive: the reactor backend batches several frames into one
-    /// outbound buffer and flushes them with a single write. The payload
-    /// is copied here (unlike [`Packet::encode_frame_into`], which keeps
-    /// it zero-copy for an immediate vectored write) because batched
-    /// bytes must outlive the packet. On an encoding error `out` is left
-    /// exactly as it was — no partial frame leaks into the batch.
+    /// or the body would exceed [`MAX_FRAME`]. On an error `out` is left
+    /// exactly as it was — no partial frame leaks into a batch.
     pub fn encode_frame_append(&self, ts_ns: u64, out: &mut Vec<u8>) -> Result<(), WireError> {
         let start = out.len();
-        match self.encode_prefixed_header(ts_ns, out) {
-            Ok(payload) => {
-                out.extend_from_slice(payload);
-                Ok(())
-            }
-            Err(e) => {
-                out.truncate(start);
-                Err(e)
-            }
+        let appended = self.append_frame(ts_ns, out, start);
+        if appended.is_err() {
+            out.truncate(start);
         }
+        appended
     }
 
-    /// Append the length prefix and header (everything but the payload
-    /// bytes) at `out`'s current end and return the payload slice. The
-    /// prefix counts the payload even though it is not appended here.
+    /// Append the frame at `start == out.len()`, backpatching the prefix.
     /// Length fields are narrowed with [`len_u32`]; offsets in the
     /// diagnostics are relative to the frame body, like the decoder's.
-    fn encode_prefixed_header<'a>(
-        &'a self,
-        ts_ns: u64,
-        scratch: &mut Vec<u8>,
-    ) -> Result<&'a [u8], WireError> {
-        let start = scratch.len();
-        scratch.extend_from_slice(&[0u8; 4]); // length prefix, backpatched below
-        scratch.extend_from_slice(&ts_ns.to_le_bytes());
+    fn append_frame(&self, ts_ns: u64, out: &mut Vec<u8>, start: usize) -> Result<(), WireError> {
+        out.extend_from_slice(&[0u8; 4]); // length prefix, backpatched below
+        out.extend_from_slice(&ts_ns.to_le_bytes());
         // Offset of the next byte within the frame body (prefix excluded).
-        let body_at = |scratch: &Vec<u8>| scratch.len() - start - 4;
+        let body_at = |out: &Vec<u8>| out.len() - start - 4;
         let payload: &[u8] = match self {
             Packet::Request { req_id, from, site, target_obj, payload, oneway } => {
-                scratch.push(TAG_REQUEST);
-                scratch.extend_from_slice(&req_id.to_le_bytes());
-                scratch.extend_from_slice(&from.to_le_bytes());
-                scratch.extend_from_slice(&site.to_le_bytes());
-                scratch.extend_from_slice(&target_obj.to_le_bytes());
-                scratch.push(*oneway as u8);
-                let len = len_u32(payload.len(), "request payload", body_at(scratch))?;
-                scratch.extend_from_slice(&len.to_le_bytes());
+                out.push(TAG_REQUEST);
+                out.extend_from_slice(&req_id.to_le_bytes());
+                out.extend_from_slice(&from.to_le_bytes());
+                out.extend_from_slice(&site.to_le_bytes());
+                out.extend_from_slice(&target_obj.to_le_bytes());
+                out.push(*oneway as u8);
+                let len = len_u32(payload.len(), "request payload", body_at(out))?;
+                out.extend_from_slice(&len.to_le_bytes());
                 payload
             }
             Packet::Reply { req_id, payload, err } => {
-                scratch.push(TAG_REPLY);
-                scratch.extend_from_slice(&req_id.to_le_bytes());
+                out.push(TAG_REPLY);
+                out.extend_from_slice(&req_id.to_le_bytes());
                 match err {
                     Some(e) => {
-                        scratch.push(1);
-                        let len = len_u32(e.len(), "reply error text", body_at(scratch))?;
-                        scratch.extend_from_slice(&len.to_le_bytes());
-                        scratch.extend_from_slice(e.as_bytes());
+                        out.push(1);
+                        let len = len_u32(e.len(), "reply error text", body_at(out))?;
+                        out.extend_from_slice(&len.to_le_bytes());
+                        out.extend_from_slice(e.as_bytes());
                     }
-                    None => scratch.push(0),
+                    None => out.push(0),
                 }
-                let len = len_u32(payload.len(), "reply payload", body_at(scratch))?;
-                scratch.extend_from_slice(&len.to_le_bytes());
+                let len = len_u32(payload.len(), "reply payload", body_at(out))?;
+                out.extend_from_slice(&len.to_le_bytes());
                 payload
             }
             Packet::NewRemote { req_id, from, class } => {
-                scratch.push(TAG_NEW_REMOTE);
-                scratch.extend_from_slice(&req_id.to_le_bytes());
-                scratch.extend_from_slice(&from.to_le_bytes());
-                scratch.extend_from_slice(&class.to_le_bytes());
+                out.push(TAG_NEW_REMOTE);
+                out.extend_from_slice(&req_id.to_le_bytes());
+                out.extend_from_slice(&from.to_le_bytes());
+                out.extend_from_slice(&class.to_le_bytes());
                 &[]
             }
             Packet::Shutdown => {
-                scratch.push(TAG_SHUTDOWN);
+                out.push(TAG_SHUTDOWN);
                 &[]
             }
             Packet::PeerGone { peer } => {
-                scratch.push(TAG_PEER_GONE);
-                scratch.extend_from_slice(&peer.to_le_bytes());
+                out.push(TAG_PEER_GONE);
+                out.extend_from_slice(&peer.to_le_bytes());
                 &[]
             }
         };
-        let body_len = body_at(scratch) + payload.len();
+        let body_len = body_at(out) + payload.len();
         if body_len > MAX_FRAME {
             return Err(WireError(format!(
                 "frame body of {body_len} bytes exceeds MAX_FRAME ({MAX_FRAME}); \
@@ -196,19 +176,20 @@ impl Packet {
             )));
         }
         let body_len = len_u32(body_len, "frame body", 0)?;
-        scratch[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-        Ok(payload)
+        out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+        out.extend_from_slice(payload);
+        Ok(())
     }
 
     /// Encode as an unprefixed frame body (timestamp, tag, fields,
-    /// payload) in one contiguous buffer. Built on
-    /// [`Packet::encode_frame_into`] so the two encodings cannot drift.
+    /// payload) in one contiguous buffer: the frame of
+    /// [`Packet::encode_frame_append`] with its prefix cut off, so the
+    /// two encodings cannot drift.
     pub fn encode_body(&self, ts_ns: u64) -> Result<Vec<u8>, WireError> {
-        let mut scratch = Vec::with_capacity(32 + self.wire_bytes() as usize);
-        let payload = self.encode_frame_into(ts_ns, &mut scratch)?;
-        let mut out = scratch.split_off(4);
-        out.extend_from_slice(payload);
-        Ok(out)
+        let mut frame = Vec::with_capacity(36 + self.wire_bytes() as usize);
+        self.encode_frame_append(ts_ns, &mut frame)?;
+        frame.drain(..4);
+        Ok(frame)
     }
 
     /// Decode a frame body produced by [`Packet::encode_body`]. Returns
@@ -297,7 +278,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encode_decode_roundtrip() {
+    fn frames_coalesce_split_back_and_roundtrip() {
         let packets = [
             Packet::Request {
                 req_id: (3u64 << 48) + 9,
@@ -309,82 +290,25 @@ mod tests {
             },
             Packet::Reply { req_id: 7, payload: vec![9; 100], err: None },
             Packet::Reply { req_id: 8, payload: Vec::new(), err: Some("boom: äöü".into()) },
+            Packet::Reply { req_id: 5, payload: vec![1, 2, 3], err: Some("kaput".into()) },
             Packet::NewRemote { req_id: 1, from: 0, class: 12 },
             Packet::Shutdown,
             Packet::PeerGone { peer: 3 },
         ];
-        for p in packets {
-            let body = p.encode_body(123_456_789).unwrap();
-            let (q, ts) = Packet::decode_body(&body).unwrap();
-            assert_eq!(p, q);
-            assert_eq!(ts, 123_456_789);
-        }
-    }
-
-    #[test]
-    fn frame_encoding_matches_body_and_prefixes_length() {
-        let packets = [
-            Packet::Request {
-                req_id: 11,
-                from: 1,
-                site: 3,
-                target_obj: 2,
-                payload: vec![0xAB; 37],
-                oneway: false,
-            },
-            Packet::Reply { req_id: 7, payload: vec![1, 2, 3], err: Some("kaput".into()) },
-            Packet::NewRemote { req_id: 1, from: 0, class: 12 },
-            Packet::Shutdown,
-            Packet::PeerGone { peer: 3 },
-        ];
-        // One scratch across all packets, as the transport reuses it;
-        // stale contents from the previous frame must not leak through.
-        let mut scratch = Vec::new();
-        for p in packets {
-            let payload = p.encode_frame_into(99, &mut scratch).unwrap().to_vec();
-            let len = u32::from_le_bytes(scratch[..4].try_into().unwrap()) as usize;
-            assert_eq!(len, scratch.len() - 4 + payload.len());
-            let mut joined = scratch[4..].to_vec();
-            joined.extend_from_slice(&payload);
-            assert_eq!(joined, p.encode_body(99).unwrap(), "split frame reassembles to the body");
-            let (q, ts) = Packet::decode_body(&joined).unwrap();
-            assert_eq!(q, p);
-            assert_eq!(ts, 99);
-        }
-    }
-
-    #[test]
-    fn appended_frames_coalesce_and_split_back_into_packets() {
-        let packets = [
-            Packet::Request {
-                req_id: 5,
-                from: 0,
-                site: 9,
-                target_obj: 1,
-                payload: vec![7; 13],
-                oneway: false,
-            },
-            Packet::Reply { req_id: 5, payload: vec![1], err: None },
-            Packet::Shutdown,
-        ];
-        // Batch all three into one buffer, as the reactor's outbound
-        // queue does, then walk the length prefixes back out.
+        // Batch them all into one buffer, as the mesh's outbound queue
+        // does under load, then walk the length prefixes back out.
         let mut batch = Vec::new();
         for p in &packets {
-            p.encode_frame_append(42, &mut batch).unwrap();
+            p.encode_frame_append(123_456_789, &mut batch).unwrap();
         }
         let mut pos = 0;
         for p in &packets {
             let len = u32::from_le_bytes(batch[pos..pos + 4].try_into().unwrap()) as usize;
             let body = &batch[pos + 4..pos + 4 + len];
-            assert_eq!(
-                body,
-                p.encode_body(42).unwrap(),
-                "appended frame matches the canonical body"
-            );
+            assert_eq!(body, p.encode_body(123_456_789).unwrap(), "a body is a frame minus prefix");
             let (q, ts) = Packet::decode_body(body).unwrap();
             assert_eq!(&q, p);
-            assert_eq!(ts, 42);
+            assert_eq!(ts, 123_456_789);
             pos += 4 + len;
         }
         assert_eq!(pos, batch.len(), "no stray bytes between coalesced frames");
@@ -418,8 +342,6 @@ mod tests {
         };
         let err = p.encode_body(0).unwrap_err();
         assert!(err.0.contains("MAX_FRAME"), "names the bound: {err}");
-        let mut scratch = Vec::new();
-        assert!(p.encode_frame_into(0, &mut scratch).is_err());
 
         // A batch buffer stays byte-identical on failure: no partial
         // frame desynchronizes the frames already coalesced before it.

@@ -4,8 +4,12 @@
 //! accounting (message counts, wire bytes, modeled wire time) before
 //! handing the packet to the selected [`Transport`] backend, so counters
 //! and Tables 4/6/8 accounting are identical no matter what carries the
-//! bytes. Two backends exist: the in-process channel fabric in this
-//! module (the default) and a real loopback-TCP mesh in [`crate::tcp`].
+//! bytes. Every backend ends in the same receive side (`receive.rs`);
+//! what differs is the carrier in front of it — a queue push (the
+//! channel backend in this module, the default), the socket mesh of
+//! `mesh.rs` under its thread-per-stream (`tcp.rs`) or event-loop
+//! (`reactor.rs`) drive, or the seeded fault shim and reliability
+//! protocol of [`crate::lossy`].
 
 use std::fmt;
 use std::io;
@@ -15,65 +19,31 @@ use std::sync::Arc;
 
 use corm_obs::{FlightRecorder, MetricsRegistry};
 use corm_wire::RmiStats;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 
 use crate::cost::CostModel;
 use crate::lossy::{LossSpec, LossyTransport};
+use crate::mesh::Mesh;
 use crate::packet::Packet;
-use crate::reactor::ReactorTransport;
-use crate::tcp::TcpTransport;
+use crate::reactor::BatchConfig;
+use crate::receive::{Mailboxes, ReceiveSide};
 
-/// Why a receive could not produce a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// The sending side is gone (fabric torn down or every sender
-    /// dropped). Distinct from "no packet yet" so the drain loop can
-    /// tell shutdown from quiescence.
-    Disconnected,
-}
-
-/// Receiving end of one machine's network interface. The VM's drain loop
-/// owns this (GM-style single drainer).
-pub trait Mailbox: Send {
-    /// The machine this mailbox belongs to.
-    fn machine(&self) -> u16;
-
-    /// Block until the next packet arrives.
-    fn recv(&self) -> Result<Packet, RecvError>;
-
-    /// Non-blocking poll (the paper's "allow the runtime system to poll
-    /// for messages while the GM-poll-thread remains blocked").
-    /// `Ok(None)` means "no packet yet".
-    fn try_recv(&self) -> Result<Option<Packet>, RecvError>;
-}
-
-/// Every machine's receive side, indexed by machine id — what transport
-/// constructors hand to the VM.
-pub type Mailboxes = Vec<Box<dyn Mailbox>>;
-
-/// A packet carrier: moves already-accounted packets between machines.
-/// Implementations must preserve per-(sender, receiver) FIFO order —
-/// the only ordering the VM relies on.
+/// A packet carrier: moves already-accounted packets between machines,
+/// onto the mailboxes of the receive side it was built on.
+/// Implementations must preserve per-(sender, receiver) FIFO order — the
+/// only ordering the VM relies on.
 pub trait Transport: Send + Sync {
-    fn kind(&self) -> TransportKind;
-
-    fn machines(&self) -> usize;
-
-    /// Deliver `packet` to `to`'s mailbox. A delivery to a machine whose
-    /// drain loop already exited is silently dropped, matching a network
-    /// whose peer powered down during shutdown.
+    /// Carry `packet` to `to`'s mailbox. [`NetHandle::send`] has already
+    /// delivered loopback sends and dropped a dead machine's traffic, so
+    /// `from != to` here. A delivery to a machine whose drain loop
+    /// already exited is silently dropped, matching a network whose peer
+    /// powered down during shutdown.
     fn deliver(&self, from: u16, to: u16, packet: Packet);
 
-    /// Wall-clock nanoseconds packets spent in flight to `machine`
-    /// (send to receive), as measured by the backend. Zero for backends
-    /// that deliver by moving a pointer.
-    fn measured_wire_ns(&self, machine: u16) -> u64;
-
-    /// Fault injection: `machine` dies abruptly (power cord pulled). Its
-    /// carriers are cut without an orderly shutdown; subsequent deliveries
-    /// to or from it are dropped, and every *other* machine receives
-    /// [`Packet::PeerGone`] for it — the signal the VM drain loop turns
-    /// into failed replies.
+    /// Fault injection: `machine` (always one of the cluster's) dies
+    /// abruptly, power cord pulled. Its carriers are cut without an
+    /// orderly shutdown; subsequent deliveries to or from it are
+    /// dropped, and every *other* machine receives [`Packet::PeerGone`]
+    /// for it — the signal the VM drain loop turns into failed replies.
     fn sever(&self, machine: u16);
 
     /// Orderly teardown: close carriers and join I/O threads so drops
@@ -82,15 +52,16 @@ pub trait Transport: Send + Sync {
 }
 
 /// Which backend carries the packets. Selected at run time
-/// (`corm run --transport channel|tcp`).
+/// (`corm run --transport channel|tcp|reactor|lossy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process lock-free channels; wire transit is modeled only.
+    /// In-process queues, one per machine; wire transit is modeled only.
     #[default]
     Channel,
-    /// Real loopback TCP mesh; wire transit is additionally measured.
+    /// Real loopback TCP mesh, one blocking reader thread per stream;
+    /// wire transit is additionally measured.
     Tcp,
-    /// Nonblocking loopback TCP mesh multiplexed over a small fixed
+    /// The same mesh, nonblocking and multiplexed over a small fixed
     /// reactor pool (O(threads), not O(peers)), with adaptive write
     /// coalescing. Wire transit is additionally measured.
     Reactor,
@@ -135,94 +106,32 @@ impl FromStr for TransportKind {
     }
 }
 
-/// The original in-process fabric: one unbounded channel per machine.
-pub struct ChannelTransport {
-    senders: Vec<Sender<Packet>>,
-    /// Machines killed by [`Transport::sever`]: packets to or from them
-    /// are dropped, mirroring the TCP backend's cut streams.
-    severed: std::sync::Mutex<std::collections::HashSet<u16>>,
-}
-
-impl ChannelTransport {
-    pub fn new(n: usize) -> (Mailboxes, Arc<ChannelTransport>) {
-        let mut senders = Vec::with_capacity(n);
-        let mut mailboxes: Mailboxes = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            mailboxes.push(Box::new(ChannelMailbox { machine: i as u16, rx }));
-        }
-        (mailboxes, Arc::new(ChannelTransport { senders, severed: Default::default() }))
-    }
+/// The original in-process fabric: a packet crosses by being pushed
+/// onto the destination's mailbox, so no wire time is ever measured.
+struct ChannelTransport {
+    rx: Arc<ReceiveSide>,
 }
 
 impl Transport for ChannelTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Channel
-    }
-
-    fn machines(&self) -> usize {
-        self.senders.len()
-    }
-
-    fn deliver(&self, from: u16, to: u16, packet: Packet) {
-        // PeerGone must still reach the survivors of a sever, and
-        // Shutdown is harness teardown (it stops the host-side service
-        // threads even of a "dead" machine), not cluster traffic.
-        if !matches!(packet, Packet::PeerGone { .. } | Packet::Shutdown) {
-            let severed = self.severed.lock().unwrap();
-            if severed.contains(&from) || severed.contains(&to) {
-                return; // the dead machine neither sends nor receives
-            }
-        }
-        let _ = self.senders[to as usize].send(packet);
-    }
-
-    fn measured_wire_ns(&self, _machine: u16) -> u64 {
-        0
+    fn deliver(&self, _from: u16, to: u16, packet: Packet) {
+        self.rx.enqueue(to, packet);
     }
 
     fn sever(&self, machine: u16) {
-        if !self.severed.lock().unwrap().insert(machine) {
-            return; // already dead; one PeerGone per death
-        }
-        for (i, tx) in self.senders.iter().enumerate() {
-            if i as u16 != machine {
-                let _ = tx.send(Packet::PeerGone { peer: machine });
-            }
-        }
+        self.rx.sever(machine);
     }
 
     fn shutdown(&self) {}
 }
 
-struct ChannelMailbox {
-    machine: u16,
-    rx: Receiver<Packet>,
-}
-
-impl Mailbox for ChannelMailbox {
-    fn machine(&self) -> u16 {
-        self.machine
-    }
-
-    fn recv(&self) -> Result<Packet, RecvError> {
-        self.rx.recv().map_err(|_| RecvError::Disconnected)
-    }
-
-    fn try_recv(&self) -> Result<Option<Packet>, RecvError> {
-        match self.rx.try_recv() {
-            Ok(p) => Ok(Some(p)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Disconnected),
-        }
-    }
-}
-
 /// Shared sending fabric: any thread can send to any machine.
 #[derive(Clone)]
 pub struct NetHandle {
+    kind: TransportKind,
     transport: Arc<dyn Transport>,
+    /// Where every backend's packets end up; also delivers what never
+    /// needs a carrier (loopback sends, a dead machine's traffic).
+    rx: Arc<ReceiveSide>,
     /// Sharded per-machine metrics; wire traffic is accounted to the
     /// *sending* machine's shard (per-machine sums equal the old
     /// cluster-global totals exactly).
@@ -240,7 +149,7 @@ impl NetHandle {
             .expect("channel transport cannot fail to construct")
     }
 
-    /// Create the fabric on the selected backend. TCP construction can
+    /// Create the fabric on the selected backend. Socket bring-up can
     /// fail (socket limits, no loopback) — channel never does.
     pub fn with_kind(
         kind: TransportKind,
@@ -265,50 +174,41 @@ impl NetHandle {
         flight: Option<Arc<FlightRecorder>>,
     ) -> io::Result<(Mailboxes, NetHandle)> {
         debug_assert!(obs.num_machines() >= n, "registry must cover every machine");
-        let (mailboxes, transport): (Mailboxes, Arc<dyn Transport>) = match kind {
-            TransportKind::Channel => {
-                let (mb, t) = ChannelTransport::new(n);
-                (mb, t)
-            }
-            TransportKind::Tcp => {
-                let (mb, t) = TcpTransport::new(n)?;
-                (mb, t)
-            }
+        let (mailboxes, rx) = ReceiveSide::new(n);
+        let transport: Arc<dyn Transport> = match kind {
+            TransportKind::Channel => Arc::new(ChannelTransport { rx: rx.clone() }),
+            TransportKind::Tcp => Mesh::new(rx.clone(), None, None)?,
+            // The reactor feeds its deep gauges (coalescing counters,
+            // flush reasons, buffer occupancy, loop latency) into the
+            // registry shards for the timeline sampler.
             TransportKind::Reactor => {
-                // The reactor feeds its deep gauges (coalescing counters,
-                // flush reasons, buffer occupancy, loop latency) into the
-                // registry shards for the timeline sampler.
-                let (mb, t) = ReactorTransport::with_obs(n, obs.clone())?;
-                (mb, t)
+                Mesh::new(rx.clone(), Some(BatchConfig::default()), Some(obs.clone()))?
             }
             TransportKind::Lossy => {
-                let (mb, t) = LossyTransport::with_obs(
-                    n,
-                    loss.unwrap_or_default(),
-                    Some(obs.clone()),
-                    flight,
-                );
-                (mb, t)
+                let loss = loss.unwrap_or_default();
+                LossyTransport::new(rx.clone(), loss, Some(obs.clone()), flight)
             }
         };
-        Ok((mailboxes, NetHandle { transport, obs, cost, modeled_ns: Arc::new(AtomicU64::new(0)) }))
+        let modeled_ns = Arc::new(AtomicU64::new(0));
+        Ok((mailboxes, NetHandle { kind, transport, rx, obs, cost, modeled_ns }))
     }
 
     pub fn kind(&self) -> TransportKind {
-        self.transport.kind()
+        self.kind
     }
 
     pub fn machines(&self) -> usize {
-        self.transport.machines()
+        self.rx.machines()
     }
 
     /// Send `packet` to `to`, accounting wire bytes and modeled time.
     /// Loopback sends (local RPCs) are delivered but cost nothing on the
-    /// modeled wire. Accounting happens *before* the backend is invoked,
-    /// so counters are backend-independent.
+    /// modeled wire and never reach the backend. Accounting happens
+    /// *before* the backend is invoked, so counters are
+    /// backend-independent.
     pub fn send(&self, from: u16, to: u16, packet: Packet) {
         let bytes = packet.wire_bytes();
-        if !matches!(packet, Packet::Shutdown | Packet::PeerGone { .. }) {
+        if !packet.is_control() {
             let stats = &self.obs.machine(from).stats;
             RmiStats::bump(&stats.messages, 1);
             RmiStats::bump(&stats.wire_bytes, bytes);
@@ -316,7 +216,9 @@ impl NetHandle {
                 self.modeled_ns.fetch_add(self.cost.message_ns(bytes), Ordering::Relaxed);
             }
         }
-        self.transport.deliver(from, to, packet);
+        if let Some(packet) = self.rx.route(from, to, packet) {
+            self.transport.deliver(from, to, packet);
+        }
     }
 
     pub fn modeled_ns(&self) -> u64 {
@@ -333,25 +235,28 @@ impl NetHandle {
     }
 
     /// Measured in-flight wall time for packets received by `machine`
-    /// (zero on the channel backend).
+    /// (zero on the channel backend, where nothing crosses a carrier).
     pub fn measured_wire_ns(&self, machine: u16) -> u64 {
-        self.transport.measured_wire_ns(machine)
+        self.rx.measured_ns(machine)
     }
 
     /// Per-machine measured wire time, indexed by receiving machine.
     pub fn measured_wire_ns_per_machine(&self) -> Vec<u64> {
-        (0..self.machines()).map(|m| self.transport.measured_wire_ns(m as u16)).collect()
+        (0..self.machines() as u16).map(|m| self.measured_wire_ns(m)).collect()
     }
 
     /// Fault injection: kill `machine` abruptly (see [`Transport::sever`]).
     /// Survivors observe `PeerGone`; packets touching the dead machine
-    /// are dropped from then on.
+    /// are dropped from then on. Killing a machine that does not exist
+    /// does nothing, on every backend.
     pub fn sever(&self, machine: u16) {
-        self.transport.sever(machine);
+        if (machine as usize) < self.machines() {
+            self.transport.sever(machine);
+        }
     }
 
     /// Tear down the backend (close sockets, join I/O threads). Safe to
-    /// call more than once; required before dropping a TCP fabric to
+    /// call more than once; required before dropping a socket fabric to
     /// guarantee no thread is left blocked.
     pub fn shutdown(&self) {
         self.transport.shutdown();
@@ -376,53 +281,220 @@ impl ClusterBarrier {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-
-    fn fabric(n: usize) -> (Mailboxes, NetHandle) {
-        NetHandle::new(n, CostModel::default(), Arc::new(MetricsRegistry::new(n)))
-    }
+    use crate::receive::RecvError;
+    use std::time::{Duration, Instant};
 
     fn fabric_of(kind: TransportKind, n: usize) -> (Mailboxes, NetHandle) {
         NetHandle::with_kind(kind, n, CostModel::default(), Arc::new(MetricsRegistry::new(n)))
             .expect("fabric construction")
     }
 
-    const ALL_KINDS: [TransportKind; 4] =
-        [TransportKind::Channel, TransportKind::Tcp, TransportKind::Reactor, TransportKind::Lossy];
+    pub(crate) fn reply(req_id: u64, bytes: usize) -> Packet {
+        Packet::Reply { req_id, payload: vec![7; bytes], err: None }
+    }
 
-    #[test]
-    fn point_to_point_delivery() {
-        for kind in ALL_KINDS {
+    /// Bounded spin-wait that panics by name on timeout. Tests must
+    /// never time out *silently* and fall through to their asserts:
+    /// the resulting failure blames whatever counter happens to be
+    /// checked next instead of the wait that actually gave up.
+    pub(crate) fn spin_until(what: &str, limit: Duration, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + limit;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out after {limit:?} waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// What every backend must do, whatever carries the bytes. Each case
+    /// runs once per backend, under that backend's name prefix (CI
+    /// shards on `channel_`, `tcp_`, `reactor_`, `lossy_`).
+    mod cases {
+        use super::*;
+
+        pub fn roundtrip_and_measured_time(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 3);
+            net.send(0, 2, reply(7, 4096));
+            assert_eq!(mailboxes[2].recv().unwrap(), reply(7, 4096));
+            assert_eq!(mailboxes[0].try_recv().unwrap(), None);
+            assert_eq!(mailboxes[1].try_recv().unwrap(), None);
+            // Only a packet that crossed a carrier has time in flight.
+            assert_eq!(net.measured_wire_ns(2) > 0, kind != TransportKind::Channel);
+            assert_eq!(net.measured_wire_ns(0), 0);
+            net.shutdown();
+        }
+
+        pub fn loopback_bypasses_carrier_and_measurement(kind: TransportKind) {
             let (mailboxes, net) = fabric_of(kind, 2);
-            net.send(
-                0,
-                1,
-                Packet::Request {
-                    req_id: 7,
-                    from: 0,
-                    site: 3,
-                    target_obj: 9,
-                    payload: vec![1, 2, 3],
-                    oneway: false,
-                },
-            );
-            match mailboxes[1].recv().unwrap() {
-                Packet::Request { req_id, site, payload, .. } => {
-                    assert_eq!(req_id, 7);
-                    assert_eq!(site, 3);
-                    assert_eq!(payload, vec![1, 2, 3]);
-                }
-                other => panic!("unexpected {other:?}"),
+            net.send(1, 1, reply(4, 64));
+            net.send(1, 1, Packet::Shutdown);
+            assert_eq!(mailboxes[1].recv().unwrap(), reply(4, 64));
+            assert_eq!(mailboxes[1].recv().unwrap(), Packet::Shutdown);
+            assert_eq!(net.measured_wire_ns(1), 0);
+            let reactor = net.obs.machine_snapshot(1);
+            assert_eq!(reactor.reactor_frames_enqueued, 0, "loopback never enters a buffer");
+            net.shutdown();
+        }
+
+        pub fn per_pair_fifo_order_is_preserved(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 2);
+            for i in 0..200u64 {
+                net.send(0, 1, reply(i, 0));
             }
+            for i in 0..200u64 {
+                assert_eq!(mailboxes[1].recv().unwrap(), reply(i, 0));
+            }
+            net.shutdown();
+        }
+
+        pub fn echo_across_threads(kind: TransportKind) {
+            let (mut mailboxes, net) = fabric_of(kind, 2);
+            let (theirs, echo_net) = (mailboxes.remove(1), net.clone());
+            let echo = std::thread::spawn(move || {
+                for _ in 0..100 {
+                    echo_net.send(1, 0, theirs.recv().unwrap());
+                }
+            });
+            for i in 0..100u64 {
+                net.send(0, 1, reply(i, 8));
+                assert_eq!(mailboxes[0].recv().unwrap(), reply(i, 8));
+            }
+            echo.join().unwrap();
+            net.shutdown();
+        }
+
+        pub fn accounting_matches_the_channel_backend(kind: TransportKind) {
+            let run = |kind| {
+                let (mailboxes, net) = fabric_of(kind, 2);
+                net.send(0, 1, reply(1, 1000));
+                net.send(1, 1, Packet::NewRemote { req_id: 2, from: 1, class: 0 });
+                // Wait for actual delivery so the I/O threads are done.
+                mailboxes[1].recv().unwrap();
+                mailboxes[1].recv().unwrap();
+                net.shutdown();
+                (net.obs.cluster_snapshot(), net.modeled_ns())
+            };
+            assert_eq!(run(kind), run(TransportKind::Channel), "accounting depends on the backend");
+        }
+
+        pub fn shutdown_is_orderly_and_idempotent(kind: TransportKind) {
+            let (_mailboxes, net) = fabric_of(kind, 4);
+            net.shutdown();
+            net.shutdown(); // second call is a no-op
+            drop(net); // drop re-enters shutdown; none of this may hang
+        }
+
+        pub fn orderly_shutdown_reports_disconnected_not_peer_gone(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 2);
+            net.shutdown();
+            // Once the fabric is dropped the mailboxes report
+            // disconnection, never a synthetic PeerGone.
+            drop(net);
+            assert_eq!(mailboxes[0].recv(), Err(RecvError::Disconnected));
+            assert_eq!(mailboxes[1].recv(), Err(RecvError::Disconnected));
+        }
+
+        /// Machine 1's power cord is pulled: the survivors observe
+        /// PeerGone for exactly that peer — the signal the VM drain loop
+        /// turns into failed replies — exactly once, and keep working.
+        pub fn severed_peer_surfaces_as_peer_gone_once(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 3);
+            // Traffic flows before the crash…
+            net.send(1, 0, reply(9, 1));
+            assert_eq!(mailboxes[0].recv().unwrap(), reply(9, 1));
+            // …then machine 1 dies (and is reported dead twice).
+            net.sever(1);
+            net.sever(1);
+            for mb in [&mailboxes[0], &mailboxes[2]] {
+                assert_eq!(mb.recv().unwrap(), Packet::PeerGone { peer: 1 }, "{kind}");
+                assert_eq!(mb.try_recv().unwrap(), None, "{kind}: one PeerGone per death");
+            }
+            // Traffic toward the dead peer is dropped, never hangs…
+            net.send(0, 1, reply(10, 0));
+            // …and survivors still talk to each other.
+            net.send(0, 2, reply(11, 0));
+            assert_eq!(mailboxes[2].recv().unwrap(), reply(11, 0));
+            net.shutdown();
+        }
+
+        /// Regression: killing a machine that never existed used to
+        /// announce its death on channel and lossy, and `sever(65535)`
+        /// doubled as lossy's teardown signal, silently killing the
+        /// fabric thread.
+        pub fn severing_an_unknown_machine_does_nothing(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 2);
+            net.sever(2);
+            net.sever(u16::MAX);
+            // The first thing either machine hears is real traffic.
+            net.send(0, 1, reply(1, 8));
+            net.send(1, 0, reply(2, 8));
+            assert_eq!(mailboxes[1].recv().unwrap(), reply(1, 8));
+            assert_eq!(mailboxes[0].recv().unwrap(), reply(2, 8));
+            net.shutdown();
+        }
+
+        /// Socket backends only (a queue push cannot fail). Kill the
+        /// peer *between* two writes on an established stream: the
+        /// write path itself reports PeerGone to the sender's own
+        /// mailbox, so the failure is observed even if the reader-side
+        /// signal is lost — never a silent hang.
+        pub fn failed_write_reports_peer_gone_to_sender(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 2);
+            // Prove the stream works before the kill.
+            net.send(0, 1, reply(0, 8));
+            assert_eq!(mailboxes[1].recv().unwrap(), reply(0, 8));
+            // Drain the reader-side notification first, so the next
+            // PeerGone is unambiguously from the *write* path.
+            net.sever(1);
+            assert_eq!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 });
+            // The kernel may buffer the first post-FIN write, but within
+            // a bounded number of sends the write fails.
+            spin_until("the sender to observe its failed write", Duration::from_secs(10), || {
+                net.send(0, 1, reply(1, 1 << 16));
+                mailboxes[0].try_recv().unwrap() == Some(Packet::PeerGone { peer: 1 })
+            });
+            // The dead connection is retired: further sends drop
+            // silently without duplicate notifications.
+            net.send(0, 1, reply(2, 8));
             assert_eq!(mailboxes[0].try_recv().unwrap(), None);
             net.shutdown();
         }
     }
 
+    macro_rules! conformance {
+        ($backend:ident, $kind:expr $(, $socket_only:ident)*) => {
+            mod $backend {
+                use super::{cases, TransportKind};
+                conformance!(@tests $kind,
+                    roundtrip_and_measured_time,
+                    loopback_bypasses_carrier_and_measurement,
+                    per_pair_fifo_order_is_preserved,
+                    echo_across_threads,
+                    accounting_matches_the_channel_backend,
+                    shutdown_is_orderly_and_idempotent,
+                    orderly_shutdown_reports_disconnected_not_peer_gone,
+                    severed_peer_surfaces_as_peer_gone_once,
+                    severing_an_unknown_machine_does_nothing
+                    $(, $socket_only)*);
+            }
+        };
+        (@tests $kind:expr, $($case:ident),+) => {
+            $(#[test]
+            fn $case() {
+                cases::$case($kind)
+            })+
+        };
+    }
+
+    conformance!(channel_, TransportKind::Channel);
+    conformance!(tcp_, TransportKind::Tcp, failed_write_reports_peer_gone_to_sender);
+    conformance!(reactor_, TransportKind::Reactor, failed_write_reports_peer_gone_to_sender);
+    conformance!(lossy_, TransportKind::Lossy);
+
     #[test]
     fn stats_and_modeled_time_accumulate() {
-        let (_mb, net) = fabric(2);
+        let (_mb, net) = fabric_of(TransportKind::Channel, 2);
         net.send(0, 1, Packet::Reply { req_id: 1, payload: vec![0; 1000], err: None });
         let snap = net.obs.cluster_snapshot();
         assert_eq!(snap.messages, 1);
@@ -434,26 +506,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_identical_across_backends() {
-        let mut snaps = Vec::new();
-        for kind in ALL_KINDS {
-            let (mailboxes, net) = fabric_of(kind, 2);
-            net.send(0, 1, Packet::Reply { req_id: 1, payload: vec![0; 1000], err: None });
-            net.send(1, 1, Packet::NewRemote { req_id: 2, from: 1, class: 0 });
-            // Wait for actual delivery so TCP reader threads are done.
-            mailboxes[1].recv().unwrap();
-            mailboxes[1].recv().unwrap();
-            snaps.push((net.obs.cluster_snapshot(), net.modeled_ns()));
-            net.shutdown();
-        }
-        for (i, snap) in snaps.iter().enumerate().skip(1) {
-            assert_eq!(&snaps[0], snap, "accounting must not depend on the backend ({i})");
-        }
-    }
-
-    #[test]
     fn loopback_counts_stats_but_not_wire_time() {
-        let (_mb, net) = fabric(2);
+        let (_mb, net) = fabric_of(TransportKind::Channel, 2);
         net.send(1, 1, Packet::Reply { req_id: 1, payload: vec![0; 100], err: None });
         assert_eq!(net.obs.cluster_snapshot().messages, 1);
         assert_eq!(net.modeled_ns(), 0, "local RPCs do not cross the wire");
@@ -461,7 +515,7 @@ mod tests {
 
     #[test]
     fn disconnect_is_distinguished_from_empty() {
-        let (mailboxes, net) = fabric(1);
+        let (mailboxes, net) = fabric_of(TransportKind::Channel, 1);
         assert_eq!(mailboxes[0].try_recv().unwrap(), None, "empty, not disconnected");
         drop(net);
         assert_eq!(mailboxes[0].recv(), Err(RecvError::Disconnected));
@@ -482,42 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn sever_notifies_survivors_and_drops_dead_traffic() {
-        for kind in ALL_KINDS {
-            let (mailboxes, net) = fabric_of(kind, 3);
-            net.sever(1);
-            for mb in [&mailboxes[0], &mailboxes[2]] {
-                match mb.recv().unwrap() {
-                    Packet::PeerGone { peer } => assert_eq!(peer, 1, "{kind:?}"),
-                    other => panic!("{kind:?}: unexpected {other:?}"),
-                }
-            }
-            // Traffic toward the dead peer is dropped, never hangs...
-            net.send(0, 1, Packet::Reply { req_id: 1, payload: vec![], err: None });
-            // ...and survivors still talk to each other.
-            net.send(0, 2, Packet::Reply { req_id: 2, payload: vec![], err: None });
-            match mailboxes[2].recv().unwrap() {
-                Packet::Reply { req_id, .. } => assert_eq!(req_id, 2, "{kind:?}"),
-                other => panic!("{kind:?}: unexpected {other:?}"),
-            }
-            net.shutdown();
-        }
-    }
-
-    #[test]
-    fn channel_sever_is_idempotent() {
-        let (mailboxes, net) = fabric_of(TransportKind::Channel, 2);
-        net.sever(1);
-        net.sever(1);
-        match mailboxes[0].recv().unwrap() {
-            Packet::PeerGone { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(mailboxes[0].try_recv().unwrap(), None, "exactly one PeerGone per death");
-        net.shutdown();
-    }
-
-    #[test]
     fn barrier_synchronizes() {
         let b = Arc::new(ClusterBarrier::new(2));
         let b2 = b.clone();
@@ -525,42 +543,6 @@ mod tests {
             b2.wait();
         });
         b.wait();
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn threaded_cross_send() {
-        let (mut mailboxes, net) = fabric(2);
-        let mb1 = mailboxes.remove(1);
-        let net2 = net.clone();
-        let t = std::thread::spawn(move || {
-            let mut got = 0;
-            while got < 100 {
-                if let Ok(Packet::Request { req_id, from, .. }) = mb1.recv() {
-                    net2.send(1, from, Packet::Reply { req_id, payload: vec![], err: None });
-                    got += 1;
-                }
-            }
-        });
-        let mb0 = &mailboxes[0];
-        for i in 0..100u64 {
-            net.send(
-                0,
-                1,
-                Packet::Request {
-                    req_id: i,
-                    from: 0,
-                    site: 0,
-                    target_obj: 0,
-                    payload: vec![],
-                    oneway: false,
-                },
-            );
-            match mb0.recv().unwrap() {
-                Packet::Reply { req_id, .. } => assert_eq!(req_id, i),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
         t.join().unwrap();
     }
 }

@@ -699,11 +699,7 @@ type WorkItem = (u64, u16, u32, u32, Vec<u8>, bool, u64);
 /// the paper's modified GM layer. Requests go to the worker pool (or a
 /// dedicated thread for one-way spawns); replies wake the waiting caller;
 /// `NewRemote` allocations are served inline.
-fn drain_loop(
-    rt: Arc<Runtime>,
-    mailbox: Box<dyn Mailbox>,
-    work_tx: crossbeam::channel::Sender<WorkItem>,
-) {
+fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::Sender<WorkItem>) {
     let my = mailbox.machine();
     loop {
         let packet = match mailbox.recv() {

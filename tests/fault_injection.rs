@@ -275,77 +275,6 @@ fn tcp_runs_shut_down_cleanly_under_load() {
 }
 
 #[test]
-fn tcp_killed_peer_surfaces_as_orderly_remote_error() {
-    // Transport-level variant of "machine 1's power cord is pulled":
-    // sever every stream touching machine 1 without an orderly shutdown
-    // and verify the survivors observe PeerGone for exactly that peer —
-    // the signal the VM drain loop turns into a failed reply (see
-    // `corm_vm`'s fail_pending tests for the reply-side half).
-    use corm_net::{Packet, TcpTransport, Transport};
-
-    let (mailboxes, transport) = TcpTransport::new(3).unwrap();
-    // Traffic flows before the crash…
-    transport.deliver(1, 0, Packet::Reply { req_id: 9, payload: vec![1], err: None });
-    match mailboxes[0].recv().unwrap() {
-        Packet::Reply { req_id, .. } => assert_eq!(req_id, 9),
-        other => panic!("unexpected {other:?}"),
-    }
-    // …then machine 1 dies.
-    transport.sever(1);
-    for mb in [&mailboxes[0], &mailboxes[2]] {
-        match mb.recv().unwrap() {
-            Packet::PeerGone { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    // Sends toward the dead peer are dropped, not hung.
-    transport.deliver(0, 1, Packet::Reply { req_id: 10, payload: vec![], err: None });
-    transport.shutdown();
-}
-
-#[test]
-fn tcp_mid_stream_kill_surfaces_write_failure_to_sender() {
-    // Kill the peer *between* two writes on an established stream. The
-    // sender's next write fails; before the fix that error was swallowed
-    // (`let _ = stream.write_all(..)`) and the caller could only be saved
-    // by the reader-side notification. Now the write path itself injects
-    // PeerGone into the sender's own mailbox, so the failure is observed
-    // even if the reader-side signal is lost — never a silent hang.
-    use corm_net::{Packet, TcpTransport, Transport};
-
-    let (mailboxes, transport) = TcpTransport::new(2).unwrap();
-    // A write mid-stream: the connection is warm and proven.
-    transport.deliver(0, 1, Packet::Reply { req_id: 1, payload: vec![2; 8], err: None });
-    assert!(matches!(mailboxes[1].recv().unwrap(), Packet::Reply { req_id: 1, .. }));
-    transport.sever(1);
-    // Drain the notification from machine 0's reader thread first, so the
-    // next PeerGone we see is unambiguously from the *write* path.
-    assert!(matches!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 }));
-    let mut write_failure_observed = false;
-    for i in 0..64 {
-        transport.deliver(
-            0,
-            1,
-            Packet::Request {
-                req_id: i,
-                from: 0,
-                site: 0,
-                target_obj: 1,
-                payload: vec![0; 1 << 16],
-                oneway: false,
-            },
-        );
-        if let Ok(Some(p)) = mailboxes[0].try_recv() {
-            assert!(matches!(p, Packet::PeerGone { peer: 1 }), "unexpected {p:?}");
-            write_failure_observed = true;
-            break;
-        }
-    }
-    assert!(write_failure_observed, "sender never learned its writes were failing");
-    transport.shutdown();
-}
-
-#[test]
 fn tcp_fault_injection_dumps_flight_recorder_with_failing_req() {
     // End-to-end power-cord pull over real sockets: the third request
     // toward machine 1 severs it mid-flight. The caller must get an
@@ -521,119 +450,6 @@ fn reactor_runs_shut_down_cleanly_under_load() {
 }
 
 #[test]
-fn reactor_killed_peer_surfaces_as_orderly_remote_error() {
-    // Power-cord pull on the reactor fabric: survivors observe PeerGone
-    // for exactly the dead peer, and sends toward it drop, not hang.
-    use corm_net::{Packet, ReactorTransport, Transport};
-
-    let (mailboxes, transport) = ReactorTransport::new(3).unwrap();
-    transport.deliver(1, 0, Packet::Reply { req_id: 9, payload: vec![1], err: None });
-    match mailboxes[0].recv().unwrap() {
-        Packet::Reply { req_id, .. } => assert_eq!(req_id, 9),
-        other => panic!("unexpected {other:?}"),
-    }
-    transport.sever(1);
-    for mb in [&mailboxes[0], &mailboxes[2]] {
-        match mb.recv().unwrap() {
-            Packet::PeerGone { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    transport.deliver(0, 1, Packet::Reply { req_id: 10, payload: vec![], err: None });
-    transport.shutdown();
-}
-
-#[test]
-fn reactor_mid_stream_kill_surfaces_write_failure_to_sender() {
-    // Same shape as the TCP variant, but the failing flush may happen on
-    // a reactor thread instead of the sending thread; the PeerGone must
-    // still land in the *sender's* mailbox.
-    use corm_net::{Packet, ReactorTransport, Transport};
-
-    let (mailboxes, transport) = ReactorTransport::new(2).unwrap();
-    transport.deliver(0, 1, Packet::Reply { req_id: 1, payload: vec![2; 8], err: None });
-    assert!(matches!(mailboxes[1].recv().unwrap(), Packet::Reply { req_id: 1, .. }));
-    transport.sever(1);
-    assert!(matches!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 }));
-    let mut write_failure_observed = false;
-    for i in 0..64 {
-        transport.deliver(
-            0,
-            1,
-            Packet::Request {
-                req_id: i,
-                from: 0,
-                site: 0,
-                target_obj: 1,
-                payload: vec![0; 1 << 16],
-                oneway: false,
-            },
-        );
-        if let Ok(Some(p)) = mailboxes[0].try_recv() {
-            assert!(matches!(p, Packet::PeerGone { peer: 1 }), "unexpected {p:?}");
-            write_failure_observed = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert!(write_failure_observed, "sender never learned its writes were failing");
-    transport.shutdown();
-}
-
-#[test]
-fn reactor_torn_batch_fails_pending_calls_as_orderly_peer_gone() {
-    // Frames parked in a coalescing buffer when the peer dies: the batch
-    // is torn before it ever reaches a socket. The sender must get
-    // PeerGone (so the VM fails the pending calls), the survivor mesh
-    // must keep working, and nothing may hang waiting on the dead batch.
-    use corm_net::{BatchConfig, Packet, ReactorTransport, Transport};
-    use std::time::Duration;
-
-    let cfg = BatchConfig {
-        flush_bytes: 1 << 20,
-        flush_deadline: Duration::from_millis(500),
-        batch_after: 0, // always under load: every frame parks in the batch
-        window: Duration::from_secs(1),
-    };
-    let (mailboxes, transport) = ReactorTransport::with_config(3, cfg).unwrap();
-    // Queue several pipelined requests toward machine 1; with the huge
-    // flush threshold and long deadline they sit in the batch buffer.
-    for req_id in 0..5u64 {
-        transport.deliver(
-            0,
-            1,
-            Packet::Request {
-                req_id,
-                from: 0,
-                site: 0,
-                target_obj: 1,
-                payload: vec![7; 64],
-                oneway: false,
-            },
-        );
-    }
-    transport.sever(1);
-    // The torn batch surfaces as PeerGone to the sender (and machine 2
-    // learns via its own severed stream).
-    match mailboxes[0].recv().unwrap() {
-        Packet::PeerGone { peer } => assert_eq!(peer, 1),
-        other => panic!("unexpected {other:?}"),
-    }
-    match mailboxes[2].recv().unwrap() {
-        Packet::PeerGone { peer } => assert_eq!(peer, 1),
-        other => panic!("unexpected {other:?}"),
-    }
-    // The survivor pair still carries traffic (batched, so flushed by
-    // the deadline at the latest).
-    transport.deliver(0, 2, Packet::Reply { req_id: 99, payload: vec![1], err: None });
-    match mailboxes[2].recv().unwrap() {
-        Packet::Reply { req_id, .. } => assert_eq!(req_id, 99),
-        other => panic!("unexpected {other:?}"),
-    }
-    transport.shutdown();
-}
-
-#[test]
 fn reactor_fault_injection_dumps_flight_recorder_with_failing_req() {
     // End-to-end power-cord pull over the reactor fabric, mirroring the
     // TCP test: orderly error plus a parseable flight dump naming the
@@ -760,32 +576,6 @@ fn lossy_runs_shut_down_cleanly_under_heavy_loss() {
     assert_eq!(out.output, "19900\n");
     let retransmits: u64 = out.metrics.machines.iter().map(|m| m.lossy_retransmits).sum();
     assert!(retransmits > 0, "a 20% drop rate must force retransmissions");
-}
-
-#[test]
-fn lossy_killed_peer_surfaces_as_orderly_remote_error() {
-    // Power-cord pull on the lossy fabric: PeerGone rides the exempt
-    // control path (never dropped, duplicated or delayed), so survivors
-    // learn about the death exactly like they do on a reliable backend.
-    use corm_net::{LossSpec, LossyTransport, Packet, Transport};
-
-    let (mailboxes, transport) = LossyTransport::new(3, LossSpec::default());
-    transport.deliver(1, 0, Packet::Reply { req_id: 9, payload: vec![1], err: None });
-    match mailboxes[0].recv().unwrap() {
-        Packet::Reply { req_id, .. } => assert_eq!(req_id, 9),
-        other => panic!("unexpected {other:?}"),
-    }
-    transport.sever(1);
-    for mb in [&mailboxes[0], &mailboxes[2]] {
-        match mb.recv().unwrap() {
-            Packet::PeerGone { peer } => assert_eq!(peer, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-    // Sends toward the dead peer are dropped, not hung (and spawn no
-    // retransmit timers that would wedge shutdown).
-    transport.deliver(0, 1, Packet::Reply { req_id: 10, payload: vec![], err: None });
-    transport.shutdown();
 }
 
 #[test]
