@@ -46,8 +46,8 @@
 use std::process::ExitCode;
 
 use corm::{
-    compile, run, ArrivalSchedule, LossSpec, MetricsRegistry, OptConfig, RunOptions, Semantics,
-    ServeOptions, ServeReport, StallSpec, TimelineSample, TransportKind,
+    compile, run, ArrivalSchedule, FlightDump, LossSpec, MetricsRegistry, OptConfig, RunOptions,
+    RunOutcome, Semantics, ServeOptions, ServeReport, StallSpec, TimelineSample, TransportKind,
 };
 
 /// The webserver program `corm serve` drives (the app crate sits above
@@ -79,52 +79,6 @@ fn parse_config(s: &str) -> Option<OptConfig> {
     Some(cfg)
 }
 
-struct Cli {
-    command: String,
-    file: String,
-    config: OptConfig,
-    /// Whether `--config` was given explicitly (explain defaults to all
-    /// five Table 1 rows when it was not).
-    config_explicit: bool,
-    machines: usize,
-    args: Vec<i64>,
-    stats: bool,
-    quiet: bool,
-    trace: bool,
-    trace_json: Option<String>,
-    metrics: bool,
-    transport: TransportKind,
-    loss_seed: Option<u64>,
-    loss_rate: Option<f64>,
-    loss_semantics: Option<Semantics>,
-    json: bool,
-    dump_flight: Option<String>,
-    timeline_json: Option<String>,
-}
-
-/// Fold the `--loss-*` flags into one [`LossSpec`]. `None` when no flag
-/// was given (the lossy backend then uses its seeded default model).
-fn loss_spec(
-    seed: Option<u64>,
-    rate: Option<f64>,
-    semantics: Option<Semantics>,
-) -> Option<LossSpec> {
-    if seed.is_none() && rate.is_none() && semantics.is_none() {
-        return None;
-    }
-    let mut spec = match rate {
-        Some(r) => LossSpec::seeded(seed.unwrap_or(LossSpec::default().seed), r),
-        None => LossSpec::default(),
-    };
-    if let Some(s) = seed {
-        spec.seed = s;
-    }
-    if let Some(sem) = semantics {
-        spec.semantics = sem;
-    }
-    Some(spec)
-}
-
 /// Seeds read naturally in hex (`0xFA11`) or decimal.
 fn parse_seed(s: &str) -> Option<u64> {
     match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -133,178 +87,194 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-fn parse_cli() -> Cli {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.len() < 2 {
-        usage();
+/// The value of the flag at `argv[*i]`, or the usage exit.
+fn value<'a>(argv: &'a [String], i: &mut usize) -> &'a str {
+    *i += 1;
+    argv.get(*i).map(String::as_str).unwrap_or_else(|| usage())
+}
+
+/// [`value`], parsed; a value that does not parse is the usage exit.
+fn parsed<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
+    let flag = &argv[*i];
+    value(argv, i).parse().unwrap_or_else(|_| {
+        eprintln!("bad {flag} value");
+        usage()
+    })
+}
+
+/// The flags `run`, `serve` and `top` share, parsed once.
+struct Common {
+    config: OptConfig,
+    /// Whether `--config` was given explicitly (explain defaults to all
+    /// five Table 1 rows when it was not).
+    config_explicit: bool,
+    machines: usize,
+    transport: TransportKind,
+    /// The `--loss-*` flags folded into one spec. `None` when no flag was
+    /// given (the lossy backend then uses its seeded default model).
+    loss: Option<LossSpec>,
+    stall: Option<StallSpec>,
+    metrics: bool,
+    dump_flight: Option<String>,
+    timeline_json: Option<String>,
+}
+
+impl Common {
+    /// Consume the shared flags out of `argv`; what is left, in order, is
+    /// the subcommand's own. `machines` is the subcommand's default.
+    fn parse(argv: &[String], machines: usize) -> (Common, Vec<String>) {
+        let mut c = Common {
+            config: OptConfig::ALL,
+            config_explicit: false,
+            machines,
+            transport: TransportKind::default(),
+            loss: None,
+            stall: None,
+            metrics: false,
+            dump_flight: None,
+            timeline_json: None,
+        };
+        let (mut seed, mut rate, mut semantics) = (None::<u64>, None::<f64>, None::<Semantics>);
+        let mut rest = Vec::new();
+        let mut i = 0;
+        while i < argv.len() {
+            match argv[i].as_str() {
+                "--config" => {
+                    c.config = parse_config(value(argv, &mut i)).unwrap_or_else(|| {
+                        eprintln!("bad --config value");
+                        usage()
+                    });
+                    c.config_explicit = true;
+                }
+                "--machines" => c.machines = parsed(argv, &mut i),
+                "--transport" => c.transport = parsed(argv, &mut i),
+                "--loss-seed" => {
+                    seed = Some(parse_seed(value(argv, &mut i)).unwrap_or_else(|| usage()))
+                }
+                "--loss-rate" => rate = Some(parsed(argv, &mut i)),
+                "--loss-semantics" => semantics = Some(parsed(argv, &mut i)),
+                "--stall" => {
+                    let spec = value(argv, &mut i);
+                    let Some((every, stall_us)) = spec.split_once(':') else { usage() };
+                    c.stall = Some(StallSpec {
+                        every: every.parse().unwrap_or_else(|_| usage()),
+                        stall_us: stall_us.parse().unwrap_or_else(|_| usage()),
+                    });
+                }
+                "--metrics" => c.metrics = true,
+                "--dump-flight" => c.dump_flight = Some(value(argv, &mut i).to_string()),
+                "--timeline-json" => c.timeline_json = Some(value(argv, &mut i).to_string()),
+                _ => rest.push(argv[i].clone()),
+            }
+            i += 1;
+        }
+        if seed.is_some() || rate.is_some() || semantics.is_some() {
+            let mut spec = match rate {
+                Some(r) => LossSpec::seeded(seed.unwrap_or(LossSpec::default().seed), r),
+                None => LossSpec::default(),
+            };
+            spec.seed = seed.unwrap_or(spec.seed);
+            spec.semantics = semantics.unwrap_or(spec.semantics);
+            c.loss = Some(spec);
+        }
+        (c, rest)
     }
-    let mut cli = Cli {
-        command: argv[0].clone(),
-        file: argv[1].clone(),
-        config: OptConfig::ALL,
-        config_explicit: false,
-        machines: 2,
-        args: Vec::new(),
-        stats: false,
-        quiet: false,
-        trace: false,
-        trace_json: None,
-        metrics: false,
-        transport: TransportKind::default(),
-        loss_seed: None,
-        loss_rate: None,
-        loss_semantics: None,
-        json: false,
-        dump_flight: None,
-        timeline_json: None,
-    };
-    let mut i = 2;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--config" => {
-                i += 1;
-                let Some(cfg) = argv.get(i).and_then(|s| parse_config(s)) else {
-                    eprintln!("bad --config value");
-                    usage();
-                };
-                cli.config = cfg;
-                cli.config_explicit = true;
+
+    /// The shared flags' share of a run's options.
+    fn apply(&self, run: &mut RunOptions) {
+        run.machines = self.machines;
+        run.transport = self.transport;
+        run.loss = self.loss;
+        run.stall = self.stall;
+    }
+
+    /// Print the metrics and write the artifacts the flags asked for:
+    /// `flight` as the flight dump, the outcome's timeline, and its trace
+    /// to `trace_json`. A file that cannot be written is exit code 2.
+    fn emit(
+        &self,
+        outcome: &RunOutcome,
+        flight: &FlightDump,
+        trace_json: Option<&str>,
+        quiet: bool,
+    ) -> Result<(), ExitCode> {
+        let write = |path: &str, body: String, what: String| -> Result<(), ExitCode> {
+            std::fs::write(path, body).map_err(|e| {
+                eprintln!("cannot write {path}: {e}");
+                ExitCode::from(2)
+            })?;
+            if !quiet {
+                eprintln!("{what} written to {path}");
             }
-            "--machines" => {
-                i += 1;
-                cli.machines = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--args" => {
-                i += 1;
-                let Some(list) = argv.get(i) else { usage() };
-                cli.args = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "--stats" => cli.stats = true,
-            "--quiet" => cli.quiet = true,
-            "--trace" => cli.trace = true,
-            "--trace-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else { usage() };
-                cli.trace_json = Some(path.clone());
-            }
-            "--metrics" => cli.metrics = true,
-            "--json" => cli.json = true,
-            "--dump-flight" => {
-                i += 1;
-                let Some(path) = argv.get(i) else { usage() };
-                cli.dump_flight = Some(path.clone());
-            }
-            "--timeline-json" => {
-                i += 1;
-                let Some(path) = argv.get(i) else { usage() };
-                cli.timeline_json = Some(path.clone());
-            }
-            "--transport" => {
-                i += 1;
-                let Some(kind) = argv.get(i).and_then(|s| s.parse().ok()) else {
-                    eprintln!("bad --transport value (expected channel|tcp|reactor|lossy)");
-                    usage();
-                };
-                cli.transport = kind;
-            }
-            "--loss-seed" => {
-                i += 1;
-                cli.loss_seed =
-                    Some(argv.get(i).and_then(|s| parse_seed(s)).unwrap_or_else(|| usage()));
-            }
-            "--loss-rate" => {
-                i += 1;
-                cli.loss_rate =
-                    Some(argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
-            }
-            "--loss-semantics" => {
-                i += 1;
-                let Some(sem) = argv.get(i).and_then(|s| s.parse().ok()) else {
-                    eprintln!(
-                        "bad --loss-semantics value (expected maybe|at-least-once|at-most-once)"
-                    );
-                    usage();
-                };
-                cli.loss_semantics = Some(sem);
-            }
+            Ok(())
+        };
+        if let Some(path) = trace_json {
+            let what = "trace (open in https://ui.perfetto.dev)".to_string();
+            write(path, corm::to_chrome_trace(&outcome.trace), what)?;
+        }
+        if self.metrics {
+            print!("{}", corm::render_prometheus(&outcome.metrics));
+        }
+        if let Some(path) = &self.dump_flight {
+            let what = format!("flight recorder dump ({} events)", flight.total_events());
+            write(path, corm::render_flight_json(flight), what)?;
+        }
+        if let Some(path) = &self.timeline_json {
+            let what = format!("timeline ({} samples)", outcome.timeline.total_samples());
+            write(path, corm::render_timeline_json(&outcome.timeline), what)?;
+        }
+        Ok(())
+    }
+}
+
+/// Parse the command line of `serve` or `top` (`cmd`): the shared flags,
+/// the flags the two have in common, and their `own`, which returns
+/// `false` for a flag it does not know. Returns the shared flags, the
+/// options, the arrival rate and the schedule seed.
+fn serve_flags(
+    cmd: &str,
+    argv: &[String],
+    mut own: impl FnMut(&[String], &mut usize, &mut ServeOptions) -> bool,
+) -> (Common, ServeOptions, f64, u64) {
+    let (common, rest) = Common::parse(argv, 3);
+    let mut opts = ServeOptions::default();
+    common.apply(&mut opts.run);
+    let (mut rate, mut seed) = (500.0f64, 42u64);
+    let mut i = 0;
+    while i < rest.len() {
+        match rest[i].as_str() {
+            "--rate" => rate = parsed(&rest, &mut i),
+            "--seed" => seed = parsed(&rest, &mut i),
+            "--clients" => opts.clients = parsed(&rest, &mut i),
+            _ if own(&rest, &mut i, &mut opts) => {}
             other => {
-                eprintln!("unknown flag {other}");
+                eprintln!("unknown {cmd} flag {other}");
                 usage();
             }
         }
         i += 1;
     }
-    cli
+    (common, opts, rate, seed)
 }
 
 /// `corm serve`: run the embedded webserver open-loop and print the
 /// coordinated-omission-safe latency report.
 fn serve_main(argv: &[String]) -> ExitCode {
-    let mut config = OptConfig::ALL;
-    let mut opts = ServeOptions::default();
-    opts.run.machines = 3;
-    let mut rate = 500.0f64;
     let mut requests = 500usize;
-    let mut seed = 42u64;
-    let mut metrics = false;
-    let mut dump_flight: Option<String> = None;
-    let mut timeline_json: Option<String> = None;
-    let mut loss_seed: Option<u64> = None;
-    let mut loss_rate: Option<f64> = None;
-    let mut loss_semantics: Option<Semantics> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--config" => {
-                config = parse_config(&take(&mut i)).unwrap_or_else(|| usage());
-            }
-            "--machines" => opts.run.machines = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--transport" => {
-                opts.run.transport = take(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--rate" => rate = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--requests" => requests = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--clients" => opts.clients = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--slo-us" => opts.slo_us = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--stall" => {
-                let spec = take(&mut i);
-                let Some((every, stall_us)) = spec.split_once(':') else { usage() };
-                opts.run.stall = Some(StallSpec {
-                    every: every.parse().unwrap_or_else(|_| usage()),
-                    stall_us: stall_us.parse().unwrap_or_else(|_| usage()),
-                });
-            }
-            "--loss-seed" => loss_seed = Some(parse_seed(&take(&mut i)).unwrap_or_else(|| usage())),
-            "--loss-rate" => loss_rate = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--loss-semantics" => {
-                loss_semantics = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--metrics" => metrics = true,
-            "--dump-flight" => dump_flight = Some(take(&mut i)),
-            "--timeline-json" => timeline_json = Some(take(&mut i)),
-            other => {
-                eprintln!("unknown serve flag {other}");
-                usage();
-            }
+    let (common, opts, rate, seed) = serve_flags("serve", argv, |rest, i, opts| {
+        match rest[*i].as_str() {
+            "--requests" => requests = parsed(rest, i),
+            "--slo-us" => opts.slo_us = parsed(rest, i),
+            _ => return false,
         }
-        i += 1;
-    }
-    opts.run.loss = loss_spec(loss_seed, loss_rate, loss_semantics);
+        true
+    });
     if opts.run.machines < 2 || rate <= 0.0 || requests == 0 {
         eprintln!("serve needs --machines >= 2, --rate > 0 and --requests > 0");
         return ExitCode::from(2);
     }
 
-    let compiled = match compile(WEBSERVER_MP, config) {
+    let compiled = match compile(WEBSERVER_MP, common.config) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("webserver: compile error: {e}");
@@ -319,29 +289,16 @@ fn serve_main(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    print_serve_report(common.config, seed, requests, &report);
+    finish_serve(&common, &report)
+}
 
-    print_serve_report(config, seed, requests, &report);
-    if metrics {
-        print!("{}", corm::render_prometheus(&report.outcome.metrics));
-    }
-    if let Some(path) = &dump_flight {
-        // Prefer the dump taken while the SLO violations were hot.
-        let dump = report.flight_slo.as_ref().unwrap_or(&report.outcome.flight);
-        if let Err(e) = std::fs::write(path, corm::render_flight_json(dump)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("flight recorder dump written to {path}");
-    }
-    if let Some(path) = &timeline_json {
-        if let Err(e) = std::fs::write(path, corm::render_timeline_json(&report.outcome.timeline)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "timeline ({} samples) written to {path}",
-            report.outcome.timeline.total_samples()
-        );
+/// Emit a serving run's artifacts and turn it into an exit code.
+fn finish_serve(common: &Common, report: &ServeReport) -> ExitCode {
+    // Prefer the dump taken while the SLO violations were hot.
+    let flight = report.flight_slo.as_ref().unwrap_or(&report.outcome.flight);
+    if let Err(code) = common.emit(&report.outcome, flight, None, false) {
+        return code;
     }
     if report.errors > 0 {
         return ExitCode::FAILURE;
@@ -505,63 +462,21 @@ fn render_top_frame(
 /// serve`) while redrawing a live plain-ANSI per-machine table from the
 /// timeline rings, then print the usual serving report.
 fn top_main(argv: &[String]) -> ExitCode {
-    let mut config = OptConfig::ALL;
-    let mut opts = ServeOptions::default();
-    opts.run.machines = 3;
-    let mut rate = 500.0f64;
-    let mut seconds = 10.0f64;
-    let mut seed = 42u64;
-    let mut refresh_ms = 250u64;
-    let mut timeline_json: Option<String> = None;
-    let mut loss_seed: Option<u64> = None;
-    let mut loss_rate: Option<f64> = None;
-    let mut loss_semantics: Option<Semantics> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        let take = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| usage())
-        };
-        match argv[i].as_str() {
-            "--config" => {
-                config = parse_config(&take(&mut i)).unwrap_or_else(|| usage());
-            }
-            "--machines" => opts.run.machines = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--transport" => {
-                opts.run.transport = take(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--rate" => rate = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seconds" => seconds = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--clients" => opts.clients = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--refresh-ms" => refresh_ms = take(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--stall" => {
-                let spec = take(&mut i);
-                let Some((every, stall_us)) = spec.split_once(':') else { usage() };
-                opts.run.stall = Some(StallSpec {
-                    every: every.parse().unwrap_or_else(|_| usage()),
-                    stall_us: stall_us.parse().unwrap_or_else(|_| usage()),
-                });
-            }
-            "--loss-seed" => loss_seed = Some(parse_seed(&take(&mut i)).unwrap_or_else(|| usage())),
-            "--loss-rate" => loss_rate = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--loss-semantics" => {
-                loss_semantics = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--timeline-json" => timeline_json = Some(take(&mut i)),
-            other => {
-                eprintln!("unknown top flag {other}");
-                usage();
-            }
+    let (mut seconds, mut refresh_ms) = (10.0f64, 250u64);
+    let (common, opts, rate, seed) = serve_flags("top", argv, |rest, i, _| {
+        match rest[*i].as_str() {
+            "--seconds" => seconds = parsed(rest, i),
+            "--refresh-ms" => refresh_ms = parsed(rest, i),
+            _ => return false,
         }
-        i += 1;
-    }
-    opts.run.loss = loss_spec(loss_seed, loss_rate, loss_semantics);
+        true
+    });
     if opts.run.machines < 2 || rate <= 0.0 || seconds <= 0.0 || refresh_ms == 0 {
         eprintln!("top needs --machines >= 2, --rate > 0, --seconds > 0 and --refresh-ms > 0");
         return ExitCode::from(2);
     }
     let requests = (rate * seconds).ceil().max(1.0) as usize;
+    let config = common.config;
 
     let compiled = match compile(WEBSERVER_MP, config) {
         Ok(c) => c,
@@ -628,67 +543,75 @@ fn top_main(argv: &[String]) -> ExitCode {
     print!("\x1b[H\x1b[2J{frame}");
     let _ = std::io::Write::flush(&mut std::io::stdout());
     print_serve_report(config, seed, requests, &report);
-    if let Some(path) = &timeline_json {
-        if let Err(e) = std::fs::write(path, corm::render_timeline_json(&report.outcome.timeline)) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "timeline ({} samples) written to {path}",
-            report.outcome.timeline.total_samples()
-        );
-    }
-    if report.errors > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_serve(&common, &report)
 }
 
 fn main() -> ExitCode {
     // `fuzz`, `serve` and `top` take no <file.mp> operand — intercept
     // them before the positional parser.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("fuzz") {
-        return ExitCode::from(corm_fuzz::cli::fuzz_main(&argv[1..]) as u8);
+    match argv.first().map(String::as_str) {
+        Some("fuzz") => return ExitCode::from(corm_fuzz::cli::fuzz_main(&argv[1..]) as u8),
+        Some("serve") => return serve_main(&argv[1..]),
+        Some("top") => return top_main(&argv[1..]),
+        _ if argv.len() < 2 => usage(),
+        _ => {}
     }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return serve_main(&argv[1..]);
+    let (command, file) = (argv[0].as_str(), argv[1].as_str());
+    let (common, rest) = Common::parse(&argv[2..], 2);
+    let (mut args, mut trace_json) = (Vec::<i64>::new(), None::<String>);
+    let (mut stats, mut quiet, mut trace, mut json) = (false, false, false, false);
+    let mut i = 0;
+    while i < rest.len() {
+        match rest[i].as_str() {
+            "--args" => {
+                args = value(&rest, &mut i)
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
+                    .collect();
+            }
+            "--stats" => stats = true,
+            "--quiet" => quiet = true,
+            "--trace" => trace = true,
+            "--trace-json" => trace_json = Some(value(&rest, &mut i).to_string()),
+            "--json" => json = true,
+            other => {
+                eprintln!("unknown flag {other}");
+                usage();
+            }
+        }
+        i += 1;
     }
-    if argv.first().map(String::as_str) == Some("top") {
-        return top_main(&argv[1..]);
-    }
-    let cli = parse_cli();
-    let src = match std::fs::read_to_string(&cli.file) {
+    let src = match std::fs::read_to_string(file) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("cannot read {}: {e}", cli.file);
+            eprintln!("cannot read {file}: {e}");
             return ExitCode::from(2);
         }
     };
-    let compiled = match compile(&src, cli.config) {
+    let compiled = match compile(&src, common.config) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("{}: compile error: {e}", cli.file);
+            eprintln!("{file}: compile error: {e}");
             return ExitCode::FAILURE;
         }
     };
 
-    match cli.command.as_str() {
+    match command {
         "run" => {
-            let opts = RunOptions {
-                machines: cli.machines,
-                args: cli.args.clone(),
-                echo: !cli.quiet,
-                // --trace-json needs the trace recorded even when the
-                // textual timeline is off.
-                trace: cli.trace || cli.trace_json.is_some(),
-                transport: cli.transport,
-                loss: loss_spec(cli.loss_seed, cli.loss_rate, cli.loss_semantics),
+            // --trace-json needs the trace recorded even when the textual
+            // timeline is off.
+            let mut opts = RunOptions {
+                args,
+                echo: !quiet,
+                trace: trace || trace_json.is_some(),
                 ..Default::default()
             };
+            common.apply(&mut opts);
             let cost = opts.cost;
             let outcome = run(&compiled, opts);
-            if cli.trace && !cli.quiet {
+            if trace && !quiet {
                 eprintln!("--- RMI timeline ---");
                 eprint!("{}", corm::render_timeline(&outcome.trace));
                 eprintln!("--- phase attribution ---");
@@ -696,53 +619,18 @@ fn main() -> ExitCode {
                 corm::attach_measured_wire(&mut report, &outcome.measured_wire_ns);
                 eprint!("{}", corm::render_phase_report(&report));
             }
-            if let Some(path) = &cli.trace_json {
-                let json = corm::to_chrome_trace(&outcome.trace);
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                if !cli.quiet {
-                    eprintln!("trace written to {path} (open in https://ui.perfetto.dev)");
-                }
+            // A requested dump of a healthy run is labeled as such;
+            // failures keep their classification (peer-gone, ...).
+            let mut dump = outcome.flight.clone();
+            if dump.reason == "ok" {
+                dump.reason = "requested".to_string();
             }
-            if cli.metrics {
-                print!("{}", corm::render_prometheus(&outcome.metrics));
+            if let Err(code) = common.emit(&outcome, &dump, trace_json.as_deref(), quiet) {
+                return code;
             }
-            if let Some(path) = &cli.dump_flight {
-                // A requested dump of a healthy run is labeled as such;
-                // failures keep their classification (peer-gone, ...).
-                let mut dump = outcome.flight.clone();
-                if dump.reason == "ok" {
-                    dump.reason = "requested".to_string();
-                }
-                if let Err(e) = std::fs::write(path, corm::render_flight_json(&dump)) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                if !cli.quiet {
-                    eprintln!(
-                        "flight recorder dump ({} events) written to {path}",
-                        dump.total_events()
-                    );
-                }
-            }
-            if let Some(path) = &cli.timeline_json {
-                let json = corm::render_timeline_json(&outcome.timeline);
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::from(2);
-                }
-                if !cli.quiet {
-                    eprintln!(
-                        "timeline ({} samples) written to {path}",
-                        outcome.timeline.total_samples()
-                    );
-                }
-            }
-            if cli.stats {
+            if stats {
                 let st = &outcome.stats;
-                eprintln!("--- run statistics ({}) ---", cli.config.label());
+                eprintln!("--- run statistics ({}) ---", common.config.label());
                 eprintln!("transport       : {}", outcome.transport);
                 eprintln!("wall            : {:?}", outcome.wall);
                 eprintln!("modeled         : {:.3} ms", outcome.modeled.as_secs_f64() * 1e3);
@@ -770,13 +658,13 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "explain" => {
-            if cli.config_explicit {
-                if cli.json {
+            if common.config_explicit {
+                if json {
                     println!("{}", corm::render_explain_json(&compiled));
                 } else {
                     print!("{}", corm::render_explain(&compiled));
                 }
-            } else if cli.json {
+            } else if json {
                 // One JSON document per row, newline-separated (JSONL of
                 // pretty documents would be ambiguous; emit an array).
                 let mut docs = Vec::new();
@@ -794,7 +682,7 @@ fn main() -> ExitCode {
                 match corm::render_explain_all_rows(&src) {
                     Ok(text) => print!("{text}"),
                     Err(e) => {
-                        eprintln!("{}: compile error: {e}", cli.file);
+                        eprintln!("{file}: compile error: {e}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -802,7 +690,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "analyze" => {
-            println!("=== remote call site analysis ({}) ===", cli.config.label());
+            println!("=== remote call site analysis ({}) ===", common.config.label());
             println!("{}", compiled.dump_analysis());
             println!("=== generated marshalers ===");
             println!("{}", compiled.dump_marshalers());

@@ -52,16 +52,16 @@ pub use corm_ir::{CompileError, Module};
 pub use corm_net::{CostModel, LossSpec, Semantics, TransportKind};
 pub use corm_obs::{
     attach_measured_wire, phase_report, render_phase_report, render_prometheus,
-    render_timeline_json, HealthConfig, HealthEvent, HealthKind, HistSnapshot, MachineSnapshot,
-    MetricsRegistry, MetricsSnapshot, PhaseTotals, SiteSnapshot, TimelineDoc, TimelineSample,
+    render_timeline_json, HealthEvent, HealthKind, HistSnapshot, MachineSnapshot, MetricsRegistry,
+    MetricsSnapshot, PhaseTotals, SiteSnapshot, TimelineDoc, TimelineSample,
     DEFAULT_TIMELINE_INTERVAL_US, TIMELINE_SCHEMA_VERSION,
 };
 pub use corm_vm::pool::{BufferPool, Lane, PER_KEY_CAP};
 pub use corm_vm::serve::{serve_with, ArrivalSchedule, ServeOptions, ServeReport, ServeSpec};
 pub use corm_vm::{
-    render_flight_json, render_timeline, to_chrome_trace, to_json, write_flight_artifact,
-    AuditSnapshot, Cluster, FaultSpec, FlightDump, FlightEvent, FlightKind, Phase, RunOptions,
-    RunOutcome, StallSpec, TraceEvent, TraceKind, VmError, DEFAULT_FLIGHT_CAPACITY,
+    render_flight_json, render_timeline, to_chrome_trace, write_flight_artifact, AuditSnapshot,
+    Cluster, FaultSpec, FlightDump, FlightEvent, FlightKind, Phase, RunOptions, RunOutcome,
+    StallSpec, TraceEvent, TraceKind, VmError, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use corm_wire::StatsSnapshot;
 pub use explain::{render_explain, render_explain_all_rows, render_explain_json};

@@ -14,17 +14,8 @@
 //! the file is guaranteed to load.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fmt::Write;
 
 use crate::trace::{Phase, TraceEvent, TraceKind};
-
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str(body);
-}
 
 /// Export `events` as a Chrome trace-event JSON document.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
@@ -44,108 +35,57 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     let mut open: HashMap<(u16, u64, Phase), u64> = HashMap::new();
 
     let machines: BTreeSet<u16> = sorted.iter().map(|e| e.machine).collect();
-    let mut out = String::from(r#"{"displayTimeUnit":"ms","traceEvents":["#);
-    let mut first = true;
-    for m in &machines {
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
+    let mut records: Vec<String> = machines
+        .iter()
+        .map(|m| {
+            format!(
                 r#"{{"name":"process_name","ph":"M","pid":{m},"tid":0,"args":{{"name":"machine {m}"}}}}"#
-            ),
-        );
-    }
+            )
+        })
+        .collect();
 
     for e in sorted {
         let (pid, ts) = (e.machine, e.t_us);
-        match e.kind {
-            TraceKind::RmiSend { req, site, to, bytes, oneway } => {
-                if returned.contains(&req) {
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            r#"{{"name":"rmi site {site}","cat":"rmi","ph":"b","id":{req},"pid":{pid},"tid":0,"ts":{ts},"args":{{"req":{req},"to":{to},"bytes":{bytes}}}}}"#
-                        ),
-                    );
-                } else {
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            r#"{{"name":"rmi site {site}{}","ph":"i","s":"p","pid":{pid},"tid":0,"ts":{ts},"args":{{"req":{req},"to":{to},"bytes":{bytes}}}}}"#,
-                            if oneway { " (one-way)" } else { " (no return)" }
-                        ),
-                    );
-                }
-            }
-            TraceKind::RmiReturn { req, site, reply_bytes, .. } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        r#"{{"name":"rmi site {site}","cat":"rmi","ph":"e","id":{req},"pid":{pid},"tid":0,"ts":{ts},"args":{{"req":{req},"reply_bytes":{reply_bytes}}}}}"#
-                    ),
-                );
-            }
-            TraceKind::Handle { req, site, us, reused } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        r#"{{"name":"handle site {site}","cat":"rmi","ph":"X","pid":{pid},"tid":0,"ts":{},"dur":{us},"args":{{"req":{req},"reused":{reused}}}}}"#,
-                        ts.saturating_sub(us)
-                    ),
-                );
-            }
-            TraceKind::LocalRpc { req, site, us } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        r#"{{"name":"local rpc site {site}","cat":"rmi","ph":"X","pid":{pid},"tid":0,"ts":{},"dur":{us},"args":{{"req":{req}}}}}"#,
-                        ts.saturating_sub(us)
-                    ),
-                );
-            }
+        records.push(match e.kind {
+            TraceKind::RmiSend { req, site, to, bytes, .. } if returned.contains(&req) => format!(
+                r#"{{"name":"rmi site {site}","cat":"rmi","ph":"b","id":{req},"pid":{pid},"tid":0,"ts":{ts},"args":{{"req":{req},"to":{to},"bytes":{bytes}}}}}"#
+            ),
+            TraceKind::RmiSend { req, site, to, bytes, oneway } => format!(
+                r#"{{"name":"rmi site {site}{}","ph":"i","s":"p","pid":{pid},"tid":0,"ts":{ts},"args":{{"req":{req},"to":{to},"bytes":{bytes}}}}}"#,
+                if oneway { " (one-way)" } else { " (no return)" }
+            ),
+            TraceKind::RmiReturn { req, site, reply_bytes, .. } => format!(
+                r#"{{"name":"rmi site {site}","cat":"rmi","ph":"e","id":{req},"pid":{pid},"tid":0,"ts":{ts},"args":{{"req":{req},"reply_bytes":{reply_bytes}}}}}"#
+            ),
+            TraceKind::Handle { req, site, us, reused } => format!(
+                r#"{{"name":"handle site {site}","cat":"rmi","ph":"X","pid":{pid},"tid":0,"ts":{},"dur":{us},"args":{{"req":{req},"reused":{reused}}}}}"#,
+                ts.saturating_sub(us)
+            ),
+            TraceKind::LocalRpc { req, site, us } => format!(
+                r#"{{"name":"local rpc site {site}","cat":"rmi","ph":"X","pid":{pid},"tid":0,"ts":{},"dur":{us},"args":{{"req":{req}}}}}"#,
+                ts.saturating_sub(us)
+            ),
             TraceKind::PhaseBegin { phase, req, .. } => {
                 open.insert((e.machine, req, phase), ts);
+                continue;
             }
             TraceKind::PhaseEnd { phase, req, site } => {
-                if let Some(t0) = open.remove(&(e.machine, req, phase)) {
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            r#"{{"name":"{}","cat":"phase","ph":"X","pid":{pid},"tid":0,"ts":{t0},"dur":{},"args":{{"req":{req},"site":{site}}}}}"#,
-                            phase.name(),
-                            ts.saturating_sub(t0)
-                        ),
-                    );
-                }
+                let Some(t0) = open.remove(&(e.machine, req, phase)) else { continue };
+                format!(
+                    r#"{{"name":"{}","cat":"phase","ph":"X","pid":{pid},"tid":0,"ts":{t0},"dur":{},"args":{{"req":{req},"site":{site}}}}}"#,
+                    phase.name(),
+                    ts.saturating_sub(t0)
+                )
             }
-            TraceKind::NewRemote { class, from } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        r#"{{"name":"export class {class}","ph":"i","s":"t","pid":{pid},"tid":0,"ts":{ts},"args":{{"for":{from}}}}}"#
-                    ),
-                );
-            }
-            TraceKind::Gc { freed, live } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        r#"{{"name":"gc","cat":"gc","ph":"i","s":"t","pid":{pid},"tid":0,"ts":{ts},"args":{{"freed":{freed},"live":{live}}}}}"#
-                    ),
-                );
-            }
-        }
+            TraceKind::NewRemote { class, from } => format!(
+                r#"{{"name":"export class {class}","ph":"i","s":"t","pid":{pid},"tid":0,"ts":{ts},"args":{{"for":{from}}}}}"#
+            ),
+            TraceKind::Gc { freed, live } => format!(
+                r#"{{"name":"gc","cat":"gc","ph":"i","s":"t","pid":{pid},"tid":0,"ts":{ts},"args":{{"freed":{freed},"live":{live}}}}}"#
+            ),
+        });
     }
-    let _ = write!(out, "]}}");
-    out
+    format!(r#"{{"displayTimeUnit":"ms","traceEvents":[{}]}}"#, records.join(","))
 }
 
 #[cfg(test)]

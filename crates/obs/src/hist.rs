@@ -52,7 +52,7 @@ pub fn bucket_le(i: usize) -> Option<u64> {
 }
 
 /// Inclusive lower bound of bucket `i`.
-pub fn bucket_lower(i: usize) -> u64 {
+pub(crate) fn bucket_lower(i: usize) -> u64 {
     if i < SUB_BUCKETS {
         return i as u64;
     }
@@ -121,16 +121,6 @@ impl Log2Histogram {
             sum: self.sum.load(Ordering::Relaxed),
             count: self.count.load(Ordering::Relaxed),
         }
-    }
-
-    /// Zero every bucket and the sum/count (not atomic as a whole; callers
-    /// must quiesce recorders first, as `MetricsRegistry::reset` does).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 }
 

@@ -39,7 +39,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use chrome::to_chrome_trace;
-pub use hist::{bucket_le, bucket_lower, HistSnapshot, Log2Histogram, NBUCKETS, SUB_BUCKETS};
+pub use hist::{bucket_le, HistSnapshot, Log2Histogram, NBUCKETS, SUB_BUCKETS};
 pub use metrics::{
     MachineMetrics, MachineSnapshot, MetricsRegistry, MetricsSnapshot, SiteMetrics, SiteSnapshot,
 };
@@ -50,8 +50,8 @@ pub use recorder::{
 };
 pub use report::{attach_measured_wire, phase_report, render_phase_report, PhaseTotals};
 pub use timeline::{
-    render_timeline_json, spawn_sampler, HealthAssessor, HealthConfig, HealthEvent, HealthKind,
-    SamplerConfig, SamplerHandle, TimelineDoc, TimelineSample, TimelineState,
-    DEFAULT_TIMELINE_INTERVAL_US, TIMELINE_SCHEMA_VERSION,
+    render_timeline_json, spawn_sampler, HealthAssessor, HealthEvent, HealthKind, SamplerHandle,
+    TimelineDoc, TimelineSample, TimelineState, DEFAULT_TIMELINE_INTERVAL_US,
+    TIMELINE_SCHEMA_VERSION,
 };
-pub use trace::{render_timeline, to_json, Phase, TraceEvent, TraceKind};
+pub use trace::{render_timeline, Phase, TraceEvent, TraceKind};

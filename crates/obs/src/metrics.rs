@@ -18,101 +18,243 @@ use parking_lot::Mutex;
 use crate::hist::{HistSnapshot, Log2Histogram};
 use crate::timeline::TimelineState;
 
-/// One machine's metrics shard: the Tables 4/6/8 counters plus the
-/// phase-latency and payload-size distributions observed on it.
-#[derive(Debug, Default)]
-pub struct MachineMetrics {
-    /// The paper's counters, scoped to this machine.
-    pub stats: RmiStats,
-    /// Caller-observed RMI round-trip time, µs.
-    pub rtt_us: Log2Histogram,
-    /// Argument-marshal time at calling sites, µs.
-    pub marshal_us: Log2Histogram,
-    /// Unmarshal time (args on the serving side, returns on the calling
-    /// side), µs.
-    pub unmarshal_us: Log2Histogram,
-    /// User-method execution time on the serving side, µs.
-    pub invoke_us: Log2Histogram,
-    /// Server-side queueing delay: time an incoming request spent
-    /// between the drain loop enqueuing it and a worker dequeuing it, µs.
-    /// The missing piece of the marshal/wire/unmarshal/invoke split under
-    /// load — on a saturated machine it dominates the round trip.
-    pub queue_us: Log2Histogram,
-    /// Request payload bytes leaving this machine.
-    pub payload_bytes: Log2Histogram,
-    /// Two-way RMIs started from this machine (throughput numerator).
-    pub requests_started: AtomicU64,
-    /// Two-way RMIs completed successfully from this machine (goodput).
-    pub requests_completed: AtomicU64,
-    /// Two-way RMIs currently awaiting a reply (gauge: incremented at
-    /// send, decremented when the reply is consumed or fails).
-    pub in_flight: AtomicU64,
+/// How a declared metric is read out of a scope's snapshot `S`; the
+/// variant is also its Prometheus `# TYPE`.
+pub(crate) enum Read<S> {
+    /// Monotone count (`_total` families).
+    Counter(fn(&S) -> &u64),
+    /// Point-in-time level that may shrink.
+    Gauge(fn(&S) -> &u64),
+    /// Log-linear distribution.
+    Histogram(fn(&S) -> &HistSnapshot),
+}
+
+/// One declared metric: its exposition family, help text and reader.
+/// [`crate::prometheus`] walks tables of these; nothing else knows which
+/// series exist.
+pub(crate) struct Metric<S> {
+    pub family: &'static str,
+    pub help: &'static str,
+    pub read: Read<S>,
+}
+
+macro_rules! cell {
+    (Histogram) => {
+        Log2Histogram
+    };
+    ($scalar:ident) => {
+        AtomicU64
+    };
+}
+macro_rules! plain {
+    (Histogram) => {
+        HistSnapshot
+    };
+    ($scalar:ident) => {
+        u64
+    };
+}
+macro_rules! load {
+    (Histogram, $cell:expr) => {
+        $cell.snapshot()
+    };
+    ($scalar:ident, $cell:expr) => {
+        $cell.load(Ordering::Relaxed)
+    };
+}
+/// A const table of [`Metric`]s over the snapshot type `$scope`, one
+/// `field: Kind, "family", "help";` row per metric.
+macro_rules! metric_table {
+    ($(#[$doc:meta])* $name:ident: $scope:ty {
+        $($field:ident: $kind:ident, $family:literal, $help:literal;)*
+    }) => {
+        $(#[$doc])*
+        pub(crate) const $name: &[Metric<$scope>] = &[
+            $(Metric { family: $family, help: $help, read: Read::$kind(|s| &s.$field) },)*
+        ];
+    };
+}
+
+/// The per-machine metric table. Each entry — doc comment, field name,
+/// kind, Prometheus family, help text — is the only place that metric is
+/// spelled out: the live shard, its plain-value snapshot, the snapshot
+/// copy and the exposition are all generated from it, in this order.
+macro_rules! machine_metrics {
+    ($($(#[$doc:meta])* $field:ident: $kind:ident, $family:literal, $help:literal;)*) => {
+        /// One machine's metrics shard: the Tables 4/6/8 counters plus the
+        /// phase-latency and payload-size distributions observed on it.
+        #[derive(Debug, Default)]
+        pub struct MachineMetrics {
+            /// The paper's counters, scoped to this machine.
+            pub stats: RmiStats,
+            $($(#[$doc])* pub $field: cell!($kind),)*
+        }
+
+        /// Plain-value copy of one machine shard.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct MachineSnapshot {
+            pub stats: StatsSnapshot,
+            $($(#[$doc])* pub $field: plain!($kind),)*
+        }
+
+        impl MachineMetrics {
+            fn snapshot(&self) -> MachineSnapshot {
+                MachineSnapshot {
+                    stats: self.stats.snapshot(),
+                    $($field: load!($kind, self.$field),)*
+                }
+            }
+
+            /// Add `base + k` to the `k`-th declared metric (1-based), so a
+            /// test can tell every field apart after a snapshot.
+            #[cfg(test)]
+            fn bump_each(&self, base: u64) {
+                let mut v = base;
+                $(v += 1; tests::Bump::bump(&self.$field, v);)*
+            }
+        }
+
+        metric_table! {
+            MACHINE_METRICS: MachineSnapshot { $($field: $kind, $family, $help;)* }
+        }
+    };
+}
+
+machine_metrics! {
     /// Shadow-table cycle-freedom checks performed by the runtime auditor
     /// on this machine (`RunOptions::audit`). Zero when auditing is off.
-    pub audit_checks: AtomicU64,
+    audit_checks: Counter, "corm_audit_checks_total",
+        "Shadow cycle-table checks performed by the runtime auditor";
     /// Reuse-cache values (primitive slots, array elements, strings)
     /// poisoned by the auditor on this machine before deserialization
     /// reclaimed them. Zero when auditing is off; a healthy build
     /// overwrites every poisoned slot from the wire.
-    pub audit_poisons: AtomicU64,
+    audit_poisons: Counter, "corm_audit_poisons_total",
+        "Reuse-cache values poisoned by the auditor before reclamation";
     /// Marshal-buffer pool checkouts served by a recycled buffer.
-    pub pool_hits: AtomicU64,
+    pool_hits: Counter, "corm_pool_hits_total",
+        "Marshal-buffer checkouts served by a recycled buffer";
     /// Pool checkouts that had to allocate (includes cold misses).
-    pub pool_misses: AtomicU64,
+    pool_misses: Counter, "corm_pool_misses_total",
+        "Marshal-buffer checkouts that allocated (includes cold misses)";
     /// The subset of `pool_misses` that built the pool's working set: the
     /// first allocations for a (site, lane) key up to the per-key
     /// retention cap. `pool_misses - pool_cold_misses` is the
     /// steady-state miss count the alloc gate budgets at zero.
-    pub pool_cold_misses: AtomicU64,
+    pool_cold_misses: Counter, "corm_pool_cold_misses_total",
+        "Marshal-buffer misses that built the pool's working set";
     /// Bytes of buffer capacity currently parked in this machine's pool
-    /// shard (a gauge: grows on put, shrinks on checkout).
-    pub pool_resident_bytes: AtomicU64,
-    /// Pool-ledger entries currently outstanding: buffers checked out
-    /// under a request id and not yet returned or abandoned (a gauge —
-    /// monotone growth is the pool-leak health signature).
-    pub pool_outstanding: AtomicU64,
-    /// Requests parked in this machine's serve queue: enqueued by the
-    /// drain loop, not yet picked up by a worker (a gauge).
-    pub serve_queue_depth: AtomicU64,
-    /// Reactor frames appended to this machine's append-buffers.
-    /// Mirrors the reactor core's internal counter so the sampler and
-    /// Prometheus exposition see it without reaching into corm-net.
-    pub reactor_frames_enqueued: AtomicU64,
-    /// Coalesced reactor batches fully flushed from this machine.
-    pub reactor_flush_batches: AtomicU64,
-    /// Flushes triggered by the size threshold (`flush_bytes`).
-    pub reactor_flush_size: AtomicU64,
-    /// Flushes triggered by the deadline sweep (`flush_deadline`).
-    pub reactor_flush_deadline: AtomicU64,
-    /// Inline flushes on an idle/cold connection (not under load).
-    pub reactor_flush_idle: AtomicU64,
-    /// Bytes sitting in this machine's reactor append-buffers awaiting
-    /// flush (a gauge: append-buffer occupancy).
-    pub reactor_queued_bytes: AtomicU64,
-    /// Connections from this machine with frames queued (a gauge:
-    /// per-connection outstanding-work population).
-    pub reactor_conns_queued: AtomicU64,
-    /// Per-flush batch size, bytes (recorded when a batch fully drains).
-    pub reactor_batch_bytes: Log2Histogram,
-    /// Reactor event-loop iteration latency, µs (wake to park). Shard
-    /// index is the reactor thread index, which is always a valid
-    /// machine index (the pool never outnumbers the machines).
-    pub reactor_loop_us: Log2Histogram,
+    /// shard (grows on put, shrinks on checkout).
+    pool_resident_bytes: Gauge, "corm_pool_resident_bytes",
+        "Buffer capacity currently parked in the marshal pool";
+    /// Caller-observed RMI round-trip time, µs.
+    rtt_us: Histogram, "corm_rmi_rtt_microseconds", "Caller-observed RMI round-trip time";
+    /// Argument-marshal time at calling sites, µs.
+    marshal_us: Histogram, "corm_marshal_microseconds", "Argument-marshal time at calling sites";
+    /// Unmarshal time (args on the serving side, returns on the calling
+    /// side), µs.
+    unmarshal_us: Histogram, "corm_unmarshal_microseconds", "Unmarshal time (args and returns)";
+    /// User-method execution time on the serving side, µs.
+    invoke_us: Histogram, "corm_invoke_microseconds", "Served user-method execution time";
+    /// Server-side queueing delay: time an incoming request spent
+    /// between the drain loop enqueuing it and a worker dequeuing it, µs.
+    /// The missing piece of the marshal/wire/unmarshal/invoke split under
+    /// load — on a saturated machine it dominates the round trip.
+    queue_us: Histogram, "corm_queue_microseconds",
+        "Server-side queueing delay between packet arrival and worker pickup";
+    /// Request payload bytes leaving this machine.
+    payload_bytes: Histogram, "corm_rmi_payload_bytes", "Request payload size";
+    /// Two-way RMIs started from this machine (throughput numerator).
+    requests_started: Counter, "corm_requests_started_total", "Two-way RMIs started (throughput)";
+    /// Two-way RMIs completed successfully from this machine (goodput).
+    requests_completed: Counter, "corm_requests_completed_total",
+        "Two-way RMIs completed successfully (goodput)";
+    /// Two-way RMIs currently awaiting a reply (incremented at send,
+    /// decremented when the reply is consumed or fails).
+    in_flight: Gauge, "corm_in_flight_requests", "Two-way RMIs currently awaiting a reply";
     /// Lossy backend: datagram copies this machine re-sent because no
     /// ack arrived before the retransmission timer fired. Charged to the
     /// *sending* machine's shard; zero on the reliable backends.
-    pub lossy_retransmits: AtomicU64,
+    lossy_retransmits: Counter, "corm_lossy_retransmits_total",
+        "Datagram copies re-sent by the lossy transport's retransmission timers";
     /// Lossy backend: received datagram copies discarded as duplicates
     /// (sequence number already delivered or already buffered). Charged
     /// to the *receiving* machine's shard.
-    pub lossy_dups_suppressed: AtomicU64,
+    lossy_dups_suppressed: Counter, "corm_lossy_dups_suppressed_total",
+        "Duplicate datagram copies discarded (or flagged) by the receiver";
     /// Server-side reply cache: requests answered from the cache instead
     /// of being re-executed — each hit is a duplicate invocation that
     /// at-most-once semantics suppressed above the transport.
-    pub reply_cache_hits: AtomicU64,
+    reply_cache_hits: Counter, "corm_reply_cache_hits_total",
+        "Duplicate invocations answered from the server-side reply cache";
     /// Reply-cache entries evicted by the capacity bound before any
     /// duplicate consulted them.
-    pub reply_cache_evictions: AtomicU64,
+    reply_cache_evictions: Counter, "corm_reply_cache_evictions_total",
+        "Reply-cache entries evicted by the FIFO bound";
+    /// Reactor frames appended to this machine's append-buffers.
+    /// Mirrors the reactor core's internal counter so the sampler and
+    /// Prometheus exposition see it without reaching into corm-net.
+    reactor_frames_enqueued: Counter, "corm_reactor_frames_enqueued_total",
+        "Frames appended to reactor per-connection output buffers";
+    /// Coalesced reactor batches fully flushed from this machine.
+    reactor_flush_batches: Counter, "corm_reactor_flush_batches_total",
+        "Coalesced writev flushes issued by the reactor";
+    /// Flushes triggered by the size threshold (`flush_bytes`).
+    reactor_flush_size: Counter, "corm_reactor_flush_size_total",
+        "Reactor flushes triggered by the batch-size threshold";
+    /// Flushes triggered by the deadline sweep (`flush_deadline`).
+    reactor_flush_deadline: Counter, "corm_reactor_flush_deadline_total",
+        "Reactor flushes triggered by the coalescing deadline";
+    /// Inline flushes on an idle/cold connection (not under load).
+    reactor_flush_idle: Counter, "corm_reactor_flush_idle_total",
+        "Reactor flushes issued inline on an otherwise idle connection";
+    /// Bytes sitting in this machine's reactor append-buffers awaiting
+    /// flush (append-buffer occupancy).
+    reactor_queued_bytes: Gauge, "corm_reactor_queued_bytes",
+        "Bytes currently buffered in reactor output queues";
+    /// Connections from this machine with frames queued
+    /// (per-connection outstanding-work population).
+    reactor_conns_queued: Gauge, "corm_reactor_conns_queued",
+        "Connections with a non-empty reactor output buffer";
+    /// Requests parked in this machine's serve queue: enqueued by the
+    /// drain loop, not yet picked up by a worker.
+    serve_queue_depth: Gauge, "corm_serve_queue_depth",
+        "Requests accepted by the drain loop awaiting a worker";
+    /// Pool-ledger entries currently outstanding: buffers checked out
+    /// under a request id and not yet returned or abandoned — monotone
+    /// growth is the pool-leak health signature.
+    pool_outstanding: Gauge, "corm_pool_outstanding",
+        "Marshal buffers checked out and not yet returned";
+    /// Per-flush batch size, bytes (recorded when a batch fully drains).
+    reactor_batch_bytes: Histogram, "corm_reactor_batch_bytes",
+        "Bytes written per fully drained reactor flush";
+    /// Reactor event-loop iteration latency, µs (wake to park). Shard
+    /// index is the reactor thread index, which is always a valid
+    /// machine index (the pool never outnumbers the machines).
+    reactor_loop_us: Histogram, "corm_reactor_loop_microseconds",
+        "Reactor event-loop iteration latency";
+}
+
+metric_table! {
+    /// The ten paper counters of [`RmiStats`] (Tables 4/6/8), exposed per
+    /// machine.
+    PAPER_COUNTERS: StatsSnapshot {
+        local_rpcs: Counter, "corm_local_rpcs_total",
+            "RMIs whose target lived on the calling machine";
+        remote_rpcs: Counter, "corm_remote_rpcs_total", "RMIs that crossed machines";
+        reused_objs: Counter, "corm_reused_objects_total", "Objects recycled by the reuse caches";
+        cycle_lookups: Counter, "corm_cycle_lookups_total",
+            "Cycle-table lookups in (de)serializers";
+        ser_invocations: Counter, "corm_ser_invocations_total",
+            "Dynamic serializer-routine invocations";
+        wire_bytes: Counter, "corm_wire_bytes_total",
+            "Payload bytes sent onto the simulated network";
+        type_info_bytes: Counter, "corm_type_info_bytes_total",
+            "Dynamic type-information bytes within wire bytes";
+        messages: Counter, "corm_messages_total", "Network messages sent";
+        deser_bytes: Counter, "corm_deser_bytes_total", "Bytes allocated by deserialization";
+        deser_allocs: Counter, "corm_deser_allocs_total", "Objects allocated by deserialization";
+    }
 }
 
 /// Per-call-site metrics (cluster-wide scope: a site's calls may
@@ -122,6 +264,16 @@ pub struct SiteMetrics {
     pub calls: AtomicU64,
     pub rtt_us: Log2Histogram,
     pub payload_bytes: Log2Histogram,
+}
+
+metric_table! {
+    /// The three [`SiteMetrics`] series, exposed per call site.
+    SITE_METRICS: SiteSnapshot {
+        calls: Counter, "corm_site_calls_total", "RMIs issued per remote call site";
+        rtt_us: Histogram, "corm_site_rtt_microseconds", "Round-trip time per remote call site";
+        payload_bytes: Histogram, "corm_site_payload_bytes",
+            "Request payload size per remote call site";
+    }
 }
 
 /// The cluster's metrics: one shard per machine, fixed at cluster
@@ -158,7 +310,8 @@ impl MetricsRegistry {
         &self.machines[machine as usize]
     }
 
-    /// The per-site scope for `site`, created on first use.
+    /// The per-site scope for `site`, created on first use. Takes the
+    /// registry-wide site lock: resolve once per RMI and hold the `Arc`.
     pub fn site(&self, site: u32) -> Arc<SiteMetrics> {
         self.sites.lock().entry(site).or_default().clone()
     }
@@ -169,93 +322,16 @@ impl MetricsRegistry {
         self.machines.iter().fold(StatsSnapshot::default(), |acc, m| acc + m.stats.snapshot())
     }
 
-    /// Zero every counter, histogram, and per-site scope. A registry is
-    /// normally scoped to a single run (each `run_program` builds its
-    /// own), so this exists for harnesses that hold one registry across
-    /// several measured sections and must guarantee no bleed-through.
-    /// Callers must quiesce the cluster first — reset is not atomic with
-    /// respect to concurrent recorders.
-    pub fn reset(&self) {
-        for m in &self.machines {
-            m.stats.reset();
-            m.rtt_us.reset();
-            m.marshal_us.reset();
-            m.unmarshal_us.reset();
-            m.invoke_us.reset();
-            m.queue_us.reset();
-            m.payload_bytes.reset();
-            m.requests_started.store(0, Ordering::Relaxed);
-            m.requests_completed.store(0, Ordering::Relaxed);
-            m.in_flight.store(0, Ordering::Relaxed);
-            m.audit_checks.store(0, Ordering::Relaxed);
-            m.audit_poisons.store(0, Ordering::Relaxed);
-            m.pool_hits.store(0, Ordering::Relaxed);
-            m.pool_misses.store(0, Ordering::Relaxed);
-            m.pool_cold_misses.store(0, Ordering::Relaxed);
-            m.pool_resident_bytes.store(0, Ordering::Relaxed);
-            m.pool_outstanding.store(0, Ordering::Relaxed);
-            m.serve_queue_depth.store(0, Ordering::Relaxed);
-            m.reactor_frames_enqueued.store(0, Ordering::Relaxed);
-            m.reactor_flush_batches.store(0, Ordering::Relaxed);
-            m.reactor_flush_size.store(0, Ordering::Relaxed);
-            m.reactor_flush_deadline.store(0, Ordering::Relaxed);
-            m.reactor_flush_idle.store(0, Ordering::Relaxed);
-            m.reactor_queued_bytes.store(0, Ordering::Relaxed);
-            m.reactor_conns_queued.store(0, Ordering::Relaxed);
-            m.reactor_batch_bytes.reset();
-            m.reactor_loop_us.reset();
-            m.lossy_retransmits.store(0, Ordering::Relaxed);
-            m.lossy_dups_suppressed.store(0, Ordering::Relaxed);
-            m.reply_cache_hits.store(0, Ordering::Relaxed);
-            m.reply_cache_evictions.store(0, Ordering::Relaxed);
-        }
-        self.sites.lock().clear();
-        self.timeline.clear();
-    }
-
     /// Plain-value copy of one machine shard, lock-free. The sampler
     /// calls this every tick, so it deliberately skips the site table
     /// (which would take the `sites` mutex).
     pub fn machine_snapshot(&self, machine: u16) -> MachineSnapshot {
-        let m = &self.machines[machine as usize];
-        MachineSnapshot {
-            stats: m.stats.snapshot(),
-            rtt_us: m.rtt_us.snapshot(),
-            marshal_us: m.marshal_us.snapshot(),
-            unmarshal_us: m.unmarshal_us.snapshot(),
-            invoke_us: m.invoke_us.snapshot(),
-            queue_us: m.queue_us.snapshot(),
-            payload_bytes: m.payload_bytes.snapshot(),
-            requests_started: m.requests_started.load(Ordering::Relaxed),
-            requests_completed: m.requests_completed.load(Ordering::Relaxed),
-            in_flight: m.in_flight.load(Ordering::Relaxed),
-            audit_checks: m.audit_checks.load(Ordering::Relaxed),
-            audit_poisons: m.audit_poisons.load(Ordering::Relaxed),
-            pool_hits: m.pool_hits.load(Ordering::Relaxed),
-            pool_misses: m.pool_misses.load(Ordering::Relaxed),
-            pool_cold_misses: m.pool_cold_misses.load(Ordering::Relaxed),
-            pool_resident_bytes: m.pool_resident_bytes.load(Ordering::Relaxed),
-            pool_outstanding: m.pool_outstanding.load(Ordering::Relaxed),
-            serve_queue_depth: m.serve_queue_depth.load(Ordering::Relaxed),
-            reactor_frames_enqueued: m.reactor_frames_enqueued.load(Ordering::Relaxed),
-            reactor_flush_batches: m.reactor_flush_batches.load(Ordering::Relaxed),
-            reactor_flush_size: m.reactor_flush_size.load(Ordering::Relaxed),
-            reactor_flush_deadline: m.reactor_flush_deadline.load(Ordering::Relaxed),
-            reactor_flush_idle: m.reactor_flush_idle.load(Ordering::Relaxed),
-            reactor_queued_bytes: m.reactor_queued_bytes.load(Ordering::Relaxed),
-            reactor_conns_queued: m.reactor_conns_queued.load(Ordering::Relaxed),
-            reactor_batch_bytes: m.reactor_batch_bytes.snapshot(),
-            reactor_loop_us: m.reactor_loop_us.snapshot(),
-            lossy_retransmits: m.lossy_retransmits.load(Ordering::Relaxed),
-            lossy_dups_suppressed: m.lossy_dups_suppressed.load(Ordering::Relaxed),
-            reply_cache_hits: m.reply_cache_hits.load(Ordering::Relaxed),
-            reply_cache_evictions: m.reply_cache_evictions.load(Ordering::Relaxed),
-        }
+        self.machines[machine as usize].snapshot()
     }
 
     /// Plain-value copy of every scope, for rendering after a run.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let machines = (0..self.machines.len()).map(|m| self.machine_snapshot(m as u16)).collect();
+        let machines = self.machines.iter().map(MachineMetrics::snapshot).collect();
         let mut sites: Vec<SiteSnapshot> = self
             .sites
             .lock()
@@ -270,42 +346,6 @@ impl MetricsRegistry {
         sites.sort_by_key(|s| s.site);
         MetricsSnapshot { machines, sites }
     }
-}
-
-/// Plain-value copy of one machine shard.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MachineSnapshot {
-    pub stats: StatsSnapshot,
-    pub rtt_us: HistSnapshot,
-    pub marshal_us: HistSnapshot,
-    pub unmarshal_us: HistSnapshot,
-    pub invoke_us: HistSnapshot,
-    pub queue_us: HistSnapshot,
-    pub payload_bytes: HistSnapshot,
-    pub requests_started: u64,
-    pub requests_completed: u64,
-    pub in_flight: u64,
-    pub audit_checks: u64,
-    pub audit_poisons: u64,
-    pub pool_hits: u64,
-    pub pool_misses: u64,
-    pub pool_cold_misses: u64,
-    pub pool_resident_bytes: u64,
-    pub pool_outstanding: u64,
-    pub serve_queue_depth: u64,
-    pub reactor_frames_enqueued: u64,
-    pub reactor_flush_batches: u64,
-    pub reactor_flush_size: u64,
-    pub reactor_flush_deadline: u64,
-    pub reactor_flush_idle: u64,
-    pub reactor_queued_bytes: u64,
-    pub reactor_conns_queued: u64,
-    pub reactor_batch_bytes: HistSnapshot,
-    pub reactor_loop_us: HistSnapshot,
-    pub lossy_retransmits: u64,
-    pub lossy_dups_suppressed: u64,
-    pub reply_cache_hits: u64,
-    pub reply_cache_evictions: u64,
 }
 
 impl MachineSnapshot {
@@ -352,6 +392,21 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// What `bump_each` does to a cell of either kind.
+    pub(super) trait Bump {
+        fn bump(&self, v: u64);
+    }
+    impl Bump for AtomicU64 {
+        fn bump(&self, v: u64) {
+            self.fetch_add(v, Ordering::Relaxed);
+        }
+    }
+    impl Bump for Log2Histogram {
+        fn bump(&self, v: u64) {
+            self.record(v);
+        }
+    }
+
     #[test]
     fn shards_sum_into_cluster_snapshot() {
         let reg = MetricsRegistry::new(3);
@@ -378,153 +433,90 @@ mod tests {
         assert_eq!(snap.sites[1].calls, 1);
     }
 
-    #[test]
-    fn reset_clears_every_scope() {
-        let reg = MetricsRegistry::new(2);
-        RmiStats::bump(&reg.machine(0).stats.remote_rpcs, 4);
-        reg.machine(1).rtt_us.record(10);
-        reg.site(3).calls.fetch_add(1, Ordering::Relaxed);
-        reg.reset();
-        assert_eq!(reg.cluster_snapshot(), StatsSnapshot::default());
-        let snap = reg.snapshot();
-        assert!(snap.sites.is_empty(), "site scopes must be dropped");
-        assert_eq!(snap.cluster_hist(|m| &m.rtt_us).count, 0);
-    }
-
-    #[test]
-    fn reset_clears_serving_metrics() {
-        // Regression guard for the serving-benchmark metrics: a second
-        // measured section must not see the first one's queueing delays,
-        // throughput counters or in-flight gauge.
-        let reg = MetricsRegistry::new(2);
-        reg.machine(0).queue_us.record(42);
-        reg.machine(1).queue_us.record(7);
-        reg.machine(0).requests_started.fetch_add(10, Ordering::Relaxed);
-        reg.machine(0).requests_completed.fetch_add(9, Ordering::Relaxed);
-        reg.machine(0).in_flight.fetch_add(1, Ordering::Relaxed);
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.cluster_hist(|m| &m.queue_us).count, 0);
-        for m in &snap.machines {
-            assert_eq!(m.requests_started, 0);
-            assert_eq!(m.requests_completed, 0);
-            assert_eq!(m.in_flight, 0);
+    fn type_of<S>(m: &Metric<S>) -> &'static str {
+        match m.read {
+            Read::Counter(_) => "counter",
+            Read::Gauge(_) => "gauge",
+            Read::Histogram(_) => "histogram",
         }
     }
 
+    /// Every family of `table` is exposed with its declared help and
+    /// `# TYPE`, and has a series for each of `labels`.
+    fn assert_exposed<S>(text: &str, table: &[Metric<S>], labels: &[&str]) {
+        for m in table {
+            let (name, ty) = (m.family, type_of(m));
+            let header = format!("# HELP {name} {}\n# TYPE {name} {ty}\n", m.help);
+            assert!(text.contains(&header), "{name}: missing or wrong header");
+            assert_eq!(
+                ty == "counter",
+                name.ends_with("_total"),
+                "{name}: only counters end in _total"
+            );
+            let suffix = if ty == "histogram" { "_count" } else { "" };
+            for l in labels {
+                assert!(
+                    text.contains(&format!("\n{name}{suffix}{{{l}}} ")),
+                    "{name}: no {l} series"
+                );
+            }
+        }
+    }
+
+    /// The declaration tables are the contract: each entry is exposed
+    /// under its declared family, type and help for every machine, and
+    /// each per-machine field reads back exactly what was put into it.
     #[test]
-    fn audit_counters_snapshot_and_reset() {
+    fn every_declared_metric_is_exposed_and_round_trips() {
         let reg = MetricsRegistry::new(2);
-        reg.machine(0).audit_checks.fetch_add(5, Ordering::Relaxed);
-        reg.machine(1).audit_checks.fetch_add(2, Ordering::Relaxed);
-        reg.machine(1).audit_poisons.fetch_add(1, Ordering::Relaxed);
-        let snap = reg.snapshot();
-        assert_eq!(snap.machines[0].audit_checks, 5);
-        assert_eq!(snap.machines[1].audit_checks, 2);
-        assert_eq!(snap.machines[1].audit_poisons, 1);
-        reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.machines.iter().map(|m| m.audit_checks).sum::<u64>(), 0);
-        assert_eq!(snap.machines.iter().map(|m| m.audit_poisons).sum::<u64>(), 0);
+        reg.machine(0).bump_each(0);
+        reg.machine(1).bump_each(100);
+        RmiStats::bump(&reg.machine(1).stats.messages, 9);
+        reg.site(7).calls.fetch_add(4, Ordering::Relaxed);
+        let text = crate::prometheus::render_prometheus(&reg.snapshot());
+
+        let machines = [r#"machine="0""#, r#"machine="1""#];
+        assert_exposed(&text, PAPER_COUNTERS, &machines);
+        assert_exposed(&text, MACHINE_METRICS, &machines);
+        assert_exposed(&text, SITE_METRICS, &[r#"site="7""#]);
+        assert!(text.contains("corm_messages_total{machine=\"1\"} 9\n"));
+        assert!(text.contains("corm_site_calls_total{site=\"7\"} 4\n"));
+
+        for (machine, base) in [(0u16, 0u64), (1, 100)] {
+            let snap = reg.machine_snapshot(machine);
+            for (k, m) in MACHINE_METRICS.iter().enumerate() {
+                let (name, want) = (m.family, base + k as u64 + 1);
+                let series = match m.read {
+                    Read::Counter(f) | Read::Gauge(f) => {
+                        assert_eq!(*f(&snap), want, "{name} on machine {machine}");
+                        format!("{name}{{machine=\"{machine}\"}} {want}\n")
+                    }
+                    Read::Histogram(f) => {
+                        assert_eq!((f(&snap).count, f(&snap).sum), (1, want), "{name}");
+                        format!("{name}_sum{{machine=\"{machine}\"}} {want}\n")
+                    }
+                };
+                assert!(text.contains(&series), "exposition lacks {series}");
+            }
+        }
+
+        let mut names: Vec<&str> = MACHINE_METRICS.iter().map(|m| m.family).collect();
+        names.extend(PAPER_COUNTERS.iter().map(|m| m.family));
+        names.extend(SITE_METRICS.iter().map(|m| m.family));
+        let declared = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), declared, "a family is declared twice");
     }
 
     #[test]
-    fn pool_counters_snapshot_reset_and_steady_miss_math() {
+    fn pool_steady_misses_exclude_the_working_set_build_up() {
         let reg = MetricsRegistry::new(2);
-        reg.machine(0).pool_hits.fetch_add(10, Ordering::Relaxed);
         reg.machine(0).pool_misses.fetch_add(3, Ordering::Relaxed);
         reg.machine(0).pool_cold_misses.fetch_add(2, Ordering::Relaxed);
-        reg.machine(1).pool_resident_bytes.fetch_add(4096, Ordering::Relaxed);
         let snap = reg.snapshot();
-        assert_eq!(snap.machines[0].pool_hits, 10);
-        assert_eq!(snap.machines[0].pool_misses, 3);
-        assert_eq!(snap.machines[0].pool_cold_misses, 2);
         assert_eq!(snap.machines[0].pool_steady_misses(), 1);
-        assert_eq!(snap.machines[1].pool_resident_bytes, 4096);
         assert_eq!(snap.machines[1].pool_steady_misses(), 0);
-        reg.reset();
-        let snap = reg.snapshot();
-        for m in &snap.machines {
-            assert_eq!(m.pool_hits + m.pool_misses + m.pool_resident_bytes, 0);
-        }
-    }
-
-    #[test]
-    fn reactor_and_queue_scopes_snapshot_and_reset() {
-        let reg = MetricsRegistry::new(2);
-        reg.machine(0).serve_queue_depth.fetch_add(3, Ordering::Relaxed);
-        reg.machine(0).pool_outstanding.fetch_add(2, Ordering::Relaxed);
-        reg.machine(1).reactor_frames_enqueued.fetch_add(10, Ordering::Relaxed);
-        reg.machine(1).reactor_flush_batches.fetch_add(4, Ordering::Relaxed);
-        reg.machine(1).reactor_flush_size.fetch_add(1, Ordering::Relaxed);
-        reg.machine(1).reactor_flush_deadline.fetch_add(2, Ordering::Relaxed);
-        reg.machine(1).reactor_flush_idle.fetch_add(1, Ordering::Relaxed);
-        reg.machine(1).reactor_queued_bytes.fetch_add(512, Ordering::Relaxed);
-        reg.machine(1).reactor_conns_queued.fetch_add(1, Ordering::Relaxed);
-        reg.machine(1).reactor_batch_bytes.record(512);
-        reg.machine(1).reactor_loop_us.record(40);
-        reg.timeline().push(0, crate::timeline::TimelineSample::default());
-        let snap = reg.snapshot();
-        assert_eq!(snap.machines[0].serve_queue_depth, 3);
-        assert_eq!(snap.machines[0].pool_outstanding, 2);
-        assert_eq!(snap.machines[1].reactor_frames_enqueued, 10);
-        assert_eq!(snap.machines[1].reactor_flush_batches, 4);
-        assert_eq!(
-            snap.machines[1].reactor_flush_size
-                + snap.machines[1].reactor_flush_deadline
-                + snap.machines[1].reactor_flush_idle,
-            snap.machines[1].reactor_flush_batches,
-            "flush reasons partition the batch count"
-        );
-        assert_eq!(snap.machines[1].reactor_queued_bytes, 512);
-        assert_eq!(snap.machines[1].reactor_conns_queued, 1);
-        assert_eq!(snap.machines[1].reactor_batch_bytes.count, 1);
-        assert_eq!(snap.machines[1].reactor_loop_us.count, 1);
-        assert_eq!(reg.timeline().len(0), 1);
-        reg.reset();
-        let snap = reg.snapshot();
-        for m in &snap.machines {
-            assert_eq!(
-                m.serve_queue_depth
-                    + m.pool_outstanding
-                    + m.reactor_frames_enqueued
-                    + m.reactor_flush_batches
-                    + m.reactor_flush_size
-                    + m.reactor_flush_deadline
-                    + m.reactor_flush_idle
-                    + m.reactor_queued_bytes
-                    + m.reactor_conns_queued,
-                0
-            );
-            assert_eq!(m.reactor_batch_bytes.count, 0);
-            assert_eq!(m.reactor_loop_us.count, 0);
-        }
-        assert!(reg.timeline().is_empty(0), "reset drops the timeline rings");
-    }
-
-    #[test]
-    fn lossy_and_reply_cache_counters_snapshot_and_reset() {
-        let reg = MetricsRegistry::new(2);
-        reg.machine(0).lossy_retransmits.fetch_add(4, Ordering::Relaxed);
-        reg.machine(1).lossy_dups_suppressed.fetch_add(3, Ordering::Relaxed);
-        reg.machine(1).reply_cache_hits.fetch_add(2, Ordering::Relaxed);
-        reg.machine(1).reply_cache_evictions.fetch_add(1, Ordering::Relaxed);
-        let snap = reg.snapshot();
-        assert_eq!(snap.machines[0].lossy_retransmits, 4);
-        assert_eq!(snap.machines[1].lossy_dups_suppressed, 3);
-        assert_eq!(snap.machines[1].reply_cache_hits, 2);
-        assert_eq!(snap.machines[1].reply_cache_evictions, 1);
-        reg.reset();
-        let snap = reg.snapshot();
-        for m in &snap.machines {
-            assert_eq!(
-                m.lossy_retransmits
-                    + m.lossy_dups_suppressed
-                    + m.reply_cache_hits
-                    + m.reply_cache_evictions,
-                0
-            );
-        }
     }
 
     #[test]

@@ -14,28 +14,29 @@
 use std::fmt::Write;
 
 use crate::hist::{bucket_le, HistSnapshot};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{
+    Metric, MetricsSnapshot, Read, MACHINE_METRICS, PAPER_COUNTERS, SITE_METRICS,
+};
 
-fn counter(out: &mut String, name: &str, help: &str, series: &[(String, u64)]) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    for (labels, v) in series {
-        let _ = writeln!(out, "{name}{{{labels}}} {v}");
+/// One labelled scope a family has a series for: `machine="0"` and that
+/// machine's snapshot, say.
+type Scope<'a, S> = (String, &'a S);
+
+fn scalar<S>(out: &mut String, ty: &str, m: &Metric<S>, scopes: &[Scope<S>], f: fn(&S) -> &u64) {
+    let name = m.family;
+    let _ = writeln!(out, "# HELP {name} {}", m.help);
+    let _ = writeln!(out, "# TYPE {name} {ty}");
+    for (labels, s) in scopes {
+        let _ = writeln!(out, "{name}{{{labels}}} {}", f(s));
     }
 }
 
-fn gauge(out: &mut String, name: &str, help: &str, series: &[(String, u64)]) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (labels, v) in series {
-        let _ = writeln!(out, "{name}{{{labels}}} {v}");
-    }
-}
-
-fn histogram(out: &mut String, name: &str, help: &str, series: &[(String, HistSnapshot)]) {
+fn histogram<S>(out: &mut String, m: &Metric<S>, scopes: &[Scope<S>], f: fn(&S) -> &HistSnapshot) {
+    let (name, help) = (m.family, m.help);
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
-    for (labels, h) in series {
+    for (labels, s) in scopes {
+        let h = f(s);
         let mut cum = 0u64;
         for (i, &c) in h.buckets.iter().enumerate() {
             cum += c;
@@ -62,7 +63,8 @@ fn histogram(out: &mut String, name: &str, help: &str, series: &[(String, HistSn
         let qname = format!("{name}_{suffix}");
         let _ = writeln!(out, "# HELP {qname} {help} ({suffix} upper bound, derived)");
         let _ = writeln!(out, "# TYPE {qname} gauge");
-        for (labels, h) in series {
+        for (labels, s) in scopes {
+            let h = f(s);
             if h.count > 0 {
                 let _ = writeln!(out, "{qname}{{{labels}}} {}", h.quantile(q));
             }
@@ -70,320 +72,30 @@ fn histogram(out: &mut String, name: &str, help: &str, series: &[(String, HistSn
     }
 }
 
-/// Render the registry snapshot as a Prometheus text exposition.
+/// Emit every family `table` declares, one series per scope.
+fn families<S>(out: &mut String, table: &[Metric<S>], scopes: &[Scope<S>]) {
+    for m in table {
+        match m.read {
+            Read::Counter(f) => scalar(out, "counter", m, scopes, f),
+            Read::Gauge(f) => scalar(out, "gauge", m, scopes, f),
+            Read::Histogram(f) => histogram(out, m, scopes, f),
+        }
+    }
+}
+
+/// Render the registry snapshot as a Prometheus text exposition: the
+/// paper counters and the per-machine table per machine, then the
+/// per-call-site series.
 pub fn render_prometheus(m: &MetricsSnapshot) -> String {
     let mut out = String::new();
-
-    let per_machine = |f: &dyn Fn(&corm_wire::StatsSnapshot) -> u64| -> Vec<(String, u64)> {
-        m.machines
-            .iter()
-            .enumerate()
-            .map(|(i, ms)| (format!("machine=\"{i}\""), f(&ms.stats)))
-            .collect()
-    };
-
-    counter(
-        &mut out,
-        "corm_local_rpcs_total",
-        "RMIs whose target lived on the calling machine",
-        &per_machine(&|s| s.local_rpcs),
-    );
-    counter(
-        &mut out,
-        "corm_remote_rpcs_total",
-        "RMIs that crossed machines",
-        &per_machine(&|s| s.remote_rpcs),
-    );
-    counter(
-        &mut out,
-        "corm_reused_objects_total",
-        "Objects recycled by the reuse caches",
-        &per_machine(&|s| s.reused_objs),
-    );
-    counter(
-        &mut out,
-        "corm_cycle_lookups_total",
-        "Cycle-table lookups in (de)serializers",
-        &per_machine(&|s| s.cycle_lookups),
-    );
-    counter(
-        &mut out,
-        "corm_ser_invocations_total",
-        "Dynamic serializer-routine invocations",
-        &per_machine(&|s| s.ser_invocations),
-    );
-    counter(
-        &mut out,
-        "corm_wire_bytes_total",
-        "Payload bytes sent onto the simulated network",
-        &per_machine(&|s| s.wire_bytes),
-    );
-    counter(
-        &mut out,
-        "corm_type_info_bytes_total",
-        "Dynamic type-information bytes within wire bytes",
-        &per_machine(&|s| s.type_info_bytes),
-    );
-    counter(
-        &mut out,
-        "corm_messages_total",
-        "Network messages sent",
-        &per_machine(&|s| s.messages),
-    );
-    counter(
-        &mut out,
-        "corm_deser_bytes_total",
-        "Bytes allocated by deserialization",
-        &per_machine(&|s| s.deser_bytes),
-    );
-    counter(
-        &mut out,
-        "corm_deser_allocs_total",
-        "Objects allocated by deserialization",
-        &per_machine(&|s| s.deser_allocs),
-    );
-
-    // Auditor activity (RunOptions::audit): checks performed by the
-    // shadow cycle table and violations that poisoned the run.
-    let audit_checks: Vec<(String, u64)> = m
-        .machines
-        .iter()
-        .enumerate()
-        .map(|(i, ms)| (format!("machine=\"{i}\""), ms.audit_checks))
-        .collect();
-    counter(
-        &mut out,
-        "corm_audit_checks_total",
-        "Shadow cycle-table checks performed by the runtime auditor",
-        &audit_checks,
-    );
-    let audit_poisons: Vec<(String, u64)> = m
-        .machines
-        .iter()
-        .enumerate()
-        .map(|(i, ms)| (format!("machine=\"{i}\""), ms.audit_poisons))
-        .collect();
-    counter(
-        &mut out,
-        "corm_audit_poisons_total",
-        "Reuse-cache values poisoned by the auditor before reclamation",
-        &audit_poisons,
-    );
-
-    // Sender-side marshal-buffer pool (DESIGN §12).
-    let per_machine_pool =
-        |f: &dyn Fn(&crate::metrics::MachineSnapshot) -> u64| -> Vec<(String, u64)> {
-            m.machines
-                .iter()
-                .enumerate()
-                .map(|(i, ms)| (format!("machine=\"{i}\""), f(ms)))
-                .collect()
-        };
-    counter(
-        &mut out,
-        "corm_pool_hits_total",
-        "Marshal-buffer checkouts served by a recycled buffer",
-        &per_machine_pool(&|ms| ms.pool_hits),
-    );
-    counter(
-        &mut out,
-        "corm_pool_misses_total",
-        "Marshal-buffer checkouts that allocated (includes cold misses)",
-        &per_machine_pool(&|ms| ms.pool_misses),
-    );
-    gauge(
-        &mut out,
-        "corm_pool_resident_bytes",
-        "Buffer capacity currently parked in the marshal pool",
-        &per_machine_pool(&|ms| ms.pool_resident_bytes),
-    );
-
-    let per_machine_hist =
-        |f: &dyn Fn(&crate::metrics::MachineSnapshot) -> HistSnapshot| -> Vec<(String, HistSnapshot)> {
-            m.machines
-                .iter()
-                .enumerate()
-                .map(|(i, ms)| (format!("machine=\"{i}\""), f(ms)))
-                .collect()
-        };
-
-    histogram(
-        &mut out,
-        "corm_rmi_rtt_microseconds",
-        "Caller-observed RMI round-trip time",
-        &per_machine_hist(&|ms| ms.rtt_us),
-    );
-    histogram(
-        &mut out,
-        "corm_marshal_microseconds",
-        "Argument-marshal time at calling sites",
-        &per_machine_hist(&|ms| ms.marshal_us),
-    );
-    histogram(
-        &mut out,
-        "corm_unmarshal_microseconds",
-        "Unmarshal time (args and returns)",
-        &per_machine_hist(&|ms| ms.unmarshal_us),
-    );
-    histogram(
-        &mut out,
-        "corm_invoke_microseconds",
-        "Served user-method execution time",
-        &per_machine_hist(&|ms| ms.invoke_us),
-    );
-    histogram(
-        &mut out,
-        "corm_queue_microseconds",
-        "Server-side queueing delay between packet arrival and worker pickup",
-        &per_machine_hist(&|ms| ms.queue_us),
-    );
-    histogram(
-        &mut out,
-        "corm_rmi_payload_bytes",
-        "Request payload size",
-        &per_machine_hist(&|ms| ms.payload_bytes),
-    );
-
-    // Serving throughput/goodput counters and the in-flight gauge.
-    counter(
-        &mut out,
-        "corm_requests_started_total",
-        "Two-way RMIs started (throughput)",
-        &per_machine_pool(&|ms| ms.requests_started),
-    );
-    counter(
-        &mut out,
-        "corm_requests_completed_total",
-        "Two-way RMIs completed successfully (goodput)",
-        &per_machine_pool(&|ms| ms.requests_completed),
-    );
-    gauge(
-        &mut out,
-        "corm_in_flight_requests",
-        "Two-way RMIs currently awaiting a reply",
-        &per_machine_pool(&|ms| ms.in_flight),
-    );
-
-    // Lossy-transport protocol counters and the VM's reply cache
-    // (DESIGN §16): retransmissions land on the sender, suppressed
-    // duplicates on the receiver; the reply cache deduplicates
-    // re-executed invocations above the transport.
-    counter(
-        &mut out,
-        "corm_lossy_retransmits_total",
-        "Datagram copies re-sent by the lossy transport's retransmission timers",
-        &per_machine_pool(&|ms| ms.lossy_retransmits),
-    );
-    counter(
-        &mut out,
-        "corm_lossy_dups_suppressed_total",
-        "Duplicate datagram copies discarded (or flagged) by the receiver",
-        &per_machine_pool(&|ms| ms.lossy_dups_suppressed),
-    );
-    counter(
-        &mut out,
-        "corm_reply_cache_hits_total",
-        "Duplicate invocations answered from the server-side reply cache",
-        &per_machine_pool(&|ms| ms.reply_cache_hits),
-    );
-    counter(
-        &mut out,
-        "corm_reply_cache_evictions_total",
-        "Reply-cache entries evicted by the FIFO bound",
-        &per_machine_pool(&|ms| ms.reply_cache_evictions),
-    );
-
-    // Reactor coalescing and queue-depth series (DESIGN §14/§15): the
-    // per-flush batch histogram plus flush-reason counters expose how
-    // adaptive batching behaves under load, and the occupancy gauges
-    // feed the timeline sampler and `corm top`.
-    counter(
-        &mut out,
-        "corm_reactor_frames_enqueued_total",
-        "Frames appended to reactor per-connection output buffers",
-        &per_machine_pool(&|ms| ms.reactor_frames_enqueued),
-    );
-    counter(
-        &mut out,
-        "corm_reactor_flush_batches_total",
-        "Coalesced writev flushes issued by the reactor",
-        &per_machine_pool(&|ms| ms.reactor_flush_batches),
-    );
-    counter(
-        &mut out,
-        "corm_reactor_flush_size_total",
-        "Reactor flushes triggered by the batch-size threshold",
-        &per_machine_pool(&|ms| ms.reactor_flush_size),
-    );
-    counter(
-        &mut out,
-        "corm_reactor_flush_deadline_total",
-        "Reactor flushes triggered by the coalescing deadline",
-        &per_machine_pool(&|ms| ms.reactor_flush_deadline),
-    );
-    counter(
-        &mut out,
-        "corm_reactor_flush_idle_total",
-        "Reactor flushes issued inline on an otherwise idle connection",
-        &per_machine_pool(&|ms| ms.reactor_flush_idle),
-    );
-    gauge(
-        &mut out,
-        "corm_reactor_queued_bytes",
-        "Bytes currently buffered in reactor output queues",
-        &per_machine_pool(&|ms| ms.reactor_queued_bytes),
-    );
-    gauge(
-        &mut out,
-        "corm_reactor_conns_queued",
-        "Connections with a non-empty reactor output buffer",
-        &per_machine_pool(&|ms| ms.reactor_conns_queued),
-    );
-    gauge(
-        &mut out,
-        "corm_serve_queue_depth",
-        "Requests accepted by the drain loop awaiting a worker",
-        &per_machine_pool(&|ms| ms.serve_queue_depth),
-    );
-    gauge(
-        &mut out,
-        "corm_pool_outstanding",
-        "Marshal buffers checked out and not yet returned",
-        &per_machine_pool(&|ms| ms.pool_outstanding),
-    );
-    histogram(
-        &mut out,
-        "corm_reactor_batch_bytes",
-        "Bytes written per fully drained reactor flush",
-        &per_machine_hist(&|ms| ms.reactor_batch_bytes),
-    );
-    histogram(
-        &mut out,
-        "corm_reactor_loop_microseconds",
-        "Reactor event-loop iteration latency",
-        &per_machine_hist(&|ms| ms.reactor_loop_us),
-    );
-
-    let site_calls: Vec<(String, u64)> =
-        m.sites.iter().map(|s| (format!("site=\"{}\"", s.site), s.calls)).collect();
-    counter(&mut out, "corm_site_calls_total", "RMIs issued per remote call site", &site_calls);
-    let site_rtt: Vec<(String, HistSnapshot)> =
-        m.sites.iter().map(|s| (format!("site=\"{}\"", s.site), s.rtt_us)).collect();
-    histogram(
-        &mut out,
-        "corm_site_rtt_microseconds",
-        "Round-trip time per remote call site",
-        &site_rtt,
-    );
-    let site_bytes: Vec<(String, HistSnapshot)> =
-        m.sites.iter().map(|s| (format!("site=\"{}\"", s.site), s.payload_bytes)).collect();
-    histogram(
-        &mut out,
-        "corm_site_payload_bytes",
-        "Request payload size per remote call site",
-        &site_bytes,
-    );
-
+    let label = |i: usize| format!("machine=\"{i}\"");
+    let stats: Vec<_> =
+        m.machines.iter().enumerate().map(|(i, ms)| (label(i), &ms.stats)).collect();
+    families(&mut out, PAPER_COUNTERS, &stats);
+    let machines: Vec<_> = m.machines.iter().enumerate().map(|(i, ms)| (label(i), ms)).collect();
+    families(&mut out, MACHINE_METRICS, &machines);
+    let sites: Vec<_> = m.sites.iter().map(|s| (format!("site=\"{}\"", s.site), s)).collect();
+    families(&mut out, SITE_METRICS, &sites);
     out
 }
 
@@ -416,35 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_counters_are_exposed() {
-        let reg = MetricsRegistry::new(2);
-        reg.machine(1).audit_checks.fetch_add(9, std::sync::atomic::Ordering::Relaxed);
-        let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE corm_audit_checks_total counter"));
-        assert!(text.contains(r#"corm_audit_checks_total{machine="1"} 9"#));
-        assert!(text.contains(r#"corm_audit_checks_total{machine="0"} 0"#));
-        assert!(text.contains("# TYPE corm_audit_poisons_total counter"));
-        assert!(text.contains(r#"corm_audit_poisons_total{machine="1"} 0"#));
-    }
-
-    #[test]
-    fn pool_series_are_exposed() {
-        let reg = MetricsRegistry::new(2);
-        reg.machine(0).pool_hits.fetch_add(12, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(0).pool_misses.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(1).pool_resident_bytes.fetch_add(8192, std::sync::atomic::Ordering::Relaxed);
-        let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE corm_pool_hits_total counter"));
-        assert!(text.contains(r#"corm_pool_hits_total{machine="0"} 12"#));
-        assert!(text.contains(r#"corm_pool_hits_total{machine="1"} 0"#));
-        assert!(text.contains("# TYPE corm_pool_misses_total counter"));
-        assert!(text.contains(r#"corm_pool_misses_total{machine="0"} 2"#));
-        // resident bytes can shrink, so it is a gauge, not a counter
-        assert!(text.contains("# TYPE corm_pool_resident_bytes gauge"));
-        assert!(text.contains(r#"corm_pool_resident_bytes{machine="1"} 8192"#));
-    }
-
-    #[test]
     fn quantile_gauges_follow_each_histogram() {
         let reg = MetricsRegistry::new(2);
         for _ in 0..99 {
@@ -471,84 +154,6 @@ mod tests {
             assert!(text.contains(&format!("# TYPE {fam}_p99 gauge")), "{fam}");
             assert!(text.contains(&format!("# TYPE {fam}_p999 gauge")), "{fam}");
         }
-    }
-
-    #[test]
-    fn reactor_and_queue_series_are_exposed() {
-        let reg = MetricsRegistry::new(2);
-        let m0 = reg.machine(0);
-        m0.reactor_frames_enqueued.fetch_add(20, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_flush_batches.fetch_add(5, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_flush_size.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_flush_deadline.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_flush_idle.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_queued_bytes.fetch_add(4096, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_conns_queued.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
-        m0.serve_queue_depth.fetch_add(11, std::sync::atomic::Ordering::Relaxed);
-        m0.pool_outstanding.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        m0.reactor_batch_bytes.record(8192);
-        m0.reactor_loop_us.record(250);
-        let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE corm_reactor_frames_enqueued_total counter"));
-        assert!(text.contains(r#"corm_reactor_frames_enqueued_total{machine="0"} 20"#));
-        assert!(text.contains(r#"corm_reactor_frames_enqueued_total{machine="1"} 0"#));
-        assert!(text.contains(r#"corm_reactor_flush_batches_total{machine="0"} 5"#));
-        // the three reason counters partition flush_batches
-        assert!(text.contains(r#"corm_reactor_flush_size_total{machine="0"} 2"#));
-        assert!(text.contains(r#"corm_reactor_flush_deadline_total{machine="0"} 1"#));
-        assert!(text.contains(r#"corm_reactor_flush_idle_total{machine="0"} 2"#));
-        // occupancy can shrink: gauges, not counters
-        assert!(text.contains("# TYPE corm_reactor_queued_bytes gauge"));
-        assert!(text.contains(r#"corm_reactor_queued_bytes{machine="0"} 4096"#));
-        assert!(text.contains("# TYPE corm_reactor_conns_queued gauge"));
-        assert!(text.contains(r#"corm_reactor_conns_queued{machine="0"} 3"#));
-        assert!(text.contains("# TYPE corm_serve_queue_depth gauge"));
-        assert!(text.contains(r#"corm_serve_queue_depth{machine="0"} 11"#));
-        assert!(text.contains("# TYPE corm_pool_outstanding gauge"));
-        assert!(text.contains(r#"corm_pool_outstanding{machine="0"} 2"#));
-        assert!(text.contains("# TYPE corm_reactor_batch_bytes histogram"));
-        assert!(text.contains(r#"corm_reactor_batch_bytes_count{machine="0"} 1"#));
-        assert!(text.contains(r#"corm_reactor_batch_bytes_sum{machine="0"} 8192"#));
-        assert!(text.contains("# TYPE corm_reactor_loop_microseconds histogram"));
-        assert!(text.contains(r#"corm_reactor_loop_microseconds_count{machine="0"} 1"#));
-    }
-
-    #[test]
-    fn serving_series_are_exposed() {
-        let reg = MetricsRegistry::new(2);
-        reg.machine(0).queue_us.record(50);
-        reg.machine(0).requests_started.fetch_add(7, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(0).requests_completed.fetch_add(6, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(0).in_flight.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE corm_queue_microseconds histogram"));
-        assert!(text.contains(r#"corm_queue_microseconds_count{machine="0"} 1"#));
-        assert!(text.contains("# TYPE corm_requests_started_total counter"));
-        assert!(text.contains(r#"corm_requests_started_total{machine="0"} 7"#));
-        assert!(text.contains(r#"corm_requests_completed_total{machine="0"} 6"#));
-        // in-flight can shrink: gauge, not counter
-        assert!(text.contains("# TYPE corm_in_flight_requests gauge"));
-        assert!(text.contains(r#"corm_in_flight_requests{machine="0"} 1"#));
-        assert!(text.contains(r#"corm_in_flight_requests{machine="1"} 0"#));
-    }
-
-    #[test]
-    fn lossy_and_reply_cache_series_are_exposed() {
-        let reg = MetricsRegistry::new(2);
-        reg.machine(0).lossy_retransmits.fetch_add(5, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(1).lossy_dups_suppressed.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(1).reply_cache_hits.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        reg.machine(1).reply_cache_evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let text = render_prometheus(&reg.snapshot());
-        assert!(text.contains("# TYPE corm_lossy_retransmits_total counter"));
-        assert!(text.contains(r#"corm_lossy_retransmits_total{machine="0"} 5"#));
-        assert!(text.contains(r#"corm_lossy_retransmits_total{machine="1"} 0"#));
-        assert!(text.contains("# TYPE corm_lossy_dups_suppressed_total counter"));
-        assert!(text.contains(r#"corm_lossy_dups_suppressed_total{machine="1"} 3"#));
-        assert!(text.contains("# TYPE corm_reply_cache_hits_total counter"));
-        assert!(text.contains(r#"corm_reply_cache_hits_total{machine="1"} 2"#));
-        assert!(text.contains("# TYPE corm_reply_cache_evictions_total counter"));
-        assert!(text.contains(r#"corm_reply_cache_evictions_total{machine="1"} 1"#));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   whole events, possibly missing the very newest ones.
 //!
 //! The recorder lives in corm-obs, below corm-net, so the transport is
-//! recorded as a small code ([`transport_name`]) rather than a type.
+//! recorded as a small code (`TRANSPORT_*`) rather than a type.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -27,11 +27,12 @@ use std::time::Instant;
 /// per machine, several round-trips of history for every app.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
-/// Event kinds, stored as one byte in the packed slot.
+/// Event kinds; the discriminant is the byte stored in the packed slot
+/// (0 is reserved for "no event").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A request left this machine (caller side).
-    Send,
+    Send = 1,
     /// A reply for `req` arrived back on the caller.
     Return,
     /// This machine served a request (callee side).
@@ -62,33 +63,20 @@ pub enum FlightKind {
 }
 
 impl FlightKind {
-    fn code(self) -> u64 {
-        match self {
-            FlightKind::Send => 1,
-            FlightKind::Return => 2,
-            FlightKind::Handle => 3,
-            FlightKind::Local => 4,
-            FlightKind::Fail => 5,
-            FlightKind::Slo => 6,
-            FlightKind::Health => 7,
-            FlightKind::Retransmit => 8,
-            FlightKind::DupSuppressed => 9,
-        }
-    }
+    const ALL: [FlightKind; 9] = [
+        FlightKind::Send,
+        FlightKind::Return,
+        FlightKind::Handle,
+        FlightKind::Local,
+        FlightKind::Fail,
+        FlightKind::Slo,
+        FlightKind::Health,
+        FlightKind::Retransmit,
+        FlightKind::DupSuppressed,
+    ];
 
     fn from_code(c: u64) -> Option<FlightKind> {
-        Some(match c {
-            1 => FlightKind::Send,
-            2 => FlightKind::Return,
-            3 => FlightKind::Handle,
-            4 => FlightKind::Local,
-            5 => FlightKind::Fail,
-            6 => FlightKind::Slo,
-            7 => FlightKind::Health,
-            8 => FlightKind::Retransmit,
-            9 => FlightKind::DupSuppressed,
-            _ => return None,
-        })
+        FlightKind::ALL.into_iter().find(|&k| k as u64 == c)
     }
 
     pub fn name(self) -> &'static str {
@@ -124,7 +112,7 @@ pub const TRANSPORT_REACTOR: u8 = 2;
 pub const TRANSPORT_LOSSY: u8 = 3;
 
 /// Human name for a transport code.
-pub fn transport_name(code: u8) -> &'static str {
+fn transport_name(code: u8) -> &'static str {
     match code {
         TRANSPORT_CHANNEL => "channel",
         TRANSPORT_TCP => "tcp",
@@ -137,7 +125,9 @@ pub fn transport_name(code: u8) -> &'static str {
 /// One recorded RMI event (decoded form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Microseconds since the recorder was created.
+    /// Microseconds since the cluster epoch, stamped by whoever records
+    /// the event (the VM's instrumentation seam, the sampler, the lossy
+    /// fabric) so one instant carries one `t_us` on every plane.
     pub t_us: u64,
     /// Cluster-unique request id (0 when not applicable).
     pub req: u64,
@@ -224,7 +214,7 @@ impl FlightRing {
         slot.w[1].store(e.req, Ordering::Relaxed);
         slot.w[2].store(((e.site as u64) << 32) | e.bytes as u64, Ordering::Relaxed);
         slot.w[3].store(
-            e.kind.code()
+            e.kind as u64
                 | ((e.peer as u64) << 8)
                 | ((e.flags as u64) << 24)
                 | ((e.transport as u64) << 32),
@@ -265,40 +255,34 @@ impl FlightRing {
     }
 }
 
-/// One ring per machine plus the shared epoch for timestamps.
+/// One ring per machine plus the cluster epoch their timestamps count
+/// from.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    start: Instant,
+    epoch: Instant,
     rings: Vec<FlightRing>,
 }
 
 impl FlightRecorder {
-    pub fn new(machines: usize, capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            start: Instant::now(),
-            rings: (0..machines).map(|_| FlightRing::new(capacity)).collect(),
-        }
+    /// `epoch` is the cluster's one zero point (`Cluster::start` takes
+    /// it once and hands it to the runtime, this recorder and, through
+    /// it, the sampler), so flight, trace and timeline `t_us` agree.
+    pub fn new(machines: usize, capacity: usize, epoch: Instant) -> FlightRecorder {
+        FlightRecorder { epoch, rings: (0..machines).map(|_| FlightRing::new(capacity)).collect() }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.rings.first().map(|r| r.capacity() > 0).unwrap_or(false)
-    }
-
-    /// Microseconds since the recorder epoch.
+    /// Microseconds since the cluster epoch.
     #[inline]
     pub fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+        self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Record `e` on `machine`'s ring, stamping `e.t_us` here.
+    /// Record `e`, already stamped, on `machine`'s ring.
     #[inline]
-    pub fn record(&self, machine: u16, mut e: FlightEvent) {
-        let Some(ring) = self.rings.get(machine as usize) else { return };
-        if ring.capacity() == 0 {
-            return;
+    pub fn record(&self, machine: u16, e: FlightEvent) {
+        if let Some(ring) = self.rings.get(machine as usize) {
+            ring.record(e);
         }
-        e.t_us = self.now_us();
-        ring.record(e);
     }
 
     /// Snapshot every machine's ring.
@@ -441,25 +425,25 @@ mod tests {
         let ring = FlightRing::new(0);
         ring.record(ev(1, FlightKind::Send));
         assert!(ring.snapshot().is_empty());
-        let rec = FlightRecorder::new(2, 0);
-        assert!(!rec.enabled());
+        let rec = FlightRecorder::new(2, 0, Instant::now());
         rec.record(0, ev(1, FlightKind::Send));
         assert!(rec.snapshot().iter().all(|(_, evs)| evs.is_empty()));
     }
 
     #[test]
-    fn recorder_stamps_time_and_shards_by_machine() {
-        let rec = FlightRecorder::new(2, 16);
-        assert!(rec.enabled());
-        rec.record(0, ev(1, FlightKind::Send));
+    fn recorder_shards_by_machine_and_counts_from_its_epoch() {
+        let epoch = Instant::now() - std::time::Duration::from_millis(5);
+        let rec = FlightRecorder::new(2, 16, epoch);
+        assert!(rec.now_us() >= 5_000, "now_us counts from the epoch handed in");
+        rec.record(0, FlightEvent { t_us: 7, ..ev(1, FlightKind::Send) });
         rec.record(1, ev(1, FlightKind::Handle));
-        rec.record(0, ev(1, FlightKind::Return));
+        rec.record(0, FlightEvent { t_us: 9, ..ev(1, FlightKind::Return) });
         let snap = rec.snapshot();
         assert_eq!(snap[0].1.len(), 2);
         assert_eq!(snap[1].1.len(), 1);
         assert_eq!(snap[0].1[0].kind, FlightKind::Send);
         assert_eq!(snap[0].1[1].kind, FlightKind::Return);
-        assert!(snap[0].1[0].t_us <= snap[0].1[1].t_us);
+        assert_eq!((snap[0].1[0].t_us, snap[0].1[1].t_us), (7, 9), "stamps are the caller's");
     }
 
     #[test]
@@ -565,7 +549,7 @@ mod tests {
 
     #[test]
     fn dump_renders_json_with_reqs_and_flags() {
-        let rec = FlightRecorder::new(1, 8);
+        let rec = FlightRecorder::new(1, 8, Instant::now());
         rec.record(0, ev(77, FlightKind::Send));
         rec.record(0, ev(77, FlightKind::Fail));
         let dump = FlightDump {
@@ -584,7 +568,7 @@ mod tests {
         assert_eq!(dump.total_events(), 2);
 
         // FLAG_POOL_HIT round-trips through the packed slot words.
-        let rec = FlightRecorder::new(1, 8);
+        let rec = FlightRecorder::new(1, 8, Instant::now());
         rec.record(0, FlightEvent { flags: FLAG_POOL_HIT, ..ev(5, FlightKind::Send) });
         let snap = rec.snapshot();
         assert!(snap[0].1[0].flags & FLAG_POOL_HIT != 0);

@@ -70,7 +70,6 @@ pub fn phase_report(
                         Phase::Queue => t.queue_us += dur,
                         Phase::Unmarshal => t.unmarshal_us += dur,
                         Phase::Invoke => t.invoke_us += dur,
-                        Phase::Wire => t.wire_modeled_us += dur,
                     }
                 }
             }

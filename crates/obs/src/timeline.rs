@@ -32,7 +32,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -135,27 +135,16 @@ pub struct HealthEvent {
     pub value: u64,
 }
 
-/// Assessor thresholds. The defaults flag an injected stall within 3
-/// sampling intervals — inside the 5-interval acceptance bound with
-/// margin for sampler jitter.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// Consecutive no-progress intervals (queue non-empty, nothing
-    /// served) before a stall fires.
-    pub stall_intervals: usize,
-    /// Window length over which queue depth must grow strictly
-    /// monotonically to flag backpressure.
-    pub backpressure_window: usize,
-    /// Window length over which ledger outstanding must grow strictly
-    /// monotonically to flag a pool leak.
-    pub leak_window: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig { stall_intervals: 3, backpressure_window: 5, leak_window: 8 }
-    }
-}
+/// Consecutive no-progress intervals (queue non-empty, nothing served)
+/// before a stall fires: 3 flags an injected stall inside the
+/// 5-interval acceptance bound with margin for sampler jitter.
+const STALL_INTERVALS: usize = 3;
+/// Window over which queue depth must grow strictly monotonically to
+/// flag backpressure.
+const BACKPRESSURE_WINDOW: usize = 5;
+/// Window over which ledger outstanding must grow strictly
+/// monotonically to flag a pool leak.
+const LEAK_WINDOW: usize = 8;
 
 #[derive(Debug, Default)]
 struct MachineHealth {
@@ -171,13 +160,12 @@ struct MachineHealth {
 /// event, not one per tick.
 #[derive(Debug)]
 pub struct HealthAssessor {
-    cfg: HealthConfig,
     per: Vec<MachineHealth>,
 }
 
 impl HealthAssessor {
-    pub fn new(machines: usize, cfg: HealthConfig) -> Self {
-        HealthAssessor { cfg, per: (0..machines).map(|_| MachineHealth::default()).collect() }
+    pub fn new(machines: usize) -> Self {
+        HealthAssessor { per: (0..machines).map(|_| MachineHealth::default()).collect() }
     }
 
     /// Feed the most recent samples for `machine` (oldest first, last =
@@ -192,7 +180,7 @@ impl HealthAssessor {
         // names the machine that is stuck, not the callers waiting on it.
         if last.queue_depth > 0 && last.handled == 0 {
             st.stall_run += 1;
-            if st.stall_run >= self.cfg.stall_intervals && !st.stall_active {
+            if st.stall_run >= STALL_INTERVALS && !st.stall_active {
                 st.stall_active = true;
                 out.push(HealthEvent {
                     t_us: last.t_us,
@@ -208,8 +196,8 @@ impl HealthAssessor {
 
         // Backpressure: strictly monotone queue growth over the window —
         // arrivals persistently outpace service.
-        if window.len() >= self.cfg.backpressure_window {
-            let w = &window[window.len() - self.cfg.backpressure_window..];
+        if window.len() >= BACKPRESSURE_WINDOW {
+            let w = &window[window.len() - BACKPRESSURE_WINDOW..];
             let growing = w.windows(2).all(|p| p[1].queue_depth > p[0].queue_depth);
             if growing {
                 if !st.backpressure_active {
@@ -228,8 +216,8 @@ impl HealthAssessor {
 
         // Pool leak: ledger outstanding strictly growing — checked-out
         // buffers are not being returned or abandoned.
-        if window.len() >= self.cfg.leak_window {
-            let w = &window[window.len() - self.cfg.leak_window..];
+        if window.len() >= LEAK_WINDOW {
+            let w = &window[window.len() - LEAK_WINDOW..];
             let growing = w.windows(2).all(|p| p[1].pool_outstanding > p[0].pool_outstanding);
             if growing {
                 if !st.leak_active {
@@ -251,8 +239,8 @@ impl HealthAssessor {
 }
 
 /// The registry-resident timeline store: one bounded sample ring per
-/// machine plus the run's health findings. Owned by [`MetricsRegistry`]
-/// so `reset()` clears it with everything else.
+/// machine plus the run's health findings. Owned by [`MetricsRegistry`],
+/// so it is scoped to one run like every other metric.
 #[derive(Debug)]
 pub struct TimelineState {
     interval_us: AtomicU64,
@@ -282,7 +270,7 @@ impl TimelineState {
         self.interval_us.load(Ordering::Relaxed)
     }
 
-    pub fn set_interval_us(&self, us: u64) {
+    pub(crate) fn set_interval_us(&self, us: u64) {
         self.interval_us.store(us, Ordering::Relaxed);
     }
 
@@ -306,15 +294,6 @@ impl TimelineState {
         r.iter().skip(skip).copied().collect()
     }
 
-    /// Samples recorded for `machine` so far (bounded by capacity).
-    pub fn len(&self, machine: u16) -> usize {
-        self.rings.get(machine as usize).map_or(0, |r| r.lock().len())
-    }
-
-    pub fn is_empty(&self, machine: u16) -> bool {
-        self.len(machine) == 0
-    }
-
     /// Record a health finding (bounded; keeps the earliest).
     pub fn record_health(&self, ev: HealthEvent) {
         let mut h = self.health.lock();
@@ -325,14 +304,6 @@ impl TimelineState {
 
     pub fn health_events(&self) -> Vec<HealthEvent> {
         self.health.lock().clone()
-    }
-
-    /// Drop every sample and health finding (registry `reset()`).
-    pub fn clear(&self) {
-        for r in &self.rings {
-            r.lock().clear();
-        }
-        self.health.lock().clear();
     }
 
     /// Plain-value copy of the whole timeline for export.
@@ -429,15 +400,6 @@ pub fn render_timeline_json(d: &TimelineDoc) -> String {
     s
 }
 
-/// Sampler thread configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplerConfig {
-    pub interval: Duration,
-    pub health: HealthConfig,
-    /// `TRANSPORT_*` code stamped into emitted health flight events.
-    pub transport_code: u8,
-}
-
 /// Handle to a running sampler thread. Dropping it without calling
 /// [`SamplerHandle::stop_and_join`] detaches the thread (it keeps
 /// sampling until the registry's owner exits), so cluster teardown
@@ -496,18 +458,20 @@ fn delta_sample(t_us: u64, cur: &MachineSnapshot, prev: &MachineSnapshot) -> Tim
 
 /// One sampling pass over every machine: push a delta sample, run the
 /// assessor, emit health findings to the timeline and flight recorder.
+/// Samples are stamped on the flight recorder's clock — the cluster
+/// epoch — so a sample, a flight event and a trace event of one instant
+/// agree on `t_us`.
 fn sample_tick(
     obs: &MetricsRegistry,
     flight: &FlightRecorder,
     prev: &mut [MachineSnapshot],
     assessor: &mut HealthAssessor,
-    epoch: Instant,
     transport_code: u8,
     tick: u64,
 ) {
-    let window = assessor.cfg.backpressure_window.max(assessor.cfg.leak_window).max(2);
+    let window = BACKPRESSURE_WINDOW.max(LEAK_WINDOW);
     for (m, prev_snap) in prev.iter_mut().enumerate().take(obs.num_machines()) {
-        let t_us = epoch.elapsed().as_micros() as u64;
+        let t_us = flight.now_us();
         let cur = obs.machine_snapshot(m as u16);
         let sample = delta_sample(t_us, &cur, prev_snap);
         *prev_snap = cur;
@@ -518,7 +482,7 @@ fn sample_tick(
             flight.record(
                 ev.machine,
                 FlightEvent {
-                    t_us: 0, // stamped by the recorder
+                    t_us: ev.t_us,
                     req: tick,
                     site: ev.kind.code(),
                     bytes: ev.value.min(u32::MAX as u64) as u32,
@@ -532,42 +496,36 @@ fn sample_tick(
     }
 }
 
-/// Spawn the background sampler. It takes a baseline tick immediately
-/// (so the first deltas are measured from cluster start), then one tick
-/// per interval, and a final forced tick when stopped — the ring's
-/// delta totals therefore equal the final counter values.
+/// Spawn the background sampler at `interval`; `transport_code` is the
+/// `TRANSPORT_*` byte stamped into the health flight events it emits.
+/// The baseline tick is taken here, on the caller's thread — so it
+/// precedes whatever the caller starts next and the first deltas are
+/// measured from cluster start — then the thread takes one tick per
+/// interval and a final forced tick when stopped: the ring's delta
+/// totals therefore equal the final counter values.
 pub fn spawn_sampler(
     obs: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
-    cfg: SamplerConfig,
+    interval: Duration,
+    transport_code: u8,
 ) -> SamplerHandle {
-    obs.timeline().set_interval_us(cfg.interval.as_micros() as u64);
+    obs.timeline().set_interval_us(interval.as_micros() as u64);
+    let n = obs.num_machines();
+    let mut assessor = HealthAssessor::new(n);
+    let mut prev = vec![MachineSnapshot::default(); n];
+    sample_tick(&obs, &flight, &mut prev, &mut assessor, transport_code, 0);
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let handle = std::thread::Builder::new()
         .name("corm-sampler".into())
         .spawn(move || {
-            let n = obs.num_machines();
-            let mut assessor = HealthAssessor::new(n, cfg.health);
-            let mut prev = vec![MachineSnapshot::default(); n];
-            let epoch = Instant::now();
-            let mut tick = 0u64;
-            loop {
+            for tick in 1.. {
+                std::thread::park_timeout(interval);
                 let stopping = stop2.load(Ordering::Acquire);
-                sample_tick(
-                    &obs,
-                    &flight,
-                    &mut prev,
-                    &mut assessor,
-                    epoch,
-                    cfg.transport_code,
-                    tick,
-                );
-                tick += 1;
+                sample_tick(&obs, &flight, &mut prev, &mut assessor, transport_code, tick);
                 if stopping {
                     break;
                 }
-                std::thread::park_timeout(cfg.interval);
             }
         })
         .expect("spawn corm-sampler");
@@ -577,6 +535,7 @@ pub fn spawn_sampler(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn sample(t_us: u64) -> TimelineSample {
         TimelineSample { t_us, ..TimelineSample::default() }
@@ -588,7 +547,6 @@ mod tests {
         for i in 0..10 {
             tl.push(0, sample(i));
         }
-        assert_eq!(tl.len(0), 4);
         let recent = tl.recent(0, 10);
         let ts: Vec<u64> = recent.iter().map(|s| s.t_us).collect();
         assert_eq!(ts, vec![6, 7, 8, 9]);
@@ -597,22 +555,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_samples_and_health() {
-        let tl = TimelineState::new(2);
-        tl.push(0, sample(1));
-        tl.push(1, sample(2));
-        tl.record_health(HealthEvent { t_us: 5, machine: 1, kind: HealthKind::Stall, value: 3 });
-        tl.clear();
-        assert!(tl.is_empty(0));
-        assert!(tl.is_empty(1));
-        assert!(tl.health_events().is_empty());
-    }
-
-    #[test]
     fn assessor_flags_stall_within_bound_and_names_machine() {
         // Acceptance criterion: a stalled server is flagged within 5
-        // sampling intervals. The default config fires at 3.
-        let mut ha = HealthAssessor::new(2, HealthConfig::default());
+        // sampling intervals. `STALL_INTERVALS` fires at 3.
+        let mut ha = HealthAssessor::new(2);
         let mut window: Vec<TimelineSample> = Vec::new();
         let mut fired_at = None;
         for i in 0..5u64 {
@@ -634,7 +580,7 @@ mod tests {
 
     #[test]
     fn stall_is_edge_triggered_and_rearms_after_progress() {
-        let mut ha = HealthAssessor::new(1, HealthConfig::default());
+        let mut ha = HealthAssessor::new(1);
         let stuck = TimelineSample { queue_depth: 2, handled: 0, ..Default::default() };
         let moving = TimelineSample { queue_depth: 2, handled: 5, ..Default::default() };
         let mut events = 0;
@@ -651,7 +597,7 @@ mod tests {
 
     #[test]
     fn backpressure_needs_strict_monotone_growth() {
-        let mut ha = HealthAssessor::new(1, HealthConfig::default());
+        let mut ha = HealthAssessor::new(1);
         let grow: Vec<TimelineSample> = (1..=5)
             .map(|d| TimelineSample { queue_depth: d, handled: 1, ..Default::default() })
             .collect();
@@ -667,15 +613,15 @@ mod tests {
 
     #[test]
     fn pool_leak_fires_on_ledger_growth() {
-        let cfg = HealthConfig { leak_window: 4, ..Default::default() };
-        let mut ha = HealthAssessor::new(1, cfg);
-        let grow: Vec<TimelineSample> = (1..=4)
+        let mut ha = HealthAssessor::new(1);
+        let grow: Vec<TimelineSample> = (1..=LEAK_WINDOW as u64)
             .map(|d| TimelineSample { pool_outstanding: d * 2, handled: 1, ..Default::default() })
             .collect();
+        assert!(ha.assess(0, &grow[..LEAK_WINDOW - 1]).is_empty(), "needs the whole window");
         let evs = ha.assess(0, &grow);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, HealthKind::PoolLeak);
-        assert_eq!(evs[0].value, 8);
+        assert_eq!(evs[0].value, 2 * LEAK_WINDOW as u64);
     }
 
     #[test]
@@ -764,17 +710,9 @@ mod tests {
     #[test]
     fn sampler_thread_samples_and_stops() {
         let obs = Arc::new(MetricsRegistry::new(2));
-        let flight = Arc::new(FlightRecorder::new(2, 64));
+        let flight = Arc::new(FlightRecorder::new(2, 64, Instant::now()));
         obs.machine(0).requests_started.fetch_add(5, Ordering::Relaxed);
-        let h = spawn_sampler(
-            obs.clone(),
-            flight.clone(),
-            SamplerConfig {
-                interval: Duration::from_millis(1),
-                health: HealthConfig::default(),
-                transport_code: 0,
-            },
-        );
+        let h = spawn_sampler(obs.clone(), flight.clone(), Duration::from_millis(1), 0);
         std::thread::sleep(Duration::from_millis(10));
         obs.machine(0).requests_started.fetch_add(7, Ordering::Relaxed);
         h.stop_and_join();
@@ -793,17 +731,9 @@ mod tests {
         // and whose invoke counter never moves must produce a Health
         // flight event naming it within 5 ticks.
         let obs = Arc::new(MetricsRegistry::new(2));
-        let flight = Arc::new(FlightRecorder::new(2, 64));
+        let flight = Arc::new(FlightRecorder::new(2, 64, Instant::now()));
         obs.machine(1).serve_queue_depth.store(6, Ordering::Relaxed);
-        let h = spawn_sampler(
-            obs.clone(),
-            flight.clone(),
-            SamplerConfig {
-                interval: Duration::from_millis(1),
-                health: HealthConfig::default(),
-                transport_code: 2,
-            },
-        );
+        let h = spawn_sampler(obs.clone(), flight.clone(), Duration::from_millis(1), 2);
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut found = None;
         while Instant::now() < deadline && found.is_none() {

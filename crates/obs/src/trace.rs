@@ -4,18 +4,16 @@
 //! unmarshal, invoke and collection. Every RMI carries a cluster-unique
 //! request id, so `RmiSend → Handle → RmiReturn` of one call link
 //! across machines, and the explicit [`Phase`] spans attribute time to
-//! the marshal / wire / unmarshal / invoke stages of the pipeline.
+//! the marshal / queue / unmarshal / invoke stages of the pipeline.
 //!
-//! Renderers: [`render_timeline`] (text), [`to_json`] (flat JSON array)
-//! and [`crate::chrome::to_chrome_trace`] (Perfetto-loadable).
+//! Renderers: [`render_timeline`] (text) and
+//! [`crate::chrome::to_chrome_trace`] (Perfetto-loadable).
 
 /// One stage of the RMI pipeline (Figure 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Serializing arguments at the calling site.
     Marshal,
-    /// Wire transit (simulated: the modeled Myrinet cost).
-    Wire,
     /// Sitting in the serving machine's work queue between the drain
     /// loop receiving the request and a worker picking it up — the
     /// component that dominates round trips on a saturated server.
@@ -30,7 +28,6 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Marshal => "marshal",
-            Phase::Wire => "wire",
             Phase::Queue => "queue",
             Phase::Unmarshal => "unmarshal",
             Phase::Invoke => "invoke",
@@ -129,49 +126,6 @@ pub fn render_timeline(events: &[TraceEvent]) -> String {
     s
 }
 
-/// Hand-rolled JSON export (no serde_json dependency): a stable array of
-/// flat objects suitable for timeline viewers.
-pub fn to_json(events: &[TraceEvent]) -> String {
-    let mut s = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let (kind, detail) = match e.kind {
-            TraceKind::RmiSend { req, site, to, bytes, oneway } => (
-                "rmi_send",
-                format!(r#""req":{req},"site":{site},"to":{to},"bytes":{bytes},"oneway":{oneway}"#),
-            ),
-            TraceKind::RmiReturn { req, site, us, reply_bytes } => (
-                "rmi_return",
-                format!(r#""req":{req},"site":{site},"us":{us},"reply_bytes":{reply_bytes}"#),
-            ),
-            TraceKind::Handle { req, site, us, reused } => {
-                ("handle", format!(r#""req":{req},"site":{site},"us":{us},"reused":{reused}"#))
-            }
-            TraceKind::LocalRpc { req, site, us } => {
-                ("local_rpc", format!(r#""req":{req},"site":{site},"us":{us}"#))
-            }
-            TraceKind::PhaseBegin { phase, req, site } => {
-                ("phase_begin", format!(r#""phase":"{}","req":{req},"site":{site}"#, phase.name()))
-            }
-            TraceKind::PhaseEnd { phase, req, site } => {
-                ("phase_end", format!(r#""phase":"{}","req":{req},"site":{site}"#, phase.name()))
-            }
-            TraceKind::NewRemote { class, from } => {
-                ("new_remote", format!(r#""class":{class},"from":{from}"#))
-            }
-            TraceKind::Gc { freed, live } => ("gc", format!(r#""freed":{freed},"live":{live}"#)),
-        };
-        s.push_str(&format!(
-            r#"{{"t_us":{},"seq":{},"machine":{},"kind":"{kind}",{detail}}}"#,
-            e.t_us, e.seq, e.machine
-        ));
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn json_is_wellformed_enough() {
-        let json = to_json(&sample());
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("{\"t_us\"").count(), 3);
-        assert!(json.contains(r#""kind":"rmi_send""#));
-        assert!(json.contains(r#""oneway":false"#));
-        assert!(json.contains(r#""req":1"#));
-    }
-
-    #[test]
     fn phase_events_render() {
         let ev = vec![
             TraceEvent {
@@ -255,14 +199,10 @@ mod tests {
         ];
         let text = render_timeline(&ev);
         assert!(text.contains("begin  marshal") && text.contains("end    marshal"));
-        let json = to_json(&ev);
-        assert!(json.contains(r#""kind":"phase_begin""#));
-        assert!(json.contains(r#""phase":"marshal""#));
     }
 
     #[test]
     fn empty_trace() {
-        assert_eq!(to_json(&[]), "[]");
         assert_eq!(render_timeline(&[]), "");
     }
 

@@ -30,7 +30,7 @@ pub fn call(
             }
             Ok(Value::Null)
         }
-        TimeMicros => Ok(Value::Long(interp.rt.start.elapsed().as_micros() as i64)),
+        TimeMicros => Ok(Value::Long(interp.rt.now_us() as i64)),
         SleepMicros => {
             let us = argv[0].as_long().max(0) as u64;
             MutexGuard::unlocked(guard, || {

@@ -453,7 +453,7 @@ impl Interp {
         roots.extend(guard.external_roots());
         let report = guard.heap.gc(roots);
         guard.last_gc_bytes = guard.heap.stats.alloc_bytes;
-        self.rt.trace_event(
+        self.rt.instant(
             self.machine_id(),
             crate::trace::TraceKind::Gc { freed: report.freed, live: report.live },
         );

@@ -30,12 +30,12 @@ pub mod serve;
 pub use corm_obs::trace;
 
 pub use corm_obs::{
-    render_flight_json, render_timeline, to_chrome_trace, to_json, FlightDump, FlightEvent,
-    FlightKind, FlightRecorder, Phase, TraceEvent, TraceKind, DEFAULT_FLIGHT_CAPACITY,
+    render_flight_json, render_timeline, to_chrome_trace, FlightDump, FlightEvent, FlightKind,
+    FlightRecorder, Phase, TraceEvent, TraceKind, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use error::VmError;
 pub use runtime::{
     run_program, write_flight_artifact, AuditCounters, AuditSnapshot, Cluster, FaultSpec,
-    RunOptions, RunOutcome, Runtime, StallSpec,
+    Milestone, RunOptions, RunOutcome, Runtime, StallSpec,
 };
 pub use serve::{serve, serve_with, ArrivalSchedule, ServeOptions, ServeReport, ServeSpec};

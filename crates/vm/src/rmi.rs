@@ -2,14 +2,17 @@
 //! with the paper's local-RPC cloning semantics and the §3.3 reuse
 //! caches wired into (de)serialization.
 
+use std::sync::atomic::Ordering::Relaxed;
+
 use corm_codegen::{MarshalPlan, Serializer, ShadowCycleCheck, AUDIT_ERROR_PREFIX};
 use corm_heap::{AllocAttribution, ObjRef, Value};
 use corm_ir::{CallSiteId, ClassId, MethodId};
 use corm_net::Packet;
 use corm_obs::recorder::{
-    FlightKind, FLAG_ARGS_CYCLE_TABLE, FLAG_ARG_REUSE, FLAG_ONEWAY, FLAG_POOL_HIT,
-    FLAG_RET_CYCLE_TABLE, FLAG_RET_REUSE, TRANSPORT_LOSSY,
+    FLAG_ARGS_CYCLE_TABLE, FLAG_ARG_REUSE, FLAG_ONEWAY, FLAG_POOL_HIT, FLAG_RET_CYCLE_TABLE,
+    FLAG_RET_REUSE,
 };
+use corm_obs::SiteMetrics;
 use corm_wire::{DeserTable, Message, MessageReader, RmiStats, SerCycleTable};
 use parking_lot::MutexGuard;
 
@@ -17,8 +20,8 @@ use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
 use crate::machine::{CachedReply, MachineState, ReplySlot};
 use crate::pool::Lane;
-use crate::runtime::Runtime;
-use crate::trace::{Phase, TraceKind};
+use crate::runtime::{Milestone, Runtime};
+use crate::trace::Phase;
 
 /// Shadow table for the audit mode (DESIGN §10): created only when
 /// auditing is on *and* the plan statically elided the real cycle table —
@@ -35,7 +38,6 @@ fn audit_shadow(rt: &Runtime, has_real_table: bool) -> Option<ShadowCycleCheck> 
 /// Fold a finished shadow table into the run's audit counters and the
 /// machine's metrics shard (`corm_audit_checks_total`).
 fn absorb_shadow(rt: &Runtime, my: u16, shadow: Option<ShadowCycleCheck>) {
-    use std::sync::atomic::Ordering::Relaxed;
     if let Some(sh) = shadow {
         rt.audit_counters.shadow_tables.fetch_add(1, Relaxed);
         rt.audit_counters.shadow_checks.fetch_add(sh.checks, Relaxed);
@@ -43,35 +45,20 @@ fn absorb_shadow(rt: &Runtime, my: u16, shadow: Option<ShadowCycleCheck>) {
     }
 }
 
-/// The plan's applied verdicts packed as flight-recorder flags, so every
-/// recorded event carries the config decisions in effect at its site.
-fn plan_flags(plan: &MarshalPlan, oneway: bool) -> u8 {
-    let mut f = 0;
-    if plan.args_cycle_table {
-        f |= FLAG_ARGS_CYCLE_TABLE;
-    }
-    if plan.ret_cycle_table {
-        f |= FLAG_RET_CYCLE_TABLE;
-    }
-    if plan.arg_reuse.iter().any(|&b| b) {
-        f |= FLAG_ARG_REUSE;
-    }
-    if plan.ret_reuse {
-        f |= FLAG_RET_REUSE;
-    }
-    if oneway {
-        f |= FLAG_ONEWAY;
-    }
-    f
-}
-
-/// Flight-recorder bit for a pooled-buffer checkout.
-fn pool_flag(hit: bool) -> u8 {
-    if hit {
-        FLAG_POOL_HIT
-    } else {
-        0
-    }
+/// The plan's applied verdicts (and whether the request buffer came out of
+/// the pool) packed as flight-recorder flags, so every recorded event
+/// carries the config decisions in effect at its site.
+fn plan_flags(plan: &MarshalPlan, oneway: bool, pool_hit: bool) -> u8 {
+    [
+        (plan.args_cycle_table, FLAG_ARGS_CYCLE_TABLE),
+        (plan.ret_cycle_table, FLAG_RET_CYCLE_TABLE),
+        (plan.arg_reuse.iter().any(|&b| b), FLAG_ARG_REUSE),
+        (plan.ret_reuse, FLAG_RET_REUSE),
+        (oneway, FLAG_ONEWAY),
+        (pool_hit, FLAG_POOL_HIT),
+    ]
+    .iter()
+    .fold(0, |flags, &(on, bit)| if on { flags | bit } else { flags })
 }
 
 /// Unmarshal failures name their call site (the byte offsets inside the
@@ -110,7 +97,6 @@ fn audit_poison(
     reuse: Value,
 ) -> Value {
     if rt.audit && !matches!(reuse, Value::Null) {
-        use std::sync::atomic::Ordering::Relaxed;
         let n = corm_heap::poison_graph(&mut guard.heap, reuse);
         rt.audit_counters.poisoned_values.fetch_add(n, Relaxed);
         rt.obs.machine(my).audit_poisons.fetch_add(n, Relaxed);
@@ -169,49 +155,53 @@ pub fn remote_call_with_req(
     // Marshal the arguments (Figure 1's `serialize_objects`). The
     // serializer bumps this machine's metrics shard.
     let ser = Serializer::new(&plans, &rt.module.table, &shard.stats);
-    rt.trace_event(my, TraceKind::PhaseBegin { phase: Phase::Marshal, req, site: site.0 });
-    let m0 = rt.start.elapsed();
-    // One-way sends never see a reply, so their buffer could not return
-    // to the pool; they get capacity-primed one-shot construction
-    // instead (apps only spawn at startup). Everything else checks out
-    // of the per-site pool and the buffer circulates back after the
-    // reply is deserialized.
-    let (buf, pool_hit) = if oneway {
-        (Vec::with_capacity(plan.args_wire_size_hint), false)
-    } else {
-        // Checked out under the request id: with pipelined transports the
-        // replies that return these buffers can land in any order, so the
-        // pool's ledger — not completion order — decides the slot.
-        rt.pool.checkout_for(my, req, site.0, Lane::Args, plan.args_wire_size_hint, shard)
-    };
-    let mut msg = Message::from_bytes(buf);
-    let mut ct = if plan.args_cycle_table { Some(SerCycleTable::new()) } else { None };
-    let mut shadow = audit_shadow(&rt, plan.args_cycle_table);
-    for (i, node) in plan.args.iter().enumerate() {
-        ser.serialize_audited(&guard.heap, node, argv[i + 1], &mut ct, &mut msg, &mut shadow)
-            .map_err(|e| attach_provenance(plan, site, e))?;
-    }
-    absorb_shadow(&rt, my, shadow);
-    shard.marshal_us.record((rt.start.elapsed() - m0).as_micros() as u64);
-    rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Marshal, req, site: site.0 });
+    let (msg, pool_hit) = rt.in_phase(my, Phase::Marshal, req, site.0, || {
+        // One-way sends never see a reply, so their buffer could not
+        // return to the pool; they get capacity-primed one-shot
+        // construction instead (apps only spawn at startup). Everything
+        // else checks out of the per-site pool and the buffer circulates
+        // back after the reply is deserialized.
+        let (buf, pool_hit) = if oneway {
+            (Vec::with_capacity(plan.args_wire_size_hint), false)
+        } else {
+            // Checked out under the request id: with pipelined transports
+            // the replies that return these buffers can land in any order,
+            // so the pool's ledger — not completion order — decides the
+            // slot.
+            rt.pool.checkout_for(my, req, site.0, Lane::Args, plan.args_wire_size_hint, shard)
+        };
+        let mut msg = Message::from_bytes(buf);
+        let mut ct = if plan.args_cycle_table { Some(SerCycleTable::new()) } else { None };
+        let mut shadow = audit_shadow(&rt, plan.args_cycle_table);
+        for (i, node) in plan.args.iter().enumerate() {
+            ser.serialize_audited(&guard.heap, node, argv[i + 1], &mut ct, &mut msg, &mut shadow)
+                .map_err(|e| attach_provenance(plan, site, e))?;
+        }
+        absorb_shadow(&rt, my, shadow);
+        Ok::<_, VmError>((msg, pool_hit))
+    })?;
 
-    let site_scope = rt.obs.site(site.0);
-    site_scope.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    // The per-site scope sits behind the registry-wide site lock:
+    // resolved here, once, and carried through the rest of the RMI.
+    let scope = rt.obs.site(site.0);
+    scope.calls.fetch_add(1, Relaxed);
     let payload_len = msg.as_bytes().len() as u64;
-    site_scope.payload_bytes.record(payload_len);
+    scope.payload_bytes.record(payload_len);
     shard.payload_bytes.record(payload_len);
 
     if !oneway {
-        shard.requests_started.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        shard.requests_started.fetch_add(1, Relaxed);
     }
+    let flags = plan_flags(plan, oneway, pool_hit);
+    let call = Call { plan, ser: &ser, site, req, receiver, oneway, flags, scope: &scope };
     let result = if receiver.machine == my {
-        local_rpc(interp, guard, plan, &ser, site, req, receiver, msg, oneway, pool_hit)
+        local_rpc(interp, guard, &call, msg)
     } else {
-        wire_rpc(interp, guard, plan, &ser, site, req, receiver, msg, oneway, pool_hit)
+        wire_rpc(interp, guard, &call, msg)
     };
     if !oneway {
         if result.is_ok() {
-            shard.requests_completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            shard.requests_completed.fetch_add(1, Relaxed);
         } else {
             // The buffer died with the failed call; retire its ledger
             // entry so the id can't alias a future check-in. (No-op when
@@ -222,90 +212,81 @@ pub fn remote_call_with_req(
     result.map(|v| (v, req))
 }
 
+/// What [`remote_call_with_req`] has settled by the time a call leaves for
+/// its target; shared by the local-clone and the wire path.
+#[derive(Clone, Copy)]
+struct Call<'a> {
+    plan: &'a MarshalPlan,
+    ser: &'a Serializer<'a>,
+    site: CallSiteId,
+    req: u64,
+    receiver: corm_heap::RemoteRef,
+    oneway: bool,
+    /// The plan's verdicts and the pool outcome, as flight-recorder flags.
+    flags: u8,
+    /// The call site's metrics scope.
+    scope: &'a SiteMetrics,
+}
+
 /// "If the remote object ... is (accidentally) located on the same machine
 /// as the invoking machine, the parameter and return value objects are
 /// cloned" (§1). The clone goes through the same serializer programs and
 /// reuse caches; only the wire transit is skipped.
-#[allow(clippy::too_many_arguments)]
 fn local_rpc(
     interp: &mut Interp,
     guard: &mut MutexGuard<'_, MachineState>,
-    plan: &MarshalPlan,
-    ser: &Serializer<'_>,
-    site: CallSiteId,
-    req: u64,
-    receiver: corm_heap::RemoteRef,
+    call: &Call<'_>,
     msg: Message,
-    oneway: bool,
-    pool_hit: bool,
 ) -> VmResult<Value> {
     let rt = interp.rt.clone();
     let my = interp.machine_id();
     let shard = rt.obs.machine(my);
+    let Call { plan, ser, site, req, receiver, oneway, flags, scope } = *call;
     RmiStats::bump(&shard.stats.local_rpcs, 1);
-    let t0 = rt.start.elapsed();
-    rt.flight_event(
-        my,
-        FlightKind::Local,
-        req,
-        site.0,
-        msg.as_bytes().len() as u32,
-        my,
-        plan_flags(plan, oneway) | pool_flag(pool_hit),
-    );
+    let since = rt.now_us();
+    let bytes = msg.as_bytes().len();
 
-    let reader_msg = msg;
-    rt.trace_event(my, TraceKind::PhaseBegin { phase: Phase::Unmarshal, req, site: site.0 });
-    let u0 = rt.start.elapsed();
-    let vals = {
-        let mut reader = reader_msg.reader();
-        deserialize_args(&rt, my, guard, ser, plan, site, &mut reader)?
-    };
-    shard.unmarshal_us.record((rt.start.elapsed() - u0).as_micros() as u64);
-    rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Unmarshal, req, site: site.0 });
-    // The clone is done with the request bytes; recycle them for the
-    // site's next call (one-way buffers were never pooled).
-    if !oneway {
-        rt.pool.put_for(my, req, reader_msg.into_bytes(), shard);
-    }
+    // The caller's share of the call — clone in, invoke (or launch, for a
+    // spawn) — ends in one `Local` milestone whether or not the callee
+    // raised. `None` is a launched spawn: nothing comes back.
+    let invoked: VmResult<Option<Value>> = (|| {
+        let (vals, _) = rt.in_phase(my, Phase::Unmarshal, req, site.0, || {
+            deserialize_args(&rt, my, guard, ser, plan, site, &mut msg.reader())
+        })?;
+        // The clone is done with the request bytes; recycle them for the
+        // site's next call (one-way buffers were never pooled).
+        if !oneway {
+            rt.pool.put_for(my, req, msg.into_bytes(), shard);
+        }
 
-    let f = interp.func_of(plan.method)?;
-    let mut args = vec![Value::Remote(receiver)];
-    args.extend(vals.iter().copied());
+        let f = interp.func_of(plan.method)?;
+        let mut args = vec![Value::Remote(receiver)];
+        args.extend(vals.iter().copied());
 
-    if oneway {
-        // spawn on a local object: run on a fresh local thread
-        let rt2 = rt.clone();
-        let machine = interp.machine_id();
-        let handle = crate::runtime::spawn_vm_thread("corm-local-spawn", move || {
-            let mut i2 = Interp::new(rt2.clone(), machine);
-            if let Err(e) = i2.run_function(f, args) {
-                rt2.print(&format!("[machine {machine}] spawned rmi failed: {e}\n"));
-            }
-        });
-        rt.spawned.lock().push(handle);
-        return Ok(Value::Null);
-    }
+        if oneway {
+            // spawn on a local object: run on a fresh local thread
+            let rt2 = rt.clone();
+            let handle = crate::runtime::spawn_vm_thread("corm-local-spawn", move || {
+                let mut i2 = Interp::new(rt2.clone(), my);
+                if let Err(e) = i2.run_function(f, args) {
+                    rt2.print(&format!("[machine {my}] spawned rmi failed: {e}\n"));
+                }
+            });
+            rt.spawned.lock().push(handle);
+            return Ok(None);
+        }
 
-    rt.trace_event(my, TraceKind::PhaseBegin { phase: Phase::Invoke, req, site: site.0 });
-    let i0 = rt.start.elapsed();
-    let ret = interp.call_in(guard, f, args)?;
-    shard.invoke_us.record((rt.start.elapsed() - i0).as_micros() as u64);
-    rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Invoke, req, site: site.0 });
-    update_arg_caches(guard, plan, site, &vals);
-    let end_us = rt.start.elapsed().as_micros() as u64;
-    let us = end_us.saturating_sub(t0.as_micros() as u64);
-    shard.rtt_us.record(us);
-    rt.obs.site(site.0).rtt_us.record(us);
-    rt.trace_event_at(my, end_us, TraceKind::LocalRpc { req, site: site.0, us });
+        let ret = rt.in_phase(my, Phase::Invoke, req, site.0, || interp.call_in(guard, f, args))?;
+        update_arg_caches(guard, plan, site, &vals);
+        Ok(Some(ret))
+    })();
+    rt.milestone(my, req, site.0, flags, bytes, Milestone::Local { since, scope });
 
     // Clone the return value through serialization as well. The clone
     // buffer pools on its own lane: return payloads have a different
     // steady-state size than request payloads.
-    if plan.ret_ignored || plan.ret.is_none() {
-        return Ok(Value::Null);
-    }
-    let node = plan.ret.as_ref().unwrap();
+    let wanted = plan.ret.as_ref().filter(|_| !plan.ret_ignored);
+    let (Some(ret), Some(node)) = (invoked?, wanted) else { return Ok(Value::Null) };
     let (rbuf, _ret_hit) = rt.pool.checkout(my, site.0, Lane::Ret, plan.ret_wire_size_hint, shard);
     let mut rmsg = Message::from_bytes(rbuf);
     let mut rct = if plan.ret_cycle_table { Some(SerCycleTable::new()) } else { None };
@@ -319,32 +300,26 @@ fn local_rpc(
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn wire_rpc(
     interp: &mut Interp,
     guard: &mut MutexGuard<'_, MachineState>,
-    plan: &MarshalPlan,
-    ser: &Serializer<'_>,
-    site: CallSiteId,
-    req: u64,
-    receiver: corm_heap::RemoteRef,
+    call: &Call<'_>,
     msg: Message,
-    oneway: bool,
-    pool_hit: bool,
 ) -> VmResult<Value> {
     let rt = interp.rt.clone();
     let my = interp.machine_id();
     let shard = rt.obs.machine(my);
+    let Call { plan, ser, site, req, receiver, oneway, flags, scope } = *call;
+    let to = receiver.machine;
     RmiStats::bump(&shard.stats.remote_rpcs, 1);
-    let t0 = rt.start.elapsed();
 
     if !oneway {
-        guard.replies.insert(req, ReplySlot::Waiting { dest: receiver.machine });
-        shard.in_flight.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        guard.replies.insert(req, ReplySlot::Waiting { dest: to });
+        shard.in_flight.fetch_add(1, Relaxed);
     }
     let payload = msg.into_bytes();
     let net = rt.net.clone();
-    let bytes = payload.len() as u64;
+    let bytes = payload.len();
     let packet = Packet::Request {
         req_id: req,
         from: my,
@@ -353,31 +328,18 @@ fn wire_rpc(
         payload,
         oneway,
     };
-    rt.trace_event(
-        my,
-        TraceKind::RmiSend { req, site: site.0, to: receiver.machine, bytes, oneway },
-    );
-    rt.flight_event(
-        my,
-        FlightKind::Send,
-        req,
-        site.0,
-        bytes as u32,
-        receiver.machine,
-        plan_flags(plan, oneway) | pool_flag(pool_hit),
-    );
+    // Lands before the packet leaves: the flight ring exists for calls
+    // whose reply never arrives.
+    let since = rt.milestone(my, req, site.0, flags, bytes, Milestone::Send { to, oneway });
     // Fault injection: the N-th request toward the victim pulls its power
     // cord *before* the packet goes out — the request is lost in flight
     // and the transport broadcasts `PeerGone` to the survivors.
     if let Some(fault) = rt.fault {
-        if receiver.machine == fault.victim
-            && rt.fault_sends.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
-                == fault.after_sends
-        {
+        if to == fault.victim && rt.fault_sends.fetch_add(1, Relaxed) + 1 == fault.after_sends {
             rt.net.sever(fault.victim);
         }
     }
-    MutexGuard::unlocked(guard, || net.send(my, receiver.machine, packet));
+    MutexGuard::unlocked(guard, || net.send(my, to, packet));
     if oneway {
         return Ok(Value::Null);
     }
@@ -393,38 +355,16 @@ fn wire_rpc(
         }
         machine.cv.wait(guard);
     };
-    shard.in_flight.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+    shard.in_flight.fetch_sub(1, Relaxed);
 
     match result {
         Err(remote_err) => {
-            rt.flight_event(
-                my,
-                FlightKind::Fail,
-                req,
-                site.0,
-                0,
-                receiver.machine,
-                plan_flags(plan, oneway) | pool_flag(pool_hit),
-            );
+            rt.milestone(my, req, site.0, flags, 0, Milestone::Fail { peer: to });
             Err(VmError::new(format!("remote exception: {remote_err}")))
         }
         Ok(payload) => {
-            let us = (rt.start.elapsed() - t0).as_micros() as u64;
-            shard.rtt_us.record(us);
-            rt.obs.site(site.0).rtt_us.record(us);
-            rt.trace_event(
-                my,
-                TraceKind::RmiReturn { req, site: site.0, us, reply_bytes: payload.len() as u64 },
-            );
-            rt.flight_event(
-                my,
-                FlightKind::Return,
-                req,
-                site.0,
-                payload.len() as u32,
-                receiver.machine,
-                plan_flags(plan, oneway) | pool_flag(pool_hit),
-            );
+            let done = Milestone::Return { from: to, since, scope };
+            rt.milestone(my, req, site.0, flags, payload.len(), done);
             // The reply payload is the request buffer coming home: the
             // server reuses it for the return marshal (or clears it for
             // a bare ack), so checking it in here closes the per-site
@@ -437,20 +377,17 @@ fn wire_rpc(
                 rt.pool.put_for(my, req, payload, shard);
                 return Ok(Value::Null);
             }
-            rt.trace_event(
-                my,
-                TraceKind::PhaseBegin { phase: Phase::Unmarshal, req, site: site.0 },
-            );
-            let u0 = rt.start.elapsed();
-            let out = deserialize_ret(&rt, my, guard, ser, plan, site, &payload);
-            shard.unmarshal_us.record((rt.start.elapsed() - u0).as_micros() as u64);
-            rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Unmarshal, req, site: site.0 });
+            let out = rt.in_phase(my, Phase::Unmarshal, req, site.0, || {
+                deserialize_ret(&rt, my, guard, ser, plan, site, &payload)
+            });
             rt.pool.put_for(my, req, payload, shard);
             out
         }
     }
 }
 
+/// Unmarshal a request's arguments; also returns how many cached objects
+/// the reuse caches recycled for it.
 #[allow(clippy::too_many_arguments)]
 fn deserialize_args(
     rt: &Runtime,
@@ -460,7 +397,7 @@ fn deserialize_args(
     plan: &MarshalPlan,
     site: CallSiteId,
     reader: &mut corm_wire::MessageReader<'_>,
-) -> VmResult<Vec<Value>> {
+) -> VmResult<(Vec<Value>, u64)> {
     let mut dt = if plan.args_cycle_table { Some(DeserTable::new()) } else { None };
     let prev = guard.heap.set_attribution(AllocAttribution::Deserialization);
     let mut vals = Vec::with_capacity(plan.args.len());
@@ -485,7 +422,7 @@ fn deserialize_args(
         return Err(unmarshal_context(plan, site, e));
     }
     RmiStats::bump(&ser.stats.reused_objs, total_reused);
-    Ok(vals)
+    Ok((vals, total_reused))
 }
 
 /// After the invocation completes, stash the deserialized argument roots
@@ -590,46 +527,24 @@ pub fn handle_request(
     // Close the queue phase the drain loop opened: the time between the
     // drainer receiving this request and this worker picking it up is
     // pure waiting — the component that dominates round trips on a
-    // saturated server. Closed before `t0` so the queue span ends no
-    // later than the handle span begins.
-    if enq_us > 0 {
-        let now_us = rt.start.elapsed().as_micros() as u64;
-        shard.queue_us.record(now_us.saturating_sub(enq_us));
-        rt.trace_event(my, TraceKind::PhaseEnd { phase: Phase::Queue, req: req_id, site: site.0 });
+    // saturated server. The same stamp opens the handle span, so the
+    // queue span ends exactly where the handle span begins.
+    let since = rt.phase_end(my, Phase::Queue, req_id, site.0, enq_us);
+    if rt.replayed(my, from, req_id) {
+        return;
     }
-    // Reply-cache consult (DESIGN §16). Only the lossy transport can
-    // deliver the same request twice (its at-least-once mode passes
-    // duplicates up), so the reliable backends skip the cache entirely —
-    // no per-RPC clone, no map traffic. A hit means this (caller,
-    // request id) already executed or is executing: re-send the cached
-    // reply if there is one, and never re-execute.
-    let dedup = rt.transport_code == TRANSPORT_LOSSY;
-    if dedup {
-        let cached = machine.state.lock().reply_cache_claim(from, req_id);
-        if let Some(cached) = cached {
-            shard.reply_cache_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if let CachedReply::Sent(payload, err) = cached {
-                rt.net.send(my, from, Packet::Reply { req_id, payload, err });
-            }
-            return;
-        }
-    }
-    let t0 = rt.start.elapsed();
     // Stall injection (RunOptions::stall): model a slow server by putting
     // the configured requests to sleep before any processing.
     if let Some(stall) = rt.stall {
         if stall.every > 0
             && stall.stall_us > 0
-            && rt
-                .stall_count
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                .is_multiple_of(stall.every)
+            && rt.stall_count.fetch_add(1, Relaxed).is_multiple_of(stall.every)
         {
             std::thread::sleep(std::time::Duration::from_micros(stall.stall_us));
         }
     }
-    let reused_before = shard.stats.snapshot().reused_objs;
-    let request_bytes = payload.len() as u32;
+    let request_bytes = payload.len();
+    let mut reused = 0;
 
     let result: VmResult<Vec<u8>> = (|| {
         let plan = plans
@@ -641,18 +556,10 @@ pub fn handle_request(
 
         let run = (|| {
             let msg = Message::from_bytes(payload);
-            let mut reader = msg.reader();
-            rt.trace_event(
-                my,
-                TraceKind::PhaseBegin { phase: Phase::Unmarshal, req: req_id, site: site.0 },
-            );
-            let u0 = rt.start.elapsed();
-            let vals = deserialize_args(rt, my, &mut guard, &ser, plan, site, &mut reader)?;
-            shard.unmarshal_us.record((rt.start.elapsed() - u0).as_micros() as u64);
-            rt.trace_event(
-                my,
-                TraceKind::PhaseEnd { phase: Phase::Unmarshal, req: req_id, site: site.0 },
-            );
+            let (vals, n) = rt.in_phase(my, Phase::Unmarshal, req_id, site.0, || {
+                deserialize_args(rt, my, &mut guard, &ser, plan, site, &mut msg.reader())
+            })?;
+            reused = n;
 
             let meth = rt.module.table.method(plan.method);
             let this = Value::Remote(corm_heap::RemoteRef {
@@ -664,17 +571,9 @@ pub fn handle_request(
             let mut args = vec![this];
             args.extend(vals.iter().copied());
 
-            rt.trace_event(
-                my,
-                TraceKind::PhaseBegin { phase: Phase::Invoke, req: req_id, site: site.0 },
-            );
-            let i0 = rt.start.elapsed();
-            let ret = interp.call_in(&mut guard, f, args)?;
-            shard.invoke_us.record((rt.start.elapsed() - i0).as_micros() as u64);
-            rt.trace_event(
-                my,
-                TraceKind::PhaseEnd { phase: Phase::Invoke, req: req_id, site: site.0 },
-            );
+            let ret = rt.in_phase(my, Phase::Invoke, req_id, site.0, || {
+                interp.call_in(&mut guard, f, args)
+            })?;
             update_arg_caches(&mut guard, plan, site, &vals);
 
             // The request buffer becomes the reply payload: cleared for
@@ -703,45 +602,20 @@ pub fn handle_request(
         run
     })();
 
-    let end_us = rt.start.elapsed().as_micros() as u64;
-    rt.trace_event_at(
-        my,
-        end_us,
-        TraceKind::Handle {
-            req: req_id,
-            site: site.0,
-            us: end_us.saturating_sub(t0.as_micros() as u64),
-            reused: shard.stats.snapshot().reused_objs - reused_before,
-        },
-    );
-    let flags = plans.plan(site).map(|p| plan_flags(p, oneway)).unwrap_or(0);
-    rt.flight_event(my, FlightKind::Handle, req_id, site.0, request_bytes, from, flags);
+    let flags = plans.plan(site).map(|p| plan_flags(p, oneway, false)).unwrap_or(0);
+    let served = Milestone::Handle { from, since, reused };
+    rt.milestone(my, req_id, site.0, flags, request_bytes, served);
     if oneway {
-        if dedup {
-            let evicted =
-                machine.state.lock().reply_cache_complete(from, req_id, CachedReply::OneWay);
-            shard.reply_cache_evictions.fetch_add(evicted, std::sync::atomic::Ordering::Relaxed);
-        }
+        rt.cache_reply(my, from, req_id, || CachedReply::OneWay);
         if let Err(e) = result {
             rt.print(&format!("[machine {my}] one-way request failed: {e}\n"));
         }
         return;
     }
-    let packet = match result {
-        Ok(payload) => Packet::Reply { req_id, payload, err: None },
-        Err(e) => Packet::Reply { req_id, payload: Vec::new(), err: Some(e.message) },
+    let (payload, err) = match result {
+        Ok(payload) => (payload, None),
+        Err(e) => (Vec::new(), Some(e.message)),
     };
-    if dedup {
-        if let Packet::Reply { payload, err, .. } = &packet {
-            // Completed: replace the in-progress marker with the exact
-            // reply so a later duplicate re-sends these bytes verbatim.
-            let evicted = machine.state.lock().reply_cache_complete(
-                from,
-                req_id,
-                CachedReply::Sent(payload.clone(), err.clone()),
-            );
-            shard.reply_cache_evictions.fetch_add(evicted, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-    rt.net.send(my, from, packet);
+    rt.cache_reply(my, from, req_id, || CachedReply::Sent(payload.clone(), err.clone()));
+    rt.net.send(my, from, Packet::Reply { req_id, payload, err });
 }

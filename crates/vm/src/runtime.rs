@@ -1,5 +1,6 @@
 //! Cluster assembly and program execution.
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,18 +14,18 @@ use corm_obs::recorder::{
     FlightEvent, FlightKind, DEFAULT_FLIGHT_CAPACITY, TRANSPORT_CHANNEL, TRANSPORT_LOSSY,
     TRANSPORT_REACTOR, TRANSPORT_TCP,
 };
-use corm_obs::timeline::{
-    spawn_sampler, HealthConfig, SamplerConfig, SamplerHandle, TimelineDoc,
-    DEFAULT_TIMELINE_INTERVAL_US,
+use corm_obs::timeline::{spawn_sampler, SamplerHandle, TimelineDoc, DEFAULT_TIMELINE_INTERVAL_US};
+use corm_obs::{
+    render_flight_json, FlightDump, FlightRecorder, MetricsRegistry, MetricsSnapshot, SiteMetrics,
 };
-use corm_obs::{render_flight_json, FlightDump, FlightRecorder, MetricsRegistry, MetricsSnapshot};
 use corm_wire::{RmiStats, StatsSnapshot};
 use parking_lot::Mutex;
 
 use crate::error::VmError;
 use crate::interp::Interp;
-use crate::machine::MachineShared;
+use crate::machine::{CachedReply, MachineShared, ReplySlot};
 use crate::rmi;
+use crate::trace::{Phase, TraceEvent, TraceKind};
 
 /// Options for one program run.
 #[derive(Debug, Clone)]
@@ -150,7 +151,6 @@ pub struct AuditSnapshot {
 
 impl AuditCounters {
     pub fn snapshot(&self, enabled: bool) -> AuditSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
         AuditSnapshot {
             enabled,
             shadow_tables: self.shadow_tables.load(Relaxed),
@@ -172,6 +172,8 @@ pub struct Runtime {
     pub machines: Vec<Arc<MachineShared>>,
     pub barrier: ClusterBarrier,
     pub args: Vec<i64>,
+    /// The cluster epoch: the zero point of trace, flight and timeline
+    /// timestamps (the sampler stamps on the flight recorder's copy).
     pub start: Instant,
     pub output: Mutex<String>,
     pub echo: bool,
@@ -179,7 +181,7 @@ pub struct Runtime {
     /// Join handles of user `spawn` threads.
     pub spawned: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Event trace, when enabled by [`RunOptions::trace`].
-    pub trace: Option<Mutex<Vec<crate::trace::TraceEvent>>>,
+    pub trace: Option<Mutex<Vec<TraceEvent>>>,
     /// Analysis-verdict auditing (see [`RunOptions::audit`]).
     pub audit: bool,
     pub audit_counters: AuditCounters,
@@ -216,28 +218,117 @@ impl Runtime {
         &self.machines[id as usize]
     }
 
-    /// Record a trace event (no-op when tracing is off). The timestamp
-    /// is read and the sequence number assigned *under the trace lock*,
-    /// so `seq` order and `t_us` order agree — per-machine timestamps
-    /// are monotone in recording order and same-microsecond ties break
-    /// deterministically.
-    pub fn trace_event(&self, machine: u16, kind: crate::trace::TraceKind) {
-        let t_us = self.start.elapsed().as_micros() as u64;
-        self.trace_event_at(machine, t_us, kind);
+    /// Microseconds since the cluster epoch — the only clock the RMI
+    /// path reads.
+    #[inline]
+    pub fn now_us(&self) -> u64 {
+        self.start.elapsed().as_micros() as u64
     }
 
-    /// [`trace_event`](Self::trace_event) with an explicit timestamp.
-    /// Duration-carrying events (`Handle`, `LocalRpc`) pass the same
-    /// floored end-µs their duration was computed against, so exporters
-    /// rendering `ts - dur` recover the exact floored start — computing
-    /// the timestamp at push time instead can round the start up past a
-    /// child phase span's begin.
-    pub fn trace_event_at(&self, machine: u16, t_us: u64, kind: crate::trace::TraceKind) {
-        if let Some(tr) = &self.trace {
-            let mut events = tr.lock();
+    /// Read the clock once and, with tracing on, log `kind(t_us)` at that
+    /// reading. Clock read and sequence number happen *under the trace
+    /// lock*, so `seq` and `t_us` order agree, and whatever else is fed
+    /// from the returned stamp agrees with the trace to the microsecond.
+    fn stamp(&self, machine: u16, kind: impl FnOnce(u64) -> Option<TraceKind>) -> u64 {
+        let Some(tr) = &self.trace else { return self.now_us() };
+        let mut events = tr.lock();
+        let t_us = self.now_us();
+        if let Some(kind) = kind(t_us) {
             let seq = events.len() as u64;
-            events.push(crate::trace::TraceEvent { t_us, seq, machine, kind });
+            events.push(TraceEvent { t_us, seq, machine, kind });
         }
+        t_us
+    }
+
+    /// Log a trace-only instant outside the RMI pipeline (a collection, a
+    /// remote allocation); with tracing off it costs no clock read.
+    pub fn instant(&self, machine: u16, kind: TraceKind) {
+        if self.trace.is_some() {
+            self.stamp(machine, |_| Some(kind));
+        }
+    }
+
+    /// Open a phase of RMI `req`; the stamp goes back into
+    /// [`phase_end`](Self::phase_end), possibly on another thread.
+    pub fn phase_begin(&self, machine: u16, phase: Phase, req: u64, site: u32) -> u64 {
+        self.stamp(machine, |_| Some(TraceKind::PhaseBegin { phase, req, site }))
+    }
+
+    /// Close the phase opened at `t0`: one stamp ends both the trace span
+    /// and the phase histogram's sample, so the histogram sums equal the
+    /// trace's phase report exactly.
+    pub fn phase_end(&self, machine: u16, phase: Phase, req: u64, site: u32, t0: u64) -> u64 {
+        let t1 = self.stamp(machine, |_| Some(TraceKind::PhaseEnd { phase, req, site }));
+        let shard = self.obs.machine(machine);
+        let hist = match phase {
+            Phase::Marshal => &shard.marshal_us,
+            Phase::Queue => &shard.queue_us,
+            Phase::Unmarshal => &shard.unmarshal_us,
+            Phase::Invoke => &shard.invoke_us,
+        };
+        hist.record(t1.saturating_sub(t0));
+        t1
+    }
+
+    /// Run `f` as a phase. It ends when `f` returns, before the caller
+    /// can `?` the result away — so a failing marshal or a remote
+    /// exception still closes its span and lands in its histogram.
+    pub fn in_phase<T>(
+        &self,
+        at: u16,
+        phase: Phase,
+        req: u64,
+        site: u32,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let t0 = self.phase_begin(at, phase, req, site);
+        let out = f();
+        self.phase_end(at, phase, req, site, t0);
+        out
+    }
+
+    /// Record milestone `m` of RMI `req`, whose payload is `bytes` long:
+    /// one stamp feeds the flight ring (with the site plan's `FLAG_*`
+    /// verdicts in `flags`), the trace log and — for `Return` and `Local`
+    /// — the RTT histograms of the machine and the call site. Returns the
+    /// stamp: a `Send`'s is the `since` of its `Return`.
+    pub fn milestone(
+        &self,
+        at: u16,
+        req: u64,
+        site: u32,
+        flags: u8,
+        bytes: usize,
+        m: Milestone<'_>,
+    ) -> u64 {
+        use Milestone::*;
+        let (kind, peer, since, scope) = match m {
+            Send { to, .. } => (FlightKind::Send, to, 0, None),
+            Return { from, since, scope } => (FlightKind::Return, from, since, Some(scope)),
+            Handle { from, since, .. } => (FlightKind::Handle, from, since, None),
+            Local { since, scope } => (FlightKind::Local, at, since, Some(scope)),
+            Fail { peer } => (FlightKind::Fail, peer, 0, None),
+            Slo { server } => (FlightKind::Slo, server, 0, None),
+        };
+        let t_us = self.stamp(at, |t| {
+            let (us, bytes) = (t.saturating_sub(since), bytes as u64);
+            Some(match m {
+                Send { to, oneway } => TraceKind::RmiSend { req, site, to, bytes, oneway },
+                Return { .. } => TraceKind::RmiReturn { req, site, us, reply_bytes: bytes },
+                Handle { reused, .. } => TraceKind::Handle { req, site, us, reused },
+                Local { .. } => TraceKind::LocalRpc { req, site, us },
+                Fail { .. } | Slo { .. } => return None,
+            })
+        });
+        if let Some(scope) = scope {
+            let us = t_us.saturating_sub(since);
+            self.obs.machine(at).rtt_us.record(us);
+            scope.rtt_us.record(us);
+        }
+        let (bytes, transport) = (bytes.min(u32::MAX as usize) as u32, self.transport_code);
+        self.flight
+            .record(at, FlightEvent { t_us, req, site, bytes, kind, peer, flags, transport });
+        t_us
     }
 
     pub fn print(&self, s: &str) {
@@ -248,34 +339,39 @@ impl Runtime {
         }
     }
 
-    /// Record one flight-recorder event on `machine`'s ring (no-op when
-    /// the recorder is disabled). The timestamp and transport code are
-    /// stamped here so call sites pass only what they know.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn flight_event(
+    /// Reply-cache consult (DESIGN §16). Only the lossy transport can
+    /// deliver the same request twice (its at-least-once mode passes
+    /// duplicates up), so the reliable backends skip the cache entirely —
+    /// no per-RPC clone, no map traffic. `true` means this (caller,
+    /// request id) already executed or is executing: the cached reply, if
+    /// there is one, has been re-sent, and it must not execute again.
+    pub(crate) fn replayed(&self, my: u16, from: u16, req_id: u64) -> bool {
+        if self.transport_code != TRANSPORT_LOSSY {
+            return false;
+        }
+        let claimed = self.machine(my).state.lock().reply_cache_claim(from, req_id);
+        let Some(cached) = claimed else { return false };
+        self.obs.machine(my).reply_cache_hits.fetch_add(1, Relaxed);
+        if let CachedReply::Sent(payload, err) = cached {
+            self.net.send(my, from, Packet::Reply { req_id, payload, err });
+        }
+        true
+    }
+
+    /// Replace the in-progress marker of (caller, request id) with the
+    /// outcome `reply` builds, so a later duplicate re-sends these bytes
+    /// verbatim. Nothing is built or cloned on the reliable backends.
+    pub(crate) fn cache_reply(
         &self,
-        machine: u16,
-        kind: FlightKind,
-        req: u64,
-        site: u32,
-        bytes: u32,
-        peer: u16,
-        flags: u8,
+        my: u16,
+        from: u16,
+        id: u64,
+        reply: impl FnOnce() -> CachedReply,
     ) {
-        self.flight.record(
-            machine,
-            FlightEvent {
-                t_us: 0, // stamped by the recorder
-                req,
-                site,
-                bytes,
-                kind,
-                peer,
-                flags,
-                transport: self.transport_code,
-            },
-        );
+        if self.transport_code == TRANSPORT_LOSSY {
+            let evicted = self.machine(my).state.lock().reply_cache_complete(from, id, reply());
+            self.obs.machine(my).reply_cache_evictions.fetch_add(evicted, Relaxed);
+        }
     }
 
     /// Assemble a flight dump with the given reason, capturing every
@@ -289,6 +385,27 @@ impl Runtime {
     }
 }
 
+/// What [`Runtime::milestone`] records. `since` is the stamp a duration
+/// is measured from; `scope` is the call site's metrics, resolved once
+/// per RMI by the caller.
+#[derive(Clone, Copy)]
+pub enum Milestone<'a> {
+    /// The request left for `to`.
+    Send { to: u16, oneway: bool },
+    /// The reply to the request sent at `since` arrived from `from`.
+    Return { from: u16, since: u64, scope: &'a SiteMetrics },
+    /// The request from `from`, picked up at `since`, was served here
+    /// (successfully or not), recycling `reused` cached objects.
+    Handle { from: u16, since: u64, reused: u64 },
+    /// A same-machine RMI begun at `since` is done.
+    Local { since: u64, scope: &'a SiteMetrics },
+    /// The reply will never arrive: `peer` is gone. Flight ring only.
+    Fail { peer: u16 },
+    /// The serving driver measured a latency (µs, in place of `bytes`)
+    /// over its SLO for a call served by `server`. Flight ring only.
+    Slo { server: u16 },
+}
+
 /// Write a flight dump into `$CORM_FLIGHT_DIR` (if set) under a unique
 /// name. CI points this at its artifact directory; locally it is unset
 /// and dumps stay in [`RunOutcome::flight`] only.
@@ -298,7 +415,7 @@ pub fn write_flight_artifact(dump: &FlightDump) {
         return;
     }
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let n = SEQ.fetch_add(1, Relaxed);
     let path = format!("{dir}/flight-{}-{n}-{}.json", std::process::id(), dump.reason);
     let _ = std::fs::create_dir_all(&dir);
     let _ = std::fs::write(&path, render_flight_json(dump));
@@ -343,7 +460,7 @@ pub struct RunOutcome {
     /// Error raised by `main`, if any.
     pub error: Option<VmError>,
     /// RMI event trace (empty unless [`RunOptions::trace`] was set).
-    pub trace: Vec<crate::trace::TraceEvent>,
+    pub trace: Vec<TraceEvent>,
     /// Which backend carried the packets.
     pub transport: TransportKind,
     /// Measured in-flight wire time summed over machines. Always zero on
@@ -385,6 +502,8 @@ pub struct Cluster {
     pub rt: Arc<Runtime>,
     services: Vec<std::thread::JoinHandle<()>>,
     transport: TransportKind,
+    /// When bring-up was done (µs): `RunOutcome::wall` counts from here.
+    up_us: u64,
     /// Dumps the flight recorder if the driving thread unwinds.
     _panic_guard: PanicFlightGuard,
 }
@@ -394,11 +513,15 @@ impl Cluster {
     /// loop plus a worker pool per machine. Static initializers have NOT
     /// run yet — call [`Cluster::run_clinits`] before issuing work.
     pub fn start(module: Arc<Module>, plans: Arc<Plans>, opts: &RunOptions) -> Cluster {
+        // The one epoch, taken before anything that can record: runtime,
+        // flight recorder and (through it) sampler count from it, so the
+        // trace, flight dump and timeline of a run share a zero point.
+        let start = Instant::now();
         let obs = Arc::new(MetricsRegistry::new(opts.machines));
         // The flight recorder exists before the fabric so the lossy
         // backend can land its retransmit / dup-suppression events in
         // the same rings the VM dumps on failure.
-        let flight = Arc::new(FlightRecorder::new(opts.machines, opts.flight_capacity));
+        let flight = Arc::new(FlightRecorder::new(opts.machines, opts.flight_capacity, start));
         let (mailboxes, net) = NetHandle::with_kind_config(
             opts.transport,
             opts.machines,
@@ -422,15 +545,8 @@ impl Cluster {
         // The sampler starts before any work is issued, so the first
         // tick is the run's baseline and the rings cover the whole run.
         let sampler = (opts.timeline_interval_us > 0).then(|| {
-            spawn_sampler(
-                obs.clone(),
-                flight.clone(),
-                SamplerConfig {
-                    interval: Duration::from_micros(opts.timeline_interval_us),
-                    health: HealthConfig::default(),
-                    transport_code,
-                },
-            )
+            let interval = Duration::from_micros(opts.timeline_interval_us);
+            spawn_sampler(obs.clone(), flight.clone(), interval, transport_code)
         });
 
         let rt = Arc::new(Runtime {
@@ -441,7 +557,7 @@ impl Cluster {
             machines,
             barrier: ClusterBarrier::new(opts.machines),
             args: opts.args.clone(),
-            start: Instant::now(),
+            start,
             output: Mutex::new(String::new()),
             echo: opts.echo,
             auto_gc: opts.auto_gc,
@@ -460,6 +576,7 @@ impl Cluster {
             sampler,
         });
         let _panic_guard = PanicFlightGuard { rt: rt.clone() };
+        let up_us = rt.now_us();
 
         // Service threads: one GM-style drain loop per machine plus a
         // small request worker pool.
@@ -476,10 +593,7 @@ impl Cluster {
                     {
                         // Close the queue-depth gauge the drain loop
                         // opened when it parked this request.
-                        rt2.obs
-                            .machine(mid)
-                            .serve_queue_depth
-                            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+                        rt2.obs.machine(mid).serve_queue_depth.fetch_sub(1, Relaxed);
                         rmi::handle_request(
                             &rt2, mid, req_id, from, site, target_obj, payload, oneway, enq_us,
                         );
@@ -492,7 +606,7 @@ impl Cluster {
             }));
         }
 
-        Cluster { rt, services, transport: opts.transport, _panic_guard }
+        Cluster { rt, services, transport: opts.transport, up_us, _panic_guard }
     }
 
     /// Static initializers: per machine, in declaration order (each
@@ -504,7 +618,7 @@ impl Cluster {
     /// Drain user-spawned threads, shut the network down, join the
     /// service threads and fold everything into a [`RunOutcome`].
     pub fn finish(self, error: Option<VmError>) -> RunOutcome {
-        let Cluster { rt, services, transport, _panic_guard } = self;
+        let Cluster { rt, services, transport, up_us, _panic_guard } = self;
 
         // Join user-spawned threads (applications terminate their
         // workers).
@@ -518,7 +632,7 @@ impl Cluster {
             }
         }
 
-        let wall = rt.start.elapsed();
+        let wall = Duration::from_micros(rt.now_us() - up_us);
 
         // Shut the network down and join the service threads.
         for i in 0..rt.machines.len() {
@@ -664,11 +778,11 @@ fn fail_pending_replies(machine: &MachineShared, peer: Option<u16>, why: &str) -
     let mut failed = Vec::new();
     for (req, slot) in st.replies.iter_mut() {
         let hit = match slot {
-            crate::machine::ReplySlot::Waiting { dest } => peer.is_none_or(|p| *dest == p),
-            crate::machine::ReplySlot::Ready(_) => false,
+            ReplySlot::Waiting { dest } => peer.is_none_or(|p| *dest == p),
+            ReplySlot::Ready(_) => false,
         };
         if hit {
-            *slot = crate::machine::ReplySlot::Ready(Err(why.to_string()));
+            *slot = ReplySlot::Ready(Err(why.to_string()));
             failed.push(*req);
         }
     }
@@ -683,16 +797,15 @@ fn record_failed_reqs(rt: &Runtime, my: u16, peer: u16, failed: &[u64]) {
         return;
     }
     for &req in failed {
-        rt.flight_event(my, FlightKind::Fail, req, 0, 0, peer, 0);
+        rt.milestone(my, req, 0, 0, 0, Milestone::Fail { peer });
     }
     rt.flight_failed.lock().extend_from_slice(failed);
 }
 
 /// One queued request: `(req_id, from, site, target_obj, payload,
-/// oneway, enq_us)`. The last element is the drain loop's enqueue
-/// timestamp (µs since run start), which the worker turns into the
-/// request's queue-phase latency. It rides host-side only — the wire
-/// format is unchanged.
+/// oneway, enq_us)`. The last element is the stamp at which the drain
+/// loop opened the request's queue phase; the worker closes the phase
+/// against it. It rides host-side only — the wire format is unchanged.
 type WorkItem = (u64, u16, u32, u32, Vec<u8>, bool, u64);
 
 /// The per-machine receive loop: exactly one drainer per machine, as in
@@ -736,65 +849,37 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                 // re-sends replies, and inserting one here would leak a
                 // Ready entry no caller will ever consume.
                 match st.replies.get_mut(&req_id) {
-                    Some(slot @ crate::machine::ReplySlot::Waiting { .. }) => {
-                        *slot = crate::machine::ReplySlot::Ready(result);
+                    Some(slot @ ReplySlot::Waiting { .. }) => {
+                        *slot = ReplySlot::Ready(result);
                         machine.cv.notify_all();
                     }
                     _ => drop(st),
                 }
             }
             Packet::NewRemote { req_id, from, class } => {
-                rt.trace_event(my, crate::trace::TraceKind::NewRemote { class, from });
-                let machine = rt.machine(my);
+                rt.instant(my, TraceKind::NewRemote { class, from });
                 // Allocations are deduped like calls (DESIGN §16): a
                 // redelivered NewRemote must re-send the original
                 // object id, not pin a second zombie object.
-                let dedup = rt.transport_code == TRANSPORT_LOSSY;
-                if dedup {
-                    let cached = machine.state.lock().reply_cache_claim(from, req_id);
-                    if let Some(cached) = cached {
-                        let shard = rt.obs.machine(my);
-                        shard.reply_cache_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if let crate::machine::CachedReply::Sent(payload, err) = cached {
-                            rt.net.send(my, from, Packet::Reply { req_id, payload, err });
-                        }
-                        continue;
-                    }
+                if rt.replayed(my, from, req_id) {
+                    continue;
                 }
                 let obj = {
-                    let mut st = machine.state.lock();
+                    let mut st = rt.machine(my).state.lock();
                     let obj = st.alloc_zeroed(&rt.module.table, corm_ir::ClassId(class));
                     st.heap.pin(obj); // exported — lives as long as the run
                     obj
                 };
                 let mut payload = Vec::with_capacity(4);
                 payload.extend_from_slice(&obj.0.to_le_bytes());
-                if dedup {
-                    let evicted = machine.state.lock().reply_cache_complete(
-                        from,
-                        req_id,
-                        crate::machine::CachedReply::Sent(payload.clone(), None),
-                    );
-                    rt.obs
-                        .machine(my)
-                        .reply_cache_evictions
-                        .fetch_add(evicted, std::sync::atomic::Ordering::Relaxed);
-                }
+                rt.cache_reply(my, from, req_id, || CachedReply::Sent(payload.clone(), None));
                 rt.net.send(my, from, Packet::Reply { req_id, payload, err: None });
             }
             Packet::Request { req_id, from, site, target_obj, payload, oneway } => {
                 // Queue phase opens the moment the drainer has the
                 // request; the worker (or spawned thread) closes it when
                 // it picks the request up.
-                let enq_us = rt.start.elapsed().as_micros() as u64;
-                rt.trace_event(
-                    my,
-                    crate::trace::TraceKind::PhaseBegin {
-                        phase: crate::trace::Phase::Queue,
-                        req: req_id,
-                        site,
-                    },
-                );
+                let enq_us = rt.phase_begin(my, Phase::Queue, req_id, site);
                 if oneway {
                     // Long-running spawned work gets its own thread so it
                     // cannot starve the request pool.
@@ -806,10 +891,7 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                     });
                     rt.spawned.lock().push(handle);
                 } else {
-                    rt.obs
-                        .machine(my)
-                        .serve_queue_depth
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    rt.obs.machine(my).serve_queue_depth.fetch_add(1, Relaxed);
                     let _ = work_tx.send((req_id, from, site, target_obj, payload, oneway, enq_us));
                 }
             }

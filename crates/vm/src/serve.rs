@@ -24,14 +24,13 @@ use std::time::Duration;
 use corm_codegen::Plans;
 use corm_heap::Value;
 use corm_ir::{CallSiteId, ClassId, MethodId, Module};
-use corm_obs::recorder::FlightKind;
 use corm_obs::{FlightDump, HistSnapshot, Log2Histogram};
 use parking_lot::Mutex;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
 use crate::rmi;
-use crate::runtime::{spawn_vm_thread, Cluster, RunOptions, RunOutcome};
+use crate::runtime::{spawn_vm_thread, Cluster, Milestone, RunOptions, RunOutcome};
 
 /// Names of the service entry points the driver resolves in the loaded
 /// module. The service must be shaped like the paper's webserver: a
@@ -118,7 +117,7 @@ pub struct ServeOptions {
     /// Simulated client threads multiplexed over the transport.
     pub clients: usize,
     /// Latency SLO against intended arrival, in microseconds: slower
-    /// requests are tagged with [`FlightKind::Slo`] events and collected
+    /// requests are tagged with [`Milestone::Slo`] flight events and collected
     /// into [`ServeReport::violations`].
     pub slo_us: u64,
 }
@@ -385,7 +384,7 @@ fn drive(
         slo_us: opts.slo_us,
         // Give the clients a settled epoch slightly in the future so
         // request 0's intended time is not already in the past.
-        epoch_us: rt.start.elapsed().as_micros() as u64 + 1_000,
+        epoch_us: rt.now_us() + 1_000,
         arrivals_us: schedule.arrivals_us.clone(),
         pages: schedule.pages.clone(),
         next: AtomicUsize::new(0),
@@ -406,7 +405,7 @@ fn drive(
     for c in clients {
         let _ = c.join();
     }
-    let serve_wall_us = (rt.start.elapsed().as_micros() as u64).saturating_sub(shared.epoch_us);
+    let serve_wall_us = rt.now_us().saturating_sub(shared.epoch_us);
 
     // Per-slave served counts, queried over the same RMI path.
     let mut slave_hits = Vec::with_capacity(nslaves);
@@ -490,7 +489,7 @@ fn client_loop(sh: &DriveShared) {
         }
         let intended = sh.epoch_us + sh.arrivals_us[k];
         loop {
-            let now = sh.rt.start.elapsed().as_micros() as u64;
+            let now = sh.rt.now_us();
             if now >= intended {
                 break;
             }
@@ -498,7 +497,7 @@ fn client_loop(sh: &DriveShared) {
         }
         let pg = sh.pages[k] as usize % sh.urls.len();
         let target = sh.routes[pg];
-        let send_us = sh.rt.start.elapsed().as_micros() as u64;
+        let send_us = sh.rt.now_us();
         let res = {
             let mut guard = machine.state.lock();
             guard.active_threads += 1;
@@ -515,7 +514,7 @@ fn client_loop(sh: &DriveShared) {
             machine.cv.notify_all();
             r
         };
-        let done_us = sh.rt.start.elapsed().as_micros() as u64;
+        let done_us = sh.rt.now_us();
         match res {
             Ok((val, req)) => {
                 let lat = done_us.saturating_sub(intended);
@@ -528,15 +527,8 @@ fn client_loop(sh: &DriveShared) {
                 }
                 if lat > sh.slo_us {
                     sh.violations.lock().push(req);
-                    sh.rt.flight_event(
-                        0,
-                        FlightKind::Slo,
-                        req,
-                        sh.call.0 .0,
-                        lat.min(u32::MAX as u64) as u32,
-                        (target + 1) as u16,
-                        0,
-                    );
+                    let missed = Milestone::Slo { server: (target + 1) as u16 };
+                    sh.rt.milestone(0, req, sh.call.0 .0, 0, lat as usize, missed);
                 }
             }
             Err(_) => {

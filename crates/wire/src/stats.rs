@@ -57,23 +57,6 @@ impl RmiStats {
             deser_allocs: self.deser_allocs.load(Ordering::Relaxed),
         }
     }
-
-    pub fn reset(&self) {
-        for c in [
-            &self.local_rpcs,
-            &self.remote_rpcs,
-            &self.reused_objs,
-            &self.cycle_lookups,
-            &self.ser_invocations,
-            &self.wire_bytes,
-            &self.type_info_bytes,
-            &self.messages,
-            &self.deser_bytes,
-            &self.deser_allocs,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A plain-value copy of the counters at one instant.
@@ -143,15 +126,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_reset() {
+    fn snapshot_reads_the_counters() {
         let s = RmiStats::new();
+        assert_eq!(s.snapshot(), StatsSnapshot::default());
         RmiStats::bump(&s.remote_rpcs, 3);
         RmiStats::bump(&s.wire_bytes, 100);
         let snap = s.snapshot();
         assert_eq!(snap.remote_rpcs, 3);
         assert_eq!(snap.wire_bytes, 100);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

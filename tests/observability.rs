@@ -1,14 +1,16 @@
 //! Observability-layer integration tests: trace causality (every RMI's
 //! send/handle/return share one cluster-unique request id), per-machine
 //! timestamp monotonicity, agreement of the per-machine counter shards
-//! with the cluster snapshot, and well-formedness of the Chrome
-//! trace-event export.
+//! with the cluster snapshot, well-formedness of the Chrome trace-event
+//! export, and the instrumentation seam's contracts: one epoch under
+//! every plane, phase histograms that equal the trace's phase report,
+//! spans that close on the error path, and an exact `Handle.reused`.
 
 use std::collections::{HashMap, HashSet};
 
 use corm::{
-    compile_and_run, to_chrome_trace, MetricsRegistry, OptConfig, RunOptions, RunOutcome,
-    TraceEvent, TraceKind,
+    compile_and_run, phase_report, to_chrome_trace, FlightKind, OptConfig, RunOptions, RunOutcome,
+    TraceEvent, TraceKind, TransportKind,
 };
 use proptest::prelude::*;
 
@@ -176,10 +178,8 @@ fn machine_shards_sum_to_cluster_snapshot() {
 }
 
 /// Each run builds its own registry: two identical back-to-back runs
-/// must report identical counters — any bleed-through (a shared or
-/// unreset registry) would double the second run's numbers. The explicit
-/// `MetricsRegistry::reset` covers harnesses that do hold one registry
-/// across measured sections.
+/// must report identical counters — any bleed-through (a shared
+/// registry) would double the second run's numbers.
 #[test]
 fn metrics_are_scoped_per_run_with_no_bleed_through() {
     let src = list_program(5);
@@ -194,58 +194,175 @@ fn metrics_are_scoped_per_run_with_no_bleed_through() {
     for (a, b) in first.metrics.machines.iter().zip(&second.metrics.machines) {
         assert_eq!(a.stats, b.stats, "per-machine shards leaked between runs");
     }
-    // And an explicitly reused registry comes back to zero on reset —
-    // including the serving-side metrics (queue phase, request
-    // lifecycle counters) that a long-running `corm serve` touches.
-    use std::sync::atomic::Ordering::Relaxed;
-    let reg = MetricsRegistry::new(2);
-    reg.machine(0).rtt_us.record(7);
-    reg.machine(0).queue_us.record(13);
-    reg.machine(1).requests_started.fetch_add(3, Relaxed);
-    reg.machine(1).requests_completed.fetch_add(2, Relaxed);
-    reg.machine(1).in_flight.fetch_add(1, Relaxed);
-    reg.site(1).calls.fetch_add(1, Relaxed);
-    // ... and the timeline plane (DESIGN §15): reactor/queue/pool
-    // gauges, sample rings and health findings must all clear too.
-    reg.machine(0).reactor_frames_enqueued.fetch_add(5, Relaxed);
-    reg.machine(0).reactor_flush_batches.fetch_add(2, Relaxed);
-    reg.machine(0).reactor_flush_size.fetch_add(1, Relaxed);
-    reg.machine(0).reactor_flush_deadline.fetch_add(1, Relaxed);
-    reg.machine(0).reactor_queued_bytes.fetch_add(512, Relaxed);
-    reg.machine(0).reactor_conns_queued.fetch_add(1, Relaxed);
-    reg.machine(0).reactor_batch_bytes.record(256);
-    reg.machine(0).reactor_loop_us.record(40);
-    reg.machine(1).pool_outstanding.fetch_add(2, Relaxed);
-    reg.machine(1).serve_queue_depth.fetch_add(4, Relaxed);
-    reg.timeline().push(0, corm::TimelineSample { t_us: 10, started: 3, ..Default::default() });
-    reg.timeline().record_health(corm::HealthEvent {
-        t_us: 10,
-        machine: 1,
-        kind: corm::HealthKind::Stall,
-        value: 3,
-    });
-    assert!(!reg.timeline().is_empty(0));
-    reg.reset();
-    assert_eq!(reg.cluster_snapshot(), corm::StatsSnapshot::default());
-    assert!(reg.snapshot().sites.is_empty());
-    for m in &reg.snapshot().machines {
-        assert_eq!(m.queue_us.count, 0, "queue histogram leaked across reset");
-        assert_eq!(m.requests_started, 0);
-        assert_eq!(m.requests_completed, 0);
-        assert_eq!(m.in_flight, 0, "in-flight gauge leaked across reset");
-        assert_eq!(m.reactor_frames_enqueued, 0, "reactor counter leaked across reset");
-        assert_eq!(m.reactor_flush_batches, 0);
-        assert_eq!(m.reactor_flush_size + m.reactor_flush_deadline + m.reactor_flush_idle, 0);
-        assert_eq!(m.reactor_queued_bytes, 0, "reactor gauge leaked across reset");
-        assert_eq!(m.reactor_conns_queued, 0);
-        assert_eq!(m.reactor_batch_bytes.count, 0, "reactor histogram leaked across reset");
-        assert_eq!(m.reactor_loop_us.count, 0);
-        assert_eq!(m.pool_outstanding, 0, "pool ledger gauge leaked across reset");
-        assert_eq!(m.serve_queue_depth, 0, "serve queue gauge leaked across reset");
+}
+
+/// One epoch under every plane, on a transport whose bring-up takes real
+/// time: the flight `Send` and the trace `RmiSend` of one request are the
+/// same stamp, and the timeline's baseline sample precedes every trace
+/// event.
+#[test]
+fn flight_trace_and_timeline_share_one_epoch_over_tcp() {
+    let opts = RunOptions {
+        machines: 2,
+        trace: true,
+        transport: TransportKind::Tcp,
+        ..Default::default()
+    };
+    let out = compile_and_run(&list_program(5), OptConfig::ALL, opts).expect("compile failed");
+    assert!(out.error.is_none(), "runtime error: {:?}", out.error);
+    let flight_sends: HashMap<u64, u64> = out
+        .flight
+        .machines
+        .iter()
+        .flat_map(|(_, evs)| evs.iter())
+        .filter(|e| e.kind == FlightKind::Send)
+        .map(|e| (e.req, e.t_us))
+        .collect();
+    let mut sends = 0;
+    for e in &out.trace {
+        if let TraceKind::RmiSend { req, .. } = e.kind {
+            sends += 1;
+            assert_eq!(flight_sends.get(&req), Some(&e.t_us), "req {req}: flight vs trace t_us");
+        }
     }
-    assert!(reg.timeline().is_empty(0), "timeline rings leaked across reset");
-    assert!(reg.timeline().health_events().is_empty(), "health findings leaked across reset");
-    assert_eq!(reg.timeline().doc().total_samples(), 0);
+    assert_eq!(sends, 7, "six bumps and one sum");
+    let first_sample = out.timeline.machines[0].first().expect("baseline sample").t_us;
+    let first_event = out.trace.iter().map(|e| e.t_us).min().expect("trace events");
+    assert!(
+        first_sample <= first_event,
+        "sample at {first_sample} us, trace from {first_event} us"
+    );
+}
+
+/// Attribution closes, exactly: a phase's histogram sample and its trace
+/// span come from the same two stamps, so per machine the histogram sums
+/// equal the phase report of the trace to the microsecond.
+#[test]
+fn phase_histograms_equal_the_trace_phase_report_for_every_app() {
+    for app in corm_apps::ALL_APPS {
+        let opts = RunOptions {
+            machines: 2,
+            args: app.quick_args.to_vec(),
+            trace: true,
+            ..Default::default()
+        };
+        let out = corm::run(&app.compile(OptConfig::ALL), opts);
+        assert!(out.error.is_none(), "{}: {:?}", app.name, out.error);
+        let report = phase_report(&out.trace, |_| 0);
+        for (m, ms) in out.metrics.machines.iter().enumerate() {
+            let spans = report.get(&(m as u16)).copied().unwrap_or_default();
+            let hist = [ms.marshal_us.sum, ms.queue_us.sum, ms.unmarshal_us.sum, ms.invoke_us.sum];
+            let traced = [spans.marshal_us, spans.queue_us, spans.unmarshal_us, spans.invoke_us];
+            assert_eq!(hist, traced, "{} m{m}: [marshal, queue, unmarshal, invoke] us", app.name);
+        }
+        assert!(out.metrics.cluster_hist(|m| &m.invoke_us).count > 0, "{}: no RMIs", app.name);
+    }
+}
+
+/// A phase that fails still closes: a remote exception (null dereference
+/// in the callee) leaves a `PhaseEnd` for every `PhaseBegin` and an
+/// invoke sample for every handled request.
+#[test]
+fn failing_phase_still_closes_its_span() {
+    let src = r#"
+        class Box { int v; }
+        remote class Worker {
+            int bump(int x) { return x + 1; }
+            int open(Box b) { return b.v; }
+        }
+        class M {
+            static void main() {
+                Worker w = new Worker() @ 1;
+                int acc = w.bump(1) + w.bump(2);
+                acc = acc + w.open(null);
+                System.println(Str.fromLong(acc));
+            }
+        }
+    "#;
+    let opts = RunOptions { machines: 2, trace: true, ..Default::default() };
+    let out = compile_and_run(src, OptConfig::ALL, opts).expect("compile failed");
+    let err = out.error.as_ref().expect("the null dereference must surface");
+    assert!(err.message.contains("remote exception"), "{err}");
+
+    let mut open: HashMap<(u16, u64, corm::Phase), i64> = HashMap::new();
+    let mut handles = 0;
+    for e in &out.trace {
+        match e.kind {
+            TraceKind::PhaseBegin { phase, req, .. } => {
+                *open.entry((e.machine, req, phase)).or_default() += 1
+            }
+            TraceKind::PhaseEnd { phase, req, .. } => {
+                *open.entry((e.machine, req, phase)).or_default() -= 1
+            }
+            TraceKind::Handle { .. } => handles += 1,
+            _ => {}
+        }
+    }
+    let unclosed: Vec<_> = open.iter().filter(|(_, &n)| n != 0).collect();
+    assert!(unclosed.is_empty(), "unbalanced phase spans: {unclosed:?}");
+    assert_eq!(handles, 3);
+    assert_eq!(out.metrics.machines[1].invoke_us.count, handles, "the failed invoke is sampled");
+    let report = phase_report(&out.trace, |_| 0);
+    assert_eq!(report[&1].invoke_us, out.metrics.machines[1].invoke_us.sum);
+}
+
+/// `Handle.reused` is what *that* request's unmarshal recycled, not a
+/// before/after difference of a machine-wide counter: with three callers
+/// keeping three workers busy, the per-request numbers still sum to the
+/// serving machine's `reused_objs`.
+#[test]
+fn handle_reused_sums_to_the_machine_counter_at_any_worker_count() {
+    let src = r#"
+        remote class Worker {
+            int sum(int[] a) {
+                int s = 0;
+                int i = 0;
+                while (i < a.length) { s = s + a[i]; i = i + 1; }
+                return s;
+            }
+        }
+        class Caller {
+            static Worker w;
+            static int done;
+            static void go() {
+                int[] a = new int[16];
+                int i = 0;
+                int acc = 0;
+                while (i < 40) { a[0] = i; acc = acc + Caller.w.sum(a); i = i + 1; }
+                Caller.done = Caller.done + 1;
+            }
+        }
+        class M {
+            static void main() {
+                Caller.w = new Worker() @ 1;
+                spawn Caller.go();
+                spawn Caller.go();
+                Caller.go();
+                while (Caller.done < 3) { System.sleepMicros(200); }
+                System.println("done");
+            }
+        }
+    "#;
+    for workers in [1, 3] {
+        let opts = RunOptions {
+            machines: 2,
+            trace: true,
+            workers_per_machine: workers,
+            ..Default::default()
+        };
+        let out = compile_and_run(src, OptConfig::ALL, opts).expect("compile failed");
+        assert!(out.error.is_none(), "runtime error: {:?}", out.error);
+        let mut reused = [0u64; 2];
+        for e in &out.trace {
+            if let TraceKind::Handle { reused: n, .. } = e.kind {
+                reused[e.machine as usize] += n;
+            }
+        }
+        for (m, ms) in out.metrics.machines.iter().enumerate() {
+            assert_eq!(reused[m], ms.stats.reused_objs, "{workers} worker(s), machine {m}");
+        }
+        assert!(reused[1] > 0, "{workers} worker(s): the argument arrays must be recycled");
+    }
 }
 
 #[test]
