@@ -2,9 +2,10 @@
 //!
 //! Runs an app under a given transport backend and diffs two runs:
 //! program output plus the shard-folded `RmiStats` counters. Used by
-//! the `tests/transport_equivalence.rs` suite and the CI
-//! `transport-equivalence` job (via the `corm-bench` `equivalence`
-//! binary), so both compare runs with exactly the same rules.
+//! the `tests/transport_equivalence.rs` suite, which the CI
+//! `transport-equivalence` job shards per wire backend; `corm-bench`'s
+//! baseline gate compares `BENCH_tables.json` counters by the same
+//! [`COUNTERS`] policy.
 //!
 //! ## What must match, and for which apps
 //!
@@ -20,11 +21,8 @@
 //! of poll RMIs — and with them messages, wire bytes and rpc counts —
 //! depends on timing; `lu`'s reuse caches are additionally raced by
 //! concurrent unmarshalers, perturbing `deser_*`/`reused_objs`. For
-//! these two, the timing-free counters (`type_info_bytes`,
-//! `cycle_lookups`, `ser_invocations` — polls carry only primitives)
-//! must still be exact, while the poll-affected ones get a relative
-//! tolerance. This mirrors the carve-out already used by
-//! `tests/config_equivalence.rs`.
+//! these two, the timing-free counters of [`COUNTERS`] must still be
+//! exact, while the poll-affected ones get a relative tolerance.
 //!
 //! The lossy backend adds one more carve-out: its fault plan models
 //! delay, jitter and retransmission timeouts, which *deliberately*
@@ -58,34 +56,47 @@ pub struct TransportRun {
     pub error: Option<String>,
 }
 
-/// Named accessor into one counter of a [`StatsSnapshot`].
-type CounterGetter = fn(&StatsSnapshot) -> u64;
+/// One of the ten paper counters (Tables 4/6/8): its name in
+/// `BENCH_tables.json`, its [`StatsSnapshot`] field, and which rule
+/// compares it on an app that [`polls`].
+pub struct Counter {
+    pub name: &'static str,
+    pub get: fn(&StatsSnapshot) -> u64,
+    /// Exact even for polling apps: polls move only primitive payloads,
+    /// so they never touch type info, cycle tables or serializer
+    /// invocations. The others are perturbed by completion polling (and,
+    /// for `lu`, by reuse caches raced across worker threads) and get
+    /// [`POLL_TOLERANCE`].
+    pub timing_free: bool,
+}
 
-/// Counters that must be exact even for polling apps: polls move only
-/// primitive payloads, so they never touch type info, cycle tables or
-/// serializer invocations.
-const TIMING_FREE: [(&str, CounterGetter); 3] = [
-    ("type_info_bytes", |s| s.type_info_bytes),
-    ("cycle_lookups", |s| s.cycle_lookups),
-    ("ser_invocations", |s| s.ser_invocations),
+/// The counter policy, stated once: this module's [`diff_runs`] and
+/// `corm-bench`'s JSON writer, schema check and baseline gate all walk
+/// this table, in the column order of `BENCH_tables.json`.
+pub const COUNTERS: [Counter; 10] = [
+    Counter { name: "local_rpcs", get: |s| s.local_rpcs, timing_free: false },
+    Counter { name: "remote_rpcs", get: |s| s.remote_rpcs, timing_free: false },
+    Counter { name: "messages", get: |s| s.messages, timing_free: false },
+    Counter { name: "wire_bytes", get: |s| s.wire_bytes, timing_free: false },
+    Counter { name: "type_info_bytes", get: |s| s.type_info_bytes, timing_free: true },
+    Counter { name: "cycle_lookups", get: |s| s.cycle_lookups, timing_free: true },
+    Counter { name: "ser_invocations", get: |s| s.ser_invocations, timing_free: true },
+    Counter { name: "reused_objs", get: |s| s.reused_objs, timing_free: false },
+    Counter { name: "deser_bytes", get: |s| s.deser_bytes, timing_free: false },
+    Counter { name: "deser_allocs", get: |s| s.deser_allocs, timing_free: false },
 ];
 
-/// Counters perturbed by completion polling (and, for `lu`, by reuse
-/// caches raced across worker threads).
-const POLL_AFFECTED: [(&str, CounterGetter); 7] = [
-    ("local_rpcs", |s| s.local_rpcs),
-    ("remote_rpcs", |s| s.remote_rpcs),
-    ("messages", |s| s.messages),
-    ("wire_bytes", |s| s.wire_bytes),
-    ("deser_bytes", |s| s.deser_bytes),
-    ("deser_allocs", |s| s.deser_allocs),
-    ("reused_objs", |s| s.reused_objs),
-];
+/// Whether the app behind `name` — an app name (`lu`) or its
+/// `BENCH_tables.json` table id (`table3_lu`) — has completion-polling
+/// loops. Every RMI of the other apps is data-driven, so all their
+/// counters are exact.
+pub fn polls(name: &str) -> bool {
+    matches!(name.rsplit('_').next(), Some("lu" | "superopt"))
+}
 
-/// Whether every RMI of `app` is data-driven (no completion polling):
-/// for these, cross-transport equality is exact on all counters.
-pub fn poll_free(app: &str) -> bool {
-    !matches!(app, "lu" | "superopt")
+/// Symmetric relative closeness; 0 vs nonzero is never close.
+pub fn rel_close(a: u64, b: u64, tol: f64) -> bool {
+    a == b || (a as f64 - b as f64).abs() / (a.max(b) as f64) <= tol
 }
 
 /// Run `spec` at quick scale under `transport` and fold the outcome.
@@ -114,14 +125,6 @@ fn fold(transport: TransportKind, outcome: RunOutcome) -> TransportRun {
     }
 }
 
-fn rel_close(a: u64, b: u64, tol: f64) -> bool {
-    if a == b {
-        return true;
-    }
-    let denom = a.max(b) as f64;
-    (a as f64 - b as f64).abs() / denom <= tol
-}
-
 /// Diff two runs of the same (app, config); returns human-readable
 /// mismatch descriptions (empty = equivalent).
 pub fn diff_runs(app: &str, config: &str, a: &TransportRun, b: &TransportRun) -> Vec<String> {
@@ -141,15 +144,21 @@ pub fn diff_runs(app: &str, config: &str, a: &TransportRun, b: &TransportRun) ->
         ));
         return bad;
     }
-    if poll_free(app) {
+    if !polls(app) {
         // Fully deterministic app: every per-machine counter bit-equal.
         for (m, (sa, sb)) in a.per_machine.iter().zip(&b.per_machine).enumerate() {
             if sa != sb {
                 bad.push(format!("{ctx}: machine {m} counters differ: {sa:?} vs {sb:?}"));
             }
         }
-    } else {
-        for (name, get) in TIMING_FREE {
+        return bad;
+    }
+    // Lossy latency modeling inflates poll counts past any fixed
+    // tolerance (see module docs): poll-affected counters are only
+    // comparable between latency-comparable backends.
+    let lossy = a.transport == TransportKind::Lossy || b.transport == TransportKind::Lossy;
+    for Counter { name, get, timing_free } in &COUNTERS {
+        if *timing_free {
             for (m, (sa, sb)) in a.per_machine.iter().zip(&b.per_machine).enumerate() {
                 if get(sa) != get(sb) {
                     bad.push(format!(
@@ -159,17 +168,10 @@ pub fn diff_runs(app: &str, config: &str, a: &TransportRun, b: &TransportRun) ->
                     ));
                 }
             }
-        }
-        // Lossy latency modeling inflates poll counts past any fixed
-        // tolerance (see module docs): poll-affected counters are only
-        // comparable between latency-comparable backends.
-        let lossy = a.transport == TransportKind::Lossy || b.transport == TransportKind::Lossy;
-        if !lossy {
-            for (name, get) in POLL_AFFECTED {
-                let (va, vb) = (get(&a.cluster), get(&b.cluster));
-                if !rel_close(va, vb, POLL_TOLERANCE) {
-                    bad.push(format!("{ctx}: cluster {name} {va} vs {vb} (tol {POLL_TOLERANCE})"));
-                }
+        } else if !lossy {
+            let (va, vb) = (get(&a.cluster), get(&b.cluster));
+            if !rel_close(va, vb, POLL_TOLERANCE) {
+                bad.push(format!("{ctx}: cluster {name} {va} vs {vb} (tol {POLL_TOLERANCE})"));
             }
         }
     }
@@ -200,8 +202,8 @@ mod tests {
     #[test]
     fn poll_classification_matches_the_probe() {
         for spec in crate::ALL_APPS {
-            let expected = !matches!(spec.name, "lu" | "superopt");
-            assert_eq!(poll_free(spec.name), expected, "{}", spec.name);
+            let expected = matches!(spec.name, "lu" | "superopt");
+            assert_eq!(polls(spec.name), expected, "{}", spec.name);
         }
     }
 

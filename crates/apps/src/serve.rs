@@ -4,7 +4,7 @@
 //! `Slave` class to the open-loop serving driver (`corm_vm::serve`,
 //! DESIGN §13): one slave per machine `1..M`, clients on machine 0,
 //! latency recorded against the schedule's intended arrival times. The
-//! serving benchmark and the SLO gate both enter through here.
+//! serving benchmark (`serve_bench`) enters through here.
 
 use corm::{ArrivalSchedule, OptConfig, ServeOptions, ServeReport, ServeSpec, VmError};
 

@@ -3,213 +3,19 @@
 //! Compares a freshly generated `BENCH_tables.json` against the
 //! committed baseline and exits nonzero on drift — schema mismatches,
 //! exact-counter changes on the deterministic tables, >30% drift on the
-//! poll-affected counters or on any counter-derived ratio.
+//! poll-affected counters or on any counter-derived ratio. Timing
+//! columns are schema-checked only: a timing claim is a paired run of
+//! the standalone `benchmark/` package.
 //!
 //! Usage:
 //!   cargo run --release -p corm-bench --bin bench_gate -- BENCH_tables.json fresh.json
-//!   cargo run --release -p corm-bench --bin bench_gate -- --recorder-overhead [reps]
-//!   cargo run --release -p corm-bench --bin bench_gate -- --timeline-overhead [reps]
-//!   cargo run --release -p corm-bench --bin bench_gate -- --alloc-gate BENCH_tables.json
-//!
-//! The second form gates the flight recorder's wall-time overhead on the
-//! quick-scale bench (recorder on vs off, best-of-reps), failing past
-//! the 5% budget; `--timeline-overhead` is the same gate for the
-//! timeline sampler thread (sampling at 1ms, 10x the default cadence,
-//! vs not spawned at all).
-//!
-//! The third form gates the sender-side marshal-buffer pool: each paper
-//! app must report zero steady-state pool misses under the fully
-//! optimized configuration, with counters matching the committed
-//! baseline row.
-//!
-//! A fourth form gates the serving benchmark's tail latencies:
-//!   cargo run --release -p corm-bench --bin bench_gate -- --slo-gate BENCH_serve.json fresh.json
-//! comparing a fresh `serve_bench` document against the committed
-//! baseline under the coordinated-omission-safe p99/p99.9 budgets of
-//! `corm_bench::slo` and naming the violating request ids on failure.
-//!
-//! A fifth form gates mesh scaling:
-//!   cargo run --release -p corm-bench --bin bench_gate -- --scale-gate BENCH_scale.json fresh.json
-//! comparing a fresh `scale_bench` document against the committed
-//! baseline: per-call overhead must stay flat across the mesh ladder
-//! (x1.5-or-floor of the smallest mesh) and must not regress past the
-//! x8-or-floor budget of `corm_bench::scale` at any point.
 
-use corm_bench::alloc::{alloc_gate, STEADY_MISS_BUDGET};
 use corm_bench::gate::gate;
-use corm_bench::overhead::{
-    measure_recorder_overhead, measure_timeline_overhead, OverheadReport,
-    RECORDER_OVERHEAD_LIMIT_PCT, TIMELINE_OVERHEAD_LIMIT_PCT,
-};
-use corm_bench::scale::{scale_gate, FLAT_FLOOR_US, FLAT_MULT, REGRESS_FLOOR_US, REGRESS_MULT};
-use corm_bench::slo::{slo_gate, P999_FLOOR_US, P999_MULT, P99_FLOOR_US, P99_MULT};
-
-fn overhead_gate(
-    what: &str,
-    flag: &str,
-    limit_pct: f64,
-    measure: fn(usize) -> OverheadReport,
-    reps_arg: Option<&String>,
-) -> ! {
-    // The quick-scale walls are ~3ms per app, so the min-of-reps floor
-    // needs many samples before scheduler noise (±15% at 5 reps) drops
-    // under the budget (±2% at 20 reps on an idle host).
-    let reps = match reps_arg {
-        None => 20,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("usage: bench_gate {flag} [reps]");
-            std::process::exit(2);
-        }),
-    };
-    let r = measure(reps);
-    println!(
-        "{what} overhead: on {:.4}s, off {:.4}s, overhead {:+.2}% (budget {:.0}%, best of {reps})",
-        r.on_s,
-        r.off_s,
-        r.overhead_pct(),
-        limit_pct
-    );
-    if r.overhead_pct() <= limit_pct {
-        println!("bench gate: OK ({what} within its overhead budget)");
-        std::process::exit(0);
-    }
-    eprintln!(
-        "bench gate: {what} overhead {:+.2}% exceeds the {:.0}% budget",
-        r.overhead_pct(),
-        limit_pct
-    );
-    std::process::exit(1);
-}
-
-fn alloc_gate_main(baseline_arg: Option<&String>) -> ! {
-    let Some(baseline_path) = baseline_arg else {
-        eprintln!("usage: bench_gate --alloc-gate <baseline.json>");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let (measurements, failures) = alloc_gate(&text);
-    for m in &measurements {
-        println!(
-            "alloc gate: {:<12} checkouts {:>6}, hits {:>6}, cold misses {:>3}, steady misses {}",
-            m.app, m.checkouts, m.hits, m.cold_misses, m.steady_misses
-        );
-    }
-    if failures.is_empty() {
-        println!(
-            "bench gate: OK (steady-state pool misses within budget {STEADY_MISS_BUDGET}, \
-             counters match {baseline_path})"
-        );
-        std::process::exit(0);
-    }
-    eprintln!("bench gate: {} allocation-gate failure(s):", failures.len());
-    for f in &failures {
-        eprintln!("  - {f}");
-    }
-    std::process::exit(1);
-}
-
-fn slo_gate_main(baseline_arg: Option<&String>, fresh_arg: Option<&String>) -> ! {
-    let (Some(baseline_path), Some(fresh_path)) = (baseline_arg, fresh_arg) else {
-        eprintln!("usage: bench_gate --slo-gate <baseline.json> <fresh.json>");
-        std::process::exit(2);
-    };
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let failures = slo_gate(&read(baseline_path), &read(fresh_path));
-    if failures.is_empty() {
-        println!(
-            "slo gate: OK ({fresh_path} within the p99 budget ×{P99_MULT:.0}/floor {P99_FLOOR_US} µs \
-             and p99.9 budget ×{P999_MULT:.0}/floor {P999_FLOOR_US} µs of {baseline_path})"
-        );
-        std::process::exit(0);
-    }
-    eprintln!("slo gate: {} violation(s) against {baseline_path}:", failures.len());
-    for f in &failures {
-        eprintln!("  - {f}");
-    }
-    eprintln!();
-    eprintln!(
-        "Look the quoted request ids up in the flight-recorder dump serve_bench wrote next to \
-         the fresh document (--flight). If the regression is intentional, regenerate the \
-         baseline:\n  cargo run --release -p corm-bench --bin serve_bench -- --quick --json BENCH_serve.json"
-    );
-    std::process::exit(1);
-}
-
-fn scale_gate_main(baseline_arg: Option<&String>, fresh_arg: Option<&String>) -> ! {
-    let (Some(baseline_path), Some(fresh_path)) = (baseline_arg, fresh_arg) else {
-        eprintln!("usage: bench_gate --scale-gate <baseline.json> <fresh.json>");
-        std::process::exit(2);
-    };
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        })
-    };
-    let failures = scale_gate(&read(baseline_path), &read(fresh_path));
-    if failures.is_empty() {
-        println!(
-            "scale gate: OK ({fresh_path} per-call overhead flat within ×{FLAT_MULT}/floor \
-             {FLAT_FLOOR_US} µs across the mesh ladder, and within ×{REGRESS_MULT:.0}/floor \
-             {REGRESS_FLOOR_US} µs of {baseline_path} at every point)"
-        );
-        std::process::exit(0);
-    }
-    eprintln!("scale gate: {} violation(s) against {baseline_path}:", failures.len());
-    for f in &failures {
-        eprintln!("  - {f}");
-    }
-    eprintln!();
-    eprintln!(
-        "If the scaling change is intentional, regenerate the baseline:\n  \
-         cargo run --release -p corm-bench --bin scale_bench -- --json BENCH_scale.json"
-    );
-    std::process::exit(1);
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("--recorder-overhead") {
-        overhead_gate(
-            "flight recorder",
-            "--recorder-overhead",
-            RECORDER_OVERHEAD_LIMIT_PCT,
-            measure_recorder_overhead,
-            args.get(2),
-        );
-    }
-    if args.get(1).map(String::as_str) == Some("--timeline-overhead") {
-        overhead_gate(
-            "timeline sampler",
-            "--timeline-overhead",
-            TIMELINE_OVERHEAD_LIMIT_PCT,
-            measure_timeline_overhead,
-            args.get(2),
-        );
-    }
-    if args.get(1).map(String::as_str) == Some("--alloc-gate") {
-        alloc_gate_main(args.get(2));
-    }
-    if args.get(1).map(String::as_str) == Some("--slo-gate") {
-        slo_gate_main(args.get(2), args.get(3));
-    }
-    if args.get(1).map(String::as_str) == Some("--scale-gate") {
-        scale_gate_main(args.get(2), args.get(3));
-    }
     let [_, baseline_path, fresh_path] = args.as_slice() else {
-        eprintln!(
-            "usage: bench_gate <baseline.json> <fresh.json> | --recorder-overhead [reps] | \
-             --timeline-overhead [reps] | --alloc-gate <baseline.json> | \
-             --slo-gate <baseline.json> <fresh.json> | --scale-gate <baseline.json> <fresh.json>"
-        );
+        eprintln!("usage: bench_gate <baseline.json> <fresh.json>");
         std::process::exit(2);
     };
     let read = |path: &str| {

@@ -13,22 +13,27 @@
 //!               [--stall EVERY:US] [--json PATH] [--flight PATH]
 //!               [--timeline-json PATH]
 //!
-//! `--json` writes the schema-versioned serving document the
-//! `bench_gate --slo-gate` job consumes; `--flight` writes the flight
-//! recorder dump of the first SLO-violating point (reason
-//! "slo-violation", `failing_reqs` = the violators) so a failed gate's
-//! request ids can be looked up. `--stall EVERY:US` injects a
-//! server-side stall of US microseconds into every EVERY-th handled
-//! request — the fault the SLO gate exists to catch; CI uses it to prove
-//! the gate trips. `--timeline-json` writes the sampled telemetry
-//! timeline of the last sweep point (DESIGN §15) so a gate failure's
-//! time-resolved story rides along as a CI artifact.
+//! Exit code: 0 when every point served every intended request, 1 when
+//! any point had an error, a miss or an unaccounted request (the points
+//! are named on stderr), 2 on usage or IO errors. Latency is reported,
+//! never judged here — a latency claim is a paired run of `benchmark/`.
+//!
+//! `--json` writes the schema-versioned serving document; `--flight`
+//! writes the flight recorder dump of the first SLO-violating point
+//! (reason "slo-violation", `failing_reqs` = the violators) so the
+//! request ids behind a bad tail can be looked up. `--stall EVERY:US`
+//! injects a server-side stall of US microseconds into every EVERY-th
+//! handled request, to see coordinated-omission-safe latency absorb it.
+//! `--timeline-json` writes the sampled telemetry timeline of the last
+//! sweep point (DESIGN §15). `--machines N` sets the mesh size: one
+//! client machine plus N-1 slaves, so `--transport reactor --machines 32`
+//! is the mesh-scale smoke CI runs.
 
 use corm::{OptConfig, TransportKind};
 use corm_bench::loadgen::{
-    gate_options, quick_sweep, run_sweep, LoadPoint, ServeReport, StallSpec, DEFAULT_SEED,
+    quick_sweep, render_serve_json, run_sweep, served_all, LoadPoint, ServeOptions, ServeReport,
+    StallSpec, DEFAULT_SEED,
 };
-use corm_bench::slo::render_serve_json;
 
 fn usage() -> ! {
     eprintln!(
@@ -159,7 +164,9 @@ fn print_point(p: &LoadPoint, r: &ServeReport) {
 
 fn main() {
     let cli = parse_cli();
-    let mut opts = gate_options(cli.transport, cli.machines);
+    let mut opts = ServeOptions::default();
+    opts.run.machines = cli.machines;
+    opts.run.transport = cli.transport;
     opts.clients = cli.clients;
     opts.slo_us = cli.slo_us;
     opts.run.stall = cli.stall;
@@ -237,5 +244,17 @@ fn main() {
             }
             None => println!("no sweep points; {path} not written"),
         }
+    }
+
+    // After the artifacts, so a failing CI run still uploads them.
+    let failed: Vec<_> = runs.iter().filter(|(_, r)| !served_all(r)).collect();
+    for (p, r) in &failed {
+        eprintln!(
+            "FAILED at {:.0} rps: {} errors, {} misses, {} of {} requests completed",
+            p.rate_rps, r.errors, r.misses, r.completed, r.intended
+        );
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -11,7 +11,7 @@
 use corm::TransportKind;
 use corm_apps::{ARRAY2D, LINKED_LIST, LU, SUPEROPT, WEBSERVER};
 use corm_bench::{
-    format_stats_table, format_time_table, measure_table_on, render_tables_json, shape_verdicts,
+    format_stats_table, format_time_table, measure_table, render_tables_json, shape_verdicts,
     JsonTable, MeasuredRow, PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE5, PAPER_TABLE7,
 };
 
@@ -25,20 +25,19 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(1);
     let json_path = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1)).cloned();
-    let transport = match args.iter().position(|a| a == "--transport").map(|i| args.get(i + 1)) {
+    // A missing value parses as "" so the error names every backend.
+    let transport = match args.iter().position(|a| a == "--transport") {
         None => TransportKind::Channel,
-        Some(Some(v)) => v.parse().unwrap_or_else(|e| {
-            eprintln!("--transport {v}: {e}");
-            std::process::exit(2);
-        }),
-        Some(None) => {
-            eprintln!("--transport requires a value (channel|tcp)");
-            std::process::exit(2);
+        Some(i) => {
+            let v = args.get(i + 1).map_or("", String::as_str);
+            v.parse().unwrap_or_else(|e| {
+                eprintln!("--transport {v}: {e}");
+                std::process::exit(2);
+            })
         }
     };
-    let measure_table = |spec: &corm_apps::AppSpec, args: &[i64], machines: usize, reps: usize| {
-        measure_table_on(spec, args, machines, reps, transport)
-    };
+    let measure =
+        |spec: &corm_apps::AppSpec, args: &[i64]| measure_table(spec, args, 2, reps, transport);
 
     println!("# COR-RMI: reproduction of the paper's Tables 1-8");
     println!();
@@ -52,7 +51,7 @@ fn main() {
 
     // Table 1 + the linked-list workload.
     let t1_args = if quick { LINKED_LIST.quick_args } else { LINKED_LIST.default_args };
-    let t1 = measure_table(&LINKED_LIST, t1_args, 2, reps);
+    let t1 = measure(&LINKED_LIST, t1_args);
     let t1_title =
         format!("Table 1: LinkedList, {} elements, {} reps, 2 CPUs", t1_args[0], t1_args[1]);
     println!("{}", format_time_table(&t1_title, &PAPER_TABLE1, &t1));
@@ -65,7 +64,7 @@ fn main() {
 
     // Table 2.
     let t2_args = if quick { ARRAY2D.quick_args } else { ARRAY2D.default_args };
-    let t2 = measure_table(&ARRAY2D, t2_args, 2, reps);
+    let t2 = measure(&ARRAY2D, t2_args);
     let t2_title = format!(
         "Table 2: 2D array transmission, {0}x{0}, {1} reps, 2 CPUs",
         t2_args[0], t2_args[1]
@@ -76,7 +75,7 @@ fn main() {
 
     // Tables 3 and 4.
     let t3_args = if quick { LU.quick_args } else { LU.default_args };
-    let t3 = measure_table(&LU, t3_args, 2, reps);
+    let t3 = measure(&LU, t3_args);
     let t3_title = format!("Table 3: LU runtime, {0}x{0} matrix, 2 CPUs", t3_args[0]);
     println!("{}", format_time_table(&t3_title, &PAPER_TABLE3, &t3));
     println!("{}", format_stats_table("Table 4: LU runtime statistics", &t3));
@@ -92,7 +91,7 @@ fn main() {
 
     // Tables 5 and 6.
     let t5_args = if quick { SUPEROPT.quick_args } else { SUPEROPT.default_args };
-    let t5 = measure_table(&SUPEROPT, t5_args, 2, reps);
+    let t5 = measure(&SUPEROPT, t5_args);
     let t5_title = format!(
         "Table 5: superoptimizer exhaustive search (len<={}, {} regs, {} ops), 2 CPUs",
         t5_args[0], t5_args[1], t5_args[2]
@@ -108,7 +107,7 @@ fn main() {
 
     // Tables 7 and 8. The paper reports µs per webpage retrieval.
     let t7_args = if quick { WEBSERVER.quick_args } else { WEBSERVER.default_args };
-    let t7_raw = measure_table(&WEBSERVER, t7_args, 2, reps);
+    let t7_raw = measure(&WEBSERVER, t7_args);
     let requests = t7_args[2] as f64;
     let t7: Vec<MeasuredRow> = t7_raw
         .iter()

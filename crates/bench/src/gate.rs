@@ -8,14 +8,12 @@
 //! Timing columns (`seconds`, `wall_s`, `gain_pct`, `measured_wire_ns`)
 //! are machine-dependent and only schema-checked. Counters are gated:
 //!
-//! * Poll-free tables (`table1_linkedlist`, `table2_array`,
-//!   `table7_webserver`) are fully deterministic — every counter,
-//!   including all byte counts, must match the baseline **exactly**.
-//! * Polling tables (`table3_lu`, `table5_superopt`) issue a
-//!   timing-dependent number of completion-poll RMIs, so only their
-//!   timing-free counters (`type_info_bytes`, `cycle_lookups`,
-//!   `ser_invocations`) are exact; the poll-affected ones get the same
-//!   ±30% relative tolerance as the cross-transport equivalence suite.
+//! * Which counters a row carries and how each is compared is the one
+//!   policy table `corm_apps::equivalence::COUNTERS`, shared with the
+//!   cross-transport equivalence suite. On a table whose app does not
+//!   poll for completion (`polls`) every counter must match the
+//!   baseline **exactly**; on a polling table the timing-free counters
+//!   stay exact and the others get `POLL_TOLERANCE` (`rel_close`).
 //! * On top of the per-counter rule, every counter-derived ratio
 //!   (row ÷ class-baseline row of the same table) must stay within
 //!   ±30% of the baseline's ratio — the optimization *shape* of
@@ -23,40 +21,7 @@
 
 use crate::json::Json;
 use crate::BENCH_JSON_SCHEMA_VERSION;
-use corm_apps::equivalence::POLL_TOLERANCE;
-
-/// All counters a row's `"counters"` object must carry — the exact
-/// Tables 4/6/8 measurement set.
-pub const COUNTER_NAMES: [&str; 10] = [
-    "local_rpcs",
-    "remote_rpcs",
-    "messages",
-    "wire_bytes",
-    "type_info_bytes",
-    "cycle_lookups",
-    "ser_invocations",
-    "reused_objs",
-    "deser_bytes",
-    "deser_allocs",
-];
-
-/// Counters exact even for polling tables (polls carry only primitive
-/// payloads — see `corm_apps::equivalence`).
-pub const TIMING_FREE_COUNTERS: [&str; 3] = ["type_info_bytes", "cycle_lookups", "ser_invocations"];
-
-/// Tables whose apps contain completion-polling loops, making some
-/// counters run-to-run noisy.
-pub fn table_is_polled(id: &str) -> bool {
-    matches!(id, "table3_lu" | "table5_superopt")
-}
-
-fn counter_is_exact(table: &str, counter: &str) -> bool {
-    !table_is_polled(table) || TIMING_FREE_COUNTERS.contains(&counter)
-}
-
-fn rel_close_u64(a: u64, b: u64, tol: f64) -> bool {
-    a == b || (a as f64 - b as f64).abs() / (a.max(b) as f64) <= tol
-}
+use corm_apps::equivalence::{polls, rel_close, Counter, COUNTERS, POLL_TOLERANCE};
 
 fn rel_close_f64(a: f64, b: f64, tol: f64) -> bool {
     a == b || (a - b).abs() / a.max(b) <= tol
@@ -120,7 +85,7 @@ pub fn check_schema(doc: &Json, who: &str) -> Vec<String> {
                 bad.push(format!("{ctx}: missing counters object"));
                 continue;
             }
-            for name in COUNTER_NAMES {
+            for Counter { name, .. } in &COUNTERS {
                 if counters.get(name).as_u64().is_none() {
                     bad.push(format!("{ctx}: counter {name:?} missing or not an integer"));
                 }
@@ -192,15 +157,15 @@ pub fn compare(baseline: &Json, fresh: &Json) -> Vec<String> {
         }
         for (br, fr) in brows.iter().zip(frows) {
             let cfg = br.get("config").as_str().unwrap();
-            for name in COUNTER_NAMES {
+            for Counter { name, timing_free, .. } in &COUNTERS {
                 let (b, f) = (counter(br, name), counter(fr, name));
-                if counter_is_exact(id, name) {
+                if *timing_free || !polls(id) {
                     if b != f {
                         bad.push(format!(
                             "{id}/{cfg}: {name} drifted: baseline {b} vs fresh {f} (exact match required)"
                         ));
                     }
-                } else if !rel_close_u64(b, f, POLL_TOLERANCE) {
+                } else if !rel_close(b, f, POLL_TOLERANCE) {
                     bad.push(format!(
                         "{id}/{cfg}: {name} drifted: baseline {b} vs fresh {f} (tolerance ±{:.0}%)",
                         POLL_TOLERANCE * 100.0
@@ -211,7 +176,7 @@ pub fn compare(baseline: &Json, fresh: &Json) -> Vec<String> {
         // Counter-derived ratios vs the class-baseline row: the shape
         // of each optimization's effect must hold even where absolute
         // counts have polling slack.
-        for name in COUNTER_NAMES {
+        for Counter { name, .. } in &COUNTERS {
             let (b0, f0) = (counter(&brows[0], name), counter(&frows[0], name));
             if b0 == 0 || f0 == 0 {
                 continue;
@@ -352,7 +317,7 @@ mod tests {
     fn real_tables_output_gates_against_itself() {
         // End to end: a real measured document passes both the schema
         // check and a self-comparison.
-        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1);
+        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1, TransportKind::Channel);
         let tables = [JsonTable {
             id: "table2_array",
             title: "Table 2".to_string(),
@@ -362,5 +327,69 @@ mod tests {
         let verdicts = vec![("t2: site beats class".to_string(), true)];
         let json = render_tables_json("quick", 1, 2, TransportKind::Channel, &tables, &verdicts);
         assert_eq!(gate(&json, &json), Vec::<String>::new());
+    }
+
+    #[test]
+    fn one_counter_policy_drives_both_comparisons() {
+        use corm::StatsSnapshot;
+        use corm_apps::equivalence::{diff_runs, TransportRun};
+
+        // No `..Default::default()`: a new StatsSnapshot field stops this
+        // compiling until the policy table says how to compare it.
+        let distinct = StatsSnapshot {
+            local_rpcs: 1,
+            remote_rpcs: 2,
+            reused_objs: 3,
+            cycle_lookups: 4,
+            ser_invocations: 5,
+            wire_bytes: 6,
+            type_info_bytes: 7,
+            messages: 8,
+            deser_bytes: 9,
+            deser_allocs: 10,
+        };
+        let mut seen: Vec<u64> = COUNTERS.iter().map(|c| (c.get)(&distinct)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=10).collect::<Vec<u64>>(), "every counter exactly once");
+        let exact: Vec<&str> = COUNTERS.iter().filter(|c| c.timing_free).map(|c| c.name).collect();
+        assert_eq!(exact, ["type_info_bytes", "cycle_lookups", "ser_invocations"]);
+
+        // App names and table ids resolve through the same predicate.
+        for (app, table, polled) in [
+            ("linked_list", "table1_linkedlist", false),
+            ("array2d", "table2_array", false),
+            ("lu", "table3_lu", true),
+            ("superopt", "table5_superopt", true),
+            ("webserver", "table7_webserver", false),
+        ] {
+            assert_eq!((polls(app), polls(table)), (polled, polled), "{app} / {table}");
+        }
+
+        // A ~10% drift on a polling app: the equivalence suite and the
+        // baseline gate both reject it on exactly the timing-free counters.
+        let run = |stats: StatsSnapshot| TransportRun {
+            transport: TransportKind::Channel,
+            output: String::new(),
+            per_machine: vec![stats],
+            cluster: stats,
+            measured_wire_ns: 0,
+            error: None,
+        };
+        let ten = (0..10).fold(StatsSnapshot::default(), |acc, _| acc + distinct);
+        let diffs = diff_runs("lu", "all", &run(ten), &run(ten + distinct));
+        let base = doc(4000, 80);
+        for c in &COUNTERS {
+            let flagged = diffs.iter().any(|d| d.contains(&format!(" {} ", c.name)));
+            assert_eq!(flagged, c.timing_free, "diff_runs on {}: {diffs:?}", c.name);
+
+            // Bump this counter in the last row (table3_lu / site).
+            let key = format!(r#""{}":"#, c.name);
+            let at = base.rfind(&key).unwrap() + key.len();
+            let end = at + base[at..].find(|ch: char| !ch.is_ascii_digit()).unwrap();
+            let v: u64 = base[at..end].parse().unwrap();
+            let fresh = format!("{}{}{}", &base[..at], v + (v / 10).max(1), &base[end..]);
+            let bad = gate(&base, &fresh);
+            assert_eq!(!bad.is_empty(), c.timing_free, "gate on {}: {bad:?}", c.name);
+        }
     }
 }

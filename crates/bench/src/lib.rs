@@ -1,8 +1,10 @@
 //! # corm-bench — regenerating the paper's evaluation
 //!
-//! Helpers shared by the `tables` binary (which prints Tables 1–8 in the
-//! paper's format, with the paper's own numbers side by side) and the
-//! Criterion benches (one per timing table plus ablations).
+//! Helpers of the `tables` binary (which prints Tables 1–8 in the
+//! paper's format, with the paper's own numbers side by side), the
+//! `bench_gate` that holds its counters to `BENCH_tables.json`, and the
+//! open-loop `serve_bench`. Timing claims are not made here: they come
+//! from paired runs of the standalone `benchmark/` package.
 //!
 //! Absolute seconds cannot match the paper — the substrate is an
 //! interpreter on a simulated Myrinet, not native Manta code on Pentium
@@ -12,15 +14,12 @@
 use corm::{
     HistSnapshot, MetricsSnapshot, OptConfig, RunOptions, RunOutcome, StatsSnapshot, TransportKind,
 };
+use corm_apps::equivalence::COUNTERS;
 use corm_apps::AppSpec;
 
-pub mod alloc;
 pub mod gate;
 pub mod json;
 pub mod loadgen;
-pub mod overhead;
-pub mod scale;
-pub mod slo;
 
 /// One measured row of a timing table.
 #[derive(Debug, Clone)]
@@ -51,7 +50,9 @@ pub struct PaperRow {
 }
 
 /// Run one app at the given scale under all five configurations of the
-/// evaluation legend, repeating `reps` times per configuration.
+/// evaluation legend, repeating `reps` times per configuration, on the
+/// given transport backend (`tables --transport tcp` measures over real
+/// loopback sockets and fills in `measured_wire_ns`).
 ///
 /// Reported seconds = (minimum wall across reps) + modeled time. The
 /// modeled component (wire transit + managed-runtime cost model) is
@@ -59,18 +60,6 @@ pub struct PaperRow {
 /// host-scheduler noise, which otherwise swamps the optimization deltas
 /// when the simulated machines timeshare few host cores.
 pub fn measure_table(
-    spec: &AppSpec,
-    args: &[i64],
-    machines: usize,
-    reps: usize,
-) -> Vec<MeasuredRow> {
-    measure_table_on(spec, args, machines, reps, TransportKind::Channel)
-}
-
-/// [`measure_table`] on an explicit transport backend — `tables
-/// --transport tcp` measures over real loopback sockets and fills in
-/// `measured_wire_ns`.
-pub fn measure_table_on(
     spec: &AppSpec,
     args: &[i64],
     machines: usize,
@@ -174,12 +163,12 @@ pub fn shape_verdicts(table: &str, measured: &[MeasuredRow]) -> Vec<(String, boo
 // ----- machine-readable output (BENCH_tables.json) -------------------------
 
 /// Schema version of the JSON documents produced by
-/// [`render_tables_json`] and [`slo::render_serve_json`]. Bump on any
-/// breaking change to either layout.
+/// [`render_tables_json`] and [`loadgen::render_serve_json`]. Bump on
+/// any breaking change to either layout.
 ///
 /// v2: top-level `"transport"` field; per-row `"measured_wire_ns"`.
 /// v3: every histogram object carries `"p999"`; the serving documents
-///     (`corm-bench serve` generator, see [`slo`]) share this version.
+///     (`corm-bench serve` generator) share this version.
 pub const BENCH_JSON_SCHEMA_VERSION: u32 = 3;
 
 /// One table to export: stable id, human title, unit of the `seconds`
@@ -219,23 +208,9 @@ pub(crate) fn hist_json(h: &HistSnapshot) -> String {
 }
 
 fn counters_json(st: &StatsSnapshot) -> String {
-    format!(
-        concat!(
-            r#"{{"local_rpcs":{},"remote_rpcs":{},"messages":{},"wire_bytes":{},"#,
-            r#""type_info_bytes":{},"cycle_lookups":{},"ser_invocations":{},"#,
-            r#""reused_objs":{},"deser_bytes":{},"deser_allocs":{}}}"#
-        ),
-        st.local_rpcs,
-        st.remote_rpcs,
-        st.messages,
-        st.wire_bytes,
-        st.type_info_bytes,
-        st.cycle_lookups,
-        st.ser_invocations,
-        st.reused_objs,
-        st.deser_bytes,
-        st.deser_allocs,
-    )
+    let fields: Vec<String> =
+        COUNTERS.iter().map(|c| format!(r#""{}":{}"#, c.name, (c.get)(st))).collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 fn row_json(r: &MeasuredRow) -> String {
@@ -367,7 +342,7 @@ mod tests {
 
     #[test]
     fn measure_produces_five_rows_with_gains() {
-        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1);
+        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1, TransportKind::Channel);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0].gain, 0.0);
         let text = format_time_table("Table 2", &PAPER_TABLE2, &rows);
@@ -381,7 +356,7 @@ mod tests {
 
     #[test]
     fn json_export_is_schema_versioned_and_escaped() {
-        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1);
+        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1, TransportKind::Channel);
         let tables = [JsonTable {
             id: "table2_array",
             title: "Table \"2\": 2D array".to_string(),

@@ -6,7 +6,7 @@
 //! Programs here are generated from seeded templates so each run covers a
 //! family of object-graph shapes and call patterns.
 
-use corm::{compile_and_run, OptConfig, RunOptions};
+use corm::{compile_and_run, CostModel, OptConfig, RunOptions};
 
 const ALL_CONFIGS: [(&str, OptConfig); 6] = [
     ("introspect", OptConfig::INTROSPECT),
@@ -237,5 +237,55 @@ fn rpc_counts_identical_across_configs() {
     for w in counts.windows(2) {
         assert_eq!(w[0].1, w[1].1, "{} vs {}", w[0].0, w[1].0);
         assert_eq!(w[0].2, w[1].2, "{} vs {}", w[0].0, w[1].0);
+    }
+}
+
+/// Reuse-cache defeat: the array size alternates on every RMI, so the
+/// size check of Figure 13 reallocates each time and `site + reuse`
+/// degenerates to `site` — nothing is ever recycled.
+#[test]
+fn alternating_array_sizes_defeat_the_reuse_cache() {
+    let src = r#"
+        remote class Sink {
+            double acc;
+            void take(double[] a) { this.acc = this.acc + a[0]; }
+        }
+        class M {
+            static void main() {
+                Sink s = new Sink() @ 1;
+                for (int i = 0; i < 50; i++) {
+                    double[] a = new double[8 + (i % 2) * 8];
+                    a[0] = i;
+                    s.take(a);
+                }
+            }
+        }
+    "#;
+    for (name, cfg) in [("site+cycle", OptConfig::SITE_CYCLE), ("all", OptConfig::ALL)] {
+        let out =
+            compile_and_run(src, cfg, RunOptions { machines: 2, ..Default::default() }).unwrap();
+        assert!(out.error.is_none(), "[{name}] {:?}", out.error);
+        assert_eq!(out.stats.reused_objs, 0, "[{name}] the cached buffer never matches");
+    }
+}
+
+/// Cost-model sensitivity: the full stack never loses to `class` on
+/// modeled time, whether the modeled network is the default Myrinet, ten
+/// times faster or ten times slower.
+#[test]
+fn all_beats_class_on_modeled_time_under_any_cost_model() {
+    let myrinet = CostModel::default();
+    let fast = CostModel { latency_ns: 2_000, bandwidth_bytes_per_sec: 1_250_000_000, ..myrinet };
+    let slow = CostModel { latency_ns: 100_000, bandwidth_bytes_per_sec: 12_500_000, ..myrinet };
+    for (name, cost) in [("myrinet", myrinet), ("fast-net", fast), ("slow-net", slow)] {
+        let modeled = |cfg| {
+            let out = corm::run(
+                &corm_apps::ARRAY2D.compile(cfg),
+                RunOptions { machines: 2, args: vec![16, 10], cost, ..Default::default() },
+            );
+            assert!(out.error.is_none(), "[{name}] {:?}", out.error);
+            out.modeled
+        };
+        assert!(modeled(OptConfig::ALL) <= modeled(OptConfig::CLASS), "[{name}]");
     }
 }

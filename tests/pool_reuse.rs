@@ -5,7 +5,7 @@
 //! program behavior and RMI statistics.
 
 use corm::{compile_and_run, OptConfig, RunOptions, TransportKind};
-use corm_apps::{AppSpec, ARRAY2D, LINKED_LIST, WEBSERVER};
+use corm_apps::{AppSpec, ALL_APPS, ARRAY2D, LINKED_LIST, WEBSERVER};
 
 const ECHO_LOOP: &str = r#"
     remote class R { int echo(int x) { return x; } }
@@ -90,6 +90,28 @@ fn canary_painting_under_audit_changes_nothing_observable() {
                 spec.name
             );
         }
+    }
+}
+
+#[test]
+fn all_five_apps_run_hot_out_of_the_pool() {
+    // The paper's headline row (`site + reuse + cycle`) at quick scale:
+    // once a site's working set is built (at most `PER_KEY_CAP` buffers
+    // per key), every marshal must check a recycled buffer out. A steady
+    // miss means some path leaks buffers and the hot loop allocates again.
+    for spec in &ALL_APPS {
+        let out = corm::run(
+            &spec.compile(OptConfig::ALL),
+            RunOptions { machines: 2, args: spec.quick_args.to_vec(), ..Default::default() },
+        );
+        assert!(out.error.is_none(), "{}: {:?}", spec.name, out.error);
+        let machines = &out.metrics.machines;
+        let hits: u64 = machines.iter().map(|m| m.pool_hits).sum();
+        let misses: u64 = machines.iter().map(|m| m.pool_misses).sum();
+        let steady: u64 = machines.iter().map(|m| m.pool_steady_misses()).sum();
+        assert!(hits + misses > 0, "{}: the run never touched the pool", spec.name);
+        assert!(hits > 0, "{}: a steady-state app must hit the pool", spec.name);
+        assert_eq!(steady, 0, "{}: leaked marshal buffers", spec.name);
     }
 }
 
