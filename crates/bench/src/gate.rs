@@ -3,29 +3,14 @@
 //! drift. CI runs this via the `bench_gate` binary and fails the build
 //! on a non-empty report.
 //!
-//! ## Gating rules
-//!
 //! Timing columns (`seconds`, `wall_s`, `gain_pct`, `measured_wire_ns`)
-//! are machine-dependent and only schema-checked. Counters are gated:
-//!
-//! * Which counters a row carries and how each is compared is the one
-//!   policy table `corm_apps::equivalence::COUNTERS`, shared with the
-//!   cross-transport equivalence suite. On a table whose app does not
-//!   poll for completion (`polls`) every counter must match the
-//!   baseline **exactly**; on a polling table the timing-free counters
-//!   stay exact and the others get `POLL_TOLERANCE` (`rel_close`).
-//! * On top of the per-counter rule, every counter-derived ratio
-//!   (row ÷ class-baseline row of the same table) must stay within
-//!   ±30% of the baseline's ratio — the optimization *shape* of
-//!   Tables 4/6/8 may not drift even where absolute counts have slack.
+//! are machine-dependent and only schema-checked. The counters — the ten
+//! of `corm_apps::equivalence::COUNTERS`, in every row of every table —
+//! are a function of the program alone and must **equal** the baseline.
 
 use crate::json::Json;
 use crate::BENCH_JSON_SCHEMA_VERSION;
-use corm_apps::equivalence::{polls, rel_close, Counter, COUNTERS, POLL_TOLERANCE};
-
-fn rel_close_f64(a: f64, b: f64, tol: f64) -> bool {
-    a == b || (a - b).abs() / a.max(b) <= tol
-}
+use corm_apps::equivalence::{Counter, COUNTERS};
 
 /// Structural validation of one document. `who` labels the document in
 /// messages ("baseline" / "fresh").
@@ -110,7 +95,7 @@ fn counter(row: &Json, name: &str) -> u64 {
     row.get("counters").get(name).as_u64().unwrap_or(0)
 }
 
-/// Diff two schema-valid documents under the gating rules. Returns
+/// Diff two documents: same shape, every counter equal. Returns
 /// human-readable drift descriptions; empty = gate passes.
 pub fn compare(baseline: &Json, fresh: &Json) -> Vec<String> {
     let mut bad = Vec::new();
@@ -157,39 +142,10 @@ pub fn compare(baseline: &Json, fresh: &Json) -> Vec<String> {
         }
         for (br, fr) in brows.iter().zip(frows) {
             let cfg = br.get("config").as_str().unwrap();
-            for Counter { name, timing_free, .. } in &COUNTERS {
+            for Counter { name, .. } in &COUNTERS {
                 let (b, f) = (counter(br, name), counter(fr, name));
-                if *timing_free || !polls(id) {
-                    if b != f {
-                        bad.push(format!(
-                            "{id}/{cfg}: {name} drifted: baseline {b} vs fresh {f} (exact match required)"
-                        ));
-                    }
-                } else if !rel_close(b, f, POLL_TOLERANCE) {
-                    bad.push(format!(
-                        "{id}/{cfg}: {name} drifted: baseline {b} vs fresh {f} (tolerance ±{:.0}%)",
-                        POLL_TOLERANCE * 100.0
-                    ));
-                }
-            }
-        }
-        // Counter-derived ratios vs the class-baseline row: the shape
-        // of each optimization's effect must hold even where absolute
-        // counts have polling slack.
-        for Counter { name, .. } in &COUNTERS {
-            let (b0, f0) = (counter(&brows[0], name), counter(&frows[0], name));
-            if b0 == 0 || f0 == 0 {
-                continue;
-            }
-            for (br, fr) in brows.iter().zip(frows).skip(1) {
-                let cfg = br.get("config").as_str().unwrap();
-                let rb = counter(br, name) as f64 / b0 as f64;
-                let rf = counter(fr, name) as f64 / f0 as f64;
-                if !rel_close_f64(rb, rf, POLL_TOLERANCE) {
-                    bad.push(format!(
-                        "{id}/{cfg}: {name}/class ratio drifted: baseline {rb:.4} vs fresh {rf:.4} (tolerance ±{:.0}%)",
-                        POLL_TOLERANCE * 100.0
-                    ));
+                if b != f {
+                    bad.push(format!("{id}/{cfg}: {name} drifted: baseline {b} vs fresh {f}"));
                 }
             }
         }
@@ -236,9 +192,8 @@ mod tests {
     use corm::TransportKind;
     use corm_apps::ARRAY2D;
 
-    fn doc(wire_bytes_site: u64, messages_site: u64) -> String {
-        // Minimal schema-valid document: one deterministic table, one
-        // polled table, two rows each.
+    fn doc() -> String {
+        // Minimal schema-valid document: two tables, two rows each.
         let row = |cfg: &str, wb: u64, msgs: u64| {
             format!(
                 concat!(
@@ -263,40 +218,25 @@ mod tests {
             row("class", 5000, 100),
             row("site", 4000, 80),
             row("class", 5000, 100),
-            row("site", wire_bytes_site, messages_site),
+            row("site", 4000, 80),
         )
     }
 
     #[test]
     fn identical_documents_pass() {
-        assert_eq!(gate(&doc(4000, 80), &doc(4000, 80)), Vec::<String>::new());
-    }
-
-    #[test]
-    fn polled_tables_tolerate_small_drift_but_not_large() {
-        // 10% drift on a poll-affected counter of table3_lu: allowed.
-        assert_eq!(gate(&doc(4000, 80), &doc(4400, 80)), Vec::<String>::new());
-        // 60% drift: caught by both the absolute and the ratio check.
-        let bad = gate(&doc(4000, 80), &doc(6400, 80));
-        assert!(bad.iter().any(|m| m.contains("table3_lu/site: wire_bytes drifted")), "{bad:?}");
-        assert!(bad.iter().any(|m| m.contains("ratio drifted")), "{bad:?}");
+        assert_eq!(gate(&doc(), &doc()), Vec::<String>::new());
     }
 
     #[test]
     fn deterministic_tables_require_exact_counters() {
-        // Tamper with the deterministic table2_array instead.
-        let fresh = doc(4000, 80).replacen(r#""wire_bytes":4000"#, r#""wire_bytes":4001"#, 1);
-        let bad = gate(&doc(4000, 80), &fresh);
-        assert!(
-            bad.iter().any(|m| m.contains("table2_array/site: wire_bytes drifted")
-                && m.contains("exact match required")),
-            "{bad:?}"
-        );
+        let fresh = doc().replacen(r#""wire_bytes":4000"#, r#""wire_bytes":4001"#, 1);
+        let bad = gate(&doc(), &fresh);
+        assert_eq!(bad, ["table2_array/site: wire_bytes drifted: baseline 4000 vs fresh 4001"]);
     }
 
     #[test]
     fn schema_and_structure_drift_is_fatal() {
-        let base = doc(4000, 80);
+        let base = doc();
         let old = base.replacen(
             &format!(r#""schema_version":{BENCH_JSON_SCHEMA_VERSION}"#),
             r#""schema_version":1"#,
@@ -330,66 +270,18 @@ mod tests {
     }
 
     #[test]
-    fn one_counter_policy_drives_both_comparisons() {
-        use corm::StatsSnapshot;
-        use corm_apps::equivalence::{diff_runs, TransportRun};
-
-        // No `..Default::default()`: a new StatsSnapshot field stops this
-        // compiling until the policy table says how to compare it.
-        let distinct = StatsSnapshot {
-            local_rpcs: 1,
-            remote_rpcs: 2,
-            reused_objs: 3,
-            cycle_lookups: 4,
-            ser_invocations: 5,
-            wire_bytes: 6,
-            type_info_bytes: 7,
-            messages: 8,
-            deser_bytes: 9,
-            deser_allocs: 10,
-        };
-        let mut seen: Vec<u64> = COUNTERS.iter().map(|c| (c.get)(&distinct)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (1..=10).collect::<Vec<u64>>(), "every counter exactly once");
-        let exact: Vec<&str> = COUNTERS.iter().filter(|c| c.timing_free).map(|c| c.name).collect();
-        assert_eq!(exact, ["type_info_bytes", "cycle_lookups", "ser_invocations"]);
-
-        // App names and table ids resolve through the same predicate.
-        for (app, table, polled) in [
-            ("linked_list", "table1_linkedlist", false),
-            ("array2d", "table2_array", false),
-            ("lu", "table3_lu", true),
-            ("superopt", "table5_superopt", true),
-            ("webserver", "table7_webserver", false),
-        ] {
-            assert_eq!((polls(app), polls(table)), (polled, polled), "{app} / {table}");
-        }
-
-        // A ~10% drift on a polling app: the equivalence suite and the
-        // baseline gate both reject it on exactly the timing-free counters.
-        let run = |stats: StatsSnapshot| TransportRun {
-            transport: TransportKind::Channel,
-            output: String::new(),
-            per_machine: vec![stats],
-            cluster: stats,
-            measured_wire_ns: 0,
-            error: None,
-        };
-        let ten = (0..10).fold(StatsSnapshot::default(), |acc, _| acc + distinct);
-        let diffs = diff_runs("lu", "all", &run(ten), &run(ten + distinct));
-        let base = doc(4000, 80);
+    fn a_drift_of_one_on_any_counter_of_the_lu_table_fails_the_gate() {
+        let base = doc();
         for c in &COUNTERS {
-            let flagged = diffs.iter().any(|d| d.contains(&format!(" {} ", c.name)));
-            assert_eq!(flagged, c.timing_free, "diff_runs on {}: {diffs:?}", c.name);
-
             // Bump this counter in the last row (table3_lu / site).
             let key = format!(r#""{}":"#, c.name);
             let at = base.rfind(&key).unwrap() + key.len();
             let end = at + base[at..].find(|ch: char| !ch.is_ascii_digit()).unwrap();
             let v: u64 = base[at..end].parse().unwrap();
-            let fresh = format!("{}{}{}", &base[..at], v + (v / 10).max(1), &base[end..]);
-            let bad = gate(&base, &fresh);
-            assert_eq!(!bad.is_empty(), c.timing_free, "gate on {}: {bad:?}", c.name);
+            let (name, f) = (c.name, v + 1);
+            let fresh = format!("{}{f}{}", &base[..at], &base[end..]);
+            let want = format!("table3_lu/site: {name} drifted: baseline {v} vs fresh {f}");
+            assert_eq!(gate(&base, &fresh), [want]);
         }
     }
 }

@@ -350,7 +350,7 @@ impl MetricsRegistry {
 
 impl MachineSnapshot {
     /// Pool misses beyond the working-set build-up — the quantity
-    /// `bench_gate --alloc-gate` requires to be zero for the paper apps.
+    /// `tests/pool_reuse.rs` requires to be zero for the paper apps.
     pub fn pool_steady_misses(&self) -> u64 {
         self.pool_misses.saturating_sub(self.pool_cold_misses)
     }

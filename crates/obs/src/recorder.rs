@@ -6,9 +6,9 @@
 //!
 //! * **Bounded overhead** — recording is one relaxed `fetch_add` to claim
 //!   a slot plus six plain atomic stores; no locks, no allocation, no
-//!   branches on the hot path beyond the enabled check. The bench gate
-//!   (`bench_gate --recorder-overhead`) enforces ≤ 5% on the quick-scale
-//!   bench.
+//!   branches on the hot path beyond the enabled check. `benchmark/`
+//!   reports the cost, with the timeline sampler's, as
+//!   `obs.overhead_share`.
 //! * **Fixed memory** — each machine owns [`FlightRing::capacity`] slots
 //!   of five words; old events are overwritten, never flushed.
 //! * **Crash-readable** — every slot carries a per-slot generation word
@@ -43,7 +43,7 @@ pub enum FlightKind {
     Fail,
     /// A completed request violated its latency SLO (`bytes` carries the
     /// measured latency in µs, clamped to u32). Recorded by the serving
-    /// benchmark so a failed slo-gate dumps the exact offending req ids.
+    /// driver so its flight dump names the exact offending req ids.
     Slo,
     /// The timeline health assessor flagged this machine (`peer` names
     /// it, `site` carries the `HealthKind` code, `bytes` the magnitude,

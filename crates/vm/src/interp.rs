@@ -53,12 +53,8 @@ impl Interp {
     /// machine (registers the thread in `active_threads`).
     pub fn run_function(&mut self, func: FuncId, args: Vec<Value>) -> VmResult<Value> {
         let machine = self.machine.clone();
-        let mut guard = machine.state.lock();
-        guard.active_threads += 1;
-        let result = self.call_in(&mut guard, func, args);
-        guard.active_threads -= 1;
-        machine.cv.notify_all();
-        result
+        let mut guard = machine.enter();
+        self.call_in(&mut guard, func, args)
     }
 
     /// Invoke `func` while already holding the machine lock (nested calls

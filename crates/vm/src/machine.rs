@@ -1,11 +1,12 @@
 //! Per-machine state: heap, statics, native queues, outstanding-reply
 //! slots and the §3.3 reuse caches.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 
 use corm_heap::{Heap, ObjRef, Value};
 use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{VmError, VmResult};
 
@@ -25,6 +26,20 @@ pub enum ReplySlot {
         dest: u16,
     },
     Ready(Result<Vec<u8>, String>),
+}
+
+/// One §3.3 reuse slot: where the root of a dead deserialized graph waits
+/// for the next message through the same unmarshaler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ReuseSlot {
+    /// Callee side: argument `arg` of `site` as machine `caller` last
+    /// sent it — the paper's `temp_arr` static (Fig. 13), one per
+    /// unmarshaler per caller. Handlers serving different callers run
+    /// concurrently and never share a slot, so what a caller's next
+    /// message recycles does not depend on how they interleave.
+    Arg { site: CallSiteId, arg: usize, caller: u16 },
+    /// Caller side: the return value of `site`.
+    Ret { site: CallSiteId },
 }
 
 /// Bound of the per-machine reply cache (completed entries).
@@ -53,11 +68,12 @@ pub struct MachineState {
     pub statics: Vec<Value>,
     pub queues: Vec<VmQueue>,
     pub replies: HashMap<u64, ReplySlot>,
-    /// Callee-side argument reuse caches: per call site, one cached root
-    /// per argument (the paper's `temp_arr` static, Fig. 13).
-    pub arg_cache: HashMap<CallSiteId, Vec<Value>>,
-    /// Caller-side return-value reuse caches, per call site.
-    pub ret_cache: HashMap<CallSiteId, Value>,
+    /// Peers whose `PeerGone` this machine has processed. The transport
+    /// drops what is sent to them, so a call to one fails at once instead
+    /// of opening a reply slot nobody will fill.
+    pub dead_peers: HashSet<u16>,
+    /// The §3.3 reuse caches: pinned roots of dead graphs, by slot.
+    pub reuse_cache: HashMap<ReuseSlot, Value>,
     pub next_req: u64,
     /// VM threads currently executing (or blocked) on this machine; GC is
     /// only safe when the requesting thread is alone.
@@ -98,8 +114,8 @@ impl MachineState {
             statics,
             queues: Vec::new(),
             replies: HashMap::new(),
-            arg_cache: HashMap::new(),
-            ret_cache: HashMap::new(),
+            dead_peers: HashSet::new(),
+            reuse_cache: HashMap::new(),
             next_req: 1,
             active_threads: 0,
             last_gc_bytes: 0,
@@ -158,46 +174,23 @@ impl MachineState {
         obj
     }
 
-    /// Update one reuse-cache slot, maintaining GC pins on the roots.
-    pub fn set_arg_cache(&mut self, site: CallSiteId, idx: usize, nargs: usize, v: Value) {
-        let slots = self.arg_cache.entry(site).or_insert_with(|| vec![Value::Null; nargs]);
-        if slots.len() < nargs {
-            slots.resize(nargs, Value::Null);
-        }
-        let old = std::mem::replace(&mut slots[idx], v);
-        if let Value::Ref(r) = old {
-            if old != v {
-                self.heap.unpin(r);
-            }
-        }
-        if let Value::Ref(r) = v {
-            self.heap.pin(r);
-        }
-    }
-
     /// Take (and clear) a reuse candidate — Fig. 13's `temp_arr = null`
-    /// guard against concurrent unmarshalers.
-    pub fn take_arg_cache(&mut self, site: CallSiteId, idx: usize) -> Value {
-        match self.arg_cache.get_mut(&site) {
-            Some(slots) if idx < slots.len() => std::mem::replace(&mut slots[idx], Value::Null),
-            _ => Value::Null,
-        }
+    /// guard against concurrent unmarshalers. The root stays pinned.
+    pub fn take_reuse(&mut self, slot: ReuseSlot) -> Value {
+        self.reuse_cache.remove(&slot).unwrap_or(Value::Null)
     }
 
-    pub fn set_ret_cache(&mut self, site: CallSiteId, v: Value) {
-        let old = self.ret_cache.insert(site, v);
-        if let Some(Value::Ref(r)) = old {
-            if old != Some(v) {
-                self.heap.unpin(r);
+    /// Fig. 13's `temp_arr = t`: cache `v` in `slot`, moving the GC pin
+    /// from the root it displaces (if any) to `v`.
+    pub fn put_reuse(&mut self, slot: ReuseSlot, v: Value) {
+        if let Some(Value::Ref(old)) = self.reuse_cache.insert(slot, v) {
+            if Value::Ref(old) != v {
+                self.heap.unpin(old);
             }
         }
         if let Value::Ref(r) = v {
             self.heap.pin(r);
         }
-    }
-
-    pub fn take_ret_cache(&mut self, site: CallSiteId) -> Value {
-        self.ret_cache.insert(site, Value::Null).unwrap_or(Value::Null)
     }
 
     // ----- native queues ----------------------------------------------------
@@ -241,7 +234,40 @@ pub struct MachineShared {
     pub cv: Condvar,
 }
 
+/// A VM thread's stay on a machine: the machine lock, with the thread
+/// counted in [`MachineState::active_threads`] until the guard drops —
+/// on every path out, so an early `?` cannot leave a machine that never
+/// collects again. Blocking operations release the lock through it and
+/// stay counted.
+pub struct Entered<'a>(MutexGuard<'a, MachineState>);
+
+impl<'a> Deref for Entered<'a> {
+    type Target = MutexGuard<'a, MachineState>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Entered<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Drop for Entered<'_> {
+    fn drop(&mut self) {
+        self.0.active_threads -= 1;
+    }
+}
+
 impl MachineShared {
+    /// Lock the machine as a VM thread about to execute on it.
+    pub fn enter(&self) -> Entered<'_> {
+        let mut guard = self.state.lock();
+        guard.active_threads += 1;
+        Entered(guard)
+    }
+
     pub fn new(id: u16, num_statics: usize) -> Self {
         Self::with_statics(id, vec![Value::Null; num_statics])
     }
@@ -254,6 +280,11 @@ impl MachineShared {
         state.next_req = ((id as u64) << 48) + 1;
         MachineShared { id, state: Mutex::new(state), cv: Condvar::new() }
     }
+}
+
+/// The error of a call whose target machine is gone.
+pub fn peer_gone(peer: u16) -> String {
+    format!("peer machine {peer} disconnected")
 }
 
 /// The zero/default value of a MiniParty type.
@@ -281,17 +312,21 @@ mod tests {
         assert!(st.queue(99).is_err());
     }
 
+    fn arg(site: u32, arg: usize, caller: u16) -> ReuseSlot {
+        ReuseSlot::Arg { site: CallSiteId(site), arg, caller }
+    }
+
     #[test]
     fn arg_cache_pins_roots() {
         let mut st = MachineState::new(0);
         let o = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
-        st.set_arg_cache(CallSiteId(3), 0, 2, Value::Ref(o));
+        st.put_reuse(arg(3, 0, 0), Value::Ref(o));
         // pinned: survives GC with no roots
         let rep = st.heap.gc([]);
         assert_eq!(rep.live, 1);
         // replacing the slot unpins the old root
         let o2 = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
-        st.set_arg_cache(CallSiteId(3), 0, 2, Value::Ref(o2));
+        st.put_reuse(arg(3, 0, 0), Value::Ref(o2));
         let rep = st.heap.gc([]);
         assert_eq!(rep.freed, 1);
     }
@@ -300,9 +335,42 @@ mod tests {
     fn take_cache_clears_slot() {
         let mut st = MachineState::new(0);
         let o = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
-        st.set_arg_cache(CallSiteId(1), 1, 2, Value::Ref(o));
-        assert_eq!(st.take_arg_cache(CallSiteId(1), 1), Value::Ref(o));
-        assert_eq!(st.take_arg_cache(CallSiteId(1), 1), Value::Null);
+        for slot in [arg(1, 1, 0), ReuseSlot::Ret { site: CallSiteId(1) }] {
+            st.put_reuse(slot, Value::Ref(o));
+            assert_eq!(st.take_reuse(slot), Value::Ref(o));
+            assert_eq!(st.take_reuse(slot), Value::Null);
+        }
+    }
+
+    #[test]
+    fn callers_of_one_site_keep_their_own_slots() {
+        // The lu interleaving: machine 1's handler runs between a take and
+        // the matching put of machine 0's at the same (site, argument).
+        let mut st = MachineState::new(0);
+        let [a, b] = [0, 1].map(|_| Value::Ref(st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0)));
+        st.put_reuse(arg(7, 1, 0), a);
+        st.put_reuse(arg(7, 1, 1), b);
+        assert_eq!(st.take_reuse(arg(7, 1, 0)), a);
+        assert_eq!(st.take_reuse(arg(7, 1, 1)), b, "caller 0's take emptied caller 1's slot");
+        st.put_reuse(arg(7, 1, 1), b);
+        st.put_reuse(arg(7, 1, 0), a);
+        assert_eq!(st.heap.gc([]).live, 2, "neither put may unpin the other caller's root");
+        // The same caller does find what it left.
+        assert_eq!(st.take_reuse(arg(7, 1, 0)), a);
+        assert_eq!(st.take_reuse(arg(7, 1, 1)), b);
+    }
+
+    #[test]
+    fn entering_counts_the_thread_until_the_guard_drops() {
+        let machine = MachineShared::new(0, 0);
+        let early_exit = || -> VmResult<()> {
+            let mut guard = machine.enter();
+            assert_eq!(guard.active_threads, 1);
+            guard.queue(99)?;
+            unreachable!("queue 99 does not exist");
+        };
+        assert!(early_exit().is_err());
+        assert_eq!(machine.state.lock().active_threads, 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Accounting (DESIGN §12): a checkout served from the pool is a *hit*;
 //! one that allocates is a *miss*. The first allocations that build a
 //! key's working set (up to [`PER_KEY_CAP`] buffers) are *cold* misses;
-//! everything beyond is a steady-state miss, which `bench_gate
-//! --alloc-gate` budgets at zero for the paper apps. None of these
+//! everything beyond is a steady-state miss, which
+//! `tests/pool_reuse.rs` holds at zero for the paper apps. None of these
 //! counters touch [`corm_wire::RmiStats`] — the Tables 4/6/8 counters
 //! and the transport-equivalence contract are unchanged by pooling.
 

@@ -18,7 +18,7 @@ use parking_lot::MutexGuard;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
-use crate::machine::{CachedReply, MachineState, ReplySlot};
+use crate::machine::{peer_gone, CachedReply, MachineState, ReplySlot, ReuseSlot};
 use crate::pool::Lane;
 use crate::runtime::{Milestone, Runtime};
 use crate::trace::Phase;
@@ -251,7 +251,7 @@ fn local_rpc(
     // raised. `None` is a launched spawn: nothing comes back.
     let invoked: VmResult<Option<Value>> = (|| {
         let (vals, _) = rt.in_phase(my, Phase::Unmarshal, req, site.0, || {
-            deserialize_args(&rt, my, guard, ser, plan, site, &mut msg.reader())
+            deserialize_args(&rt, my, guard, ser, plan, site, my, &mut msg.reader())
         })?;
         // The clone is done with the request bytes; recycle them for the
         // site's next call (one-way buffers were never pooled).
@@ -277,7 +277,7 @@ fn local_rpc(
         }
 
         let ret = rt.in_phase(my, Phase::Invoke, req, site.0, || interp.call_in(guard, f, args))?;
-        update_arg_caches(guard, plan, site, &vals);
+        update_arg_caches(guard, plan, site, my, &vals);
         Ok(Some(ret))
     })();
     rt.milestone(my, req, site.0, flags, bytes, Milestone::Local { since, scope });
@@ -313,12 +313,7 @@ fn wire_rpc(
     let to = receiver.machine;
     RmiStats::bump(&shard.stats.remote_rpcs, 1);
 
-    if !oneway {
-        guard.replies.insert(req, ReplySlot::Waiting { dest: to });
-        shard.in_flight.fetch_add(1, Relaxed);
-    }
     let payload = msg.into_bytes();
-    let net = rt.net.clone();
     let bytes = payload.len();
     let packet = Packet::Request {
         req_id: req,
@@ -339,22 +334,12 @@ fn wire_rpc(
             rt.net.sever(fault.victim);
         }
     }
-    MutexGuard::unlocked(guard, || net.send(my, to, packet));
     if oneway {
+        MutexGuard::unlocked(guard, || rt.net.send(my, to, packet));
         return Ok(Value::Null);
     }
-
-    // Figure 1's `wait(Machine 1)`.
-    let machine = interp.machine.clone();
-    let result = loop {
-        if matches!(guard.replies.get(&req), Some(ReplySlot::Ready(_))) {
-            match guard.replies.remove(&req) {
-                Some(ReplySlot::Ready(r)) => break r,
-                _ => unreachable!(),
-            }
-        }
-        machine.cv.wait(guard);
-    };
+    shard.in_flight.fetch_add(1, Relaxed);
+    let result = round_trip(interp, guard, req, to, packet);
     shard.in_flight.fetch_sub(1, Relaxed);
 
     match result {
@@ -386,8 +371,35 @@ fn wire_rpc(
     }
 }
 
-/// Unmarshal a request's arguments; also returns how many cached objects
-/// the reuse caches recycled for it.
+/// Send `packet`, request `req` of this machine, to `to` and sleep until
+/// the drain loop fills its reply slot with the reply or with the peer's
+/// death — Figure 1's `wait(Machine 1)`. The transport drops what is sent
+/// to a dead peer, so a peer already known dead fails the call here: a
+/// slot opened for it would never be filled.
+fn round_trip(
+    interp: &Interp,
+    guard: &mut MutexGuard<'_, MachineState>,
+    req: u64,
+    to: u16,
+    packet: Packet,
+) -> Result<Vec<u8>, String> {
+    if guard.dead_peers.contains(&to) {
+        interp.rt.flight_failed.lock().push(req);
+        return Err(peer_gone(to));
+    }
+    guard.replies.insert(req, ReplySlot::Waiting { dest: to });
+    MutexGuard::unlocked(guard, || interp.rt.net.send(interp.machine_id(), to, packet));
+    loop {
+        if let Some(ReplySlot::Ready(_)) = guard.replies.get(&req) {
+            let Some(ReplySlot::Ready(r)) = guard.replies.remove(&req) else { unreachable!() };
+            return r;
+        }
+        interp.machine.cv.wait(guard);
+    }
+}
+
+/// Unmarshal the arguments of a request from machine `caller`; also
+/// returns how many cached objects the reuse caches recycled for it.
 #[allow(clippy::too_many_arguments)]
 fn deserialize_args(
     rt: &Runtime,
@@ -396,6 +408,7 @@ fn deserialize_args(
     ser: &Serializer<'_>,
     plan: &MarshalPlan,
     site: CallSiteId,
+    caller: u16,
     reader: &mut corm_wire::MessageReader<'_>,
 ) -> VmResult<(Vec<Value>, u64)> {
     let mut dt = if plan.args_cycle_table { Some(DeserTable::new()) } else { None };
@@ -404,7 +417,8 @@ fn deserialize_args(
     let mut total_reused = 0;
     let mut err = None;
     for (i, node) in plan.args.iter().enumerate() {
-        let reuse = if plan.arg_reuse[i] { guard.take_arg_cache(site, i) } else { Value::Null };
+        let slot = ReuseSlot::Arg { site, arg: i, caller };
+        let reuse = if plan.arg_reuse[i] { guard.take_reuse(slot) } else { Value::Null };
         let reuse = audit_poison(rt, my, guard, reuse);
         match ser.deserialize(&mut guard.heap, node, reader, &mut dt, reuse) {
             Ok(out) => {
@@ -426,17 +440,18 @@ fn deserialize_args(
 }
 
 /// After the invocation completes, stash the deserialized argument roots
-/// for the next call of this unmarshaler (Fig. 13's `temp_arr = t`).
+/// for `caller`'s next call through this unmarshaler (Fig. 13's
+/// `temp_arr = t`).
 fn update_arg_caches(
     guard: &mut MutexGuard<'_, MachineState>,
     plan: &MarshalPlan,
     site: CallSiteId,
+    caller: u16,
     vals: &[Value],
 ) {
-    let n = plan.args.len();
-    for (i, &reuse) in plan.arg_reuse.iter().enumerate() {
+    for (arg, &reuse) in plan.arg_reuse.iter().enumerate() {
         if reuse {
-            guard.set_arg_cache(site, i, n, vals[i]);
+            guard.put_reuse(ReuseSlot::Arg { site, arg, caller }, vals[arg]);
         }
     }
 }
@@ -457,7 +472,8 @@ fn deserialize_ret(
     // Message here).
     let mut reader = MessageReader::new(payload);
     let mut dt = if plan.ret_cycle_table { Some(DeserTable::new()) } else { None };
-    let reuse = if plan.ret_reuse { guard.take_ret_cache(site) } else { Value::Null };
+    let slot = ReuseSlot::Ret { site };
+    let reuse = if plan.ret_reuse { guard.take_reuse(slot) } else { Value::Null };
     let reuse = audit_poison(rt, my, guard, reuse);
     let prev = guard.heap.set_attribution(AllocAttribution::Deserialization);
     let out = ser.deserialize(&mut guard.heap, node, &mut reader, &mut dt, reuse);
@@ -465,7 +481,7 @@ fn deserialize_ret(
     let out = out.map_err(|e| unmarshal_context(plan, site, e))?;
     RmiStats::bump(&ser.stats.reused_objs, out.reused);
     if plan.ret_reuse {
-        guard.set_ret_cache(site, out.value);
+        guard.put_reuse(slot, out.value);
     }
     Ok(out.value)
 }
@@ -485,22 +501,9 @@ pub fn new_remote(
         return Ok(Value::Remote(corm_heap::RemoteRef { machine: my, obj, class }));
     }
     let req_id = guard.fresh_req_id();
-    guard.replies.insert(req_id, ReplySlot::Waiting { dest: target });
-    let net = rt.net.clone();
-    MutexGuard::unlocked(guard, || {
-        net.send(my, target, Packet::NewRemote { req_id, from: my, class: class.0 })
-    });
-    let machine = interp.machine.clone();
-    let result = loop {
-        if matches!(guard.replies.get(&req_id), Some(ReplySlot::Ready(_))) {
-            match guard.replies.remove(&req_id) {
-                Some(ReplySlot::Ready(r)) => break r,
-                _ => unreachable!(),
-            }
-        }
-        machine.cv.wait(guard);
-    };
-    let payload = result.map_err(|e| VmError::new(format!("remote allocation failed: {e}")))?;
+    let packet = Packet::NewRemote { req_id, from: my, class: class.0 };
+    let payload = round_trip(interp, guard, req_id, target, packet)
+        .map_err(|e| VmError::new(format!("remote allocation failed: {e}")))?;
     let obj = ObjRef(u32::from_le_bytes(payload[..4].try_into().unwrap()));
     Ok(Value::Remote(corm_heap::RemoteRef { machine: target, obj, class }))
 }
@@ -551,55 +554,46 @@ pub fn handle_request(
             .plan(site)
             .ok_or_else(|| VmError::new(format!("no unmarshal plan for site {}", site.0)))?;
         let ser = Serializer::new(&plans, &rt.module.table, &shard.stats);
-        let mut guard = machine.state.lock();
-        guard.active_threads += 1;
+        let mut guard = machine.enter();
 
-        let run = (|| {
-            let msg = Message::from_bytes(payload);
-            let (vals, n) = rt.in_phase(my, Phase::Unmarshal, req_id, site.0, || {
-                deserialize_args(rt, my, &mut guard, &ser, plan, site, &mut msg.reader())
-            })?;
-            reused = n;
+        let msg = Message::from_bytes(payload);
+        let (vals, n) = rt.in_phase(my, Phase::Unmarshal, req_id, site.0, || {
+            deserialize_args(rt, my, &mut guard, &ser, plan, site, from, &mut msg.reader())
+        })?;
+        reused = n;
 
-            let meth = rt.module.table.method(plan.method);
-            let this = Value::Remote(corm_heap::RemoteRef {
-                machine: my,
-                obj: ObjRef(target_obj),
-                class: meth.owner,
-            });
-            let f = interp.func_of(plan.method)?;
-            let mut args = vec![this];
-            args.extend(vals.iter().copied());
+        let meth = rt.module.table.method(plan.method);
+        let this = Value::Remote(corm_heap::RemoteRef {
+            machine: my,
+            obj: ObjRef(target_obj),
+            class: meth.owner,
+        });
+        let f = interp.func_of(plan.method)?;
+        let mut args = vec![this];
+        args.extend(vals.iter().copied());
 
-            let ret = rt.in_phase(my, Phase::Invoke, req_id, site.0, || {
-                interp.call_in(&mut guard, f, args)
-            })?;
-            update_arg_caches(&mut guard, plan, site, &vals);
+        let ret =
+            rt.in_phase(my, Phase::Invoke, req_id, site.0, || interp.call_in(&mut guard, f, args))?;
+        update_arg_caches(&mut guard, plan, site, from, &vals);
 
-            // The request buffer becomes the reply payload: cleared for
-            // a bare ack (zero payload bytes — `wire_bytes` accounting
-            // is unchanged), or reused for the return-value marshal. On
-            // the channel backend its capacity rides back to the caller,
-            // closing the pool's recycling loop without any server-side
-            // pool.
-            let mut reply = msg.into_bytes();
-            reply.clear();
-            if oneway || plan.ret_ignored || plan.ret.is_none() {
-                return Ok(reply); // bare ack
-            }
-            let node = plan.ret.as_ref().unwrap();
-            let mut rmsg = Message::from_bytes(reply);
-            let mut rct = if plan.ret_cycle_table { Some(SerCycleTable::new()) } else { None };
-            let mut shadow = audit_shadow(rt, plan.ret_cycle_table);
-            ser.serialize_audited(&guard.heap, node, ret, &mut rct, &mut rmsg, &mut shadow)
-                .map_err(|e| attach_provenance(plan, site, e))?;
-            absorb_shadow(rt, my, shadow);
-            Ok(rmsg.into_bytes())
-        })();
-
-        guard.active_threads -= 1;
-        machine.cv.notify_all();
-        run
+        // The request buffer becomes the reply payload: cleared for a
+        // bare ack (zero payload bytes — `wire_bytes` accounting is
+        // unchanged), or reused for the return-value marshal. On the
+        // channel backend its capacity rides back to the caller, closing
+        // the pool's recycling loop without any server-side pool.
+        let mut reply = msg.into_bytes();
+        reply.clear();
+        if oneway || plan.ret_ignored || plan.ret.is_none() {
+            return Ok(reply); // bare ack
+        }
+        let node = plan.ret.as_ref().unwrap();
+        let mut rmsg = Message::from_bytes(reply);
+        let mut rct = if plan.ret_cycle_table { Some(SerCycleTable::new()) } else { None };
+        let mut shadow = audit_shadow(rt, plan.ret_cycle_table);
+        ser.serialize_audited(&guard.heap, node, ret, &mut rct, &mut rmsg, &mut shadow)
+            .map_err(|e| attach_provenance(plan, site, e))?;
+        absorb_shadow(rt, my, shadow);
+        Ok(rmsg.into_bytes())
     })();
 
     let flags = plans.plan(site).map(|p| plan_flags(p, oneway, false)).unwrap_or(0);

@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crate::error::VmError;
 use crate::interp::Interp;
-use crate::machine::{CachedReply, MachineShared, ReplySlot};
+use crate::machine::{peer_gone, CachedReply, MachineShared, ReplySlot};
 use crate::rmi;
 use crate::trace::{Phase, TraceEvent, TraceKind};
 
@@ -57,21 +57,21 @@ pub struct RunOptions {
     pub audit: bool,
     /// Flight-recorder ring capacity per machine (events). On by default
     /// (DESIGN §11); `0` disables recording entirely — that switch exists
-    /// for the recorder-overhead bench gate, not for production use.
+    /// for `benchmark/`'s `obs.overhead_share` probe, not for production use.
     pub flight_capacity: usize,
     /// Fault injection: abruptly kill a machine mid-run (see
     /// [`FaultSpec`]). `None` in normal operation.
     pub fault: Option<FaultSpec>,
     /// Server-side stall injection (see [`StallSpec`]): every N-th
     /// handled request sleeps before processing. `None` in normal
-    /// operation; the SLO gate uses it to prove a degraded server
-    /// actually fails the gate.
+    /// operation; `tests/serving.rs` uses it to show that a degraded
+    /// server's backlog lands in the intended-time latency.
     pub stall: Option<StallSpec>,
     /// Timeline sampler cadence, µs (DESIGN §15). A background thread
     /// snapshots every machine's metrics at this interval into the
     /// registry's bounded rings and runs the health assessor over them.
-    /// On by default; `0` disables sampling — that switch exists for the
-    /// timeline-overhead bench gate, not for production use.
+    /// On by default; `0` disables sampling — that switch exists for
+    /// `benchmark/`'s `obs.overhead_share` probe, not for production use.
     pub timeline_interval_us: u64,
     /// Loss model for the lossy transport (DESIGN §16): seeded
     /// drop/duplicate/reorder rates, retransmission timing and the
@@ -94,7 +94,7 @@ pub struct FaultSpec {
 
 /// Deterministic server-side slowness: every `every`-th request handled
 /// anywhere in the cluster sleeps `stall_us` before processing. Models a
-/// GC pause / overloaded server for coordinated-omission and SLO-gate
+/// GC pause / overloaded server for the coordinated-omission and SLO
 /// tests without touching the request path's timing otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StallSpec {
@@ -771,10 +771,13 @@ fn run_clinits(rt: &Arc<Runtime>) -> Option<VmError> {
 /// Fail outstanding RMIs waiting on `peer` (or on anyone, when `peer` is
 /// `None`) with an error reply, waking their callers. Invoked when the
 /// transport reports a dead peer or a full disconnect — turning what
-/// would be silent quiescence into an orderly remote error. Returns the
-/// request ids that were failed, for the flight recorder.
+/// would be silent quiescence into an orderly remote error. Under the
+/// same lock `peer` is remembered as dead, so a call made to it from now
+/// on is refused instead of waiting for a reply nobody will send. Returns
+/// the request ids that were failed, for the flight recorder.
 fn fail_pending_replies(machine: &MachineShared, peer: Option<u16>, why: &str) -> Vec<u64> {
     let mut st = machine.state.lock();
+    st.dead_peers.extend(peer);
     let mut failed = Vec::new();
     for (req, slot) in st.replies.iter_mut() {
         let hit = match slot {
@@ -828,11 +831,7 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
         match packet {
             Packet::Shutdown => break,
             Packet::PeerGone { peer } => {
-                let failed = fail_pending_replies(
-                    rt.machine(my),
-                    Some(peer),
-                    &format!("peer machine {peer} disconnected"),
-                );
+                let failed = fail_pending_replies(rt.machine(my), Some(peer), &peer_gone(peer));
                 record_failed_reqs(&rt, my, peer, &failed);
             }
             Packet::Reply { req_id, payload, err } => {

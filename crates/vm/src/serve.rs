@@ -324,34 +324,19 @@ fn drive(
     let mut interp = Interp::new(rt.clone(), 0);
     let mut slaves = Vec::with_capacity(nslaves);
     {
-        let mut guard = machine0.state.lock();
-        guard.active_threads += 1;
-        let init: VmResult<()> = (|| {
-            for s in 0..nslaves {
-                let slave = rmi::new_remote(&mut interp, &mut guard, svc.class, (s + 1) as u16)?;
-                let args = [
-                    slave,
-                    Value::Int(npages),
-                    Value::Int(opts.page_size),
-                    Value::Int(s as i32),
-                    Value::Int(nslaves as i32),
-                ];
-                rmi::remote_call(
-                    &mut interp,
-                    &mut guard,
-                    svc.init.0,
-                    svc.init.1,
-                    &args,
-                    false,
-                    false,
-                )?;
-                slaves.push(slave);
-            }
-            Ok(())
-        })();
-        guard.active_threads -= 1;
-        machine0.cv.notify_all();
-        init?
+        let mut guard = machine0.enter();
+        for s in 0..nslaves {
+            let slave = rmi::new_remote(&mut interp, &mut guard, svc.class, (s + 1) as u16)?;
+            let args = [
+                slave,
+                Value::Int(npages),
+                Value::Int(opts.page_size),
+                Value::Int(s as i32),
+                Value::Int(nslaves as i32),
+            ];
+            rmi::remote_call(&mut interp, &mut guard, svc.init.0, svc.init.1, &args, false, false)?;
+            slaves.push(slave);
+        }
     }
 
     // Pre-build the URL strings on machine 0 (pinned: they are shared by
@@ -410,8 +395,7 @@ fn drive(
     // Per-slave served counts, queried over the same RMI path.
     let mut slave_hits = Vec::with_capacity(nslaves);
     {
-        let mut guard = machine0.state.lock();
-        guard.active_threads += 1;
+        let mut guard = machine0.enter();
         for &slave in &shared.slaves {
             let hit = rmi::remote_call(
                 &mut interp,
@@ -427,8 +411,6 @@ fn drive(
                 _ => -1,
             });
         }
-        guard.active_threads -= 1;
-        machine0.cv.notify_all();
     }
 
     let violations = shared.violations.lock().clone();
@@ -498,22 +480,15 @@ fn client_loop(sh: &DriveShared) {
         let pg = sh.pages[k] as usize % sh.urls.len();
         let target = sh.routes[pg];
         let send_us = sh.rt.now_us();
-        let res = {
-            let mut guard = machine.state.lock();
-            guard.active_threads += 1;
-            let r = rmi::remote_call_with_req(
-                &mut interp,
-                &mut guard,
-                sh.call.0,
-                sh.call.1,
-                &[sh.slaves[target], sh.urls[pg]],
-                true,
-                false,
-            );
-            guard.active_threads -= 1;
-            machine.cv.notify_all();
-            r
-        };
+        let res = rmi::remote_call_with_req(
+            &mut interp,
+            &mut machine.enter(),
+            sh.call.0,
+            sh.call.1,
+            &[sh.slaves[target], sh.urls[pg]],
+            true,
+            false,
+        );
         let done_us = sh.rt.now_us();
         match res {
             Ok((val, req)) => {

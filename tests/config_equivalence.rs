@@ -269,6 +269,32 @@ fn alternating_array_sizes_defeat_the_reuse_cache() {
     }
 }
 
+/// `lu`'s master unmarshals `flushRow` for two callers at once — the
+/// local worker and the remote one — and each caller's rows are recycled
+/// out of its own slot (DESIGN §4.3). What the reuse cache saves is then
+/// a property of the program: the same in every run, and the same under
+/// the two configurations that apply the same reuse plan.
+#[test]
+fn lu_reuse_counters_do_not_depend_on_the_schedule() {
+    let stats = |cfg: OptConfig| {
+        let out = corm_apps::LU.run_quick(cfg);
+        assert!(out.error.is_none(), "[{}] {:?}", cfg.label(), out.error);
+        out.metrics.machines.iter().map(|m| m.stats).collect::<Vec<_>>()
+    };
+    let reuse = |per_machine: &[corm::StatsSnapshot]| -> Vec<_> {
+        per_machine.iter().map(|s| (s.reused_objs, s.deser_allocs, s.deser_bytes)).collect()
+    };
+    let (site_reuse, all) = (stats(OptConfig::SITE_REUSE), stats(OptConfig::ALL));
+    assert_eq!(reuse(&site_reuse), reuse(&all), "site + reuse vs all");
+    // Two flushRow sites x two callers, and getRow's return on each
+    // machine: six slots, each filled by one allocation and never evicted.
+    assert_eq!(all.iter().map(|s| s.deser_allocs).sum::<u64>(), 6);
+    for _ in 0..2 {
+        assert_eq!(stats(OptConfig::SITE_REUSE), site_reuse, "site + reuse moved between runs");
+        assert_eq!(stats(OptConfig::ALL), all, "all moved between runs");
+    }
+}
+
 /// Cost-model sensitivity: the full stack never loses to `class` on
 /// modeled time, whether the modeled network is the default Myrinet, ten
 /// times faster or ten times slower.

@@ -1,9 +1,9 @@
 //! Open-loop serving integration tests (DESIGN §13): schedule and
 //! call-counter determinism, coordinated-omission safety under an
 //! injected server-side stall, SLO violations surfacing through the
-//! flight recorder, and a TCP smoke run.
+//! flight recorder, a slave severed under load, and a TCP smoke run.
 
-use corm::{ArrivalSchedule, OptConfig, ServeOptions, StallSpec, TransportKind};
+use corm::{ArrivalSchedule, FaultSpec, OptConfig, ServeOptions, StallSpec, TransportKind};
 use corm_apps::serve::webserver_serve;
 
 const SEED: u64 = 42;
@@ -113,6 +113,23 @@ fn unstalled_channel_run_meets_the_slo() {
     let m = &r.outcome.metrics;
     assert!(m.cluster_hist(|ms| &ms.queue_us).count > 0, "queue phase must be measured");
     assert!(m.cluster_hist(|ms| &ms.invoke_us).count > 0);
+}
+
+/// A slave dies under load. Calls in flight toward it fail when its
+/// `PeerGone` arrives, and every call routed to it *afterwards* must fail
+/// too, at once — its packets are dropped, so a caller that waited for a
+/// reply would hang the run. The other slave keeps serving.
+#[test]
+fn severed_slave_fails_its_requests_and_the_run_returns() {
+    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 200, 20);
+    let mut opts = channel_opts(3);
+    opts.run.fault = Some(FaultSpec { victim: 1, after_sends: 5 });
+    let r = webserver_serve(OptConfig::ALL, &schedule, &opts).expect("the run must return");
+    assert!(r.errors > 0, "requests routed to the dead slave must fail");
+    assert_eq!(r.completed + r.misses + r.errors, 200, "every request is accounted for");
+    assert_eq!(r.slave_hits[0], -1, "the dead slave's counter cannot be read");
+    assert!(r.slave_hits[1] > 0, "the surviving slave must keep serving");
+    assert_eq!(r.outcome.flight.reason, "peer-gone");
 }
 
 /// The same driver works over real loopback sockets.

@@ -6,11 +6,9 @@
 //! by at-most-once retransmission, DESIGN §16).
 //!
 //! All counter accounting happens in `NetHandle::send` before the
-//! backend carries the packet, so for the poll-free apps
-//! (`linked_list`, `array2d`, `webserver`) *every per-machine counter*
-//! is asserted bit-equal. The polling apps (`lu`, `superopt`) keep
-//! exact timing-free counters and tolerance-checked poll-affected ones
-//! — see `corm_apps::equivalence` for the full classification.
+//! backend carries the packet and no app's RMIs depend on timing, so for
+//! all five apps *every per-machine counter* is asserted bit-equal —
+//! see `corm_apps::equivalence`.
 //!
 //! Tests are prefixed `tcp_` / `reactor_` / `lossy_` so CI can shard
 //! the sweep across a backend matrix with a plain name filter.
@@ -87,8 +85,8 @@ fn lossy_output_matches_the_oracle() {
 #[test]
 fn lossy_at_most_once_is_exactly_once_under_seeded_faults() {
     // The acceptance gate in one test: under aggressive seeded loss the
-    // at-most-once protocol must heal every fault below the VM, so a
-    // poll-free app's output AND per-machine counters are bit-identical
+    // at-most-once protocol must heal every fault below the VM, so the
+    // app's output AND per-machine counters are bit-identical
     // to a channel run — zero double-executions, zero lost calls. The
     // lossy-plane counters prove the faults actually happened, and
     // `reply_cache_hits == 0` proves the transport (not the VM dedup
@@ -176,17 +174,17 @@ fn reactor_measures_wire_time_including_batch_wait() {
 
 fn pool_checkouts_match(wire: TransportKind) {
     // The sender-side marshal-buffer pool keys on (call site, lane), so
-    // for a deterministic poll-free app the number of checkouts a
-    // machine performs (hits + misses) is a pure function of the
-    // program — it cannot depend on the carrier. Both backends must
-    // also be leak-free: zero steady-state misses at quick scale.
+    // the number of checkouts a machine performs (hits + misses) is a
+    // pure function of the program — it cannot depend on the carrier.
+    // Both backends must also be leak-free: zero steady-state misses at
+    // quick scale.
     //
     // `pool_resident_bytes` is deliberately NOT compared: the channel
     // backend moves the request `Vec` by pointer (capacity survives the
     // round trip) while the socket backends reconstruct exact-size
     // payloads on the read side, so parked capacity legitimately
     // differs.
-    for spec in [&LINKED_LIST, &ARRAY2D, &WEBSERVER] {
+    for spec in &ALL_APPS {
         let compiled = spec.compile(OptConfig::ALL);
         let mut runs = Vec::new();
         for transport in [TransportKind::Channel, wire] {
