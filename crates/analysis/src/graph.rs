@@ -74,10 +74,6 @@ impl HeapGraph {
         &self.nodes[id.index()]
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut HeapNode {
-        &mut self.nodes[id.index()]
-    }
-
     pub fn add_node(
         &mut self,
         phys: AllocSiteId,

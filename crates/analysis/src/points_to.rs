@@ -14,8 +14,8 @@ use std::collections::{HashMap, HashSet};
 
 use corm_ir::ssa::SsaFunction;
 use corm_ir::{
-    AllocSiteId, Builtin, CallSiteId, CallTarget, ClassId, FuncId, Instr, MethodBody, MethodId,
-    Module, Terminator, Ty,
+    AllocSiteId, Builtin, CallSiteId, CallTarget, ClassId, FuncId, Instr, MethodId, Module,
+    Terminator, Ty,
 };
 
 use crate::graph::{HeapGraph, NodeId, NodeSet};
@@ -640,11 +640,6 @@ pub fn node_class(g: &HeapGraph, n: NodeId) -> Option<ClassId> {
         Ty::Class(c) => Some(*c),
         _ => None,
     }
-}
-
-/// True if the method body of `mid` exists (is user code).
-pub fn has_body(m: &Module, mid: MethodId) -> bool {
-    matches!(m.table.method(mid).body, MethodBody::User(_))
 }
 
 #[cfg(test)]

@@ -47,12 +47,6 @@ pub struct RemoteSiteInfo {
     pub provenance: SiteProvenance,
 }
 
-impl RemoteSiteInfo {
-    pub fn all_args_reusable(&self) -> bool {
-        !self.arg_reusable.is_empty() && self.arg_reusable.iter().all(|&b| b)
-    }
-}
-
 /// Result of running all analyses over a module.
 #[derive(Debug, Clone)]
 pub struct AnalysisResult {

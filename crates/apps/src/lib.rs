@@ -104,11 +104,6 @@ impl AppSpec {
         self.run_with(config, self.quick_args, self.machines)
     }
 
-    /// Run at paper scale.
-    pub fn run_default(&self, config: OptConfig) -> RunOutcome {
-        self.run_with(config, self.default_args, self.machines)
-    }
-
     /// The bit-exact expected output for the given arguments.
     pub fn expected_output(&self, args: &[i64], machines: usize) -> String {
         match self.name {

@@ -4,16 +4,11 @@
 //! `Slave` class to the open-loop serving driver (`corm_vm::serve`,
 //! DESIGN §13): one slave per machine `1..M`, clients on machine 0,
 //! latency recorded against the schedule's intended arrival times. The
-//! serving benchmark (`serve_bench`) enters through here.
+//! serving tests enter through here; `corm serve` embeds the same source.
 
-use corm::{ArrivalSchedule, OptConfig, ServeOptions, ServeReport, ServeSpec, VmError};
+use corm::{ArrivalSchedule, OptConfig, ServeOptions, ServeReport, VmError};
 
 use crate::WEBSERVER;
-
-/// The webserver's service entry points (`Slave.init/getPage/hitCount`).
-pub fn webserver_spec() -> ServeSpec {
-    ServeSpec::default()
-}
 
 /// Compile the webserver under `config` and serve it open-loop.
 pub fn webserver_serve(
@@ -22,5 +17,5 @@ pub fn webserver_serve(
     opts: &ServeOptions,
 ) -> Result<ServeReport, VmError> {
     let compiled = WEBSERVER.compile(config);
-    corm::serve(&compiled, &webserver_spec(), schedule, opts)
+    corm::serve(&compiled, schedule, opts)
 }

@@ -1,10 +1,10 @@
 //! # corm-bench — regenerating the paper's evaluation
 //!
 //! Helpers of the `tables` binary (which prints Tables 1–8 in the
-//! paper's format, with the paper's own numbers side by side), the
-//! `bench_gate` that holds its counters to `BENCH_tables.json`, and the
-//! open-loop `serve_bench`. Timing claims are not made here: they come
-//! from paired runs of the standalone `benchmark/` package.
+//! paper's format, with the paper's own numbers side by side) and the
+//! `bench_gate` that holds its counters to `BENCH_tables.json`. Timing
+//! claims are not made here: they come from paired runs of the
+//! standalone `benchmark/` package; open-loop serving is `corm serve`.
 //!
 //! Absolute seconds cannot match the paper — the substrate is an
 //! interpreter on a simulated Myrinet, not native Manta code on Pentium
@@ -19,7 +19,6 @@ use corm_apps::AppSpec;
 
 pub mod gate;
 pub mod json;
-pub mod loadgen;
 
 /// One measured row of a timing table.
 #[derive(Debug, Clone)]
@@ -162,13 +161,11 @@ pub fn shape_verdicts(table: &str, measured: &[MeasuredRow]) -> Vec<(String, boo
 
 // ----- machine-readable output (BENCH_tables.json) -------------------------
 
-/// Schema version of the JSON documents produced by
-/// [`render_tables_json`] and [`loadgen::render_serve_json`]. Bump on
-/// any breaking change to either layout.
+/// Schema version of the JSON document produced by
+/// [`render_tables_json`]. Bump on any breaking change to its layout.
 ///
 /// v2: top-level `"transport"` field; per-row `"measured_wire_ns"`.
-/// v3: every histogram object carries `"p999"`; the serving documents
-///     (`corm-bench serve` generator) share this version.
+/// v3: every histogram object carries `"p999"`.
 pub const BENCH_JSON_SCHEMA_VERSION: u32 = 3;
 
 /// One table to export: stable id, human title, unit of the `seconds`
@@ -180,7 +177,7 @@ pub struct JsonTable<'a> {
     pub rows: &'a [MeasuredRow],
 }
 
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -195,7 +192,7 @@ pub(crate) fn esc(s: &str) -> String {
     out
 }
 
-pub(crate) fn hist_json(h: &HistSnapshot) -> String {
+fn hist_json(h: &HistSnapshot) -> String {
     format!(
         r#"{{"count":{},"sum":{},"mean":{:.3},"p50":{},"p99":{},"p999":{}}}"#,
         h.count,

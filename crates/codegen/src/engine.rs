@@ -5,7 +5,7 @@
 //! per message, because they are per-RMI (cycle table) or per-call-site
 //! (reuse slot) state owned by the VM.
 
-use corm_heap::{Heap, NativeData, ObjBody, ObjRef, RemoteRef, Value};
+use corm_heap::{Heap, ObjBody, ObjRef, RemoteRef, Value};
 use corm_ir::{ClassId, ClassTable, Ty};
 use corm_wire::{
     DeserTable, Message, MessageReader, RmiStats, SerCycleTable, ARRAY_TYPE_INFO_BYTES,
@@ -187,7 +187,7 @@ impl<'a> Serializer<'a> {
                 other => serr(format!("expected remote ref, found {other:?}")),
             },
             SerNode::Inline { class, fields, .. } => {
-                let Some(r) = self.header(heap, v, cycle, msg, shadow)? else { return Ok(()) };
+                let Some(r) = self.header(v, cycle, msg, shadow)? else { return Ok(()) };
                 let actual = heap.body(r)?.class();
                 if actual != Some(*class) {
                     return serr(format!(
@@ -208,11 +208,11 @@ impl<'a> Serializer<'a> {
                 Ok(())
             }
             SerNode::ArrPrim { elem } => {
-                let Some(r) = self.header(heap, v, cycle, msg, shadow)? else { return Ok(()) };
+                let Some(r) = self.header(v, cycle, msg, shadow)? else { return Ok(()) };
                 self.write_prim_array_payload(heap, r, *elem, msg)
             }
             SerNode::ArrRef { elem, .. } => {
-                let Some(r) = self.header(heap, v, cycle, msg, shadow)? else { return Ok(()) };
+                let Some(r) = self.header(v, cycle, msg, shadow)? else { return Ok(()) };
                 let len = heap.array_len(r)?;
                 msg.write_u32(len as u32);
                 stack.push(node);
@@ -238,7 +238,6 @@ impl<'a> Serializer<'a> {
     /// Returns the object to serialize, or None when nothing follows.
     fn header(
         &self,
-        _heap: &Heap,
         v: Value,
         cycle: &mut Option<SerCycleTable>,
         msg: &mut Message,
@@ -916,17 +915,12 @@ pub fn roundtrip(
     Ok((out, bytes))
 }
 
-// Keep NativeData referenced so the heap API surface stays exercised.
-#[allow(dead_code)]
-fn _native_guard(d: &NativeData) -> bool {
-    matches!(d, NativeData::Uninit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{generate_plans, OptConfig, Plans};
     use corm_analysis::{analyze_module, AnalysisOptions};
+    use corm_heap::NativeData;
     use corm_ir::{compile_frontend, Module};
 
     /// Build a module with a few classes so class ids exist; the heap

@@ -1,53 +1,14 @@
 //! `corm` — command-line driver for the COR-RMI compiler and simulated
-//! cluster.
-//!
-//! ```text
-//! corm run <file.mp> [--config CFG] [--machines N] [--args a,b,c] [--stats]
-//!                    [--trace] [--trace-json PATH] [--metrics] [--quiet]
-//!                    [--dump-flight PATH] [--timeline-json PATH]
-//! corm explain <file.mp> [--config CFG] [--json]
-//!                                           # per-site analysis provenance
-//! corm analyze <file.mp> [--config CFG]     # analysis report + marshalers
-//! corm ir <file.mp>                         # lowered IR + SSA dump
-//! corm graph <file.mp>                      # points-to heap graph
-//! corm fuzz [--seed N] [--iters N] [--shrink] [--out DIR]
-//!                                           # differential fuzzing oracle
-//! corm serve [--config CFG] [--machines N] [--transport T] [--rate RPS]
-//!            [--requests N] [--seed N] [--clients N] [--slo-us N]
-//!            [--stall EVERY:US] [--metrics] [--dump-flight PATH]
-//!            [--timeline-json PATH]         # open-loop serving benchmark
-//! corm top [--config CFG] [--machines N] [--transport T] [--rate RPS]
-//!          [--seconds S] [--seed N] [--clients N] [--refresh-ms MS]
-//!          [--stall EVERY:US] [--timeline-json PATH]
-//!                                           # live cluster view (serve-driven)
-//! ```
-//!
-//! Observability flags:
-//! * `--trace` prints the RMI timeline and per-phase time attribution to
-//!   stderr (suppressed by `--quiet`);
-//! * `--trace-json PATH` writes the trace as Chrome trace-event JSON —
-//!   load it in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`;
-//! * `--metrics` prints per-machine / per-call-site metrics to stdout in
-//!   Prometheus text exposition format;
-//! * `--dump-flight PATH` writes the flight-recorder ring (last N RMI
-//!   events per machine) as JSON after the run, whether it failed or not;
-//! * `--timeline-json PATH` writes the sampled telemetry timeline (per
-//!   machine: RPS, queue depth, pool residency, batching ratio at the
-//!   sampler cadence, plus health findings) as schema-versioned JSON;
-//! * `corm top` drives the embedded webserver open-loop and redraws a
-//!   plain-ANSI per-machine table live from the timeline rings;
-//! * `corm explain` prints verdict, rule and witness for every decision
-//!   behind each remote call site's marshal plan — with an explicit
-//!   `--config` only that row, otherwise all five Table 1 rows.
-//!
-//! CFG ∈ class | site | site-cycle | site-reuse | all | introspect
-//! (optionally suffixed with `+list-ext` for the §7 ablation).
+//! cluster: `run` a program, inspect what the compiler decided about it
+//! (`explain`, `analyze`, `ir`, `graph`), `fuzz` the analyses, or drive the
+//! embedded webserver open-loop (`serve`, and `top` with a live table).
+//! Subcommands, flags and defaults are listed once, in [`usage`].
 
 use std::process::ExitCode;
 
 use corm::{
     compile, run, ArrivalSchedule, FlightDump, LossSpec, MetricsRegistry, OptConfig, RunOptions,
-    RunOutcome, Semantics, ServeOptions, ServeReport, StallSpec, TimelineSample, TransportKind,
+    RunOutcome, ServeOptions, ServeReport, StallSpec, TimelineSample, TransportKind,
 };
 
 /// The webserver program `corm serve` drives (the app crate sits above
@@ -56,7 +17,58 @@ const WEBSERVER_MP: &str = include_str!("../../../apps/src/programs/webserver.mp
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  corm run <file.mp> [--config CFG] [--machines N] [--args a,b,c] [--transport T] [--loss-seed N] [--loss-rate R] [--loss-semantics S] [--stats] [--trace] [--trace-json PATH] [--metrics] [--quiet] [--dump-flight PATH] [--timeline-json PATH]\n  corm explain <file.mp> [--config CFG] [--json]\n  corm analyze <file.mp> [--config CFG]\n  corm ir <file.mp>\n  corm graph <file.mp>\n  corm fuzz [--seed N|0xHEX] [--iters N] [--shrink] [--out DIR] [--emit-corpus DIR]\n  corm serve [--config CFG] [--machines N] [--transport T] [--rate RPS] [--requests N]\n             [--seed N] [--clients N] [--slo-us N] [--stall EVERY:US] [--metrics] [--dump-flight PATH]\n             [--timeline-json PATH]\n  corm top   [--config CFG] [--machines N] [--transport T] [--rate RPS] [--seconds S]\n             [--seed N] [--clients N] [--refresh-ms MS] [--stall EVERY:US] [--timeline-json PATH]\n\nCFG: class | site | site-cycle | site-reuse | all | introspect [+list-ext]\n\nrun flags:\n  --transport T      packet carrier: channel (in-process, default), tcp\n                     (one socket+thread per peer pair), reactor (shared\n                     event loops, pipelined + batched), or lossy (seeded\n                     drop/duplicate/reorder shim with retransmission and\n                     selectable invocation semantics); tcp, reactor and\n                     lossy also measure wire time\n  --loss-seed N      lossy: seed for the deterministic fault hash\n  --loss-rate R      lossy: drop AND duplicate each datagram copy with\n                     probability R (default 0.05 each, reorder 0.25)\n  --loss-semantics S lossy: maybe | at-least-once | at-most-once (default)\n                     (serve and top accept the same three --loss-* flags)\n  --stats            print run statistics (counters, modeled time) to stderr\n  --trace            print the RMI timeline and phase attribution to stderr\n                     (suppressed by --quiet; trace is still recorded)\n  --trace-json PATH  write a Chrome trace-event JSON file (open in Perfetto)\n  --metrics          print Prometheus text-format metrics to stdout\n  --quiet            suppress program output echo and trace printing\n  --dump-flight PATH write the flight-recorder events as JSON after the run\n  --timeline-json PATH\n                     write the sampled telemetry timeline as JSON (per-machine\n                     deltas at the 10ms sampler cadence + health findings)\n\ntop flags:\n  --seconds S        drive the webserver for ~S seconds (default 10)\n  --refresh-ms MS    redraw cadence for the live table (default 250)\n\nexplain flags:\n  --config CFG       explain only this configuration (default: all 5 rows)\n  --json             machine-readable provenance instead of the text report"
+        "usage:
+  corm run <file.mp> [SHARED] [--args a,b,c] [--stats] [--trace] [--trace-json PATH] [--quiet]
+  corm explain <file.mp> [--config CFG] [--json]    per-site analysis provenance
+  corm analyze <file.mp> [--config CFG]             analysis report + marshalers
+  corm ir <file.mp>                                 lowered IR + SSA dump
+  corm graph <file.mp>                              points-to heap graph
+  corm fuzz [--seed N|0xHEX] [--iters N] [--shrink] [--out DIR] [--loss-rate R] [--emit-corpus DIR]
+  corm serve [SHARED] [--rate RPS[,RPS...]] [--requests N] [--seed N] [--clients N] [--slo-us N]
+  corm top   [SHARED] [--rate RPS] [--seconds S] [--seed N] [--clients N] [--refresh-ms MS]
+
+CFG: class | site | site-cycle | site-reuse | all | introspect [+list-ext]
+
+SHARED flags (run, serve and top):
+  --config CFG       optimization configuration (default all)
+  --machines N       simulated machines (default 2; serve and top 3)
+  --transport T      packet carrier: channel (in-process, default), tcp
+                     (one socket+thread per peer pair), reactor (shared
+                     event loops, pipelined + batched), or lossy (seeded
+                     drop/duplicate/reorder shim healed by retransmission,
+                     dedup and holdback); all but channel measure wire time
+  --loss-seed N      lossy only: seed for the deterministic fault hash
+  --loss-rate R      lossy only: drop AND duplicate each datagram copy with
+                     probability R (default 0.05 each, reorder 0.25)
+  --stall EVERY:US   every EVERY-th handled request sleeps US microseconds
+  --metrics          print Prometheus text-format metrics to stdout
+  --dump-flight PATH write the flight-recorder events as JSON after the run
+  --timeline-json PATH
+                     write the sampled telemetry timeline as JSON (per-machine
+                     deltas at the 10ms sampler cadence + health findings)
+
+run flags:
+  --stats            print run statistics (counters, modeled time) to stderr
+  --trace            print the RMI timeline and phase attribution to stderr
+                     (suppressed by --quiet; trace is still recorded)
+  --trace-json PATH  write a Chrome trace-event JSON file (open in Perfetto)
+  --quiet            suppress program output echo and trace printing
+
+serve flags (open-loop load on the embedded webserver, latency vs intended arrival):
+  --rate R[,R...]    offered load (default 500); several rates run in turn, a
+                     fresh cluster and --requests arrivals (default 500) each,
+                     stopping at the first that leaves a request unserved
+  --slo-us N         flag requests slower than N us (default 50000)
+  exit 1 when the last rate run had an error, a miss or an unaccounted request;
+  --metrics and the artifacts are that run's
+
+top flags (serve, with a live per-machine table redrawn from the timeline rings):
+  --seconds S        drive the webserver for ~S seconds (default 10)
+  --refresh-ms MS    redraw cadence for the live table (default 250)
+
+explain flags:
+  --config CFG       explain only this configuration (default: all 5 rows)
+  --json             machine-readable provenance instead of the text report"
     );
     std::process::exit(2);
 }
@@ -134,7 +146,7 @@ impl Common {
             dump_flight: None,
             timeline_json: None,
         };
-        let (mut seed, mut rate, mut semantics) = (None::<u64>, None::<f64>, None::<Semantics>);
+        let (mut seed, mut rate) = (None::<u64>, None::<f64>);
         let mut rest = Vec::new();
         let mut i = 0;
         while i < argv.len() {
@@ -152,7 +164,6 @@ impl Common {
                     seed = Some(parse_seed(value(argv, &mut i)).unwrap_or_else(|| usage()))
                 }
                 "--loss-rate" => rate = Some(parsed(argv, &mut i)),
-                "--loss-semantics" => semantics = Some(parsed(argv, &mut i)),
                 "--stall" => {
                     let spec = value(argv, &mut i);
                     let Some((every, stall_us)) = spec.split_once(':') else { usage() };
@@ -168,14 +179,16 @@ impl Common {
             }
             i += 1;
         }
-        if seed.is_some() || rate.is_some() || semantics.is_some() {
-            let mut spec = match rate {
-                Some(r) => LossSpec::seeded(seed.unwrap_or(LossSpec::default().seed), r),
-                None => LossSpec::default(),
-            };
-            spec.seed = seed.unwrap_or(spec.seed);
-            spec.semantics = semantics.unwrap_or(spec.semantics);
-            c.loss = Some(spec);
+        if seed.is_some() || rate.is_some() {
+            if c.transport != TransportKind::Lossy {
+                eprintln!("--loss-seed/--loss-rate need --transport lossy");
+                usage();
+            }
+            let seed = seed.unwrap_or(LossSpec::default().seed);
+            c.loss = Some(match rate {
+                Some(r) => LossSpec::seeded(seed, r),
+                None => LossSpec { seed, ..LossSpec::default() },
+            });
         }
         (c, rest)
     }
@@ -230,20 +243,23 @@ impl Common {
 /// Parse the command line of `serve` or `top` (`cmd`): the shared flags,
 /// the flags the two have in common, and their `own`, which returns
 /// `false` for a flag it does not know. Returns the shared flags, the
-/// options, the arrival rate and the schedule seed.
+/// options, the arrival rates and the schedule seed.
 fn serve_flags(
     cmd: &str,
     argv: &[String],
     mut own: impl FnMut(&[String], &mut usize, &mut ServeOptions) -> bool,
-) -> (Common, ServeOptions, f64, u64) {
+) -> (Common, ServeOptions, Vec<f64>, u64) {
     let (common, rest) = Common::parse(argv, 3);
     let mut opts = ServeOptions::default();
     common.apply(&mut opts.run);
-    let (mut rate, mut seed) = (500.0f64, 42u64);
+    let (mut rates, mut seed) = (vec![500.0f64], 42u64);
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--rate" => rate = parsed(&rest, &mut i),
+            "--rate" => {
+                let list = value(&rest, &mut i).split(',');
+                rates = list.map(|r| r.parse().unwrap_or_else(|_| usage())).collect();
+            }
             "--seed" => seed = parsed(&rest, &mut i),
             "--clients" => opts.clients = parsed(&rest, &mut i),
             _ if own(&rest, &mut i, &mut opts) => {}
@@ -254,14 +270,15 @@ fn serve_flags(
         }
         i += 1;
     }
-    (common, opts, rate, seed)
+    (common, opts, rates, seed)
 }
 
-/// `corm serve`: run the embedded webserver open-loop and print the
-/// coordinated-omission-safe latency report.
+/// `corm serve`: run the embedded webserver open-loop, once per rate on a
+/// fresh cluster, and print each run's coordinated-omission-safe latency
+/// report. A rate that leaves a request unserved ends the sweep.
 fn serve_main(argv: &[String]) -> ExitCode {
     let mut requests = 500usize;
-    let (common, opts, rate, seed) = serve_flags("serve", argv, |rest, i, opts| {
+    let (common, opts, rates, seed) = serve_flags("serve", argv, |rest, i, opts| {
         match rest[*i].as_str() {
             "--requests" => requests = parsed(rest, i),
             "--slo-us" => opts.slo_us = parsed(rest, i),
@@ -269,8 +286,8 @@ fn serve_main(argv: &[String]) -> ExitCode {
         }
         true
     });
-    if opts.run.machines < 2 || rate <= 0.0 || requests == 0 {
-        eprintln!("serve needs --machines >= 2, --rate > 0 and --requests > 0");
+    if opts.run.machines < 2 || rates.iter().any(|&r| r <= 0.0) || requests == 0 {
+        eprintln!("serve needs --machines >= 2, every --rate > 0 and --requests > 0");
         return ExitCode::from(2);
     }
 
@@ -281,26 +298,39 @@ fn serve_main(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schedule = ArrivalSchedule::generate(seed, rate, requests, opts.npages.max(1) as u32);
-    let report = match corm::serve(&compiled, &corm::ServeSpec::default(), &schedule, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            return ExitCode::FAILURE;
+    let mut last = None;
+    for &rate in &rates {
+        let schedule = ArrivalSchedule::generate(seed, rate, requests);
+        let report = match corm::serve(&compiled, &schedule, &opts) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("serve failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        print_serve_report(common.config, seed, requests, &report);
+        let served = last.insert(report).served_all();
+        if !served {
+            break;
         }
-    };
-    print_serve_report(common.config, seed, requests, &report);
-    finish_serve(&common, &report)
+    }
+    finish_serve(&common, &last.expect("--rate names at least one rate"))
 }
 
-/// Emit a serving run's artifacts and turn it into an exit code.
+/// Emit a serving run's artifacts and turn it into an exit code: an
+/// error, a misrouted request or one unaccounted for fails it; latency
+/// never does.
 fn finish_serve(common: &Common, report: &ServeReport) -> ExitCode {
     // Prefer the dump taken while the SLO violations were hot.
     let flight = report.flight_slo.as_ref().unwrap_or(&report.outcome.flight);
     if let Err(code) = common.emit(&report.outcome, flight, None, false) {
         return code;
     }
-    if report.errors > 0 {
+    if !report.served_all() {
+        eprintln!(
+            "FAILED at {:.0} rps: {} errors, {} misses, {} of {} requests completed",
+            report.offered_rps, report.errors, report.misses, report.completed, report.intended
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -463,7 +493,7 @@ fn render_top_frame(
 /// timeline rings, then print the usual serving report.
 fn top_main(argv: &[String]) -> ExitCode {
     let (mut seconds, mut refresh_ms) = (10.0f64, 250u64);
-    let (common, opts, rate, seed) = serve_flags("top", argv, |rest, i, _| {
+    let (common, opts, rates, seed) = serve_flags("top", argv, |rest, i, _| {
         match rest[*i].as_str() {
             "--seconds" => seconds = parsed(rest, i),
             "--refresh-ms" => refresh_ms = parsed(rest, i),
@@ -471,6 +501,10 @@ fn top_main(argv: &[String]) -> ExitCode {
         }
         true
     });
+    let &[rate] = rates.as_slice() else {
+        eprintln!("top takes exactly one --rate");
+        return ExitCode::from(2);
+    };
     if opts.run.machines < 2 || rate <= 0.0 || seconds <= 0.0 || refresh_ms == 0 {
         eprintln!("top needs --machines >= 2, --rate > 0, --seconds > 0 and --refresh-ms > 0");
         return ExitCode::from(2);
@@ -485,7 +519,7 @@ fn top_main(argv: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let schedule = ArrivalSchedule::generate(seed, rate, requests, opts.npages.max(1) as u32);
+    let schedule = ArrivalSchedule::generate(seed, rate, requests);
     let machines = opts.run.machines;
     let transport = opts.run.transport;
 
@@ -498,7 +532,7 @@ fn top_main(argv: &[String]) -> ExitCode {
         let opts = opts.clone();
         let schedule = schedule.clone();
         std::thread::spawn(move || {
-            corm::serve_with(module, plans, &corm::ServeSpec::default(), &schedule, &opts, |c| {
+            corm::serve_with(module, plans, &schedule, &opts, |c| {
                 let _ = tx.send(c.rt.obs.clone());
             })
         })
@@ -609,12 +643,12 @@ fn main() -> ExitCode {
                 ..Default::default()
             };
             common.apply(&mut opts);
-            let cost = opts.cost;
             let outcome = run(&compiled, opts);
             if trace && !quiet {
                 eprintln!("--- RMI timeline ---");
                 eprint!("{}", corm::render_timeline(&outcome.trace));
                 eprintln!("--- phase attribution ---");
+                let cost = corm::CostModel::default();
                 let mut report = corm::phase_report(&outcome.trace, |bytes| cost.message_ns(bytes));
                 corm::attach_measured_wire(&mut report, &outcome.measured_wire_ns);
                 eprint!("{}", corm::render_phase_report(&report));

@@ -49,7 +49,7 @@ pub use corm_codegen::AUDIT_ERROR_PREFIX;
 pub use corm_codegen::{describe_plan, EngineMode, MarshalPlan, OptConfig, Plans};
 pub use corm_heap::{deep_equal_across, structure_digest, HeapStats, Value};
 pub use corm_ir::{CompileError, Module};
-pub use corm_net::{CostModel, LossSpec, Semantics, TransportKind};
+pub use corm_net::{CostModel, LossSpec, TransportKind};
 pub use corm_obs::{
     attach_measured_wire, phase_report, render_phase_report, render_prometheus,
     render_timeline_json, HealthEvent, HealthKind, HistSnapshot, MachineSnapshot, MetricsRegistry,
@@ -57,7 +57,7 @@ pub use corm_obs::{
     DEFAULT_TIMELINE_INTERVAL_US, TIMELINE_SCHEMA_VERSION,
 };
 pub use corm_vm::pool::{BufferPool, Lane, PER_KEY_CAP};
-pub use corm_vm::serve::{serve_with, ArrivalSchedule, ServeOptions, ServeReport, ServeSpec};
+pub use corm_vm::serve::{serve_with, ArrivalSchedule, ServeOptions, ServeReport};
 pub use corm_vm::{
     render_flight_json, render_timeline, to_chrome_trace, write_flight_artifact, AuditSnapshot,
     Cluster, FaultSpec, FlightDump, FlightEvent, FlightKind, Phase, RunOptions, RunOutcome,
@@ -133,11 +133,10 @@ pub fn run(compiled: &Compiled, opts: RunOptions) -> RunOutcome {
 /// arrival time (see `corm_vm::serve` and DESIGN §13).
 pub fn serve(
     compiled: &Compiled,
-    spec: &ServeSpec,
     schedule: &ArrivalSchedule,
     opts: &ServeOptions,
 ) -> Result<ServeReport, VmError> {
-    corm_vm::serve(compiled.module.clone(), compiled.plans.clone(), spec, schedule, opts)
+    corm_vm::serve(compiled.module.clone(), compiled.plans.clone(), schedule, opts)
 }
 
 /// Compile and run in one step.

@@ -7,7 +7,7 @@
 //! anywhere — output, per-machine counters, audit — is a bug in exactly
 //! one of serializer codegen, the heap analyses, or the transport
 //! layer, which is what makes the oracle a useful fuzz target. The
-//! lossy rows double as an end-to-end proof of at-most-once semantics:
+//! lossy rows double as an end-to-end proof of exactly-once delivery:
 //! all accounting happens above the retransmission machinery, so even
 //! under injected drop/duplicate/reorder faults the counters must be
 //! bit-identical to the reliable backends.

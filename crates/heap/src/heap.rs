@@ -231,11 +231,6 @@ impl Heap {
         matches!(self.slots.get(r.index()), Some(Some(_)))
     }
 
-    /// Number of live objects (O(n); for tests and reporting).
-    pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
     // ----- typed accessors --------------------------------------------------
 
     pub fn field(&self, r: ObjRef, slot: usize) -> Result<Value, HeapError> {

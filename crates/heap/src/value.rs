@@ -44,21 +44,10 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     pub fn as_bool(&self) -> bool {
         match self {
             Value::Bool(b) => *b,
             other => panic!("expected bool, found {other:?}"),
-        }
-    }
-
-    pub fn as_int(&self) -> i32 {
-        match self {
-            Value::Int(v) => *v,
-            other => panic!("expected int, found {other:?}"),
         }
     }
 

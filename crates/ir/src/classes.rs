@@ -368,14 +368,6 @@ impl Module {
         }
     }
 
-    pub fn call_site(&self, id: CallSiteId) -> &CallSiteMeta {
-        &self.call_sites[id.index()]
-    }
-
-    pub fn alloc_site(&self, id: AllocSiteId) -> &AllocSiteMeta {
-        &self.alloc_sites[id.index()]
-    }
-
     pub fn str(&self, id: StrId) -> &str {
         &self.strings[id.index()]
     }

@@ -45,10 +45,6 @@ impl SsaFunction {
         &self.blocks[b.index()]
     }
 
-    pub fn var_ty(&self, v: Reg) -> &Ty {
-        &self.var_tys[v.index()]
-    }
-
     pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
         match &self.block(b).term {
             Terminator::Jump(t) => vec![*t],

@@ -24,7 +24,7 @@ mod tcp;
 pub mod transport;
 
 pub use cost::CostModel;
-pub use lossy::{LossSpec, Semantics};
+pub use lossy::LossSpec;
 pub use packet::Packet;
 pub use receive::{Mailbox, Mailboxes, RecvError};
 pub use transport::{ClusterBarrier, NetHandle, Transport, TransportKind};

@@ -1,4 +1,4 @@
-//! Lossy datagram transport with selectable invocation semantics.
+//! Lossy datagram transport: seeded faults under a reliability protocol.
 //!
 //! The reliable backends (channel, tcp, reactor) never exercise the
 //! failure modes a real deployment sees, so nothing proved the
@@ -9,18 +9,14 @@
 //! shim, with a protocol layer above it:
 //!
 //! * **per-peer sequence numbers** on every directed link;
-//! * **retransmission timers** with capped exponential backoff;
+//! * **acks and retransmission timers** with capped exponential backoff;
 //! * **receiver-side dedup + in-order holdback**, restoring the
 //!   per-(sender, receiver) FIFO delivery the VM relies on.
 //!
-//! The protocol layers compose into the classic invocation-semantics
-//! menu ([`Semantics`]): *maybe* (fire once, no retransmit — drops are
-//! real losses), *at-least-once* (retransmit until acked, duplicates
-//! observable by the receiver) and *at-most-once* (retransmit + dedup +
-//! holdback — the default, and the only mode whose delivery is
-//! indistinguishable from the reliable backends). Above the transport,
-//! the VM's bounded reply cache (DESIGN §16) deduplicates re-executed
-//! calls for the at-least-once mode.
+//! Together they give the one delivery contract every transport has:
+//! each packet reaches the receiving mailbox exactly once, in per-pair
+//! send order, as long as neither peer dies. The VM above cannot tell
+//! this backend from a reliable one, and has no dedup of its own.
 //!
 //! **Determinism.** Every fault decision is a pure hash of
 //! `(seed, link, seq, attempt)` — not a mutable RNG stream — so a
@@ -40,8 +36,7 @@
 //! [`NetHandle::send`]: crate::transport::NetHandle::send
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
-use std::str::FromStr;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -55,56 +50,6 @@ use crate::mesh::lock;
 use crate::packet::Packet;
 use crate::receive::ReceiveSide;
 use crate::transport::Transport;
-
-/// Which invocation semantics the protocol layer provides. The names
-/// are Birrell/Nelson's; the mechanisms are layered exactly as the
-/// table in DESIGN §16 describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Semantics {
-    /// Send each datagram once, never retransmit, never ack: a dropped
-    /// request (or reply) is simply gone. Zero-or-one executions.
-    Maybe,
-    /// Retransmit until acked, deliver every copy that arrives: one-or-
-    /// more executions — duplicates are the *receiver's* problem (the
-    /// VM's reply cache).
-    AtLeastOnce,
-    /// Retransmit until acked, suppress duplicates, hold back
-    /// out-of-order datagrams: exactly-once in-order delivery as long
-    /// as neither peer dies — the reliable backends' contract.
-    #[default]
-    AtMostOnce,
-}
-
-impl Semantics {
-    pub fn label(&self) -> &'static str {
-        match self {
-            Semantics::Maybe => "maybe",
-            Semantics::AtLeastOnce => "at-least-once",
-            Semantics::AtMostOnce => "at-most-once",
-        }
-    }
-}
-
-impl std::fmt::Display for Semantics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for Semantics {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "maybe" => Ok(Semantics::Maybe),
-            "at-least-once" => Ok(Semantics::AtLeastOnce),
-            "at-most-once" => Ok(Semantics::AtMostOnce),
-            other => Err(format!(
-                "unknown semantics {other:?} (expected maybe|at-least-once|at-most-once)"
-            )),
-        }
-    }
-}
 
 /// The seeded loss model: what the shim does to each datagram copy.
 /// Extends the PR 4/5 fault machinery (`FaultSpec` kills a machine,
@@ -128,7 +73,6 @@ pub struct LossSpec {
     pub rto_us: u64,
     /// Cap for the exponential retransmission backoff, µs.
     pub max_rto_us: u64,
-    pub semantics: Semantics,
     /// Test hook (PeerGone idempotency regression): deliver the sever
     /// notification to every survivor *twice*, modeling a transport
     /// that redundantly reports the same death.
@@ -146,7 +90,6 @@ impl Default for LossSpec {
             jitter_us: 150,
             rto_us: 2_000,
             max_rto_us: 50_000,
-            semantics: Semantics::AtMostOnce,
             duplicate_peer_gone: false,
         }
     }
@@ -265,13 +208,10 @@ struct LinkTx {
 /// Receiver-side state of one directed link.
 #[derive(Default)]
 struct LinkRx {
-    /// Next in-order sequence number (at-most-once holdback).
+    /// Next in-order sequence number.
     expected: u64,
     /// Out-of-order datagrams parked until the gap fills.
     holdback: BTreeMap<u64, Vec<u8>>,
-    /// Sequence numbers already charged to measured wire time (modes
-    /// without holdback dedup still charge once per logical frame).
-    charged: HashSet<u64>,
     /// Acks sent on this link (salt source for ack loss decisions).
     acks_sent: u64,
 }
@@ -472,46 +412,30 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
                         continue;
                     }
                     let rx = rx_links.entry((from, to)).or_default();
-                    // Ack every arriving copy in the acked modes: a
-                    // duplicate means our previous ack may have been
-                    // lost, so the ack must be repeated either way.
-                    if spec.semantics != Semantics::Maybe {
-                        rx.acks_sent += 1;
-                        let ack_dropped = !exempt
-                            && decide(spec.seed, from, to, seq, rx.acks_sent as u32, SALT_ACK_DROP)
-                                < spec.drop_rate;
-                        if !ack_dropped {
-                            push(
-                                &mut heap,
-                                &mut tick,
-                                now + Duration::from_micros(spec.delay_us),
-                                Item::Ack { from: to, to: from, seq },
-                            );
-                        }
+                    // Ack every arriving copy: a duplicate means our
+                    // previous ack may have been lost, so the ack must
+                    // be repeated either way.
+                    rx.acks_sent += 1;
+                    let ack_dropped = !exempt
+                        && decide(spec.seed, from, to, seq, rx.acks_sent as u32, SALT_ACK_DROP)
+                            < spec.drop_rate;
+                    if !ack_dropped {
+                        push(
+                            &mut heap,
+                            &mut tick,
+                            now + Duration::from_micros(spec.delay_us),
+                            Item::Ack { from: to, to: from, seq },
+                        );
                     }
-                    match spec.semantics {
-                        Semantics::AtMostOnce => {
-                            if seq < rx.expected || rx.holdback.contains_key(&seq) {
-                                shared.on_dup_suppressed(from, to, req, body.len());
-                                continue;
-                            }
-                            rx.holdback.insert(seq, body);
-                            // Drain the in-order prefix to the mailbox.
-                            while let Some(body) = rx.holdback.remove(&rx.expected) {
-                                rx.expected += 1;
-                                deliver_frame(&shared, to, &body, true);
-                            }
-                        }
-                        Semantics::AtLeastOnce | Semantics::Maybe => {
-                            // No holdback, no dedup: deliver every copy
-                            // as it arrives. Wire time is still charged
-                            // once per logical frame (`charged`).
-                            let first = rx.charged.insert(seq);
-                            if !first {
-                                shared.on_dup_suppressed(from, to, req, body.len());
-                            }
-                            deliver_frame(&shared, to, &body, first);
-                        }
+                    if seq < rx.expected || rx.holdback.contains_key(&seq) {
+                        shared.on_dup_suppressed(from, to, req, body.len());
+                        continue;
+                    }
+                    rx.holdback.insert(seq, body);
+                    // Drain the in-order prefix to the mailbox.
+                    while let Some(body) = rx.holdback.remove(&rx.expected) {
+                        rx.expected += 1;
+                        deliver_frame(&shared, to, &body);
                     }
                 }
                 Item::Ack { from, to, seq } => {
@@ -561,15 +485,13 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
                 let ltx = tx_links.entry((from, to)).or_default();
                 let seq = ltx.next_seq;
                 ltx.next_seq += 1;
-                if spec.semantics != Semantics::Maybe {
-                    ltx.unacked.insert(seq, (body.clone(), req, exempt));
-                    push(
-                        &mut heap,
-                        &mut tick,
-                        Instant::now() + Duration::from_micros(spec.rto_us),
-                        Item::RetxCheck { from, to, seq, attempt: 1, rto_us: spec.rto_us },
-                    );
-                }
+                ltx.unacked.insert(seq, (body.clone(), req, exempt));
+                push(
+                    &mut heap,
+                    &mut tick,
+                    Instant::now() + Duration::from_micros(spec.rto_us),
+                    Item::RetxCheck { from, to, seq, attempt: 1, rto_us: spec.rto_us },
+                );
                 schedule_copies(&mut heap, &mut tick, from, to, seq, 1, &body, req, exempt);
             }
             Ok(Event::Sever(m)) => {
@@ -582,18 +504,13 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
     }
 }
 
-/// Decode one frame body and deliver it. `charge` is false for a
-/// redelivered copy: measured wire time counts each logical frame once.
-fn deliver_frame(shared: &Shared, to: u16, body: &[u8], charge: bool) {
+/// Decode one frame body and deliver it, charging its measured wire time.
+fn deliver_frame(shared: &Shared, to: u16, body: &[u8]) {
     let Ok((packet, sent_ns)) = Packet::decode_body(body) else {
         return; // corrupt frame: dropped (the shim never corrupts bytes)
     };
-    if charge {
-        shared.frames_charged[to as usize].fetch_add(1, Ordering::Relaxed);
-        shared.rx.arrived(to, packet, sent_ns);
-    } else {
-        shared.rx.enqueue(to, packet);
-    }
+    shared.frames_charged[to as usize].fetch_add(1, Ordering::Relaxed);
+    shared.rx.arrived(to, packet, sent_ns);
 }
 
 #[cfg(test)]
@@ -641,9 +558,8 @@ mod tests {
         got
     }
 
-    fn fast(semantics: Semantics) -> LossSpec {
+    fn fast() -> LossSpec {
         LossSpec {
-            semantics,
             delay_us: 20,
             jitter_us: 100,
             rto_us: 500,
@@ -654,12 +570,7 @@ mod tests {
 
     #[test]
     fn at_most_once_is_exactly_once_in_order_under_heavy_faults() {
-        let spec = LossSpec {
-            drop_rate: 0.3,
-            dup_rate: 0.3,
-            reorder_rate: 0.5,
-            ..fast(Semantics::AtMostOnce)
-        };
+        let spec = LossSpec { drop_rate: 0.3, dup_rate: 0.3, reorder_rate: 0.5, ..fast() };
         let (mailboxes, t) = fabric(2, spec);
         const N: u64 = 200;
         for i in 0..N {
@@ -686,81 +597,19 @@ mod tests {
     }
 
     #[test]
-    fn maybe_semantics_loses_packets_for_real() {
-        let spec = LossSpec { drop_rate: 0.5, dup_rate: 0.0, ..fast(Semantics::Maybe) };
-        let (mailboxes, t) = fabric(2, spec);
-        const N: usize = 200;
-        for i in 0..N as u64 {
-            t.deliver(0, 1, reply(i));
-        }
-        let got = drain_for(&mailboxes[1], Duration::from_millis(150));
-        assert!(got.len() < N, "50% drop with no retransmit must lose something");
-        assert!(!got.is_empty(), "50% drop must not lose everything");
-        assert_eq!(t.retransmits(), 0, "maybe never retransmits");
-        t.shutdown();
-    }
-
-    #[test]
-    fn at_least_once_exposes_duplicates_but_charges_wire_time_once() {
-        // Force a duplicate of every datagram and drop nothing: the
-        // receiver sees exactly two copies per frame while measured
-        // wire time is charged once per logical frame (the satellite
-        // bugfix: redelivery must not double wire accounting).
-        let spec = LossSpec { drop_rate: 0.0, dup_rate: 1.0, ..fast(Semantics::AtLeastOnce) };
-        let (mailboxes, t) = fabric(2, spec);
-        const N: usize = 50;
-        for i in 0..N as u64 {
-            t.deliver(0, 1, reply(i));
-        }
-        let got = drain_for(&mailboxes[1], Duration::from_millis(150));
-        assert!(got.len() >= 2 * N, "dup_rate 1.0 delivers every copy, got {}", got.len());
-        assert_eq!(t.frames_charged(1), N as u64, "wire time charged once per logical frame");
-        assert_eq!(
-            t.dups_suppressed(),
-            got.len() as u64 - N as u64,
-            "every extra copy is counted even when it is delivered"
-        );
-        t.shutdown();
-    }
-
-    #[test]
     fn fault_decisions_are_deterministic_per_seed() {
-        let run = |seed: u64| -> Vec<u64> {
-            let spec = LossSpec { seed, drop_rate: 0.5, dup_rate: 0.0, ..fast(Semantics::Maybe) };
-            let (mailboxes, t) = fabric(2, spec);
-            for i in 0..100u64 {
-                t.deliver(0, 1, reply(i));
-            }
-            let got = drain_for(&mailboxes[1], Duration::from_millis(150));
-            t.shutdown();
-            // Arrival *order* depends on wall-clock jitter; the
-            // deterministic part is the set of fates (which frames
-            // survived the drop hash).
-            let mut ids: Vec<u64> = got
-                .iter()
-                .map(|p| match p {
-                    Packet::Reply { req_id, .. } => *req_id,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
-            ids.sort_unstable();
-            ids
+        // Arrival order depends on wall-clock jitter; the deterministic
+        // part is each datagram's fate, a pure function of its inputs.
+        let dropped = |seed: u64| -> Vec<u64> {
+            (0..1_000).filter(|&seq| decide(seed, 0, 1, seq, 1, SALT_DROP) < 0.5).collect()
         };
-        let a = run(7);
-        let b = run(7);
-        let c = run(8);
-        assert_eq!(a, b, "same seed, same traffic => same fates");
-        assert_ne!(a, c, "different seed => different fates");
+        assert_eq!(dropped(7), dropped(7), "same seed, same traffic => same fates");
+        assert_ne!(dropped(7), dropped(8), "different seed => different fates");
     }
 
     #[test]
     fn shutdown_packet_is_sequenced_and_never_lost() {
-        let spec = LossSpec {
-            drop_rate: 0.3,
-            dup_rate: 0.3,
-            reorder_rate: 0.5,
-            ..fast(Semantics::AtMostOnce)
-        };
+        let spec = LossSpec { drop_rate: 0.3, dup_rate: 0.3, reorder_rate: 0.5, ..fast() };
         let (mailboxes, t) = fabric(2, spec);
         for i in 0..50u64 {
             t.deliver(0, 1, reply(i));
@@ -794,17 +643,11 @@ mod tests {
     }
 
     #[test]
-    fn semantics_and_spec_parse_and_default() {
-        assert_eq!("maybe".parse::<Semantics>().unwrap(), Semantics::Maybe);
-        assert_eq!("at-least-once".parse::<Semantics>().unwrap(), Semantics::AtLeastOnce);
-        assert_eq!("at-most-once".parse::<Semantics>().unwrap(), Semantics::AtMostOnce);
-        assert!("exactly-thrice".parse::<Semantics>().is_err());
-        assert_eq!(Semantics::default(), Semantics::AtMostOnce);
-        assert_eq!(Semantics::AtLeastOnce.to_string(), "at-least-once");
+    fn seeded_spec_sets_both_rates_and_keeps_the_default_timing() {
         let spec = LossSpec::seeded(42, 0.2);
-        assert_eq!(spec.seed, 42);
-        assert_eq!(spec.drop_rate, 0.2);
-        assert_eq!(spec.dup_rate, 0.2);
-        assert_eq!(spec.semantics, Semantics::AtMostOnce);
+        assert_eq!(
+            spec,
+            LossSpec { seed: 42, drop_rate: 0.2, dup_rate: 0.2, ..LossSpec::default() }
+        );
     }
 }

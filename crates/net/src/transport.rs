@@ -67,8 +67,8 @@ pub enum TransportKind {
     Reactor,
     /// Datagram fabric behind a deterministic, seed-driven fault shim
     /// (drop/duplicate/reorder/delay) with sequence numbers, capped-
-    /// backoff retransmission and receiver-side dedup providing
-    /// selectable invocation semantics (default at-most-once). Wire
+    /// backoff retransmission and receiver-side dedup + holdback, which
+    /// restore exactly-once in-order delivery below the VM. Wire
     /// transit is additionally measured, once per logical frame.
     Lossy,
 }
@@ -228,10 +228,6 @@ impl NetHandle {
     /// Add modeled time from a non-message source (e.g. allocation costs).
     pub fn add_modeled_ns(&self, ns: u64) {
         self.modeled_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub fn reset_modeled(&self) {
-        self.modeled_ns.store(0, Ordering::Relaxed);
     }
 
     /// Measured in-flight wall time for packets received by `machine`

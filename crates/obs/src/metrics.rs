@@ -181,16 +181,7 @@ machine_metrics! {
     /// (sequence number already delivered or already buffered). Charged
     /// to the *receiving* machine's shard.
     lossy_dups_suppressed: Counter, "corm_lossy_dups_suppressed_total",
-        "Duplicate datagram copies discarded (or flagged) by the receiver";
-    /// Server-side reply cache: requests answered from the cache instead
-    /// of being re-executed — each hit is a duplicate invocation that
-    /// at-most-once semantics suppressed above the transport.
-    reply_cache_hits: Counter, "corm_reply_cache_hits_total",
-        "Duplicate invocations answered from the server-side reply cache";
-    /// Reply-cache entries evicted by the capacity bound before any
-    /// duplicate consulted them.
-    reply_cache_evictions: Counter, "corm_reply_cache_evictions_total",
-        "Reply-cache entries evicted by the FIFO bound";
+        "Duplicate datagram copies discarded by the receiver";
     /// Reactor frames appended to this machine's append-buffers.
     /// Mirrors the reactor core's internal counter so the sampler and
     /// Prometheus exposition see it without reaching into corm-net.

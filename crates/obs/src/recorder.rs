@@ -55,10 +55,9 @@ pub enum FlightKind {
     /// `req` the request id when the frame carried one). Recorded on the
     /// sending machine's ring.
     Retransmit,
-    /// The lossy transport (or the server-side reply cache) discarded a
-    /// duplicate delivery (`peer` is the sender). Recorded on the
-    /// receiving machine's ring — a dump full of these under seeded loss
-    /// is the at-most-once machinery visibly doing its job.
+    /// The lossy transport discarded a duplicate delivery (`peer` is the
+    /// sender). Recorded on the receiving machine's ring — a dump full of
+    /// these under seeded loss is the dedup visibly doing its job.
     DupSuppressed,
 }
 

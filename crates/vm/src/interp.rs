@@ -17,7 +17,7 @@ use parking_lot::MutexGuard;
 
 use crate::builtins;
 use crate::error::{VmError, VmResult};
-use crate::machine::{zero_value, MachineShared, MachineState};
+use crate::machine::{MachineShared, MachineState};
 use crate::rmi;
 use crate::runtime::Runtime;
 
@@ -430,13 +430,9 @@ impl Interp {
 
     fn maybe_auto_gc(&mut self, guard: &mut MutexGuard<'_, MachineState>) {
         const GC_STEP_BYTES: u64 = 64 * 1024 * 1024;
-        if !self.rt.auto_gc {
-            return;
+        if guard.heap.stats.alloc_bytes - guard.last_gc_bytes >= GC_STEP_BYTES {
+            self.collect(guard);
         }
-        if guard.heap.stats.alloc_bytes - guard.last_gc_bytes < GC_STEP_BYTES {
-            return;
-        }
-        self.collect(guard);
     }
 
     /// Run a collection if this thread is alone on the machine (otherwise
@@ -666,9 +662,4 @@ impl MachineState {
     pub fn set_lit(&mut self, id: corm_ir::StrId, obj: corm_heap::ObjRef) {
         self.lit_strings.insert(id.0, obj);
     }
-}
-
-/// Convenience for tests: default-value helper re-export.
-pub fn default_value(ty: &Ty) -> Value {
-    zero_value(ty)
 }

@@ -38,4 +38,4 @@ pub use runtime::{
     run_program, write_flight_artifact, AuditCounters, AuditSnapshot, Cluster, FaultSpec,
     Milestone, RunOptions, RunOutcome, Runtime, StallSpec,
 };
-pub use serve::{serve, serve_with, ArrivalSchedule, ServeOptions, ServeReport, ServeSpec};
+pub use serve::{serve, serve_with, ArrivalSchedule, ServeOptions, ServeReport};

@@ -42,25 +42,6 @@ pub enum ReuseSlot {
     Ret { site: CallSiteId },
 }
 
-/// Bound of the per-machine reply cache (completed entries).
-pub const REPLY_CACHE_CAP: usize = 128;
-
-/// One entry of the server-side reply cache (DESIGN §16): what this
-/// machine last did for a given `(caller, request id)`, so a duplicate
-/// invocation — possible when the lossy transport runs in at-least-once
-/// mode — is answered from the cache instead of re-executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CachedReply {
-    /// The original invocation is still executing on another worker: the
-    /// duplicate is dropped (at the transport level its datagram was
-    /// already acknowledged; nobody re-asks at the VM level).
-    InProgress,
-    /// Completed one-way call: executed, nothing to resend.
-    OneWay,
-    /// The exact reply already sent: `(payload, error)`.
-    Sent(Vec<u8>, Option<String>),
-}
-
 /// Everything a machine owns, guarded by one lock (the per-machine "big
 /// lock"; blocking operations release it and wait on the condvar).
 pub struct MachineState {
@@ -82,14 +63,6 @@ pub struct MachineState {
     pub last_gc_bytes: u64,
     /// Interned string literals (pinned), keyed by `StrId`.
     pub lit_strings: HashMap<u32, ObjRef>,
-    /// Server-side reply cache keyed by `(caller, request id)` —
-    /// deduplicates re-executed calls under duplicate delivery (see
-    /// [`CachedReply`]). Bounded by [`REPLY_CACHE_CAP`] completed
-    /// entries, FIFO eviction.
-    pub reply_cache: HashMap<(u16, u64), CachedReply>,
-    /// FIFO eviction order of the *completed* `reply_cache` entries
-    /// (in-progress markers are transient and never queued).
-    pub reply_cache_order: VecDeque<(u16, u64)>,
 }
 
 impl MachineState {
@@ -120,40 +93,7 @@ impl MachineState {
             active_threads: 0,
             last_gc_bytes: 0,
             lit_strings: HashMap::new(),
-            reply_cache: HashMap::new(),
-            reply_cache_order: VecDeque::new(),
         }
-    }
-
-    /// Consult the reply cache for `(from, req_id)`. A hit means this
-    /// request was already executed (or is executing): the caller must
-    /// not run it again. Misses atomically claim the slot with an
-    /// [`CachedReply::InProgress`] marker so a concurrently-arriving
-    /// duplicate cannot race into a second execution.
-    pub fn reply_cache_claim(&mut self, from: u16, req_id: u64) -> Option<CachedReply> {
-        match self.reply_cache.get(&(from, req_id)) {
-            Some(entry) => Some(entry.clone()),
-            None => {
-                self.reply_cache.insert((from, req_id), CachedReply::InProgress);
-                None
-            }
-        }
-    }
-
-    /// Replace the in-progress marker with the completed entry and
-    /// enforce the bound. Returns the number of entries evicted.
-    pub fn reply_cache_complete(&mut self, from: u16, req_id: u64, entry: CachedReply) -> u64 {
-        debug_assert!(!matches!(entry, CachedReply::InProgress));
-        self.reply_cache.insert((from, req_id), entry);
-        self.reply_cache_order.push_back((from, req_id));
-        let mut evicted = 0;
-        while self.reply_cache_order.len() > REPLY_CACHE_CAP {
-            if let Some(old) = self.reply_cache_order.pop_front() {
-                self.reply_cache.remove(&old);
-                evicted += 1;
-            }
-        }
-        evicted
     }
 
     pub fn fresh_req_id(&mut self) -> u64 {
@@ -371,42 +311,6 @@ mod tests {
         };
         assert!(early_exit().is_err());
         assert_eq!(machine.state.lock().active_threads, 0);
-    }
-
-    #[test]
-    fn reply_cache_claims_once_and_replays_the_completed_entry() {
-        let mut st = MachineState::new(0);
-        // First arrival claims the slot; the concurrent duplicate sees
-        // the in-progress marker and must not execute.
-        assert_eq!(st.reply_cache_claim(1, 7), None);
-        assert_eq!(st.reply_cache_claim(1, 7), Some(CachedReply::InProgress));
-        // Completion replaces the marker; later duplicates replay it.
-        st.reply_cache_complete(1, 7, CachedReply::Sent(vec![1, 2], None));
-        assert_eq!(st.reply_cache_claim(1, 7), Some(CachedReply::Sent(vec![1, 2], None)));
-        // Interleaved callers with the same req id namespace don't alias:
-        // the key is (caller, req id).
-        assert_eq!(st.reply_cache_claim(2, 7), None);
-        st.reply_cache_complete(2, 7, CachedReply::OneWay);
-        assert_eq!(st.reply_cache_claim(2, 7), Some(CachedReply::OneWay));
-        assert_eq!(st.reply_cache_claim(1, 7), Some(CachedReply::Sent(vec![1, 2], None)));
-    }
-
-    #[test]
-    fn reply_cache_evicts_fifo_under_the_bound() {
-        let mut st = MachineState::new(0);
-        let mut evicted = 0;
-        for i in 0..(REPLY_CACHE_CAP as u64 + 10) {
-            assert_eq!(st.reply_cache_claim(1, i), None);
-            evicted += st.reply_cache_complete(1, i, CachedReply::OneWay);
-        }
-        assert_eq!(evicted, 10, "everything past the cap is evicted");
-        assert_eq!(st.reply_cache.len(), REPLY_CACHE_CAP);
-        assert_eq!(st.reply_cache_order.len(), REPLY_CACHE_CAP);
-        // The oldest entries are gone (a re-arrival would re-execute —
-        // the cache is a bounded best-effort dedup, sized so that any
-        // plausible retransmit window fits).
-        assert_eq!(st.reply_cache_claim(1, 0), None);
-        assert_eq!(st.reply_cache_claim(1, REPLY_CACHE_CAP as u64 + 9), Some(CachedReply::OneWay));
     }
 
     #[test]

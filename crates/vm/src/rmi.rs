@@ -18,7 +18,7 @@ use parking_lot::MutexGuard;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
-use crate::machine::{peer_gone, CachedReply, MachineState, ReplySlot, ReuseSlot};
+use crate::machine::{peer_gone, MachineState, ReplySlot, ReuseSlot};
 use crate::pool::Lane;
 use crate::runtime::{Milestone, Runtime};
 use crate::trace::Phase;
@@ -533,9 +533,6 @@ pub fn handle_request(
     // saturated server. The same stamp opens the handle span, so the
     // queue span ends exactly where the handle span begins.
     let since = rt.phase_end(my, Phase::Queue, req_id, site.0, enq_us);
-    if rt.replayed(my, from, req_id) {
-        return;
-    }
     // Stall injection (RunOptions::stall): model a slow server by putting
     // the configured requests to sleep before any processing.
     if let Some(stall) = rt.stall {
@@ -600,7 +597,6 @@ pub fn handle_request(
     let served = Milestone::Handle { from, since, reused };
     rt.milestone(my, req_id, site.0, flags, request_bytes, served);
     if oneway {
-        rt.cache_reply(my, from, req_id, || CachedReply::OneWay);
         if let Err(e) = result {
             rt.print(&format!("[machine {my}] one-way request failed: {e}\n"));
         }
@@ -610,6 +606,5 @@ pub fn handle_request(
         Ok(payload) => (payload, None),
         Err(e) => (Vec::new(), Some(e.message)),
     };
-    rt.cache_reply(my, from, req_id, || CachedReply::Sent(payload.clone(), err.clone()));
     rt.net.send(my, from, Packet::Reply { req_id, payload, err });
 }

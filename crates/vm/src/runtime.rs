@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crate::error::VmError;
 use crate::interp::Interp;
-use crate::machine::{peer_gone, CachedReply, MachineShared, ReplySlot};
+use crate::machine::{peer_gone, MachineShared, ReplySlot};
 use crate::rmi;
 use crate::trace::{Phase, TraceEvent, TraceKind};
 
@@ -37,10 +37,6 @@ pub struct RunOptions {
     /// Echo `System.println` to the host stdout (output is always
     /// captured in [`RunOutcome::output`]).
     pub echo: bool,
-    pub cost: CostModel,
-    /// Enable automatic GC pacing (collections also run on
-    /// `System.gc()`).
-    pub auto_gc: bool,
     /// Request/reply worker threads per machine.
     pub workers_per_machine: usize,
     /// Record an RMI event trace (see [`crate::trace`]).
@@ -74,9 +70,9 @@ pub struct RunOptions {
     /// `benchmark/`'s `obs.overhead_share` probe, not for production use.
     pub timeline_interval_us: u64,
     /// Loss model for the lossy transport (DESIGN §16): seeded
-    /// drop/duplicate/reorder rates, retransmission timing and the
-    /// invocation semantics. Ignored by the reliable backends; `None`
-    /// with `transport: lossy` selects [`LossSpec::default`].
+    /// drop/duplicate/reorder rates and retransmission timing. Ignored
+    /// by the reliable backends; `None` with `transport: lossy` selects
+    /// [`LossSpec::default`].
     pub loss: Option<LossSpec>,
 }
 
@@ -110,8 +106,6 @@ impl Default for RunOptions {
             machines: 2,
             args: Vec::new(),
             echo: false,
-            cost: CostModel::default(),
-            auto_gc: true,
             workers_per_machine: 3,
             trace: false,
             transport: TransportKind::default(),
@@ -177,7 +171,6 @@ pub struct Runtime {
     pub start: Instant,
     pub output: Mutex<String>,
     pub echo: bool,
-    pub auto_gc: bool,
     /// Join handles of user `spawn` threads.
     pub spawned: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Event trace, when enabled by [`RunOptions::trace`].
@@ -339,41 +332,6 @@ impl Runtime {
         }
     }
 
-    /// Reply-cache consult (DESIGN §16). Only the lossy transport can
-    /// deliver the same request twice (its at-least-once mode passes
-    /// duplicates up), so the reliable backends skip the cache entirely —
-    /// no per-RPC clone, no map traffic. `true` means this (caller,
-    /// request id) already executed or is executing: the cached reply, if
-    /// there is one, has been re-sent, and it must not execute again.
-    pub(crate) fn replayed(&self, my: u16, from: u16, req_id: u64) -> bool {
-        if self.transport_code != TRANSPORT_LOSSY {
-            return false;
-        }
-        let claimed = self.machine(my).state.lock().reply_cache_claim(from, req_id);
-        let Some(cached) = claimed else { return false };
-        self.obs.machine(my).reply_cache_hits.fetch_add(1, Relaxed);
-        if let CachedReply::Sent(payload, err) = cached {
-            self.net.send(my, from, Packet::Reply { req_id, payload, err });
-        }
-        true
-    }
-
-    /// Replace the in-progress marker of (caller, request id) with the
-    /// outcome `reply` builds, so a later duplicate re-sends these bytes
-    /// verbatim. Nothing is built or cloned on the reliable backends.
-    pub(crate) fn cache_reply(
-        &self,
-        my: u16,
-        from: u16,
-        id: u64,
-        reply: impl FnOnce() -> CachedReply,
-    ) {
-        if self.transport_code == TRANSPORT_LOSSY {
-            let evicted = self.machine(my).state.lock().reply_cache_complete(from, id, reply());
-            self.obs.machine(my).reply_cache_evictions.fetch_add(evicted, Relaxed);
-        }
-    }
-
     /// Assemble a flight dump with the given reason, capturing every
     /// machine's recent events and the failed request ids seen so far.
     pub fn flight_dump(&self, reason: &str) -> FlightDump {
@@ -525,7 +483,7 @@ impl Cluster {
         let (mailboxes, net) = NetHandle::with_kind_config(
             opts.transport,
             opts.machines,
-            opts.cost,
+            CostModel::default(),
             obs.clone(),
             opts.loss,
             Some(flight.clone()),
@@ -560,7 +518,6 @@ impl Cluster {
             start,
             output: Mutex::new(String::new()),
             echo: opts.echo,
-            auto_gc: opts.auto_gc,
             spawned: Mutex::new(Vec::new()),
             trace: if opts.trace { Some(Mutex::new(Vec::new())) } else { None },
             audit: opts.audit,
@@ -841,12 +798,10 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                     Some(e) => Err(e),
                     None => Ok(payload),
                 };
-                // Only a call still waiting may complete: a reply whose
-                // slot is gone (caller already completed via an earlier
-                // copy) or already Ready (failed by PeerGone) is stale —
-                // under at-least-once semantics the server's reply cache
-                // re-sends replies, and inserting one here would leak a
-                // Ready entry no caller will ever consume.
+                // Only a call still waiting may complete. A reply whose
+                // slot is already Ready (failed by PeerGone) or gone is
+                // stale: inserting it would leak a Ready entry no caller
+                // will ever consume.
                 match st.replies.get_mut(&req_id) {
                     Some(slot @ ReplySlot::Waiting { .. }) => {
                         *slot = ReplySlot::Ready(result);
@@ -857,12 +812,6 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
             }
             Packet::NewRemote { req_id, from, class } => {
                 rt.instant(my, TraceKind::NewRemote { class, from });
-                // Allocations are deduped like calls (DESIGN §16): a
-                // redelivered NewRemote must re-send the original
-                // object id, not pin a second zombie object.
-                if rt.replayed(my, from, req_id) {
-                    continue;
-                }
                 let obj = {
                     let mut st = rt.machine(my).state.lock();
                     let obj = st.alloc_zeroed(&rt.module.table, corm_ir::ClassId(class));
@@ -871,7 +820,6 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                 };
                 let mut payload = Vec::with_capacity(4);
                 payload.extend_from_slice(&obj.0.to_le_bytes());
-                rt.cache_reply(my, from, req_id, || CachedReply::Sent(payload.clone(), None));
                 rt.net.send(my, from, Packet::Reply { req_id, payload, err: None });
             }
             Packet::Request { req_id, from, site, target_obj, payload, oneway } => {

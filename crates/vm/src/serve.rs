@@ -32,31 +32,27 @@ use crate::interp::Interp;
 use crate::rmi;
 use crate::runtime::{spawn_vm_thread, Cluster, Milestone, RunOptions, RunOutcome};
 
-/// Names of the service entry points the driver resolves in the loaded
-/// module. The service must be shaped like the paper's webserver: a
-/// remote class with `init(npages, pageSize, id, nslaves)`, a hot
-/// `call(String) -> obj` keyed by `"/page/N"` URLs routed by Java string
-/// hash, and a `counter() -> long` served-request count.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeSpec {
-    pub class: &'static str,
-    pub init: &'static str,
-    pub call: &'static str,
-    pub counter: &'static str,
-}
+/// The service entry points the driver resolves in the loaded module, by
+/// name. Any compiled module shaped like the paper's webserver can be
+/// served: a remote class `CLASS` with `INIT(npages, pageSize, id,
+/// nslaves)`, a hot `CALL(String) -> obj` keyed by `"/page/N"` URLs routed
+/// by Java string hash, and a `COUNTER() -> long` served-request count.
+const CLASS: &str = "Slave";
+const INIT: &str = "init";
+const CALL: &str = "getPage";
+const COUNTER: &str = "hitCount";
 
-impl Default for ServeSpec {
-    fn default() -> Self {
-        ServeSpec { class: "Slave", init: "init", call: "getPage", counter: "hitCount" }
-    }
-}
+/// The page set every serving run is initialised with: `NPAGES` pages of
+/// `PAGE_SIZE` ints, spread over the slaves.
+const NPAGES: i32 = 20;
+const PAGE_SIZE: i32 = 16;
 
 /// A deterministic open-loop arrival process: request `k` is due at
 /// `arrivals_us[k]` microseconds after the measurement epoch and fetches
 /// page `pages[k]`. Inter-arrival gaps are exponentially distributed
 /// (Poisson arrivals) at `rate_rps`, drawn from a seeded splitmix64
-/// stream — the same `(seed, rate, requests, npages)` always yields the
-/// same schedule, which the loadgen determinism test pins down.
+/// stream — the same `(seed, rate, requests)` always yields the same
+/// schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalSchedule {
     pub seed: u64,
@@ -79,9 +75,8 @@ fn unit(x: u64) -> f64 {
 }
 
 impl ArrivalSchedule {
-    pub fn generate(seed: u64, rate_rps: f64, requests: usize, npages: u32) -> ArrivalSchedule {
+    pub fn generate(seed: u64, rate_rps: f64, requests: usize) -> ArrivalSchedule {
         assert!(rate_rps > 0.0, "arrival rate must be positive");
-        assert!(npages > 0, "need at least one page");
         let mut rng = seed;
         let mut t = 0.0f64;
         let mut arrivals_us = Vec::with_capacity(requests);
@@ -92,7 +87,7 @@ impl ArrivalSchedule {
             let u = unit(splitmix64(&mut rng));
             t += -(1.0 - u).ln() / rate_rps * 1e6;
             arrivals_us.push(t as u64);
-            pages.push((splitmix64(&mut rng) % npages as u64) as u32);
+            pages.push((splitmix64(&mut rng) % NPAGES as u64) as u32);
         }
         ArrivalSchedule { seed, rate_rps, arrivals_us, pages }
     }
@@ -112,8 +107,6 @@ impl ArrivalSchedule {
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     pub run: RunOptions,
-    pub npages: i32,
-    pub page_size: i32,
     /// Simulated client threads multiplexed over the transport.
     pub clients: usize,
     /// Latency SLO against intended arrival, in microseconds: slower
@@ -124,13 +117,7 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions {
-            run: RunOptions { auto_gc: false, ..RunOptions::default() },
-            npages: 20,
-            page_size: 16,
-            clients: 4,
-            slo_us: 50_000,
-        }
+        ServeOptions { run: RunOptions::default(), clients: 4, slo_us: 50_000 }
     }
 }
 
@@ -170,6 +157,15 @@ pub struct ServeReport {
     pub outcome: RunOutcome,
 }
 
+impl ServeReport {
+    /// Whether every intended request was served. An error or a misrouted
+    /// request is a correctness bug, not load, so this — not a latency
+    /// budget — decides the exit code of `corm serve` and `corm top`.
+    pub fn served_all(&self) -> bool {
+        self.errors == 0 && self.misses == 0 && self.completed as usize == self.intended
+    }
+}
+
 /// Java's `String.hashCode`, mirroring the `StrHash` builtin: the driver
 /// routes URLs exactly as the in-language master does.
 fn java_string_hash(s: &str) -> i32 {
@@ -200,22 +196,21 @@ struct ResolvedService {
     counter: (CallSiteId, MethodId),
 }
 
-fn resolve(module: &Module, plans: &Plans, spec: &ServeSpec) -> VmResult<ResolvedService> {
+fn resolve(module: &Module, plans: &Plans) -> VmResult<ResolvedService> {
     let table = &module.table;
-    let class = table
-        .class_named(spec.class)
-        .ok_or_else(|| VmError::new(format!("no class named {}", spec.class)))?;
+    let class =
+        table.class_named(CLASS).ok_or_else(|| VmError::new(format!("no class named {CLASS}")))?;
     let method = |name: &str| -> VmResult<(CallSiteId, MethodId)> {
         let mid = table
             .find_method(class, name)
-            .ok_or_else(|| VmError::new(format!("{} has no method {name}", spec.class)))?;
+            .ok_or_else(|| VmError::new(format!("{CLASS} has no method {name}")))?;
         Ok((site_of(plans, mid)?, mid))
     };
     Ok(ResolvedService {
         class,
-        init: method(spec.init)?,
-        call: method(spec.call)?,
-        counter: method(spec.counter)?,
+        init: method(INIT)?,
+        call: method(CALL)?,
+        counter: method(COUNTER)?,
     })
 }
 
@@ -225,11 +220,10 @@ fn resolve(module: &Module, plans: &Plans, spec: &ServeSpec) -> VmResult<Resolve
 pub fn serve(
     module: Arc<Module>,
     plans: Arc<Plans>,
-    spec: &ServeSpec,
     schedule: &ArrivalSchedule,
     opts: &ServeOptions,
 ) -> Result<ServeReport, VmError> {
-    serve_with(module, plans, spec, schedule, opts, |_| {})
+    serve_with(module, plans, schedule, opts, |_| {})
 }
 
 /// [`serve`] with an observer hook invoked once the cluster is up
@@ -239,7 +233,6 @@ pub fn serve(
 pub fn serve_with(
     module: Arc<Module>,
     plans: Arc<Plans>,
-    spec: &ServeSpec,
     schedule: &ArrivalSchedule,
     opts: &ServeOptions,
     on_start: impl FnOnce(&Cluster),
@@ -251,7 +244,7 @@ pub fn serve_with(
         return Err(e);
     }
     on_start(&cluster);
-    match drive(&cluster, spec, schedule, opts) {
+    match drive(&cluster, schedule, opts) {
         Ok(partial) => Ok(partial.into_report(cluster, schedule, opts)),
         Err(e) => {
             cluster.finish(Some(e.clone()));
@@ -308,14 +301,12 @@ impl PartialReport {
 
 fn drive(
     cluster: &Cluster,
-    spec: &ServeSpec,
     schedule: &ArrivalSchedule,
     opts: &ServeOptions,
 ) -> VmResult<PartialReport> {
     let rt = cluster.rt.clone();
-    let svc = resolve(&rt.module, &rt.plans, spec)?;
+    let svc = resolve(&rt.module, &rt.plans)?;
     let nslaves = opts.run.machines - 1;
-    let npages = opts.npages.max(1);
 
     // Instantiate and init one slave per serving machine. Slave `s`
     // lives on machine `s + 1`, so machine 0 is pure client and every
@@ -329,8 +320,8 @@ fn drive(
             let slave = rmi::new_remote(&mut interp, &mut guard, svc.class, (s + 1) as u16)?;
             let args = [
                 slave,
-                Value::Int(npages),
-                Value::Int(opts.page_size),
+                Value::Int(NPAGES),
+                Value::Int(PAGE_SIZE),
                 Value::Int(s as i32),
                 Value::Int(nslaves as i32),
             ];
@@ -342,11 +333,11 @@ fn drive(
     // Pre-build the URL strings on machine 0 (pinned: they are shared by
     // every client thread for the whole run) and their routes, using the
     // same Java string hash the in-language master uses.
-    let mut urls = Vec::with_capacity(npages as usize);
-    let mut routes = Vec::with_capacity(npages as usize);
+    let mut urls = Vec::with_capacity(NPAGES as usize);
+    let mut routes = Vec::with_capacity(NPAGES as usize);
     {
         let mut guard = machine0.state.lock();
-        for pg in 0..npages {
+        for pg in 0..NPAGES {
             let url = format!("/page/{pg}");
             let mut route = java_string_hash(&url) % nslaves as i32;
             if route < 0 {
@@ -414,8 +405,8 @@ fn drive(
     }
 
     let violations = shared.violations.lock().clone();
-    // Dump while the Slo events are still in the rings; the failed gate
-    // writes this artifact so CI names the offending request ids.
+    // Dump while the Slo events are still in the rings, so the artifact
+    // names the offending request ids.
     let flight_slo = (!violations.is_empty()).then(|| {
         let mut d = rt.flight_dump("slo-violation");
         d.failing_reqs = violations.clone();
@@ -519,10 +510,10 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_and_rate_shaped() {
-        let a = ArrivalSchedule::generate(42, 1000.0, 500, 20);
-        let b = ArrivalSchedule::generate(42, 1000.0, 500, 20);
+        let a = ArrivalSchedule::generate(42, 1000.0, 500);
+        let b = ArrivalSchedule::generate(42, 1000.0, 500);
         assert_eq!(a, b, "same seed must give the identical schedule");
-        let c = ArrivalSchedule::generate(43, 1000.0, 500, 20);
+        let c = ArrivalSchedule::generate(43, 1000.0, 500);
         assert_ne!(a.arrivals_us, c.arrivals_us, "different seeds must diverge");
 
         // Arrivals are sorted and the mean gap tracks 1/rate (1000 µs at
@@ -530,7 +521,7 @@ mod tests {
         assert!(a.arrivals_us.windows(2).all(|w| w[0] <= w[1]));
         let mean_gap = *a.arrivals_us.last().unwrap() as f64 / a.len() as f64;
         assert!((500.0..2000.0).contains(&mean_gap), "mean gap {mean_gap} µs at 1000 rps");
-        assert!(a.pages.iter().all(|&p| p < 20));
+        assert!(a.pages.iter().all(|&p| p < NPAGES as u32));
     }
 
     #[test]

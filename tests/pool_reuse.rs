@@ -147,9 +147,8 @@ fn pooling_works_over_reactor_too() {
 
 #[test]
 fn pooling_works_over_lossy_too() {
-    // Default at-most-once semantics: drops and duplicates are healed
-    // below the VM, so the pool ledger sees exactly the channel-backend
-    // traffic pattern.
+    // Drops and duplicates are healed below the VM, so the pool ledger
+    // sees exactly the channel-backend traffic pattern.
     let out = compile_and_run(
         ECHO_LOOP,
         OptConfig::ALL,
@@ -164,45 +163,46 @@ fn pooling_works_over_lossy_too() {
 }
 
 #[test]
-fn lossy_at_least_once_duplicate_replies_do_not_corrupt_the_pool() {
-    // At-least-once delivery passes duplicates up to the VM: the server
-    // re-sends cached replies, so the caller can receive the same reply
-    // twice. The first copy checks the marshal buffer back into the
-    // pool; the second must be dropped by the drain loop — if it were
-    // delivered, the same buffer would be checked in twice and the
-    // ledger would corrupt (double check-in shows up as misses or a
-    // wrong-slot swap). Duplication only, no drops/reordering: per-link
-    // FIFO stays intact, which is the only ordering the VM relies on.
-    use corm::{LossSpec, Semantics};
+fn a_reply_nobody_waits_for_is_dropped() {
+    // The drain loop completes only a call that is still waiting. A
+    // second copy of a reply already consumed, or a reply to a request
+    // never made, must vanish: delivered, it would leave a `Ready` slot
+    // nobody takes and check the same marshal buffer in twice.
+    use corm::{Cluster, Value};
+    use corm_net::Packet;
+    use corm_vm::{interp::Interp, rmi};
 
-    let spec = LossSpec {
-        drop_rate: 0.0,
-        dup_rate: 0.4,
-        reorder_rate: 0.0,
-        jitter_us: 0,
-        semantics: Semantics::AtLeastOnce,
-        ..LossSpec::default()
+    let compiled = corm::compile(ECHO_LOOP, OptConfig::ALL).unwrap();
+    let (module, plans) = (compiled.module.clone(), compiled.plans.clone());
+    let cluster = Cluster::start(module, plans, &RunOptions::default());
+    assert!(cluster.run_clinits().is_none());
+    let rt = cluster.rt.clone();
+
+    let class = compiled.module.table.class_named("R").unwrap();
+    let echo = compiled.module.table.find_method(class, "echo").unwrap();
+    let site = compiled.plans.sites.values().find(|p| p.method == echo).unwrap().site;
+    let machine = rt.machine(0).clone();
+    let mut interp = Interp::new(rt.clone(), 0);
+    let r = rmi::new_remote(&mut interp, &mut machine.enter(), class, 1).unwrap();
+    let mut echo_of = |x: i32| {
+        let args = [r, Value::Int(x)];
+        let guard = &mut machine.enter();
+        rmi::remote_call_with_req(&mut interp, guard, site, echo, &args, true, false).unwrap()
     };
-    let out = compile_and_run(
-        ECHO_LOOP,
-        OptConfig::ALL,
-        RunOptions {
-            machines: 2,
-            transport: TransportKind::Lossy,
-            loss: Some(spec),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(out.error.is_none(), "{:?}", out.error);
-    assert_eq!(out.output, "300\n");
-    let m0 = &out.metrics.machines[0];
-    assert!(m0.pool_hits >= 24, "expected a hot loop, got {} hits", m0.pool_hits);
-    assert_eq!(m0.pool_steady_misses(), 0, "duplicate replies corrupted the pool ledger");
-    // The duplicates really happened and were absorbed by the server's
-    // reply cache, not by luck.
-    let hits: u64 = out.metrics.machines.iter().map(|m| m.reply_cache_hits).sum();
-    assert!(hits > 0, "a 40% duplication rate must exercise the reply cache");
+
+    let (first, req_id) = echo_of(0);
+    assert_eq!(first, Value::Int(0));
+    for stale in [req_id, req_id + 1_000] {
+        rt.net.send(1, 0, Packet::Reply { req_id: stale, payload: vec![0; 4], err: None });
+    }
+    // Per-pair FIFO: the forged replies are drained before these calls'.
+    for x in 1..=30 {
+        assert_eq!(echo_of(x).0, Value::Int(x));
+    }
+    assert!(machine.state.lock().replies.is_empty(), "a stale reply left a slot behind");
+    assert_eq!(rt.pool.outstanding(0), 0, "a stale reply corrupted the pool ledger");
+    let out = cluster.finish(None);
+    assert_eq!(out.metrics.machines[0].pool_steady_misses(), 0);
 }
 
 const INTERLEAVED_SITES: &str = r#"

@@ -1,7 +1,8 @@
 //! Open-loop serving integration tests (DESIGN §13): schedule and
-//! call-counter determinism, coordinated-omission safety under an
-//! injected server-side stall, SLO violations surfacing through the
-//! flight recorder, a slave severed under load, and a TCP smoke run.
+//! call-counter determinism, the served-every-request rule behind `corm
+//! serve`'s exit code, coordinated-omission safety under an injected
+//! server-side stall, SLO violations surfacing through the flight
+//! recorder, a slave severed under load, and a TCP smoke run.
 
 use corm::{ArrivalSchedule, FaultSpec, OptConfig, ServeOptions, StallSpec, TransportKind};
 use corm_apps::serve::webserver_serve;
@@ -17,12 +18,11 @@ fn channel_opts(machines: usize) -> ServeOptions {
 
 /// Two runs from the same seed must issue the identical request stream:
 /// same schedule, same per-site RMI call counters, same per-slave hit
-/// counts. This is what makes the serving benchmark and its committed
-/// baseline comparable at all.
+/// counts. This is what makes two serving runs comparable at all.
 #[test]
 fn same_seed_gives_identical_schedules_and_call_counters() {
-    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 150, 20);
-    assert_eq!(schedule, ArrivalSchedule::generate(SEED, 2_000.0, 150, 20));
+    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 150);
+    assert_eq!(schedule, ArrivalSchedule::generate(SEED, 2_000.0, 150));
 
     let opts = channel_opts(3);
     let a = webserver_serve(OptConfig::ALL, &schedule, &opts).expect("first run");
@@ -44,6 +44,64 @@ fn same_seed_gives_identical_schedules_and_call_counters() {
     assert_eq!(a.outcome.stats.remote_rpcs, b.outcome.stats.remote_rpcs);
 }
 
+/// A served point: every request completed, the client's view agrees
+/// with the slaves' own counters, and `served_all` — the rule behind the
+/// exit code of `corm serve` and `corm top` — holds.
+#[test]
+fn sweep_serves_every_request() {
+    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 120);
+    let report = webserver_serve(OptConfig::ALL, &schedule, &channel_opts(3)).expect("clean run");
+    assert_eq!(report.intended, 120);
+    assert_eq!(report.errors, 0, "no transport or VM errors at quick scale");
+    assert_eq!(report.misses, 0, "every URL must route to a live page");
+    assert_eq!(report.completed, 120);
+    assert_eq!(report.latency.count, 120);
+    assert!(report.served_all());
+    assert_eq!(report.slave_hits.iter().sum::<i64>(), 120);
+}
+
+/// A service shaped like the webserver whose `/page/0` throws.
+const THROWING_SERVICE: &str = r#"
+    class Page { int[] body; }
+    remote class Slave {
+        long hits;
+        void init(int npages, int pageSize, int id, int nslaves) { this.hits = 0; }
+        Page getPage(String url) {
+            this.hits = this.hits + 1;
+            int size = 4;
+            if (url.equals("/page/0")) { size = 0 - 1; }
+            Page p = new Page();
+            p.body = new int[size];
+            return p;
+        }
+        long hitCount() { return this.hits; }
+    }
+    class Master {
+        static void main() {
+            Slave s = new Slave() @ 1;
+            s.init(1, 1, 0, 1);
+            Page p = s.getPage("/page/1");
+            System.println(Str.fromLong(s.hitCount() + p.body.length));
+        }
+    }
+"#;
+
+/// The run of a point whose requests error completes with a report, and
+/// the report fails the point: `corm serve` stops its sweep there and
+/// exits 1.
+#[test]
+fn a_request_that_errors_fails_the_point() {
+    let compiled = corm::compile(THROWING_SERVICE, OptConfig::ALL).expect("service compiles");
+    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 120);
+    let report =
+        corm::serve(&compiled, &schedule, &channel_opts(3)).expect("the run itself completes");
+    let page0 = schedule.pages.iter().filter(|&&pg| pg == 0).count() as u64;
+    assert!(page0 > 0, "the seeded schedule must ask for the throwing page");
+    assert_eq!(report.errors, page0);
+    assert_eq!(report.completed + report.errors, 120);
+    assert!(!report.served_all());
+}
+
 /// The coordinated-omission claim, demonstrated: a server that stalls
 /// still *completes* every request (a closed-loop harness would report a
 /// healthy p50 and a high completion count), but latency measured
@@ -52,7 +110,7 @@ fn same_seed_gives_identical_schedules_and_call_counters() {
 #[test]
 fn stalled_server_inflates_intended_latency_while_completions_stay_high() {
     let stall_us = 100_000;
-    let schedule = ArrivalSchedule::generate(SEED, 1_500.0, 120, 20);
+    let schedule = ArrivalSchedule::generate(SEED, 1_500.0, 120);
     let mut opts = channel_opts(3);
     opts.slo_us = 10_000;
     opts.run.stall = Some(StallSpec { every: 3, stall_us });
@@ -96,7 +154,7 @@ fn stalled_server_inflates_intended_latency_while_completions_stay_high() {
 /// no violations, no dump.
 #[test]
 fn unstalled_channel_run_meets_the_slo() {
-    let schedule = ArrivalSchedule::generate(SEED, 1_000.0, 100, 20);
+    let schedule = ArrivalSchedule::generate(SEED, 1_000.0, 100);
     let opts = channel_opts(3);
     let r = webserver_serve(OptConfig::ALL, &schedule, &opts).expect("clean run");
     assert_eq!(r.errors, 0);
@@ -121,7 +179,7 @@ fn unstalled_channel_run_meets_the_slo() {
 /// reply would hang the run. The other slave keeps serving.
 #[test]
 fn severed_slave_fails_its_requests_and_the_run_returns() {
-    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 200, 20);
+    let schedule = ArrivalSchedule::generate(SEED, 2_000.0, 200);
     let mut opts = channel_opts(3);
     opts.run.fault = Some(FaultSpec { victim: 1, after_sends: 5 });
     let r = webserver_serve(OptConfig::ALL, &schedule, &opts).expect("the run must return");
@@ -135,7 +193,7 @@ fn severed_slave_fails_its_requests_and_the_run_returns() {
 /// The same driver works over real loopback sockets.
 #[test]
 fn serving_works_over_tcp() {
-    let schedule = ArrivalSchedule::generate(SEED, 500.0, 60, 20);
+    let schedule = ArrivalSchedule::generate(SEED, 500.0, 60);
     let mut opts = channel_opts(2);
     opts.run.transport = TransportKind::Tcp;
     let r = webserver_serve(OptConfig::ALL, &schedule, &opts).expect("tcp run");

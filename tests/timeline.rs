@@ -121,7 +121,7 @@ fn disabled_sampler_produces_an_empty_timeline() {
 #[test]
 fn injected_stall_raises_a_health_event_naming_the_stalled_machine() {
     let stall_us = 300_000;
-    let schedule = ArrivalSchedule::generate(SEED, 400.0, 60, 20);
+    let schedule = ArrivalSchedule::generate(SEED, 400.0, 60);
     let mut opts = ServeOptions::default();
     opts.run.machines = 3;
     opts.clients = 4;

@@ -3,7 +3,7 @@
 //! channel fabric, the real loopback-TCP mesh, the reactor fabric
 //! (shared event loops with pipelining + adaptive batching), or the
 //! lossy datagram fabric (seeded drop/duplicate/reorder faults healed
-//! by at-most-once retransmission, DESIGN §16).
+//! by retransmission, dedup and holdback, DESIGN §16).
 //!
 //! All counter accounting happens in `NetHandle::send` before the
 //! backend carries the packet and no app's RMIs depend on timing, so for
@@ -13,7 +13,7 @@
 //! Tests are prefixed `tcp_` / `reactor_` / `lossy_` so CI can shard
 //! the sweep across a backend matrix with a plain name filter.
 
-use corm::{LossSpec, OptConfig, RunOptions, Semantics, TransportKind};
+use corm::{LossSpec, OptConfig, RunOptions, TransportKind};
 use corm_apps::equivalence::{assert_equivalent, run_under};
 use corm_apps::{AppSpec, ALL_APPS, ARRAY2D, LINKED_LIST, LU, SUPEROPT, WEBSERVER};
 
@@ -85,13 +85,10 @@ fn lossy_output_matches_the_oracle() {
 #[test]
 fn lossy_at_most_once_is_exactly_once_under_seeded_faults() {
     // The acceptance gate in one test: under aggressive seeded loss the
-    // at-most-once protocol must heal every fault below the VM, so the
+    // link protocol must heal every fault below the VM, so the
     // app's output AND per-machine counters are bit-identical
     // to a channel run — zero double-executions, zero lost calls. The
-    // lossy-plane counters prove the faults actually happened, and
-    // `reply_cache_hits == 0` proves the transport (not the VM dedup
-    // net) absorbed every duplicate: holdback delivery is already
-    // exactly-once in order.
+    // lossy-plane counters prove the faults actually happened.
     let compiled = LINKED_LIST.compile(OptConfig::ALL);
     let mk = |transport, loss| {
         corm::run(
@@ -113,47 +110,10 @@ fn lossy_at_most_once_is_exactly_once_under_seeded_faults() {
         let mut faults = 0;
         for (m, (a, b)) in chan.metrics.machines.iter().zip(&lossy.metrics.machines).enumerate() {
             assert_eq!(a.stats, b.stats, "rate {rate}: machine {m} counters diverged");
-            assert_eq!(b.reply_cache_hits, 0, "rate {rate}: at-most-once must dedup below the VM");
             faults += b.lossy_retransmits + b.lossy_dups_suppressed;
         }
         assert!(faults > 0, "rate {rate}: the seeded fault plan injected nothing");
     }
-}
-
-#[test]
-fn lossy_at_least_once_dedups_in_the_vm_with_identical_output() {
-    // Drop the transport-level holdback (at-least-once): duplicates now
-    // reach the VM and the server-side reply cache must absorb them —
-    // same output, `reply_cache_hits > 0`. Duplication only (no drops,
-    // no reordering) keeps per-link FIFO intact, which is the only
-    // ordering the VM relies on.
-    let spec = LossSpec {
-        dup_rate: 0.4,
-        drop_rate: 0.0,
-        reorder_rate: 0.0,
-        jitter_us: 0,
-        semantics: Semantics::AtLeastOnce,
-        ..LossSpec::default()
-    };
-    let compiled = LINKED_LIST.compile(OptConfig::ALL);
-    let out = corm::run(
-        &compiled,
-        RunOptions {
-            machines: LINKED_LIST.machines,
-            args: LINKED_LIST.quick_args.to_vec(),
-            transport: TransportKind::Lossy,
-            loss: Some(spec),
-            ..Default::default()
-        },
-    );
-    assert!(out.error.is_none(), "{:?}", out.error);
-    assert_eq!(
-        out.output,
-        LINKED_LIST.expected_output(LINKED_LIST.quick_args, LINKED_LIST.machines),
-        "duplicated requests must not change the program's output"
-    );
-    let hits: u64 = out.metrics.machines.iter().map(|m| m.reply_cache_hits).sum();
-    assert!(hits > 0, "a 40% duplication rate must exercise the reply cache");
 }
 
 #[test]
