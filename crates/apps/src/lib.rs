@@ -172,16 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn introspect_baseline_also_correct() {
-        for spec in [LINKED_LIST, ARRAY2D, WEBSERVER] {
-            let expected = spec.expected_output(spec.quick_args, spec.machines);
-            let out = spec.run_quick(OptConfig::INTROSPECT);
-            assert!(out.error.is_none(), "{}: {:?}", spec.name, out.error);
-            assert_eq!(out.output, expected, "{} under introspect", spec.name);
-        }
-    }
-
-    #[test]
     fn list_extension_is_correct_on_acyclic_lists() {
         let ext = OptConfig { list_extension: true, ..OptConfig::ALL };
         let expected = LINKED_LIST.expected_output(LINKED_LIST.quick_args, 2);

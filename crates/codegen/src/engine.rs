@@ -5,15 +5,17 @@
 //! per message, because they are per-RMI (cycle table) or per-call-site
 //! (reuse slot) state owned by the VM.
 
+use std::collections::HashSet;
+
 use corm_heap::{Heap, ObjBody, ObjRef, RemoteRef, Value};
-use corm_ir::{ClassId, ClassTable, Ty};
+use corm_ir::{ClassId, ClassTable, FieldId, Ty};
 use corm_wire::{
     DeserTable, Message, MessageReader, RmiStats, SerCycleTable, ARRAY_TYPE_INFO_BYTES,
     OBJECT_TYPE_INFO_BYTES, TAG_ARRAY_PRIM, TAG_ARRAY_REF, TAG_HANDLE, TAG_NULL, TAG_OBJECT,
     TAG_PRESENT, TAG_REMOTE, TAG_STRING,
 };
 
-use crate::plan::{EngineMode, Plans, PrimKind, SerNode, SlotKind};
+use crate::plan::{Plans, PrimKind, SerNode};
 
 /// A serialization failure (type confusion, wire corruption, attempting
 /// to serialize native objects).
@@ -61,7 +63,7 @@ pub struct DeserOutcome {
 /// the shared subgraph (or diverge on a true cycle).
 #[derive(Debug, Default)]
 pub struct ShadowCycleCheck {
-    seen: std::collections::HashSet<ObjRef>,
+    seen: HashSet<ObjRef>,
     /// Objects checked (diagnostic only; never fed into `RmiStats`).
     pub checks: u64,
 }
@@ -96,6 +98,43 @@ fn audit_check(shadow: &mut Option<ShadowCycleCheck>, r: ObjRef) -> Result<(), S
     Ok(())
 }
 
+/// The (field, slot, program) rows of one object body, in slot order: what
+/// a [`SerNode::Inline`] carries and what a class serializer is.
+type Fields = [(FieldId, u32, SerNode)];
+
+/// Deepest nesting of reference payloads one message may have, on every
+/// path and in both directions. Derived, not inherited (DESIGN §4.4): a
+/// walk keeps one `value` frame per level, the larger of the two takes
+/// 1 681 bytes in the debug profile (304 in release), and half of the
+/// 32 MiB stack every VM thread gets stays with the interpreter above.
+const MAX_DEPTH: usize = 10_000;
+
+/// The one depth guard. Every reference node whose payload holds further
+/// references goes on its walk's stack before the payload is walked —
+/// innermost last, so a [`SerNode::Recur`] indexes it and its length is
+/// the nesting depth.
+fn enter<'w>(
+    stack: &mut Vec<&'w SerNode>,
+    node: &'w SerNode,
+    direction: &str,
+) -> Result<(), SerError> {
+    if stack.len() >= MAX_DEPTH {
+        return serr(format!("{direction} recursion too deep (runaway recursive plan?)"));
+    }
+    stack.push(node);
+    Ok(())
+}
+
+/// The node a [`SerNode::Recur`] stands for; any other node is itself.
+fn resolve<'w>(stack: &[&'w SerNode], node: &'w SerNode) -> Result<&'w SerNode, SerError> {
+    let SerNode::Recur { up } = node else { return Ok(node) };
+    stack
+        .len()
+        .checked_sub(*up as usize)
+        .and_then(|i| stack.get(i).copied())
+        .ok_or_else(|| SerError(format!("recursion level {up} underflows plan stack")))
+}
+
 /// The serializer engine: executes [`SerNode`] programs.
 pub struct Serializer<'a> {
     pub plans: &'a Plans,
@@ -107,14 +146,6 @@ impl<'a> Serializer<'a> {
     pub fn new(plans: &'a Plans, table: &'a ClassTable, stats: &'a RmiStats) -> Self {
         Serializer { plans, table, stats }
     }
-
-    fn mode(&self) -> EngineMode {
-        self.plans.config.engine
-    }
-
-    // =====================================================================
-    // Serialization
-    // =====================================================================
 
     /// Serialize `v` according to `node`. `cycle` is the per-message
     /// handle table (None when statically elided).
@@ -142,301 +173,8 @@ impl<'a> Serializer<'a> {
         msg: &mut Message,
         shadow: &mut Option<ShadowCycleCheck>,
     ) -> Result<(), SerError> {
-        let mut stack = Vec::new();
-        self.ser_rec(heap, node, v, cycle, msg, shadow, &mut stack)
+        SerWalk { ser: self, heap, cycle, msg, shadow, stack: Vec::new() }.value(node, v)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn ser_rec<'n>(
-        &self,
-        heap: &Heap,
-        node: &'n SerNode,
-        v: Value,
-        cycle: &mut Option<SerCycleTable>,
-        msg: &mut Message,
-        shadow: &mut Option<ShadowCycleCheck>,
-        stack: &mut Vec<&'n SerNode>,
-    ) -> Result<(), SerError> {
-        if stack.len() > 50_000 {
-            return serr("serialization recursion too deep (runaway recursive plan?)");
-        }
-        match node {
-            SerNode::Prim(k) => self.write_prim(*k, v, msg),
-            SerNode::Str => match v {
-                Value::Null => {
-                    msg.write_u8(TAG_NULL);
-                    Ok(())
-                }
-                Value::Ref(r) => {
-                    msg.write_u8(TAG_PRESENT);
-                    msg.write_str(heap.str_value(r)?);
-                    Ok(())
-                }
-                other => serr(format!("expected string, found {other:?}")),
-            },
-            SerNode::Remote => match v {
-                Value::Null => {
-                    msg.write_u8(TAG_NULL);
-                    Ok(())
-                }
-                Value::Remote(rr) => {
-                    msg.write_u8(TAG_PRESENT);
-                    write_remote(msg, rr);
-                    Ok(())
-                }
-                other => serr(format!("expected remote ref, found {other:?}")),
-            },
-            SerNode::Inline { class, fields, .. } => {
-                let Some(r) = self.header(v, cycle, msg, shadow)? else { return Ok(()) };
-                let actual = heap.body(r)?.class();
-                if actual != Some(*class) {
-                    return serr(format!(
-                        "call-site plan expected {} but found {:?} (analysis violation)",
-                        self.table.class(*class).name,
-                        actual.map(|c| self.table.class(c).name.clone())
-                    ));
-                }
-                stack.push(node);
-                for (_, slot, sub) in fields {
-                    let fv = heap.field(r, *slot as usize)?;
-                    match sub {
-                        SerNode::Prim(k) => self.write_prim(*k, fv, msg)?,
-                        _ => self.ser_rec(heap, sub, fv, cycle, msg, shadow, stack)?,
-                    }
-                }
-                stack.pop();
-                Ok(())
-            }
-            SerNode::ArrPrim { elem } => {
-                let Some(r) = self.header(v, cycle, msg, shadow)? else { return Ok(()) };
-                self.write_prim_array_payload(heap, r, *elem, msg)
-            }
-            SerNode::ArrRef { elem, .. } => {
-                let Some(r) = self.header(v, cycle, msg, shadow)? else { return Ok(()) };
-                let len = heap.array_len(r)?;
-                msg.write_u32(len as u32);
-                stack.push(node);
-                for i in 0..len {
-                    let ev = heap.array_get(r, i)?;
-                    self.ser_rec(heap, elem, ev, cycle, msg, shadow, stack)?;
-                }
-                stack.pop();
-                Ok(())
-            }
-            SerNode::Dynamic => self.serialize_dynamic(heap, v, cycle, msg, shadow),
-            SerNode::Recur { up } => {
-                let idx = stack.len().checked_sub(*up as usize).ok_or_else(|| {
-                    SerError(format!("recursion level {up} underflows plan stack"))
-                })?;
-                let target = stack[idx];
-                self.ser_rec(heap, target, v, cycle, msg, shadow, stack)
-            }
-        }
-    }
-
-    /// Null / handle / presence protocol shared by reference nodes.
-    /// Returns the object to serialize, or None when nothing follows.
-    fn header(
-        &self,
-        v: Value,
-        cycle: &mut Option<SerCycleTable>,
-        msg: &mut Message,
-        shadow: &mut Option<ShadowCycleCheck>,
-    ) -> Result<Option<ObjRef>, SerError> {
-        let r = match v {
-            Value::Null => {
-                msg.write_u8(TAG_NULL);
-                return Ok(None);
-            }
-            Value::Ref(r) => r,
-            other => return serr(format!("expected reference, found {other:?}")),
-        };
-        if let Some(table) = cycle {
-            RmiStats::bump(&self.stats.cycle_lookups, 1);
-            if let Ok(handle) = table.check(r) {
-                msg.write_u8(TAG_HANDLE);
-                msg.write_u32(handle);
-                return Ok(None);
-            }
-        } else {
-            audit_check(shadow, r)?;
-        }
-        msg.write_u8(TAG_PRESENT);
-        Ok(Some(r))
-    }
-
-    fn write_prim(&self, k: PrimKind, v: Value, msg: &mut Message) -> Result<(), SerError> {
-        match (k, v) {
-            (PrimKind::Bool, Value::Bool(b)) => msg.write_bool(b),
-            (PrimKind::I32, Value::Int(x)) => msg.write_i32(x),
-            (PrimKind::I64, Value::Long(x)) => msg.write_i64(x),
-            (PrimKind::I64, Value::Int(x)) => msg.write_i64(x as i64),
-            (PrimKind::F64, Value::Double(x)) => msg.write_f64(x),
-            (k, v) => return serr(format!("expected {k:?}, found {v:?}")),
-        }
-        Ok(())
-    }
-
-    fn write_prim_array_payload(
-        &self,
-        heap: &Heap,
-        r: ObjRef,
-        elem: PrimKind,
-        msg: &mut Message,
-    ) -> Result<(), SerError> {
-        match (heap.body(r)?, elem) {
-            (ObjBody::ArrBool(a), PrimKind::Bool) => {
-                msg.write_u32(a.len() as u32);
-                msg.write_bool_slice(a);
-            }
-            (ObjBody::ArrI32(a), PrimKind::I32) => {
-                msg.write_u32(a.len() as u32);
-                msg.write_i32_slice(a);
-            }
-            (ObjBody::ArrI64(a), PrimKind::I64) => {
-                msg.write_u32(a.len() as u32);
-                msg.write_i64_slice(a);
-            }
-            (ObjBody::ArrF64(a), PrimKind::F64) => {
-                msg.write_u32(a.len() as u32);
-                msg.write_f64_slice(a);
-            }
-            (b, k) => return serr(format!("array kind mismatch: {k:?} vs {b:?}")),
-        }
-        Ok(())
-    }
-
-    /// Fully dynamic, tagged serialization — the `class`/`introspect`
-    /// baseline and the fall-back inside site-mode plans.
-    fn serialize_dynamic(
-        &self,
-        heap: &Heap,
-        v: Value,
-        cycle: &mut Option<SerCycleTable>,
-        msg: &mut Message,
-        shadow: &mut Option<ShadowCycleCheck>,
-    ) -> Result<(), SerError> {
-        match v {
-            Value::Null => {
-                msg.write_u8(TAG_NULL);
-                return Ok(());
-            }
-            // Scalars never reach the dynamic path: plans always classify
-            // primitive slots statically (SlotKind/shallow signature
-            // nodes). Hitting one indicates a codegen bug.
-            v @ (Value::Bool(_) | Value::Int(_) | Value::Long(_) | Value::Double(_)) => {
-                return serr(format!("scalar {v:?} in dynamic serialization"));
-            }
-            Value::Remote(rr) => {
-                msg.write_u8(TAG_REMOTE);
-                RmiStats::bump(&self.stats.type_info_bytes, 1);
-                write_remote(msg, rr);
-                return Ok(());
-            }
-            Value::Ref(_) => {}
-        }
-        let r = v.as_ref().unwrap();
-        if let Some(table) = cycle {
-            RmiStats::bump(&self.stats.cycle_lookups, 1);
-            if let Ok(handle) = table.check(r) {
-                msg.write_u8(TAG_HANDLE);
-                msg.write_u32(handle);
-                return Ok(());
-            }
-        } else {
-            // Shadow audit mirrors the real table's scope exactly (it
-            // covers strings here, just as `table.check` would).
-            audit_check(shadow, r)?;
-        }
-        match heap.body(r)? {
-            ObjBody::Str(s) => {
-                msg.write_u8(TAG_STRING);
-                RmiStats::bump(&self.stats.type_info_bytes, 1);
-                msg.write_str(s);
-                Ok(())
-            }
-            ObjBody::Obj { class, .. } => {
-                let class = *class;
-                msg.write_u8(TAG_OBJECT);
-                msg.write_u32(class.0);
-                RmiStats::bump(&self.stats.type_info_bytes, OBJECT_TYPE_INFO_BYTES);
-                RmiStats::bump(&self.stats.ser_invocations, 1);
-                let slots = self.slot_kinds(class)?;
-                for (slot, kind) in slots.iter().enumerate() {
-                    let fv = heap.field(r, slot)?;
-                    match kind {
-                        SlotKind::Prim(k) => self.write_prim(*k, fv, msg)?,
-                        SlotKind::Ref => self.serialize_dynamic(heap, fv, cycle, msg, shadow)?,
-                    }
-                }
-                Ok(())
-            }
-            ObjBody::ArrBool(_) | ObjBody::ArrI32(_) | ObjBody::ArrI64(_) | ObjBody::ArrF64(_) => {
-                let kind = match heap.body(r)? {
-                    ObjBody::ArrBool(_) => PrimKind::Bool,
-                    ObjBody::ArrI32(_) => PrimKind::I32,
-                    ObjBody::ArrI64(_) => PrimKind::I64,
-                    _ => PrimKind::F64,
-                };
-                msg.write_u8(TAG_ARRAY_PRIM);
-                msg.write_u8(kind.elem_code());
-                RmiStats::bump(&self.stats.type_info_bytes, ARRAY_TYPE_INFO_BYTES);
-                RmiStats::bump(&self.stats.ser_invocations, 1);
-                self.write_prim_array_payload(heap, r, kind, msg)
-            }
-            ObjBody::ArrRef { elem, data } => {
-                let (elem, len) = (elem.clone(), data.len());
-                msg.write_u8(TAG_ARRAY_REF);
-                let ty_bytes = write_ty(msg, &elem);
-                RmiStats::bump(&self.stats.type_info_bytes, ARRAY_TYPE_INFO_BYTES + ty_bytes);
-                RmiStats::bump(&self.stats.ser_invocations, 1);
-                msg.write_u32(len as u32);
-                for i in 0..len {
-                    let ev = heap.array_get(r, i)?;
-                    self.serialize_dynamic(heap, ev, cycle, msg, shadow)?;
-                }
-                Ok(())
-            }
-            ObjBody::Native { class, .. } => serr(format!(
-                "native objects of class {} cannot be serialized",
-                self.table.class(*class).name
-            )),
-        }
-    }
-
-    /// Per-class slot kinds: precompiled in class/site mode, re-derived
-    /// from class metadata per object in introspect mode (Sun-RMI style
-    /// reflective walk).
-    fn slot_kinds(&self, class: ClassId) -> Result<std::borrow::Cow<'_, [SlotKind]>, SerError> {
-        if self.mode() == EngineMode::Introspect {
-            // Reflective introspection: consult the class table for every
-            // field of every object ("examining an object's layout to
-            // locate normal fields and references", §1).
-            let cls = self.table.class(class);
-            let kinds: Vec<SlotKind> = cls
-                .layout
-                .iter()
-                .map(|&fid| {
-                    let ty = &self.table.field(fid).ty;
-                    match PrimKind::of(ty) {
-                        Some(k) => SlotKind::Prim(k),
-                        None => SlotKind::Ref,
-                    }
-                })
-                .collect();
-            Ok(std::borrow::Cow::Owned(kinds))
-        } else {
-            let info = self.plans.class_ser(class);
-            if !info.serializable {
-                return serr(format!("class {} is not serializable", self.table.class(class).name));
-            }
-            Ok(std::borrow::Cow::Borrowed(&info.slots))
-        }
-    }
-
-    // =====================================================================
-    // Deserialization
-    // =====================================================================
 
     /// Deserialize one value according to `node`. `reuse` is the cached
     /// object graph from the previous invocation of this unmarshaler (the
@@ -450,359 +188,538 @@ impl<'a> Serializer<'a> {
         dtable: &mut Option<DeserTable>,
         reuse: Value,
     ) -> Result<DeserOutcome, SerError> {
-        let mut st = DeserState::default();
-        let mut stack = Vec::new();
-        let value = self.deser_rec(heap, node, r, dtable, reuse, &mut st, &mut stack)?;
-        Ok(DeserOutcome { value, reused: st.reused })
+        let mut walk =
+            DeserWalk { ser: self, heap, r, dtable, claimed: HashSet::new(), stack: Vec::new() };
+        let value = walk.value(node, reuse)?;
+        Ok(DeserOutcome { value, reused: walk.claimed.len() as u64 })
     }
 
-    /// Claim `old` as a reuse target. A candidate object may be recycled
-    /// at most once per deserialization: cached graphs can contain shared
-    /// children (they were built with a handle table), and reusing one
-    /// object for two distinct wire positions would silently introduce
-    /// aliasing that the source graph does not have.
-    fn claim(st: &mut DeserState, old: ObjRef) -> bool {
-        if st.claimed.insert(old) {
-            st.reused += 1;
-            true
-        } else {
-            false
+    /// The class serializer the tagged path dispatches to: a program of
+    /// the same rows a call-site plan inlines.
+    fn class_program(&self, class: ClassId) -> Result<&'a Fields, SerError> {
+        let info = self.plans.class_ser(class);
+        if !info.serializable {
+            return serr(format!("class {} is not serializable", self.table.class(class).name));
         }
+        Ok(&info.fields)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn deser_rec<'n>(
-        &self,
-        heap: &mut Heap,
-        node: &'n SerNode,
-        r: &mut MessageReader<'_>,
-        dtable: &mut Option<DeserTable>,
-        reuse: Value,
-        st: &mut DeserState,
-        stack: &mut Vec<&'n SerNode>,
-    ) -> Result<Value, SerError> {
-        if stack.len() > 50_000 {
-            return serr("deserialization recursion too deep (runaway recursive plan?)");
+// =========================================================================
+// Serialization
+// =========================================================================
+
+/// The payload behind a reference node's header. A call-site plan names
+/// it statically; the tagged path reads it off the object.
+enum Body<'w> {
+    Object(&'w Fields),
+    Prims(PrimKind),
+    /// A reference array and its element program.
+    Refs(&'w SerNode),
+}
+
+/// One message's serialization: what [`Serializer::serialize_audited`]
+/// was handed, and the stack of [`enter`].
+struct SerWalk<'w> {
+    ser: &'w Serializer<'w>,
+    heap: &'w Heap,
+    cycle: &'w mut Option<SerCycleTable>,
+    msg: &'w mut Message,
+    shadow: &'w mut Option<ShadowCycleCheck>,
+    stack: Vec<&'w SerNode>,
+}
+
+impl<'w> SerWalk<'w> {
+    /// Serialize `v` by `node`. The only frame a nesting level keeps on
+    /// the thread's stack, whatever the path: `open` returns before the
+    /// payload is walked and a `Recur` is resolved, not re-entered.
+    fn value(&mut self, node: &'w SerNode, v: Value) -> Result<(), SerError> {
+        if let SerNode::Prim(k) = node {
+            return write_prim(*k, v, self.msg);
         }
-        match node {
-            SerNode::Prim(k) => read_prim(*k, r),
-            SerNode::Str => match r.read_u8()? {
-                TAG_NULL => Ok(Value::Null),
-                TAG_PRESENT => {
-                    let s = r.read_str()?;
-                    Ok(Value::Ref(heap.alloc_str(s)))
-                }
-                t => serr(format!("bad string tag {t}")),
-            },
-            SerNode::Remote => match r.read_u8()? {
-                TAG_NULL => Ok(Value::Null),
-                TAG_PRESENT => Ok(Value::Remote(read_remote(r)?)),
-                t => serr(format!("bad remote tag {t}")),
-            },
-            SerNode::Inline { class, nfields, fields } => {
-                match self.read_header(r, dtable)? {
-                    Header::Null => return Ok(Value::Null),
-                    Header::Handle(v) => return Ok(v),
-                    Header::Present => {}
-                }
-                // Reuse: same class ⇒ overwrite in place.
-                let (obj, reusing) = match reuse {
-                    Value::Ref(old)
-                        if heap.body(old).map(|b| b.class() == Some(*class)).unwrap_or(false)
-                            && Self::claim(st, old) =>
-                    {
-                        (old, true)
-                    }
-                    _ => (heap.alloc_obj(*class, *nfields as usize), false),
-                };
-                if let Some(t) = dtable {
-                    t.register(obj);
-                }
-                stack.push(node);
+        let node = resolve(&self.stack, node)?;
+        let Some((r, body)) = self.open(node, v)? else { return Ok(()) };
+        match body {
+            Body::Prims(elem) => return write_prim_array_payload(self.heap, r, elem, self.msg),
+            Body::Object(fields) => {
+                enter(&mut self.stack, node, "serialization")?;
                 for (_, slot, sub) in fields {
-                    let old_field = if reusing {
-                        heap.field(obj, *slot as usize).unwrap_or(Value::Null)
-                    } else {
-                        Value::Null
-                    };
-                    let fv = match sub {
-                        SerNode::Prim(k) => read_prim(*k, r)?,
-                        _ => self.deser_rec(heap, sub, r, dtable, old_field, st, stack)?,
-                    };
-                    heap.set_field(obj, *slot as usize, fv)?;
-                }
-                stack.pop();
-                Ok(Value::Ref(obj))
-            }
-            SerNode::ArrPrim { elem } => {
-                match self.read_header(r, dtable)? {
-                    Header::Null => return Ok(Value::Null),
-                    Header::Handle(v) => return Ok(v),
-                    Header::Present => {}
-                }
-                let len = r.read_u32()? as usize;
-                check_len(len, prim_width(*elem), r)?;
-                let obj = self.prim_array_target(heap, *elem, len, reuse, st);
-                if let Some(t) = dtable {
-                    t.register(obj);
-                }
-                self.read_prim_array_payload(heap, obj, *elem, len, r)?;
-                Ok(Value::Ref(obj))
-            }
-            SerNode::ArrRef { elem_ty, elem } => {
-                match self.read_header(r, dtable)? {
-                    Header::Null => return Ok(Value::Null),
-                    Header::Handle(v) => return Ok(v),
-                    Header::Present => {}
-                }
-                let len = r.read_u32()? as usize;
-                check_len(len, 1, r)?;
-                let (obj, reusing) = match reuse {
-                    Value::Ref(old)
-                        if heap.array_len(old).map(|l| l == len).unwrap_or(false)
-                            && matches!(heap.body(old), Ok(ObjBody::ArrRef { .. }))
-                            && Self::claim(st, old) =>
-                    {
-                        (old, true)
+                    let fv = self.heap.field(r, *slot as usize)?;
+                    match sub {
+                        SerNode::Prim(k) => write_prim(*k, fv, self.msg)?,
+                        _ => self.value(sub, fv)?,
                     }
-                    _ => (heap.alloc_array(elem_ty, len), false),
-                };
-                if let Some(t) = dtable {
-                    t.register(obj);
                 }
-                stack.push(node);
+            }
+            Body::Refs(elem) => {
+                enter(&mut self.stack, node, "serialization")?;
+                let len = self.heap.array_len(r)?;
+                self.msg.write_u32(len as u32);
                 for i in 0..len {
-                    let old_elem = if reusing {
-                        heap.array_get(obj, i).unwrap_or(Value::Null)
-                    } else {
-                        Value::Null
-                    };
-                    let ev = self.deser_rec(heap, elem, r, dtable, old_elem, st, stack)?;
-                    heap.array_set(obj, i, ev)?;
+                    let ev = self.heap.array_get(r, i)?;
+                    self.value(elem, ev)?;
                 }
-                stack.pop();
-                Ok(Value::Ref(obj))
-            }
-            SerNode::Dynamic => self.deser_dynamic(heap, r, dtable, reuse, st),
-            SerNode::Recur { up } => {
-                let idx = stack.len().checked_sub(*up as usize).ok_or_else(|| {
-                    SerError(format!("recursion level {up} underflows plan stack"))
-                })?;
-                let target = stack[idx];
-                self.deser_rec(heap, target, r, dtable, reuse, st, stack)
             }
         }
-    }
-
-    fn read_header(
-        &self,
-        r: &mut MessageReader<'_>,
-        dtable: &mut Option<DeserTable>,
-    ) -> Result<Header, SerError> {
-        match r.read_u8()? {
-            TAG_NULL => Ok(Header::Null),
-            TAG_PRESENT => Ok(Header::Present),
-            TAG_HANDLE => {
-                let h = r.read_u32()?;
-                let t =
-                    dtable.as_ref().ok_or_else(|| SerError("handle without deser table".into()))?;
-                let obj =
-                    t.lookup(h).ok_or_else(|| SerError(format!("dangling wire handle {h}")))?;
-                Ok(Header::Handle(Value::Ref(obj)))
-            }
-            t => serr(format!("bad header tag {t}")),
-        }
-    }
-
-    fn prim_array_target(
-        &self,
-        heap: &mut Heap,
-        elem: PrimKind,
-        len: usize,
-        reuse: Value,
-        st: &mut DeserState,
-    ) -> ObjRef {
-        if let Value::Ref(old) = reuse {
-            let matches = match (heap.body(old), elem) {
-                (Ok(ObjBody::ArrBool(a)), PrimKind::Bool) => a.len() == len,
-                (Ok(ObjBody::ArrI32(a)), PrimKind::I32) => a.len() == len,
-                (Ok(ObjBody::ArrI64(a)), PrimKind::I64) => a.len() == len,
-                (Ok(ObjBody::ArrF64(a)), PrimKind::F64) => a.len() == len,
-                _ => false,
-            };
-            if matches && Self::claim(st, old) {
-                return old;
-            }
-        }
-        let ty = match elem {
-            PrimKind::Bool => Ty::Bool,
-            PrimKind::I32 => Ty::Int,
-            PrimKind::I64 => Ty::Long,
-            PrimKind::F64 => Ty::Double,
-        };
-        heap.alloc_array(&ty, len)
-    }
-
-    fn read_prim_array_payload(
-        &self,
-        heap: &mut Heap,
-        obj: ObjRef,
-        elem: PrimKind,
-        len: usize,
-        r: &mut MessageReader<'_>,
-    ) -> Result<(), SerError> {
-        match (heap.body_mut(obj)?, elem) {
-            (ObjBody::ArrBool(a), PrimKind::Bool) => {
-                debug_assert_eq!(a.len(), len);
-                r.read_bool_into(a)?;
-            }
-            (ObjBody::ArrI32(a), PrimKind::I32) => {
-                r.read_i32_into(a)?;
-            }
-            (ObjBody::ArrI64(a), PrimKind::I64) => {
-                r.read_i64_into(a)?;
-            }
-            (ObjBody::ArrF64(a), PrimKind::F64) => {
-                r.read_f64_into(a)?;
-            }
-            (b, k) => return serr(format!("deser array kind mismatch: {k:?} vs {b:?}")),
-        }
+        self.stack.pop();
         Ok(())
     }
 
-    fn deser_dynamic(
-        &self,
-        heap: &mut Heap,
-        r: &mut MessageReader<'_>,
-        dtable: &mut Option<DeserTable>,
-        reuse: Value,
-        st: &mut DeserState,
-    ) -> Result<Value, SerError> {
-        match r.read_u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_HANDLE => {
-                let h = r.read_u32()?;
-                let t =
-                    dtable.as_ref().ok_or_else(|| SerError("handle without deser table".into()))?;
-                let obj =
-                    t.lookup(h).ok_or_else(|| SerError(format!("dangling wire handle {h}")))?;
-                Ok(Value::Ref(obj))
+    /// Write everything of `v` that precedes a reference payload — which
+    /// is all of it for a string, remote reference, null or
+    /// back-reference — and name the payload still to come.
+    fn open(
+        &mut self,
+        node: &'w SerNode,
+        v: Value,
+    ) -> Result<Option<(ObjRef, Body<'w>)>, SerError> {
+        let (r, body) = match (node, v) {
+            (SerNode::Dynamic, v) => return self.open_dynamic(v),
+            (SerNode::Prim(_) | SerNode::Recur { .. }, _) => unreachable!("`value` saw to it"),
+            (_, Value::Null) => {
+                self.msg.write_u8(TAG_NULL);
+                return Ok(None);
             }
-            TAG_REMOTE => Ok(Value::Remote(read_remote(r)?)),
-            TAG_STRING => {
-                let s = r.read_str()?;
-                Ok(Value::Ref(heap.alloc_str(s)))
+            (SerNode::Str, Value::Ref(r)) => {
+                self.msg.write_u8(TAG_PRESENT);
+                self.msg.write_str(self.heap.str_value(r)?);
+                return Ok(None);
             }
+            (SerNode::Str, other) => return serr(format!("expected string, found {other:?}")),
+            (SerNode::Remote, Value::Remote(rr)) => {
+                self.msg.write_u8(TAG_PRESENT);
+                write_remote(self.msg, rr);
+                return Ok(None);
+            }
+            (SerNode::Remote, other) => {
+                return serr(format!("expected remote ref, found {other:?}"))
+            }
+            (SerNode::Inline { fields, .. }, Value::Ref(r)) => (r, Body::Object(fields)),
+            (SerNode::ArrPrim { elem }, Value::Ref(r)) => (r, Body::Prims(*elem)),
+            (SerNode::ArrRef { elem, .. }, Value::Ref(r)) => (r, Body::Refs(elem)),
+            (_, other) => return serr(format!("expected reference, found {other:?}")),
+        };
+        // A statically known reference: handle or presence, and not a
+        // byte of type information.
+        if self.back_reference(r)? {
+            return Ok(None);
+        }
+        self.msg.write_u8(TAG_PRESENT);
+        if let SerNode::Inline { class, .. } = node {
+            let actual = self.heap.body(r)?.class();
+            if actual != Some(*class) {
+                let table = self.ser.table;
+                return serr(format!(
+                    "call-site plan expected {} but found {:?} (analysis violation)",
+                    table.class(*class).name,
+                    actual.map(|c| table.class(c).name.clone())
+                ));
+            }
+        }
+        Ok(Some((r, body)))
+    }
+
+    /// The handle protocol of a reference about to be written, shared by
+    /// both paths: with a cycle table a second visit becomes a
+    /// back-reference (`true`: nothing more to write); without one the
+    /// auditor's shadow table, when armed, checks the claim that let the
+    /// plan drop it (strings included, exactly the real table's scope).
+    fn back_reference(&mut self, r: ObjRef) -> Result<bool, SerError> {
+        let Some(table) = self.cycle else {
+            return audit_check(self.shadow, r).map(|()| false);
+        };
+        RmiStats::bump(&self.ser.stats.cycle_lookups, 1);
+        let Ok(handle) = table.check(r) else { return Ok(false) };
+        self.msg.write_u8(TAG_HANDLE);
+        self.msg.write_u32(handle);
+        Ok(true)
+    }
+
+    /// The tagged path — the `class` baseline and the fall-back inside
+    /// site-mode plans — keeps what is its own: the `TAG_*` protocol,
+    /// the type information it puts on the wire and the serializer
+    /// invocation it counts per object. The payload is `value`'s.
+    fn open_dynamic(&mut self, v: Value) -> Result<Option<(ObjRef, Body<'w>)>, SerError> {
+        let stats = self.ser.stats;
+        let r = match v {
+            Value::Null => {
+                self.msg.write_u8(TAG_NULL);
+                return Ok(None);
+            }
+            // Scalars never reach the tagged path: every program
+            // classifies primitive slots statically. Hitting one
+            // indicates a codegen bug.
+            v @ (Value::Bool(_) | Value::Int(_) | Value::Long(_) | Value::Double(_)) => {
+                return serr(format!("scalar {v:?} in dynamic serialization"));
+            }
+            Value::Remote(rr) => {
+                self.msg.write_u8(TAG_REMOTE);
+                RmiStats::bump(&stats.type_info_bytes, 1);
+                write_remote(self.msg, rr);
+                return Ok(None);
+            }
+            Value::Ref(r) => r,
+        };
+        if self.back_reference(r)? {
+            return Ok(None);
+        }
+        let (body, type_info) = match self.heap.body(r)? {
+            ObjBody::Str(s) => {
+                self.msg.write_u8(TAG_STRING);
+                RmiStats::bump(&stats.type_info_bytes, 1);
+                self.msg.write_str(s);
+                return Ok(None);
+            }
+            ObjBody::Obj { class, .. } => {
+                self.msg.write_u8(TAG_OBJECT);
+                self.msg.write_u32(class.0);
+                (Body::Object(self.ser.class_program(*class)?), OBJECT_TYPE_INFO_BYTES)
+            }
+            ObjBody::ArrRef { elem, .. } => {
+                self.msg.write_u8(TAG_ARRAY_REF);
+                let ty_bytes = write_ty(self.msg, elem);
+                (Body::Refs(&SerNode::Dynamic), ARRAY_TYPE_INFO_BYTES + ty_bytes)
+            }
+            ObjBody::Native { class, .. } => {
+                return serr(format!(
+                    "native objects of class {} cannot be serialized",
+                    self.ser.table.class(*class).name
+                ))
+            }
+            prims => {
+                let kind = match prims {
+                    ObjBody::ArrBool(_) => PrimKind::Bool,
+                    ObjBody::ArrI32(_) => PrimKind::I32,
+                    ObjBody::ArrI64(_) => PrimKind::I64,
+                    _ => PrimKind::F64,
+                };
+                self.msg.write_u8(TAG_ARRAY_PRIM);
+                self.msg.write_u8(kind.elem_code());
+                (Body::Prims(kind), ARRAY_TYPE_INFO_BYTES)
+            }
+        };
+        RmiStats::bump(&stats.type_info_bytes, type_info);
+        RmiStats::bump(&stats.ser_invocations, 1);
+        Ok(Some((r, body)))
+    }
+}
+
+fn write_prim(k: PrimKind, v: Value, msg: &mut Message) -> Result<(), SerError> {
+    match (k, v) {
+        (PrimKind::Bool, Value::Bool(b)) => msg.write_bool(b),
+        (PrimKind::I32, Value::Int(x)) => msg.write_i32(x),
+        (PrimKind::I64, Value::Long(x)) => msg.write_i64(x),
+        (PrimKind::I64, Value::Int(x)) => msg.write_i64(x as i64),
+        (PrimKind::F64, Value::Double(x)) => msg.write_f64(x),
+        (k, v) => return serr(format!("expected {k:?}, found {v:?}")),
+    }
+    Ok(())
+}
+
+fn write_prim_array_payload(
+    heap: &Heap,
+    r: ObjRef,
+    elem: PrimKind,
+    msg: &mut Message,
+) -> Result<(), SerError> {
+    match (heap.body(r)?, elem) {
+        (ObjBody::ArrBool(a), PrimKind::Bool) => {
+            msg.write_u32(a.len() as u32);
+            msg.write_bool_slice(a);
+        }
+        (ObjBody::ArrI32(a), PrimKind::I32) => {
+            msg.write_u32(a.len() as u32);
+            msg.write_i32_slice(a);
+        }
+        (ObjBody::ArrI64(a), PrimKind::I64) => {
+            msg.write_u32(a.len() as u32);
+            msg.write_i64_slice(a);
+        }
+        (ObjBody::ArrF64(a), PrimKind::F64) => {
+            msg.write_u32(a.len() as u32);
+            msg.write_f64_slice(a);
+        }
+        (b, k) => return serr(format!("array kind mismatch: {k:?} vs {b:?}")),
+    }
+    Ok(())
+}
+
+// =========================================================================
+// Deserialization
+// =========================================================================
+
+/// A value as far as it can be read without reading a nested reference.
+enum Opened<'w> {
+    /// All of it: a string, remote reference, null, back-reference or
+    /// primitive array.
+    Done(Value),
+    /// An object, allocated or recycled, its fields still on the wire.
+    Object { obj: ObjRef, reusing: bool, fields: &'w Fields },
+    /// A reference array, allocated or recycled, its `len` elements
+    /// (each by `elem`) still on the wire.
+    Refs { obj: ObjRef, reusing: bool, len: usize, elem: &'w SerNode },
+}
+
+/// One message's deserialization: what [`Serializer::deserialize`] was
+/// handed, the stack of [`enter`], and the reuse accounting.
+struct DeserWalk<'w, 'm> {
+    ser: &'w Serializer<'w>,
+    heap: &'w mut Heap,
+    r: &'w mut MessageReader<'m>,
+    dtable: &'w mut Option<DeserTable>,
+    /// Objects of the reuse candidate already recycled. Each may be
+    /// claimed once: cached graphs can contain shared children (they
+    /// were built with a handle table), and reusing one object for two
+    /// distinct wire positions would silently introduce aliasing that
+    /// the source graph does not have.
+    claimed: HashSet<ObjRef>,
+    stack: Vec<&'w SerNode>,
+}
+
+impl<'w> DeserWalk<'w, '_> {
+    /// Read one value by `node`, into `reuse` where that fits. One
+    /// frame per nesting level, as [`SerWalk::value`].
+    fn value(&mut self, node: &'w SerNode, reuse: Value) -> Result<Value, SerError> {
+        if let SerNode::Prim(k) = node {
+            return read_prim(*k, self.r);
+        }
+        let node = resolve(&self.stack, node)?;
+        let obj = match self.open(node, reuse)? {
+            Opened::Done(v) => return Ok(v),
+            Opened::Object { obj, reusing, fields } => {
+                enter(&mut self.stack, node, "deserialization")?;
+                for (_, slot, sub) in fields {
+                    let slot = *slot as usize;
+                    let fv = match sub {
+                        SerNode::Prim(k) => read_prim(*k, self.r)?,
+                        _ => {
+                            let old =
+                                if reusing { self.heap.field(obj, slot)? } else { Value::Null };
+                            self.value(sub, old)?
+                        }
+                    };
+                    self.heap.set_field(obj, slot, fv)?;
+                }
+                obj
+            }
+            Opened::Refs { obj, reusing, len, elem } => {
+                enter(&mut self.stack, node, "deserialization")?;
+                for i in 0..len {
+                    let old = if reusing { self.heap.array_get(obj, i)? } else { Value::Null };
+                    let ev = self.value(elem, old)?;
+                    self.heap.array_set(obj, i, ev)?;
+                }
+                obj
+            }
+        };
+        self.stack.pop();
+        Ok(Value::Ref(obj))
+    }
+
+    /// Read `node`'s value up to its first nested reference.
+    fn open(&mut self, node: &'w SerNode, reuse: Value) -> Result<Opened<'w>, SerError> {
+        let tag = match node {
+            SerNode::Dynamic => return self.open_dynamic(reuse),
+            SerNode::Prim(_) | SerNode::Recur { .. } => unreachable!("`value` saw to it"),
+            _ => self.r.read_u8()?,
+        };
+        match (node, tag) {
+            (_, TAG_NULL) => Ok(Opened::Done(Value::Null)),
+            (SerNode::Str, TAG_PRESENT) => self.read_string(false),
+            (SerNode::Str, t) => serr(format!("bad string tag {t}")),
+            (SerNode::Remote, TAG_PRESENT) => self.read_remote(),
+            (SerNode::Remote, t) => serr(format!("bad remote tag {t}")),
+            // A statically known reference: handle or presence.
+            (_, TAG_HANDLE) => self.read_handle(),
+            (SerNode::Inline { class, fields }, TAG_PRESENT) => {
+                Ok(self.object(*class, fields, reuse))
+            }
+            (SerNode::ArrPrim { elem }, TAG_PRESENT) => self.prim_array(*elem, reuse),
+            (SerNode::ArrRef { elem_ty, elem }, TAG_PRESENT) => {
+                self.ref_array(elem_ty, elem, reuse)
+            }
+            (_, t) => serr(format!("bad header tag {t}")),
+        }
+    }
+
+    /// The tagged path keeps what is its own — the `TAG_*` protocol and
+    /// the checks on a class id off the wire — and reads payloads with
+    /// the functions the plan path uses.
+    fn open_dynamic(&mut self, reuse: Value) -> Result<Opened<'w>, SerError> {
+        match self.r.read_u8()? {
+            TAG_NULL => Ok(Opened::Done(Value::Null)),
+            TAG_HANDLE => self.read_handle(),
+            TAG_REMOTE => self.read_remote(),
+            TAG_STRING => self.read_string(true),
             TAG_OBJECT => {
-                let class = ClassId(r.read_u32()?);
-                if class.index() >= self.table.classes.len() {
+                let class = ClassId(self.r.read_u32()?);
+                if class.index() >= self.ser.table.classes.len() {
                     return serr(format!("unknown wire class id {}", class.0));
                 }
-                let slots = self.slot_kinds(class)?.into_owned();
-                let (obj, reusing) = match reuse {
-                    Value::Ref(old)
-                        if heap.body(old).map(|b| b.class() == Some(class)).unwrap_or(false)
-                            && Self::claim(st, old) =>
-                    {
-                        (old, true)
-                    }
-                    _ => (heap.alloc_obj(class, slots.len()), false),
-                };
-                if let Some(t) = dtable {
-                    t.register(obj);
-                }
-                for (slot, kind) in slots.iter().enumerate() {
-                    let old_field = if reusing {
-                        heap.field(obj, slot).unwrap_or(Value::Null)
-                    } else {
-                        Value::Null
-                    };
-                    let fv = match kind {
-                        SlotKind::Prim(k) => read_prim(*k, r)?,
-                        SlotKind::Ref => self.deser_dynamic(heap, r, dtable, old_field, st)?,
-                    };
-                    heap.set_field(obj, slot, fv)?;
-                }
-                Ok(Value::Ref(obj))
+                Ok(self.object(class, self.ser.class_program(class)?, reuse))
             }
             TAG_ARRAY_PRIM => {
-                let kind = match r.read_u8()? {
+                let kind = match self.r.read_u8()? {
                     corm_wire::ELEM_BOOL => PrimKind::Bool,
                     corm_wire::ELEM_I32 => PrimKind::I32,
                     corm_wire::ELEM_I64 => PrimKind::I64,
                     corm_wire::ELEM_F64 => PrimKind::F64,
                     k => return serr(format!("bad elem kind {k}")),
                 };
-                let len = r.read_u32()? as usize;
-                check_len(len, prim_width(kind), r)?;
-                let obj = self.prim_array_target(heap, kind, len, reuse, st);
-                if let Some(t) = dtable {
-                    t.register(obj);
-                }
-                self.read_prim_array_payload(heap, obj, kind, len, r)?;
-                Ok(Value::Ref(obj))
+                self.prim_array(kind, reuse)
             }
             TAG_ARRAY_REF => {
-                let elem_ty = read_ty(r)?;
-                let len = r.read_u32()? as usize;
-                check_len(len, 1, r)?;
-                let (obj, reusing) = match reuse {
-                    Value::Ref(old)
-                        if matches!(heap.body(old), Ok(ObjBody::ArrRef { .. }))
-                            && heap.array_len(old).map(|l| l == len).unwrap_or(false)
-                            && Self::claim(st, old) =>
-                    {
-                        (old, true)
-                    }
-                    _ => (heap.alloc_array(&elem_ty, len), false),
-                };
-                if let Some(t) = dtable {
-                    t.register(obj);
-                }
-                for i in 0..len {
-                    let old_elem = if reusing {
-                        heap.array_get(obj, i).unwrap_or(Value::Null)
-                    } else {
-                        Value::Null
-                    };
-                    let ev = self.deser_dynamic(heap, r, dtable, old_elem, st)?;
-                    heap.array_set(obj, i, ev)?;
-                }
-                Ok(Value::Ref(obj))
+                let elem_ty = read_ty(self.r)?;
+                self.ref_array(&elem_ty, &SerNode::Dynamic, reuse)
             }
             t => serr(format!("bad dynamic tag {t}")),
         }
     }
-}
 
-enum Header {
-    Null,
-    Present,
-    Handle(Value),
-}
+    /// A back-reference: the object the sender's cycle table had already
+    /// seen, by the handle both tables gave it.
+    fn read_handle(&mut self) -> Result<Opened<'w>, SerError> {
+        let h = self.r.read_u32()?;
+        let table =
+            self.dtable.as_ref().ok_or_else(|| SerError("handle without deser table".into()))?;
+        let obj = table.lookup(h).ok_or_else(|| SerError(format!("dangling wire handle {h}")))?;
+        Ok(Opened::Done(Value::Ref(obj)))
+    }
 
-/// Mutable state of one deserialization: reuse accounting plus the set of
-/// candidate objects already recycled (each may be claimed once).
-#[derive(Default)]
-struct DeserState {
-    reused: u64,
-    claimed: std::collections::HashSet<ObjRef>,
-}
+    /// A string: on the tagged path the sender's cycle table saw it
+    /// (`back_reference` runs before the tag), so there it takes a wire
+    /// handle like any other object; behind a `Str` node it has none.
+    fn read_string(&mut self, tagged: bool) -> Result<Opened<'w>, SerError> {
+        let s = self.r.read_str()?;
+        let s = self.heap.alloc_str(s);
+        if tagged {
+            self.register(s);
+        }
+        Ok(Opened::Done(Value::Ref(s)))
+    }
 
-/// Guard against corrupted length fields: a claimed array of `len`
-/// elements with at least `min_elem_bytes` bytes each cannot exceed the
-/// remaining payload.
-fn prim_width(k: PrimKind) -> usize {
-    match k {
-        PrimKind::Bool => 1,
-        PrimKind::I32 => 4,
-        PrimKind::I64 | PrimKind::F64 => 8,
+    /// A remote reference must name a remote class of this program's
+    /// table: the first call through it indexes the table by that id.
+    fn read_remote(&mut self) -> Result<Opened<'w>, SerError> {
+        let machine = self.r.read_u32()?;
+        let machine = u16::try_from(machine)
+            .map_err(|_| SerError(format!("remote reference to machine {machine} out of range")))?;
+        let obj = ObjRef(self.r.read_u32()?);
+        let class = ClassId(self.r.read_u32()?);
+        if !self.ser.table.classes.get(class.index()).is_some_and(|c| c.is_remote) {
+            return serr(format!("wire class id {} is not a remote class", class.0));
+        }
+        Ok(Opened::Done(Value::Remote(RemoteRef { machine, obj, class })))
+    }
+
+    /// Same class ⇒ overwrite in place.
+    fn object(&mut self, class: ClassId, fields: &'w Fields, reuse: Value) -> Opened<'w> {
+        let (obj, reusing) = self.target(
+            reuse,
+            |b| b.class() == Some(class),
+            |heap| heap.alloc_obj(class, fields.len()),
+        );
+        Opened::Object { obj, reusing, fields }
+    }
+
+    fn prim_array(&mut self, elem: PrimKind, reuse: Value) -> Result<Opened<'w>, SerError> {
+        let (width, ty) = prim_elem(elem);
+        let len = self.read_len(width)?;
+        let (obj, _) = self.target(
+            reuse,
+            |b| prim_array_len(b, elem) == Some(len),
+            |heap| heap.alloc_array(&ty, len),
+        );
+        read_prim_array_payload(self.heap, obj, elem, self.r)?;
+        Ok(Opened::Done(Value::Ref(obj)))
+    }
+
+    fn ref_array(
+        &mut self,
+        elem_ty: &Ty,
+        elem: &'w SerNode,
+        reuse: Value,
+    ) -> Result<Opened<'w>, SerError> {
+        let len = self.read_len(1)?;
+        let (obj, reusing) = self.target(
+            reuse,
+            |b| matches!(b, ObjBody::ArrRef { data, .. } if data.len() == len),
+            |heap| heap.alloc_array(elem_ty, len),
+        );
+        Ok(Opened::Refs { obj, reusing, len, elem })
+    }
+
+    /// A length prefix, checked against what is left of the message: a
+    /// claimed array of `len` elements of at least `min_elem_bytes`
+    /// bytes each cannot exceed the remaining payload.
+    fn read_len(&mut self, min_elem_bytes: usize) -> Result<usize, SerError> {
+        let len = self.r.read_u32()? as usize;
+        let remaining = self.r.remaining();
+        if len.saturating_mul(min_elem_bytes) > remaining {
+            return serr(format!("corrupt length {len} exceeds remaining payload {remaining}"));
+        }
+        Ok(len)
+    }
+
+    /// The object a payload is read into, and whether it is recycled:
+    /// the reuse candidate when it `fits` and was not claimed yet, else
+    /// a `fresh` one. Either way it takes the next wire handle.
+    fn target(
+        &mut self,
+        reuse: Value,
+        fits: impl FnOnce(&ObjBody) -> bool,
+        fresh: impl FnOnce(&mut Heap) -> ObjRef,
+    ) -> (ObjRef, bool) {
+        let (obj, reusing) = match reuse {
+            Value::Ref(old) if self.heap.body(old).is_ok_and(fits) && self.claimed.insert(old) => {
+                (old, true)
+            }
+            _ => (fresh(self.heap), false),
+        };
+        self.register(obj);
+        (obj, reusing)
+    }
+
+    fn register(&mut self, obj: ObjRef) {
+        if let Some(t) = self.dtable {
+            t.register(obj);
+        }
     }
 }
 
-fn check_len(len: usize, min_elem_bytes: usize, r: &MessageReader<'_>) -> Result<(), SerError> {
-    if len.saturating_mul(min_elem_bytes.max(1)) > r.remaining() {
-        return serr(format!("corrupt length {len} exceeds remaining payload {}", r.remaining()));
+/// Wire width and heap type of one element of a primitive array.
+fn prim_elem(k: PrimKind) -> (usize, Ty) {
+    match k {
+        PrimKind::Bool => (1, Ty::Bool),
+        PrimKind::I32 => (4, Ty::Int),
+        PrimKind::I64 => (8, Ty::Long),
+        PrimKind::F64 => (8, Ty::Double),
+    }
+}
+
+/// Length of `b` if it is a primitive array of `elem`s.
+fn prim_array_len(b: &ObjBody, elem: PrimKind) -> Option<usize> {
+    match (b, elem) {
+        (ObjBody::ArrBool(a), PrimKind::Bool) => Some(a.len()),
+        (ObjBody::ArrI32(a), PrimKind::I32) => Some(a.len()),
+        (ObjBody::ArrI64(a), PrimKind::I64) => Some(a.len()),
+        (ObjBody::ArrF64(a), PrimKind::F64) => Some(a.len()),
+        _ => None,
+    }
+}
+
+fn read_prim_array_payload(
+    heap: &mut Heap,
+    obj: ObjRef,
+    elem: PrimKind,
+    r: &mut MessageReader<'_>,
+) -> Result<(), SerError> {
+    match (heap.body_mut(obj)?, elem) {
+        (ObjBody::ArrBool(a), PrimKind::Bool) => r.read_bool_into(a)?,
+        (ObjBody::ArrI32(a), PrimKind::I32) => r.read_i32_into(a)?,
+        (ObjBody::ArrI64(a), PrimKind::I64) => r.read_i64_into(a)?,
+        (ObjBody::ArrF64(a), PrimKind::F64) => r.read_f64_into(a)?,
+        (b, k) => return serr(format!("deser array kind mismatch: {k:?} vs {b:?}")),
     }
     Ok(())
 }
@@ -820,13 +737,6 @@ fn write_remote(msg: &mut Message, rr: RemoteRef) {
     msg.write_u32(rr.machine as u32);
     msg.write_u32(rr.obj.0);
     msg.write_u32(rr.class.0);
-}
-
-fn read_remote(r: &mut MessageReader<'_>) -> Result<RemoteRef, SerError> {
-    let machine = r.read_u32()? as u16;
-    let obj = ObjRef(r.read_u32()?);
-    let class = ClassId(r.read_u32()?);
-    Ok(RemoteRef { machine, obj, class })
 }
 
 /// Encode a type for `TAG_ARRAY_REF` element descriptors. Returns the
@@ -1198,6 +1108,84 @@ mod tests {
         let mut ct = None;
         let err = ser.serialize(&src, &plan.args[0], Value::Ref(pair), &mut ct, &mut msg);
         assert!(err.is_err());
+    }
+
+    /// One guard bounds the nesting of reference payloads, on the tagged
+    /// path (`class`) and through an inlined `Node` whose `next` re-enters
+    /// it (`all`), in both directions — checked on the stack every VM
+    /// thread gets, in the profile tier-1 runs under.
+    #[test]
+    fn nesting_at_the_depth_bound_round_trips_and_one_level_deeper_fails_the_call() {
+        const LIST_SRC: &str = r#"
+            class Node { Node next; int v; Node(Node n) { this.next = n; } }
+            remote class R { void f(Node p) { } }
+            class M {
+                static void main() {
+                    R r = new R();
+                    Node head = null;
+                    for (int i = 0; i < 10; i++) { head = new Node(head); }
+                    r.f(head);
+                }
+            }
+        "#;
+        let walks = || {
+            let m = compile_frontend(LIST_SRC).unwrap();
+            let a = analyze_module(&m, AnalysisOptions::default());
+            let node_class = class_id(&m, "Node");
+            // MAX_DEPTH + 1 nodes from `head`, MAX_DEPTH from `head.next`.
+            let mut src = Heap::new();
+            let (mut head, mut second) = (Value::Null, Value::Null);
+            for i in 0..=MAX_DEPTH {
+                let n = src.alloc_obj(node_class, 2);
+                src.set_field(n, 0, head).unwrap();
+                src.set_field(n, 1, Value::Int(i as i32)).unwrap();
+                (second, head) = (head, Value::Ref(n));
+            }
+            for config in [OptConfig::CLASS, OptConfig::ALL] {
+                let plans = generate_plans(&m, &a, config);
+                let stats = RmiStats::new();
+                let ser = Serializer::new(&plans, &m.table, &stats);
+                let node = &plans.sites.values().find(|pl| !pl.args.is_empty()).unwrap().args[0];
+                let (ct, dt) = (|| Some(SerCycleTable::new()), || Some(DeserTable::new()));
+
+                let mut msg = Message::new();
+                let err = ser.serialize(&src, node, head, &mut ct(), &mut msg).expect_err("over");
+                assert!(err.0.contains("serialization recursion too deep"), "{config:?}: {err}");
+
+                let mut msg = Message::new();
+                ser.serialize(&src, node, second, &mut ct(), &mut msg).expect("at the bound");
+                let mut dst = Heap::new();
+                let copy = ser
+                    .deserialize(&mut dst, node, &mut msg.reader(), &mut dt(), Value::Null)
+                    .expect("at the bound");
+                // Walk, don't recurse: the copy is as deep as the original.
+                let (mut at, mut len) = (copy.value, 0);
+                while let Value::Ref(n) = at {
+                    (at, len) = (dst.field(n, 0).unwrap(), len + 1);
+                }
+                assert_eq!(len, MAX_DEPTH, "{config:?}");
+
+                // One more object around those bytes, nested by hand.
+                if config == OptConfig::CLASS {
+                    let mut over = vec![TAG_OBJECT];
+                    over.extend(node_class.0.to_le_bytes());
+                    over.extend(msg.as_bytes());
+                    over.extend(0i32.to_le_bytes());
+                    let err = ser
+                        .deserialize(
+                            &mut dst,
+                            node,
+                            &mut MessageReader::new(&over),
+                            &mut dt(),
+                            Value::Null,
+                        )
+                        .expect_err("over");
+                    assert!(err.0.contains("deserialization recursion too deep"), "{err}");
+                }
+            }
+        };
+        let vm_stack = std::thread::Builder::new().stack_size(32 * 1024 * 1024);
+        vm_stack.spawn(walks).unwrap().join().unwrap();
     }
 
     #[test]

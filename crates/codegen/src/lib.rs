@@ -13,12 +13,12 @@
 //!   precompiled serializer per class ([`ClassSerInfo`]), invoked through
 //!   dynamic dispatch with a type tag per object and an always-on cycle
 //!   table.
-//! * **Introspect mode** (Sun-RMI style baseline): no precompiled
-//!   serializers at all; the engine walks class metadata reflectively for
-//!   every object.
 //!
-//! The [`engine`] module executes these programs against a `corm-heap`
-//! heap, updating the `corm-wire` statistics counters.
+//! Both are programs of [`SerNode`]s — a class serializer is the field
+//! list of an inlined object with every reference left `Dynamic` — and
+//! the [`engine`] module executes them with one walk per direction
+//! against a `corm-heap` heap, updating the `corm-wire` statistics
+//! counters.
 
 pub mod engine;
 pub mod plan;
@@ -26,5 +26,5 @@ pub mod plan;
 pub use engine::{DeserOutcome, SerError, Serializer, ShadowCycleCheck, AUDIT_ERROR_PREFIX};
 pub use plan::{
     describe_plan, generate_plans, ClassSerInfo, EngineMode, MarshalPlan, OptConfig, Plans,
-    PrimKind, SerNode, SlotKind,
+    PrimKind, SerNode,
 };

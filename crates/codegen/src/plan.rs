@@ -37,7 +37,7 @@ impl PrimKind {
 
 /// A compiled serializer program node. Site-mode plans are trees of
 /// statically-resolved nodes; `Dynamic` is the tagged fall-back (and the
-/// entire program in class/introspect modes).
+/// entire program in class mode).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SerNode {
     /// Copy a primitive by value — zero protocol bytes.
@@ -51,8 +51,6 @@ pub enum SerNode {
     /// inlined at the RMI call site", §1).
     Inline {
         class: ClassId,
-        /// Total slots to allocate at deserialization.
-        nfields: u32,
         /// (field, slot, program) for every slot in layout order.
         fields: Vec<(FieldId, u32, SerNode)>,
     },
@@ -70,21 +68,17 @@ pub enum SerNode {
     Recur { up: u32 },
 }
 
-/// Per-slot classification of a class layout, used by the per-class
-/// serializers of class mode and by dynamic deserialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotKind {
-    Prim(PrimKind),
-    Ref,
-}
-
 /// A precompiled per-class serializer (the `class` baseline of the
 /// evaluation; also the target of `Dynamic` dispatch in site mode).
 #[derive(Debug, Clone)]
 pub struct ClassSerInfo {
     pub class: ClassId,
-    /// One entry per layout slot, in slot order.
-    pub slots: Vec<SlotKind>,
+    /// The serializer as a program for the engine, in the shape of
+    /// [`SerNode::Inline`]'s `fields`: one (field, slot, program) per
+    /// layout slot, [`SerNode::Prim`] for a primitive field and
+    /// [`SerNode::Dynamic`] for every reference — a class serializer
+    /// cannot know what its fields point at.
+    pub fields: Vec<(FieldId, u32, SerNode)>,
     /// Classes that cannot cross the wire (native instances).
     pub serializable: bool,
 }
@@ -126,8 +120,6 @@ pub struct MarshalPlan {
 /// Which serializer engine generates/executes the plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Sun-RMI style runtime introspection (slowest baseline).
-    Introspect,
     /// KaRMI/Manta-style class-specific serializers — the paper's `class`
     /// baseline.
     #[default]
@@ -188,14 +180,6 @@ impl OptConfig {
         reuse: true,
         list_extension: false,
     };
-    /// Pure-introspection baseline (not in the paper's tables; ablation).
-    pub const INTROSPECT: OptConfig = OptConfig {
-        engine: EngineMode::Introspect,
-        cycle_elim: false,
-        reuse: false,
-        list_extension: false,
-    };
-
     /// The five configurations of the paper's tables, in table order.
     pub const TABLE_ROWS: [(&'static str, OptConfig); 5] = [
         ("class", OptConfig::CLASS),
@@ -243,15 +227,16 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
         .iter()
         .map(|c| ClassSerInfo {
             class: c.id,
-            slots: c
+            fields: c
                 .layout
                 .iter()
-                .map(|&fid| {
-                    let ty = &m.table.field(fid).ty;
-                    match PrimKind::of(ty) {
-                        Some(k) => SlotKind::Prim(k),
-                        None => SlotKind::Ref,
-                    }
+                .enumerate()
+                .map(|(slot, &fid)| {
+                    let program = match PrimKind::of(&m.table.field(fid).ty) {
+                        Some(k) => SerNode::Prim(k),
+                        None => SerNode::Dynamic,
+                    };
+                    (fid, slot as u32, program)
                 })
                 .collect(),
             serializable: c.kind != corm_ir::ClassKind::NativeInstance,
@@ -267,7 +252,7 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
         let args: Vec<SerNode> = if site_mode {
             info.arg_shapes.iter().map(node_of_shape).collect()
         } else {
-            // class/introspect baseline: the stub knows the method
+            // class baseline: the stub knows the method
             // signature (rmic-style) but every object is serialized
             // dynamically with full wire type information.
             meth.params.iter().map(|t| shallow_node_of_ty(m, t)).collect()
@@ -451,7 +436,7 @@ fn node_needs_table(n: &SerNode) -> bool {
     }
 }
 
-/// Signature-level serializer node for the class/introspect baselines:
+/// Signature-level serializer node for the class baseline:
 /// primitives and strings directly (rmic stubs do the same), remote
 /// classes by reference, everything else fully dynamic.
 fn shallow_node_of_ty(m: &Module, ty: &Ty) -> SerNode {
@@ -472,7 +457,6 @@ fn node_of_shape(s: &Shape) -> SerNode {
         Shape::Remote(_) => SerNode::Remote,
         Shape::Exact { class, fields } => SerNode::Inline {
             class: *class,
-            nfields: fields.len() as u32,
             fields: fields.iter().map(|f| (f.field, f.slot, node_of_shape(&f.shape))).collect(),
         },
         Shape::ArrayPrim { elem } => {
@@ -687,10 +671,46 @@ mod tests {
 
     #[test]
     fn class_sers_cover_all_classes() {
-        let (m, p) = plans_for(ARRAY_SRC, OptConfig::CLASS);
+        let src = r#"
+            class Node { Node next; int v; double[] row; String tag; boolean on; long big; }
+            class Leaf extends Node { double w; Foo home; }
+            remote class Foo { void send(Node n) { } }
+            class M { static void main() { Foo f = new Foo(); f.send(new Leaf()); } }
+        "#;
+        let (m, p) = plans_for(src, OptConfig::CLASS);
         assert_eq!(p.class_sers.len(), m.table.classes.len());
         let rng = m.table.class_named("Rng").unwrap();
         assert!(!p.class_ser(rng).serializable);
+        // The serializer is a program: one entry per layout slot, in slot
+        // order, `Prim` for a primitive field and `Dynamic` for the rest.
+        for (class, ser) in m.table.classes.iter().zip(&p.class_sers) {
+            assert_eq!(ser.fields.len(), class.layout.len(), "{}", class.name);
+            for (slot, (&fid, entry)) in class.layout.iter().zip(&ser.fields).enumerate() {
+                let program = match PrimKind::of(&m.table.field(fid).ty) {
+                    Some(k) => SerNode::Prim(k),
+                    None => SerNode::Dynamic,
+                };
+                assert_eq!(*entry, (fid, slot as u32, program), "{}", class.name);
+            }
+        }
+        let leaf = &p.class_ser(m.table.class_named("Leaf").unwrap()).fields;
+        let programs: Vec<&SerNode> = leaf.iter().map(|(_, _, program)| program).collect();
+        use PrimKind::{Bool, F64, I32, I64};
+        use SerNode::{Dynamic, Prim};
+        assert_eq!(
+            programs,
+            [
+                &Dynamic,
+                &Prim(I32),
+                &Dynamic,
+                &Dynamic,
+                &Prim(Bool),
+                &Prim(I64),
+                &Prim(F64),
+                &Dynamic
+            ],
+            "inherited slots first; arrays, strings and remote references are all `Dynamic`"
+        );
     }
 
     #[test]

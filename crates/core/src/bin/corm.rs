@@ -27,14 +27,14 @@ fn usage() -> ! {
   corm serve [SHARED] [--rate RPS[,RPS...]] [--requests N] [--seed N] [--clients N] [--slo-us N]
   corm top   [SHARED] [--rate RPS] [--seconds S] [--seed N] [--clients N] [--refresh-ms MS]
 
-CFG: class | site | site-cycle | site-reuse | all | introspect [+list-ext]
+CFG: class | site | site-cycle | site-reuse | all [+list-ext]
 
 SHARED flags (run, serve and top):
   --config CFG       optimization configuration (default all)
   --machines N       simulated machines (default 2; serve and top 3)
   --transport T      packet carrier: channel (in-process, default), tcp
-                     (one socket+thread per peer pair), reactor (shared
-                     event loops, pipelined + batched), or lossy (seeded
+                     (one socket+thread per peer pair), reactor (the same
+                     sockets read by a few shared event loops), or lossy (seeded
                      drop/duplicate/reorder shim healed by retransmission,
                      dedup and holdback); all but channel measure wire time
   --loss-seed N      lossy only: seed for the deterministic fault hash
@@ -84,7 +84,6 @@ fn parse_config(s: &str) -> Option<OptConfig> {
         "site-cycle" => OptConfig::SITE_CYCLE,
         "site-reuse" => OptConfig::SITE_REUSE,
         "all" => OptConfig::ALL,
-        "introspect" => OptConfig::INTROSPECT,
         _ => return None,
     };
     cfg.list_extension = ext;
@@ -432,8 +431,8 @@ fn render_top_frame(
     );
     let _ = writeln!(
         s,
-        "{:>3} {:>9} {:>9} {:>9} {:>6} {:>6} {:>10} {:>6} {:>7}",
-        "m", "call/s", "srv/s", "p99(µs)", "infl", "queue", "pool(KiB)", "outst", "batch"
+        "{:>3} {:>9} {:>9} {:>9} {:>6} {:>6} {:>10} {:>6}",
+        "m", "call/s", "srv/s", "p99(µs)", "infl", "queue", "pool(KiB)", "outst"
     );
     for m in 0..machines {
         let w = tl.recent(m as u16, 8);
@@ -445,19 +444,12 @@ fn render_top_frame(
         let secs = span_us as f64 / 1e6;
         let calls: u64 = w.iter().map(|p| p.started).sum();
         let served: u64 = w.iter().map(|p| p.handled).sum();
-        let frames: u64 = w.iter().map(|p| p.frames_enqueued).sum();
-        let flushes: u64 = w.iter().map(|p| p.flush_batches).sum();
-        let batch = if flushes > 0 {
-            format!("{:.1}x", frames as f64 / flushes as f64)
-        } else {
-            "-".to_string()
-        };
         // Newest interval that actually saw round trips.
         let p99 = w.iter().rev().map(|p| p.rtt_p99_us).find(|&v| v > 0).unwrap_or(0);
         let last: TimelineSample = w.last().copied().unwrap_or_default();
         let _ = writeln!(
             s,
-            "{:>3} {:>9.1} {:>9.1} {:>9} {:>6} {:>6} {:>10.1} {:>6} {:>7}",
+            "{:>3} {:>9.1} {:>9.1} {:>9} {:>6} {:>6} {:>10.1} {:>6}",
             m,
             calls as f64 / secs,
             served as f64 / secs,
@@ -465,8 +457,7 @@ fn render_top_frame(
             last.in_flight,
             last.queue_depth,
             last.pool_resident_bytes as f64 / 1024.0,
-            last.pool_outstanding,
-            batch
+            last.pool_outstanding
         );
     }
     let health = tl.health_events();

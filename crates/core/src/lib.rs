@@ -10,8 +10,8 @@
 //! * [`corm_analysis`] — the paper's heap analysis with (logical,
 //!   physical) allocation tuples, cycle-freedom analysis and RMI escape
 //!   analysis;
-//! * [`corm_codegen`] — call-site-specific marshalers, class-specific
-//!   serializers and the introspection baseline;
+//! * [`corm_codegen`] — call-site-specific marshalers and class-specific
+//!   serializers, both programs for one engine;
 //! * [`corm_heap`] / [`corm_wire`] / [`corm_net`] — the managed heap, the
 //!   wire protocol and the simulated Myrinet cluster;
 //! * [`corm_vm`] — the interpreter with the full RMI dispatch path.

@@ -7,18 +7,19 @@
 //! request ids end-to-end and the VM drain loop matches replies by id,
 //! so nothing here assumes call/reply lockstep. Each frame carries its
 //! send timestamp on the receive side's clock, stamped when it enters
-//! the connection's outbound buffer, so time spent parked there is
-//! visible as *measured* wire time next to the modeled
+//! the connection's outbound buffer, so time spent parked there behind
+//! a full socket is visible as *measured* wire time next to the modeled
 //! [`crate::CostModel`] time.
 //!
 //! This module is everything the two backends share: bring-up (bind,
-//! hello, accept, connect with backoff), the per-connection outbound
-//! buffer with `flush`/`retire`, incremental frame reassembly
+//! hello, accept, connect with backoff), the one send path (append the
+//! frame to the connection's outbound buffer and `flush` it inline, on
+//! the sending thread), `retire`, incremental frame reassembly
 //! ([`FrameBuf`], [`pump`]), `sever` and `shutdown`. A backend is a
-//! *drive* that decides who reads a stream and when a buffer is
-//! flushed: [`crate::tcp`] parks one blocking reader thread per inbound
-//! stream and flushes every send inline; [`crate::reactor`] keeps every
-//! stream nonblocking on a small thread pool and batches under load.
+//! *drive* that decides only who reads a stream: [`crate::tcp`] parks
+//! one blocking reader thread per inbound stream; [`crate::reactor`]
+//! keeps every stream nonblocking on a small thread pool, which also
+//! retries whatever a full socket did not take.
 //!
 //! Failure semantics are therefore the same on both by construction. A
 //! failed write retires the connection, discards what was queued on it
@@ -35,16 +36,16 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, JoinHandle, Thread};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use corm_obs::MetricsRegistry;
 use corm_wire::WireError;
 
 use crate::packet::{Packet, MAX_FRAME};
-use crate::reactor::{self, BatchConfig};
+use crate::reactor;
 use crate::receive::ReceiveSide;
 use crate::tcp;
 use crate::transport::Transport;
@@ -75,12 +76,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(crate) struct Outbound {
     buf: Vec<u8>,
     start: usize,
-    /// When the oldest still-queued frame was enqueued; drives the
-    /// reactor's flush deadline.
-    pub queued_since: Option<Instant>,
-    /// Load-detection window of the reactor's batching heuristic.
-    pub window_start: Option<Instant>,
-    pub window_sends: u32,
     /// Set when a write failed: the connection drops traffic from then
     /// on (PeerGone was already reported).
     pub dead: bool,
@@ -95,13 +90,14 @@ impl Outbound {
 pub(crate) struct Conn {
     pub from: u16,
     pub to: u16,
-    /// Index of the reactor thread that flushes this connection's
-    /// deadline-due batches.
+    /// Index of the reactor thread that retries this connection's
+    /// flush after backpressure.
     pub owner: usize,
     stream: TcpStream,
     /// Advisory mirror of `out.pending() > 0`, so the reactor can skip
     /// idle connections without taking the lock. Mutated only under the
-    /// `out` lock.
+    /// `out` lock; the reactor's lock-free `Acquire` load pairs with the
+    /// `Release` half of those writes.
     pub has_queued: AtomicBool,
     pub out: Mutex<Outbound>,
 }
@@ -136,29 +132,16 @@ pub(crate) struct Inbound {
     pub done: bool,
 }
 
-/// Why a batch left the wire — the per-reason counters split the
-/// flush_batches total three ways (size/deadline/idle).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FlushReason {
-    /// The batch crossed `flush_bytes`.
-    Size,
-    /// The oldest queued frame hit `flush_deadline` (includes the
-    /// reactor's idle-tail sweep — both are deadline-driven).
-    Deadline,
-    /// Inline flush on a connection not under load (cold path: latency
-    /// over coalescing).
-    Idle,
-}
-
 /// State shared between the transport handle and its I/O threads. Kept
 /// separate from [`Mesh`] so thread closures hold no `Arc` cycle through
 /// the struct that joins them.
 pub(crate) struct Core {
     pub rx: Arc<ReceiveSide>,
-    /// `Some`: the reactor drive (nonblocking streams, batching under
-    /// load). `None`: the thread-per-stream drive (blocking streams,
-    /// every send flushed inline).
-    pub batch: Option<BatchConfig>,
+    /// The reactor drive's streams are nonblocking: a full socket is
+    /// backpressure, and its pool retries what stayed queued. On the
+    /// thread-per-stream drive's blocking streams `WouldBlock` is the
+    /// write timeout expiring on a stalled peer — a failed write.
+    nonblocking: bool,
     /// `hints[from][to]`: readiness of the (from → to) inbound stream on
     /// machine `to`'s side. Diagonal (and never-established) entries are
     /// `None`.
@@ -166,17 +149,9 @@ pub(crate) struct Core {
     /// The reactor pool's threads, for unparking. Never set by the
     /// thread-per-stream drive.
     pub pool: OnceLock<Vec<Thread>>,
-    /// Frames that entered an outbound buffer (coalescing denominator).
-    pub frames_enqueued: AtomicU64,
-    /// Fully drained flushes (coalescing numerator: under burst load
-    /// many frames leave per batch, so this stays well below
-    /// `frames_enqueued`).
-    pub flush_batches: AtomicU64,
-    /// Metrics registry for the reactor's deep gauges the timeline
-    /// sampler reads (per-machine frames/batches/flush reasons,
-    /// append-buffer occupancy, loop latency). `None` on the
-    /// thread-per-stream drive and in unit tests: the internal counters
-    /// above still work.
+    /// Metrics registry for the outbound-buffer occupancy gauge the
+    /// timeline sampler reads. `None` on the thread-per-stream drive
+    /// and in unit tests.
     pub obs: Option<Arc<MetricsRegistry>>,
 }
 
@@ -195,31 +170,9 @@ impl Core {
         }
     }
 
-    /// Bookkeep a `has_queued` false→true transition (connection gained
-    /// queued work). Call with `o` locked; returns the prior value.
-    pub fn mark_queued(&self, conn: &Conn) -> bool {
-        let was = conn.has_queued.swap(true, Ordering::AcqRel);
-        if !was {
-            if let Some(obs) = &self.obs {
-                obs.machine(conn.from).reactor_conns_queued.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        was
-    }
-
-    /// Bookkeep a `has_queued` true→false transition (buffer drained or
-    /// dropped). Call with `o` locked.
-    pub fn mark_drained(&self, conn: &Conn) {
-        if conn.has_queued.swap(false, Ordering::AcqRel) {
-            if let Some(obs) = &self.obs {
-                obs.machine(conn.from).reactor_conns_queued.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Write as much of the outbound buffer as the socket accepts.
     /// Returns true if any bytes moved. Call with `o` locked.
-    pub fn flush(&self, conn: &Conn, o: &mut Outbound, reason: FlushReason) -> bool {
+    pub fn flush(&self, conn: &Conn, o: &mut Outbound) -> bool {
         if o.dead || o.pending() == 0 {
             return false;
         }
@@ -229,10 +182,7 @@ impl Core {
             match (&conn.stream).write(&o.buf[o.start..]) {
                 Ok(0) => failed = true,
                 Ok(n) => o.start += n,
-                // Backpressure on a nonblocking stream: the rest stays
-                // queued. On a blocking one WouldBlock is the write
-                // timeout expiring on a stalled peer — a failed write.
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock && self.batch.is_some() => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && self.nonblocking => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => failed = true,
             }
@@ -242,29 +192,11 @@ impl Core {
         if failed {
             self.retire(conn, o);
         } else if o.pending() == 0 {
-            let batch_bytes = o.buf.len();
             self.emptied(conn, o);
-            self.flush_batches.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                let m = obs.machine(conn.from);
-                m.reactor_flush_batches.fetch_add(1, Ordering::Relaxed);
-                m.reactor_batch_bytes.record(batch_bytes as u64);
-                let by_reason = match reason {
-                    FlushReason::Size => &m.reactor_flush_size,
-                    FlushReason::Deadline => &m.reactor_flush_deadline,
-                    FlushReason::Idle => &m.reactor_flush_idle,
-                };
-                by_reason.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            // The remainder stays queued for the reactor, deadline
-            // unchanged (it tracks the oldest frame).
-            if o.queued_since.is_none() {
-                o.queued_since = Some(Instant::now());
-            }
-            if !self.mark_queued(conn) {
-                self.unpark(conn.owner);
-            }
+        } else if !conn.has_queued.swap(true, Ordering::AcqRel) {
+            // Backpressure: the remainder stays queued, behind it
+            // whatever is sent next, and the owning reactor retries.
+            self.unpark(conn.owner);
         }
         if wrote {
             self.hint(conn.from, conn.to);
@@ -272,7 +204,7 @@ impl Core {
         wrote
     }
 
-    /// Shrink the sender's append-buffer occupancy gauge by the bytes a
+    /// Shrink the sender's outbound-buffer occupancy gauge by the bytes a
     /// flush (or retirement) removed from the queue.
     fn account_drained(&self, conn: &Conn, bytes: usize) {
         if bytes > 0 {
@@ -300,8 +232,7 @@ impl Core {
     fn emptied(&self, conn: &Conn, o: &mut Outbound) {
         o.buf.clear();
         o.start = 0;
-        o.queued_since = None;
-        self.mark_drained(conn);
+        conn.has_queued.store(false, Ordering::Release);
     }
 
     /// Forward every complete frame in `ib`'s reassembly buffer to its
@@ -409,14 +340,13 @@ pub(crate) struct Mesh {
 impl Mesh {
     /// Bind one loopback listener per machine and build the full mesh;
     /// returns once every stream is established and every I/O thread is
-    /// running. `batch` selects the drive (see [`Core::batch`]).
+    /// running. `nonblocking` selects the drive (see [`Core::nonblocking`]).
     pub fn new(
         rx: Arc<ReceiveSide>,
-        batch: Option<BatchConfig>,
+        nonblocking: bool,
         obs: Option<Arc<MetricsRegistry>>,
     ) -> io::Result<Arc<Mesh>> {
         let n = rx.machines();
-        let nonblocking = batch.is_some();
         let nthreads = if nonblocking { reactor::pool_size(n) } else { 0 };
         let configure = move |stream: &TcpStream| {
             if nonblocking {
@@ -458,7 +388,7 @@ impl Mesh {
         }
 
         // Connect side: full mesh, skipping the diagonal. Connection k
-        // (row-major) is flushed by reactor k % nthreads.
+        // (row-major) is owned by reactor k % nthreads.
         let mut conns: Vec<Vec<Option<Arc<Conn>>>> = Vec::with_capacity(n);
         let mut connect_err = None;
         let mut k = 0usize;
@@ -513,22 +443,14 @@ impl Mesh {
             }
         }
 
-        let core = Arc::new(Core {
-            rx,
-            batch,
-            hints,
-            pool: OnceLock::new(),
-            frames_enqueued: AtomicU64::new(0),
-            flush_batches: AtomicU64::new(0),
-            obs,
-        });
+        let core = Arc::new(Core { rx, nonblocking, hints, pool: OnceLock::new(), obs });
         let mesh = Arc::new(Mesh { core, conns, threads: Mutex::new(Vec::new()) });
         // On any failure: best-effort teardown of whatever did come up
         // (including the I/O threads already spawned), then fail.
-        let spawned = match (connect_err.or(accept_err), batch) {
-            (Some(e), _) => Err(e),
-            (None, Some(cfg)) => reactor::spawn_pool(&mesh, cfg, nthreads, inbound),
-            (None, None) => tcp::spawn_readers(&mesh, inbound),
+        let spawned = match connect_err.or(accept_err) {
+            Some(e) => Err(e),
+            None if nonblocking => reactor::spawn_pool(&mesh, nthreads, inbound),
+            None => tcp::spawn_readers(&mesh, inbound),
         };
         if let Err(e) = spawned {
             mesh.shutdown();
@@ -554,19 +476,13 @@ impl Transport for Mesh {
             // was, and the connection dies like one whose write failed.
             return core.retire(conn, &mut o);
         }
-        core.frames_enqueued.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &core.obs {
-            let m = obs.machine(from);
-            m.reactor_frames_enqueued.fetch_add(1, Ordering::Relaxed);
-            m.reactor_queued_bytes.fetch_add((o.buf.len() - len_before) as u64, Ordering::Relaxed);
+            let queued = (o.buf.len() - len_before) as u64;
+            obs.machine(from).reactor_queued_bytes.fetch_add(queued, Ordering::Relaxed);
         }
-        match &core.batch {
-            Some(cfg) => reactor::after_append(core, cfg, conn, &mut o),
-            // A blocking write either takes the whole frame or fails.
-            None => {
-                core.flush(conn, &mut o, FlushReason::Idle);
-            }
-        }
+        // A blocking write either takes the whole frame or fails; a
+        // nonblocking one may leave a remainder to the owning reactor.
+        core.flush(conn, &mut o);
     }
 
     /// Abruptly cut every stream touching `machine` *without* raising
@@ -638,7 +554,7 @@ fn open_stream(addr: SocketAddr, from: u16) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
     use crate::receive::Mailboxes;
-    use crate::transport::tests::reply;
+    use crate::transport::tests::{reply, spin_until};
 
     fn frame(packet: &Packet) -> Vec<u8> {
         let mut out = Vec::new();
@@ -702,43 +618,42 @@ mod tests {
 
     #[test]
     fn hostile_bytes_end_in_peer_gone_for_that_peer_only() {
-        for batch in [None, Some(BatchConfig::default())] {
+        for nonblocking in [false, true] {
             let (mailboxes, rx) = ReceiveSide::new(3);
-            let t = Mesh::new(rx, batch, None).unwrap();
+            let t = Mesh::new(rx, nonblocking, None).unwrap();
             // Machine 0's stream to machine 1 turns to garbage.
             let conn = t.conns[0][1].as_ref().unwrap();
             (&conn.stream).write_all(&u32::MAX.to_le_bytes()).unwrap();
             t.core.hint(0, 1);
-            assert_eq!(mailboxes[1].recv().unwrap(), Packet::PeerGone { peer: 0 }, "{batch:?}");
+            assert_eq!(mailboxes[1].recv().unwrap(), Packet::PeerGone { peer: 0 }, "{nonblocking}");
             // Nobody else is affected: 2 → 1 and 1 → 2 still carry
             // traffic, and nothing was reported to machines 0 and 2.
             t.deliver(2, 1, reply(1, 8));
-            assert_eq!(mailboxes[1].recv().unwrap(), reply(1, 8), "{batch:?}");
+            assert_eq!(mailboxes[1].recv().unwrap(), reply(1, 8), "{nonblocking}");
             t.deliver(1, 2, reply(2, 8));
-            assert_eq!(mailboxes[2].recv().unwrap(), reply(2, 8), "{batch:?}");
-            assert_eq!(mailboxes[0].try_recv().unwrap(), None, "{batch:?}");
+            assert_eq!(mailboxes[2].recv().unwrap(), reply(2, 8), "{nonblocking}");
+            assert_eq!(mailboxes[0].try_recv().unwrap(), None, "{nonblocking}");
             t.shutdown();
         }
     }
 
     /// A (0 → 1) connection whose peer never reads, outside any mesh.
-    fn stalled_conn(batch: Option<BatchConfig>) -> (Mailboxes, Core, Conn, TcpStream) {
+    fn stalled_conn(nonblocking: bool) -> (Mailboxes, Core, Conn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (peer_end, _) = listener.accept().unwrap();
-        match batch {
-            Some(_) => stream.set_nonblocking(true).unwrap(),
+        if nonblocking {
+            stream.set_nonblocking(true).unwrap();
+        } else {
             // The drive's WRITE_TIMEOUT, shortened to keep the test quick.
-            None => stream.set_write_timeout(Some(Duration::from_millis(50))).unwrap(),
+            stream.set_write_timeout(Some(Duration::from_millis(50))).unwrap();
         }
         let (mailboxes, rx) = ReceiveSide::new(2);
         let core = Core {
             rx,
-            batch,
+            nonblocking,
             hints: (0..2).map(|_| (0..2).map(|_| None).collect()).collect(),
             pool: OnceLock::new(),
-            frames_enqueued: AtomicU64::new(0),
-            flush_batches: AtomicU64::new(0),
             obs: None,
         };
         let conn = Conn::new(0, 1, 0, stream);
@@ -748,10 +663,53 @@ mod tests {
     }
 
     #[test]
+    fn frames_parked_by_backpressure_fail_as_peer_gone_when_the_peer_is_severed() {
+        let (mailboxes, rx) = ReceiveSide::new(3);
+        let t = Mesh::new(rx, true, None).unwrap();
+        // Machine 1 stops reading its stream from machine 0 (garbage
+        // ends it, as above), so what machine 0 keeps sending fills the
+        // socket and parks in the outbound buffer.
+        let conn = t.conns[0][1].as_ref().unwrap();
+        (&conn.stream).write_all(&u32::MAX.to_le_bytes()).unwrap();
+        t.core.hint(0, 1);
+        assert_eq!(mailboxes[1].recv().unwrap(), Packet::PeerGone { peer: 0 });
+        spin_until("the socket to fill", Duration::from_secs(10), || {
+            t.deliver(0, 1, reply(0, 1 << 20));
+            conn.has_queued.load(Ordering::Acquire)
+        });
+        assert_eq!(mailboxes[0].try_recv().unwrap(), None, "backpressure is not a failure");
+
+        // The peer dies with those frames parked: the reactor's next
+        // retry fails, drops them and tells the sender, whose pending
+        // calls then fail as orderly remote errors.
+        t.sever(1);
+        assert_eq!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 });
+        spin_until("the failed retry to retire the connection", Duration::from_secs(10), || {
+            lock(&conn.out).dead
+        });
+        assert_eq!(lock(&conn.out).pending(), 0);
+        assert!(!conn.has_queued.load(Ordering::Acquire));
+        // One notice per direction of the dead link (the failed write,
+        // the EOF on the stream back), nothing else and never a third.
+        let mut notices = 1;
+        while let Some(packet) = mailboxes[0].try_recv().unwrap() {
+            assert_eq!(packet, Packet::PeerGone { peer: 1 });
+            notices += 1;
+        }
+        assert!(notices <= 2, "{notices} PeerGone notices for one death");
+        // Survivors still talk, and teardown does not wait for bytes
+        // that will never drain.
+        assert_eq!(mailboxes[2].recv().unwrap(), Packet::PeerGone { peer: 1 });
+        t.deliver(0, 2, reply(77, 0));
+        assert_eq!(mailboxes[2].recv().unwrap(), reply(77, 0));
+        t.shutdown();
+    }
+
+    #[test]
     fn a_timed_out_blocking_write_is_a_failed_write() {
-        let (mailboxes, core, conn, _peer_end) = stalled_conn(None);
+        let (mailboxes, core, conn, _peer_end) = stalled_conn(false);
         let mut o = lock(&conn.out);
-        core.flush(&conn, &mut o, FlushReason::Idle);
+        core.flush(&conn, &mut o);
         assert!(o.dead, "the connection is retired, not left queued");
         assert_eq!(o.pending(), 0);
         assert_eq!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 });
@@ -759,9 +717,9 @@ mod tests {
 
     #[test]
     fn a_full_nonblocking_socket_is_backpressure() {
-        let (mailboxes, core, conn, _peer_end) = stalled_conn(Some(BatchConfig::default()));
+        let (mailboxes, core, conn, _peer_end) = stalled_conn(true);
         let mut o = lock(&conn.out);
-        assert!(core.flush(&conn, &mut o, FlushReason::Size), "the socket took what fit");
+        assert!(core.flush(&conn, &mut o), "the socket took what fit");
         assert!(!o.dead && o.pending() > 0, "the rest stays queued");
         assert!(conn.has_queued.load(Ordering::Acquire));
         assert_eq!(mailboxes[0].try_recv().unwrap(), None);

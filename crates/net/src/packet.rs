@@ -98,14 +98,14 @@ impl Packet {
     /// on the transport's clock, for measured wire time), a tag byte,
     /// the fields in little-endian order ending with the payload length,
     /// and the payload. This is the one encoder: the socket mesh appends
-    /// frames to a per-connection outbound buffer (several of them under
-    /// load, flushed with a single write), and [`Packet::encode_body`]
+    /// frames to a per-connection outbound buffer (several of them when
+    /// a full socket left some queued), and [`Packet::encode_body`]
     /// is this frame minus its prefix.
     ///
     /// Fails with a [`WireError`] naming the offending field and its
     /// frame offset when a length does not fit its `u32` header field
     /// or the body would exceed [`MAX_FRAME`]. On an error `out` is left
-    /// exactly as it was — no partial frame leaks into a batch.
+    /// exactly as it was — no partial frame leaks behind the queued ones.
     pub fn encode_frame_append(&self, ts_ns: u64, out: &mut Vec<u8>) -> Result<(), WireError> {
         let start = out.len();
         let appended = self.append_frame(ts_ns, out, start);
@@ -296,7 +296,7 @@ mod tests {
             Packet::PeerGone { peer: 3 },
         ];
         // Batch them all into one buffer, as the mesh's outbound queue
-        // does under load, then walk the length prefixes back out.
+        // does behind a full socket, then walk the length prefixes back out.
         let mut batch = Vec::new();
         for p in &packets {
             p.encode_frame_append(123_456_789, &mut batch).unwrap();

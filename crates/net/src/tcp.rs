@@ -3,10 +3,10 @@
 //!
 //! This is how classic blocking RMI runtimes spend threads — O(N²)
 //! cluster-wide — and it is the reference the reactor drive is measured
-//! against. Batching is never armed: every send is written inline by
-//! the sending thread, and a write the peer does not take within
-//! [`WRITE_TIMEOUT`] is a failed write like any other (the mesh retires
-//! the connection and reports `PeerGone` to the sender).
+//! against. Sends are the mesh's (written inline by the sending
+//! thread); on these blocking streams a write the peer does not take
+//! within [`WRITE_TIMEOUT`] is a failed write like any other (the mesh
+//! retires the connection and reports `PeerGone` to the sender).
 
 use std::io;
 use std::net::TcpStream;

@@ -24,7 +24,6 @@ use crate::cost::CostModel;
 use crate::lossy::{LossSpec, LossyTransport};
 use crate::mesh::Mesh;
 use crate::packet::Packet;
-use crate::reactor::BatchConfig;
 use crate::receive::{Mailboxes, ReceiveSide};
 
 /// A packet carrier: moves already-accounted packets between machines,
@@ -61,9 +60,9 @@ pub enum TransportKind {
     /// Real loopback TCP mesh, one blocking reader thread per stream;
     /// wire transit is additionally measured.
     Tcp,
-    /// The same mesh, nonblocking and multiplexed over a small fixed
-    /// reactor pool (O(threads), not O(peers)), with adaptive write
-    /// coalescing. Wire transit is additionally measured.
+    /// The same mesh, nonblocking and read by a small fixed reactor
+    /// pool (O(threads), not O(peers)). Wire transit is additionally
+    /// measured.
     Reactor,
     /// Datagram fabric behind a deterministic, seed-driven fault shim
     /// (drop/duplicate/reorder/delay) with sequence numbers, capped-
@@ -177,13 +176,10 @@ impl NetHandle {
         let (mailboxes, rx) = ReceiveSide::new(n);
         let transport: Arc<dyn Transport> = match kind {
             TransportKind::Channel => Arc::new(ChannelTransport { rx: rx.clone() }),
-            TransportKind::Tcp => Mesh::new(rx.clone(), None, None)?,
-            // The reactor feeds its deep gauges (coalescing counters,
-            // flush reasons, buffer occupancy, loop latency) into the
-            // registry shards for the timeline sampler.
-            TransportKind::Reactor => {
-                Mesh::new(rx.clone(), Some(BatchConfig::default()), Some(obs.clone()))?
-            }
+            TransportKind::Tcp => Mesh::new(rx.clone(), false, None)?,
+            // The reactor feeds its outbound-buffer occupancy gauge into
+            // the registry shards for the timeline sampler.
+            TransportKind::Reactor => Mesh::new(rx.clone(), true, Some(obs.clone()))?,
             TransportKind::Lossy => {
                 let loss = loss.unwrap_or_default();
                 LossyTransport::new(rx.clone(), loss, Some(obs.clone()), flight)
@@ -328,8 +324,8 @@ pub(crate) mod tests {
             assert_eq!(mailboxes[1].recv().unwrap(), reply(4, 64));
             assert_eq!(mailboxes[1].recv().unwrap(), Packet::Shutdown);
             assert_eq!(net.measured_wire_ns(1), 0);
-            let reactor = net.obs.machine_snapshot(1);
-            assert_eq!(reactor.reactor_frames_enqueued, 0, "loopback never enters a buffer");
+            let queued = net.obs.machine_snapshot(1).reactor_queued_bytes;
+            assert_eq!(queued, 0, "loopback never enters a buffer");
             net.shutdown();
         }
 

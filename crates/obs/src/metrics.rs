@@ -125,6 +125,10 @@ machine_metrics! {
     /// on this machine (`RunOptions::audit`). Zero when auditing is off.
     audit_checks: Counter, "corm_audit_checks_total",
         "Shadow cycle-table checks performed by the runtime auditor";
+    /// Shadow tables the auditor created on this machine: one per
+    /// marshaled message whose plan elided the real cycle table.
+    audit_tables: Counter, "corm_audit_tables_total",
+        "Shadow cycle tables created by the runtime auditor";
     /// Reuse-cache values (primitive slots, array elements, strings)
     /// poisoned by the auditor on this machine before deserialization
     /// reclaimed them. Zero when auditing is off; a healthy build
@@ -182,31 +186,10 @@ machine_metrics! {
     /// to the *receiving* machine's shard.
     lossy_dups_suppressed: Counter, "corm_lossy_dups_suppressed_total",
         "Duplicate datagram copies discarded by the receiver";
-    /// Reactor frames appended to this machine's append-buffers.
-    /// Mirrors the reactor core's internal counter so the sampler and
-    /// Prometheus exposition see it without reaching into corm-net.
-    reactor_frames_enqueued: Counter, "corm_reactor_frames_enqueued_total",
-        "Frames appended to reactor per-connection output buffers";
-    /// Coalesced reactor batches fully flushed from this machine.
-    reactor_flush_batches: Counter, "corm_reactor_flush_batches_total",
-        "Coalesced writev flushes issued by the reactor";
-    /// Flushes triggered by the size threshold (`flush_bytes`).
-    reactor_flush_size: Counter, "corm_reactor_flush_size_total",
-        "Reactor flushes triggered by the batch-size threshold";
-    /// Flushes triggered by the deadline sweep (`flush_deadline`).
-    reactor_flush_deadline: Counter, "corm_reactor_flush_deadline_total",
-        "Reactor flushes triggered by the coalescing deadline";
-    /// Inline flushes on an idle/cold connection (not under load).
-    reactor_flush_idle: Counter, "corm_reactor_flush_idle_total",
-        "Reactor flushes issued inline on an otherwise idle connection";
-    /// Bytes sitting in this machine's reactor append-buffers awaiting
-    /// flush (append-buffer occupancy).
+    /// Bytes sitting in this machine's reactor outbound buffers: what a
+    /// full socket has not taken yet (zero unless a peer is slow to read).
     reactor_queued_bytes: Gauge, "corm_reactor_queued_bytes",
         "Bytes currently buffered in reactor output queues";
-    /// Connections from this machine with frames queued
-    /// (per-connection outstanding-work population).
-    reactor_conns_queued: Gauge, "corm_reactor_conns_queued",
-        "Connections with a non-empty reactor output buffer";
     /// Requests parked in this machine's serve queue: enqueued by the
     /// drain loop, not yet picked up by a worker.
     serve_queue_depth: Gauge, "corm_serve_queue_depth",
@@ -216,14 +199,6 @@ machine_metrics! {
     /// growth is the pool-leak health signature.
     pool_outstanding: Gauge, "corm_pool_outstanding",
         "Marshal buffers checked out and not yet returned";
-    /// Per-flush batch size, bytes (recorded when a batch fully drains).
-    reactor_batch_bytes: Histogram, "corm_reactor_batch_bytes",
-        "Bytes written per fully drained reactor flush";
-    /// Reactor event-loop iteration latency, µs (wake to park). Shard
-    /// index is the reactor thread index, which is always a valid
-    /// machine index (the pool never outnumbers the machines).
-    reactor_loop_us: Histogram, "corm_reactor_loop_microseconds",
-        "Reactor event-loop iteration latency";
 }
 
 metric_table! {

@@ -41,7 +41,7 @@ use crate::metrics::{MachineSnapshot, MetricsRegistry};
 use crate::recorder::{FlightEvent, FlightKind, FlightRecorder};
 
 /// Version stamp embedded in every rendered `TimelineDoc`.
-pub const TIMELINE_SCHEMA_VERSION: u32 = 1;
+pub const TIMELINE_SCHEMA_VERSION: u32 = 2;
 
 /// Default sampler cadence, µs.
 pub const DEFAULT_TIMELINE_INTERVAL_US: u64 = 10_000;
@@ -72,10 +72,6 @@ pub struct TimelineSample {
     pub remote_rpcs: u64,
     /// Wire bytes sent during the interval.
     pub wire_bytes: u64,
-    /// Reactor frames appended to append-buffers during the interval.
-    pub frames_enqueued: u64,
-    /// Reactor coalesced batches fully flushed during the interval.
-    pub flush_batches: u64,
     /// Two-way RMIs awaiting a reply (gauge).
     pub in_flight: u64,
     /// Requests parked in the serve queue (gauge).
@@ -85,7 +81,7 @@ pub struct TimelineSample {
     /// Outstanding pool-ledger entries: buffers checked out under a
     /// request id and not yet returned or abandoned (gauge).
     pub pool_outstanding: u64,
-    /// Bytes sitting in reactor append-buffers awaiting flush (gauge).
+    /// Bytes a full socket left in reactor outbound buffers (gauge).
     pub reactor_queued_bytes: u64,
     /// p99 of caller RTTs *observed during this interval* (µs, 0 when
     /// the interval saw no completed round trips).
@@ -358,7 +354,6 @@ pub fn render_timeline_json(d: &TimelineDoc) -> String {
                 s,
                 "        {{\"t_us\": {}, \"started\": {}, \"completed\": {}, \
                  \"handled\": {}, \"remote_rpcs\": {}, \"wire_bytes\": {}, \
-                 \"frames_enqueued\": {}, \"flush_batches\": {}, \
                  \"in_flight\": {}, \"queue_depth\": {}, \
                  \"pool_resident_bytes\": {}, \"pool_outstanding\": {}, \
                  \"reactor_queued_bytes\": {}, \"rtt_p99_us\": {}}}",
@@ -368,8 +363,6 @@ pub fn render_timeline_json(d: &TimelineDoc) -> String {
                 p.handled,
                 p.remote_rpcs,
                 p.wire_bytes,
-                p.frames_enqueued,
-                p.flush_batches,
                 p.in_flight,
                 p.queue_depth,
                 p.pool_resident_bytes,
@@ -445,8 +438,6 @@ fn delta_sample(t_us: u64, cur: &MachineSnapshot, prev: &MachineSnapshot) -> Tim
         handled: cur.invoke_us.count.saturating_sub(prev.invoke_us.count),
         remote_rpcs: cur.stats.remote_rpcs.saturating_sub(prev.stats.remote_rpcs),
         wire_bytes: cur.stats.wire_bytes.saturating_sub(prev.stats.wire_bytes),
-        frames_enqueued: cur.reactor_frames_enqueued.saturating_sub(prev.reactor_frames_enqueued),
-        flush_batches: cur.reactor_flush_batches.saturating_sub(prev.reactor_flush_batches),
         in_flight: cur.in_flight,
         queue_depth: cur.serve_queue_depth,
         pool_resident_bytes: cur.pool_resident_bytes,
@@ -689,7 +680,7 @@ mod tests {
             value: 7,
         });
         let json = render_timeline_json(&tl.doc());
-        assert!(json.contains("\"schema\": 1"));
+        assert!(json.contains("\"schema\": 2"));
         assert!(json.contains("\"interval_us\": 10000"));
         assert!(json.contains("\"machine\": 1"));
         assert!(json.contains("\"queue_depth\": 1"));

@@ -35,7 +35,7 @@ pub use corm_obs::{
 };
 pub use error::VmError;
 pub use runtime::{
-    run_program, write_flight_artifact, AuditCounters, AuditSnapshot, Cluster, FaultSpec,
-    Milestone, RunOptions, RunOutcome, Runtime, StallSpec,
+    run_program, write_flight_artifact, AuditSnapshot, Cluster, FaultSpec, Milestone, RunOptions,
+    RunOutcome, Runtime, StallSpec,
 };
 pub use serve::{serve, serve_with, ArrivalSchedule, ServeOptions, ServeReport};

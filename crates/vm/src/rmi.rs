@@ -35,13 +35,13 @@ fn audit_shadow(rt: &Runtime, has_real_table: bool) -> Option<ShadowCycleCheck> 
     }
 }
 
-/// Fold a finished shadow table into the run's audit counters and the
-/// machine's metrics shard (`corm_audit_checks_total`).
+/// Fold a finished shadow table into the machine's metrics shard
+/// (`corm_audit_tables_total`, `corm_audit_checks_total`).
 fn absorb_shadow(rt: &Runtime, my: u16, shadow: Option<ShadowCycleCheck>) {
     if let Some(sh) = shadow {
-        rt.audit_counters.shadow_tables.fetch_add(1, Relaxed);
-        rt.audit_counters.shadow_checks.fetch_add(sh.checks, Relaxed);
-        rt.obs.machine(my).audit_checks.fetch_add(sh.checks, Relaxed);
+        let shard = rt.obs.machine(my);
+        shard.audit_tables.fetch_add(1, Relaxed);
+        shard.audit_checks.fetch_add(sh.checks, Relaxed);
     }
 }
 
@@ -98,7 +98,6 @@ fn audit_poison(
 ) -> Value {
     if rt.audit && !matches!(reuse, Value::Null) {
         let n = corm_heap::poison_graph(&mut guard.heap, reuse);
-        rt.audit_counters.poisoned_values.fetch_add(n, Relaxed);
         rt.obs.machine(my).audit_poisons.fetch_add(n, Relaxed);
     }
     reuse
@@ -145,6 +144,14 @@ pub fn remote_call_with_req(
         }
         other => return Err(VmError::new(format!("remote call on {other:?}"))),
     };
+    // A reference can arrive off the wire; the fabric is indexed by it.
+    if receiver.machine as usize >= rt.machines.len() {
+        return Err(VmError::new(format!(
+            "remote reference to machine {}, cluster has {}",
+            receiver.machine,
+            rt.machines.len()
+        )));
+    }
 
     // Mint the cluster-unique request id up front so the marshal phase
     // is already attributable to this RMI.

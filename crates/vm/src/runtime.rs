@@ -119,39 +119,21 @@ impl Default for RunOptions {
     }
 }
 
-/// Live counters of the runtime analysis auditor. All zero unless
-/// [`RunOptions::audit`] is set; bumped outside the metrics registry so
-/// audited runs keep bit-identical `RmiStats`.
-#[derive(Debug, Default)]
-pub struct AuditCounters {
-    /// Shadow cycle tables created (one per message whose plan elided
-    /// the real table).
-    pub shadow_tables: std::sync::atomic::AtomicU64,
-    /// Objects identity-checked by shadow tables.
-    pub shadow_checks: std::sync::atomic::AtomicU64,
-    /// Primitive slots / array elements / strings poisoned in reuse
-    /// caches before deserialization reclaimed them.
-    pub poisoned_values: std::sync::atomic::AtomicU64,
-}
-
-/// Point-in-time view of [`AuditCounters`], reported in [`RunOutcome`].
+/// What the runtime analysis auditor did over a run, reported in
+/// [`RunOutcome`]: the machine shards' `audit_*` counters, summed. All
+/// zero unless [`RunOptions::audit`] is set; none of them is an
+/// `RmiStats` counter, so audited runs keep those bit-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditSnapshot {
     pub enabled: bool,
+    /// Shadow cycle tables created (one per message whose plan elided
+    /// the real table).
     pub shadow_tables: u64,
+    /// Objects identity-checked by shadow tables.
     pub shadow_checks: u64,
+    /// Primitive slots / array elements / strings poisoned in reuse
+    /// caches before deserialization reclaimed them.
     pub poisoned_values: u64,
-}
-
-impl AuditCounters {
-    pub fn snapshot(&self, enabled: bool) -> AuditSnapshot {
-        AuditSnapshot {
-            enabled,
-            shadow_tables: self.shadow_tables.load(Relaxed),
-            shadow_checks: self.shadow_checks.load(Relaxed),
-            poisoned_values: self.poisoned_values.load(Relaxed),
-        }
-    }
 }
 
 /// Everything shared by all threads of a cluster run.
@@ -177,7 +159,6 @@ pub struct Runtime {
     pub trace: Option<Mutex<Vec<TraceEvent>>>,
     /// Analysis-verdict auditing (see [`RunOptions::audit`]).
     pub audit: bool,
-    pub audit_counters: AuditCounters,
     /// Always-on RMI flight recorder (DESIGN §11): one lock-free ring per
     /// machine holding the last N RMI events for post-mortem dumps.
     pub flight: Arc<FlightRecorder>,
@@ -521,7 +502,6 @@ impl Cluster {
             spawned: Mutex::new(Vec::new()),
             trace: if opts.trace { Some(Mutex::new(Vec::new())) } else { None },
             audit: opts.audit,
-            audit_counters: AuditCounters::default(),
             flight,
             flight_failed: Mutex::new(Vec::new()),
             transport_code,
@@ -660,19 +640,27 @@ impl Cluster {
             write_flight_artifact(&flight);
         }
 
+        let metrics = rt.obs.snapshot();
+        let mut audit = AuditSnapshot { enabled: rt.audit, ..AuditSnapshot::default() };
+        for m in &metrics.machines {
+            audit.shadow_tables += m.audit_tables;
+            audit.shadow_checks += m.audit_checks;
+            audit.poisoned_values += m.audit_poisons;
+        }
+
         RunOutcome {
             output,
             wall,
             modeled,
             stats: rt.obs.cluster_snapshot(),
-            metrics: rt.obs.snapshot(),
+            metrics,
             heap,
             error,
             trace,
             transport,
             measured_wire,
             measured_wire_ns,
-            audit: rt.audit_counters.snapshot(rt.audit),
+            audit,
             flight,
             timeline: if rt.sampler.is_some() {
                 rt.obs.timeline().doc()
@@ -810,8 +798,21 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                     _ => drop(st),
                 }
             }
+            // The reply is routed by `from`, and the fabric indexes its
+            // tables by it: a sender that is no machine gets no answer.
+            Packet::NewRemote { from, .. } | Packet::Request { from, .. }
+                if from as usize >= rt.machines.len() =>
+            {
+                let n = rt.machines.len();
+                rt.print(&format!("[machine {my}] dropped a request from machine {from} of {n}\n"));
+            }
             Packet::NewRemote { req_id, from, class } => {
                 rt.instant(my, TraceKind::NewRemote { class, from });
+                if class as usize >= rt.module.table.classes.len() {
+                    let err = Some(format!("unknown class id {class}"));
+                    rt.net.send(my, from, Packet::Reply { req_id, payload: Vec::new(), err });
+                    continue;
+                }
                 let obj = {
                     let mut st = rt.machine(my).state.lock();
                     let obj = st.alloc_zeroed(&rt.module.table, corm_ir::ClassId(class));

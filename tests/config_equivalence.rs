@@ -1,15 +1,14 @@
 //! The central meta-invariant of the reproduction: every optimization
-//! configuration (plus the introspection baseline and the §7 list
-//! extension where sound) computes byte-identical program output — the
-//! optimizations change performance, never semantics.
+//! configuration (plus the §7 list extension where sound) computes
+//! byte-identical program output — the optimizations change performance,
+//! never semantics.
 //!
 //! Programs here are generated from seeded templates so each run covers a
 //! family of object-graph shapes and call patterns.
 
 use corm::{compile_and_run, CostModel, OptConfig, RunOptions};
 
-const ALL_CONFIGS: [(&str, OptConfig); 6] = [
-    ("introspect", OptConfig::INTROSPECT),
+const ALL_CONFIGS: [(&str, OptConfig); 5] = [
     ("class", OptConfig::CLASS),
     ("site", OptConfig::SITE),
     ("site+cycle", OptConfig::SITE_CYCLE),

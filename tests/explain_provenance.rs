@@ -105,20 +105,6 @@ fn explain_verdicts_agree_with_runtime_auditor() {
                 app.name
             );
             assert!(out.audit.enabled);
-            // The §satellite metrics agree with the audit counters: the
-            // per-machine shards sum to exactly the auditor's totals.
-            let checks: u64 = out.metrics.machines.iter().map(|m| m.audit_checks).sum();
-            assert_eq!(
-                checks, out.audit.shadow_checks,
-                "{} under {cfg_name}: corm_audit_checks_total out of sync",
-                app.name
-            );
-            let poisons: u64 = out.metrics.machines.iter().map(|m| m.audit_poisons).sum();
-            assert_eq!(
-                poisons, out.audit.poisoned_values,
-                "{} under {cfg_name}: corm_audit_poisons_total out of sync",
-                app.name
-            );
             // Sites that elided the table and moved payload are exactly
             // the ones the shadow table covered.
             let any_elided = c

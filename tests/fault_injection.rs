@@ -202,6 +202,106 @@ fn rng_bound_must_be_positive() {
 }
 
 // ---------------------------------------------------------------------
+// Ids off the wire. A machine id in a remote reference or a packet
+// header indexes the fabric's tables; one that names no machine must
+// fail the call, or be dropped, without taking a thread down.
+// ---------------------------------------------------------------------
+
+const ECHO: &str = r#"
+    remote class R { int echo(int x) { return x; } }
+    class M { static void main() { R r = new R() @ 1; System.println(Str.fromLong(r.echo(1))); } }
+"#;
+
+/// A two-machine cluster running [`ECHO`]'s classes, and what a driver
+/// needs to call `R.echo` by hand: the class, the method, its call site.
+fn echo_cluster() -> (corm::Cluster, corm_ir::ClassId, corm_ir::MethodId, corm_ir::CallSiteId) {
+    let compiled = corm::compile(ECHO, OptConfig::ALL).unwrap();
+    let class = compiled.module.table.class_named("R").unwrap();
+    let echo = compiled.module.table.find_method(class, "echo").unwrap();
+    let site = compiled.plans.sites.values().find(|p| p.method == echo).unwrap().site;
+    let cluster = corm::Cluster::start(compiled.module, compiled.plans, &RunOptions::default());
+    assert!(cluster.run_clinits().is_none());
+    (cluster, class, echo, site)
+}
+
+#[test]
+fn a_remote_reference_to_no_machine_fails_the_call() {
+    use corm_heap::{ObjRef, RemoteRef, Value};
+    use corm_vm::{interp::Interp, rmi};
+
+    let (cluster, class, echo, site) = echo_cluster();
+    let machine = cluster.rt.machine(0).clone();
+    let mut interp = Interp::new(cluster.rt.clone(), 0);
+    let forged = Value::Remote(RemoteRef { machine: 7, obj: ObjRef(1), class });
+    let args = [forged, Value::Int(1)];
+    let err = rmi::remote_call_with_req(
+        &mut interp,
+        &mut machine.enter(),
+        site,
+        echo,
+        &args,
+        true,
+        false,
+    )
+    .expect_err("machine 7 of 2");
+    assert!(err.message.contains("remote reference to machine 7, cluster has 2"), "{err}");
+    assert!(cluster.finish(None).error.is_none());
+}
+
+#[test]
+fn requests_from_no_machine_are_dropped_and_the_machine_keeps_serving() {
+    use corm_heap::Value;
+    use corm_net::Packet;
+    use corm_vm::{interp::Interp, rmi};
+
+    let (cluster, class, echo, site) = echo_cluster();
+    let rt = cluster.rt.clone();
+    // One forged request more than machine 1 has workers, then a forged
+    // allocation, which the drain thread answers itself; last, a real
+    // sender naming a class the program does not have.
+    for req_id in 0..4 {
+        let forged = Packet::Request {
+            req_id,
+            from: 99,
+            site: site.0,
+            target_obj: 1,
+            payload: vec![],
+            oneway: false,
+        };
+        rt.net.send(0, 1, forged);
+    }
+    rt.net.send(0, 1, Packet::NewRemote { req_id: 4, from: 99, class: class.0 });
+    // (Its error reply carries an id machine 0 will never mint.)
+    rt.net.send(0, 1, Packet::NewRemote { req_id: u64::MAX, from: 0, class: u32::MAX });
+
+    // Per-pair FIFO: machine 1 drains the forgeries before these calls.
+    // Where one of them killed its drain thread or its workers the calls
+    // never return, hence the bounded wait.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let machine = rt.machine(0).clone();
+        let mut interp = Interp::new(rt.clone(), 0);
+        let r = rmi::new_remote(&mut interp, &mut machine.enter(), class, 1).unwrap();
+        for x in 0..30 {
+            let args = [r, Value::Int(x)];
+            let guard = &mut machine.enter();
+            let (v, _) =
+                rmi::remote_call_with_req(&mut interp, guard, site, echo, &args, true, false)
+                    .unwrap();
+            assert_eq!(v, Value::Int(x));
+        }
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("machine 1 stopped serving after the forged packets");
+    caller.join().unwrap();
+    let out = cluster.finish(None);
+    assert!(out.error.is_none(), "{:?}", out.error);
+    assert_eq!(out.output.matches("dropped a request from machine 99 of 2").count(), 5);
+}
+
+// ---------------------------------------------------------------------
 // TCP-transport faults. Remote errors must cross real sockets the same
 // way they cross channels, and torn-down or killed fabrics must produce
 // orderly errors (or clean exits) — never hangs.
@@ -375,10 +475,10 @@ fn channel_fault_injection_matches_tcp_semantics() {
 }
 
 // ---------------------------------------------------------------------
-// Reactor-transport faults. The shared-event-loop fabric pipelines and
-// batches frames, so it has failure modes TCP does not: a coalesced
-// batch can be torn mid-buffer by a peer kill, and a write failure is
-// discovered by a reactor thread rather than the sending thread.
+// Reactor-transport faults. The shared-event-loop fabric has failure
+// modes TCP does not: frames a full socket left parked can be torn
+// mid-buffer by a peer kill, and that write failure is discovered by a
+// reactor thread rather than the sending thread.
 // All of them must still surface as orderly PeerGone — never hangs.
 // ---------------------------------------------------------------------
 
@@ -423,8 +523,8 @@ fn reactor_nested_rmi_error_propagates_to_origin() {
 #[test]
 fn reactor_runs_shut_down_cleanly_under_load() {
     // Same teardown hammer as the TCP variant, but here shutdown also
-    // races the coalescing buffers: frames parked for a batch must
-    // either flush or be dropped without wedging a reactor thread.
+    // races the reactor pool: whatever is still parked in an outbound
+    // buffer must be dropped without wedging a reactor thread.
     let src = r#"
         remote class R { int echo(int x) { return x; } }
         class M {

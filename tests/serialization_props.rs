@@ -211,3 +211,69 @@ fn corrupted_payload_is_rejected_not_crashing() {
         let _ = ser.deserialize(&mut dst, &SerNode::Dynamic, &mut reader, &mut dt, Value::Null);
     }
 }
+
+#[test]
+fn a_tagged_string_takes_a_handle_on_both_sides() {
+    // The sender's cycle table numbers a string it meets on the tagged
+    // path; the receiver must count it too, or every handle after it
+    // names the wrong object (or none).
+    let (c, node_class) = fixture(OptConfig::CLASS);
+    let stats = RmiStats::new();
+    let ser = Serializer::new(&c.plans, &c.module.table, &stats);
+    let mut src = Heap::new();
+    let mut dst = Heap::new();
+    let text = Value::Ref(src.alloc_str("between"));
+    let mut node = |a, b| {
+        let n = src.alloc_obj(node_class, 3);
+        src.set_field(n, 0, a).unwrap();
+        src.set_field(n, 1, b).unwrap();
+        src.set_field(n, 2, Value::Int(5)).unwrap();
+        Value::Ref(n)
+    };
+    // outer{ text, inner{ shared, text again } }: handles 0..=3, then a
+    // back-reference to handle 1.
+    let shared = node(Value::Null, Value::Null);
+    let inner = node(shared, text);
+    let outer = node(text, inner);
+    let (out, _) =
+        roundtrip(&ser, &src, &mut dst, &SerNode::Dynamic, outer, true, Value::Null).unwrap();
+    assert!(deep_equal_across(&src, outer, &dst, out.value));
+    let outer2 = out.value.as_ref().unwrap();
+    let inner2 = dst.field(outer2, 1).unwrap().as_ref().unwrap();
+    assert_eq!(dst.field(outer2, 0).unwrap(), dst.field(inner2, 1).unwrap(), "one string");
+}
+
+#[test]
+fn a_remote_reference_off_the_wire_must_name_a_machine_id_and_a_remote_class() {
+    use corm_heap::RemoteRef;
+    use corm_wire::{Message, TAG_PRESENT, TAG_REMOTE};
+
+    let (c, node_class) = fixture(OptConfig::CLASS);
+    let stats = RmiStats::new();
+    let ser = Serializer::new(&c.plans, &c.module.table, &stats);
+    let remote = c.module.table.class_named("R").unwrap();
+    let nclasses = c.module.table.classes.len() as u32;
+    for node in [SerNode::Remote, SerNode::Dynamic] {
+        // A bare reference behind the node's "here it comes" tag.
+        let read = |machine: u32, class: u32| {
+            let mut msg = Message::new();
+            msg.write_u8(if node == SerNode::Dynamic { TAG_REMOTE } else { TAG_PRESENT });
+            for word in [machine, 42, class] {
+                msg.write_u32(word);
+            }
+            let mut reader = msg.reader();
+            ser.deserialize(&mut Heap::new(), &node, &mut reader, &mut None, Value::Null)
+                .map(|out| out.value)
+        };
+        let rr = RemoteRef { machine: 1, obj: ObjRef(42), class: remote };
+        assert_eq!(read(1, remote.0), Ok(Value::Remote(rr)));
+        for (class, why) in
+            [(nclasses, "one past the table"), (u32::MAX, "far past it"), (node_class.0, "local")]
+        {
+            let err = read(1, class).expect_err(why);
+            assert!(err.0.contains(&format!("wire class id {class}")), "{why}: {err}");
+        }
+        let err = read(1 << 16, remote.0).expect_err("a machine id wider than u16");
+        assert!(err.0.contains("machine 65536"), "{err}");
+    }
+}

@@ -175,7 +175,7 @@ fn timeline_json_export_is_wellformed() {
 
     assert!(json.starts_with("{\n"));
     assert!(json.trim_end().ends_with('}'));
-    assert!(json.contains("\"schema\": 1"));
+    assert!(json.contains("\"schema\": 2"));
     assert!(json.contains("\"interval_us\": 1000"));
     for field in [
         "\"machine\":",
@@ -186,8 +186,6 @@ fn timeline_json_export_is_wellformed() {
         "\"handled\":",
         "\"remote_rpcs\":",
         "\"wire_bytes\":",
-        "\"frames_enqueued\":",
-        "\"flush_batches\":",
         "\"in_flight\":",
         "\"queue_depth\":",
         "\"pool_resident_bytes\":",

@@ -1,7 +1,7 @@
 //! Cross-transport equivalence: every app under every configuration
 //! must behave identically whether packets move over the in-process
 //! channel fabric, the real loopback-TCP mesh, the reactor fabric
-//! (shared event loops with pipelining + adaptive batching), or the
+//! (the same sockets read by a few shared event loops), or the
 //! lossy datagram fabric (seeded drop/duplicate/reorder faults healed
 //! by retransmission, dedup and holdback, DESIGN §16).
 //!
@@ -125,9 +125,9 @@ fn tcp_measures_wire_time_and_channel_does_not() {
 }
 
 #[test]
-fn reactor_measures_wire_time_including_batch_wait() {
-    // Frames are timestamped at *enqueue*, so time spent parked in a
-    // coalescing buffer is charged to measured wire time too.
+fn reactor_measures_wire_time() {
+    // Frames are timestamped when they enter the outbound buffer, so
+    // time spent parked there behind a full socket is charged too.
     let run = run_under(&ARRAY2D, OptConfig::ALL, TransportKind::Reactor);
     assert!(run.measured_wire_ns > 0, "reactor must record real in-flight time");
 }
