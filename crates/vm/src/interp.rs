@@ -18,8 +18,9 @@ use parking_lot::MutexGuard;
 use crate::builtins;
 use crate::error::{VmError, VmResult};
 use crate::machine::{MachineShared, MachineState};
+use crate::reply::Waiter;
 use crate::rmi;
-use crate::runtime::Runtime;
+use crate::runtime::{spawn_detached, Runtime};
 
 /// An activation record.
 pub struct Frame {
@@ -36,13 +37,15 @@ pub struct Interp {
     pub rt: Arc<Runtime>,
     pub machine: Arc<MachineShared>,
     pub frames: Vec<Frame>,
+    /// Where this thread sleeps for the reply to its one outstanding call.
+    pub(crate) waiter: Arc<Waiter>,
     steps: u64,
 }
 
 impl Interp {
     pub fn new(rt: Arc<Runtime>, machine: u16) -> Self {
         let machine = rt.machine(machine).clone();
-        Interp { rt, machine, frames: Vec::new(), steps: 0 }
+        Interp { rt, machine, frames: Vec::new(), waiter: Arc::default(), steps: 0 }
     }
 
     pub fn machine_id(&self) -> u16 {
@@ -66,6 +69,11 @@ impl Interp {
         args: Vec<Value>,
     ) -> VmResult<Value> {
         let base = self.frames.len();
+        if base == 0 {
+            // A new activity starts a new safepoint quantum: a handler shorter
+            // than one holds the machine lock throughout, on any `Interp`.
+            self.steps = 0;
+        }
         self.push_frame(func, args, None)?;
         let res = self.run_loop(guard, base);
         if res.is_err() {
@@ -204,13 +212,13 @@ impl Interp {
                     Const::Double(x) => Value::Double(*x),
                     Const::Str(id) => {
                         // String literals are interned per machine.
-                        let obj = match guard.heap_lit(*id) {
-                            Some(o) => o,
+                        let obj = match guard.lit_strings.get(&id.0) {
+                            Some(&o) => o,
                             None => {
                                 let s = self.rt.module.str(*id).to_string();
                                 let o = guard.heap.alloc_str(s);
                                 guard.heap.pin(o);
-                                guard.set_lit(*id, o);
+                                guard.lit_strings.insert(id.0, o);
                                 o
                             }
                         };
@@ -344,14 +352,9 @@ impl Interp {
                         self.push_frame(f, argv, *dst)?;
                     }
                     CallTarget::Remote(mid) => {
-                        let out = rmi::remote_call(
-                            self,
-                            guard,
-                            *site,
-                            *mid,
-                            &argv,
-                            dst.is_some(),
-                            false,
+                        let (want_ret, oneway) = (dst.is_some(), false);
+                        let (out, _) = rmi::remote_call_with_req(
+                            self, guard, *site, *mid, &argv, want_ret, oneway,
                         )?;
                         if let Some(d) = dst {
                             self.set(*d, out);
@@ -363,7 +366,7 @@ impl Interp {
                 let argv: Vec<Value> = args.iter().map(|r| self.reg(*r)).collect();
                 match target {
                     CallTarget::Remote(mid) => {
-                        rmi::remote_call(self, guard, *site, *mid, &argv, false, true)?;
+                        rmi::remote_call_with_req(self, guard, *site, *mid, &argv, false, true)?;
                     }
                     CallTarget::Static(mid) | CallTarget::Ctor(mid) => {
                         self.spawn_local(*mid, argv)?;
@@ -416,15 +419,10 @@ impl Interp {
 
     fn spawn_local(&mut self, mid: MethodId, argv: Vec<Value>) -> VmResult<()> {
         let f = self.func_of(mid)?;
-        let rt = self.rt.clone();
-        let machine = self.machine_id();
-        let handle = crate::runtime::spawn_vm_thread("corm-user-spawn", move || {
-            let mut interp = Interp::new(rt.clone(), machine);
-            if let Err(e) = interp.run_function(f, argv) {
-                rt.print(&format!("[machine {machine}] spawned thread failed: {e}\n"));
-            }
+        let thread = ("corm-user-spawn", "spawned thread");
+        spawn_detached(&self.rt, self.machine_id(), thread, move |interp| {
+            interp.run_function(f, argv).map(drop)
         });
-        self.rt.spawned.lock().push(handle);
         Ok(())
     }
 
@@ -649,17 +647,5 @@ fn ref_eq(a: Value, b: Value) -> bool {
         (Value::Ref(x), Value::Ref(y)) => x == y,
         (Value::Remote(x), Value::Remote(y)) => x == y,
         _ => false,
-    }
-}
-
-// Small extension trait on MachineState for the string-literal pool,
-// kept here to avoid widening the machine module's public surface.
-impl MachineState {
-    pub fn heap_lit(&self, id: corm_ir::StrId) -> Option<corm_heap::ObjRef> {
-        self.lit_strings.get(&id.0).copied()
-    }
-
-    pub fn set_lit(&mut self, id: corm_ir::StrId, obj: corm_heap::ObjRef) {
-        self.lit_strings.insert(id.0, obj);
     }
 }

@@ -21,6 +21,7 @@ pub mod error;
 pub mod interp;
 pub mod machine;
 pub mod pool;
+pub mod reply;
 pub mod rmi;
 pub mod runtime;
 pub mod serve;

@@ -1,7 +1,7 @@
-//! Per-machine state: heap, statics, native queues, outstanding-reply
-//! slots and the §3.3 reuse caches.
+//! Per-machine state: heap, statics, native queues and the §3.3 reuse
+//! caches under the machine lock; the reply table beside it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 
 use corm_heap::{Heap, ObjRef, Value};
@@ -9,23 +9,13 @@ use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{VmError, VmResult};
+use crate::reply::ReplyTable;
 
 /// A native blocking queue (`Queue` builtin).
 #[derive(Debug, Default)]
 pub struct VmQueue {
     pub cap: usize,
     pub items: VecDeque<Value>,
-}
-
-/// State of one outstanding RMI awaiting its reply.
-#[derive(Debug)]
-pub enum ReplySlot {
-    /// Waiting for a reply from machine `dest` — recorded so that when a
-    /// peer dies, only calls aimed at it are failed.
-    Waiting {
-        dest: u16,
-    },
-    Ready(Result<Vec<u8>, String>),
 }
 
 /// One §3.3 reuse slot: where the root of a dead deserialized graph waits
@@ -48,11 +38,6 @@ pub struct MachineState {
     pub heap: Heap,
     pub statics: Vec<Value>,
     pub queues: Vec<VmQueue>,
-    pub replies: HashMap<u64, ReplySlot>,
-    /// Peers whose `PeerGone` this machine has processed. The transport
-    /// drops what is sent to them, so a call to one fails at once instead
-    /// of opening a reply slot nobody will fill.
-    pub dead_peers: HashSet<u16>,
     /// The §3.3 reuse caches: pinned roots of dead graphs, by slot.
     pub reuse_cache: HashMap<ReuseSlot, Value>,
     pub next_req: u64,
@@ -66,10 +51,6 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    pub fn new(num_statics: usize) -> Self {
-        Self::with_statics(vec![Value::Null; num_statics])
-    }
-
     /// Per-type zero defaults for every static variable of `table`.
     pub fn static_defaults(table: &ClassTable) -> Vec<Value> {
         let mut defaults = vec![Value::Null; table.num_statics];
@@ -86,8 +67,6 @@ impl MachineState {
             heap: Heap::new(),
             statics,
             queues: Vec::new(),
-            replies: HashMap::new(),
-            dead_peers: HashSet::new(),
             reuse_cache: HashMap::new(),
             next_req: 1,
             active_threads: 0,
@@ -115,9 +94,16 @@ impl MachineState {
     }
 
     /// Take (and clear) a reuse candidate — Fig. 13's `temp_arr = null`
-    /// guard against concurrent unmarshalers. The root stays pinned.
+    /// guard against concurrent unmarshalers. The pin belongs to the cache
+    /// and goes with the entry: a candidate the deserializer rejects, or
+    /// whose call fails before `put_reuse`, is garbage like any dead graph;
+    /// one it recycles is held by the handler's frame, as a fresh one is.
     pub fn take_reuse(&mut self, slot: ReuseSlot) -> Value {
-        self.reuse_cache.remove(&slot).unwrap_or(Value::Null)
+        let v = self.reuse_cache.remove(&slot).unwrap_or(Value::Null);
+        if let Value::Ref(root) = v {
+            self.heap.unpin(root);
+        }
+        v
     }
 
     /// Fig. 13's `temp_arr = t`: cache `v` in `slot`, moving the GC pin
@@ -166,12 +152,13 @@ impl MachineState {
     }
 }
 
-/// One simulated machine: its state plus the condvar used by all blocking
-/// operations (reply waits, queue waits).
+/// One simulated machine: its state under the machine lock, the condvar
+/// `Queue` operations block on, and — beside the lock — the reply table.
 pub struct MachineShared {
     pub id: u16,
     pub state: Mutex<MachineState>,
     pub cv: Condvar,
+    pub pending: ReplyTable,
 }
 
 /// A VM thread's stay on a machine: the machine lock, with the thread
@@ -208,23 +195,15 @@ impl MachineShared {
         Entered(guard)
     }
 
-    pub fn new(id: u16, num_statics: usize) -> Self {
-        Self::with_statics(id, vec![Value::Null; num_statics])
-    }
-
     pub fn with_statics(id: u16, statics: Vec<Value>) -> Self {
         let mut state = MachineState::with_statics(statics);
         // Namespace request ids by machine so every RMI carries a
         // cluster-unique id (trace events of one call link across
         // machines by it). 48 bits of counter per machine.
         state.next_req = ((id as u64) << 48) + 1;
-        MachineShared { id, state: Mutex::new(state), cv: Condvar::new() }
+        let pending = ReplyTable::default();
+        MachineShared { id, state: Mutex::new(state), cv: Condvar::new(), pending }
     }
-}
-
-/// The error of a call whose target machine is gone.
-pub fn peer_gone(peer: u16) -> String {
-    format!("peer machine {peer} disconnected")
 }
 
 /// The zero/default value of a MiniParty type.
@@ -245,7 +224,7 @@ mod tests {
 
     #[test]
     fn queue_handles() {
-        let mut st = MachineState::new(0);
+        let mut st = MachineState::with_statics(Vec::new());
         let q = st.new_queue(2);
         st.queue(q).unwrap().items.push_back(Value::Int(1));
         assert_eq!(st.queue(q).unwrap().items.len(), 1);
@@ -258,7 +237,7 @@ mod tests {
 
     #[test]
     fn arg_cache_pins_roots() {
-        let mut st = MachineState::new(0);
+        let mut st = MachineState::with_statics(Vec::new());
         let o = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
         st.put_reuse(arg(3, 0, 0), Value::Ref(o));
         // pinned: survives GC with no roots
@@ -273,11 +252,13 @@ mod tests {
 
     #[test]
     fn take_cache_clears_slot() {
-        let mut st = MachineState::new(0);
+        let mut st = MachineState::with_statics(Vec::new());
         let o = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
         for slot in [arg(1, 1, 0), ReuseSlot::Ret { site: CallSiteId(1) }] {
             st.put_reuse(slot, Value::Ref(o));
+            assert_eq!(st.heap.pinned().count(), 1);
             assert_eq!(st.take_reuse(slot), Value::Ref(o));
+            assert_eq!(st.heap.pinned().count(), 0, "the pin goes with the cache entry");
             assert_eq!(st.take_reuse(slot), Value::Null);
         }
     }
@@ -286,7 +267,7 @@ mod tests {
     fn callers_of_one_site_keep_their_own_slots() {
         // The lu interleaving: machine 1's handler runs between a take and
         // the matching put of machine 0's at the same (site, argument).
-        let mut st = MachineState::new(0);
+        let mut st = MachineState::with_statics(Vec::new());
         let [a, b] = [0, 1].map(|_| Value::Ref(st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0)));
         st.put_reuse(arg(7, 1, 0), a);
         st.put_reuse(arg(7, 1, 1), b);
@@ -302,7 +283,7 @@ mod tests {
 
     #[test]
     fn entering_counts_the_thread_until_the_guard_drops() {
-        let machine = MachineShared::new(0, 0);
+        let machine = MachineShared::with_statics(0, Vec::new());
         let early_exit = || -> VmResult<()> {
             let mut guard = machine.enter();
             assert_eq!(guard.active_threads, 1);
@@ -315,7 +296,7 @@ mod tests {
 
     #[test]
     fn external_roots_cover_statics_and_queues() {
-        let mut st = MachineState::new(2);
+        let mut st = MachineState::with_statics(vec![Value::Null; 2]);
         let a = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
         let b = st.heap.alloc_obj(corm_ir::OBJECT_CLASS, 0);
         st.statics[0] = Value::Ref(a);

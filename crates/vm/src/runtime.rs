@@ -21,9 +21,10 @@ use corm_obs::{
 use corm_wire::{RmiStats, StatsSnapshot};
 use parking_lot::Mutex;
 
-use crate::error::VmError;
+use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
-use crate::machine::{peer_gone, MachineShared, ReplySlot};
+use crate::machine::MachineShared;
+use crate::reply::peer_gone;
 use crate::rmi;
 use crate::trace::{Phase, TraceEvent, TraceKind};
 
@@ -222,87 +223,9 @@ impl Runtime {
         }
     }
 
-    /// Open a phase of RMI `req`; the stamp goes back into
-    /// [`phase_end`](Self::phase_end), possibly on another thread.
-    pub fn phase_begin(&self, machine: u16, phase: Phase, req: u64, site: u32) -> u64 {
-        self.stamp(machine, |_| Some(TraceKind::PhaseBegin { phase, req, site }))
-    }
-
-    /// Close the phase opened at `t0`: one stamp ends both the trace span
-    /// and the phase histogram's sample, so the histogram sums equal the
-    /// trace's phase report exactly.
-    pub fn phase_end(&self, machine: u16, phase: Phase, req: u64, site: u32, t0: u64) -> u64 {
-        let t1 = self.stamp(machine, |_| Some(TraceKind::PhaseEnd { phase, req, site }));
-        let shard = self.obs.machine(machine);
-        let hist = match phase {
-            Phase::Marshal => &shard.marshal_us,
-            Phase::Queue => &shard.queue_us,
-            Phase::Unmarshal => &shard.unmarshal_us,
-            Phase::Invoke => &shard.invoke_us,
-        };
-        hist.record(t1.saturating_sub(t0));
-        t1
-    }
-
-    /// Run `f` as a phase. It ends when `f` returns, before the caller
-    /// can `?` the result away — so a failing marshal or a remote
-    /// exception still closes its span and lands in its histogram.
-    pub fn in_phase<T>(
-        &self,
-        at: u16,
-        phase: Phase,
-        req: u64,
-        site: u32,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let t0 = self.phase_begin(at, phase, req, site);
-        let out = f();
-        self.phase_end(at, phase, req, site, t0);
-        out
-    }
-
-    /// Record milestone `m` of RMI `req`, whose payload is `bytes` long:
-    /// one stamp feeds the flight ring (with the site plan's `FLAG_*`
-    /// verdicts in `flags`), the trace log and — for `Return` and `Local`
-    /// — the RTT histograms of the machine and the call site. Returns the
-    /// stamp: a `Send`'s is the `since` of its `Return`.
-    pub fn milestone(
-        &self,
-        at: u16,
-        req: u64,
-        site: u32,
-        flags: u8,
-        bytes: usize,
-        m: Milestone<'_>,
-    ) -> u64 {
-        use Milestone::*;
-        let (kind, peer, since, scope) = match m {
-            Send { to, .. } => (FlightKind::Send, to, 0, None),
-            Return { from, since, scope } => (FlightKind::Return, from, since, Some(scope)),
-            Handle { from, since, .. } => (FlightKind::Handle, from, since, None),
-            Local { since, scope } => (FlightKind::Local, at, since, Some(scope)),
-            Fail { peer } => (FlightKind::Fail, peer, 0, None),
-            Slo { server } => (FlightKind::Slo, server, 0, None),
-        };
-        let t_us = self.stamp(at, |t| {
-            let (us, bytes) = (t.saturating_sub(since), bytes as u64);
-            Some(match m {
-                Send { to, oneway } => TraceKind::RmiSend { req, site, to, bytes, oneway },
-                Return { .. } => TraceKind::RmiReturn { req, site, us, reply_bytes: bytes },
-                Handle { reused, .. } => TraceKind::Handle { req, site, us, reused },
-                Local { .. } => TraceKind::LocalRpc { req, site, us },
-                Fail { .. } | Slo { .. } => return None,
-            })
-        });
-        if let Some(scope) = scope {
-            let us = t_us.saturating_sub(since);
-            self.obs.machine(at).rtt_us.record(us);
-            scope.rtt_us.record(us);
-        }
-        let (bytes, transport) = (bytes.min(u32::MAX as usize) as u32, self.transport_code);
-        self.flight
-            .record(at, FlightEvent { t_us, req, site, bytes, kind, peer, flags, transport });
-        t_us
+    /// RMI `req` at call site `site` as machine `at` records it; no `flags` yet.
+    pub fn call(&self, at: u16, req: u64, site: u32) -> CallCtx<'_> {
+        CallCtx { rt: self, at, req, site, flags: 0 }
     }
 
     pub fn print(&self, s: &str) {
@@ -324,7 +247,89 @@ impl Runtime {
     }
 }
 
-/// What [`Runtime::milestone`] records. `since` is the stamp a duration
+/// One RMI as one machine sees it: what every phase span, milestone and
+/// flight event of the call is stamped with, settled once per call.
+#[derive(Clone, Copy)]
+pub struct CallCtx<'a> {
+    pub rt: &'a Runtime,
+    /// The machine this half of the call runs, and records, on.
+    pub at: u16,
+    pub req: u64,
+    pub site: u32,
+    /// The site plan's verdicts as flight-recorder `FLAG_*` bits.
+    pub flags: u8,
+}
+
+impl CallCtx<'_> {
+    /// Open a phase; [`phase_end`](Self::phase_end) takes the stamp back.
+    pub fn phase_begin(&self, phase: Phase) -> u64 {
+        let Self { rt, at, req, site, .. } = *self;
+        rt.stamp(at, |_| Some(TraceKind::PhaseBegin { phase, req, site }))
+    }
+
+    /// Close the phase opened at `t0`: one stamp ends both the trace span
+    /// and the phase histogram's sample, so the histogram sums equal the
+    /// trace's phase report exactly.
+    pub fn phase_end(&self, phase: Phase, t0: u64) -> u64 {
+        let Self { rt, at, req, site, .. } = *self;
+        let t1 = rt.stamp(at, |_| Some(TraceKind::PhaseEnd { phase, req, site }));
+        let shard = rt.obs.machine(at);
+        let hist = match phase {
+            Phase::Marshal => &shard.marshal_us,
+            Phase::Queue => &shard.queue_us,
+            Phase::Unmarshal => &shard.unmarshal_us,
+            Phase::Invoke => &shard.invoke_us,
+        };
+        hist.record(t1.saturating_sub(t0));
+        t1
+    }
+
+    /// Run `f` as a phase. It ends when `f` returns, before the caller
+    /// can `?` the result away — so a failing marshal or a remote
+    /// exception still closes its span and lands in its histogram.
+    pub fn in_phase<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let t0 = self.phase_begin(phase);
+        let out = f();
+        self.phase_end(phase, t0);
+        out
+    }
+
+    /// Record milestone `m`, whose payload is `bytes` long: one stamp feeds
+    /// the flight ring, the trace log and — for `Return` and `Local` — the
+    /// RTT histograms. Returns it: a `Send`'s is the `since` of its `Return`.
+    pub fn milestone(&self, bytes: usize, m: Milestone<'_>) -> u64 {
+        use Milestone::*;
+        let Self { rt, at, req, site, flags } = *self;
+        let (kind, peer, since, scope) = match m {
+            Send { to, .. } => (FlightKind::Send, to, 0, None),
+            Return { from, since, scope } => (FlightKind::Return, from, since, Some(scope)),
+            Handle { from, since, .. } => (FlightKind::Handle, from, since, None),
+            Local { since, scope } => (FlightKind::Local, at, since, Some(scope)),
+            Fail { peer } => (FlightKind::Fail, peer, 0, None),
+            Slo { server } => (FlightKind::Slo, server, 0, None),
+        };
+        let t_us = rt.stamp(at, |t| {
+            let (us, bytes) = (t.saturating_sub(since), bytes as u64);
+            Some(match m {
+                Send { to, oneway } => TraceKind::RmiSend { req, site, to, bytes, oneway },
+                Return { .. } => TraceKind::RmiReturn { req, site, us, reply_bytes: bytes },
+                Handle { reused, .. } => TraceKind::Handle { req, site, us, reused },
+                Local { .. } => TraceKind::LocalRpc { req, site, us },
+                Fail { .. } | Slo { .. } => return None,
+            })
+        });
+        if let Some(scope) = scope {
+            let us = t_us.saturating_sub(since);
+            rt.obs.machine(at).rtt_us.record(us);
+            scope.rtt_us.record(us);
+        }
+        let (bytes, transport) = (bytes.min(u32::MAX as usize) as u32, rt.transport_code);
+        rt.flight.record(at, FlightEvent { t_us, req, site, bytes, kind, peer, flags, transport });
+        t_us
+    }
+}
+
+/// What [`CallCtx::milestone`] records. `since` is the stamp a duration
 /// is measured from; `scope` is the call site's metrics, resolved once
 /// per RMI by the caller.
 #[derive(Clone, Copy)]
@@ -525,15 +530,14 @@ impl Cluster {
                 let rx = work_rx.clone();
                 let mid = mailbox.machine();
                 services.push(spawn_vm_thread("corm-worker", move || {
-                    while let Ok((req_id, from, site, target_obj, payload, oneway, enq_us)) =
-                        rx.recv()
-                    {
+                    // One `Interp` for the worker's life, lent to each request.
+                    let mut interp = Interp::new(rt2, mid);
+                    while let Ok(item) = rx.recv() {
                         // Close the queue-depth gauge the drain loop
                         // opened when it parked this request.
-                        rt2.obs.machine(mid).serve_queue_depth.fetch_sub(1, Relaxed);
-                        rmi::handle_request(
-                            &rt2, mid, req_id, from, site, target_obj, payload, oneway, enq_us,
-                        );
+                        interp.rt.obs.machine(mid).serve_queue_depth.fetch_sub(1, Relaxed);
+                        // A two-way request's failure went home in its reply.
+                        let _ = rmi::serve_request(&mut interp, item);
                     }
                 }));
             }
@@ -549,7 +553,16 @@ impl Cluster {
     /// Static initializers: per machine, in declaration order (each
     /// machine owns its statics, as in one JVM per node).
     pub fn run_clinits(&self) -> Option<VmError> {
-        run_clinits(&self.rt)
+        let rt = &self.rt;
+        for mid in 0..rt.machines.len() as u16 {
+            for &f in &rt.module.clinits {
+                let mut interp = Interp::new(rt.clone(), mid);
+                if let Err(e) = interp.run_function(f, Vec::new()) {
+                    return Some(e);
+                }
+            }
+        }
+        None
     }
 
     /// Drain user-spawned threads, shut the network down, join the
@@ -701,60 +714,48 @@ pub(crate) fn spawn_vm_thread(
         .expect("spawn VM thread")
 }
 
-fn run_clinits(rt: &Arc<Runtime>) -> Option<VmError> {
-    for mid in 0..rt.machines.len() as u16 {
-        for &f in &rt.module.clinits.clone() {
-            let mut interp = Interp::new(rt.clone(), mid);
-            if let Err(e) = interp.run_function(f, Vec::new()) {
-                return Some(e);
-            }
+/// Run `body` on a VM thread of its own, with an `Interp` of its own on
+/// `machine`: a `spawn`'s thread, whichever side of a call starts it. Nobody
+/// waits for it, so its failure is printed; [`Cluster::finish`] joins it.
+pub(crate) fn spawn_detached(
+    rt: &Arc<Runtime>,
+    machine: u16,
+    (name, what): (&str, &'static str),
+    body: impl FnOnce(&mut Interp) -> VmResult<()> + Send + 'static,
+) {
+    let rt2 = rt.clone();
+    let handle = spawn_vm_thread(name, move || {
+        let mut interp = Interp::new(rt2, machine);
+        if let Err(e) = body(&mut interp) {
+            interp.rt.print(&format!("[machine {machine}] {what} failed: {e}\n"));
         }
-    }
-    None
+    });
+    rt.spawned.lock().push(handle);
 }
 
-/// Fail outstanding RMIs waiting on `peer` (or on anyone, when `peer` is
-/// `None`) with an error reply, waking their callers. Invoked when the
-/// transport reports a dead peer or a full disconnect — turning what
-/// would be silent quiescence into an orderly remote error. Under the
-/// same lock `peer` is remembered as dead, so a call made to it from now
-/// on is refused instead of waiting for a reply nobody will send. Returns
-/// the request ids that were failed, for the flight recorder.
-fn fail_pending_replies(machine: &MachineShared, peer: Option<u16>, why: &str) -> Vec<u64> {
-    let mut st = machine.state.lock();
-    st.dead_peers.extend(peer);
-    let mut failed = Vec::new();
-    for (req, slot) in st.replies.iter_mut() {
-        let hit = match slot {
-            ReplySlot::Waiting { dest } => peer.is_none_or(|p| *dest == p),
-            ReplySlot::Ready(_) => false,
-        };
-        if hit {
-            *slot = ReplySlot::Ready(Err(why.to_string()));
-            failed.push(*req);
-        }
+/// Fail the calls of machine `my` that wait on `peer` (on anyone, for
+/// `None`) — an orderly remote error in place of silent quiescence. Each
+/// gets a `Fail` flight event and is remembered for the end-of-run dump.
+fn fail_calls(rt: &Runtime, my: u16, peer: Option<u16>, why: &str) {
+    let failed = rt.machine(my).pending.fail(peer, why);
+    for &req in &failed {
+        rt.call(my, req, 0).milestone(0, Milestone::Fail { peer: peer.unwrap_or(u16::MAX) });
     }
-    machine.cv.notify_all();
-    failed
+    rt.flight_failed.lock().extend(failed);
 }
 
-/// Record `Fail` flight events for requests whose replies will never
-/// arrive, and remember their ids for the end-of-run dump.
-fn record_failed_reqs(rt: &Runtime, my: u16, peer: u16, failed: &[u64]) {
-    if failed.is_empty() {
-        return;
-    }
-    for &req in failed {
-        rt.milestone(my, req, 0, 0, 0, Milestone::Fail { peer });
-    }
-    rt.flight_failed.lock().extend_from_slice(failed);
+/// One request on its way from the drain loop to whoever serves it: its
+/// `Packet::Request`, plus the stamp at which the drain loop opened its
+/// queue phase (host-side only; the wire format does not know it).
+pub(crate) struct WorkItem {
+    pub req: u64,
+    pub from: u16,
+    pub site: u32,
+    pub target_obj: u32,
+    pub payload: Vec<u8>,
+    pub oneway: bool,
+    pub enq_us: u64,
 }
-
-/// One queued request: `(req_id, from, site, target_obj, payload,
-/// oneway, enq_us)`. The last element is the stamp at which the drain
-/// loop opened the request's queue phase; the worker closes the phase
-/// against it. It rides host-side only — the wire format is unchanged.
-type WorkItem = (u64, u16, u32, u32, Vec<u8>, bool, u64);
 
 /// The per-machine receive loop: exactly one drainer per machine, as in
 /// the paper's modified GM layer. Requests go to the worker pool (or a
@@ -768,35 +769,15 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
             Err(RecvError::Disconnected) => {
                 // The fabric is gone (not an orderly Shutdown packet):
                 // no reply can ever arrive, so fail every waiter.
-                let failed = fail_pending_replies(rt.machine(my), None, "transport disconnected");
-                record_failed_reqs(&rt, my, u16::MAX, &failed);
+                fail_calls(&rt, my, None, "transport disconnected");
                 break;
             }
         };
         match packet {
             Packet::Shutdown => break,
-            Packet::PeerGone { peer } => {
-                let failed = fail_pending_replies(rt.machine(my), Some(peer), &peer_gone(peer));
-                record_failed_reqs(&rt, my, peer, &failed);
-            }
+            Packet::PeerGone { peer } => fail_calls(&rt, my, Some(peer), &peer_gone(peer)),
             Packet::Reply { req_id, payload, err } => {
-                let machine = rt.machine(my);
-                let mut st = machine.state.lock();
-                let result = match err {
-                    Some(e) => Err(e),
-                    None => Ok(payload),
-                };
-                // Only a call still waiting may complete. A reply whose
-                // slot is already Ready (failed by PeerGone) or gone is
-                // stale: inserting it would leak a Ready entry no caller
-                // will ever consume.
-                match st.replies.get_mut(&req_id) {
-                    Some(slot @ ReplySlot::Waiting { .. }) => {
-                        *slot = ReplySlot::Ready(result);
-                        machine.cv.notify_all();
-                    }
-                    _ => drop(st),
-                }
+                rt.machine(my).pending.complete(req_id, err.map_or(Ok(payload), Err));
             }
             // The reply is routed by `from`, and the fabric indexes its
             // tables by it: a sender that is no machine gets no answer.
@@ -808,81 +789,32 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
             }
             Packet::NewRemote { req_id, from, class } => {
                 rt.instant(my, TraceKind::NewRemote { class, from });
-                if class as usize >= rt.module.table.classes.len() {
-                    let err = Some(format!("unknown class id {class}"));
-                    rt.net.send(my, from, Packet::Reply { req_id, payload: Vec::new(), err });
-                    continue;
-                }
-                let obj = {
+                let (payload, err) = if class as usize >= rt.module.table.classes.len() {
+                    (Vec::new(), Some(format!("unknown class id {class}")))
+                } else {
                     let mut st = rt.machine(my).state.lock();
                     let obj = st.alloc_zeroed(&rt.module.table, corm_ir::ClassId(class));
                     st.heap.pin(obj); // exported — lives as long as the run
-                    obj
+                    (obj.0.to_le_bytes().to_vec(), None)
                 };
-                let mut payload = Vec::with_capacity(4);
-                payload.extend_from_slice(&obj.0.to_le_bytes());
-                rt.net.send(my, from, Packet::Reply { req_id, payload, err: None });
+                rt.net.send(my, from, Packet::Reply { req_id, payload, err });
             }
-            Packet::Request { req_id, from, site, target_obj, payload, oneway } => {
+            Packet::Request { req_id: req, from, site, target_obj, payload, oneway } => {
                 // Queue phase opens the moment the drainer has the
                 // request; the worker (or spawned thread) closes it when
                 // it picks the request up.
-                let enq_us = rt.phase_begin(my, Phase::Queue, req_id, site);
+                let enq_us = rt.call(my, req, site).phase_begin(Phase::Queue);
+                let item = WorkItem { req, from, site, target_obj, payload, oneway, enq_us };
                 if oneway {
                     // Long-running spawned work gets its own thread so it
                     // cannot starve the request pool.
-                    let rt2 = rt.clone();
-                    let handle = spawn_vm_thread("corm-spawn", move || {
-                        rmi::handle_request(
-                            &rt2, my, req_id, from, site, target_obj, payload, true, enq_us,
-                        );
-                    });
-                    rt.spawned.lock().push(handle);
+                    let thread = ("corm-spawn", "one-way request");
+                    spawn_detached(&rt, my, thread, move |interp| rmi::serve_request(interp, item));
                 } else {
                     rt.obs.machine(my).serve_queue_depth.fetch_add(1, Relaxed);
-                    let _ = work_tx.send((req_id, from, site, target_obj, payload, oneway, enq_us));
+                    let _ = work_tx.send(item);
                 }
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::machine::ReplySlot;
-
-    #[test]
-    fn fail_pending_is_scoped_to_the_dead_peer() {
-        let machine = MachineShared::new(0, 0);
-        {
-            let mut st = machine.state.lock();
-            st.replies.insert(1, ReplySlot::Waiting { dest: 1 });
-            st.replies.insert(2, ReplySlot::Waiting { dest: 2 });
-            st.replies.insert(3, ReplySlot::Ready(Ok(vec![9])));
-        }
-        fail_pending_replies(&machine, Some(1), "peer machine 1 disconnected");
-        let st = machine.state.lock();
-        assert!(matches!(st.replies.get(&1), Some(ReplySlot::Ready(Err(e))) if e.contains("1")));
-        assert!(
-            matches!(st.replies.get(&2), Some(ReplySlot::Waiting { dest: 2 })),
-            "a call to a live peer must keep waiting"
-        );
-        assert!(matches!(st.replies.get(&3), Some(ReplySlot::Ready(Ok(_)))));
-    }
-
-    #[test]
-    fn fail_pending_without_peer_fails_everything_waiting() {
-        let machine = MachineShared::new(0, 0);
-        {
-            let mut st = machine.state.lock();
-            st.replies.insert(1, ReplySlot::Waiting { dest: 1 });
-            st.replies.insert(2, ReplySlot::Waiting { dest: 2 });
-        }
-        fail_pending_replies(&machine, None, "transport disconnected");
-        let st = machine.state.lock();
-        for id in [1, 2] {
-            assert!(matches!(st.replies.get(&id), Some(ReplySlot::Ready(Err(_)))));
         }
     }
 }

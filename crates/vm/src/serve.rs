@@ -325,7 +325,8 @@ fn drive(
                 Value::Int(s as i32),
                 Value::Int(nslaves as i32),
             ];
-            rmi::remote_call(&mut interp, &mut guard, svc.init.0, svc.init.1, &args, false, false)?;
+            let (site, init) = svc.init;
+            rmi::remote_call_with_req(&mut interp, &mut guard, site, init, &args, false, false)?;
             slaves.push(slave);
         }
     }
@@ -388,17 +389,18 @@ fn drive(
     {
         let mut guard = machine0.enter();
         for &slave in &shared.slaves {
-            let hit = rmi::remote_call(
+            let (site, counter) = svc.counter;
+            let hit = rmi::remote_call_with_req(
                 &mut interp,
                 &mut guard,
-                svc.counter.0,
-                svc.counter.1,
+                site,
+                counter,
                 &[slave],
                 true,
                 false,
             );
             slave_hits.push(match hit {
-                Ok(Value::Long(n)) => n,
+                Ok((Value::Long(n), _)) => n,
                 _ => -1,
             });
         }
@@ -494,7 +496,7 @@ fn client_loop(sh: &DriveShared) {
                 if lat > sh.slo_us {
                     sh.violations.lock().push(req);
                     let missed = Milestone::Slo { server: (target + 1) as u16 };
-                    sh.rt.milestone(0, req, sh.call.0 .0, 0, lat as usize, missed);
+                    sh.rt.call(0, req, sh.call.0 .0).milestone(lat as usize, missed);
                 }
             }
             Err(_) => {

@@ -241,7 +241,9 @@ fn rpc_counts_identical_across_configs() {
 
 /// Reuse-cache defeat: the array size alternates on every RMI, so the
 /// size check of Figure 13 reallocates each time and `site + reuse`
-/// degenerates to `site` — nothing is ever recycled.
+/// degenerates to `site` — nothing is ever recycled. Nor is anything kept:
+/// a candidate the size check rejects is unpinned with it, so the server
+/// pins one cached buffer and its exported object however long it runs.
 #[test]
 fn alternating_array_sizes_defeat_the_reuse_cache() {
     let src = r#"
@@ -252,7 +254,8 @@ fn alternating_array_sizes_defeat_the_reuse_cache() {
         class M {
             static void main() {
                 Sink s = new Sink() @ 1;
-                for (int i = 0; i < 50; i++) {
+                int n = (int) Cluster.arg(0);
+                for (int i = 0; i < n; i++) {
                     double[] a = new double[8 + (i % 2) * 8];
                     a[0] = i;
                     s.take(a);
@@ -260,12 +263,25 @@ fn alternating_array_sizes_defeat_the_reuse_cache() {
             }
         }
     "#;
+    let opts = |n| RunOptions { machines: 2, args: vec![n], ..Default::default() };
     for (name, cfg) in [("site+cycle", OptConfig::SITE_CYCLE), ("all", OptConfig::ALL)] {
-        let out =
-            compile_and_run(src, cfg, RunOptions { machines: 2, ..Default::default() }).unwrap();
+        let out = compile_and_run(src, cfg, opts(50)).unwrap();
         assert!(out.error.is_none(), "[{name}] {:?}", out.error);
         assert_eq!(out.stats.reused_objs, 0, "[{name}] the cached buffer never matches");
     }
+    let pins_after = |n| {
+        let compiled = corm::compile(src, OptConfig::ALL).unwrap();
+        let main = compiled.module.main;
+        let cluster = corm::Cluster::start(compiled.module, compiled.plans, &opts(n));
+        assert!(cluster.run_clinits().is_none());
+        let mut interp = corm_vm::interp::Interp::new(cluster.rt.clone(), 0);
+        interp.run_function(main, Vec::new()).unwrap();
+        let pins = cluster.rt.machine(1).state.lock().heap.pinned().count();
+        assert!(cluster.finish(None).error.is_none());
+        pins
+    };
+    assert_eq!(pins_after(50), 2, "the exported Sink and the one cached buffer");
+    assert_eq!(pins_after(200), 2, "rejected candidates stayed pinned");
 }
 
 /// `lu`'s master unmarshals `flushRow` for two callers at once — the

@@ -232,39 +232,59 @@ fn many_machines() {
 #[test]
 fn local_and_remote_same_semantics() {
     // The same program with the callee on machine 0 (local RPC) and on
-    // machine 1 (remote) must print the same thing.
+    // machine 1 (remote) must print the same thing — and, the callee being
+    // one function run by whoever holds the `Interp`, must marshal the same
+    // way: a graph argument through one site and a graph return through
+    // another, five times, cost the same lookups, serializer invocations,
+    // type bytes, recycled objects and allocations wherever the object
+    // lives. Only what counts the hop itself may differ.
     let template = |m: usize| {
         format!(
             r#"
-            class Data {{ int v; }}
+            class Data {{ int v; Data next; }}
             remote class R {{
-                int deref(Data d) {{ d.v = d.v + 1; return d.v; }}
+                int deref(Data d) {{ d.v = d.v + 1; return d.v + d.next.v; }}
+                Data pair(int v) {{
+                    Data d = new Data(); d.v = v;
+                    d.next = new Data(); d.next.v = v + 1;
+                    return d;
+                }}
             }}
             class M {{
                 static void main() {{
                     R r = new R() @ {m};
                     Data d = new Data();
                     d.v = 10;
-                    int first = r.deref(d);
-                    int second = r.deref(d);
-                    System.println(Str.fromLong(first));
-                    System.println(Str.fromLong(second));
+                    d.next = new Data();
+                    d.next.next = d;
+                    int sum = 0;
+                    for (int i = 0; i < 5; i++) {{
+                        sum = sum + r.deref(d);
+                        Data p = r.pair(i);
+                        sum = sum + p.v + p.next.v;
+                    }}
+                    System.println(Str.fromLong(sum));
                     System.println(Str.fromLong(d.v));
                 }}
             }}
             "#
         )
     };
-    for m in [0usize, 1] {
-        let out = compile_and_run(
-            &template(m),
-            OptConfig::ALL,
-            RunOptions { machines: 2, ..Default::default() },
-        )
-        .unwrap();
-        assert!(out.error.is_none(), "{:?}", out.error);
-        // the callee sees a fresh clone both times: 11, 11, caller keeps 10
-        assert_eq!(out.output, "11\n11\n10\n", "placement @{m}");
+    for cfg in [OptConfig::CLASS, OptConfig::ALL] {
+        let [local, remote] = [0usize, 1].map(|m| {
+            let opts = RunOptions { machines: 2, ..Default::default() };
+            let out = compile_and_run(&template(m), cfg, opts).unwrap();
+            assert!(out.error.is_none(), "{:?}", out.error);
+            // the callee sees a fresh clone every time: 5 x 11, caller keeps 10
+            assert_eq!(out.output, "80\n10\n", "[{}] placement @{m}", cfg.label());
+            out.stats
+        });
+        assert_eq!((local.local_rpcs, local.remote_rpcs), (10, 0));
+        assert_eq!((remote.local_rpcs, remote.remote_rpcs), (0, 10));
+        let marshaling = |s: &corm::StatsSnapshot| {
+            [s.cycle_lookups, s.ser_invocations, s.type_info_bytes, s.reused_objs, s.deser_allocs]
+        };
+        assert_eq!(marshaling(&local), marshaling(&remote), "[{}] @0 vs @1", cfg.label());
     }
 }
 

@@ -224,6 +224,26 @@ fn echo_cluster() -> (corm::Cluster, corm_ir::ClassId, corm_ir::MethodId, corm_i
     (cluster, class, echo, site)
 }
 
+/// `new R() @ 1` from machine 0, then thirty echoes through it: what a
+/// machine that "keeps calling" (and one that keeps serving) still does.
+fn allocate_and_echo(
+    interp: &mut corm_vm::interp::Interp,
+    (class, echo, site): (corm_ir::ClassId, corm_ir::MethodId, corm_ir::CallSiteId),
+) {
+    use corm_heap::Value;
+    use corm_vm::rmi;
+
+    let machine = interp.machine.clone();
+    let r = rmi::new_remote(interp, &mut machine.enter(), class, 1).unwrap();
+    for x in 0..30 {
+        let args = [r, Value::Int(x)];
+        let guard = &mut machine.enter();
+        let (v, _) =
+            rmi::remote_call_with_req(interp, guard, site, echo, &args, true, false).unwrap();
+        assert_eq!(v, Value::Int(x));
+    }
+}
+
 #[test]
 fn a_remote_reference_to_no_machine_fails_the_call() {
     use corm_heap::{ObjRef, RemoteRef, Value};
@@ -250,9 +270,8 @@ fn a_remote_reference_to_no_machine_fails_the_call() {
 
 #[test]
 fn requests_from_no_machine_are_dropped_and_the_machine_keeps_serving() {
-    use corm_heap::Value;
     use corm_net::Packet;
-    use corm_vm::{interp::Interp, rmi};
+    use corm_vm::interp::Interp;
 
     let (cluster, class, echo, site) = echo_cluster();
     let rt = cluster.rt.clone();
@@ -279,17 +298,7 @@ fn requests_from_no_machine_are_dropped_and_the_machine_keeps_serving() {
     // never return, hence the bounded wait.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let caller = std::thread::spawn(move || {
-        let machine = rt.machine(0).clone();
-        let mut interp = Interp::new(rt.clone(), 0);
-        let r = rmi::new_remote(&mut interp, &mut machine.enter(), class, 1).unwrap();
-        for x in 0..30 {
-            let args = [r, Value::Int(x)];
-            let guard = &mut machine.enter();
-            let (v, _) =
-                rmi::remote_call_with_req(&mut interp, guard, site, echo, &args, true, false)
-                    .unwrap();
-            assert_eq!(v, Value::Int(x));
-        }
+        allocate_and_echo(&mut Interp::new(rt, 0), (class, echo, site));
         let _ = done_tx.send(());
     });
     done_rx
@@ -299,6 +308,47 @@ fn requests_from_no_machine_are_dropped_and_the_machine_keeps_serving() {
     let out = cluster.finish(None);
     assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.output.matches("dropped a request from machine 99 of 2").count(), 5);
+}
+
+#[test]
+fn a_short_allocation_reply_fails_that_allocation_and_the_machine_keeps_calling() {
+    use corm_vm::{interp::Interp, rmi};
+
+    let (cluster, class, echo, site) = echo_cluster();
+    let rt = cluster.rt.clone();
+    let machine0 = rt.machine(0).clone();
+    // The id machine 0's next call will mint. Machine 1's drain thread serves
+    // an allocation inline and under its machine lock: held here, it keeps
+    // the real reply back until the forged one, three bytes where an object
+    // id is four, has been handed over — through the reply table, with no
+    // transport to race.
+    let req = machine0.state.lock().next_req;
+    let server = rt.machine(1).clone();
+    let held = server.state.lock();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let machine = rt.machine(0).clone();
+        let mut interp = Interp::new(rt.clone(), 0);
+        let err = rmi::new_remote(&mut interp, &mut machine.enter(), class, 1)
+            .expect_err("three bytes are no object id");
+        assert_eq!(err.message, "remote allocation failed: short reply (3 of 4 bytes)");
+        // The real reply, late, finds nobody waiting; the next allocation
+        // and the calls on it go through.
+        allocate_and_echo(&mut interp, (class, echo, site));
+        let _ = done_tx.send(());
+    });
+    while machine0.pending.is_empty() {
+        std::thread::yield_now();
+    }
+    machine0.pending.complete(req, Ok(vec![0; 3]));
+    drop(held);
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("machine 0 stopped calling after the short reply");
+    caller.join().unwrap();
+    assert!(machine0.pending.is_empty(), "the late reply left an entry behind");
+    let out = cluster.finish(None);
+    assert!(out.error.is_none(), "{:?}", out.error);
 }
 
 // ---------------------------------------------------------------------

@@ -164,10 +164,10 @@ fn pooling_works_over_lossy_too() {
 
 #[test]
 fn a_reply_nobody_waits_for_is_dropped() {
-    // The drain loop completes only a call that is still waiting. A
+    // The reply table completes only a call that is still waiting. A
     // second copy of a reply already consumed, or a reply to a request
-    // never made, must vanish: delivered, it would leave a `Ready` slot
-    // nobody takes and check the same marshal buffer in twice.
+    // never made, must vanish: delivered, it would wake a later call with
+    // another call's bytes and check the same marshal buffer in twice.
     use corm::{Cluster, Value};
     use corm_net::Packet;
     use corm_vm::{interp::Interp, rmi};
@@ -199,7 +199,7 @@ fn a_reply_nobody_waits_for_is_dropped() {
     for x in 1..=30 {
         assert_eq!(echo_of(x).0, Value::Int(x));
     }
-    assert!(machine.state.lock().replies.is_empty(), "a stale reply left a slot behind");
+    assert!(machine.pending.is_empty(), "a stale reply left a slot behind");
     assert_eq!(rt.pool.outstanding(0), 0, "a stale reply corrupted the pool ledger");
     let out = cluster.finish(None);
     assert_eq!(out.metrics.machines[0].pool_steady_misses(), 0);
