@@ -61,7 +61,8 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
     let ssa = build_module_ssa(m);
     let pt = analyze_points_to(m, &ssa);
 
-    // Escape summaries are per function; compute lazily and memoize.
+    // Escape summaries are per function; compute lazily and memoize. Only
+    // the debug build's cross-check of `explain_reuse` reads them.
     let mut escape_cache: HashMap<FuncId, crate::graph::NodeSet> = HashMap::new();
     let mut escaping_of = |f: FuncId, pt: &PointsTo| -> crate::graph::NodeSet {
         escape_cache.entry(f).or_insert_with(|| escaping_nodes(m, pt, f).escaping).clone()
@@ -120,7 +121,6 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
         };
 
         // Callee-side argument reuse.
-        let callee_escaping = escaping_of(callee_f, &pt);
         let ssa_callee = &ssa[callee_f.index()];
         let arg_reusable: Vec<bool> = (1..=meth.params.len())
             .map(|i| {
@@ -148,7 +148,7 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
                 let finding = explain_reuse(m, &pt, callee_f, param_pts);
                 debug_assert_eq!(
                     finding.reusable,
-                    is_reusable(&pt.graph, param_pts, &callee_escaping),
+                    is_reusable(&pt.graph, param_pts, &escaping_of(callee_f, &pt)),
                     "explain_reuse must agree with is_reusable"
                 );
                 provenance.decisions.push(Decision {
@@ -164,11 +164,10 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
         // Caller-side return reuse.
         let ret_reusable = match (&info.dst, &meth.ret) {
             (Some(dst), rty) if rty.is_ref() && !dst.is_empty() => {
-                let caller_escaping = escaping_of(info.caller, &pt);
                 let finding = explain_reuse(m, &pt, info.caller, dst);
                 debug_assert_eq!(
                     finding.reusable,
-                    is_reusable(&pt.graph, dst, &caller_escaping),
+                    is_reusable(&pt.graph, dst, &escaping_of(info.caller, &pt)),
                     "explain_reuse must agree with is_reusable"
                 );
                 provenance.decisions.push(Decision {

@@ -2,10 +2,7 @@
 //!
 //! Runs an app under a given transport backend and diffs two runs:
 //! error, program output and the per-machine `RmiStats` counters. Used by
-//! the `tests/transport_equivalence.rs` suite, which the CI
-//! `transport-equivalence` job shards per wire backend; `corm-bench`'s
-//! JSON writer, schema check and baseline gate walk the same
-//! [`COUNTERS`] table.
+//! the `tests/transport_equivalence.rs` suite.
 //!
 //! There is one comparison rule, `==`. All accounting happens in
 //! `NetHandle::send` *before* the backend carries the packet, every RMI
@@ -30,27 +27,6 @@ pub struct TransportRun {
     pub measured_wire_ns: u64,
     pub error: Option<String>,
 }
-
-/// One of the ten paper counters (Tables 4/6/8): its name in
-/// `BENCH_tables.json` and its [`StatsSnapshot`] field.
-pub struct Counter {
-    pub name: &'static str,
-    pub get: fn(&StatsSnapshot) -> u64,
-}
-
-/// The paper counters, in the column order of `BENCH_tables.json`.
-pub const COUNTERS: [Counter; 10] = [
-    Counter { name: "local_rpcs", get: |s| s.local_rpcs },
-    Counter { name: "remote_rpcs", get: |s| s.remote_rpcs },
-    Counter { name: "messages", get: |s| s.messages },
-    Counter { name: "wire_bytes", get: |s| s.wire_bytes },
-    Counter { name: "type_info_bytes", get: |s| s.type_info_bytes },
-    Counter { name: "cycle_lookups", get: |s| s.cycle_lookups },
-    Counter { name: "ser_invocations", get: |s| s.ser_invocations },
-    Counter { name: "reused_objs", get: |s| s.reused_objs },
-    Counter { name: "deser_bytes", get: |s| s.deser_bytes },
-    Counter { name: "deser_allocs", get: |s| s.deser_allocs },
-];
 
 /// Run `spec` at quick scale under `transport` and fold the outcome.
 pub fn run_under(spec: &AppSpec, config: OptConfig, transport: TransportKind) -> TransportRun {
@@ -112,11 +88,12 @@ pub fn assert_equivalent(spec: &AppSpec, config: OptConfig, x: TransportKind, y:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corm::COUNTERS;
 
     #[test]
     fn diff_flags_output_and_counter_mismatches() {
         // No `..Default::default()`: a new StatsSnapshot field stops this
-        // compiling until COUNTERS carries it.
+        // compiling until it is given a value COUNTERS must then find.
         let base = StatsSnapshot {
             local_rpcs: 1,
             remote_rpcs: 2,
@@ -129,9 +106,8 @@ mod tests {
             deser_bytes: 9,
             deser_allocs: 10,
         };
-        let mut seen: Vec<u64> = COUNTERS.iter().map(|c| (c.get)(&base)).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (1..=10).collect::<Vec<u64>>(), "every counter exactly once");
+        let seen: Vec<u64> = COUNTERS.iter().map(|c| *(c.get)(&base)).collect();
+        assert_eq!(seen, (1..=10).collect::<Vec<u64>>(), "every counter once, in row order");
 
         let run = |transport, output: &str, machine1| TransportRun {
             transport,
@@ -148,24 +124,12 @@ mod tests {
 
         // `lu` against a lossy run is compared like everything else: a
         // drift of one, on any counter of any machine, is a mismatch.
-        let fields: [fn(&mut StatsSnapshot) -> &mut u64; 10] = [
-            |s| &mut s.local_rpcs,
-            |s| &mut s.remote_rpcs,
-            |s| &mut s.reused_objs,
-            |s| &mut s.cycle_lookups,
-            |s| &mut s.ser_invocations,
-            |s| &mut s.wire_bytes,
-            |s| &mut s.type_info_bytes,
-            |s| &mut s.messages,
-            |s| &mut s.deser_bytes,
-            |s| &mut s.deser_allocs,
-        ];
-        for (i, field) in fields.into_iter().enumerate() {
+        for c in COUNTERS {
             let mut bumped = base;
-            *field(&mut bumped) += 1;
+            *(c.get_mut)(&mut bumped) += 1;
             let bad = diff_runs("lu", "all", &chan, &lossy("x\n", bumped));
-            assert_eq!(bad.len(), 1, "field {i}: {bad:?}");
-            assert!(bad[0].contains("machine 1 counters differ"), "field {i}: {bad:?}");
+            assert_eq!(bad.len(), 1, "{}: {bad:?}", c.name);
+            assert!(bad[0].contains("machine 1 counters differ"), "{}: {bad:?}", c.name);
         }
     }
 }

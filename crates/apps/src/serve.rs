@@ -2,7 +2,7 @@
 //!
 //! [`webserver_serve`] compiles `programs/webserver.mp` and hands its
 //! `Slave` class to the open-loop serving driver (`corm_vm::serve`,
-//! DESIGN §13): one slave per machine `1..M`, clients on machine 0,
+//! DESIGN §8): one slave per machine `1..M`, clients on machine 0,
 //! latency recorded against the schedule's intended arrival times. The
 //! serving tests enter through here; `corm serve` embeds the same source.
 

@@ -1,11 +1,13 @@
-//! Minimal JSON reader for the bench regression gate.
+//! Minimal JSON reader: the workspace's one, for the documents its
+//! hand-rolled writers produce.
 //!
-//! The workspace carries no JSON dependency — `render_tables_json`
-//! hand-writes the document, and this module hand-reads it back. It
-//! supports exactly the subset that writer emits (objects, arrays,
-//! strings with the writer's escapes, numbers, booleans, null) plus
-//! enough leniency (whitespace, `\/`, `\uXXXX`) to accept documents
-//! touched by external pretty-printers.
+//! The workspace carries no JSON dependency — `render_tables_json`, the
+//! flight dump, `corm explain --json` and the Chrome trace are written
+//! by hand, and this module reads them back (`tests/baseline.rs`,
+//! `tests/chrome_trace.rs`, the `benchmark/` package). It supports
+//! objects, arrays, strings with the writers' escapes, numbers, booleans
+//! and null, plus enough leniency (whitespace, `\/`, `\uXXXX`) to accept
+//! documents touched by external pretty-printers.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -1,24 +1,24 @@
 //! # corm-bench — regenerating the paper's evaluation
 //!
-//! Helpers of the `tables` binary (which prints Tables 1–8 in the
-//! paper's format, with the paper's own numbers side by side) and the
-//! `bench_gate` that holds its counters to `BENCH_tables.json`. Timing
-//! claims are not made here: they come from paired runs of the
-//! standalone `benchmark/` package; open-loop serving is `corm serve`.
+//! Helpers of the `tables` binary, which prints Tables 1–8 in the paper's
+//! format with the paper's own numbers side by side, and the counter
+//! baseline `BENCH_tables.json`, which `tests/baseline.rs` holds the
+//! quick-scale run to with `==`. Timing claims are not made here: they
+//! come from paired runs of the standalone `benchmark/` package;
+//! open-loop serving is `corm serve`.
 //!
 //! Absolute seconds cannot match the paper — the substrate is an
 //! interpreter on a simulated Myrinet, not native Manta code on Pentium
 //! III hardware — so the claim under test is the *shape*: the ordering of
 //! the five configurations and the approximate relative gains.
 
-use corm::{
-    HistSnapshot, MetricsSnapshot, OptConfig, RunOptions, RunOutcome, StatsSnapshot, TransportKind,
-};
-use corm_apps::equivalence::COUNTERS;
-use corm_apps::AppSpec;
+use corm::{esc, OptConfig, RunOptions, RunOutcome, StatsSnapshot, TransportKind, COUNTERS};
+use corm_apps::{AppSpec, ALL_APPS};
 
-pub mod gate;
 pub mod json;
+
+/// Cluster size of every table, as in the paper.
+const MACHINES: usize = 2;
 
 /// One measured row of a timing table.
 #[derive(Debug, Clone)]
@@ -32,12 +32,6 @@ pub struct MeasuredRow {
     /// Gain over the `class` baseline, percent.
     pub gain: f64,
     pub stats: StatsSnapshot,
-    /// Full per-machine / per-site metrics of the measured run (the last
-    /// repetition).
-    pub metrics: MetricsSnapshot,
-    /// Transport-measured wire nanoseconds of the measured run (zero on
-    /// the channel backend; real socket time on TCP).
-    pub measured_wire_ns: u64,
 }
 
 /// A row of the paper's published numbers.
@@ -50,8 +44,7 @@ pub struct PaperRow {
 
 /// Run one app at the given scale under all five configurations of the
 /// evaluation legend, repeating `reps` times per configuration, on the
-/// given transport backend (`tables --transport tcp` measures over real
-/// loopback sockets and fills in `measured_wire_ns`).
+/// given transport backend.
 ///
 /// Reported seconds = (minimum wall across reps) + modeled time. The
 /// modeled component (wire transit + managed-runtime cost model) is
@@ -61,7 +54,6 @@ pub struct PaperRow {
 pub fn measure_table(
     spec: &AppSpec,
     args: &[i64],
-    machines: usize,
     reps: usize,
     transport: TransportKind,
 ) -> Vec<MeasuredRow> {
@@ -72,10 +64,13 @@ pub fn measure_table(
         let mut last: Option<RunOutcome> = None;
         for _ in 0..reps.max(1) {
             let compiled = spec.compile(cfg);
-            let out = corm::run(
-                &compiled,
-                RunOptions { machines, args: args.to_vec(), transport, ..Default::default() },
-            );
+            let options = RunOptions {
+                machines: MACHINES,
+                args: args.to_vec(),
+                transport,
+                ..Default::default()
+            };
+            let out = corm::run(&compiled, options);
             assert!(out.error.is_none(), "{} failed under {name}: {:?}", spec.name, out.error);
             min_wall = min_wall.min(out.wall.as_secs_f64());
             last = Some(out);
@@ -83,17 +78,31 @@ pub fn measure_table(
         let out = last.unwrap();
         let seconds = min_wall + out.modeled.as_secs_f64();
         let base = *class_seconds.get_or_insert(seconds);
-        rows.push(MeasuredRow {
-            config: name,
-            seconds,
-            wall: min_wall,
-            gain: (base - seconds) / base * 100.0,
-            stats: out.stats,
-            metrics: out.metrics,
-            measured_wire_ns: out.measured_wire_ns.iter().sum(),
-        });
+        let gain = (base - seconds) / base * 100.0;
+        rows.push(MeasuredRow { config: name, seconds, wall: min_wall, gain, stats: out.stats });
     }
     rows
+}
+
+/// One app's measured rows, under its id in `BENCH_tables.json`.
+pub struct Table {
+    pub id: &'static str,
+    /// The app's arguments at the measured scale.
+    pub args: &'static [i64],
+    pub rows: Vec<MeasuredRow>,
+}
+
+/// Measure the five apps of the evaluation, in paper order, at quick (CI)
+/// or default scale: everything `tables` prints and `BENCH_tables.json`
+/// records.
+pub fn measure_tables(quick: bool, reps: usize, transport: TransportKind) -> [Table; 5] {
+    const IDS: [&str; 5] =
+        ["table1_linkedlist", "table2_array", "table3_lu", "table5_superopt", "table7_webserver"];
+    std::array::from_fn(|i| {
+        let spec = &ALL_APPS[i];
+        let args = if quick { spec.quick_args } else { spec.default_args };
+        Table { id: IDS[i], args, rows: measure_table(spec, args, reps, transport) }
+    })
 }
 
 /// Render a timing table: measured rows against the paper's.
@@ -159,129 +168,41 @@ pub fn shape_verdicts(table: &str, measured: &[MeasuredRow]) -> Vec<(String, boo
     v
 }
 
-// ----- machine-readable output (BENCH_tables.json) -------------------------
+// ----- the counter baseline (BENCH_tables.json) -----------------------------
 
-/// Schema version of the JSON document produced by
-/// [`render_tables_json`]. Bump on any breaking change to its layout.
+/// Schema version of the document [`render_tables_json`] produces. Bump
+/// on any breaking change to its layout.
 ///
-/// v2: top-level `"transport"` field; per-row `"measured_wire_ns"`.
-/// v3: every histogram object carries `"p999"`.
-pub const BENCH_JSON_SCHEMA_VERSION: u32 = 3;
+/// v4: only what is a function of the program — scale, machines, and per
+/// row its configuration and the ten counters; one row per line.
+pub const BENCH_JSON_SCHEMA_VERSION: u32 = 4;
 
-/// One table to export: stable id, human title, unit of the `seconds`
-/// column, and the measured rows.
-pub struct JsonTable<'a> {
-    pub id: &'static str,
-    pub title: String,
-    pub unit: &'static str,
-    pub rows: &'a [MeasuredRow],
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn hist_json(h: &HistSnapshot) -> String {
-    format!(
-        r#"{{"count":{},"sum":{},"mean":{:.3},"p50":{},"p99":{},"p999":{}}}"#,
-        h.count,
-        h.sum,
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-        h.quantile(0.999)
-    )
-}
-
-fn counters_json(st: &StatsSnapshot) -> String {
-    let fields: Vec<String> =
-        COUNTERS.iter().map(|c| format!(r#""{}":{}"#, c.name, (c.get)(st))).collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-fn row_json(r: &MeasuredRow) -> String {
-    let m = &r.metrics;
-    let hists = format!(
-        r#"{{"rtt_us":{},"marshal_us":{},"unmarshal_us":{},"invoke_us":{},"payload_bytes":{}}}"#,
-        hist_json(&m.cluster_hist(|ms| &ms.rtt_us)),
-        hist_json(&m.cluster_hist(|ms| &ms.marshal_us)),
-        hist_json(&m.cluster_hist(|ms| &ms.unmarshal_us)),
-        hist_json(&m.cluster_hist(|ms| &ms.invoke_us)),
-        hist_json(&m.cluster_hist(|ms| &ms.payload_bytes)),
-    );
-    format!(
-        concat!(
-            r#"{{"config":"{}","seconds":{:.6},"wall_s":{:.6},"gain_pct":{:.2},"#,
-            r#""measured_wire_ns":{},"counters":{},"histograms":{}}}"#
-        ),
-        esc(r.config),
-        r.seconds,
-        r.wall,
-        r.gain,
-        r.measured_wire_ns,
-        counters_json(&r.stats),
-        hists,
-    )
-}
-
-/// Render every measured table plus the shape verdicts as a
-/// schema-versioned JSON document (hand-rolled — the workspace has no
-/// JSON dependency). Counters are the exact Tables 4/6/8 values;
-/// histograms are cluster aggregates of the per-machine distributions.
-pub fn render_tables_json(
-    scale: &str,
-    reps: usize,
-    machines: usize,
-    transport: TransportKind,
-    tables: &[JsonTable<'_>],
-    verdicts: &[(String, bool)],
-) -> String {
+/// Render the counters of every measured table as the schema-versioned
+/// document `BENCH_tables.json` holds (hand-rolled — the workspace has no
+/// JSON dependency). Every value is exact and the same on every run, host
+/// and transport, and a row is a line, so drift reads as a line diff.
+pub fn render_tables_json(scale: &str, tables: &[Table]) -> String {
     use std::fmt::Write;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        r#"{{"schema_version":{BENCH_JSON_SCHEMA_VERSION},"generator":"corm-bench tables","scale":"{}","reps":{reps},"machines":{machines},"transport":"{}","tables":["#,
-        esc(scale),
-        transport.label()
+    let comma = |i: usize, n: usize| if i + 1 < n { "," } else { "" };
+    let mut s = format!(
+        "{{\"schema_version\":{BENCH_JSON_SCHEMA_VERSION},\"scale\":\"{}\",\"machines\":{MACHINES},\"tables\":[\n",
+        esc(scale)
     );
     for (ti, t) in tables.iter().enumerate() {
-        if ti > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            r#"{{"id":"{}","title":"{}","unit":"{}","rows":["#,
-            esc(t.id),
-            esc(&t.title),
-            esc(t.unit)
-        );
+        let _ = writeln!(s, r#"{{"id":"{}","rows":["#, esc(t.id));
         for (ri, r) in t.rows.iter().enumerate() {
-            if ri > 0 {
-                s.push(',');
-            }
-            s.push_str(&row_json(r));
+            let counters: Vec<String> =
+                COUNTERS.iter().map(|c| format!(r#""{}":{}"#, c.name, (c.get)(&r.stats))).collect();
+            let row = format!(
+                r#"{{"config":"{}","counters":{{{}}}}}"#,
+                esc(r.config),
+                counters.join(",")
+            );
+            let _ = writeln!(s, "{row}{}", comma(ri, t.rows.len()));
         }
-        s.push_str("]}");
+        let _ = writeln!(s, "]}}{}", comma(ti, tables.len()));
     }
-    s.push_str(r#"],"verdicts":["#);
-    for (vi, (claim, pass)) in verdicts.iter().enumerate() {
-        if vi > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, r#"{{"claim":"{}","pass":{pass}}}"#, esc(claim));
-    }
-    s.push_str("]}");
+    s.push_str("]}\n");
     s
 }
 
@@ -339,46 +260,34 @@ mod tests {
 
     #[test]
     fn measure_produces_five_rows_with_gains() {
-        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1, TransportKind::Channel);
+        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 1, TransportKind::Channel);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0].gain, 0.0);
         let text = format_time_table("Table 2", &PAPER_TABLE2, &rows);
         assert!(text.contains("site + reuse + cycle"));
         let stats = format_stats_table("stats", &rows);
         assert!(stats.contains("cycle lookups"));
-        // every row carries the full metrics snapshot of its run
-        assert!(rows.iter().all(|r| r.metrics.machines.len() == 2));
-        assert!(rows.iter().all(|r| r.metrics.cluster_stats() == r.stats));
     }
 
     #[test]
     fn json_export_is_schema_versioned_and_escaped() {
-        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 2, 1, TransportKind::Channel);
-        let tables = [JsonTable {
-            id: "table2_array",
-            title: "Table \"2\": 2D array".to_string(),
-            unit: "seconds",
-            rows: &rows,
-        }];
-        let verdicts = vec![("site beats class".to_string(), true)];
-        let json = render_tables_json("quick", 1, 2, TransportKind::Channel, &tables, &verdicts);
-        assert!(json.starts_with(&format!("{{\"schema_version\":{BENCH_JSON_SCHEMA_VERSION}")));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains(r#""transport":"channel""#));
-        assert!(json.contains(r#""measured_wire_ns":0"#));
-        assert!(json.contains(r#""id":"table2_array""#));
-        assert!(json.contains(r#"Table \"2\""#), "quotes in titles must be escaped");
-        assert!(json.contains(r#""config":"class""#));
+        let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 1, TransportKind::Channel);
+        let tables = [Table { id: "table \"2\"", args: ARRAY2D.quick_args, rows }];
+        let json = render_tables_json("quick", &tables);
+        let head = format!(
+            "{{\"schema_version\":{BENCH_JSON_SCHEMA_VERSION},\"scale\":\"quick\",\"machines\":2,\"tables\":[\n"
+        );
+        assert!(json.starts_with(&head), "{json}");
+        assert!(json.ends_with("}}\n]}\n]}\n"), "{json}");
+        assert_eq!(
+            json.lines().count(),
+            1 + 1 + 5 + 1 + 1,
+            "header, id, a line per row, two closers"
+        );
+        assert!(json.contains(r#"{"id":"table \"2\"","rows":["#), "quotes in ids must be escaped");
+        assert!(json.contains(r#"{"config":"class","counters":{"local_rpcs":"#));
         assert!(json.contains(r#""cycle_lookups":"#));
-        assert!(json.contains(r#""rtt_us":{"count":"#));
-        assert!(json.contains(r#""verdicts":[{"claim":"site beats class","pass":true}"#));
-        // structural sanity: balanced braces/brackets (no string content
-        // can unbalance them thanks to esc())
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0);
+        let doc = json::parse(&json).expect("parses");
+        assert_eq!(doc.get("tables").as_arr().unwrap()[0].get("id").as_str(), Some("table \"2\""));
     }
 }

@@ -1,4 +1,4 @@
-//! Chrome/Perfetto exporter coverage (DESIGN §11 satellite): the
+//! Chrome/Perfetto exporter coverage (DESIGN §7.2): the
 //! `--trace-json` document produced by [`corm::to_chrome_trace`] must
 //! parse with the workspace's hand-rolled `corm_bench::json` parser,
 //! its complete-event spans must nest cleanly within each machine

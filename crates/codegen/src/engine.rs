@@ -103,7 +103,7 @@ fn audit_check(shadow: &mut Option<ShadowCycleCheck>, r: ObjRef) -> Result<(), S
 type Fields = [(FieldId, u32, SerNode)];
 
 /// Deepest nesting of reference payloads one message may have, on every
-/// path and in both directions. Derived, not inherited (DESIGN §4.4): a
+/// path and in both directions. Derived, not inherited (DESIGN §5.3): a
 /// walk keeps one `value` frame per level, the larger of the two takes
 /// 1 681 bytes in the debug profile (304 in release), and half of the
 /// 32 MiB stack every VM thread gets stays with the interpreter above.

@@ -411,7 +411,7 @@ fn print_serve_report(config: OptConfig, seed: u64, requests: usize, report: &Se
 
 /// One redraw of the `corm top` table, rendered from the timeline rings.
 /// Rates are computed over the newest few samples using their `t_us`
-/// span (the final interval may be short — DESIGN §15 honesty notes),
+/// span (the final interval may be short — DESIGN §7.4 honesty notes),
 /// gauges are the latest tick's values.
 fn render_top_frame(
     obs: &MetricsRegistry,
@@ -665,14 +665,9 @@ fn main() -> ExitCode {
                         outcome.measured_wire.as_secs_f64() * 1e3
                     );
                 }
-                eprintln!("local rpcs      : {}", st.local_rpcs);
-                eprintln!("remote rpcs     : {}", st.remote_rpcs);
-                eprintln!("messages        : {}", st.messages);
-                eprintln!("wire bytes      : {}", st.wire_bytes);
-                eprintln!("type-info bytes : {}", st.type_info_bytes);
-                eprintln!("cycle lookups   : {}", st.cycle_lookups);
-                eprintln!("ser invocations : {}", st.ser_invocations);
-                eprintln!("reused objects  : {}", st.reused_objs);
+                for c in corm::COUNTERS {
+                    eprintln!("{:<16}: {}", c.name, (c.get)(st));
+                }
                 eprintln!("deser MBytes    : {:.2}", st.new_mbytes());
                 eprintln!("GC runs         : {}", outcome.heap.gc_runs);
             }

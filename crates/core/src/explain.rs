@@ -15,7 +15,7 @@ use std::fmt::Write;
 
 use corm_codegen::MarshalPlan;
 
-use crate::{Compiled, OptConfig};
+use crate::{esc, Compiled, OptConfig};
 
 /// Plans of a compiled program in stable (call-site id) order.
 fn sorted_plans(c: &Compiled) -> Vec<&MarshalPlan> {
@@ -43,22 +43,6 @@ pub fn render_explain(c: &Compiled) -> String {
         s.push_str(&plan.provenance.render("  "));
     }
     s
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Machine-readable provenance for one compiled configuration. The

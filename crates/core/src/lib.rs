@@ -51,7 +51,7 @@ pub use corm_heap::{deep_equal_across, structure_digest, HeapStats, Value};
 pub use corm_ir::{CompileError, Module};
 pub use corm_net::{CostModel, LossSpec, TransportKind};
 pub use corm_obs::{
-    attach_measured_wire, phase_report, render_phase_report, render_prometheus,
+    attach_measured_wire, phase_report, recorder::esc, render_phase_report, render_prometheus,
     render_timeline_json, HealthEvent, HealthKind, HistSnapshot, MachineSnapshot, MetricsRegistry,
     MetricsSnapshot, PhaseTotals, SiteSnapshot, TimelineDoc, TimelineSample,
     DEFAULT_TIMELINE_INTERVAL_US, TIMELINE_SCHEMA_VERSION,
@@ -63,7 +63,7 @@ pub use corm_vm::{
     Cluster, FaultSpec, FlightDump, FlightEvent, FlightKind, Phase, RunOptions, RunOutcome,
     StallSpec, TraceEvent, TraceKind, VmError, DEFAULT_FLIGHT_CAPACITY,
 };
-pub use corm_wire::StatsSnapshot;
+pub use corm_wire::{StatsSnapshot, COUNTERS};
 pub use explain::{render_explain, render_explain_all_rows, render_explain_json};
 
 /// A fully compiled MiniParty program: lowered module, analysis summary
@@ -130,7 +130,7 @@ pub fn run(compiled: &Compiled, opts: RunOptions) -> RunOutcome {
 /// Drive a compiled service open-loop instead of running its `main`:
 /// slaves on machines `1..M`, client threads on machine 0 issuing RMIs
 /// against a seeded arrival schedule, latency measured against intended
-/// arrival time (see `corm_vm::serve` and DESIGN §13).
+/// arrival time (see `corm_vm::serve` and DESIGN §8).
 pub fn serve(
     compiled: &Compiled,
     schedule: &ArrivalSchedule,

@@ -77,14 +77,9 @@ impl std::error::Error for CompileError {}
 /// optimize) on a MiniParty source file, producing the lowered
 /// [`classes::Module`].
 pub fn compile_frontend(src: &str) -> Result<Module, CompileError> {
-    let mut module = compile_frontend_unoptimized(src)?;
-    opt::optimize_module(&mut module);
-    Ok(module)
-}
-
-/// Front end without the CFG optimizer (tests and ablations).
-pub fn compile_frontend_unoptimized(src: &str) -> Result<Module, CompileError> {
     let ast = parse_program(src)?;
     let resolved = resolve_program(&ast)?;
-    lower_program(&resolved)
+    let mut module = lower_program(&resolved)?;
+    opt::optimize_module(&mut module);
+    Ok(module)
 }

@@ -50,6 +50,51 @@ struct Resolver {
     order: Vec<ClassId>,
 }
 
+/// The built-in classes, in class-id order: `Object` is [`OBJECT_CLASS`].
+const BUILTIN_CLASSES: &[(&str, ClassKind)] = &[
+    ("Object", ClassKind::User),
+    ("System", ClassKind::NativeStatic),
+    ("Math", ClassKind::NativeStatic),
+    ("Cluster", ClassKind::NativeStatic),
+    ("Str", ClassKind::NativeStatic),
+    ("Rng", ClassKind::NativeInstance),
+    ("Queue", ClassKind::NativeInstance),
+];
+
+/// Their native methods, in method-id order: class, name, parameters, return
+/// type and the [`Builtin`] that runs it. The methods of a `NativeStatic`
+/// class are static; those of a `NativeInstance` class are instance methods,
+/// the one named after the class its constructor.
+const BUILTIN_METHODS: &[(&str, &str, &[Ty], Ty, Builtin)] = {
+    use Builtin::*;
+    use Ty::*;
+    &[
+        ("System", "println", &[Str], Void, Println),
+        ("System", "print", &[Str], Void, Print),
+        ("System", "timeMicros", &[], Long, TimeMicros),
+        ("System", "sleepMicros", &[Long], Void, SleepMicros),
+        ("System", "gc", &[], Void, Gc),
+        ("Math", "sqrt", &[Double], Double, Sqrt),
+        ("Math", "dabs", &[Double], Double, DAbs),
+        ("Math", "lmin", &[Long, Long], Long, LMin),
+        ("Math", "lmax", &[Long, Long], Long, LMax),
+        ("Cluster", "machines", &[], Int, ClusterMachines),
+        ("Cluster", "my", &[], Int, ClusterMy),
+        ("Cluster", "barrier", &[], Void, ClusterBarrier),
+        ("Cluster", "arg", &[Int], Long, ClusterArg),
+        ("Str", "fromLong", &[Long], Str, StrFromLong),
+        ("Str", "fromDouble", &[Double], Str, StrFromDouble),
+        ("Rng", "Rng", &[Long], Void, RngCtor),
+        ("Rng", "nextInt", &[Int], Int, RngNextInt),
+        ("Rng", "nextLong", &[], Long, RngNextLong),
+        ("Rng", "nextDouble", &[], Double, RngNextDouble),
+        ("Queue", "Queue", &[Int], Void, QueueCtor),
+        ("Queue", "put", &[Class(OBJECT_CLASS)], Void, QueuePut),
+        ("Queue", "take", &[], Class(OBJECT_CLASS), QueueTake),
+        ("Queue", "size", &[], Int, QueueSize),
+    ]
+};
+
 impl Resolver {
     fn add_class(
         &mut self,
@@ -109,243 +154,18 @@ impl Resolver {
     }
 
     fn register_builtins(&mut self) {
-        use Builtin::*;
         let s = Span::default();
-        let object = self.add_class("Object", false, ClassKind::User, s).unwrap();
-        debug_assert_eq!(object, OBJECT_CLASS);
-
-        let system = self.add_class("System", false, ClassKind::NativeStatic, s).unwrap();
-        self.add_method(
-            system,
-            "println",
-            true,
-            false,
-            vec![Ty::Str],
-            Ty::Void,
-            MethodBody::Native(Println),
-            s,
-        );
-        self.add_method(
-            system,
-            "print",
-            true,
-            false,
-            vec![Ty::Str],
-            Ty::Void,
-            MethodBody::Native(Print),
-            s,
-        );
-        self.add_method(
-            system,
-            "timeMicros",
-            true,
-            false,
-            vec![],
-            Ty::Long,
-            MethodBody::Native(TimeMicros),
-            s,
-        );
-        self.add_method(
-            system,
-            "sleepMicros",
-            true,
-            false,
-            vec![Ty::Long],
-            Ty::Void,
-            MethodBody::Native(SleepMicros),
-            s,
-        );
-        self.add_method(system, "gc", true, false, vec![], Ty::Void, MethodBody::Native(Gc), s);
-
-        let math = self.add_class("Math", false, ClassKind::NativeStatic, s).unwrap();
-        self.add_method(
-            math,
-            "sqrt",
-            true,
-            false,
-            vec![Ty::Double],
-            Ty::Double,
-            MethodBody::Native(Sqrt),
-            s,
-        );
-        self.add_method(
-            math,
-            "dabs",
-            true,
-            false,
-            vec![Ty::Double],
-            Ty::Double,
-            MethodBody::Native(DAbs),
-            s,
-        );
-        self.add_method(
-            math,
-            "lmin",
-            true,
-            false,
-            vec![Ty::Long, Ty::Long],
-            Ty::Long,
-            MethodBody::Native(LMin),
-            s,
-        );
-        self.add_method(
-            math,
-            "lmax",
-            true,
-            false,
-            vec![Ty::Long, Ty::Long],
-            Ty::Long,
-            MethodBody::Native(LMax),
-            s,
-        );
-
-        let cluster = self.add_class("Cluster", false, ClassKind::NativeStatic, s).unwrap();
-        self.add_method(
-            cluster,
-            "machines",
-            true,
-            false,
-            vec![],
-            Ty::Int,
-            MethodBody::Native(ClusterMachines),
-            s,
-        );
-        self.add_method(
-            cluster,
-            "my",
-            true,
-            false,
-            vec![],
-            Ty::Int,
-            MethodBody::Native(ClusterMy),
-            s,
-        );
-        self.add_method(
-            cluster,
-            "barrier",
-            true,
-            false,
-            vec![],
-            Ty::Void,
-            MethodBody::Native(ClusterBarrier),
-            s,
-        );
-        self.add_method(
-            cluster,
-            "arg",
-            true,
-            false,
-            vec![Ty::Int],
-            Ty::Long,
-            MethodBody::Native(ClusterArg),
-            s,
-        );
-
-        let strutil = self.add_class("Str", false, ClassKind::NativeStatic, s).unwrap();
-        self.add_method(
-            strutil,
-            "fromLong",
-            true,
-            false,
-            vec![Ty::Long],
-            Ty::Str,
-            MethodBody::Native(StrFromLong),
-            s,
-        );
-        self.add_method(
-            strutil,
-            "fromDouble",
-            true,
-            false,
-            vec![Ty::Double],
-            Ty::Str,
-            MethodBody::Native(StrFromDouble),
-            s,
-        );
-
-        let rng = self.add_class("Rng", false, ClassKind::NativeInstance, s).unwrap();
-        self.add_method(
-            rng,
-            "Rng",
-            false,
-            true,
-            vec![Ty::Long],
-            Ty::Void,
-            MethodBody::Native(RngCtor),
-            s,
-        );
-        self.add_method(
-            rng,
-            "nextInt",
-            false,
-            false,
-            vec![Ty::Int],
-            Ty::Int,
-            MethodBody::Native(RngNextInt),
-            s,
-        );
-        self.add_method(
-            rng,
-            "nextLong",
-            false,
-            false,
-            vec![],
-            Ty::Long,
-            MethodBody::Native(RngNextLong),
-            s,
-        );
-        self.add_method(
-            rng,
-            "nextDouble",
-            false,
-            false,
-            vec![],
-            Ty::Double,
-            MethodBody::Native(RngNextDouble),
-            s,
-        );
-
-        let queue = self.add_class("Queue", false, ClassKind::NativeInstance, s).unwrap();
-        self.add_method(
-            queue,
-            "Queue",
-            false,
-            true,
-            vec![Ty::Int],
-            Ty::Void,
-            MethodBody::Native(QueueCtor),
-            s,
-        );
-        self.add_method(
-            queue,
-            "put",
-            false,
-            false,
-            vec![Ty::Class(OBJECT_CLASS)],
-            Ty::Void,
-            MethodBody::Native(QueuePut),
-            s,
-        );
-        self.add_method(
-            queue,
-            "take",
-            false,
-            false,
-            vec![],
-            Ty::Class(OBJECT_CLASS),
-            MethodBody::Native(QueueTake),
-            s,
-        );
-        self.add_method(
-            queue,
-            "size",
-            false,
-            false,
-            vec![],
-            Ty::Int,
-            MethodBody::Native(QueueSize),
-            s,
-        );
+        for &(name, kind) in BUILTIN_CLASSES {
+            self.add_class(name, false, kind, s).expect("builtin class names are distinct");
+        }
+        debug_assert_eq!(self.table.class_by_name["Object"], OBJECT_CLASS);
+        for (class, name, params, ret, builtin) in BUILTIN_METHODS {
+            let owner = self.table.class_by_name[*class];
+            let is_static = self.table.classes[owner.index()].kind == ClassKind::NativeStatic;
+            let body = MethodBody::Native(*builtin);
+            let (params, ret) = (params.to_vec(), ret.clone());
+            self.add_method(owner, name, is_static, name == class, params, ret, body, s);
+        }
     }
 
     fn declare_classes(&mut self, ast: &AstProgram) -> Result<(), CompileError> {

@@ -13,8 +13,8 @@
 //! flushes inline, as on the blocking drive. An RMI caller is blocked on
 //! the frame it just sent, so a link carries at most one frame per
 //! calling thread and there is nothing a deferred write could be merged
-//! with (DESIGN §14 has the measurement that retired the batcher). What
-//! a full nonblocking socket did not take stays queued on the
+//! with (DESIGN §5.6; CHANGES.md, PR 20, has the measurement). What a
+//! full nonblocking socket did not take stays queued on the
 //! connection, and the reactor that owns it retries every
 //! [`BACKPRESSURE_RETRY`] until it drains or the write fails.
 //!

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use corm_wire::{RmiStats, StatsSnapshot};
+use corm_wire::{Counter, RmiStats, StatsSnapshot, COUNTERS};
 use parking_lot::Mutex;
 
 use crate::hist::{HistSnapshot, Log2Histogram};
@@ -201,26 +201,12 @@ machine_metrics! {
         "Marshal buffers checked out and not yet returned";
 }
 
-metric_table! {
-    /// The ten paper counters of [`RmiStats`] (Tables 4/6/8), exposed per
-    /// machine.
-    PAPER_COUNTERS: StatsSnapshot {
-        local_rpcs: Counter, "corm_local_rpcs_total",
-            "RMIs whose target lived on the calling machine";
-        remote_rpcs: Counter, "corm_remote_rpcs_total", "RMIs that crossed machines";
-        reused_objs: Counter, "corm_reused_objects_total", "Objects recycled by the reuse caches";
-        cycle_lookups: Counter, "corm_cycle_lookups_total",
-            "Cycle-table lookups in (de)serializers";
-        ser_invocations: Counter, "corm_ser_invocations_total",
-            "Dynamic serializer-routine invocations";
-        wire_bytes: Counter, "corm_wire_bytes_total",
-            "Payload bytes sent onto the simulated network";
-        type_info_bytes: Counter, "corm_type_info_bytes_total",
-            "Dynamic type-information bytes within wire bytes";
-        messages: Counter, "corm_messages_total", "Network messages sent";
-        deser_bytes: Counter, "corm_deser_bytes_total", "Bytes allocated by deserialization";
-        deser_allocs: Counter, "corm_deser_allocs_total", "Objects allocated by deserialization";
-    }
+/// The ten paper counters of [`RmiStats`] (Tables 4/6/8), exposed per
+/// machine: `corm_wire`'s table, row for row.
+pub(crate) fn paper_counters() -> Vec<Metric<StatsSnapshot>> {
+    let metric =
+        |c: &Counter| Metric { family: c.family, help: c.help, read: Read::Counter(c.get) };
+    COUNTERS.iter().map(metric).collect()
 }
 
 /// Per-call-site metrics (cluster-wide scope: a site's calls may
@@ -261,7 +247,7 @@ impl MetricsRegistry {
     }
 
     /// The registry's timeline plane: per-machine sample rings filled by
-    /// the background sampler plus the run's health findings (DESIGN §15).
+    /// the background sampler plus the run's health findings (DESIGN §7.4).
     pub fn timeline(&self) -> &TimelineState {
         &self.timeline
     }
@@ -442,7 +428,7 @@ mod tests {
         let text = crate::prometheus::render_prometheus(&reg.snapshot());
 
         let machines = [r#"machine="0""#, r#"machine="1""#];
-        assert_exposed(&text, PAPER_COUNTERS, &machines);
+        assert_exposed(&text, &paper_counters(), &machines);
         assert_exposed(&text, MACHINE_METRICS, &machines);
         assert_exposed(&text, SITE_METRICS, &[r#"site="7""#]);
         assert!(text.contains("corm_messages_total{machine=\"1\"} 9\n"));
@@ -467,7 +453,7 @@ mod tests {
         }
 
         let mut names: Vec<&str> = MACHINE_METRICS.iter().map(|m| m.family).collect();
-        names.extend(PAPER_COUNTERS.iter().map(|m| m.family));
+        names.extend(COUNTERS.iter().map(|c| c.family));
         names.extend(SITE_METRICS.iter().map(|m| m.family));
         let declared = names.len();
         names.sort_unstable();

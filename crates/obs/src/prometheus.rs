@@ -15,7 +15,7 @@ use std::fmt::Write;
 
 use crate::hist::{bucket_le, HistSnapshot};
 use crate::metrics::{
-    Metric, MetricsSnapshot, Read, MACHINE_METRICS, PAPER_COUNTERS, SITE_METRICS,
+    paper_counters, Metric, MetricsSnapshot, Read, MACHINE_METRICS, SITE_METRICS,
 };
 
 /// One labelled scope a family has a series for: `machine="0"` and that
@@ -91,7 +91,7 @@ pub fn render_prometheus(m: &MetricsSnapshot) -> String {
     let label = |i: usize| format!("machine=\"{i}\"");
     let stats: Vec<_> =
         m.machines.iter().enumerate().map(|(i, ms)| (label(i), &ms.stats)).collect();
-    families(&mut out, PAPER_COUNTERS, &stats);
+    families(&mut out, &paper_counters(), &stats);
     let machines: Vec<_> = m.machines.iter().enumerate().map(|(i, ms)| (label(i), ms)).collect();
     families(&mut out, MACHINE_METRICS, &machines);
     let sites: Vec<_> = m.sites.iter().map(|s| (format!("site=\"{}\"", s.site), s)).collect();

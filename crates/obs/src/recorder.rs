@@ -100,7 +100,7 @@ pub const FLAG_ARG_REUSE: u8 = 1 << 2;
 pub const FLAG_RET_REUSE: u8 = 1 << 3;
 pub const FLAG_ONEWAY: u8 = 1 << 4;
 /// The request's marshal buffer came out of the sender-side pool
-/// (DESIGN §12) rather than a fresh allocation.
+/// (DESIGN §5.4) rather than a fresh allocation.
 pub const FLAG_POOL_HIT: u8 = 1 << 5;
 
 /// Transport codes (corm-obs sits below corm-net, so the transport kind
@@ -307,7 +307,9 @@ impl FlightDump {
     }
 }
 
-fn esc(s: &str) -> String {
+/// `s` as the inside of a JSON string literal — the one escaper of every
+/// hand-rolled JSON writer in the workspace.
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,7 +1,7 @@
 //! The telemetry timeline plane: continuous sampling of every
 //! machine's metrics into bounded per-machine rings, plus a health
 //! assessor that scans recent windows for stall, backpressure, and
-//! pool-leak signatures (DESIGN §15).
+//! pool-leak signatures (DESIGN §7.4).
 //!
 //! Everything upstream of this module is either a point-in-time
 //! snapshot (Prometheus exposition), a post-hoc artifact (traces,

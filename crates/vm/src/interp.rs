@@ -87,8 +87,7 @@ impl Interp {
         if self.frames.len() >= 4096 {
             return Err(VmError::new("stack overflow (4096 frames)"));
         }
-        let module = self.rt.module.clone();
-        let f = module.func(func);
+        let f = self.rt.module.func(func);
         let mut regs = vec![Value::Null; f.num_regs()];
         if args.len() != f.params.len() {
             return Err(VmError::new(format!(
@@ -193,11 +192,8 @@ impl Interp {
                 continue;
             }
 
-            // Clone the instruction handle (cheap: most variants are Copy;
-            // Call clones its arg vec).
-            let instr = blk.instrs[ip].clone();
             self.frames.last_mut().unwrap().ip += 1;
-            self.exec(guard, &instr)?;
+            self.exec(guard, &blk.instrs[ip])?;
         }
     }
 
@@ -251,8 +247,9 @@ impl Interp {
                 self.set(*dst, out);
             }
             Instr::New { dst, class, site: _, placement } => {
-                let cls = self.rt.module.table.class(*class).clone();
-                let value = match cls.kind {
+                let cls = self.rt.module.table.class(*class);
+                let (kind, is_remote) = (cls.kind, cls.is_remote);
+                let value = match kind {
                     ClassKind::NativeInstance => {
                         let obj = guard.heap.alloc(ObjBody::Native {
                             class: *class,
@@ -260,7 +257,7 @@ impl Interp {
                         });
                         Value::Ref(obj)
                     }
-                    _ if cls.is_remote => {
+                    _ if is_remote => {
                         let target = match placement {
                             Some(p) => {
                                 let m = self.int_of(self.reg(*p))?;

@@ -5,7 +5,7 @@
 //! path: the request buffer circulates caller → server → reply → caller
 //! and is checked back in once the return value is deserialized.
 //!
-//! Accounting (DESIGN §12): a checkout served from the pool is a *hit*;
+//! Accounting (DESIGN §5.4): a checkout served from the pool is a *hit*;
 //! one that allocates is a *miss*. The first allocations that build a
 //! key's working set (up to [`PER_KEY_CAP`] buffers) are *cold* misses;
 //! everything beyond is a steady-state miss, which

@@ -1,5 +1,5 @@
 //! The reply table: how a caller waits for the reply to its RMI — Figure
-//! 1's `wait(Machine 1)` — and the only module that knows (DESIGN §4.5). One
+//! 1's `wait(Machine 1)` — and the only module that knows (DESIGN §5.7). One
 //! per machine, beside the machine lock and never under it. The caller
 //! [`open`](ReplyTable::open)s its request id toward a destination, sends,
 //! and [`wait`](Waiter::wait)s; the drain thread [`complete`](ReplyTable::complete)s

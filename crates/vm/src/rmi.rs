@@ -1,7 +1,7 @@
 //! The RMI dispatch path: marshal → send → unmarshal → invoke → reply,
 //! with the paper's local-RPC cloning semantics and the §3.3 reuse
 //! caches wired into (de)serialization. Each step of Figure 1 is written
-//! once (DESIGN §4.5): [`marshal`] is `serialize_objects`, [`round_trip`]
+//! once (DESIGN §5.1): [`marshal`] is `serialize_objects`, [`round_trip`]
 //! is `wait(Machine 1)`, [`callee`] is `Unmarshaler_Example.foo`.
 
 use std::cell::Cell;
@@ -187,7 +187,7 @@ pub fn remote_call_with_req(
 /// as the invoking machine, the parameter and return value objects are
 /// cloned" (§1) — through the same serializer programs and reuse caches: the
 /// caller lends the [`callee`] its own `Interp`, and only the wire transit is
-/// skipped. Two things differ from a wire call on purpose (DESIGN §4.5). A
+/// skipped. Two things differ from a wire call on purpose (DESIGN §5.1). A
 /// *one-way* local call unmarshals here, on the caller's thread, and never
 /// refills the argument caches. And the buffers pool by lane: the request's is
 /// back in `Lane::Args` once the clone-in is done with it, the return value
@@ -342,13 +342,14 @@ fn callee(
         id.in_phase(Phase::Unmarshal, || deserialize_args(call, guard, &request))?;
     unmarshaled(request, reused);
 
+    // Fig. 13's `temp_arr = t`: the roots the plan reuses outlive the invocation
+    // and wait in the cache for this caller's next call.
+    let reused_args = plan.arg_reuse.iter().enumerate().filter(|&(_, &reuse)| reuse);
+    let roots: Vec<(usize, Value)> = reused_args.map(|(arg, _)| (arg, argv[arg + 1])).collect();
     let f = interp.func_of(plan.method)?;
-    let ret = id.in_phase(Phase::Invoke, || interp.call_in(guard, f, argv.clone()))?;
-    // Fig. 13's `temp_arr = t`: the roots wait here for this caller's next call.
-    for (arg, &reuse) in plan.arg_reuse.iter().enumerate() {
-        if reuse {
-            guard.put_reuse(ReuseSlot::Arg { site: plan.site, arg, caller }, argv[arg + 1]);
-        }
+    let ret = id.in_phase(Phase::Invoke, || interp.call_in(guard, f, argv))?;
+    for (arg, root) in roots {
+        guard.put_reuse(ReuseSlot::Arg { site: plan.site, arg, caller }, root);
     }
 
     match &plan.ret {

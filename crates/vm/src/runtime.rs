@@ -53,7 +53,7 @@ pub struct RunOptions {
     /// surface as `analysis-audit` run errors or output divergence.
     pub audit: bool,
     /// Flight-recorder ring capacity per machine (events). On by default
-    /// (DESIGN §11); `0` disables recording entirely — that switch exists
+    /// (DESIGN §7.3); `0` disables recording entirely — that switch exists
     /// for `benchmark/`'s `obs.overhead_share` probe, not for production use.
     pub flight_capacity: usize,
     /// Fault injection: abruptly kill a machine mid-run (see
@@ -64,13 +64,13 @@ pub struct RunOptions {
     /// operation; `tests/serving.rs` uses it to show that a degraded
     /// server's backlog lands in the intended-time latency.
     pub stall: Option<StallSpec>,
-    /// Timeline sampler cadence, µs (DESIGN §15). A background thread
+    /// Timeline sampler cadence, µs (DESIGN §7.4). A background thread
     /// snapshots every machine's metrics at this interval into the
     /// registry's bounded rings and runs the health assessor over them.
     /// On by default; `0` disables sampling — that switch exists for
     /// `benchmark/`'s `obs.overhead_share` probe, not for production use.
     pub timeline_interval_us: u64,
-    /// Loss model for the lossy transport (DESIGN §16): seeded
+    /// Loss model for the lossy transport (DESIGN §5.6): seeded
     /// drop/duplicate/reorder rates and retransmission timing. Ignored
     /// by the reliable backends; `None` with `transport: lossy` selects
     /// [`LossSpec::default`].
@@ -160,7 +160,7 @@ pub struct Runtime {
     pub trace: Option<Mutex<Vec<TraceEvent>>>,
     /// Analysis-verdict auditing (see [`RunOptions::audit`]).
     pub audit: bool,
-    /// Always-on RMI flight recorder (DESIGN §11): one lock-free ring per
+    /// Always-on RMI flight recorder (DESIGN §7.3): one lock-free ring per
     /// machine holding the last N RMI events for post-mortem dumps.
     pub flight: Arc<FlightRecorder>,
     /// Request ids whose replies were failed by peer loss or disconnect —
@@ -178,11 +178,11 @@ pub struct Runtime {
     pub stall: Option<StallSpec>,
     /// Count of requests handled since start, for [`StallSpec::every`].
     pub stall_count: std::sync::atomic::AtomicU64,
-    /// Per-call-site marshal-buffer pool (DESIGN §12): request buffers
+    /// Per-call-site marshal-buffer pool (DESIGN §5.4): request buffers
     /// circulate caller → server → reply → caller, so steady-state
     /// marshals allocate nothing. Canary mode rides on `audit`.
     pub pool: crate::pool::BufferPool,
-    /// Background timeline sampler (DESIGN §15), when enabled by
+    /// Background timeline sampler (DESIGN §7.4), when enabled by
     /// [`RunOptions::timeline_interval_us`]. Stopped (final forced tick
     /// included) by [`Cluster::finish`] before the metrics snapshot.
     pub sampler: Option<SamplerHandle>,

@@ -1,4 +1,4 @@
-//! The open-loop serving driver (DESIGN §13).
+//! The open-loop serving driver (DESIGN §8).
 //!
 //! Runs the webserver application as a *long-running sharded service*
 //! instead of a fixed-iteration benchmark `main`: slaves are placed on

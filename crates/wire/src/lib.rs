@@ -13,5 +13,5 @@ pub mod tags;
 
 pub use cycle_table::{DeserTable, SerCycleTable};
 pub use message::{canary_fill, Message, MessageReader, WireError, CANARY_BYTE};
-pub use stats::{RmiStats, StatsSnapshot};
+pub use stats::{Counter, RmiStats, StatsSnapshot, COUNTERS};
 pub use tags::*;

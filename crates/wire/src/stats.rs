@@ -5,32 +5,79 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic counters shared by all machines of a cluster run.
-#[derive(Debug, Default)]
-pub struct RmiStats {
-    /// RMIs whose target object lived on the calling machine (still
-    /// cloned through serialization, per RMI semantics).
-    pub local_rpcs: AtomicU64,
-    /// RMIs that crossed machines.
-    pub remote_rpcs: AtomicU64,
-    /// Objects recycled by the reuse caches instead of being reallocated.
-    pub reused_objs: AtomicU64,
-    /// Cycle-table lookups performed by serializers/deserializers.
-    pub cycle_lookups: AtomicU64,
-    /// Invocations of (per-class or introspective) serialization routines.
+/// One paper counter, as the surfaces that list them all see it: `name` is its field in
+/// [`RmiStats`] / [`StatsSnapshot`] and its key in `BENCH_tables.json`, `family` and `help`
+/// its Prometheus exposition.
+pub struct Counter {
+    pub name: &'static str,
+    pub family: &'static str,
+    pub help: &'static str,
+    pub get: fn(&StatsSnapshot) -> &u64,
+    pub get_mut: fn(&mut StatsSnapshot) -> &mut u64,
+}
+
+/// The counter table. A row — field, Prometheus family, help (also the field's doc) — is the
+/// only place a counter is spelled out: the live atomics, the snapshot, its arithmetic and
+/// [`COUNTERS`] are generated from it, in row order, which is every surface's column order.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident: $family:literal, $help:literal;)*) => {
+        /// Atomic counters shared by all machines of a cluster run.
+        #[derive(Debug, Default)]
+        pub struct RmiStats {
+            $(#[doc = $help] $(#[$doc])* pub $field: AtomicU64,)*
+        }
+
+        /// A plain-value copy of the counters at one instant.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $(#[doc = $help] pub $field: u64,)*
+        }
+
+        /// Every paper counter, for the surfaces that walk them all.
+        pub const COUNTERS: &[Counter] = &[$(Counter {
+            name: stringify!($field), family: $family, help: $help,
+            get: |s| &s.$field, get_mut: |s| &mut s.$field,
+        },)*];
+
+        impl RmiStats {
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        /// Pointwise sum: per-machine shards into the cluster snapshot (`corm-obs`).
+        impl std::ops::Add for StatsSnapshot {
+            type Output = StatsSnapshot;
+            fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot { $($field: self.$field + rhs.$field,)* }
+            }
+        }
+
+        impl std::ops::Sub for StatsSnapshot {
+            type Output = StatsSnapshot;
+            fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot { $($field: self.$field - rhs.$field,)* }
+            }
+        }
+    };
+}
+
+counters! {
+    /// (Still cloned through serialization, per RMI semantics.)
+    local_rpcs: "corm_local_rpcs_total", "RMIs whose target lived on the calling machine";
+    remote_rpcs: "corm_remote_rpcs_total", "RMIs that crossed machines";
+    reused_objs: "corm_reused_objects_total", "Objects recycled by the reuse caches";
+    cycle_lookups: "corm_cycle_lookups_total", "Cycle-table lookups in (de)serializers";
     /// Inlined call-site-specific serialization does not count — that is
     /// the reduction the paper attributes to inlining.
-    pub ser_invocations: AtomicU64,
-    /// Total payload bytes that crossed the (simulated) network.
-    pub wire_bytes: AtomicU64,
-    /// Bytes of dynamic type information within `wire_bytes`.
-    pub type_info_bytes: AtomicU64,
-    /// Network messages sent (requests + replies + acks + spawns).
-    pub messages: AtomicU64,
-    /// Bytes allocated by deserialization (aggregated from machine heaps).
-    pub deser_bytes: AtomicU64,
-    /// Objects allocated by deserialization.
-    pub deser_allocs: AtomicU64,
+    ser_invocations: "corm_ser_invocations_total", "Dynamic serializer-routine invocations";
+    wire_bytes: "corm_wire_bytes_total", "Payload bytes sent onto the simulated network";
+    type_info_bytes: "corm_type_info_bytes_total",
+        "Dynamic type-information bytes within wire bytes";
+    /// Requests, replies, acks and spawns.
+    messages: "corm_messages_total", "Network messages sent";
+    deser_bytes: "corm_deser_bytes_total", "Bytes allocated by deserialization";
+    deser_allocs: "corm_deser_allocs_total", "Objects allocated by deserialization";
 }
 
 impl RmiStats {
@@ -42,82 +89,12 @@ impl RmiStats {
     pub fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            local_rpcs: self.local_rpcs.load(Ordering::Relaxed),
-            remote_rpcs: self.remote_rpcs.load(Ordering::Relaxed),
-            reused_objs: self.reused_objs.load(Ordering::Relaxed),
-            cycle_lookups: self.cycle_lookups.load(Ordering::Relaxed),
-            ser_invocations: self.ser_invocations.load(Ordering::Relaxed),
-            wire_bytes: self.wire_bytes.load(Ordering::Relaxed),
-            type_info_bytes: self.type_info_bytes.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            deser_bytes: self.deser_bytes.load(Ordering::Relaxed),
-            deser_allocs: self.deser_allocs.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value copy of the counters at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub local_rpcs: u64,
-    pub remote_rpcs: u64,
-    pub reused_objs: u64,
-    pub cycle_lookups: u64,
-    pub ser_invocations: u64,
-    pub wire_bytes: u64,
-    pub type_info_bytes: u64,
-    pub messages: u64,
-    pub deser_bytes: u64,
-    pub deser_allocs: u64,
 }
 
 impl StatsSnapshot {
     /// "new (MBytes)" column of Tables 4/6/8.
     pub fn new_mbytes(&self) -> f64 {
         self.deser_bytes as f64 / (1024.0 * 1024.0)
-    }
-}
-
-/// Pointwise sum — aggregating per-machine shards into the cluster
-/// snapshot (see `corm-obs`).
-impl std::ops::Add for StatsSnapshot {
-    type Output = StatsSnapshot;
-
-    fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            local_rpcs: self.local_rpcs + rhs.local_rpcs,
-            remote_rpcs: self.remote_rpcs + rhs.remote_rpcs,
-            reused_objs: self.reused_objs + rhs.reused_objs,
-            cycle_lookups: self.cycle_lookups + rhs.cycle_lookups,
-            ser_invocations: self.ser_invocations + rhs.ser_invocations,
-            wire_bytes: self.wire_bytes + rhs.wire_bytes,
-            type_info_bytes: self.type_info_bytes + rhs.type_info_bytes,
-            messages: self.messages + rhs.messages,
-            deser_bytes: self.deser_bytes + rhs.deser_bytes,
-            deser_allocs: self.deser_allocs + rhs.deser_allocs,
-        }
-    }
-}
-
-impl std::ops::Sub for StatsSnapshot {
-    type Output = StatsSnapshot;
-
-    fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            local_rpcs: self.local_rpcs - rhs.local_rpcs,
-            remote_rpcs: self.remote_rpcs - rhs.remote_rpcs,
-            reused_objs: self.reused_objs - rhs.reused_objs,
-            cycle_lookups: self.cycle_lookups - rhs.cycle_lookups,
-            ser_invocations: self.ser_invocations - rhs.ser_invocations,
-            wire_bytes: self.wire_bytes - rhs.wire_bytes,
-            type_info_bytes: self.type_info_bytes - rhs.type_info_bytes,
-            messages: self.messages - rhs.messages,
-            deser_bytes: self.deser_bytes - rhs.deser_bytes,
-            deser_allocs: self.deser_allocs - rhs.deser_allocs,
-        }
     }
 }
 

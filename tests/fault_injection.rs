@@ -645,7 +645,7 @@ fn reactor_fault_injection_dumps_flight_recorder_with_failing_req() {
 
 // ---------------------------------------------------------------------
 // Lossy-transport faults. The datagram fabric already injects drops,
-// duplicates and reordering by design (DESIGN §16); these tests cover
+// duplicates and reordering by design (DESIGN §5.6); these tests cover
 // the faults it must still surface *through* that machinery: remote
 // exceptions crossing a lossy wire, killed peers, and the
 // duplicate-PeerGone injection hook (a peer-death notice is itself a

@@ -394,7 +394,7 @@ fn chrome_trace_export_is_wellformed() {
     assert_eq!(depth, 0, "unbalanced braces in chrome trace JSON");
 }
 
-/// The flight recorder (DESIGN §11) is on by default: a plain run —
+/// The flight recorder (DESIGN §7.3) is on by default: a plain run —
 /// no opts beyond the workload — ends with a clean dump whose event
 /// windows carry the send/handle/return triple of every remote call.
 #[test]

@@ -1,4 +1,4 @@
-//! Open-loop serving integration tests (DESIGN §13): schedule and
+//! Open-loop serving integration tests (DESIGN §8): schedule and
 //! call-counter determinism, the served-every-request rule behind `corm
 //! serve`'s exit code, coordinated-omission safety under an injected
 //! server-side stall, SLO violations surfacing through the flight

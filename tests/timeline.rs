@@ -1,4 +1,4 @@
-//! Timeline-plane integration tests (DESIGN §15): delta accounting
+//! Timeline-plane integration tests (DESIGN §7.4): delta accounting
 //! (ring totals reproduce the final counters, deterministically across
 //! seeded runs), the disabled-sampler escape hatch, the health assessor
 //! flagging an injected server stall by machine in both the timeline
