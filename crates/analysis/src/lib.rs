@@ -17,10 +17,14 @@
 //!   where an object escapes if *anything it recursively refers to*
 //!   escapes (Figures 10/11); non-escaping argument and return graphs can
 //!   be recycled between RMIs (§3.3).
+//! * **May-block** ([`blocking`]): can serving a remote method make its
+//!   thread wait? Methods that cannot are served by the machine's drain
+//!   thread itself, as Manta serves non-blocking methods in the upcall.
 //! * **Shape extraction** ([`shape`]): per-call-site static shapes of the
 //!   argument/return object graphs, the input to call-site-specific
 //!   marshaler generation in `corm-codegen` (§3.1).
 
+pub mod blocking;
 pub mod cycles;
 pub mod escape;
 pub mod graph;

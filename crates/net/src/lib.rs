@@ -26,5 +26,5 @@ pub mod transport;
 pub use cost::CostModel;
 pub use lossy::LossSpec;
 pub use packet::Packet;
-pub use receive::{Mailbox, Mailboxes, RecvError};
+pub use receive::{Mailbox, Mailboxes, RecvError, ReplyHandler};
 pub use transport::{ClusterBarrier, NetHandle, Transport, TransportKind};

@@ -9,7 +9,7 @@
 //! every backend" is shared code, not a convention kept by hand.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
@@ -59,6 +59,13 @@ impl Mailbox {
 /// constructors hand to the VM.
 pub type Mailboxes = Vec<Mailbox>;
 
+/// Who takes a [`Packet::Reply`] where it is received, in the mailbox's
+/// place: called with the receiving machine, the request id, and the payload
+/// or the remote error — on whichever thread delivered the packet (the
+/// replying thread on the channel backend; a reader, reactor or fabric thread
+/// otherwise), so it must not wait for anything.
+pub type ReplyHandler = Box<dyn Fn(u16, u64, Result<Vec<u8>, String>) + Send + Sync>;
+
 /// The sending ends of every mailbox plus the state that decides what
 /// may be pushed onto them.
 pub(crate) struct ReceiveSide {
@@ -71,6 +78,11 @@ pub(crate) struct ReceiveSide {
     /// Machines killed by [`ReceiveSide::sever`].
     severed: Vec<AtomicBool>,
     shutting_down: AtomicBool,
+    /// Set at most once, before traffic ([`NetHandle::on_reply`]); a fabric
+    /// without one delivers replies to the mailbox like everything else.
+    ///
+    /// [`NetHandle::on_reply`]: crate::NetHandle::on_reply
+    on_reply: OnceLock<ReplyHandler>,
 }
 
 impl ReceiveSide {
@@ -87,6 +99,7 @@ impl ReceiveSide {
             measured_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
             severed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             shutting_down: AtomicBool::new(false),
+            on_reply: OnceLock::new(),
         };
         (mailboxes, Arc::new(side))
     }
@@ -130,11 +143,24 @@ impl ReceiveSide {
         Some(packet)
     }
 
-    /// Push onto `to`'s mailbox. `false` means the mailbox is gone: the
-    /// machine's drain loop already exited, and the packet is dropped
-    /// like one sent to a peer that powered down during shutdown.
+    /// Register the reply handler. Panics if one is already there.
+    pub fn on_reply(&self, handler: ReplyHandler) {
+        assert!(self.on_reply.set(handler).is_ok(), "a reply handler is already registered");
+    }
+
+    /// The end of every packet's trip, whatever carried it: a reply goes to
+    /// the reply handler when there is one, everything else onto `to`'s
+    /// mailbox. `false` means the mailbox is gone: the machine's drain loop
+    /// already exited, and the packet is dropped like one sent to a peer
+    /// that powered down during shutdown.
     pub fn enqueue(&self, to: u16, packet: Packet) -> bool {
-        self.txs[to as usize].send(packet).is_ok()
+        match (packet, self.on_reply.get()) {
+            (Packet::Reply { req_id, payload, err }, Some(on_reply)) => {
+                on_reply(to, req_id, err.map_or(Ok(payload), Err));
+                true
+            }
+            (packet, _) => self.txs[to as usize].send(packet).is_ok(),
+        }
     }
 
     /// A frame sent at `sent_ns` finished crossing a carrier: charge its

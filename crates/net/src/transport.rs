@@ -24,7 +24,7 @@ use crate::cost::CostModel;
 use crate::lossy::{LossSpec, LossyTransport};
 use crate::mesh::Mesh;
 use crate::packet::Packet;
-use crate::receive::{Mailboxes, ReceiveSide};
+use crate::receive::{Mailboxes, ReceiveSide, ReplyHandler};
 
 /// A packet carrier: moves already-accounted packets between machines,
 /// onto the mailboxes of the receive side it was built on.
@@ -187,6 +187,16 @@ impl NetHandle {
         };
         let modeled_ns = Arc::new(AtomicU64::new(0));
         Ok((mailboxes, NetHandle { kind, transport, rx, obs, cost, modeled_ns }))
+    }
+
+    /// Complete replies where they are received: from now on a
+    /// [`Packet::Reply`] is handed to `handler` by the thread that delivers
+    /// it and never enters a mailbox. Accounting, the sever filter and
+    /// measured wire time all come before delivery and do not change. To be
+    /// called once, before the first send; without it replies are mailbox
+    /// packets like any other.
+    pub fn on_reply(&self, handler: ReplyHandler) {
+        self.rx.on_reply(handler);
     }
 
     pub fn kind(&self) -> TransportKind {
@@ -426,6 +436,45 @@ pub(crate) mod tests {
             net.shutdown();
         }
 
+        /// With a reply handler registered, the thread that delivers a
+        /// `Reply` hands it over — in per-pair order, measured as before —
+        /// and the mailboxes carry everything else, as before.
+        pub fn a_reply_handler_gets_every_reply_and_the_mailboxes_none(kind: TransportKind) {
+            let (mailboxes, net) = fabric_of(kind, 3);
+            let (got_tx, got) = std::sync::mpsc::channel();
+            net.on_reply(Box::new(move |to, req, reply| got_tx.send((to, req, reply)).unwrap()));
+            let request = |req_id| Packet::NewRemote { req_id, from: 0, class: 0 };
+            for i in 0..100u64 {
+                net.send(0, 1, reply(i, 8));
+                net.send(0, 1, request(i));
+            }
+            let failed = Packet::Reply { req_id: 100, payload: Vec::new(), err: Some("no".into()) };
+            net.send(0, 1, failed);
+            for i in 0..100u64 {
+                assert_eq!(got.recv().unwrap(), (1, i, Ok(vec![7; 8])), "{kind}");
+                assert_eq!(mailboxes[1].recv().unwrap(), request(i), "{kind}");
+            }
+            assert_eq!(got.recv().unwrap(), (1, 100, Err("no".to_string())));
+            assert_eq!(net.measured_wire_ns(1) > 0, kind != TransportKind::Channel);
+            // A death notice is still a mailbox packet, and the sever filter
+            // still comes first: no reply to or from the dead machine.
+            net.sever(2);
+            assert_eq!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 2 });
+            assert_eq!(mailboxes[1].recv().unwrap(), Packet::PeerGone { peer: 2 });
+            net.send(0, 2, reply(101, 0));
+            net.send(2, 0, reply(102, 0));
+            net.send(1, 0, reply(103, 0));
+            assert_eq!(got.recv().unwrap(), (0, 103, Ok(Vec::new())));
+            assert!(got.try_recv().is_err(), "{kind}: a severed machine's reply was delivered");
+            // (A socket backend may tell machine 0 again, for its failed write.)
+            for mb in &mailboxes[..2] {
+                while let Some(packet) = mb.try_recv().unwrap() {
+                    assert_eq!(packet, Packet::PeerGone { peer: 2 }, "{kind}: in a mailbox");
+                }
+            }
+            net.shutdown();
+        }
+
         /// Socket backends only (a queue push cannot fail). Kill the
         /// peer *between* two writes on an established stream: the
         /// write path itself reports PeerGone to the sender's own
@@ -467,7 +516,8 @@ pub(crate) mod tests {
                     shutdown_is_orderly_and_idempotent,
                     orderly_shutdown_reports_disconnected_not_peer_gone,
                     severed_peer_surfaces_as_peer_gone_once,
-                    severing_an_unknown_machine_does_nothing
+                    severing_an_unknown_machine_does_nothing,
+                    a_reply_handler_gets_every_reply_and_the_mailboxes_none
                     $(, $socket_only)*);
             }
         };

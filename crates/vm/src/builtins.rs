@@ -32,6 +32,7 @@ pub fn call(
         }
         TimeMicros => Ok(Value::Long(interp.rt.now_us() as i64)),
         SleepMicros => {
+            interp.about_to_wait("System.sleepMicros")?;
             let us = argv[0].as_long().max(0) as u64;
             MutexGuard::unlocked(guard, || {
                 std::thread::sleep(std::time::Duration::from_micros(us))
@@ -51,6 +52,7 @@ pub fn call(
         ClusterMachines => Ok(Value::Int(interp.rt.machines.len() as i32)),
         ClusterMy => Ok(Value::Int(interp.machine_id() as i32)),
         ClusterBarrier => {
+            interp.about_to_wait("Cluster.barrier")?;
             // Exactly one thread per machine participates; release the
             // machine lock while parked.
             let rt = interp.rt.clone();
@@ -118,6 +120,7 @@ pub fn call(
                     machine.cv.notify_all();
                     return Ok(Value::Null);
                 }
+                interp.about_to_wait("Queue.put")?;
                 machine.cv.wait(guard);
             }
         }
@@ -130,6 +133,7 @@ pub fn call(
                     machine.cv.notify_all();
                     return Ok(v);
                 }
+                interp.about_to_wait("Queue.take")?;
                 machine.cv.wait(guard);
             }
         }

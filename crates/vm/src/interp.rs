@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use corm_codegen::AUDIT_ERROR_PREFIX;
 use corm_heap::{ObjBody, Value};
 use corm_ir::{
     BinKind, BlockId, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Terminator, Ty,
@@ -39,13 +40,34 @@ pub struct Interp {
     pub frames: Vec<Frame>,
     /// Where this thread sleeps for the reply to its one outstanding call.
     pub(crate) waiter: Arc<Waiter>,
+    /// This is a drain thread's `Interp`: it serves the handlers whose
+    /// `serve.thread` verdict is `drain`, and must never wait for anything
+    /// but the machine lock (see [`Interp::about_to_wait`]).
+    pub(crate) on_drain: bool,
     steps: u64,
 }
 
 impl Interp {
     pub fn new(rt: Arc<Runtime>, machine: u16) -> Self {
         let machine = rt.machine(machine).clone();
-        Interp { rt, machine, frames: Vec::new(), waiter: Arc::default(), steps: 0 }
+        let waiter = Arc::default();
+        Interp { rt, machine, frames: Vec::new(), waiter, on_drain: false, steps: 0 }
+    }
+
+    /// Called at every point where a VM thread is about to wait — for a
+    /// reply, a queue, the barrier, a sleep — with the operation's name.
+    /// The drain thread reaches one only if the may-block analysis cleared a
+    /// method it should not have: an `analysis-audit` error, not a hang.
+    pub(crate) fn about_to_wait(&self, op: &str) -> VmResult<()> {
+        if !self.on_drain {
+            return Ok(());
+        }
+        Err(VmError::new(format!(
+            "{AUDIT_ERROR_PREFIX}: non-blocking claim violated: {op} would make thread {} of \
+             machine {} wait",
+            std::thread::current().name().unwrap_or("?"),
+            self.machine.id
+        )))
     }
 
     pub fn machine_id(&self) -> u16 {

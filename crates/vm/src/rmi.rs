@@ -61,12 +61,10 @@ fn plan_flags(plan: &MarshalPlan, oneway: bool, pool_hit: bool) -> u8 {
 /// (verdict, rule, witness) appended — the claim the runtime contradicted.
 fn attach_provenance(plan: &MarshalPlan, e: impl std::fmt::Display) -> VmError {
     let msg = e.to_string();
-    if msg.contains(AUDIT_ERROR_PREFIX) {
-        VmError::new(format!(
-            "{msg}\n  analysis provenance for call site {}:\n{}",
-            plan.site.0,
-            plan.provenance.render("    ")
-        ))
+    let header = format!("analysis provenance for call site {}:", plan.site.0);
+    // Once per site: a marshal error reaches `serve_request` already explained.
+    if msg.contains(AUDIT_ERROR_PREFIX) && !msg.contains(&header) {
+        VmError::new(format!("{msg}\n  {header}\n{}", plan.provenance.render("    ")))
     } else {
         VmError::new(msg)
     }
@@ -157,8 +155,7 @@ pub fn remote_call_with_req(
     })?;
     call.id.flags = plan_flags(plan, oneway, pool_hit);
 
-    // Behind the registry-wide site lock: resolved once per RMI, carried along.
-    let scope = rt.obs.site(site.0);
+    let scope = rt.site_metrics(site);
     scope.calls.fetch_add(1, Relaxed);
     scope.payload_bytes.record(payload.len() as u64);
     shard.payload_bytes.record(payload.len() as u64);
@@ -167,9 +164,9 @@ pub fn remote_call_with_req(
         shard.requests_started.fetch_add(1, Relaxed);
     }
     let result = if receiver.machine == my {
-        local_rpc(interp, guard, &call, &scope, payload)
+        local_rpc(interp, guard, &call, scope, payload)
     } else {
-        wire_rpc(interp, guard, &call, &scope, payload)
+        wire_rpc(interp, guard, &call, scope, payload)
     };
     if !oneway {
         if result.is_ok() {
@@ -301,9 +298,10 @@ fn wire_rpc(
 }
 
 /// Figure 1's `wait(Machine 1)`: open call `req` of this machine toward
-/// `to`, `send` its packet and sleep, off the machine lock, until the drain
-/// loop completes the call or fails it with the peer's death. The transport
-/// drops what is sent to a dead peer, so the table refuses a call to one.
+/// `to`, `send` its packet and sleep, off the machine lock, until the reply
+/// completes the call where it is received, or the drain loop fails it with
+/// the peer's death. The transport drops what is sent to a dead peer, so the
+/// table refuses a call to one.
 fn round_trip(
     interp: &Interp,
     guard: &mut MutexGuard<'_, MachineState>,
@@ -311,6 +309,7 @@ fn round_trip(
     to: u16,
     send: impl FnOnce(),
 ) -> Reply {
+    interp.about_to_wait("a round trip to another machine").map_err(|e| e.message)?;
     if let Err(why) = interp.machine.pending.open(req, to, &interp.waiter) {
         interp.rt.flight_failed.lock().push(req);
         return Err(why);
@@ -474,18 +473,9 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     let mut id = rt.call(my, req, site);
     id.flags = plan.map_or(0, |p| plan_flags(p, oneway, false));
     // Close the queue phase the drain loop opened (pure waiting: what
-    // dominates a saturated server); the same stamp opens the handle span.
+    // dominates a saturated server; zero-length when the drain thread serves
+    // the request itself); the same stamp opens the handle span.
     let since = id.phase_end(Phase::Queue, enq_us);
-    // Stall injection (RunOptions::stall): model a slow server by putting
-    // the configured requests to sleep before any processing.
-    if let Some(stall) = rt.stall {
-        if stall.every > 0
-            && stall.stall_us > 0
-            && rt.stall_count.fetch_add(1, Relaxed).is_multiple_of(stall.every)
-        {
-            std::thread::sleep(std::time::Duration::from_micros(stall.stall_us));
-        }
-    }
     let request_bytes = payload.len();
 
     // The request buffer becomes the reply payload — the return marshal, or
@@ -493,6 +483,17 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     // home and closes the caller's recycling loop with no server-side pool.
     let (held, reused) = (Cell::new(Vec::new()), Cell::new(0));
     let result = (|| {
+        // Stall injection (RunOptions::stall): model a slow server by putting
+        // the configured requests to sleep before any processing.
+        if let Some(stall) = rt.stall {
+            if stall.every > 0
+                && stall.stall_us > 0
+                && rt.stall_count.fetch_add(1, Relaxed).is_multiple_of(stall.every)
+            {
+                interp.about_to_wait("the injected stall")?;
+                std::thread::sleep(std::time::Duration::from_micros(stall.stall_us));
+            }
+        }
         let plan =
             plan.ok_or_else(|| VmError::new(format!("no unmarshal plan for site {site}")))?;
         let ser = Serializer::new(&rt.plans, &rt.module.table, &rt.obs.machine(my).stats);
@@ -517,7 +518,15 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
             ack.clear();
             (ack, None)
         }
-        Err(e) => (Vec::new(), Some(e.message)),
+        // A wait the drain thread refused contradicts this site's
+        // `serve.thread` verdict: the reply carries the claim home.
+        Err(e) => {
+            let e = match plan {
+                Some(plan) if interp.on_drain => attach_provenance(plan, e),
+                _ => e,
+            };
+            (Vec::new(), Some(e.message))
+        }
     };
     rt.net.send(my, from, Packet::Reply { req_id: req, payload, err });
     Ok(())

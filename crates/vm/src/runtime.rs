@@ -1,12 +1,12 @@
 //! Cluster assembly and program execution.
 
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use corm_codegen::Plans;
 use corm_heap::HeapStats;
-use corm_ir::Module;
+use corm_ir::{CallSiteId, Module};
 use corm_net::{
     ClusterBarrier, CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, TransportKind,
 };
@@ -145,6 +145,10 @@ pub struct Runtime {
     /// `corm_obs::MetricsRegistry`. The old cluster-global `RmiStats`
     /// is recovered exactly by `obs.cluster_snapshot()`.
     pub obs: Arc<MetricsRegistry>,
+    /// Each call site's metrics scope, resolved in the registry by the
+    /// site's first call and read here by every later one. Indexed by
+    /// [`CallSiteId`]; a site never called never enters the registry.
+    site_scopes: Vec<OnceLock<Arc<SiteMetrics>>>,
     pub net: NetHandle,
     pub machines: Vec<Arc<MachineShared>>,
     pub barrier: ClusterBarrier,
@@ -191,6 +195,11 @@ pub struct Runtime {
 impl Runtime {
     pub fn machine(&self, id: u16) -> &Arc<MachineShared> {
         &self.machines[id as usize]
+    }
+
+    /// The metrics scope of call site `site`, which has a marshal plan.
+    pub(crate) fn site_metrics(&self, site: CallSiteId) -> &SiteMetrics {
+        self.site_scopes[site.index()].get_or_init(|| self.obs.site(site.0))
     }
 
     /// Microseconds since the cluster epoch — the only clock the RMI
@@ -479,6 +488,12 @@ impl Cluster {
         let machines: Vec<Arc<MachineShared>> = (0..opts.machines)
             .map(|i| Arc::new(MachineShared::with_statics(i as u16, static_defaults.clone())))
             .collect();
+        // A reply is completed where it is received (DESIGN §5.6): whichever
+        // thread delivers it wakes the caller, and no drain thread forwards it.
+        let tables = machines.clone();
+        net.on_reply(Box::new(move |to, req, reply| {
+            tables[to as usize].pending.complete(req, reply)
+        }));
 
         let transport_code = match opts.transport {
             TransportKind::Channel => TRANSPORT_CHANNEL,
@@ -494,6 +509,7 @@ impl Cluster {
         });
 
         let rt = Arc::new(Runtime {
+            site_scopes: module.call_sites.iter().map(|_| OnceLock::new()).collect(),
             module,
             plans,
             obs: obs.clone(),
@@ -758,11 +774,20 @@ pub(crate) struct WorkItem {
 }
 
 /// The per-machine receive loop: exactly one drainer per machine, as in
-/// the paper's modified GM layer. Requests go to the worker pool (or a
-/// dedicated thread for one-way spawns); replies wake the waiting caller;
-/// `NewRemote` allocations are served inline.
+/// the paper's modified GM layer. A two-way request whose callee cannot
+/// block is served right here, as Manta serves one in the communication
+/// upcall; the others go to the worker pool, one-way spawns to a thread of
+/// their own; `NewRemote` allocations are served inline. The fabric
+/// completes replies where they arrive (`Cluster::start`), so the `Reply`
+/// arm is only what a fabric without a reply handler would need. The thread
+/// waits only on its mailbox and the machine lock, so the
+/// handlers it serves run to completion in arrival order (DESIGN §5.7).
 fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::Sender<WorkItem>) {
     let my = mailbox.machine();
+    // One `Interp` for the thread's life, as a worker has, marked so that a
+    // wait reached on it is an audit error instead of a stalled machine.
+    let mut interp = Interp::new(rt.clone(), my);
+    interp.on_drain = true;
     loop {
         let packet = match mailbox.recv() {
             Ok(p) => p,
@@ -805,11 +830,20 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                 // it picks the request up.
                 let enq_us = rt.call(my, req, site).phase_begin(Phase::Queue);
                 let item = WorkItem { req, from, site, target_obj, payload, oneway, enq_us };
+                // The site's `serve.thread` verdict, read here and nowhere else.
+                // With stall injection on, every request may block: the injected
+                // sleep is a blocking operation no analysis sees.
+                let on_drain = rt.stall.is_none()
+                    && rt.plans.plan(CallSiteId(site)).is_some_and(|plan| plan.serve_on_drain);
                 if oneway {
                     // Long-running spawned work gets its own thread so it
                     // cannot starve the request pool.
                     let thread = ("corm-spawn", "one-way request");
                     spawn_detached(&rt, my, thread, move |interp| rmi::serve_request(interp, item));
+                } else if on_drain {
+                    // The same item through the same function a worker runs: the
+                    // queue phase closes at once. A failure went home in the reply.
+                    let _ = rmi::serve_request(&mut interp, item);
                 } else {
                     rt.obs.machine(my).serve_queue_depth.fetch_add(1, Relaxed);
                     let _ = work_tx.send(item);

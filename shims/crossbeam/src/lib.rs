@@ -58,7 +58,10 @@ pub mod channel {
             let mut inner = self.0.inner.lock().unwrap_or_else(|p| p.into_inner());
             inner.items.push_back(value);
             drop(inner);
-            self.0.cv.notify_all();
+            // One item, one receiver: each checks the queue under the lock
+            // before it sleeps, so a wake-up cannot be lost, and the rest
+            // of an idle pool is not woken to find the queue empty again.
+            self.0.cv.notify_one();
             Ok(())
         }
     }
@@ -161,6 +164,53 @@ pub mod channel {
             drop(tx);
             let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
             assert_eq!(total, 5050);
+        }
+
+        /// Four receivers asleep in `recv`, each reporting what it got.
+        fn four_blocked_receivers<T: Send + 'static>(
+            rx: &Receiver<T>,
+        ) -> (std::sync::mpsc::Receiver<Result<T, RecvError>>, Vec<std::thread::JoinHandle<()>>)
+        {
+            let (got_tx, got_rx) = std::sync::mpsc::channel();
+            let sleepers = (0..4)
+                .map(|_| {
+                    let (rx, got) = (rx.clone(), got_tx.clone());
+                    std::thread::spawn(move || got.send(rx.recv()).unwrap())
+                })
+                .collect();
+            (got_rx, sleepers)
+        }
+
+        #[test]
+        fn one_send_is_received_once_and_four_sends_by_all_four() {
+            let (tx, rx) = unbounded::<u32>();
+            let (got, sleepers) = four_blocked_receivers(&rx);
+            tx.send(1).unwrap();
+            assert_eq!(got.recv().unwrap(), Ok(1));
+            // The other three were handed nothing and are still in `recv`:
+            // they return only with the three items sent next.
+            assert!(got.try_recv().is_err(), "one item reached two receivers");
+            for i in 2..=4 {
+                tx.send(i).unwrap();
+            }
+            let mut rest: Vec<u32> = (0..3).map(|_| got.recv().unwrap().unwrap()).collect();
+            rest.sort_unstable();
+            assert_eq!(rest, [2, 3, 4]);
+            sleepers.into_iter().for_each(|t| t.join().unwrap());
+        }
+
+        #[test]
+        fn dropping_the_last_sender_wakes_every_receiver() {
+            let (tx, rx) = unbounded::<u32>();
+            let (got, sleepers) = four_blocked_receivers(&rx);
+            let tx2 = tx.clone();
+            drop(tx);
+            assert!(got.try_recv().is_err(), "a sender is left: nobody may return yet");
+            drop(tx2);
+            for _ in 0..4 {
+                assert_eq!(got.recv().unwrap(), Err(RecvError));
+            }
+            sleepers.into_iter().for_each(|t| t.join().unwrap());
         }
     }
 }

@@ -17,7 +17,7 @@ fn every_site_has_full_provenance_under_all_rows() {
                 let ctx = format!("{} under {cfg_name}, site {}", app.name, plan.site.0);
                 let aspects: Vec<&str> =
                     plan.provenance.decisions.iter().map(|d| d.aspect.as_str()).collect();
-                for required in ["args.cycle", "ret.cycle", "ret.reuse"] {
+                for required in ["args.cycle", "ret.cycle", "ret.reuse", "serve.thread"] {
                     assert!(aspects.contains(&required), "{ctx}: missing {required}");
                 }
                 for i in 1..=plan.args.len() {
@@ -58,6 +58,12 @@ fn every_site_has_full_provenance_under_all_rows() {
                     plan.ret_reuse,
                     "{ctx}: ret.reuse verdict disagrees with the plan"
                 );
+                let serve = plan.provenance.find("serve.thread").unwrap();
+                assert_eq!(
+                    serve.verdict == "drain",
+                    plan.serve_on_drain,
+                    "{ctx}: serve.thread verdict disagrees with the plan"
+                );
             }
             // The rendered report names every site.
             let text = corm::render_explain(&c);
@@ -71,6 +77,32 @@ fn every_site_has_full_provenance_under_all_rows() {
             }
         }
     }
+}
+
+/// The same holds for which thread serves a call in the fuzz corpus: every
+/// site of every committed program says `drain` or `worker`, and why.
+#[test]
+fn every_corpus_site_says_which_thread_serves_it() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let mut programs = 0;
+    for entry in std::fs::read_dir(&dir).expect("corpus dir") {
+        let path = entry.expect("corpus entry").path();
+        if path.extension().is_none_or(|x| x != "mp") {
+            continue;
+        }
+        programs += 1;
+        let src = std::fs::read_to_string(&path).expect("read corpus file");
+        let c = corm::compile(&src, OptConfig::ALL).expect("corpus program compiles");
+        let text = corm::render_explain(&c);
+        for plan in c.plans.sites.values() {
+            let ctx = format!("{}, site {}", path.display(), plan.site.0);
+            let d = plan.provenance.find("serve.thread").unwrap_or_else(|| panic!("{ctx}"));
+            assert!(matches!(d.verdict, "drain" | "worker"), "{ctx}: {d}");
+            assert!(!d.rule.is_empty() && !d.witness.is_empty(), "{ctx}: {d}");
+            assert!(text.contains(&format!("  {d}")), "{ctx}: not in the explain report");
+        }
+    }
+    assert!(programs >= 10, "expected >= 10 corpus programs, found {programs}");
 }
 
 /// Run every app under every config with the auditor on. A site whose
