@@ -670,6 +670,7 @@ fn main() -> ExitCode {
                 }
                 eprintln!("deser MBytes    : {:.2}", st.new_mbytes());
                 eprintln!("GC runs         : {}", outcome.heap.gc_runs);
+                eprintln!("peak live bytes : {}", outcome.heap.peak_live_bytes);
             }
             if let Some(e) = outcome.error {
                 eprintln!("{e}");

@@ -5,9 +5,32 @@
 //! that a collector must reclaim. This collector makes that cost concrete
 //! and measurable. Roots are supplied by the VM (thread frames, statics,
 //! reuse caches) plus the heap's pin set (exported remote objects).
+//!
+//! *When* to collect is the [`Pacer`]'s business: the VM asks
+//! [`Heap::gc_due`] wherever garbage is made and collects when it says so.
 
 use crate::heap::{Heap, ObjBody};
 use crate::value::{ObjRef, Value};
+
+/// The least a heap allocates between two collections, in modeled bytes.
+pub const MIN_GC_STEP: u64 = 1 << 20;
+
+/// When the next collection is due: once the bytes allocated since the last
+/// one reach `max(MIN_GC_STEP, bytes live after it)`. That bounds the heap at
+/// twice its live size plus one minimum step, and a live heap of any size
+/// pays for its marking with as many bytes of allocation.
+#[derive(Debug)]
+pub(crate) struct Pacer {
+    /// `HeapStats::alloc_bytes` at the last collection.
+    at: u64,
+    step: u64,
+}
+
+impl Default for Pacer {
+    fn default() -> Self {
+        Pacer { at: 0, step: MIN_GC_STEP }
+    }
+}
 
 /// Result summary of one collection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -18,6 +41,20 @@ pub struct GcReport {
 }
 
 impl Heap {
+    /// Has this heap allocated a full step since its last collection? Asked
+    /// at every pacing point, so it is one subtraction and one compare.
+    pub fn gc_due(&self) -> bool {
+        self.audit || self.stats.alloc_bytes - self.pacer.at >= self.pacer.step
+    }
+
+    /// Make a missing root loud (the VM's audit mode): every pacing point
+    /// collects, and a swept slot is never handed out again, so the first use
+    /// of a stale [`ObjRef`] is a `dangling reference` error instead of a
+    /// silent alias of whatever was allocated next.
+    pub fn audit_stale_refs(&mut self) {
+        self.audit = true;
+    }
+
     /// Run a full mark–sweep collection with the given external roots.
     /// Pinned objects are implicit roots.
     pub fn gc(&mut self, roots: impl IntoIterator<Item = ObjRef>) -> GcReport {
@@ -68,13 +105,17 @@ impl Heap {
                     report.freed += 1;
                     report.freed_bytes += o.body.byte_size();
                     *slot = None;
-                    self.free_list_mut().push(i as u32);
+                    if !self.audit {
+                        self.free_list_mut().push(i as u32);
+                    }
                 }
                 None => {}
             }
         }
         self.stats.freed += report.freed;
         self.stats.freed_bytes += report.freed_bytes;
+        self.pacer.at = self.stats.alloc_bytes;
+        self.pacer.step = self.stats.live_bytes().max(MIN_GC_STEP);
         report
     }
 }
@@ -150,5 +191,96 @@ mod tests {
         h.gc([]);
         let b = h.alloc_obj(OBJECT_CLASS, 0);
         assert_eq!(a, b, "freed slot must be reused");
+    }
+
+    /// `n` arrays of a modeled KiB each (16-byte header + 252 ints), rooted
+    /// in one `ArrRef` so a caller can keep them alive: returns that root.
+    fn alloc_kib(h: &mut Heap, n: usize) -> ObjRef {
+        let root = h.alloc_array(&Ty::Int.array_of(), n);
+        for i in 0..n {
+            let kib = h.alloc_array(&Ty::Int, 252);
+            h.array_set(root, i, Value::Ref(kib)).unwrap();
+        }
+        root
+    }
+
+    #[test]
+    fn no_collection_is_due_below_the_step() {
+        let mut h = Heap::new();
+        alloc_kib(&mut h, 1000);
+        assert!(h.stats.alloc_bytes < MIN_GC_STEP && !h.gc_due());
+        alloc_kib(&mut h, 24);
+        assert!(h.stats.alloc_bytes >= MIN_GC_STEP && h.gc_due());
+        h.gc([]);
+        assert!(!h.gc_due(), "a collection starts a new step");
+    }
+
+    #[test]
+    fn the_step_after_a_collection_is_the_live_heap_or_the_floor() {
+        let mut h = Heap::new();
+        let small = alloc_kib(&mut h, 100);
+        h.gc([small]);
+        let live = h.stats.live_bytes();
+        assert!(live < MIN_GC_STEP);
+        alloc_kib(&mut h, 1000);
+        assert!(!h.gc_due(), "a small live heap still gets the whole floor");
+        alloc_kib(&mut h, 24);
+        assert!(h.gc_due());
+
+        let big = alloc_kib(&mut h, 3000);
+        h.gc([small, big]);
+        let live = h.stats.live_bytes();
+        assert!(live > 3 * MIN_GC_STEP);
+        let before = h.stats.alloc_bytes;
+        while !h.gc_due() {
+            alloc_kib(&mut h, 1);
+        }
+        let step = h.stats.alloc_bytes - before;
+        assert!((live..live + 2048).contains(&step), "step {step} for {live} live bytes");
+    }
+
+    #[test]
+    fn a_collection_that_frees_nothing_doubles_the_distance_to_the_next() {
+        let mut h = Heap::new();
+        let mut kept = vec![alloc_kib(&mut h, 2048)];
+        let mut last = 0;
+        for _ in 0..3 {
+            while !h.gc_due() {
+                kept.push(alloc_kib(&mut h, 1));
+            }
+            assert_eq!(h.gc(kept.iter().copied()).freed, 0);
+            let at = h.stats.alloc_bytes;
+            assert!(at >= 2 * last, "collected at {last}, then again at {at}");
+            last = at;
+        }
+        assert_eq!(h.stats.gc_runs, 3);
+    }
+
+    #[test]
+    fn peak_live_bytes_is_the_high_water_mark() {
+        let mut h = Heap::new();
+        alloc_kib(&mut h, 100);
+        let peak = h.stats.peak_live_bytes;
+        assert_eq!(peak, h.stats.live_bytes());
+        h.gc([]);
+        assert_eq!(h.stats.live_bytes(), 0);
+        alloc_kib(&mut h, 50);
+        assert_eq!(h.stats.peak_live_bytes, peak, "half as much live: the peak stands");
+        alloc_kib(&mut h, 100);
+        assert!(h.stats.peak_live_bytes > peak);
+    }
+
+    #[test]
+    fn under_audit_a_collection_is_always_due_and_a_stale_ref_dangles() {
+        let mut h = Heap::new();
+        h.audit_stale_refs();
+        assert!(h.gc_due());
+        let stale = h.alloc_obj(OBJECT_CLASS, 0);
+        h.gc([]);
+        assert!(h.gc_due());
+        let fresh = h.alloc_obj(OBJECT_CLASS, 0);
+        assert_ne!(stale, fresh, "a swept slot is never handed out again");
+        let err = h.get(stale).expect_err("the stale reference must not alias");
+        assert_eq!(err.0, format!("dangling reference {stale}"));
     }
 }

@@ -4,6 +4,7 @@ use std::collections::HashSet;
 
 use corm_ir::{ClassId, Ty};
 
+use crate::gc::Pacer;
 use crate::value::{ObjRef, Value};
 
 /// Native payloads of built-in instance classes (`Rng`, `Queue`). The VM
@@ -106,11 +107,19 @@ pub struct HeapStats {
     pub freed: u64,
     pub freed_bytes: u64,
     pub gc_runs: u64,
+    /// The most modeled bytes ever live at once: what bounds the heap,
+    /// where `alloc_bytes` only ever grows.
+    pub peak_live_bytes: u64,
 }
 
 impl HeapStats {
     pub fn live(&self) -> u64 {
         self.allocs - self.freed
+    }
+
+    /// Modeled bytes allocated and not yet swept.
+    pub fn live_bytes(&self) -> u64 {
+        self.alloc_bytes - self.freed_bytes
     }
 }
 
@@ -140,6 +149,10 @@ pub struct Heap {
     pinned: HashSet<ObjRef>,
     pub stats: HeapStats,
     attribution: AllocAttribution,
+    pub(crate) pacer: Pacer,
+    /// Set by [`Heap::audit_stale_refs`]: a collection is always due, and
+    /// swept slots stay empty instead of going back to `free`.
+    pub(crate) audit: bool,
 }
 
 impl Heap {
@@ -150,6 +163,8 @@ impl Heap {
             pinned: HashSet::new(),
             stats: HeapStats::default(),
             attribution: AllocAttribution::Program,
+            pacer: Pacer::default(),
+            audit: false,
         }
     }
 
@@ -171,6 +186,7 @@ impl Heap {
             self.stats.deser_allocs += 1;
             self.stats.deser_bytes += bytes;
         }
+        self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes());
         let obj = Obj { body, mark: false };
         match self.free.pop() {
             Some(i) => {

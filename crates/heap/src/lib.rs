@@ -19,7 +19,7 @@ mod poison;
 mod value;
 
 pub use equal::{deep_equal, deep_equal_across, structure_digest};
-pub use gc::GcReport;
+pub use gc::{GcReport, MIN_GC_STEP};
 pub use heap::{AllocAttribution, Heap, HeapError, HeapStats, NativeData, Obj, ObjBody};
 pub use poison::{poison_graph, POISON_F64, POISON_I32, POISON_I64};
 pub use value::{ObjRef, RemoteRef, Value};

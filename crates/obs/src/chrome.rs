@@ -80,8 +80,10 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
             TraceKind::NewRemote { class, from } => format!(
                 r#"{{"name":"export class {class}","ph":"i","s":"t","pid":{pid},"tid":0,"ts":{ts},"args":{{"for":{from}}}}}"#
             ),
-            TraceKind::Gc { freed, live } => format!(
-                r#"{{"name":"gc","cat":"gc","ph":"i","s":"t","pid":{pid},"tid":0,"ts":{ts},"args":{{"freed":{freed},"live":{live}}}}}"#
+            // Stamped when the collection ended: the span reaches back over the pause.
+            TraceKind::Gc { freed, live, pause_us } => format!(
+                r#"{{"name":"gc","cat":"gc","ph":"X","pid":{pid},"tid":0,"ts":{},"dur":{pause_us},"args":{{"freed":{freed},"live":{live}}}}}"#,
+                ts.saturating_sub(pause_us)
             ),
         });
     }

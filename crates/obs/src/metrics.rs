@@ -199,6 +199,15 @@ machine_metrics! {
     /// growth is the pool-leak health signature.
     pool_outstanding: Gauge, "corm_pool_outstanding",
         "Marshal buffers checked out and not yet returned";
+    /// Collections of this machine's heap: the pacer's and `System.gc()`'s.
+    gc_runs: Counter, "corm_gc_runs_total", "Garbage collections of the machine's heap";
+    /// How long each collection held the machine lock, µs: with a collection
+    /// at a request's end, the first place to look when a machine's tail grows.
+    gc_pause_us: Histogram, "corm_gc_pause_us", "Machine-lock hold time of one collection";
+    /// Modeled bytes live after the last collection: flat under steady
+    /// serving, whatever the configuration allocates per call.
+    heap_live_bytes: Gauge, "corm_heap_live_bytes",
+        "Modeled heap bytes live after the last collection";
 }
 
 /// The ten paper counters of [`RmiStats`] (Tables 4/6/8), exposed per

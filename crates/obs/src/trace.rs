@@ -54,8 +54,9 @@ pub enum TraceKind {
     PhaseEnd { phase: Phase, req: u64, site: u32 },
     /// A remote object was instantiated here on behalf of `from`.
     NewRemote { class: u32, from: u16 },
-    /// A garbage collection ran here.
-    Gc { freed: u64, live: u64 },
+    /// A garbage collection ended here, `pause_us` after it began: that long
+    /// the machine lock was held and nothing else ran on this machine.
+    Gc { freed: u64, live: u64, pause_us: u64 },
 }
 
 impl TraceKind {
@@ -120,7 +121,9 @@ pub fn render_timeline(events: &[TraceEvent]) -> String {
             TraceKind::NewRemote { class, from } => {
                 writeln!(s, "export class {class} (for m{from})")
             }
-            TraceKind::Gc { freed, live } => writeln!(s, "gc     freed {freed}, live {live}"),
+            TraceKind::Gc { freed, live, pause_us } => {
+                writeln!(s, "gc     freed {freed}, live {live} ({pause_us} us)")
+            }
         };
     }
     s
@@ -209,6 +212,6 @@ mod tests {
     #[test]
     fn req_accessor() {
         assert_eq!(sample()[0].kind.req(), Some(1));
-        assert_eq!(TraceKind::Gc { freed: 0, live: 0 }.req(), None);
+        assert_eq!(TraceKind::Gc { freed: 0, live: 0, pause_us: 0 }.req(), None);
     }
 }

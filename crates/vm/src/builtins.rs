@@ -34,13 +34,12 @@ pub fn call(
         SleepMicros => {
             interp.about_to_wait("System.sleepMicros")?;
             let us = argv[0].as_long().max(0) as u64;
-            MutexGuard::unlocked(guard, || {
-                std::thread::sleep(std::time::Duration::from_micros(us))
-            });
+            let sleep = || std::thread::sleep(std::time::Duration::from_micros(us));
+            interp.off_lock(guard, |_, g| MutexGuard::unlocked(g, sleep));
             Ok(Value::Null)
         }
         Gc => {
-            interp.collect(guard);
+            interp.collect(guard, &[]);
             Ok(Value::Null)
         }
 
@@ -55,8 +54,7 @@ pub fn call(
             interp.about_to_wait("Cluster.barrier")?;
             // Exactly one thread per machine participates; release the
             // machine lock while parked.
-            let rt = interp.rt.clone();
-            MutexGuard::unlocked(guard, || rt.barrier.wait());
+            interp.off_lock(guard, |me, g| MutexGuard::unlocked(g, || me.rt.barrier.wait()));
             Ok(Value::Null)
         }
         ClusterArg => {
@@ -121,7 +119,7 @@ pub fn call(
                     return Ok(Value::Null);
                 }
                 interp.about_to_wait("Queue.put")?;
-                machine.cv.wait(guard);
+                interp.off_lock(guard, |_, g| machine.cv.wait(g));
             }
         }
         QueueTake => {
@@ -134,7 +132,7 @@ pub fn call(
                     return Ok(v);
                 }
                 interp.about_to_wait("Queue.take")?;
-                machine.cv.wait(guard);
+                interp.off_lock(guard, |_, g| machine.cv.wait(g));
             }
         }
         QueueSize => {

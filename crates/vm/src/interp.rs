@@ -3,10 +3,14 @@
 //! One [`Interp`] per VM thread. The interpreter holds its machine's lock
 //! while executing and releases it at blocking points (RMI waits, queue
 //! operations, the cluster barrier) and periodically at safepoints so
-//! concurrent handlers can run. Frames live in an explicit stack, which
-//! both bounds recursion and gives the garbage collector exact roots.
+//! concurrent handlers can run — always through [`Interp::off_lock`], which
+//! leaves the thread's frames with the machine meanwhile. Frames live in an
+//! explicit stack, which both bounds recursion and gives the garbage
+//! collector exact roots: whichever thread collects sees every thread's.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Instant;
 
 use corm_codegen::AUDIT_ERROR_PREFIX;
 use corm_heap::{ObjBody, Value};
@@ -22,6 +26,10 @@ use crate::machine::{MachineShared, MachineState};
 use crate::reply::Waiter;
 use crate::rmi;
 use crate::runtime::{spawn_detached, Runtime};
+use crate::trace::TraceKind;
+
+/// Thread name and failure label of a local `spawn`'s thread.
+const USER_SPAWN: (&str, &str) = ("corm-user-spawn", "spawned thread");
 
 /// An activation record.
 pub struct Frame {
@@ -38,6 +46,8 @@ pub struct Interp {
     pub rt: Arc<Runtime>,
     pub machine: Arc<MachineShared>,
     pub frames: Vec<Frame>,
+    /// What this thread's frames are parked under in `MachineState::parked`.
+    id: u64,
     /// Where this thread sleeps for the reply to its one outstanding call.
     pub(crate) waiter: Arc<Waiter>,
     /// This is a drain thread's `Interp`: it serves the handlers whose
@@ -47,11 +57,38 @@ pub struct Interp {
     steps: u64,
 }
 
+/// A key of `MachineState::parked` no one else has: an `Interp`'s for its own
+/// frames, a spawner's for the arguments of a thread that has not started.
+fn parking_key() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Relaxed)
+}
+
 impl Interp {
     pub fn new(rt: Arc<Runtime>, machine: u16) -> Self {
         let machine = rt.machine(machine).clone();
-        let waiter = Arc::default();
-        Interp { rt, machine, frames: Vec::new(), waiter, on_drain: false, steps: 0 }
+        let (id, waiter) = (parking_key(), Arc::default());
+        Interp { rt, machine, frames: Vec::new(), id, waiter, on_drain: false, steps: 0 }
+    }
+
+    /// The one way a VM thread lets go of the machine lock. `wait` does the
+    /// letting go — `MutexGuard::unlocked`, a condvar wait — and returns with
+    /// the lock held again; for as long, the thread's frames stay with the
+    /// machine, where a sibling that collects meanwhile finds them. The `Vec`
+    /// moves out and back, so parking allocates nothing and copies no
+    /// register; a thread with no frame (a harness caller) leaves nothing.
+    pub(crate) fn off_lock<T>(
+        &mut self,
+        guard: &mut MutexGuard<'_, MachineState>,
+        wait: impl FnOnce(&Interp, &mut MutexGuard<'_, MachineState>) -> T,
+    ) -> T {
+        if self.frames.is_empty() {
+            return wait(self, guard);
+        }
+        guard.parked.insert(self.id, std::mem::take(&mut self.frames));
+        let out = wait(self, guard);
+        self.frames = guard.parked.remove(&self.id).expect("parked frames wait for their thread");
+        out
     }
 
     /// Called at every point where a VM thread is about to wait — for a
@@ -75,11 +112,42 @@ impl Interp {
     }
 
     /// Run `func` to completion as a fresh VM thread activity on this
-    /// machine (registers the thread in `active_threads`).
+    /// machine (registers the thread in `active_threads`). A reference among
+    /// `args`, and one returned, is the caller's to keep alive: no frame
+    /// holds it before the lock is taken or after it is dropped.
     pub fn run_function(&mut self, func: FuncId, args: Vec<Value>) -> VmResult<Value> {
         let machine = self.machine.clone();
         let mut guard = machine.enter();
         self.call_in(&mut guard, func, args)
+    }
+
+    /// Start method `mid(args)` as the activity of a new VM thread on this
+    /// machine. A value handed across threads is registered by the hand that
+    /// gives it: the spawner, under the lock it holds, parks `args` under a key
+    /// of their own, in the shape the machine keeps roots in — a frame at the
+    /// method's entry whose registers are the arguments — and the new thread's
+    /// first act under the lock is to take them into a frame it allocates. (Not
+    /// one allocated here: a chunk that lives as long as the child, in the
+    /// spawner's malloc arena, read +3 MB of peak RSS on `apps`.)
+    pub(crate) fn spawn(
+        &self,
+        guard: &mut MutexGuard<'_, MachineState>,
+        mid: MethodId,
+        args: Vec<Value>,
+        thread: (&str, &'static str),
+    ) -> VmResult<()> {
+        let func = self.func_of(mid)?;
+        let block = self.rt.module.func(func).entry;
+        let key = parking_key();
+        guard.parked.insert(key, vec![Frame { func, block, ip: 0, regs: args, ret_dst: None }]);
+        spawn_detached(&self.rt, self.machine_id(), thread, move |child| {
+            let machine = child.machine.clone();
+            let mut guard = machine.enter();
+            let waiting = guard.parked.remove(&key).and_then(|mut frames| frames.pop());
+            let args = waiting.expect("the spawner parked the arguments").regs;
+            child.call_in(&mut guard, func, args).map(drop)
+        });
+        Ok(())
     }
 
     /// Invoke `func` while already holding the machine lock (nested calls
@@ -126,19 +194,6 @@ impl Interp {
         Ok(())
     }
 
-    /// GC roots of this thread: every register of every frame.
-    pub fn frame_roots(&self) -> Vec<corm_heap::ObjRef> {
-        let mut roots = Vec::new();
-        for fr in &self.frames {
-            for v in &fr.regs {
-                if let Value::Ref(r) = v {
-                    roots.push(*r);
-                }
-            }
-        }
-        roots
-    }
-
     #[inline]
     fn reg(&self, r: Reg) -> Value {
         self.frames.last().unwrap().regs[r.index()]
@@ -158,6 +213,17 @@ impl Interp {
         e
     }
 
+    /// Briefly release the machine lock so drain handlers and sibling threads
+    /// can make progress. The quantum trades interpreter overhead against
+    /// lock-handoff latency for concurrent RMI handlers; 512 keeps a machine
+    /// responsive while a local compute thread spins. Out of line: it is one
+    /// step in 512 of the loop it interrupts.
+    #[cold]
+    #[inline(never)]
+    fn safepoint(&mut self, guard: &mut MutexGuard<'_, MachineState>) {
+        self.off_lock(guard, |_, g| MutexGuard::unlocked(g, std::thread::yield_now));
+    }
+
     /// Execute until the frame stack returns to `base` depth. Returns the
     /// value produced by the activation that started at `base`.
     pub fn run_loop(
@@ -169,12 +235,7 @@ impl Interp {
         loop {
             self.steps += 1;
             if self.steps.is_multiple_of(512) {
-                // Safepoint: briefly release the machine lock so drain
-                // handlers and sibling threads can make progress. The
-                // quantum trades interpreter overhead against lock-handoff
-                // latency for concurrent RMI handlers; 512 keeps a
-                // machine responsive while a local compute thread spins.
-                MutexGuard::unlocked(guard, std::thread::yield_now);
+                self.safepoint(guard);
             }
 
             let (func_id, block, ip) = {
@@ -296,7 +357,7 @@ impl Interp {
                         rmi::new_remote(self, guard, *class, target)?
                     }
                     _ => {
-                        self.maybe_auto_gc(guard);
+                        self.pace_gc(guard);
                         let obj = guard.alloc_zeroed(&self.rt.module.table, *class);
                         Value::Ref(obj)
                     }
@@ -308,7 +369,7 @@ impl Interp {
                 if n < 0 {
                     return Err(self.err(format!("negative array size {n}")));
                 }
-                self.maybe_auto_gc(guard);
+                self.pace_gc(guard);
                 let obj = guard.heap.alloc_array(elem, n as usize);
                 self.set(*dst, Value::Ref(obj));
             }
@@ -388,11 +449,11 @@ impl Interp {
                         rmi::remote_call_with_req(self, guard, *site, *mid, &argv, false, true)?;
                     }
                     CallTarget::Static(mid) | CallTarget::Ctor(mid) => {
-                        self.spawn_local(*mid, argv)?;
+                        self.spawn(guard, *mid, argv, USER_SPAWN)?;
                     }
                     CallTarget::Virtual { decl, vslot } => {
                         let mid = self.dispatch(guard, &argv, *decl, *vslot)?;
-                        self.spawn_local(mid, argv)?;
+                        self.spawn(guard, mid, argv, USER_SPAWN)?;
                     }
                     CallTarget::Builtin(_) => {
                         return Err(self.err("cannot spawn a builtin"));
@@ -436,37 +497,30 @@ impl Interp {
         })
     }
 
-    fn spawn_local(&mut self, mid: MethodId, argv: Vec<Value>) -> VmResult<()> {
-        let f = self.func_of(mid)?;
-        let thread = ("corm-user-spawn", "spawned thread");
-        spawn_detached(&self.rt, self.machine_id(), thread, move |interp| {
-            interp.run_function(f, argv).map(drop)
-        });
-        Ok(())
-    }
-
-    fn maybe_auto_gc(&mut self, guard: &mut MutexGuard<'_, MachineState>) {
-        const GC_STEP_BYTES: u64 = 64 * 1024 * 1024;
-        if guard.heap.stats.alloc_bytes - guard.last_gc_bytes >= GC_STEP_BYTES {
-            self.collect(guard);
+    /// A pacing point: somewhere garbage has just been made — an allocation,
+    /// a served request, a reply unmarshaled. Collects when the heap's pacer
+    /// says a step's worth has been allocated since the last collection.
+    pub(crate) fn pace_gc(&self, guard: &mut MutexGuard<'_, MachineState>) {
+        if guard.heap.gc_due() {
+            self.collect(guard, &[]);
         }
     }
 
-    /// Run a collection if this thread is alone on the machine (otherwise
-    /// other threads' frames would be invisible roots).
-    pub fn collect(&mut self, guard: &mut MutexGuard<'_, MachineState>) -> bool {
-        if guard.active_threads != 1 {
-            return false;
-        }
-        let mut roots = self.frame_roots();
-        roots.extend(guard.external_roots());
-        let report = guard.heap.gc(roots);
-        guard.last_gc_bytes = guard.heap.stats.alloc_bytes;
-        self.rt.instant(
-            self.machine_id(),
-            crate::trace::TraceKind::Gc { freed: report.freed, live: report.live },
-        );
-        true
+    /// Collect this machine's heap, on behalf of the pacer or `System.gc()`.
+    /// The roots are this thread's frames and the values it holds `in_flight`
+    /// outside any, and what the machine keeps: every other thread's frames
+    /// (each is off the lock, so parked), statics, queues and the pin set.
+    #[cold]
+    pub fn collect(&self, guard: &mut MutexGuard<'_, MachineState>, in_flight: &[Value]) {
+        let began = Instant::now();
+        let report = guard.collect(&self.frames, in_flight);
+        let pause_us = began.elapsed().as_micros() as u64;
+        let shard = self.rt.obs.machine(self.machine_id());
+        shard.gc_runs.fetch_add(1, Relaxed);
+        shard.gc_pause_us.record(pause_us);
+        shard.heap_live_bytes.store(guard.heap.stats.live_bytes(), Relaxed);
+        let kind = TraceKind::Gc { freed: report.freed, live: report.live, pause_us };
+        self.rt.instant(self.machine_id(), kind);
     }
 
     // ----- value helpers ---------------------------------------------------

@@ -4,11 +4,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 
-use corm_heap::{Heap, ObjRef, Value};
+use corm_heap::{GcReport, Heap, ObjRef, Value};
 use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{VmError, VmResult};
+use crate::interp::Frame;
 use crate::reply::ReplyTable;
 
 /// A native blocking queue (`Queue` builtin).
@@ -41,11 +42,14 @@ pub struct MachineState {
     /// The §3.3 reuse caches: pinned roots of dead graphs, by slot.
     pub reuse_cache: HashMap<ReuseSlot, Value>,
     pub next_req: u64,
-    /// VM threads currently executing (or blocked) on this machine; GC is
-    /// only safe when the requesting thread is alone.
+    /// VM threads currently executing (or blocked) on this machine. A
+    /// gauge: no decision reads it.
     pub active_threads: usize,
-    /// Allocated bytes at the last collection (auto-GC pacing).
-    pub last_gc_bytes: u64,
+    /// The frames of every VM thread that is off the machine lock in the
+    /// middle of an activity (`Interp::off_lock`), and as one more frame the
+    /// arguments of every spawned thread that has not started
+    /// (`Interp::spawn`): roots the collecting thread cannot otherwise see.
+    pub(crate) parked: HashMap<u64, Vec<Frame>>,
     /// Interned string literals (pinned), keyed by `StrId`.
     pub lit_strings: HashMap<u32, ObjRef>,
 }
@@ -70,7 +74,7 @@ impl MachineState {
             reuse_cache: HashMap::new(),
             next_req: 1,
             active_threads: 0,
-            last_gc_bytes: 0,
+            parked: HashMap::new(),
             lit_strings: HashMap::new(),
         }
     }
@@ -150,6 +154,17 @@ impl MachineState {
         }
         roots
     }
+
+    /// Collect with every root the machine has: the `running` thread's own
+    /// frames and the values it holds `in_flight` outside any frame, the
+    /// frames parked here by every other thread, [`Self::external_roots`],
+    /// and (inside [`Heap::gc`]) the pin set.
+    pub(crate) fn collect(&mut self, running: &[Frame], in_flight: &[Value]) -> GcReport {
+        let external = self.external_roots();
+        let frames = running.iter().chain(self.parked.values().flatten());
+        let held = frames.flat_map(|f| &f.regs).chain(in_flight).filter_map(|v| v.as_ref());
+        self.heap.gc(held.chain(external))
+    }
 }
 
 /// One simulated machine: its state under the machine lock, the condvar
@@ -163,8 +178,7 @@ pub struct MachineShared {
 
 /// A VM thread's stay on a machine: the machine lock, with the thread
 /// counted in [`MachineState::active_threads`] until the guard drops —
-/// on every path out, so an early `?` cannot leave a machine that never
-/// collects again. Blocking operations release the lock through it and
+/// on every path out. Blocking operations release the lock through it and
 /// stay counted.
 pub struct Entered<'a>(MutexGuard<'a, MachineState>);
 

@@ -26,7 +26,7 @@ use crate::interp::Interp;
 use crate::machine::{MachineState, ReuseSlot};
 use crate::pool::Lane;
 use crate::reply::Reply;
-use crate::runtime::{spawn_detached, CallCtx, Milestone, WorkItem};
+use crate::runtime::{CallCtx, Milestone, WorkItem};
 use crate::trace::Phase;
 
 /// One half of an RMI — the caller's or the callee's — on the machine it
@@ -177,7 +177,15 @@ pub fn remote_call_with_req(
             rt.pool.abandon(my, req, shard);
         }
     }
-    result.map(|v| (v, req))
+    // A pacing point: the reply just unmarshaled (or, for a local call, the
+    // arguments cloned in) is garbage-to-be on this heap. What came back is in
+    // no frame yet, and a harness caller's `argv` never is: both are held here.
+    let value = result?;
+    if guard.heap.gc_due() {
+        let held: Vec<Value> = argv.iter().copied().chain([value]).collect();
+        interp.collect(guard, &held);
+    }
+    Ok((value, req))
 }
 
 /// "If the remote object ... is (accidentally) located on the same machine
@@ -208,9 +216,7 @@ fn local_rpc(
     let cloned_out = if oneway {
         id.in_phase(Phase::Unmarshal, || deserialize_args(call, guard, &request)).and_then(
             |(argv, _)| {
-                let f = interp.func_of(plan.method)?;
-                let thread = ("corm-local-spawn", "spawned rmi");
-                spawn_detached(&interp.rt, my, thread, move |i| i.run_function(f, argv).map(drop));
+                interp.spawn(guard, plan.method, argv, ("corm-local-spawn", "spawned rmi"))?;
                 Ok(None)
             },
         )
@@ -269,7 +275,7 @@ fn wire_rpc(
         rt.net.send(my, to, packet);
     };
     if oneway {
-        MutexGuard::unlocked(guard, send);
+        interp.off_lock(guard, |_, g| MutexGuard::unlocked(g, send));
         return Ok(Value::Null);
     }
     shard.in_flight.fetch_add(1, Relaxed);
@@ -303,7 +309,7 @@ fn wire_rpc(
 /// the peer's death. The transport drops what is sent to a dead peer, so the
 /// table refuses a call to one.
 fn round_trip(
-    interp: &Interp,
+    interp: &mut Interp,
     guard: &mut MutexGuard<'_, MachineState>,
     req: u64,
     to: u16,
@@ -314,9 +320,11 @@ fn round_trip(
         interp.rt.flight_failed.lock().push(req);
         return Err(why);
     }
-    MutexGuard::unlocked(guard, || {
-        send();
-        interp.waiter.wait()
+    interp.off_lock(guard, |me, g| {
+        MutexGuard::unlocked(g, || {
+            send();
+            me.waiter.wait()
+        })
     })
 }
 
@@ -342,12 +350,19 @@ fn callee(
     unmarshaled(request, reused);
 
     // Fig. 13's `temp_arr = t`: the roots the plan reuses outlive the invocation
-    // and wait in the cache for this caller's next call.
+    // and wait in the cache for this caller's next call. The cache's pin is
+    // taken before the invocation: the handler may overwrite the parameter —
+    // the one frame slot that holds a root — and then allocate, so collect.
+    let f = interp.func_of(plan.method)?;
     let reused_args = plan.arg_reuse.iter().enumerate().filter(|&(_, &reuse)| reuse);
     let roots: Vec<(usize, Value)> = reused_args.map(|(arg, _)| (arg, argv[arg + 1])).collect();
-    let f = interp.func_of(plan.method)?;
-    let ret = id.in_phase(Phase::Invoke, || interp.call_in(guard, f, argv))?;
-    for (arg, root) in roots {
+    let pins = || roots.iter().filter_map(|(_, root)| root.as_ref());
+    pins().for_each(|root| guard.heap.pin(root));
+    let ret = id.in_phase(Phase::Invoke, || interp.call_in(guard, f, argv)).inspect_err(|_| {
+        // No `put_reuse` will follow: the graphs are garbage like any dead one.
+        pins().for_each(|root| guard.heap.unpin(root));
+    })?;
+    for &(arg, root) in &roots {
         guard.put_reuse(ReuseSlot::Arg { site: plan.site, arg, caller }, root);
     }
 
@@ -446,7 +461,8 @@ pub fn new_remote(
     }
     let req_id = guard.fresh_req_id();
     let packet = Packet::NewRemote { req_id, from: my, class: class.0 };
-    let obj = round_trip(interp, guard, req_id, target, || interp.rt.net.send(my, target, packet))
+    let rt = interp.rt.clone();
+    let obj = round_trip(interp, guard, req_id, target, || rt.net.send(my, target, packet))
         .map_err(|e| VmError::new(format!("remote allocation failed: {e}")))
         .and_then(|payload| new_remote_reply(&payload))?;
     Ok(Value::Remote(RemoteRef { machine: target, obj, class }))
@@ -481,7 +497,7 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     // The request buffer becomes the reply payload — the return marshal, or
     // cleared for a bare ack — so on the channel backend its capacity rides
     // home and closes the caller's recycling loop with no server-side pool.
-    let (held, reused) = (Cell::new(Vec::new()), Cell::new(0));
+    let (held, reused, gc_due) = (Cell::new(Vec::new()), Cell::new(0), Cell::new(false));
     let result = (|| {
         // Stall injection (RunOptions::stall): model a slow server by putting
         // the configured requests to sleep before any processing.
@@ -504,32 +520,43 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
             held.set(request);
             reused.set(n);
         };
-        callee(interp, &mut rt.machine(my).enter(), &call, payload, unmarshaled, || held.take())
+        let guard = &mut rt.machine(my).enter();
+        let produced = callee(interp, guard, &call, payload, unmarshaled, || held.take());
+        gc_due.set(guard.heap.gc_due());
+        produced
     })();
 
     id.milestone(request_bytes, Milestone::Handle { from, since, reused: reused.get() });
-    if oneway {
-        return result.map(drop);
-    }
-    let (payload, err) = match result {
-        Ok(Some(ret)) => (ret, None),
-        Ok(None) => {
-            let mut ack = held.take();
-            ack.clear();
-            (ack, None)
-        }
-        // A wait the drain thread refused contradicts this site's
-        // `serve.thread` verdict: the reply carries the claim home.
-        Err(e) => {
-            let e = match plan {
-                Some(plan) if interp.on_drain => attach_provenance(plan, e),
-                _ => e,
-            };
-            (Vec::new(), Some(e.message))
-        }
+    let served = if oneway {
+        result.map(drop)
+    } else {
+        let (payload, err) = match result {
+            Ok(Some(ret)) => (ret, None),
+            Ok(None) => {
+                let mut ack = held.take();
+                ack.clear();
+                (ack, None)
+            }
+            // A wait the drain thread refused contradicts this site's
+            // `serve.thread` verdict: the reply carries the claim home.
+            Err(e) => {
+                let e = match plan {
+                    Some(plan) if interp.on_drain => attach_provenance(plan, e),
+                    _ => e,
+                };
+                (Vec::new(), Some(e.message))
+            }
+        };
+        rt.net.send(my, from, Packet::Reply { req_id: req, payload, err });
+        Ok(())
     };
-    rt.net.send(my, from, Packet::Reply { req_id: req, payload, err });
-    Ok(())
+    // The request's pacing point: its arguments are garbage now. The collection
+    // it may owe runs here, after the reply has left, so the pause is not in
+    // the caller's round trip; the lock is retaken only when one was due.
+    if gc_due.get() {
+        interp.pace_gc(&mut rt.machine(my).enter());
+    }
+    served
 }
 
 #[cfg(test)]

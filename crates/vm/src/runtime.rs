@@ -50,7 +50,10 @@ pub struct RunOptions {
     /// claims are re-checked by a shadow handle table, and reuse-safety
     /// claims are stress-tested by poisoning cached graphs between
     /// calls. Counters and wire bytes are unchanged; unsound verdicts
-    /// surface as `analysis-audit` run errors or output divergence.
+    /// surface as `analysis-audit` run errors or output divergence. The
+    /// collector is audited with them: every pacing point collects and no
+    /// swept slot is reused, so a reference some root set missed is a
+    /// `dangling reference` error at its first use.
     pub audit: bool,
     /// Flight-recorder ring capacity per machine (events). On by default
     /// (DESIGN §7.3); `0` disables recording entirely — that switch exists
@@ -408,7 +411,8 @@ pub struct RunOutcome {
     /// Full per-machine / per-call-site metrics (counters + latency and
     /// payload histograms).
     pub metrics: MetricsSnapshot,
-    /// Aggregated heap statistics over all machines.
+    /// Heap statistics summed over all machines (`peak_live_bytes` too: the
+    /// machines' peaks, whenever each was reached).
     pub heap: HeapStats,
     /// Error raised by `main`, if any.
     pub error: Option<VmError>,
@@ -488,6 +492,9 @@ impl Cluster {
         let machines: Vec<Arc<MachineShared>> = (0..opts.machines)
             .map(|i| Arc::new(MachineShared::with_statics(i as u16, static_defaults.clone())))
             .collect();
+        if opts.audit {
+            machines.iter().for_each(|m| m.state.lock().heap.audit_stale_refs());
+        }
         // A reply is completed where it is received (DESIGN §5.6): whichever
         // thread delivers it wakes the caller, and no drain thread forwards it.
         let tables = machines.clone();
@@ -634,6 +641,7 @@ impl Cluster {
             heap.freed += hs.freed;
             heap.freed_bytes += hs.freed_bytes;
             heap.gc_runs += hs.gc_runs;
+            heap.peak_live_bytes += hs.peak_live_bytes;
             let shard = &rt.obs.machine(m.id).stats;
             RmiStats::bump(&shard.deser_bytes, hs.deser_bytes);
             RmiStats::bump(&shard.deser_allocs, hs.deser_allocs);
