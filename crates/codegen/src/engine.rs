@@ -5,9 +5,7 @@
 //! per message, because they are per-RMI (cycle table) or per-call-site
 //! (reuse slot) state owned by the VM.
 
-use std::collections::HashSet;
-
-use corm_heap::{Heap, ObjBody, ObjRef, RemoteRef, Value};
+use corm_heap::{Heap, ObjBody, ObjRef, ObjSet, RemoteRef, Value};
 use corm_ir::{ClassId, ClassTable, FieldId, Ty};
 use corm_wire::{
     DeserTable, Message, MessageReader, RmiStats, SerCycleTable, ARRAY_TYPE_INFO_BYTES,
@@ -63,7 +61,7 @@ pub struct DeserOutcome {
 /// the shared subgraph (or diverge on a true cycle).
 #[derive(Debug, Default)]
 pub struct ShadowCycleCheck {
-    seen: HashSet<ObjRef>,
+    seen: ObjSet,
     /// Objects checked (diagnostic only; never fed into `RmiStats`).
     pub checks: u64,
 }
@@ -164,6 +162,11 @@ impl<'a> Serializer<'a> {
     /// VM passes `Some` when audit mode is on *and* the plan elided the
     /// real cycle table; the shadow check then fails loudly on any
     /// revisited object instead of silently duplicating it.
+    ///
+    /// The table counts its own lookups; the shared `cycle_lookups` counter
+    /// takes what this call added in one bump, error or not. A walk without
+    /// a table (a ping's) returns straight from the walk: that bookkeeping,
+    /// left on its path, costs 2–3× the ~7 ns the walk itself takes.
     pub fn serialize_audited(
         &self,
         heap: &Heap,
@@ -173,7 +176,16 @@ impl<'a> Serializer<'a> {
         msg: &mut Message,
         shadow: &mut Option<ShadowCycleCheck>,
     ) -> Result<(), SerError> {
-        SerWalk { ser: self, heap, cycle, msg, shadow, stack: Vec::new() }.value(node, v)
+        let Some(before) = cycle.as_ref().map(SerCycleTable::lookups) else {
+            return SerWalk { ser: self, heap, cycle, msg, shadow, stack: Vec::new() }
+                .value(node, v);
+        };
+        let out = SerWalk { ser: self, heap, cycle, msg, shadow, stack: Vec::new() }.value(node, v);
+        let looked = cycle.as_ref().map_or(0, |t| t.lookups() - before);
+        if looked > 0 {
+            RmiStats::bump(&self.stats.cycle_lookups, looked);
+        }
+        out
     }
 
     /// Deserialize one value according to `node`. `reuse` is the cached
@@ -188,10 +200,13 @@ impl<'a> Serializer<'a> {
         dtable: &mut Option<DeserTable>,
         reuse: Value,
     ) -> Result<DeserOutcome, SerError> {
-        let mut walk =
-            DeserWalk { ser: self, heap, r, dtable, claimed: HashSet::new(), stack: Vec::new() };
+        // Without a candidate nothing can be claimed: no round to start.
+        if let Value::Ref(_) = reuse {
+            heap.start_claims();
+        }
+        let mut walk = DeserWalk { ser: self, heap, r, dtable, reused: 0, stack: Vec::new() };
         let value = walk.value(node, reuse)?;
-        Ok(DeserOutcome { value, reused: walk.claimed.len() as u64 })
+        Ok(DeserOutcome { value, reused: walk.reused })
     }
 
     /// The class serializer the tagged path dispatches to: a program of
@@ -328,7 +343,6 @@ impl<'w> SerWalk<'w> {
         let Some(table) = self.cycle else {
             return audit_check(self.shadow, r).map(|()| false);
         };
-        RmiStats::bump(&self.ser.stats.cycle_lookups, 1);
         let Ok(handle) = table.check(r) else { return Ok(false) };
         self.msg.write_u8(TAG_HANDLE);
         self.msg.write_u32(handle);
@@ -467,12 +481,13 @@ struct DeserWalk<'w, 'm> {
     heap: &'w mut Heap,
     r: &'w mut MessageReader<'m>,
     dtable: &'w mut Option<DeserTable>,
-    /// Objects of the reuse candidate already recycled. Each may be
-    /// claimed once: cached graphs can contain shared children (they
-    /// were built with a handle table), and reusing one object for two
-    /// distinct wire positions would silently introduce aliasing that
-    /// the source graph does not have.
-    claimed: HashSet<ObjRef>,
+    /// Objects of the reuse candidate recycled so far. Each may be claimed
+    /// once ([`Heap::claim`], in the round [`Serializer::deserialize`]
+    /// started): cached graphs can contain shared children (they were
+    /// built with a handle table), and reusing one object for two distinct
+    /// wire positions would silently introduce aliasing that the source
+    /// graph does not have.
+    reused: u64,
     stack: Vec<&'w SerNode>,
 }
 
@@ -671,7 +686,8 @@ impl<'w> DeserWalk<'w, '_> {
         fresh: impl FnOnce(&mut Heap) -> ObjRef,
     ) -> (ObjRef, bool) {
         let (obj, reusing) = match reuse {
-            Value::Ref(old) if self.heap.body(old).is_ok_and(fits) && self.claimed.insert(old) => {
+            Value::Ref(old) if self.heap.body(old).is_ok_and(fits) && self.heap.claim(old) => {
+                self.reused += 1;
                 (old, true)
             }
             _ => (fresh(self.heap), false),
@@ -1093,6 +1109,32 @@ mod tests {
         let err =
             roundtrip(&ser, &src, &mut dst, &SerNode::Dynamic, Value::Ref(rng), true, Value::Null);
         assert!(err.is_err());
+    }
+
+    /// The counter takes the table's lookups once per call — those of a
+    /// walk that fails part-way too, as when it was bumped per lookup.
+    #[test]
+    fn a_failed_walk_counts_the_lookups_it_made() {
+        let (m, plans, stats) = fixture(OptConfig::CLASS);
+        let ser = Serializer::new(&plans, &m.table, &stats);
+        let mut src = Heap::new();
+        let point = src.alloc_obj(class_id(&m, "Point"), 2);
+        src.set_field(point, 0, Value::Int(1)).unwrap();
+        src.set_field(point, 1, Value::Double(2.0)).unwrap();
+        let rng =
+            src.alloc(ObjBody::Native { class: class_id(&m, "Rng"), data: NativeData::Rng(1) });
+        let pair = src.alloc_obj(class_id(&m, "Pair"), 2);
+        src.set_field(pair, 0, Value::Ref(point)).unwrap();
+        src.set_field(pair, 1, Value::Ref(rng)).unwrap();
+        let mut ct = Some(SerCycleTable::new());
+        let mut msg = Message::new();
+        ser.serialize(&src, &SerNode::Dynamic, Value::Ref(point), &mut ct, &mut msg).unwrap();
+        assert!(ser
+            .serialize(&src, &SerNode::Dynamic, Value::Ref(pair), &mut ct, &mut msg)
+            .is_err());
+        // point; then pair, point again (a hit) and the native object.
+        assert_eq!(ct.unwrap().lookups(), 4);
+        assert_eq!(stats.snapshot().cycle_lookups, 4);
     }
 
     #[test]

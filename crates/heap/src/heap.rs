@@ -1,11 +1,9 @@
 //! The slab heap with allocation accounting.
 
-use std::collections::HashSet;
-
 use corm_ir::{ClassId, Ty};
 
 use crate::gc::Pacer;
-use crate::value::{ObjRef, Value};
+use crate::value::{ObjRef, ObjSet, Value};
 
 /// Native payloads of built-in instance classes (`Rng`, `Queue`). The VM
 /// interprets these; the heap only stores them.
@@ -85,6 +83,9 @@ impl ObjBody {
 pub struct Obj {
     pub body: ObjBody,
     pub(crate) mark: bool,
+    /// The claim round that last claimed this object ([`Heap::claim`]). It
+    /// sits in the padding after `mark`: a slot is no bigger for it.
+    claimed_in: u32,
 }
 
 /// Who is allocating right now — deserialization-attributed allocations
@@ -146,7 +147,10 @@ pub struct Heap {
     free: Vec<u32>,
     /// Objects that must survive GC regardless of local reachability
     /// (exported remote instances, reuse-cache roots).
-    pinned: HashSet<ObjRef>,
+    pinned: ObjSet,
+    /// The current claim round ([`Heap::start_claims`]); 0, the stamp of an
+    /// object no round has claimed, before the first.
+    claim_epoch: u32,
     pub stats: HeapStats,
     attribution: AllocAttribution,
     pub(crate) pacer: Pacer,
@@ -160,7 +164,8 @@ impl Heap {
         Heap {
             slots: Vec::new(),
             free: Vec::new(),
-            pinned: HashSet::new(),
+            pinned: ObjSet::default(),
+            claim_epoch: 0,
             stats: HeapStats::default(),
             attribution: AllocAttribution::Program,
             pacer: Pacer::default(),
@@ -187,7 +192,7 @@ impl Heap {
             self.stats.deser_bytes += bytes;
         }
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes());
-        let obj = Obj { body, mark: false };
+        let obj = Obj { body, mark: false, claimed_in: 0 };
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = Some(obj);
@@ -336,6 +341,31 @@ impl Heap {
         self.pinned.iter().copied()
     }
 
+    // ----- claim rounds ------------------------------------------------------
+
+    /// Start a claim round: every object is unclaimed again, at the cost of
+    /// one increment — an object is claimed in this round when its stamp is
+    /// the epoch. When the epoch wraps, every live stamp goes back to 0, so
+    /// no stamp from 2^32 rounds ago reads as current, and it restarts at 1.
+    pub fn start_claims(&mut self) {
+        self.claim_epoch = self.claim_epoch.checked_add(1).unwrap_or_else(|| {
+            self.slots.iter_mut().flatten().for_each(|o| o.claimed_in = 0);
+            1
+        });
+    }
+
+    /// Claim `r` for the current round: `true` if no claim since
+    /// [`Heap::start_claims`] took it, `false` if one did or `r` dangles.
+    pub fn claim(&mut self, r: ObjRef) -> bool {
+        match self.slots.get_mut(r.index()) {
+            Some(Some(o)) if o.claimed_in != self.claim_epoch => {
+                o.claimed_in = self.claim_epoch;
+                true
+            }
+            _ => false,
+        }
+    }
+
     pub(crate) fn slots(&self) -> &[Option<Obj>] {
         &self.slots
     }
@@ -411,5 +441,33 @@ mod tests {
     fn dangling_detected() {
         let h = Heap::new();
         assert!(h.get(ObjRef(0)).is_err());
+    }
+
+    #[test]
+    fn the_claim_stamp_lives_in_the_header_padding() {
+        assert_eq!(std::mem::size_of::<Obj>(), 48);
+        assert_eq!(std::mem::size_of::<Option<Obj>>(), 48);
+    }
+
+    #[test]
+    fn a_claim_round_claims_each_object_once_across_the_epoch_wrap() {
+        let mut h = Heap::new();
+        let [a, b] = [0, 1].map(|_| h.alloc_obj(OBJECT_CLASS, 0));
+        // Round 1 stamps `a`; unless the wrap clears it, that stamp reads as
+        // claimed when the epoch comes round to 1 again.
+        h.start_claims();
+        assert!(h.claim(a));
+        h.claim_epoch = u32::MAX - 1;
+        h.start_claims();
+        assert!(h.claim(b), "the last round before the wrap claims");
+        assert!(!h.claim(b));
+        h.start_claims();
+        assert_eq!(h.claim_epoch, 1, "the epoch restarts at 1");
+        let c = h.alloc_obj(OBJECT_CLASS, 0);
+        for r in [a, b, c] {
+            assert!(h.claim(r), "{r} is unclaimed in a new round");
+            assert!(!h.claim(r), "{r} is claimed once per round");
+        }
+        assert!(!h.claim(ObjRef(99)), "a dangling reference is never claimed");
     }
 }

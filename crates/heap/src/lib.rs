@@ -22,4 +22,4 @@ pub use equal::{deep_equal, deep_equal_across, structure_digest};
 pub use gc::{GcReport, MIN_GC_STEP};
 pub use heap::{AllocAttribution, Heap, HeapError, HeapStats, NativeData, Obj, ObjBody};
 pub use poison::{poison_graph, POISON_F64, POISON_I32, POISON_I64};
-pub use value::{ObjRef, RemoteRef, Value};
+pub use value::{ObjMap, ObjRef, ObjSet, RemoteRef, Value};

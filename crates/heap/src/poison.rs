@@ -13,10 +13,8 @@
 //! read the sentinel, which shows up as an output divergence in the
 //! differential fuzz oracle.
 
-use std::collections::HashSet;
-
 use crate::heap::{Heap, ObjBody};
-use crate::value::{ObjRef, Value};
+use crate::value::{ObjSet, Value};
 
 /// Sentinel written into poisoned `int` slots (`0xAAAAAAAA`).
 pub const POISON_I32: i32 = -1431655766;
@@ -31,7 +29,7 @@ pub const POISON_F64: f64 = -6.02214076e23;
 /// payloads keep their length so modeled byte accounting is unchanged.
 /// Returns the number of poisoned slots. Cycle-safe.
 pub fn poison_graph(heap: &mut Heap, root: Value) -> u64 {
-    let mut seen: HashSet<ObjRef> = HashSet::new();
+    let mut seen = ObjSet::default();
     let mut work = Vec::new();
     if let Value::Ref(r) = root {
         work.push(r);

@@ -1,5 +1,8 @@
 //! Runtime values.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
 use corm_ir::ClassId;
 
 /// Index of an object within one machine's heap slab.
@@ -12,6 +15,41 @@ impl ObjRef {
         self.0 as usize
     }
 }
+
+/// The hasher of [`ObjMap`] / [`ObjSet`]: one rotate, xor and multiply per
+/// word (rustc's Fx mix), where `std`'s default is a keyed SipHash. Sound
+/// only for keys an attacker cannot choose: an [`ObjRef`] is a slab index
+/// this machine's own allocator minted, never a value read off the wire. A
+/// map keyed by anything a packet carries keeps `RandomState`.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ObjHasher(u64);
+
+impl Hasher for ObjHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An identity map over locally minted [`ObjRef`]s (see [`ObjHasher`]).
+pub type ObjMap<V> = HashMap<ObjRef, V, BuildHasherDefault<ObjHasher>>;
+/// An identity set over locally minted [`ObjRef`]s (see [`ObjHasher`]).
+pub type ObjSet = HashSet<ObjRef, BuildHasherDefault<ObjHasher>>;
 
 impl std::fmt::Display for ObjRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -3,10 +3,9 @@
 //! unreachable objects and leave every reachable object's contents
 //! untouched.
 
-use corm_heap::{structure_digest, Heap, ObjRef, Value};
+use corm_heap::{structure_digest, Heap, ObjRef, ObjSet, Value};
 use corm_ir::OBJECT_CLASS;
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 #[derive(Debug, Clone)]
 struct GraphSpec {
@@ -50,8 +49,8 @@ fn build(heap: &mut Heap, spec: &GraphSpec) -> (Vec<ObjRef>, Vec<ObjRef>, Vec<Ob
 }
 
 /// Host-side reachability oracle.
-fn reachable(heap: &Heap, starts: &[ObjRef]) -> HashSet<ObjRef> {
-    let mut seen = HashSet::new();
+fn reachable(heap: &Heap, starts: &[ObjRef]) -> ObjSet {
+    let mut seen = ObjSet::default();
     let mut stack: Vec<ObjRef> = starts.to_vec();
     while let Some(r) = stack.pop() {
         if !seen.insert(r) {

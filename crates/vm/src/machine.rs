@@ -6,6 +6,7 @@ use std::ops::{Deref, DerefMut};
 
 use corm_heap::{GcReport, Heap, ObjRef, Value};
 use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
+use corm_wire::{DeserTable, SerCycleTable};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{VmError, VmResult};
@@ -52,6 +53,20 @@ pub struct MachineState {
     pub(crate) parked: HashMap<u64, Vec<Frame>>,
     /// Interned string literals (pinned), keyed by `StrId`.
     pub lit_strings: HashMap<u32, ObjRef>,
+    /// The identity tables of one message, one per direction, kept between
+    /// messages so their capacity is grown once (DESIGN §5.3). A message
+    /// borrows them with [`lend`] and puts them back.
+    pub(crate) ser_table: SerCycleTable,
+    pub(crate) deser_table: DeserTable,
+}
+
+/// Lend a table the machine keeps to one message, reset. What it leaves
+/// behind is empty: a second borrower before it comes back starts afresh,
+/// so no message's correctness depends on the kept table.
+pub(crate) fn lend<T: Default>(kept: &mut T, reset: impl FnOnce(&mut T)) -> T {
+    let mut table = std::mem::take(kept);
+    reset(&mut table);
+    table
 }
 
 impl MachineState {
@@ -76,6 +91,8 @@ impl MachineState {
             active_threads: 0,
             parked: HashMap::new(),
             lit_strings: HashMap::new(),
+            ser_table: SerCycleTable::new(),
+            deser_table: DeserTable::new(),
         }
     }
 

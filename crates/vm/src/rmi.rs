@@ -10,7 +10,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use corm_codegen::{
     DeserOutcome, MarshalPlan, SerNode, Serializer, ShadowCycleCheck, AUDIT_ERROR_PREFIX,
 };
-use corm_heap::{AllocAttribution, Heap, ObjRef, RemoteRef, Value};
+use corm_heap::{AllocAttribution, ObjRef, RemoteRef, Value};
 use corm_ir::{CallSiteId, ClassId, MethodId};
 use corm_net::Packet;
 use corm_obs::recorder::{
@@ -23,7 +23,7 @@ use parking_lot::MutexGuard;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
-use crate::machine::{MachineState, ReuseSlot};
+use crate::machine::{lend, MachineState, ReuseSlot};
 use crate::pool::Lane;
 use crate::reply::Reply;
 use crate::runtime::{CallCtx, Milestone, WorkItem};
@@ -71,24 +71,28 @@ fn attach_provenance(plan: &MarshalPlan, e: impl std::fmt::Display) -> VmError {
 }
 
 /// Figure 1's `serialize_objects`: `values` through their plan `nodes`
-/// onto the end of `buf`, under one cycle table where the plan kept it.
-/// Under audit (DESIGN §10) a plan that elided the table gets a shadow one —
-/// exactly when an unsound cycle-freedom verdict would go unnoticed.
+/// onto the end of `buf`, under one cycle table where the plan kept it —
+/// the machine's, lent to this message. Under audit (DESIGN §10) a plan that
+/// elided the table gets a shadow one — exactly when an unsound
+/// cycle-freedom verdict would go unnoticed.
 fn marshal(
     call: &Call<'_>,
-    heap: &Heap,
+    state: &mut MachineState,
     nodes: &[SerNode],
     values: &[Value],
     cycle_table: bool,
     buf: Vec<u8>,
 ) -> VmResult<Vec<u8>> {
     let mut msg = Message::from_bytes(buf);
-    let mut ct = cycle_table.then(SerCycleTable::new);
+    let mut ct = cycle_table.then(|| lend(&mut state.ser_table, SerCycleTable::reset));
     let mut shadow = (call.id.rt.audit && !cycle_table).then(ShadowCycleCheck::new);
     for (node, &v) in nodes.iter().zip(values) {
         call.ser
-            .serialize_audited(heap, node, v, &mut ct, &mut msg, &mut shadow)
+            .serialize_audited(&state.heap, node, v, &mut ct, &mut msg, &mut shadow)
             .map_err(|e| attach_provenance(call.plan, e))?;
+    }
+    if let Some(table) = ct {
+        state.ser_table = table;
     }
     if let Some(sh) = shadow {
         let shard = call.id.rt.obs.machine(call.id.at);
@@ -150,7 +154,7 @@ pub fn remote_call_with_req(
             rt.pool.checkout_for(my, req, site.0, Lane::Args, plan.args_wire_size_hint, shard)
         };
         let cycle_table = plan.args_cycle_table;
-        let payload = marshal(&call, &guard.heap, &plan.args, &argv[1..], cycle_table, buf)?;
+        let payload = marshal(&call, guard, &plan.args, &argv[1..], cycle_table, buf)?;
         Ok::<_, VmError>((payload, pool_hit))
     })?;
     call.id.flags = plan_flags(plan, oneway, pool_hit);
@@ -371,7 +375,7 @@ fn callee(
             let mut buf = reply_buf();
             buf.clear();
             let (nodes, cycle_table) = (std::slice::from_ref(node), plan.ret_cycle_table);
-            marshal(call, &guard.heap, nodes, &[ret], cycle_table, buf).map(Some)
+            marshal(call, guard, nodes, &[ret], cycle_table, buf).map(Some)
         }
         _ => Ok(None),
     }
@@ -413,7 +417,7 @@ fn deserialize_args(
 ) -> VmResult<(Vec<Value>, u64)> {
     let &Call { plan, caller, receiver, .. } = call;
     let mut reader = MessageReader::new(request);
-    let mut dt = plan.args_cycle_table.then(DeserTable::new);
+    let mut dt = plan.args_cycle_table.then(|| lend(&mut guard.deser_table, DeserTable::reset));
     let mut reused = 0;
     let args = plan.args.iter().zip(&plan.arg_reuse).enumerate().map(|(arg, (node, &reuse))| {
         let slot = ReuseSlot::Arg { site: plan.site, arg, caller };
@@ -422,6 +426,9 @@ fn deserialize_args(
         Ok(out.value)
     });
     let argv = std::iter::once(Ok(Value::Remote(receiver))).chain(args).collect::<VmResult<_>>()?;
+    if let Some(table) = dt {
+        guard.deser_table = table;
+    }
     RmiStats::bump(&call.ser.stats.reused_objs, reused);
     Ok((argv, reused))
 }
@@ -435,10 +442,13 @@ fn deserialize_ret(
 ) -> VmResult<Value> {
     let plan = call.plan;
     let node = plan.ret.as_ref().expect("ret plan");
-    let mut dt = plan.ret_cycle_table.then(DeserTable::new);
+    let mut dt = plan.ret_cycle_table.then(|| lend(&mut guard.deser_table, DeserTable::reset));
     let slot = ReuseSlot::Ret { site: plan.site };
     let reader = &mut MessageReader::new(payload);
     let out = unmarshal(call, guard, node, reader, &mut dt, slot, plan.ret_reuse)?;
+    if let Some(table) = dt {
+        guard.deser_table = table;
+    }
     RmiStats::bump(&call.ser.stats.reused_objs, out.reused);
     if plan.ret_reuse {
         guard.put_reuse(slot, out.value);

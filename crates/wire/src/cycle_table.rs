@@ -10,21 +10,31 @@
 //! Every lookup is counted; the static cycle-freedom analysis (§3.2) lets
 //! the generated serializer skip this table entirely, which is exactly
 //! what the `cycle lookups` column of Tables 4/6/8 measures.
+//!
+//! The paper's cost is the price of a table, not of our hashing: the keys
+//! are slab indices this machine minted, so the map is an [`ObjMap`], and a
+//! machine keeps one table per direction and [`reset`](SerCycleTable::reset)s
+//! it per message instead of growing a new one from empty.
 
-use std::collections::HashMap;
-
-use corm_heap::ObjRef;
+use corm_heap::{ObjMap, ObjRef};
 
 /// Serializer-side identity table: object → wire handle.
 #[derive(Debug, Default)]
 pub struct SerCycleTable {
-    map: HashMap<ObjRef, u32>,
+    map: ObjMap<u32>,
     lookups: u64,
 }
 
 impl SerCycleTable {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty the table for the next message, keeping its capacity: handles
+    /// and the lookup count start at zero again.
+    pub fn reset(&mut self) {
+        self.map.clear();
+        self.lookups = 0;
     }
 
     /// Check whether `obj` was already serialized; if not, assign it the
@@ -64,6 +74,11 @@ pub struct DeserTable {
 impl DeserTable {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty the table for the next message, keeping its capacity.
+    pub fn reset(&mut self) {
+        self.objs.clear();
     }
 
     pub fn register(&mut self, obj: ObjRef) -> u32 {
@@ -155,5 +170,13 @@ mod tests {
         let mut d2 = DeserTable::new();
         assert!(d2.is_empty());
         assert_eq!(d2.register(ObjRef(9)), 0, "handles restart at zero per message");
+        // or: the same table, reset
+        t.reset();
+        assert!(t.is_empty());
+        assert_eq!(t.lookups(), 0, "reset zeroes the lookup counter");
+        assert_eq!(t.check(obj), Err(0));
+        d2.reset();
+        assert!(d2.is_empty());
+        assert_eq!(d2.register(ObjRef(10)), 0);
     }
 }

@@ -6,7 +6,7 @@ use corm::{compile, OptConfig};
 use corm_codegen::{engine::roundtrip, SerNode, Serializer};
 use corm_heap::{deep_equal_across, structure_digest, Heap, ObjRef, Value};
 use corm_ir::{ClassId, Ty};
-use corm_wire::RmiStats;
+use corm_wire::{DeserTable, Message, MessageReader, RmiStats, SerCycleTable};
 use proptest::prelude::*;
 
 /// A tiny module supplying class metadata for graph construction:
@@ -151,6 +151,106 @@ proptest! {
         let (out, _) = roundtrip(&ser, &src, &mut dst, &SerNode::Str, Value::Ref(obj), false, Value::Null).unwrap();
         prop_assert_eq!(dst.str_value(out.value.as_ref().unwrap()).unwrap(), s.as_str());
     }
+
+    /// A machine keeps one identity table per direction and resets it per
+    /// message: after message `a`, the reset table must put `b` — which may
+    /// reach `a`'s objects — on the wire in the same bytes, handles
+    /// included, as a fresh table, count the same lookups, and resolve the
+    /// same handles to the same objects on the other side.
+    #[test]
+    fn a_reset_table_is_a_fresh_table(spec_a in graph_strategy(), spec_b in graph_strategy(),
+                                      link in any::<bool>()) {
+        let (c, node_class) = fixture(OptConfig::CLASS);
+        let stats = RmiStats::new();
+        let ser = Serializer::new(&c.plans, &c.module.table, &stats);
+        let node = &SerNode::Dynamic;
+        let mut src = Heap::new();
+        let a = build_graph(&mut src, node_class, &spec_a);
+        let b = build_graph(&mut src, node_class, &spec_b);
+        if link {
+            src.set_field(b.as_ref().unwrap(), 1, a).unwrap();
+        }
+        let send = |table: &mut Option<SerCycleTable>, v| {
+            let mut msg = Message::new();
+            ser.serialize(&src, node, v, table, &mut msg).unwrap();
+            msg.into_bytes()
+        };
+        let mut kept = Some(SerCycleTable::new());
+        let a_bytes = send(&mut kept, a);
+        kept.as_mut().unwrap().reset();
+        let mut fresh = Some(SerCycleTable::new());
+        let b_bytes = send(&mut fresh, b);
+        prop_assert_eq!(&send(&mut kept, b), &b_bytes);
+        let (kept, fresh) = (kept.unwrap(), fresh.unwrap());
+        prop_assert_eq!((kept.lookups(), kept.len()), (fresh.lookups(), fresh.len()));
+
+        let recv = |heap: &mut Heap, table: &mut Option<DeserTable>, bytes: &[u8]| {
+            let reader = &mut MessageReader::new(bytes);
+            ser.deserialize(heap, node, reader, table, Value::Null).unwrap().value
+        };
+        let (mut kept_heap, mut kept) = (Heap::new(), Some(DeserTable::new()));
+        recv(&mut kept_heap, &mut kept, &a_bytes);
+        kept.as_mut().unwrap().reset();
+        let kept_b = recv(&mut kept_heap, &mut kept, &b_bytes);
+        let (mut fresh_heap, mut fresh) = (Heap::new(), Some(DeserTable::new()));
+        recv(&mut fresh_heap, &mut fresh, &b_bytes);
+        let (kept, fresh) = (kept.unwrap(), fresh.unwrap());
+        prop_assert_eq!(kept.len(), fresh.len());
+        for h in 0..fresh.len() as u32 {
+            let (k, f) = (kept.lookup(h).unwrap(), fresh.lookup(h).unwrap());
+            prop_assert_eq!(
+                structure_digest(&kept_heap, Value::Ref(k)),
+                structure_digest(&fresh_heap, Value::Ref(f)),
+                "handle {} names different objects", h
+            );
+        }
+        prop_assert!(deep_equal_across(&src, b, &kept_heap, kept_b));
+        prop_assert_eq!(structure_digest(&src, b), structure_digest(&kept_heap, kept_b));
+    }
+}
+
+/// The reuse candidate shares a child the incoming graph does not: the
+/// shared object is recycled for its first wire position only, so every
+/// position gets an object of its own and no aliasing appears that the
+/// source graph lacks.
+#[test]
+fn a_shared_child_of_the_candidate_is_claimed_once() {
+    let (c, node_class) = fixture(OptConfig::CLASS);
+    let stats = RmiStats::new();
+    let ser = Serializer::new(&c.plans, &c.module.table, &stats);
+    let mut src = Heap::new();
+    let mut dst = Heap::new();
+    // root -> {x, y}, x.a == y.a == shared
+    let diamond = GraphSpec {
+        nodes: vec![(None, None, 1), (Some(0), None, 2), (Some(0), None, 3), (Some(1), Some(2), 4)],
+        back_edges: vec![],
+    };
+    // root -> {x, y}, x.a and y.a two distinct leaves
+    let tree = GraphSpec {
+        nodes: vec![
+            (None, None, 5),
+            (Some(0), None, 6),
+            (None, None, 7),
+            (Some(2), None, 8),
+            (Some(1), Some(3), 9),
+        ],
+        back_edges: vec![],
+    };
+    let shared = build_graph(&mut src, node_class, &diamond);
+    let (candidate, _) =
+        roundtrip(&ser, &src, &mut dst, &SerNode::Dynamic, shared, true, Value::Null).unwrap();
+    let incoming = build_graph(&mut src, node_class, &tree);
+    let allocs = dst.stats.allocs;
+    let (out, _) =
+        roundtrip(&ser, &src, &mut dst, &SerNode::Dynamic, incoming, true, candidate.value)
+            .unwrap();
+    assert_eq!(out.reused, 4, "the root, x, y and the shared child once");
+    assert_eq!(dst.stats.allocs - allocs, 1, "the shared child's second position is fresh");
+    assert!(deep_equal_across(&src, incoming, &dst, out.value));
+    assert_eq!(structure_digest(&src, incoming), structure_digest(&dst, out.value));
+    let root = out.value.as_ref().unwrap();
+    let [x, y] = [0, 1].map(|f| dst.field(root, f).unwrap().as_ref().unwrap());
+    assert_ne!(dst.field(x, 0).unwrap(), dst.field(y, 0).unwrap(), "an alias the source lacks");
 }
 
 /// Deterministic regression cases distilled from the property space.
