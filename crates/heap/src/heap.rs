@@ -58,6 +58,7 @@ impl ObjBody {
         }
     }
 
+    #[inline]
     pub fn array_len(&self) -> Option<usize> {
         Some(match self {
             ObjBody::ArrBool(v) => v.len(),
@@ -138,6 +139,11 @@ impl std::error::Error for HeapError {}
 
 fn err<T>(msg: impl Into<String>) -> Result<T, HeapError> {
     Err(HeapError(msg.into()))
+}
+
+#[cold]
+fn out_of_bounds(i: usize, len: usize) -> HeapError {
+    HeapError(format!("index {i} out of bounds (len {len})"))
 }
 
 /// One machine's object heap.
@@ -226,6 +232,7 @@ impl Heap {
         self.alloc(body)
     }
 
+    #[inline]
     pub fn get(&self, r: ObjRef) -> Result<&Obj, HeapError> {
         match self.slots.get(r.index()) {
             Some(Some(o)) => Ok(o),
@@ -233,6 +240,7 @@ impl Heap {
         }
     }
 
+    #[inline]
     pub fn get_mut(&mut self, r: ObjRef) -> Result<&mut Obj, HeapError> {
         match self.slots.get_mut(r.index()) {
             Some(Some(o)) => Ok(o),
@@ -240,10 +248,12 @@ impl Heap {
         }
     }
 
+    #[inline]
     pub fn body(&self, r: ObjRef) -> Result<&ObjBody, HeapError> {
         Ok(&self.get(r)?.body)
     }
 
+    #[inline]
     pub fn body_mut(&mut self, r: ObjRef) -> Result<&mut ObjBody, HeapError> {
         Ok(&mut self.get_mut(r)?.body)
     }
@@ -254,6 +264,7 @@ impl Heap {
 
     // ----- typed accessors --------------------------------------------------
 
+    #[inline]
     pub fn field(&self, r: ObjRef, slot: usize) -> Result<Value, HeapError> {
         match self.body(r)? {
             ObjBody::Obj { fields, .. } => fields
@@ -264,6 +275,7 @@ impl Heap {
         }
     }
 
+    #[inline]
     pub fn set_field(&mut self, r: ObjRef, slot: usize, v: Value) -> Result<(), HeapError> {
         match self.body_mut(r)? {
             ObjBody::Obj { fields, .. } => match fields.get_mut(slot) {
@@ -277,45 +289,53 @@ impl Heap {
         }
     }
 
+    #[inline]
     pub fn array_len(&self, r: ObjRef) -> Result<usize, HeapError> {
         self.body(r)?.array_len().ok_or_else(|| HeapError(format!("length of non-array {r}")))
     }
 
+    /// Element `i` of array `r`: one match on the body, the bounds check is the
+    /// element vector's own.
+    #[inline]
     pub fn array_get(&self, r: ObjRef, i: usize) -> Result<Value, HeapError> {
-        let body = self.body(r)?;
-        let len = body.array_len().ok_or_else(|| HeapError(format!("indexing non-array {r}")))?;
-        if i >= len {
-            return err(format!("index {i} out of bounds (len {len})"));
+        fn at<T: Copy>(a: &[T], i: usize) -> Result<T, HeapError> {
+            a.get(i).copied().ok_or_else(|| out_of_bounds(i, a.len()))
         }
-        Ok(match body {
-            ObjBody::ArrBool(v) => Value::Bool(v[i]),
-            ObjBody::ArrI32(v) => Value::Int(v[i]),
-            ObjBody::ArrI64(v) => Value::Long(v[i]),
-            ObjBody::ArrF64(v) => Value::Double(v[i]),
-            ObjBody::ArrRef { data, .. } => data[i],
-            _ => unreachable!(),
-        })
+        match self.body(r)? {
+            ObjBody::ArrBool(a) => at(a, i).map(Value::Bool),
+            ObjBody::ArrI32(a) => at(a, i).map(Value::Int),
+            ObjBody::ArrI64(a) => at(a, i).map(Value::Long),
+            ObjBody::ArrF64(a) => at(a, i).map(Value::Double),
+            ObjBody::ArrRef { data, .. } => at(data, i),
+            _ => err(format!("indexing non-array {r}")),
+        }
     }
 
+    /// Store `v` as element `i` of array `r`: one match on body and value. A
+    /// store that matches no arm is an error, reported in the order the checks
+    /// read: not an array, out of bounds, then the type mismatch.
+    #[inline]
     pub fn array_set(&mut self, r: ObjRef, i: usize, v: Value) -> Result<(), HeapError> {
-        let body = self.body_mut(r)?;
-        let len = body.array_len().ok_or_else(|| HeapError(format!("indexing non-array {r}")))?;
-        if i >= len {
-            return err(format!("index {i} out of bounds (len {len})"));
+        fn put<T>(a: &mut [T], i: usize, x: T) -> Result<(), HeapError> {
+            let len = a.len();
+            a.get_mut(i).map(|slot| *slot = x).ok_or_else(|| out_of_bounds(i, len))
         }
-        match (body, v) {
-            (ObjBody::ArrBool(a), Value::Bool(x)) => a[i] = x,
-            (ObjBody::ArrI32(a), Value::Int(x)) => a[i] = x,
-            (ObjBody::ArrI64(a), Value::Long(x)) => a[i] = x,
-            (ObjBody::ArrI64(a), Value::Int(x)) => a[i] = x as i64,
-            (ObjBody::ArrF64(a), Value::Double(x)) => a[i] = x,
+        match (self.body_mut(r)?, v) {
+            (ObjBody::ArrBool(a), Value::Bool(x)) => put(a, i, x),
+            (ObjBody::ArrI32(a), Value::Int(x)) => put(a, i, x),
+            (ObjBody::ArrI64(a), Value::Long(x)) => put(a, i, x),
+            (ObjBody::ArrI64(a), Value::Int(x)) => put(a, i, x as i64),
+            (ObjBody::ArrF64(a), Value::Double(x)) => put(a, i, x),
             (
                 ObjBody::ArrRef { data, .. },
                 x @ (Value::Null | Value::Ref(_) | Value::Remote(_)),
-            ) => data[i] = x,
-            (b, x) => return err(format!("type mismatch storing {x:?} into {b:?}")),
+            ) => put(data, i, x),
+            (b, x) => match b.array_len() {
+                None => err(format!("indexing non-array {r}")),
+                Some(len) if i >= len => Err(out_of_bounds(i, len)),
+                Some(_) => err(format!("type mismatch storing {x:?} into {b:?}")),
+            },
         }
-        Ok(())
     }
 
     pub fn str_value(&self, r: ObjRef) -> Result<&str, HeapError> {
@@ -407,6 +427,35 @@ mod tests {
         let ar = h.alloc_array(&Ty::Double.array_of(), 2);
         h.array_set(ar, 0, Value::Ref(a)).unwrap();
         assert_eq!(h.array_get(ar, 0).unwrap(), Value::Ref(a));
+    }
+
+    #[test]
+    fn array_access_errors_read_as_they_always_have() {
+        let mut h = Heap::new();
+        let obj = h.alloc_obj(OBJECT_CLASS, 1);
+        let a = h.alloc_array(&Ty::Double, 2);
+        fn e<T: std::fmt::Debug>(r: Result<T, HeapError>) -> String {
+            r.unwrap_err().0
+        }
+        assert_eq!(e(h.array_get(obj, 0)), "indexing non-array obj#0");
+        assert_eq!(e(h.array_set(obj, 0, Value::Int(1))), "indexing non-array obj#0");
+        assert_eq!(e(h.array_get(a, 2)), "index 2 out of bounds (len 2)");
+        assert_eq!(e(h.array_set(a, 2, Value::Double(1.0))), "index 2 out of bounds (len 2)");
+        // Out of bounds is found before the element type is.
+        assert_eq!(e(h.array_set(a, 5, Value::Int(1))), "index 5 out of bounds (len 2)");
+        assert_eq!(
+            e(h.array_set(a, 1, Value::Int(1))),
+            "type mismatch storing Int(1) into ArrF64([0.0, 0.0])"
+        );
+        let refs = h.alloc_array(&Ty::Double.array_of(), 1);
+        assert_eq!(
+            e(h.array_set(refs, 0, Value::Long(3))),
+            "type mismatch storing Long(3) into ArrRef { elem: Array(Double), data: [Null] }"
+        );
+        // An int widens into a long array, as it always has.
+        let longs = h.alloc_array(&Ty::Long, 1);
+        h.array_set(longs, 0, Value::Int(-4)).unwrap();
+        assert_eq!(h.array_get(longs, 0).unwrap(), Value::Long(-4));
     }
 
     #[test]

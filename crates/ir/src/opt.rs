@@ -6,12 +6,13 @@
 //!
 //! * local constant folding and propagation (per basic block),
 //! * branch simplification (`branch const` → `jump`),
-//! * jump threading through empty forwarding blocks,
 //! * unreachable-block elimination,
 //! * dead pure-instruction elimination.
 //!
 //! Allocation sites and call sites are never removed or renumbered — they
 //! are the currency of the heap analysis and of the marshal-plan tables.
+//! Jumps through empty forwarding blocks are threaded where the interpreter
+//! links the CFG (`corm-vm`); no analysis reads the difference.
 
 use std::collections::HashMap;
 
@@ -23,7 +24,6 @@ use crate::classes::Module;
 pub struct OptStats {
     pub folded: usize,
     pub branches_simplified: usize,
-    pub jumps_threaded: usize,
     pub blocks_removed: usize,
     pub dead_removed: usize,
 }
@@ -35,7 +35,6 @@ pub fn optimize_module(m: &mut Module) -> OptStats {
         let s = optimize_function(f);
         total.folded += s.folded;
         total.branches_simplified += s.branches_simplified;
-        total.jumps_threaded += s.jumps_threaded;
         total.blocks_removed += s.blocks_removed;
         total.dead_removed += s.dead_removed;
     }
@@ -50,7 +49,6 @@ pub fn optimize_function(f: &mut Function) -> OptStats {
     for _ in 0..4 {
         let before = stats;
         fold_constants(f, &mut stats);
-        thread_jumps(f, &mut stats);
         remove_unreachable(f, &mut stats);
         eliminate_dead(f, &mut stats);
         if stats == before {
@@ -221,60 +219,6 @@ fn fold_cast(v: Const, to: &crate::classes::Ty) -> Option<Const> {
     })
 }
 
-/// Redirect jumps through empty blocks that only forward control.
-fn thread_jumps(f: &mut Function, stats: &mut OptStats) {
-    // forwarding[b] = target if block b is empty and ends in Jump(target)
-    let forwarding: Vec<Option<BlockId>> = f
-        .blocks
-        .iter()
-        .map(|b| match (&b.instrs.is_empty(), &b.term) {
-            (true, Terminator::Jump(t)) => Some(*t),
-            _ => None,
-        })
-        .collect();
-
-    let resolve = |mut b: BlockId| {
-        // follow chains, guarding against forwarding cycles
-        let mut hops = 0;
-        while let Some(t) = forwarding[b.index()] {
-            if t == b || hops > forwarding.len() {
-                break;
-            }
-            b = t;
-            hops += 1;
-        }
-        b
-    };
-
-    for bi in 0..f.blocks.len() {
-        let term = f.blocks[bi].term.clone();
-        let new_term = match term {
-            Terminator::Jump(t) => {
-                let r = resolve(t);
-                if r != t {
-                    stats.jumps_threaded += 1;
-                }
-                Terminator::Jump(r)
-            }
-            Terminator::Branch { cond, t, f: fb } => {
-                let (rt, rf) = (resolve(t), resolve(fb));
-                if rt != t || rf != fb {
-                    stats.jumps_threaded += 1;
-                }
-                Terminator::Branch { cond, t: rt, f: rf }
-            }
-            ret => ret,
-        };
-        f.blocks[bi].term = new_term;
-    }
-    // entry may itself forward
-    let new_entry = resolve(f.entry);
-    if new_entry != f.entry {
-        f.entry = new_entry;
-        stats.jumps_threaded += 1;
-    }
-}
-
 /// Drop blocks unreachable from the entry (their instructions vanish; the
 /// block slots remain as empty tombstones so BlockIds stay stable).
 fn remove_unreachable(f: &mut Function, stats: &mut OptStats) {
@@ -418,19 +362,6 @@ mod tests {
         assert!(instrs.iter().any(|i| matches!(i, Instr::NewArray { .. })));
         assert!(instrs.iter().any(|i| matches!(i, Instr::ArrStore { .. })));
         assert!(instrs.iter().any(|i| matches!(i, Instr::Call { .. })));
-    }
-
-    #[test]
-    fn threads_empty_blocks() {
-        // `if` lowering leaves empty join blocks; threading removes hops.
-        let mut m = lowered(
-            "class M { static int f(boolean c) { int x = 0; if (c) { x = 1; } else { x = 2; } return x; } static void main() { } }",
-        );
-        let before: usize = func(&m, "M.f").blocks.len();
-        let stats = optimize_module(&mut m);
-        let _ = before;
-        // at least the diamond's join forwarding resolves
-        assert!(stats.jumps_threaded + stats.blocks_removed + stats.folded > 0);
     }
 
     #[test]

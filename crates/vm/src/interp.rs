@@ -4,9 +4,11 @@
 //! while executing and releases it at blocking points (RMI waits, queue
 //! operations, the cluster barrier) and periodically at safepoints so
 //! concurrent handlers can run — always through [`Interp::off_lock`], which
-//! leaves the thread's frames with the machine meanwhile. Frames live in an
-//! explicit stack, which both bounds recursion and gives the garbage
-//! collector exact roots: whichever thread collects sees every thread's.
+//! leaves the thread's stack with the machine meanwhile. It executes the
+//! linked form of each function (`crate::link`) over one register file per
+//! thread, in which every activation has a window; the register file is the
+//! union of the live frames' registers, so it gives the garbage collector
+//! exact roots: whichever thread collects sees every thread's.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -14,14 +16,12 @@ use std::time::Instant;
 
 use corm_codegen::AUDIT_ERROR_PREFIX;
 use corm_heap::{ObjBody, Value};
-use corm_ir::{
-    BinKind, BlockId, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Terminator, Ty,
-    UnKind,
-};
+use corm_ir::{BinKind, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Ty, UnKind};
 use parking_lot::MutexGuard;
 
 use crate::builtins;
 use crate::error::{VmError, VmResult};
+use crate::link::{CallArgs, Linked, Op};
 use crate::machine::{MachineShared, MachineState};
 use crate::reply::Waiter;
 use crate::rmi;
@@ -31,22 +31,42 @@ use crate::trace::TraceKind;
 /// Thread name and failure label of a local `spawn`'s thread.
 const USER_SPAWN: (&str, &str) = ("corm-user-spawn", "spawned thread");
 
-/// An activation record.
-pub struct Frame {
-    pub func: FuncId,
-    pub block: BlockId,
-    pub ip: usize,
-    pub regs: Vec<Value>,
-    /// Register in the *caller* frame receiving the return value.
-    pub ret_dst: Option<Reg>,
+/// Steps between safepoints: the quantum trades interpreter overhead against
+/// lock-handoff latency for concurrent RMI handlers; 512 keeps a machine
+/// responsive while a local compute thread spins.
+const QUANTUM: u64 = 512;
+
+/// The deepest a thread's frame stack grows.
+const MAX_FRAMES: usize = 4096;
+
+/// No builtin takes more arguments (the type checker holds every call to its
+/// signature), so a builtin call gathers them into an array, not a `Vec`.
+const MAX_BUILTIN_ARGS: usize = 3;
+
+/// An activation record: its registers are `Stack::regs[base..base + nregs]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame {
+    pub(crate) func: FuncId,
+    /// Where the activation resumes; kept up to date only across a call.
+    pub(crate) pc: u32,
+    pub(crate) base: u32,
+    /// Register in the *caller's* window receiving the return value.
+    pub(crate) ret_dst: Option<Reg>,
+}
+
+/// A thread's activations and the one register file their windows share.
+#[derive(Debug, Default)]
+pub(crate) struct Stack {
+    pub(crate) frames: Vec<Frame>,
+    pub(crate) regs: Vec<Value>,
 }
 
 /// Interpreter state for one VM thread pinned to one machine.
 pub struct Interp {
     pub rt: Arc<Runtime>,
     pub machine: Arc<MachineShared>,
-    pub frames: Vec<Frame>,
-    /// What this thread's frames are parked under in `MachineState::parked`.
+    pub(crate) stack: Stack,
+    /// What this thread's stack is parked under in `MachineState::parked`.
     id: u64,
     /// Where this thread sleeps for the reply to its one outstanding call.
     pub(crate) waiter: Arc<Waiter>,
@@ -54,11 +74,12 @@ pub struct Interp {
     /// `serve.thread` verdict is `drain`, and must never wait for anything
     /// but the machine lock (see [`Interp::about_to_wait`]).
     pub(crate) on_drain: bool,
+    /// Steps charged since the last safepoint.
     steps: u64,
 }
 
 /// A key of `MachineState::parked` no one else has: an `Interp`'s for its own
-/// frames, a spawner's for the arguments of a thread that has not started.
+/// stack, a spawner's for the arguments of a thread that has not started.
 fn parking_key() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Relaxed)
@@ -68,26 +89,26 @@ impl Interp {
     pub fn new(rt: Arc<Runtime>, machine: u16) -> Self {
         let machine = rt.machine(machine).clone();
         let (id, waiter) = (parking_key(), Arc::default());
-        Interp { rt, machine, frames: Vec::new(), id, waiter, on_drain: false, steps: 0 }
+        Interp { rt, machine, stack: Stack::default(), id, waiter, on_drain: false, steps: 0 }
     }
 
     /// The one way a VM thread lets go of the machine lock. `wait` does the
     /// letting go — `MutexGuard::unlocked`, a condvar wait — and returns with
-    /// the lock held again; for as long, the thread's frames stay with the
-    /// machine, where a sibling that collects meanwhile finds them. The `Vec`
-    /// moves out and back, so parking allocates nothing and copies no
-    /// register; a thread with no frame (a harness caller) leaves nothing.
+    /// the lock held again; for as long, the thread's stack stays with the
+    /// machine, where a sibling that collects meanwhile finds its registers.
+    /// The `Vec`s move out and back, so parking allocates nothing and copies
+    /// no register; a thread with no frame (a harness caller) leaves nothing.
     pub(crate) fn off_lock<T>(
         &mut self,
         guard: &mut MutexGuard<'_, MachineState>,
         wait: impl FnOnce(&Interp, &mut MutexGuard<'_, MachineState>) -> T,
     ) -> T {
-        if self.frames.is_empty() {
+        if self.stack.frames.is_empty() {
             return wait(self, guard);
         }
-        guard.parked.insert(self.id, std::mem::take(&mut self.frames));
+        guard.parked.insert(self.id, std::mem::take(&mut self.stack));
         let out = wait(self, guard);
-        self.frames = guard.parked.remove(&self.id).expect("parked frames wait for their thread");
+        self.stack = guard.parked.remove(&self.id).expect("a parked stack waits for its thread");
         out
     }
 
@@ -124,9 +145,9 @@ impl Interp {
     /// Start method `mid(args)` as the activity of a new VM thread on this
     /// machine. A value handed across threads is registered by the hand that
     /// gives it: the spawner, under the lock it holds, parks `args` under a key
-    /// of their own, in the shape the machine keeps roots in — a frame at the
-    /// method's entry whose registers are the arguments — and the new thread's
-    /// first act under the lock is to take them into a frame it allocates. (Not
+    /// of their own, in the shape the machine keeps roots in — a stack with no
+    /// frame whose registers are the arguments — and the new thread's first act
+    /// under the lock is to copy them into a register file it allocates. (Not
     /// one allocated here: a chunk that lives as long as the child, in the
     /// spawner's malloc arena, read +3 MB of peak RSS on `apps`.)
     pub(crate) fn spawn(
@@ -137,193 +158,314 @@ impl Interp {
         thread: (&str, &'static str),
     ) -> VmResult<()> {
         let func = self.func_of(mid)?;
-        let block = self.rt.module.func(func).entry;
         let key = parking_key();
-        guard.parked.insert(key, vec![Frame { func, block, ip: 0, regs: args, ret_dst: None }]);
+        guard.parked.insert(key, Stack { frames: Vec::new(), regs: args });
         spawn_detached(&self.rt, self.machine_id(), thread, move |child| {
             let machine = child.machine.clone();
             let mut guard = machine.enter();
-            let waiting = guard.parked.remove(&key).and_then(|mut frames| frames.pop());
-            let args = waiting.expect("the spawner parked the arguments").regs;
-            child.call_in(&mut guard, func, args).map(drop)
+            let waiting = guard.parked.remove(&key).expect("the spawner parked the arguments");
+            child.call_in(&mut guard, func, waiting.regs).map(drop)
         });
         Ok(())
     }
 
     /// Invoke `func` while already holding the machine lock (nested calls
-    /// from RMI handlers and local RPCs).
+    /// from RMI handlers and local RPCs). It returns with the caller's window
+    /// current: what it pushed is popped, on an error too.
     pub fn call_in(
         &mut self,
         guard: &mut MutexGuard<'_, MachineState>,
         func: FuncId,
         args: Vec<Value>,
     ) -> VmResult<Value> {
-        let base = self.frames.len();
-        if base == 0 {
+        let (depth, bottom) = (self.stack.frames.len(), self.stack.regs.len());
+        if depth == 0 {
             // A new activity starts a new safepoint quantum: a handler shorter
             // than one holds the machine lock throughout, on any `Interp`.
             self.steps = 0;
         }
-        self.push_frame(func, args, None)?;
-        let res = self.run_loop(guard, base);
+        let rt = self.rt.clone();
+        let callee = &rt.linked[func.index()];
+        let base = self.push_frame(callee, func, args.len(), None)?;
+        for (p, v) in callee.params.iter().zip(args) {
+            self.stack.regs[base + p.index()] = v;
+        }
+        let res = self.run_loop(guard, depth);
         if res.is_err() {
-            // Unwind this activation's frames (error trace collected).
-            self.frames.truncate(base);
+            // Unwind this activation's frames and registers (error trace collected).
+            self.stack.frames.truncate(depth);
+            self.stack.regs.truncate(bottom);
         }
         res
     }
 
-    fn push_frame(&mut self, func: FuncId, args: Vec<Value>, ret_dst: Option<Reg>) -> VmResult<()> {
-        if self.frames.len() >= 4096 {
-            return Err(VmError::new("stack overflow (4096 frames)"));
+    /// Push an activation of `callee` (`func`) taking `nargs` arguments: a
+    /// window of its registers, all null, at the top of the register file.
+    /// Returns the window's base; the caller fills in the parameters.
+    fn push_frame(
+        &mut self,
+        callee: &Linked,
+        func: FuncId,
+        nargs: usize,
+        ret_dst: Option<Reg>,
+    ) -> VmResult<usize> {
+        if self.stack.frames.len() >= MAX_FRAMES {
+            return Err(VmError::new(format!("stack overflow ({MAX_FRAMES} frames)")));
         }
-        let f = self.rt.module.func(func);
-        let mut regs = vec![Value::Null; f.num_regs()];
-        if args.len() != f.params.len() {
-            return Err(VmError::new(format!(
-                "{} expects {} arguments, got {}",
-                f.name,
-                f.params.len(),
-                args.len()
-            )));
+        if nargs != callee.params.len() {
+            let (name, want) = (&self.rt.module.func(func).name, callee.params.len());
+            return Err(VmError::new(format!("{name} expects {want} arguments, got {nargs}")));
         }
-        for (&p, v) in f.params.iter().zip(args) {
-            regs[p.index()] = v;
-        }
-        self.frames.push(Frame { func, block: f.entry, ip: 0, regs, ret_dst });
-        Ok(())
+        let base = self.stack.regs.len();
+        self.stack.regs.resize(base + callee.nregs, Value::Null);
+        let frame = Frame { func, pc: callee.entry, base: base as u32, ret_dst };
+        self.stack.frames.push(frame);
+        Ok(base)
     }
 
+    /// Push a call's activation, the caller to resume at `resume`, the
+    /// arguments copied from the caller's window at `from`: no `Vec` per call.
+    fn push_call(
+        &mut self,
+        callee: &Linked,
+        func: FuncId,
+        resume: usize,
+        from: usize,
+        call: &CallArgs,
+    ) -> VmResult<usize> {
+        self.stack.frames.last_mut().expect("active frame").pc = resume as u32;
+        let base = self.push_frame(callee, func, call.args.len(), call.dst)?;
+        for (p, a) in callee.params.iter().zip(&call.args) {
+            self.stack.regs[base + p.index()] = self.stack.regs[from + a.index()];
+        }
+        Ok(base)
+    }
+
+    /// The current activation's register `r`, for `exec`.
     #[inline]
     fn reg(&self, r: Reg) -> Value {
-        self.frames.last().unwrap().regs[r.index()]
+        self.stack.regs[self.window() + r.index()]
     }
 
     #[inline]
     fn set(&mut self, r: Reg, v: Value) {
-        self.frames.last_mut().unwrap().regs[r.index()] = v;
+        let at = self.window() + r.index();
+        self.stack.regs[at] = v;
+    }
+
+    fn window(&self) -> usize {
+        self.stack.frames.last().expect("active frame").base as usize
     }
 
     fn err(&self, msg: impl Into<String>) -> VmError {
         let mut e = VmError::new(msg);
         let module = &self.rt.module;
-        for fr in self.frames.iter().rev().take(8) {
+        for fr in self.stack.frames.iter().rev().take(8) {
             e = e.with_frame(module.func(fr.func).name.clone());
         }
         e
     }
 
+    /// Charge `steps` to the quantum; a safepoint when it is used up.
+    #[inline]
+    fn charge(&mut self, guard: &mut MutexGuard<'_, MachineState>, steps: u32) {
+        self.steps += steps as u64;
+        if self.steps >= QUANTUM {
+            self.steps %= QUANTUM;
+            self.safepoint(guard);
+        }
+    }
+
     /// Briefly release the machine lock so drain handlers and sibling threads
-    /// can make progress. The quantum trades interpreter overhead against
-    /// lock-handoff latency for concurrent RMI handlers; 512 keeps a machine
-    /// responsive while a local compute thread spins. Out of line: it is one
-    /// step in 512 of the loop it interrupts.
+    /// can make progress. Out of line: it is one charge in many of the loop
+    /// it interrupts.
     #[cold]
     #[inline(never)]
     fn safepoint(&mut self, guard: &mut MutexGuard<'_, MachineState>) {
         self.off_lock(guard, |_, g| MutexGuard::unlocked(g, std::thread::yield_now));
     }
 
-    /// Execute until the frame stack returns to `base` depth. Returns the
-    /// value produced by the activation that started at `base`.
-    pub fn run_loop(
+    /// Execute until the frame stack returns to `depth` frames. Returns the
+    /// value produced by the activation that started at `depth`.
+    fn run_loop(
         &mut self,
         guard: &mut MutexGuard<'_, MachineState>,
-        base: usize,
+        depth: usize,
     ) -> VmResult<Value> {
-        let module = self.rt.module.clone();
-        loop {
-            self.steps += 1;
-            if self.steps.is_multiple_of(512) {
-                self.safepoint(guard);
-            }
-
-            let (func_id, block, ip) = {
-                let fr = self.frames.last().expect("active frame");
-                (fr.func, fr.block, fr.ip)
+        let rt = self.rt.clone();
+        let linked = &rt.linked;
+        let top = *self.stack.frames.last().expect("active frame");
+        let (mut lk, mut pc, mut base) =
+            (&linked[top.func.index()], top.pc as usize, top.base as usize);
+        // The current window's register `r`, readable and writable.
+        macro_rules! reg {
+            ($r:expr) => {
+                self.stack.regs[base + $r.index()]
             };
-            let f = module.func(func_id);
-            let blk = f.block(block);
-
-            if ip >= blk.instrs.len() {
-                match &blk.term {
-                    Terminator::Jump(t) => {
-                        let fr = self.frames.last_mut().unwrap();
-                        fr.block = *t;
-                        fr.ip = 0;
+        }
+        // A binary op on its static type: `$f` on the payloads when both
+        // operands hold tag `$tag`, its result tagged `$out`. Otherwise the
+        // tagged `binop`, which also raises whatever `$f` declined, so results
+        // and errors are the untyped ones. The result is a scalar until it is
+        // stored, never a `Value` assembled on the stack.
+        macro_rules! typed {
+            ($dst:expr, $op:expr, $x:expr, $y:expr, $tag:ident, $f:ident => $out:ident) => {{
+                let (x, y) = ($x, $y);
+                let v = match (x, y) {
+                    (Value::$tag(p), Value::$tag(q)) => $f($op, p, q),
+                    _ => None,
+                };
+                match v {
+                    Some(v) => reg!($dst) = Value::$out(v),
+                    None => reg!($dst) = self.binop($op, x, y)?,
+                }
+            }};
+        }
+        // A numeric conversion on its static type, the tagged cast otherwise.
+        macro_rules! convert {
+            ($dst:expr, $src:expr, $from:ident => $to:ident as $t:ty) => {
+                match reg!($src) {
+                    Value::$from(x) => reg!($dst) = Value::$to(x as $t),
+                    v => reg!($dst) = self.cast(guard, v, &Ty::$to)?,
+                }
+            };
+        }
+        loop {
+            let op = &lk.code[pc];
+            pc += 1;
+            match *op {
+                Op::Const { dst, v } => reg!(dst) = v,
+                Op::Move { dst, src } => reg!(dst) = reg!(src),
+                Op::Un { dst, op, a } => {
+                    let v = self.unop(op, reg!(a))?;
+                    reg!(dst) = v;
+                }
+                Op::Bin { dst, op, a, b } => {
+                    let v = self.binop(op, reg!(a), reg!(b))?;
+                    reg!(dst) = v;
+                }
+                Op::BinInt { dst, op, a, b } => {
+                    typed!(dst, op, reg!(a), reg!(b), Int, int_arith => Int)
+                }
+                Op::BinIntImm { dst, op, a, imm } => {
+                    typed!(dst, op, reg!(a), Value::Int(imm), Int, int_arith => Int)
+                }
+                Op::BinLong { dst, op, a, b } => {
+                    typed!(dst, op, reg!(a), reg!(b), Long, long_arith => Long)
+                }
+                Op::BinDouble { dst, op, a, b } => {
+                    typed!(dst, op, reg!(a), reg!(b), Double, double_arith => Double)
+                }
+                Op::CmpInt { dst, op, a, b } => {
+                    typed!(dst, op, reg!(a), reg!(b), Int, compare => Bool)
+                }
+                Op::CmpIntImm { dst, op, a, imm } => {
+                    typed!(dst, op, reg!(a), Value::Int(imm), Int, compare => Bool)
+                }
+                Op::CmpLong { dst, op, a, b } => {
+                    typed!(dst, op, reg!(a), reg!(b), Long, compare => Bool)
+                }
+                Op::CmpDouble { dst, op, a, b } => {
+                    typed!(dst, op, reg!(a), reg!(b), Double, compare => Bool)
+                }
+                Op::IntToLong { dst, src } => convert!(dst, src, Int => Long as i64),
+                Op::IntToDouble { dst, src } => convert!(dst, src, Int => Double as f64),
+                Op::LongToInt { dst, src } => convert!(dst, src, Long => Int as i32),
+                Op::LongToDouble { dst, src } => convert!(dst, src, Long => Double as f64),
+                Op::DoubleToInt { dst, src } => convert!(dst, src, Double => Int as i32),
+                Op::DoubleToLong { dst, src } => convert!(dst, src, Double => Long as i64),
+                Op::GetField { dst, obj, slot } => {
+                    let r = self.localize(reg!(obj))?;
+                    reg!(dst) = guard.heap.field(r, slot as usize).map_err(|e| self.err(e.0))?;
+                }
+                Op::SetField { obj, slot, val } => {
+                    let r = self.localize(reg!(obj))?;
+                    let v = reg!(val);
+                    guard.heap.set_field(r, slot as usize, v).map_err(|e| self.err(e.0))?;
+                }
+                Op::GetStatic { dst, sid } => reg!(dst) = guard.statics[sid as usize],
+                Op::SetStatic { sid, val } => guard.statics[sid as usize] = reg!(val),
+                Op::ArrLoad { dst, arr, idx } => {
+                    let (r, i) = (self.obj_of(reg!(arr))?, self.index_of(reg!(idx))?);
+                    reg!(dst) = guard.heap.array_get(r, i).map_err(|e| self.err(e.0))?;
+                }
+                Op::ArrStore { arr, idx, val } => {
+                    let (r, i) = (self.obj_of(reg!(arr))?, self.index_of(reg!(idx))?);
+                    let v = reg!(val);
+                    guard.heap.array_set(r, i, v).map_err(|e| self.err(e.0))?;
+                }
+                Op::ArrLen { dst, arr } => {
+                    let r = self.obj_of(reg!(arr))?;
+                    let n = guard.heap.array_len(r).map_err(|e| self.err(e.0))?;
+                    reg!(dst) = Value::Int(n as i32);
+                }
+                Op::CallDirect { func, call, steps } => {
+                    self.charge(guard, steps);
+                    let callee = &linked[func.index()];
+                    base = self.push_call(callee, func, pc, base, &lk.calls[call as usize])?;
+                    (lk, pc) = (callee, callee.entry as usize);
+                }
+                Op::CallVirtual { decl, vslot, call, steps } => {
+                    self.charge(guard, steps);
+                    let call = &lk.calls[call as usize];
+                    let recv = call.args.first().map_or(Value::Null, |r| reg!(r));
+                    let func = self.func_of(self.dispatch(guard, recv, decl, vslot)?)?;
+                    let callee = &linked[func.index()];
+                    base = self.push_call(callee, func, pc, base, call)?;
+                    (lk, pc) = (callee, callee.entry as usize);
+                }
+                Op::Jump { to, steps } => {
+                    self.steps += steps as u64;
+                    pc = to as usize;
+                }
+                Op::Loop { to, steps } => {
+                    self.charge(guard, steps);
+                    pc = to as usize;
+                }
+                Op::Branch { cond, t, f, steps } => {
+                    let Value::Bool(b) = reg!(cond) else {
+                        return Err(self.err(format!("branch on non-boolean {:?}", reg!(cond))));
+                    };
+                    self.charge(guard, steps);
+                    pc = if b { t } else { f } as usize;
+                }
+                Op::Ret { src, steps } => {
+                    self.charge(guard, steps);
+                    let value = src.map_or(Value::Null, |r| reg!(r));
+                    let done = self.stack.frames.pop().expect("active frame");
+                    self.stack.regs.truncate(done.base as usize);
+                    if self.stack.frames.len() == depth {
+                        return Ok(value);
                     }
-                    Terminator::Branch { cond, t, f: fb } => {
-                        let c = self.reg(*cond);
-                        let Value::Bool(b) = c else {
-                            return Err(self.err(format!("branch on non-boolean {c:?}")));
-                        };
-                        let fr = self.frames.last_mut().unwrap();
-                        fr.block = if b { *t } else { *fb };
-                        fr.ip = 0;
-                    }
-                    Terminator::Ret(v) => {
-                        let value = v.map(|r| self.reg(r)).unwrap_or(Value::Null);
-                        let frame = self.frames.pop().unwrap();
-                        if self.frames.len() == base {
-                            return Ok(value);
-                        }
-                        if let Some(dst) = frame.ret_dst {
-                            self.set(dst, value);
-                        }
+                    let caller = *self.stack.frames.last().expect("a caller");
+                    lk = &linked[caller.func.index()];
+                    (pc, base) = (caller.pc as usize, caller.base as usize);
+                    if let Some(dst) = done.ret_dst {
+                        reg!(dst) = value;
                     }
                 }
-                continue;
+                Op::Other(ref instr) => self.exec(guard, instr)?,
             }
-
-            self.frames.last_mut().unwrap().ip += 1;
-            self.exec(guard, &blk.instrs[ip])?;
         }
     }
 
+    /// What has no op of its own: string literals, allocation, non-numeric
+    /// casts, builtin and remote calls, `spawn`.
     fn exec(&mut self, guard: &mut MutexGuard<'_, MachineState>, instr: &Instr) -> VmResult<()> {
         match instr {
-            Instr::Const { dst, v } => {
-                let value = match v {
-                    Const::Null => Value::Null,
-                    Const::Bool(b) => Value::Bool(*b),
-                    Const::Int(x) => Value::Int(*x),
-                    Const::Long(x) => Value::Long(*x),
-                    Const::Double(x) => Value::Double(*x),
-                    Const::Str(id) => {
-                        // String literals are interned per machine.
-                        let obj = match guard.lit_strings.get(&id.0) {
-                            Some(&o) => o,
-                            None => {
-                                let s = self.rt.module.str(*id).to_string();
-                                let o = guard.heap.alloc_str(s);
-                                guard.heap.pin(o);
-                                guard.lit_strings.insert(id.0, o);
-                                o
-                            }
-                        };
-                        Value::Ref(obj)
+            Instr::Const { dst, v: Const::Str(id) } => {
+                // String literals are interned per machine.
+                let obj = match guard.lit_strings.get(&id.0) {
+                    Some(&o) => o,
+                    None => {
+                        let s = self.rt.module.str(*id).to_string();
+                        let o = guard.heap.alloc_str(s);
+                        guard.heap.pin(o);
+                        guard.lit_strings.insert(id.0, o);
+                        o
                     }
                 };
-                self.set(*dst, value);
-            }
-            Instr::Move { dst, src } => {
-                let v = self.reg(*src);
-                self.set(*dst, v);
-            }
-            Instr::Un { dst, op, a } => {
-                let v = self.reg(*a);
-                let out = match (op, v) {
-                    (UnKind::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                    (UnKind::Neg, Value::Long(x)) => Value::Long(x.wrapping_neg()),
-                    (UnKind::Neg, Value::Double(x)) => Value::Double(-x),
-                    (UnKind::Not, Value::Bool(b)) => Value::Bool(!b),
-                    (op, v) => return Err(self.err(format!("bad unary {op:?} on {v:?}"))),
-                };
-                self.set(*dst, out);
-            }
-            Instr::Bin { dst, op, a, b } => {
-                let out = self.binop(*op, self.reg(*a), self.reg(*b))?;
-                self.set(*dst, out);
+                self.set(*dst, Value::Ref(obj));
             }
             Instr::Cast { dst, src, to } => {
                 let out = self.cast(guard, self.reg(*src), to)?;
@@ -373,73 +515,29 @@ impl Interp {
                 let obj = guard.heap.alloc_array(elem, n as usize);
                 self.set(*dst, Value::Ref(obj));
             }
-            Instr::GetField { dst, obj, field } => {
-                let r = self.localize(self.reg(*obj))?;
-                let v = guard.heap.field(r, field.slot as usize).map_err(|e| self.err(e.0))?;
-                self.set(*dst, v);
-            }
-            Instr::SetField { obj, field, val } => {
-                let r = self.localize(self.reg(*obj))?;
-                let v = self.reg(*val);
-                guard.heap.set_field(r, field.slot as usize, v).map_err(|e| self.err(e.0))?;
-            }
-            Instr::GetStatic { dst, sid } => {
-                let v = guard.statics[sid.index()];
-                self.set(*dst, v);
-            }
-            Instr::SetStatic { sid, val } => {
-                guard.statics[sid.index()] = self.reg(*val);
-            }
-            Instr::ArrLoad { dst, arr, idx } => {
-                let r = self.obj_of(self.reg(*arr))?;
-                let i = self.int_of(self.reg(*idx))?;
-                if i < 0 {
-                    return Err(self.err(format!("negative index {i}")));
-                }
-                let v = guard.heap.array_get(r, i as usize).map_err(|e| self.err(e.0))?;
-                self.set(*dst, v);
-            }
-            Instr::ArrStore { arr, idx, val } => {
-                let r = self.obj_of(self.reg(*arr))?;
-                let i = self.int_of(self.reg(*idx))?;
-                if i < 0 {
-                    return Err(self.err(format!("negative index {i}")));
-                }
-                let v = self.reg(*val);
-                guard.heap.array_set(r, i as usize, v).map_err(|e| self.err(e.0))?;
-            }
-            Instr::ArrLen { dst, arr } => {
-                let r = self.obj_of(self.reg(*arr))?;
-                let n = guard.heap.array_len(r).map_err(|e| self.err(e.0))?;
-                self.set(*dst, Value::Int(n as i32));
-            }
             Instr::Call { dst, target, args, site } => {
-                let argv: Vec<Value> = args.iter().map(|r| self.reg(*r)).collect();
-                match target {
+                let out = match *target {
                     CallTarget::Builtin(b) => {
-                        let out = builtins::call(self, guard, *b, &argv)?;
-                        if let Some(d) = dst {
-                            self.set(*d, out);
+                        let mut argv = [Value::Null; MAX_BUILTIN_ARGS];
+                        for (v, r) in argv.iter_mut().zip(args) {
+                            *v = self.reg(*r);
                         }
-                    }
-                    CallTarget::Static(mid) | CallTarget::Ctor(mid) => {
-                        let f = self.func_of(*mid)?;
-                        self.push_frame(f, argv, *dst)?;
-                    }
-                    CallTarget::Virtual { decl, vslot } => {
-                        let mid = self.dispatch(guard, &argv, *decl, *vslot)?;
-                        let f = self.func_of(mid)?;
-                        self.push_frame(f, argv, *dst)?;
+                        builtins::call(self, guard, b, &argv[..args.len()])?
                     }
                     CallTarget::Remote(mid) => {
-                        let (want_ret, oneway) = (dst.is_some(), false);
-                        let (out, _) = rmi::remote_call_with_req(
-                            self, guard, *site, *mid, &argv, want_ret, oneway,
-                        )?;
-                        if let Some(d) = dst {
-                            self.set(*d, out);
-                        }
+                        let argv: Vec<Value> = args.iter().map(|r| self.reg(*r)).collect();
+                        let want_ret = dst.is_some();
+                        rmi::remote_call_with_req(self, guard, *site, mid, &argv, want_ret, false)?
+                            .0
                     }
+                    // Linked to `CallDirect` / `CallVirtual`, unless the method has no body.
+                    CallTarget::Static(mid) | CallTarget::Ctor(mid) => {
+                        return Err(self.no_body(mid))
+                    }
+                    CallTarget::Virtual { .. } => unreachable!("virtual calls are linked"),
+                };
+                if let Some(d) = dst {
+                    self.set(*d, out);
                 }
             }
             Instr::Spawn { target, args, site } => {
@@ -452,7 +550,8 @@ impl Interp {
                         self.spawn(guard, *mid, argv, USER_SPAWN)?;
                     }
                     CallTarget::Virtual { decl, vslot } => {
-                        let mid = self.dispatch(guard, &argv, *decl, *vslot)?;
+                        let recv = argv.first().copied().unwrap_or(Value::Null);
+                        let mid = self.dispatch(guard, recv, *decl, *vslot)?;
                         self.spawn(guard, mid, argv, USER_SPAWN)?;
                     }
                     CallTarget::Builtin(_) => {
@@ -460,6 +559,7 @@ impl Interp {
                     }
                 }
             }
+            other => unreachable!("{other:?} has an op of its own"),
         }
         Ok(())
     }
@@ -468,11 +568,10 @@ impl Interp {
     fn dispatch(
         &self,
         guard: &MutexGuard<'_, MachineState>,
-        argv: &[Value],
+        recv: Value,
         decl: MethodId,
         vslot: u32,
     ) -> VmResult<MethodId> {
-        let recv = argv.first().copied().unwrap_or(Value::Null);
         let class = match recv {
             Value::Ref(r) => guard
                 .heap
@@ -492,9 +591,11 @@ impl Interp {
     }
 
     pub fn func_of(&self, mid: MethodId) -> VmResult<FuncId> {
-        self.rt.module.func_of_method(mid).ok_or_else(|| {
-            self.err(format!("method {} has no body", self.rt.module.table.method(mid).name))
-        })
+        self.rt.module.func_of_method(mid).ok_or_else(|| self.no_body(mid))
+    }
+
+    fn no_body(&self, mid: MethodId) -> VmError {
+        self.err(format!("method {} has no body", self.rt.module.table.method(mid).name))
     }
 
     /// A pacing point: somewhere garbage has just been made — an allocation,
@@ -507,13 +608,14 @@ impl Interp {
     }
 
     /// Collect this machine's heap, on behalf of the pacer or `System.gc()`.
-    /// The roots are this thread's frames and the values it holds `in_flight`
-    /// outside any, and what the machine keeps: every other thread's frames
-    /// (each is off the lock, so parked), statics, queues and the pin set.
+    /// The roots are this thread's registers and the values it holds
+    /// `in_flight` outside any, and what the machine keeps: every other
+    /// thread's registers (each is off the lock, so parked), statics, queues
+    /// and the pin set.
     #[cold]
     pub fn collect(&self, guard: &mut MutexGuard<'_, MachineState>, in_flight: &[Value]) {
         let began = Instant::now();
-        let report = guard.collect(&self.frames, in_flight);
+        let report = guard.collect(&self.stack.regs, in_flight);
         let pause_us = began.elapsed().as_micros() as u64;
         let shard = self.rt.obs.machine(self.machine_id());
         shard.gc_runs.fetch_add(1, Relaxed);
@@ -525,6 +627,7 @@ impl Interp {
 
     // ----- value helpers ---------------------------------------------------
 
+    #[inline]
     pub fn int_of(&self, v: Value) -> VmResult<i32> {
         match v {
             Value::Int(x) => Ok(x),
@@ -532,7 +635,17 @@ impl Interp {
         }
     }
 
+    /// An array index: an int that is not negative.
+    #[inline]
+    fn index_of(&self, v: Value) -> VmResult<usize> {
+        match self.int_of(v)? {
+            i if i < 0 => Err(self.err(format!("negative index {i}"))),
+            i => Ok(i as usize),
+        }
+    }
+
     /// A reference that must denote a local heap object.
+    #[inline]
     pub fn obj_of(&self, v: Value) -> VmResult<corm_heap::ObjRef> {
         match v {
             Value::Ref(r) => Ok(r),
@@ -544,6 +657,7 @@ impl Interp {
     /// Resolve a reference for field access: local refs directly, remote
     /// refs only when they live on this machine (`this` inside remote
     /// methods).
+    #[inline]
     fn localize(&self, v: Value) -> VmResult<corm_heap::ObjRef> {
         match v {
             Value::Ref(r) => Ok(r),
@@ -554,106 +668,59 @@ impl Interp {
         }
     }
 
+    fn unop(&self, op: UnKind, v: Value) -> VmResult<Value> {
+        Ok(match (op, v) {
+            (UnKind::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
+            (UnKind::Neg, Value::Long(x)) => Value::Long(x.wrapping_neg()),
+            (UnKind::Neg, Value::Double(x)) => Value::Double(-x),
+            (UnKind::Not, Value::Bool(b)) => Value::Bool(!b),
+            (op, v) => return Err(self.err(format!("bad unary {op:?} on {v:?}"))),
+        })
+    }
+
+    /// The tagged binary operator: what every typed op falls back to.
     fn binop(&self, op: BinKind, a: Value, b: Value) -> VmResult<Value> {
         use BinKind::*;
+        let division_by_zero = || self.err("division by zero");
         // Numeric promotion (operands arrive same-typed from lowering,
         // but mixed Int/Long appear via compound-assign narrowing paths).
-        let out = match (a, b) {
-            (Value::Int(x), Value::Int(y)) => match op {
-                Add => Value::Int(x.wrapping_add(y)),
-                Sub => Value::Int(x.wrapping_sub(y)),
-                Mul => Value::Int(x.wrapping_mul(y)),
-                Div => {
-                    if y == 0 {
-                        return Err(self.err("division by zero"));
-                    }
-                    Value::Int(x.wrapping_div(y))
-                }
-                Rem => {
-                    if y == 0 {
-                        return Err(self.err("division by zero"));
-                    }
-                    Value::Int(x.wrapping_rem(y))
-                }
-                Eq => Value::Bool(x == y),
-                Ne => Value::Bool(x != y),
-                Lt => Value::Bool(x < y),
-                Le => Value::Bool(x <= y),
-                Gt => Value::Bool(x > y),
-                Ge => Value::Bool(x >= y),
-                BitAnd => Value::Int(x & y),
-                BitOr => Value::Int(x | y),
-                BitXor => Value::Int(x ^ y),
-                Shl => Value::Int(x.wrapping_shl(y as u32 & 31)),
-                Shr => Value::Int(x.wrapping_shr(y as u32 & 31)),
+        match (a, b) {
+            (Value::Int(x), Value::Int(y)) => match compare(op, x, y) {
+                Some(c) => Ok(Value::Bool(c)),
+                None => int_arith(op, x, y).map(Value::Int).ok_or_else(division_by_zero),
             },
             (Value::Long(_), _) | (_, Value::Long(_))
                 if matches!(a, Value::Long(_) | Value::Int(_))
                     && matches!(b, Value::Long(_) | Value::Int(_)) =>
             {
-                let x = a.as_long();
-                let y = b.as_long();
-                match op {
-                    Add => Value::Long(x.wrapping_add(y)),
-                    Sub => Value::Long(x.wrapping_sub(y)),
-                    Mul => Value::Long(x.wrapping_mul(y)),
-                    Div => {
-                        if y == 0 {
-                            return Err(self.err("division by zero"));
-                        }
-                        Value::Long(x.wrapping_div(y))
-                    }
-                    Rem => {
-                        if y == 0 {
-                            return Err(self.err("division by zero"));
-                        }
-                        Value::Long(x.wrapping_rem(y))
-                    }
-                    Eq => Value::Bool(x == y),
-                    Ne => Value::Bool(x != y),
-                    Lt => Value::Bool(x < y),
-                    Le => Value::Bool(x <= y),
-                    Gt => Value::Bool(x > y),
-                    Ge => Value::Bool(x >= y),
-                    BitAnd => Value::Long(x & y),
-                    BitOr => Value::Long(x | y),
-                    BitXor => Value::Long(x ^ y),
-                    Shl => Value::Long(x.wrapping_shl(y as u32 & 63)),
-                    Shr => Value::Long(x.wrapping_shr(y as u32 & 63)),
+                let (x, y) = (a.as_long(), b.as_long());
+                match compare(op, x, y) {
+                    Some(c) => Ok(Value::Bool(c)),
+                    None => long_arith(op, x, y).map(Value::Long).ok_or_else(division_by_zero),
                 }
             }
             (Value::Double(_) | Value::Int(_) | Value::Long(_), Value::Double(_))
             | (Value::Double(_), Value::Int(_) | Value::Long(_)) => {
-                let x = a.as_double();
-                let y = b.as_double();
-                match op {
-                    Add => Value::Double(x + y),
-                    Sub => Value::Double(x - y),
-                    Mul => Value::Double(x * y),
-                    Div => Value::Double(x / y),
-                    Rem => Value::Double(x % y),
-                    Eq => Value::Bool(x == y),
-                    Ne => Value::Bool(x != y),
-                    Lt => Value::Bool(x < y),
-                    Le => Value::Bool(x <= y),
-                    Gt => Value::Bool(x > y),
-                    Ge => Value::Bool(x >= y),
-                    other => return Err(self.err(format!("bad double op {other:?}"))),
+                let (x, y) = (a.as_double(), b.as_double());
+                match compare(op, x, y) {
+                    Some(c) => Ok(Value::Bool(c)),
+                    None => double_arith(op, x, y)
+                        .map(Value::Double)
+                        .ok_or_else(|| self.err(format!("bad double op {op:?}"))),
                 }
             }
             (Value::Bool(x), Value::Bool(y)) => match op {
-                Eq => Value::Bool(x == y),
-                Ne => Value::Bool(x != y),
-                other => return Err(self.err(format!("bad boolean op {other:?}"))),
+                Eq => Ok(Value::Bool(x == y)),
+                Ne => Ok(Value::Bool(x != y)),
+                other => Err(self.err(format!("bad boolean op {other:?}"))),
             },
             // Reference identity.
             (a, b) => match op {
-                Eq => Value::Bool(ref_eq(a, b)),
-                Ne => Value::Bool(!ref_eq(a, b)),
-                other => return Err(self.err(format!("bad operands for {other:?}: {a:?}, {b:?}"))),
+                Eq => Ok(Value::Bool(ref_eq(a, b))),
+                Ne => Ok(Value::Bool(!ref_eq(a, b))),
+                other => Err(self.err(format!("bad operands for {other:?}: {a:?}, {b:?}"))),
             },
-        };
-        Ok(out)
+        }
     }
 
     fn cast(&self, guard: &MutexGuard<'_, MachineState>, v: Value, to: &Ty) -> VmResult<Value> {
@@ -714,11 +781,157 @@ impl Interp {
     }
 }
 
+// ----- arithmetic, once ------------------------------------------------------
+//
+// `binop`'s same-typed arms and the typed ops call these; `None` is an operator
+// the helper does not compute, or a result the caller raises as an error.
+
+/// `x op y` for a comparison `op`.
+#[inline]
+fn compare<T: PartialOrd>(op: BinKind, x: T, y: T) -> Option<bool> {
+    use BinKind::*;
+    Some(match op {
+        Eq => x == y,
+        Ne => x != y,
+        Lt => x < y,
+        Le => x <= y,
+        Gt => x > y,
+        Ge => x >= y,
+        _ => return None,
+    })
+}
+
+/// `x op y` for an arithmetic or bitwise `op` on ints; `None` on division by zero.
+#[inline]
+fn int_arith(op: BinKind, x: i32, y: i32) -> Option<i32> {
+    use BinKind::*;
+    Some(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div if y != 0 => x.wrapping_div(y),
+        Rem if y != 0 => x.wrapping_rem(y),
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Shl => x.wrapping_shl(y as u32 & 31),
+        Shr => x.wrapping_shr(y as u32 & 31),
+        Div | Rem | Eq | Ne | Lt | Le | Gt | Ge => return None,
+    })
+}
+
+/// `x op y` for an arithmetic or bitwise `op` on longs; `None` on division by zero.
+#[inline]
+fn long_arith(op: BinKind, x: i64, y: i64) -> Option<i64> {
+    use BinKind::*;
+    Some(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div if y != 0 => x.wrapping_div(y),
+        Rem if y != 0 => x.wrapping_rem(y),
+        BitAnd => x & y,
+        BitOr => x | y,
+        BitXor => x ^ y,
+        Shl => x.wrapping_shl(y as u32 & 63),
+        Shr => x.wrapping_shr(y as u32 & 63),
+        Div | Rem | Eq | Ne | Lt | Le | Gt | Ge => return None,
+    })
+}
+
+/// `x op y` for an arithmetic `op` on doubles; `None` for a bitwise one.
+#[inline]
+fn double_arith(op: BinKind, x: f64, y: f64) -> Option<f64> {
+    use BinKind::*;
+    Some(match op {
+        Add => x + y,
+        Sub => x - y,
+        Mul => x * y,
+        Div => x / y,
+        Rem => x % y,
+        _ => return None,
+    })
+}
+
 fn ref_eq(a: Value, b: Value) -> bool {
     match (a, b) {
         (Value::Null, Value::Null) => true,
         (Value::Ref(x), Value::Ref(y)) => x == y,
         (Value::Remote(x), Value::Remote(y)) => x == y,
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use corm_ir::{Block, Module, Terminator};
+
+    use crate::runtime::{Cluster, RunOptions};
+
+    /// Boot a one-machine cluster on `src`, `edit` applied to the module after
+    /// the analyses ran (a hand-made body the front end would not produce).
+    fn cluster(src: &str, edit: impl FnOnce(&mut Module)) -> Cluster {
+        let mut module = corm_ir::compile_frontend(src).unwrap();
+        let analysis = corm_analysis::analyze_module(&module, Default::default());
+        let plans = corm_codegen::generate_plans(&module, &analysis, corm_codegen::OptConfig::ALL);
+        edit(&mut module);
+        let opts = RunOptions { machines: 1, timeline_interval_us: 0, ..Default::default() };
+        Cluster::start(Arc::new(module), Arc::new(plans), &opts)
+    }
+
+    fn func(c: &Cluster, name: &str) -> FuncId {
+        c.rt.module.funcs.iter().find(|f| f.name == name).expect("function").id
+    }
+
+    #[test]
+    fn a_typed_op_on_another_tag_raises_the_tagged_error() {
+        // `r2 = r0 + r1` on int registers, `r1` read before anything writes it.
+        let c =
+            cluster("class M { static int f(int a) { return a; } static void main() { } }", |m| {
+                let f = m.funcs.iter_mut().find(|f| f.name == "M.f").unwrap();
+                f.reg_tys = vec![Ty::Int; 3];
+                f.blocks = vec![Block {
+                    instrs: vec![Instr::Bin {
+                        dst: Reg(2),
+                        op: BinKind::Add,
+                        a: Reg(0),
+                        b: Reg(1),
+                    }],
+                    term: Terminator::Ret(Some(Reg(2))),
+                }];
+                f.entry = corm_ir::BlockId(0);
+            });
+        let f = func(&c, "M.f");
+        assert!(matches!(c.rt.linked[f.index()].code[0], Op::BinInt { .. }));
+        let mut interp = Interp::new(c.rt.clone(), 0);
+        let e = interp.run_function(f, vec![Value::Int(5)]).unwrap_err();
+        assert_eq!(e.message, "bad operands for Add: Int(5), Null");
+        assert_eq!(e.trace, ["M.f"]);
+        drop(interp);
+        c.finish(None);
+    }
+
+    #[test]
+    fn a_stack_overflow_unwinds_frames_and_registers() {
+        let c = cluster(
+            "class M { static int depth(int n) { if (n == 0) { return 0; } return M.depth(n - 1) + 1; }
+               static void main() { } }",
+            |_| {},
+        );
+        let f = func(&c, "M.depth");
+        let mut interp = Interp::new(c.rt.clone(), 0);
+        // `depth(n)` is n + 1 frames deep.
+        assert_eq!(interp.run_function(f, vec![Value::Int(4095)]), Ok(Value::Int(4095)));
+        let e = interp.run_function(f, vec![Value::Int(4096)]).unwrap_err();
+        assert_eq!(e.message, "stack overflow (4096 frames)");
+        assert!(interp.stack.frames.is_empty() && interp.stack.regs.is_empty());
+        assert_eq!(interp.run_function(f, vec![Value::Int(4095)]), Ok(Value::Int(4095)));
+        assert_eq!(
+            interp.run_function(f, vec![]).unwrap_err().message,
+            "M.depth expects 1 arguments, got 0"
+        );
+        drop(interp);
+        c.finish(None);
     }
 }

@@ -15,10 +15,16 @@
 //!   object", §1) and are counted as *local RPCs*;
 //! * `spawn` statements become one-way requests handled on dedicated
 //!   threads (the long-running tester threads of the superoptimizer).
+//!
+//! The interpreter runs each function's linked form (`link`), built once per
+//! cluster from the CFG the analyses read.
+
+#![deny(unsafe_code)]
 
 pub mod builtins;
 pub mod error;
 pub mod interp;
+mod link;
 pub mod machine;
 pub mod pool;
 pub mod reply;

@@ -10,7 +10,7 @@ use corm_wire::{DeserTable, SerCycleTable};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{VmError, VmResult};
-use crate::interp::Frame;
+use crate::interp::Stack;
 use crate::reply::ReplyTable;
 
 /// A native blocking queue (`Queue` builtin).
@@ -46,11 +46,11 @@ pub struct MachineState {
     /// VM threads currently executing (or blocked) on this machine. A
     /// gauge: no decision reads it.
     pub active_threads: usize,
-    /// The frames of every VM thread that is off the machine lock in the
-    /// middle of an activity (`Interp::off_lock`), and as one more frame the
-    /// arguments of every spawned thread that has not started
+    /// The stack of every VM thread that is off the machine lock in the
+    /// middle of an activity (`Interp::off_lock`), and as a stack with no
+    /// frame the arguments of every spawned thread that has not started
     /// (`Interp::spawn`): roots the collecting thread cannot otherwise see.
-    pub(crate) parked: HashMap<u64, Vec<Frame>>,
+    pub(crate) parked: HashMap<u64, Stack>,
     /// Interned string literals (pinned), keyed by `StrId`.
     pub lit_strings: HashMap<u32, ObjRef>,
     /// The identity tables of one message, one per direction, kept between
@@ -173,13 +173,13 @@ impl MachineState {
     }
 
     /// Collect with every root the machine has: the `running` thread's own
-    /// frames and the values it holds `in_flight` outside any frame, the
-    /// frames parked here by every other thread, [`Self::external_roots`],
+    /// registers and the values it holds `in_flight` outside any frame, the
+    /// registers parked here by every other thread, [`Self::external_roots`],
     /// and (inside [`Heap::gc`]) the pin set.
-    pub(crate) fn collect(&mut self, running: &[Frame], in_flight: &[Value]) -> GcReport {
+    pub(crate) fn collect(&mut self, running: &[Value], in_flight: &[Value]) -> GcReport {
         let external = self.external_roots();
-        let frames = running.iter().chain(self.parked.values().flatten());
-        let held = frames.flat_map(|f| &f.regs).chain(in_flight).filter_map(|v| v.as_ref());
+        let parked = self.parked.values().flat_map(|s| &s.regs);
+        let held = running.iter().chain(parked).chain(in_flight).filter_map(|v| v.as_ref());
         self.heap.gc(held.chain(external))
     }
 }

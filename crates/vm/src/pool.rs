@@ -323,6 +323,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(unsafe_code)] // the one read of uninitialized-typed capacity; the crate denies the rest
     fn canary_mode_paints_spare_capacity_but_keeps_it_empty() {
         let reg = MetricsRegistry::new(1);
         let m = reg.machine(0);

@@ -23,6 +23,7 @@ use parking_lot::Mutex;
 
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
+use crate::link::{link, Linked};
 use crate::machine::MachineShared;
 use crate::reply::peer_gone;
 use crate::rmi;
@@ -143,6 +144,8 @@ pub struct AuditSnapshot {
 /// Everything shared by all threads of a cluster run.
 pub struct Runtime {
     pub module: Arc<Module>,
+    /// Every function of `module` linked for the interpreter, by `FuncId`.
+    pub(crate) linked: Box<[Linked]>,
     pub plans: Arc<Plans>,
     /// Sharded per-machine metrics (counters + histograms); see
     /// `corm_obs::MetricsRegistry`. The old cluster-global `RmiStats`
@@ -517,6 +520,7 @@ impl Cluster {
 
         let rt = Arc::new(Runtime {
             site_scopes: module.call_sites.iter().map(|_| OnceLock::new()).collect(),
+            linked: link(&module),
             module,
             plans,
             obs: obs.clone(),

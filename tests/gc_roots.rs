@@ -204,3 +204,43 @@ fn a_thread_at_a_safepoint_yield_keeps_its_frames_rooted() {
     "#;
     holder_keeps_its_chain(program, 1, 10);
 }
+
+/// The register file holds exactly the live frames' registers: a callee's
+/// window goes with its return, so a chain only the callee's registers held is
+/// garbage at the next collection, every node of it.
+#[test]
+fn a_returned_callees_registers_root_nothing() {
+    let program = r#"
+        class Main {
+            static int build() {
+                Node mine = Chain.of(100);
+                return 7;
+            }
+            static void main() {
+                int seven = Main.build();
+                System.gc();
+            }
+        }
+    "#;
+    let compiled = compile(&format!("{CHAIN}{program}"), OptConfig::ALL).unwrap();
+    let out = corm::run(&compiled, RunOptions { machines: 1, ..Default::default() });
+    assert!(out.error.is_none(), "{}", out.error.unwrap());
+    assert_eq!((out.heap.gc_runs, out.heap.allocs, out.heap.freed), (1, 100, 100));
+}
+
+/// A caller's window stays below its callee's: a chain held only in `main`'s
+/// register survives a callee that collects and then allocates over the swept
+/// slots.
+#[test]
+fn a_callers_registers_stay_rooted_across_an_allocating_callee() {
+    let program = r#"
+        class Main {
+            static void main() {
+                Node mine = Chain.of(100);
+                Node fresh = Chain.collectAndRecycle();
+                Chain.print(mine);
+            }
+        }
+    "#;
+    holder_keeps_its_chain(program, 1, 1);
+}
