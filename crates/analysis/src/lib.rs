@@ -20,9 +20,10 @@
 //! * **May-block** ([`blocking`]): can serving a remote method make its
 //!   thread wait? Methods that cannot are served by the machine's drain
 //!   thread itself, as Manta serves non-blocking methods in the upcall.
-//! * **Shape extraction** ([`shape`]): per-call-site static shapes of the
-//!   argument/return object graphs, the input to call-site-specific
-//!   marshaler generation in `corm-codegen` (§3.1).
+//! * **Call-site serializers** ([`shape`]): per call site, the [`SerNode`]
+//!   program of each argument and the return value — what the heap
+//!   analysis proves about the object graph, as the tree the engine in
+//!   `corm-codegen` runs (§3.1).
 
 pub mod blocking;
 pub mod cycles;
@@ -36,5 +37,5 @@ pub mod summary;
 pub use graph::{HeapGraph, HeapNode, NodeId, NodeSet};
 pub use points_to::{analyze_points_to, PointsTo};
 pub use provenance::{Decision, SiteProvenance};
-pub use shape::Shape;
+pub use shape::{PrimKind, SerNode};
 pub use summary::{analyze_module, AnalysisOptions, AnalysisResult, RemoteSiteInfo};

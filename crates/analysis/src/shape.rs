@@ -1,90 +1,108 @@
-//! Static shapes of argument/return object graphs (input to call-site-
-//! specific code generation, paper §3.1).
+//! The call-site serializer program, built from the heap analysis (paper
+//! §3.1).
 //!
 //! "By performing heap analysis, we can often detect what type of object
 //! is pointed to by a reference field at compile time and generate
 //! specialized code to serialize the fields of the pointed-to object."
 //!
-//! A [`Shape`] is the compiler's statically-proven structure of a value:
-//! where it is `Exact`/`ArrayPrim`/`ArrayRef`, the generated serializer
-//! can inline field copies and omit wire type information; where it
-//! degrades to `Dynamic`, the serializer falls back to tagged per-class
-//! dispatch (the `class` baseline behaviour).
+//! [`shape_of`] turns the statically-proven structure of a value into the
+//! [`SerNode`] tree the engine in `corm-codegen` runs: where the structure
+//! is known the program inlines field copies and puts no type information
+//! on the wire; where it is not, the node is `Dynamic` and the engine
+//! falls back to tagged per-class dispatch (the `class` baseline
+//! behaviour).
 
 use corm_ir::{ClassId, ClassKind, FieldId, Module, Ty};
 
 use crate::graph::{HeapGraph, NodeSet};
 
-/// Statically-known structure of one field of an [`Shape::Exact`] object.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldShape {
-    pub field: FieldId,
-    pub slot: u32,
-    pub ty: Ty,
-    pub shape: Shape,
+/// Primitive payload kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrimKind {
+    Bool,
+    I32,
+    I64,
+    F64,
 }
 
-/// The statically-known structure of a serialized value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Shape {
-    /// Primitive — copied by value, no protocol bytes at all.
-    Prim(Ty),
-    /// String — length + bytes (+ null bit), no type tag needed.
-    Str,
-    /// Reference to a `remote class` instance — serialized by reference
-    /// (machine id + object id), never deep-copied.
-    Remote(ClassId),
-    /// Unique concrete class proven by heap analysis; fields are inlined
-    /// recursively ("Derived1 is inferred by compiler analysis!").
-    Exact { class: ClassId, fields: Vec<FieldShape> },
-    /// One-dimensional primitive array: length + bulk payload.
-    ArrayPrim { elem: Ty },
-    /// Reference array with a statically-known element shape.
-    ArrayRef { elem_ty: Ty, elem: Box<Shape> },
-    /// Statically unknown — the serializer emits a type tag and dispatches
-    /// to the per-class serializer at runtime.
-    Dynamic(Ty),
-    /// Monomorphic recursion: this position re-enters the enclosing shape
-    /// `up` levels above (1 = innermost enclosing object/array). The
-    /// paper inlines "often even for referred-to objects" — a linked list
-    /// whose nodes all come from one allocation site serializes with no
-    /// per-node type information, only presence bits (and handles when
-    /// the cycle table is on).
-    Rec { up: u32 },
-}
-
-impl Shape {
-    /// Does serializing this shape ever need dynamic dispatch?
-    pub fn fully_static(&self) -> bool {
-        match self {
-            Shape::Prim(_)
-            | Shape::Str
-            | Shape::Remote(_)
-            | Shape::ArrayPrim { .. }
-            | Shape::Rec { .. } => true,
-            Shape::Exact { fields, .. } => fields.iter().all(|f| f.shape.fully_static()),
-            Shape::ArrayRef { elem, .. } => elem.fully_static(),
-            Shape::Dynamic(_) => false,
-        }
+impl PrimKind {
+    pub fn of(ty: &Ty) -> Option<PrimKind> {
+        Some(match ty {
+            Ty::Bool => PrimKind::Bool,
+            Ty::Int => PrimKind::I32,
+            Ty::Long => PrimKind::I64,
+            Ty::Double => PrimKind::F64,
+            _ => return None,
+        })
     }
 
-    /// Short description for reports.
-    pub fn describe(&self, m: &Module) -> String {
+    /// The primitive type this kind carries.
+    pub fn ty(self) -> Ty {
         match self {
-            Shape::Prim(t) => m.table.ty_name(t),
-            Shape::Str => "String".into(),
-            Shape::Remote(c) => format!("remote {}", m.table.class(*c).name),
-            Shape::Exact { class, fields } => {
+            PrimKind::Bool => Ty::Bool,
+            PrimKind::I32 => Ty::Int,
+            PrimKind::I64 => Ty::Long,
+            PrimKind::F64 => Ty::Double,
+        }
+    }
+}
+
+/// A serializer program node. Site-mode plans are trees of
+/// statically-resolved nodes; `Dynamic` is the tagged fall-back (and the
+/// entire program in class mode).
+#[derive(Debug, Clone, PartialEq)]
+pub enum SerNode {
+    /// Copy a primitive by value — zero protocol bytes.
+    Prim(PrimKind),
+    /// Length + UTF-8 bytes behind a presence bit; no type tag.
+    Str,
+    /// Remote handle: machine + object id + class id, by reference.
+    Remote,
+    /// Statically-known concrete class: presence bit, then fields inlined
+    /// in slot order. No type tag, no dispatch ("serialization code can be
+    /// inlined at the RMI call site", §1; "Derived1 is inferred by
+    /// compiler analysis!").
+    Inline {
+        class: ClassId,
+        /// (field, slot, program) for every slot in layout order.
+        fields: Vec<(FieldId, u32, SerNode)>,
+    },
+    /// Primitive array: presence bit, u32 length, bulk payload.
+    ArrPrim { elem: PrimKind },
+    /// Reference array with statically-known element program.
+    ArrRef { elem_ty: Ty, elem: Box<SerNode> },
+    /// Tagged dynamic serialization (type info on the wire, per-class
+    /// serializer dispatch at runtime).
+    Dynamic,
+    /// Monomorphic recursion: re-enter the `Inline`/`ArrRef` program `up`
+    /// levels above this position. Lets recursive types (linked lists,
+    /// trees over one allocation site) serialize with zero type info —
+    /// "inlined ... often even for referred-to objects" (paper §1).
+    Recur { up: u32 },
+}
+
+impl SerNode {
+    /// Short description for reports. `declared` is the static type of the
+    /// slot the value is read from.
+    pub fn describe(&self, m: &Module, declared: &Ty) -> String {
+        match self {
+            SerNode::Prim(k) => m.table.ty_name(&k.ty()),
+            SerNode::Str => "String".into(),
+            SerNode::Remote => format!("remote {}", m.table.ty_name(declared)),
+            SerNode::Inline { class, fields } => {
                 let fs: Vec<String> = fields
                     .iter()
-                    .map(|f| format!("{}: {}", m.table.field(f.field).name, f.shape.describe(m)))
+                    .map(|(fid, _, node)| {
+                        let f = m.table.field(*fid);
+                        format!("{}: {}", f.name, node.describe(m, &f.ty))
+                    })
                     .collect();
                 format!("{}{{{}}}", m.table.class(*class).name, fs.join(", "))
             }
-            Shape::ArrayPrim { elem } => format!("{}[] (bulk)", m.table.ty_name(elem)),
-            Shape::ArrayRef { elem, .. } => format!("[{}]", elem.describe(m)),
-            Shape::Dynamic(t) => format!("dynamic<{}>", m.table.ty_name(t)),
-            Shape::Rec { up } => format!("rec^{up}"),
+            SerNode::ArrPrim { elem } => format!("{}[] (bulk)", m.table.ty_name(&elem.ty())),
+            SerNode::ArrRef { elem_ty, elem } => format!("[{}]", elem.describe(m, elem_ty)),
+            SerNode::Dynamic => format!("dynamic<{}>", m.table.ty_name(declared)),
+            SerNode::Recur { up } => format!("rec^{up}"),
         }
     }
 }
@@ -93,9 +111,9 @@ impl Shape {
 /// pathological deep static structures).
 const MAX_DEPTH: usize = 32;
 
-/// Compute the shape of a value of declared type `ty` whose points-to set
-/// is `pts`.
-pub fn shape_of(m: &Module, g: &HeapGraph, ty: &Ty, pts: &NodeSet) -> Shape {
+/// The serializer program for a value of declared type `ty` whose
+/// points-to set is `pts`.
+pub fn shape_of(m: &Module, g: &HeapGraph, ty: &Ty, pts: &NodeSet) -> SerNode {
     let mut path = Vec::new();
     shape_rec(m, g, ty, pts, &mut path, 0)
 }
@@ -107,15 +125,17 @@ fn shape_rec(
     pts: &NodeSet,
     path: &mut Vec<(NodeSet, Ty)>,
     depth: usize,
-) -> Shape {
+) -> SerNode {
+    if let Some(k) = PrimKind::of(ty) {
+        return SerNode::Prim(k);
+    }
     match ty {
-        Ty::Bool | Ty::Int | Ty::Long | Ty::Double => return Shape::Prim(ty.clone()),
-        Ty::Str => return Shape::Str,
-        Ty::Void | Ty::Null => return Shape::Dynamic(ty.clone()),
-        _ => {}
+        Ty::Str => return SerNode::Str,
+        Ty::Array(_) | Ty::Class(_) => {}
+        _ => return SerNode::Dynamic,
     }
     if depth > MAX_DEPTH || pts.is_empty() {
-        return Shape::Dynamic(ty.clone());
+        return SerNode::Dynamic;
     }
     // Recursion: re-encountering *exactly* the node set of an enclosing
     // position is monomorphic recursion — the sub-graph serializes by
@@ -123,15 +143,10 @@ fn shape_rec(
     // Partial overlap is statically unbounded in an irregular way and
     // degrades to dynamic serialization.
     if let Some(idx) = path.iter().rposition(|(set, t)| set == pts && t == ty) {
-        return Shape::Rec { up: (path.len() - idx) as u32 };
+        return SerNode::Recur { up: (path.len() - idx) as u32 };
     }
     if pts.iter().any(|n| path.iter().any(|(set, _)| set.contains(n))) {
-        return Shape::Dynamic(ty.clone());
-    }
-
-    match ty {
-        Ty::Array(_) | Ty::Class(_) => {}
-        _ => return Shape::Dynamic(ty.clone()),
+        return SerNode::Dynamic;
     }
 
     // All nodes must agree on one concrete allocated type.
@@ -139,46 +154,40 @@ fn shape_rec(
     node_tys.dedup();
     let first = node_tys[0].clone();
     if !node_tys.iter().all(|t| **t == first) {
-        return Shape::Dynamic(ty.clone());
+        return SerNode::Dynamic;
     }
 
     match first {
         Ty::Class(c) => {
             let cls = m.table.class(c);
             if cls.is_remote {
-                return Shape::Remote(c);
+                return SerNode::Remote;
             }
             if cls.kind == ClassKind::NativeInstance {
-                return Shape::Dynamic(ty.clone());
+                return SerNode::Dynamic;
             }
             path.push((pts.clone(), ty.clone()));
             let fields = cls
                 .layout
-                .clone()
                 .iter()
                 .map(|&fid| {
                     let fld = m.table.field(fid);
-                    let slot = fld.slot;
-                    let fshape = if fld.ty.is_ref() {
-                        let mut targets = NodeSet::new();
-                        for &n in pts {
-                            if let Some(set) = g.node(n).fields.get(slot) {
-                                targets.extend(set.iter().copied());
-                            }
+                    let mut targets = NodeSet::new();
+                    for &n in pts {
+                        if let Some(set) = g.node(n).fields.get(fld.slot) {
+                            targets.extend(set.iter().copied());
                         }
-                        shape_rec(m, g, &fld.ty, &targets, path, depth + 1)
-                    } else {
-                        Shape::Prim(fld.ty.clone())
-                    };
-                    FieldShape { field: fid, slot: slot as u32, ty: fld.ty.clone(), shape: fshape }
+                    }
+                    let program = shape_rec(m, g, &fld.ty, &targets, path, depth + 1);
+                    (fid, fld.slot as u32, program)
                 })
                 .collect();
             path.pop();
-            Shape::Exact { class: c, fields }
+            SerNode::Inline { class: c, fields }
         }
         Ty::Array(elem) => {
-            if matches!(*elem, Ty::Bool | Ty::Int | Ty::Long | Ty::Double) {
-                return Shape::ArrayPrim { elem: (*elem).clone() };
+            if let Some(k) = PrimKind::of(&elem) {
+                return SerNode::ArrPrim { elem: k };
             }
             path.push((pts.clone(), ty.clone()));
             let mut targets = NodeSet::new();
@@ -187,9 +196,9 @@ fn shape_rec(
             }
             let inner = shape_rec(m, g, &elem, &targets, path, depth + 1);
             path.pop();
-            Shape::ArrayRef { elem_ty: (*elem).clone(), elem: Box::new(inner) }
+            SerNode::ArrRef { elem_ty: *elem, elem: Box::new(inner) }
         }
-        _ => Shape::Dynamic(ty.clone()),
+        _ => SerNode::Dynamic,
     }
 }
 
@@ -200,7 +209,7 @@ mod tests {
     use corm_ir::compile_frontend;
     use corm_ir::ssa::build_module_ssa;
 
-    fn site_arg_shape(src: &str, method: &str, arg: usize) -> (Module, Shape) {
+    fn site_arg_shape(src: &str, method: &str, arg: usize) -> (Module, SerNode) {
         let m = compile_frontend(src).unwrap();
         let ssa = build_module_ssa(&m);
         let pt = analyze_points_to(&m, &ssa);
@@ -247,7 +256,7 @@ mod tests {
         let base = m.table.class_named("Base").unwrap();
         let d1 = m.table.class_named("Derived1").unwrap();
         let d2 = m.table.class_named("Derived2").unwrap();
-        let shapes: Vec<Shape> = sites
+        let shapes: Vec<SerNode> = sites
             .iter()
             .map(|cs| {
                 let info = &pt.site_info[&cs.id];
@@ -255,17 +264,17 @@ mod tests {
             })
             .collect();
         match &shapes[0] {
-            Shape::Exact { class, .. } => assert_eq!(*class, d1, "site 1 infers Derived1"),
-            other => panic!("expected Exact(Derived1), got {other:?}"),
+            SerNode::Inline { class, .. } => assert_eq!(*class, d1, "site 1 infers Derived1"),
+            other => panic!("expected Inline(Derived1), got {other:?}"),
         }
         match &shapes[1] {
-            Shape::Exact { class, fields } => {
+            SerNode::Inline { class, fields } => {
                 assert_eq!(*class, d2, "site 2 infers Derived2");
-                // Derived2.p must itself be Exact(Derived1) — the recursive
+                // Derived2.p must itself be Inline(Derived1) — the recursive
                 // serializer call is eliminated (Fig. 6 second marshaler).
-                assert!(matches!(&fields[0].shape, Shape::Exact { class, .. } if *class == d1));
+                assert!(matches!(&fields[0].2, SerNode::Inline { class, .. } if *class == d1));
             }
-            other => panic!("expected Exact(Derived2), got {other:?}"),
+            other => panic!("expected Inline(Derived2), got {other:?}"),
         }
     }
 
@@ -285,13 +294,8 @@ mod tests {
             }
         "#;
         let (_m, shape) = site_arg_shape(src, "send", 1);
-        match &shape {
-            Shape::ArrayRef { elem, .. } => {
-                assert_eq!(**elem, Shape::ArrayPrim { elem: Ty::Double });
-            }
-            other => panic!("expected ArrayRef(ArrayPrim), got {other:?}"),
-        }
-        assert!(shape.fully_static());
+        let elem = SerNode::ArrPrim { elem: PrimKind::F64 };
+        assert_eq!(shape, SerNode::ArrRef { elem_ty: Ty::Double.array_of(), elem: Box::new(elem) });
     }
 
     /// A recursive structure (linked list) becomes a recursive inline
@@ -318,16 +322,15 @@ mod tests {
         let (m, shape) = site_arg_shape(src, "send", 1);
         let ll = m.table.class_named("LinkedList").unwrap();
         match &shape {
-            Shape::Exact { class, fields } => {
+            SerNode::Inline { class, fields } => {
                 assert_eq!(*class, ll);
                 // monomorphic recursion: `next` re-enters the enclosing
                 // program — no type information per node (paper §1:
                 // "inlined ... often even for referred-to objects")
-                assert_eq!(fields[0].shape, Shape::Rec { up: 1 }, "next is mono-recursive");
+                assert_eq!(fields[0].2, SerNode::Recur { up: 1 }, "next is mono-recursive");
             }
-            other => panic!("expected Exact(LinkedList), got {other:?}"),
+            other => panic!("expected Inline(LinkedList), got {other:?}"),
         }
-        assert!(shape.fully_static(), "recursive inline plans are fully static");
     }
 
     /// Two different classes reaching one call site force Dynamic.
@@ -346,8 +349,10 @@ mod tests {
                 }
             }
         "#;
-        let (_m, shape) = site_arg_shape(src, "f", 1);
-        assert!(matches!(shape, Shape::Dynamic(_)));
+        let (m, shape) = site_arg_shape(src, "f", 1);
+        assert_eq!(shape, SerNode::Dynamic);
+        let object = Ty::Class(m.table.class_named("Object").unwrap());
+        assert_eq!(shape.describe(&m, &object), "dynamic<Object>");
     }
 
     /// Remote references keep their by-reference shape.
@@ -365,8 +370,9 @@ mod tests {
             }
         "#;
         let (m, shape) = site_arg_shape(src, "f", 1);
-        let peer = m.table.class_named("Peer").unwrap();
-        assert_eq!(shape, Shape::Remote(peer));
+        assert_eq!(shape, SerNode::Remote);
+        let peer = Ty::Class(m.table.class_named("Peer").unwrap());
+        assert_eq!(shape.describe(&m, &peer), "remote Peer");
     }
 
     /// Strings are static leaves.
@@ -379,6 +385,6 @@ mod tests {
             }
         "#;
         let (_m, shape) = site_arg_shape(src, "f", 1);
-        assert_eq!(shape, Shape::Str);
+        assert_eq!(shape, SerNode::Str);
     }
 }

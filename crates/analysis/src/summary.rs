@@ -12,7 +12,7 @@ use crate::cycles::{may_cycle_explained, CycleOptions};
 use crate::escape::{escaping_nodes, explain_reuse, is_reusable};
 use crate::points_to::{analyze_points_to, PointsTo};
 use crate::provenance::{Decision, SiteProvenance};
-use crate::shape::{shape_of, Shape};
+use crate::shape::{shape_of, SerNode};
 
 /// Analysis configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,11 +26,11 @@ pub struct RemoteSiteInfo {
     pub site: CallSiteId,
     pub caller: FuncId,
     pub method: MethodId,
-    /// Shapes of the serialized arguments (receiver excluded — it is
-    /// always a by-reference remote handle).
-    pub arg_shapes: Vec<Shape>,
-    /// Shape of the return value (None for void methods).
-    pub ret_shape: Option<Shape>,
+    /// Serializer programs of the arguments (receiver excluded — it is
+    /// always a by-reference remote handle): what `site` mode runs.
+    pub arg_shapes: Vec<SerNode>,
+    /// Serializer program of the return value (None for void methods).
+    pub ret_shape: Option<SerNode>,
     /// May the argument graph contain cycles/sharing? (§3.2)
     pub args_may_cycle: bool,
     /// May the return-value graph contain cycles/sharing?
@@ -81,7 +81,7 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
         let Some(callee_f) = m.func_of_method(mid) else { continue };
 
         // Argument shapes and cycle verdict (args[0] is the receiver).
-        let arg_shapes: Vec<Shape> = meth
+        let arg_shapes: Vec<SerNode> = meth
             .params
             .iter()
             .enumerate()
@@ -263,12 +263,12 @@ impl AnalysisResult {
                 m.table.class(meth.owner).name,
                 meth.name
             );
-            for (i, sh) in info.arg_shapes.iter().enumerate() {
+            for (i, (sh, pty)) in info.arg_shapes.iter().zip(&meth.params).enumerate() {
                 let _ = writeln!(
                     s,
                     "  arg{}: {}  [reusable={}]",
                     i + 1,
-                    sh.describe(m),
+                    sh.describe(m, pty),
                     info.arg_reusable[i]
                 );
             }
@@ -276,7 +276,7 @@ impl AnalysisResult {
                 let _ = writeln!(
                     s,
                     "  ret: {}  [reusable={}, ignored={}]",
-                    r.describe(m),
+                    r.describe(m, &meth.ret),
                     info.ret_reusable,
                     info.ret_ignored
                 );
@@ -323,7 +323,11 @@ mod tests {
         let s = site_for(&m, &r, "send");
         assert!(!s.args_may_cycle, "heap analysis proves no cycles (paper §4)");
         assert!(s.arg_reusable[0], "arr does not escape `send`");
-        assert!(s.arg_shapes[0].fully_static());
+        let elem = SerNode::ArrPrim { elem: crate::PrimKind::F64 };
+        assert_eq!(
+            s.arg_shapes[0],
+            SerNode::ArrRef { elem_ty: Ty::Double.array_of(), elem: Box::new(elem) }
+        );
         assert!(s.ret_ignored);
     }
 
@@ -399,12 +403,12 @@ mod tests {
         "#;
         let (m, r) = analyze(src);
         let s = site_for(&m, &r, "getPage");
-        assert_eq!(s.ret_shape, Some(Shape::Str));
+        assert_eq!(s.ret_shape, Some(SerNode::Str));
         assert!(!s.ret_may_cycle, "strings cannot be cyclic");
         // String return values have no heap nodes; callee ret set is empty
         // so ret_reusable is false at the analysis level (the VM caches
         // strings structurally instead). The arg string shape is static:
-        assert_eq!(s.arg_shapes[0], Shape::Str);
+        assert_eq!(s.arg_shapes[0], SerNode::Str);
     }
 
     /// A returned argument is not reusable on the callee side.

@@ -13,7 +13,8 @@ use corm_wire::{
     TAG_PRESENT, TAG_REMOTE, TAG_STRING,
 };
 
-use crate::plan::{Plans, PrimKind, SerNode};
+use crate::plan::Plans;
+use crate::{PrimKind, SerNode};
 
 /// A serialization failure (type confusion, wire corruption, attempting
 /// to serialize native objects).
@@ -209,14 +210,13 @@ impl<'a> Serializer<'a> {
         Ok(DeserOutcome { value, reused: walk.reused })
     }
 
-    /// The class serializer the tagged path dispatches to: a program of
-    /// the same rows a call-site plan inlines.
+    /// The class serializer the tagged path dispatches to: the rows of its
+    /// class's [`SerNode::Inline`], as a call-site plan inlines them.
     fn class_program(&self, class: ClassId) -> Result<&'a Fields, SerError> {
-        let info = self.plans.class_ser(class);
-        if !info.serializable {
-            return serr(format!("class {} is not serializable", self.table.class(class).name));
+        match &self.plans.class_sers[class.index()] {
+            Some(SerNode::Inline { fields, .. }) => Ok(fields),
+            _ => serr(format!("class {} is not serializable", self.table.class(class).name)),
         }
-        Ok(&info.fields)
     }
 }
 
@@ -408,7 +408,7 @@ impl<'w> SerWalk<'w> {
                     _ => PrimKind::F64,
                 };
                 self.msg.write_u8(TAG_ARRAY_PRIM);
-                self.msg.write_u8(kind.elem_code());
+                self.msg.write_u8(prim_elem(kind).1);
                 (Body::Prims(kind), ARRAY_TYPE_INFO_BYTES)
             }
         };
@@ -638,12 +638,11 @@ impl<'w> DeserWalk<'w, '_> {
     }
 
     fn prim_array(&mut self, elem: PrimKind, reuse: Value) -> Result<Opened<'w>, SerError> {
-        let (width, ty) = prim_elem(elem);
-        let len = self.read_len(width)?;
+        let len = self.read_len(prim_elem(elem).0)?;
         let (obj, _) = self.target(
             reuse,
             |b| prim_array_len(b, elem) == Some(len),
-            |heap| heap.alloc_array(&ty, len),
+            |heap| heap.alloc_array(&elem.ty(), len),
         );
         read_prim_array_payload(self.heap, obj, elem, self.r)?;
         Ok(Opened::Done(Value::Ref(obj)))
@@ -703,13 +702,14 @@ impl<'w> DeserWalk<'w, '_> {
     }
 }
 
-/// Wire width and heap type of one element of a primitive array.
-fn prim_elem(k: PrimKind) -> (usize, Ty) {
+/// Wire width and `TAG_ARRAY_PRIM` element code of one element of a
+/// primitive array.
+fn prim_elem(k: PrimKind) -> (usize, u8) {
     match k {
-        PrimKind::Bool => (1, Ty::Bool),
-        PrimKind::I32 => (4, Ty::Int),
-        PrimKind::I64 => (8, Ty::Long),
-        PrimKind::F64 => (8, Ty::Double),
+        PrimKind::Bool => (1, corm_wire::ELEM_BOOL),
+        PrimKind::I32 => (4, corm_wire::ELEM_I32),
+        PrimKind::I64 => (8, corm_wire::ELEM_I64),
+        PrimKind::F64 => (8, corm_wire::ELEM_F64),
     }
 }
 
@@ -1228,6 +1228,30 @@ mod tests {
         };
         let vm_stack = std::thread::Builder::new().stack_size(32 * 1024 * 1024);
         vm_stack.spawn(walks).unwrap().join().unwrap();
+    }
+
+    /// Bytes off the wire that name a class which cannot cross it (Seneca,
+    /// PAPERS.md: the wire is attacker-controlled) fail the call before
+    /// anything is allocated.
+    #[test]
+    fn a_wire_class_id_naming_a_native_class_is_an_error() {
+        let (m, plans, stats) = fixture(OptConfig::CLASS);
+        let ser = Serializer::new(&plans, &m.table, &stats);
+        let mut bytes = vec![TAG_OBJECT];
+        bytes.extend(class_id(&m, "Rng").0.to_le_bytes());
+        let mut dst = Heap::new();
+        let allocs = dst.stats.allocs;
+        let err = ser
+            .deserialize(
+                &mut dst,
+                &SerNode::Dynamic,
+                &mut MessageReader::new(&bytes),
+                &mut Some(DeserTable::new()),
+                Value::Null,
+            )
+            .expect_err("a native class id");
+        assert_eq!(err, SerError("class Rng is not serializable".into()));
+        assert_eq!(dst.stats.allocs, allocs, "nothing allocated");
     }
 
     #[test]

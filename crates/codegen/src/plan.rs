@@ -1,87 +1,10 @@
-//! Serializer program representation and generation.
+//! Marshal plan generation: the serializer programs of a module under one
+//! configuration, with the verdicts each call site applies.
 
 use std::collections::HashMap;
 
-use corm_analysis::{AnalysisResult, Decision, Shape, SiteProvenance};
-use corm_ir::{CallSiteId, ClassId, FieldId, MethodId, Module, Ty};
-
-/// Primitive payload kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrimKind {
-    Bool,
-    I32,
-    I64,
-    F64,
-}
-
-impl PrimKind {
-    pub fn of(ty: &Ty) -> Option<PrimKind> {
-        Some(match ty {
-            Ty::Bool => PrimKind::Bool,
-            Ty::Int => PrimKind::I32,
-            Ty::Long => PrimKind::I64,
-            Ty::Double => PrimKind::F64,
-            _ => return None,
-        })
-    }
-
-    pub fn elem_code(self) -> u8 {
-        match self {
-            PrimKind::Bool => corm_wire::ELEM_BOOL,
-            PrimKind::I32 => corm_wire::ELEM_I32,
-            PrimKind::I64 => corm_wire::ELEM_I64,
-            PrimKind::F64 => corm_wire::ELEM_F64,
-        }
-    }
-}
-
-/// A compiled serializer program node. Site-mode plans are trees of
-/// statically-resolved nodes; `Dynamic` is the tagged fall-back (and the
-/// entire program in class mode).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SerNode {
-    /// Copy a primitive by value — zero protocol bytes.
-    Prim(PrimKind),
-    /// Length + UTF-8 bytes behind a presence bit; no type tag.
-    Str,
-    /// Remote handle: machine + object id + class id, by reference.
-    Remote,
-    /// Statically-known concrete class: presence bit, then fields inlined
-    /// in slot order. No type tag, no dispatch ("serialization code can be
-    /// inlined at the RMI call site", §1).
-    Inline {
-        class: ClassId,
-        /// (field, slot, program) for every slot in layout order.
-        fields: Vec<(FieldId, u32, SerNode)>,
-    },
-    /// Primitive array: presence bit, u32 length, bulk payload.
-    ArrPrim { elem: PrimKind },
-    /// Reference array with statically-known element program.
-    ArrRef { elem_ty: Ty, elem: Box<SerNode> },
-    /// Tagged dynamic serialization (type info on the wire, per-class
-    /// serializer dispatch at runtime).
-    Dynamic,
-    /// Monomorphic recursion: re-enter the `Inline`/`ArrRef` program `up`
-    /// levels above this position. Lets recursive types (linked lists,
-    /// trees over one allocation site) serialize with zero type info —
-    /// "inlined ... often even for referred-to objects" (paper §1).
-    Recur { up: u32 },
-}
-
-/// A precompiled per-class serializer (the `class` baseline of the
-/// evaluation; also the target of `Dynamic` dispatch in site mode).
-#[derive(Debug, Clone)]
-pub struct ClassSerInfo {
-    pub class: ClassId,
-    /// The serializer as a program for the engine, in the shape of
-    /// [`SerNode::Inline`]'s `fields`: one (field, slot, program) per
-    /// layout slot, [`SerNode::Prim`] for a primitive field and
-    /// [`SerNode::Dynamic`] for every reference — a class serializer
-    /// cannot know what its fields point at.
-    pub fields: Vec<(FieldId, u32, SerNode)>,
-    /// Classes that cannot cross the wire (native instances).
-    pub serializable: bool,
-}
+use corm_analysis::{AnalysisResult, Decision, PrimKind, SerNode, SiteProvenance};
+use corm_ir::{CallSiteId, ClassKind, MethodId, Module, Ty};
 
 /// The complete marshaling strategy for one remote call site.
 #[derive(Debug, Clone)]
@@ -211,15 +134,17 @@ impl OptConfig {
 pub struct Plans {
     pub config: OptConfig,
     pub sites: HashMap<CallSiteId, MarshalPlan>,
-    /// Indexed by `ClassId`.
-    pub class_sers: Vec<ClassSerInfo>,
+    /// The per-class serializers (the `class` baseline of the evaluation;
+    /// also the target of `Dynamic` dispatch in site mode), indexed by
+    /// `ClassId`. Each is the [`SerNode::Inline`] of its class with
+    /// [`SerNode::Prim`] for a primitive field and [`SerNode::Dynamic`] for
+    /// every reference — a class serializer cannot know what its fields
+    /// point at. `None` for a class that cannot cross the wire (a native
+    /// instance).
+    pub class_sers: Vec<Option<SerNode>>,
 }
 
 impl Plans {
-    pub fn class_ser(&self, c: ClassId) -> &ClassSerInfo {
-        &self.class_sers[c.index()]
-    }
-
     pub fn plan(&self, site: CallSiteId) -> Option<&MarshalPlan> {
         self.sites.get(&site)
     }
@@ -232,21 +157,14 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
         .table
         .classes
         .iter()
-        .map(|c| ClassSerInfo {
-            class: c.id,
-            fields: c
-                .layout
-                .iter()
-                .enumerate()
-                .map(|(slot, &fid)| {
-                    let program = match PrimKind::of(&m.table.field(fid).ty) {
-                        Some(k) => SerNode::Prim(k),
-                        None => SerNode::Dynamic,
-                    };
-                    (fid, slot as u32, program)
-                })
-                .collect(),
-            serializable: c.kind != corm_ir::ClassKind::NativeInstance,
+        .map(|c| {
+            let fields = c.layout.iter().enumerate().map(|(slot, &fid)| {
+                let program =
+                    PrimKind::of(&m.table.field(fid).ty).map_or(SerNode::Dynamic, SerNode::Prim);
+                (fid, slot as u32, program)
+            });
+            (c.kind != ClassKind::NativeInstance)
+                .then(|| SerNode::Inline { class: c.id, fields: fields.collect() })
         })
         .collect();
 
@@ -257,7 +175,7 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
 
         let site_mode = config.engine == EngineMode::Site;
         let args: Vec<SerNode> = if site_mode {
-            info.arg_shapes.iter().map(node_of_shape).collect()
+            info.arg_shapes.clone()
         } else {
             // class baseline: the stub knows the method
             // signature (rmic-style) but every object is serialized
@@ -266,7 +184,7 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
         };
         let ret = match (&meth.ret, &info.ret_shape) {
             (Ty::Void, _) => None,
-            (_, Some(shape)) if site_mode => Some(node_of_shape(shape)),
+            (_, Some(shape)) if site_mode => Some(shape.clone()),
             (rty, _) => Some(shallow_node_of_ty(m, rty)),
         };
 
@@ -305,10 +223,7 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
             }
         };
         let mut provenance = SiteProvenance::default();
-        for (aspect, kept, payload) in [
-            ("args.cycle", args_cycle_table, args_need_table(&args)),
-            ("ret.cycle", ret_cycle_table, ret.as_ref().map(node_needs_table).unwrap_or(false)),
-        ] {
+        for (aspect, kept) in [("args.cycle", args_cycle_table), ("ret.cycle", ret_cycle_table)] {
             let (rule, witness) = if config.cycle_elim && site_mode {
                 analysis_decided(aspect)
             } else if kept {
@@ -319,10 +234,6 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
                          every reference payload uses the table"
                     ),
                 )
-            } else if payload {
-                // unreachable by construction (kept == payload here), but
-                // keep the rule total.
-                ("config-conservative", format!("table kept under '{label}'"))
             } else {
                 (
                     "no-reference-payload",
@@ -462,26 +373,6 @@ fn shallow_node_of_ty(m: &Module, ty: &Ty) -> SerNode {
     }
 }
 
-fn node_of_shape(s: &Shape) -> SerNode {
-    match s {
-        Shape::Prim(t) => SerNode::Prim(PrimKind::of(t).expect("prim shape")),
-        Shape::Str => SerNode::Str,
-        Shape::Remote(_) => SerNode::Remote,
-        Shape::Exact { class, fields } => SerNode::Inline {
-            class: *class,
-            fields: fields.iter().map(|f| (f.field, f.slot, node_of_shape(&f.shape))).collect(),
-        },
-        Shape::ArrayPrim { elem } => {
-            SerNode::ArrPrim { elem: PrimKind::of(elem).expect("prim array") }
-        }
-        Shape::ArrayRef { elem_ty, elem } => {
-            SerNode::ArrRef { elem_ty: elem_ty.clone(), elem: Box::new(node_of_shape(elem)) }
-        }
-        Shape::Dynamic(_) => SerNode::Dynamic,
-        Shape::Rec { up } => SerNode::Recur { up: *up },
-    }
-}
-
 /// Pseudo-code dump of a marshal plan, in the style of the paper's
 /// Figures 6, 7 and 13.
 pub fn describe_plan(m: &Module, plan: &MarshalPlan) -> String {
@@ -585,7 +476,7 @@ fn prim_name(k: PrimKind) -> &'static str {
 mod tests {
     use super::*;
     use corm_analysis::{analyze_module, AnalysisOptions};
-    use corm_ir::compile_frontend;
+    use corm_ir::{compile_frontend, ClassId};
 
     fn plans_for(src: &str, config: OptConfig) -> (Module, Plans) {
         let m = compile_frontend(src).unwrap();
@@ -692,12 +583,21 @@ mod tests {
         let (m, p) = plans_for(src, OptConfig::CLASS);
         assert_eq!(p.class_sers.len(), m.table.classes.len());
         let rng = m.table.class_named("Rng").unwrap();
-        assert!(!p.class_ser(rng).serializable);
-        // The serializer is a program: one entry per layout slot, in slot
-        // order, `Prim` for a primitive field and `Dynamic` for the rest.
+        assert_eq!(p.class_sers[rng.index()], None, "a native class cannot cross the wire");
+        // The serializer is the class's inlined object: one entry per layout
+        // slot, in slot order, `Prim` for a primitive field and `Dynamic`
+        // for the rest.
         for (class, ser) in m.table.classes.iter().zip(&p.class_sers) {
-            assert_eq!(ser.fields.len(), class.layout.len(), "{}", class.name);
-            for (slot, (&fid, entry)) in class.layout.iter().zip(&ser.fields).enumerate() {
+            if class.kind == ClassKind::NativeInstance {
+                assert_eq!(*ser, None, "{}", class.name);
+                continue;
+            }
+            let Some(SerNode::Inline { class: id, fields }) = ser else {
+                panic!("{} has no class serializer", class.name)
+            };
+            assert_eq!(*id, class.id);
+            assert_eq!(fields.len(), class.layout.len(), "{}", class.name);
+            for (slot, (&fid, entry)) in class.layout.iter().zip(fields).enumerate() {
                 let program = match PrimKind::of(&m.table.field(fid).ty) {
                     Some(k) => SerNode::Prim(k),
                     None => SerNode::Dynamic,
@@ -705,8 +605,11 @@ mod tests {
                 assert_eq!(*entry, (fid, slot as u32, program), "{}", class.name);
             }
         }
-        let leaf = &p.class_ser(m.table.class_named("Leaf").unwrap()).fields;
-        let programs: Vec<&SerNode> = leaf.iter().map(|(_, _, program)| program).collect();
+        let leaf = m.table.class_named("Leaf").unwrap();
+        let Some(SerNode::Inline { fields, .. }) = &p.class_sers[leaf.index()] else {
+            panic!("Leaf has a class serializer")
+        };
+        let programs: Vec<&SerNode> = fields.iter().map(|(_, _, program)| program).collect();
         use PrimKind::{Bool, F64, I32, I64};
         use SerNode::{Dynamic, Prim};
         assert_eq!(

@@ -12,7 +12,10 @@
 //! Allocation sites and call sites are never removed or renumbered — they
 //! are the currency of the heap analysis and of the marshal-plan tables.
 //! Jumps through empty forwarding blocks are threaded where the interpreter
-//! links the CFG (`corm-vm`); no analysis reads the difference.
+//! links the CFG (`corm-vm`); no analysis reads the difference. The
+//! constant and copy propagation, by contrast, is read by the heap
+//! analysis: its store-freshness test sees through the lowering's
+//! temporaries only after it (DESIGN §4.2).
 
 use std::collections::HashMap;
 

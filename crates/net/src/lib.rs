@@ -27,4 +27,4 @@ pub use cost::CostModel;
 pub use lossy::LossSpec;
 pub use packet::Packet;
 pub use receive::{Mailbox, Mailboxes, RecvError, ReplyHandler};
-pub use transport::{ClusterBarrier, NetHandle, Transport, TransportKind};
+pub use transport::{NetHandle, Transport, TransportKind};

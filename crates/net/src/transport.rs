@@ -265,23 +265,6 @@ impl NetHandle {
     }
 }
 
-/// Cluster-wide barrier backing the `Cluster.barrier()` builtin: exactly
-/// one thread per machine participates (the paper's LU uses this
-/// pattern — per-machine workers synchronizing between phases).
-pub struct ClusterBarrier {
-    inner: std::sync::Barrier,
-}
-
-impl ClusterBarrier {
-    pub fn new(parties: usize) -> Self {
-        ClusterBarrier { inner: std::sync::Barrier::new(parties) }
-    }
-
-    pub fn wait(&self) {
-        self.inner.wait();
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -575,16 +558,5 @@ pub(crate) mod tests {
         assert_eq!(TransportKind::Tcp.to_string(), "tcp");
         assert_eq!(TransportKind::Reactor.to_string(), "reactor");
         assert_eq!(TransportKind::default(), TransportKind::Channel);
-    }
-
-    #[test]
-    fn barrier_synchronizes() {
-        let b = Arc::new(ClusterBarrier::new(2));
-        let b2 = b.clone();
-        let t = std::thread::spawn(move || {
-            b2.wait();
-        });
-        b.wait();
-        t.join().unwrap();
     }
 }

@@ -12,8 +12,7 @@
 //! monotone counters into per-interval deltas, copies the gauges as-is,
 //! and pushes one [`TimelineSample`] per machine into the registry's
 //! bounded ring. The rings double as the data source for `corm top`
-//! and the `--timeline-json` artifact, and as the input signal the
-//! adaptive re-specialization work (ROADMAP item 2) will consume.
+//! and the `--timeline-json` artifact.
 //!
 //! Honesty notes (the sampler measures itself into the picture):
 //!

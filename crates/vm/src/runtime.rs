@@ -1,15 +1,13 @@
 //! Cluster assembly and program execution.
 
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use corm_codegen::Plans;
 use corm_heap::HeapStats;
 use corm_ir::{CallSiteId, Module};
-use corm_net::{
-    ClusterBarrier, CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, TransportKind,
-};
+use corm_net::{CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, TransportKind};
 use corm_obs::recorder::{
     FlightEvent, FlightKind, DEFAULT_FLIGHT_CAPACITY, TRANSPORT_CHANNEL, TRANSPORT_LOSSY,
     TRANSPORT_REACTOR, TRANSPORT_TCP,
@@ -157,7 +155,10 @@ pub struct Runtime {
     site_scopes: Vec<OnceLock<Arc<SiteMetrics>>>,
     pub net: NetHandle,
     pub machines: Vec<Arc<MachineShared>>,
-    pub barrier: ClusterBarrier,
+    /// Backs the `Cluster.barrier()` builtin: exactly one thread per
+    /// machine takes part (the paper's LU synchronizes its per-machine
+    /// workers between phases this way).
+    pub barrier: Barrier,
     pub args: Vec<i64>,
     /// The cluster epoch: the zero point of trace, flight and timeline
     /// timestamps (the sampler stamps on the flight recorder's copy).
@@ -526,7 +527,7 @@ impl Cluster {
             obs: obs.clone(),
             net,
             machines,
-            barrier: ClusterBarrier::new(opts.machines),
+            barrier: Barrier::new(opts.machines),
             args: opts.args.clone(),
             start,
             output: Mutex::new(String::new()),

@@ -305,3 +305,29 @@ fn site_plans_never_mistype_under_polymorphism() {
         assert_eq!(out.output, "1\n0\n");
     }
 }
+
+/// `ir::opt` is not redundant beside the VM's linker: store freshness
+/// (DESIGN §4.2) sees through the temporaries the front end lowers to only
+/// after the pass's per-block constant and copy propagation. Lowered
+/// without it, superopt's three `Program` sites lose their acyclic verdict,
+/// and Table 6's counters would move.
+#[test]
+fn superopt_program_sites_are_acyclic_only_after_the_cfg_optimizer() {
+    use corm_ir::{lower_program, parse_program, resolve_program, CallSiteId, Module};
+    let src = corm_apps::SUPEROPT.source;
+    let lowered = lower_program(&resolve_program(&parse_program(src).unwrap()).unwrap()).unwrap();
+    let optimized = corm_ir::compile_frontend(src).unwrap();
+    let verdicts = |m: &Module| {
+        let a = corm_analysis::analyze_module(m, Default::default());
+        [25, 29, 31].map(|site| {
+            let info = &a.sites[&CallSiteId(site)];
+            let d = info.provenance.find("args.cycle").expect("args.cycle decision");
+            (m.table.method(info.method).name.clone(), d.verdict, d.rule)
+        })
+    };
+    let expect = |verdict, rule| {
+        ["configure", "submit", "submit"].map(|method| (method.to_string(), verdict, rule))
+    };
+    assert_eq!(verdicts(&optimized), expect("acyclic", "traversal-complete"));
+    assert_eq!(verdicts(&lowered), expect("may_cycle", "nonfresh-element-store"));
+}
