@@ -164,10 +164,12 @@ impl<'a> Serializer<'a> {
     /// real cycle table; the shadow check then fails loudly on any
     /// revisited object instead of silently duplicating it.
     ///
-    /// The table counts its own lookups; the shared `cycle_lookups` counter
-    /// takes what this call added in one bump, error or not. A walk without
-    /// a table (a ping's) returns straight from the walk: that bookkeeping,
-    /// left on its path, costs 2–3× the ~7 ns the walk itself takes.
+    /// The table counts its own lookups, and the walk its type-info bytes
+    /// and serializer invocations; each shared counter takes what this call
+    /// added in one bump, error or not. A walk without a table (a ping's)
+    /// returns straight from the walk and two zero tests: the lookup
+    /// bookkeeping, left on its path, costs 2–3× the ~7 ns the walk itself
+    /// takes.
     pub fn serialize_audited(
         &self,
         heap: &Heap,
@@ -178,13 +180,43 @@ impl<'a> Serializer<'a> {
         shadow: &mut Option<ShadowCycleCheck>,
     ) -> Result<(), SerError> {
         let Some(before) = cycle.as_ref().map(SerCycleTable::lookups) else {
-            return SerWalk { ser: self, heap, cycle, msg, shadow, stack: Vec::new() }
-                .value(node, v);
+            return self.walk(heap, node, v, cycle, msg, shadow);
         };
-        let out = SerWalk { ser: self, heap, cycle, msg, shadow, stack: Vec::new() }.value(node, v);
+        let out = self.walk(heap, node, v, cycle, msg, shadow);
         let looked = cycle.as_ref().map_or(0, |t| t.lookups() - before);
         if looked > 0 {
             RmiStats::bump(&self.stats.cycle_lookups, looked);
+        }
+        out
+    }
+
+    /// One [`SerWalk`], and the counts it kept, bumped.
+    fn walk(
+        &self,
+        heap: &Heap,
+        node: &SerNode,
+        v: Value,
+        cycle: &mut Option<SerCycleTable>,
+        msg: &mut Message,
+        shadow: &mut Option<ShadowCycleCheck>,
+    ) -> Result<(), SerError> {
+        let mut walk = SerWalk {
+            ser: self,
+            heap,
+            cycle,
+            msg,
+            shadow,
+            stack: Vec::new(),
+            type_info: 0,
+            invocations: 0,
+        };
+        let out = walk.value(node, v);
+        let (type_info, invocations) = (walk.type_info, walk.invocations);
+        if type_info > 0 {
+            RmiStats::bump(&self.stats.type_info_bytes, type_info);
+        }
+        if invocations > 0 {
+            RmiStats::bump(&self.stats.ser_invocations, invocations);
         }
         out
     }
@@ -224,17 +256,22 @@ impl<'a> Serializer<'a> {
 // Serialization
 // =========================================================================
 
-/// The payload behind a reference node's header. A call-site plan names
-/// it statically; the tagged path reads it off the object.
+/// The payload behind a reference node's header, with what the heap holds
+/// of it: a call-site plan names the program statically, the tagged path
+/// reads it off the object, and either way the object's slot is looked up
+/// once.
 enum Body<'w> {
-    Object(&'w Fields),
-    Prims(PrimKind),
-    /// A reference array and its element program.
-    Refs(&'w SerNode),
+    /// An instance's program and its fields.
+    Object(&'w Fields, &'w [Value]),
+    /// A primitive array's element kind and its body.
+    Prims(PrimKind, &'w ObjBody),
+    /// A reference array's element program and its elements.
+    Refs(&'w SerNode, &'w [Value]),
 }
 
 /// One message's serialization: what [`Serializer::serialize_audited`]
-/// was handed, and the stack of [`enter`].
+/// was handed, the stack of [`enter`], and the tagged path's counts, which
+/// [`Serializer::walk`] bumps once.
 struct SerWalk<'w> {
     ser: &'w Serializer<'w>,
     heap: &'w Heap,
@@ -242,6 +279,8 @@ struct SerWalk<'w> {
     msg: &'w mut Message,
     shadow: &'w mut Option<ShadowCycleCheck>,
     stack: Vec<&'w SerNode>,
+    type_info: u64,
+    invocations: u64,
 }
 
 impl<'w> SerWalk<'w> {
@@ -255,23 +294,23 @@ impl<'w> SerWalk<'w> {
         let node = resolve(&self.stack, node)?;
         let Some((r, body)) = self.open(node, v)? else { return Ok(()) };
         match body {
-            Body::Prims(elem) => return write_prim_array_payload(self.heap, r, elem, self.msg),
-            Body::Object(fields) => {
+            Body::Prims(elem, arr) => return write_prim_array_payload(arr, elem, self.msg),
+            Body::Object(fields, values) => {
                 enter(&mut self.stack, node, "serialization")?;
                 for (_, slot, sub) in fields {
-                    let fv = self.heap.field(r, *slot as usize)?;
+                    let fv = values.get(*slot as usize).copied().ok_or_else(|| {
+                        SerError(format!("field slot {slot} out of range on {r}"))
+                    })?;
                     match sub {
                         SerNode::Prim(k) => write_prim(*k, fv, self.msg)?,
                         _ => self.value(sub, fv)?,
                     }
                 }
             }
-            Body::Refs(elem) => {
+            Body::Refs(elem, elems) => {
                 enter(&mut self.stack, node, "serialization")?;
-                let len = self.heap.array_len(r)?;
-                self.msg.write_u32(len as u32);
-                for i in 0..len {
-                    let ev = self.heap.array_get(r, i)?;
+                self.msg.write_u32(elems.len() as u32);
+                for &ev in elems {
                     self.value(elem, ev)?;
                 }
             }
@@ -288,7 +327,7 @@ impl<'w> SerWalk<'w> {
         node: &'w SerNode,
         v: Value,
     ) -> Result<Option<(ObjRef, Body<'w>)>, SerError> {
-        let (r, body) = match (node, v) {
+        let r = match (node, v) {
             (SerNode::Dynamic, v) => return self.open_dynamic(v),
             (SerNode::Prim(_) | SerNode::Recur { .. }, _) => unreachable!("`value` saw to it"),
             (_, Value::Null) => {
@@ -309,9 +348,7 @@ impl<'w> SerWalk<'w> {
             (SerNode::Remote, other) => {
                 return serr(format!("expected remote ref, found {other:?}"))
             }
-            (SerNode::Inline { fields, .. }, Value::Ref(r)) => (r, Body::Object(fields)),
-            (SerNode::ArrPrim { elem }, Value::Ref(r)) => (r, Body::Prims(*elem)),
-            (SerNode::ArrRef { elem, .. }, Value::Ref(r)) => (r, Body::Refs(elem)),
+            (_, Value::Ref(r)) => r,
             (_, other) => return serr(format!("expected reference, found {other:?}")),
         };
         // A statically known reference: handle or presence, and not a
@@ -320,17 +357,25 @@ impl<'w> SerWalk<'w> {
             return Ok(None);
         }
         self.msg.write_u8(TAG_PRESENT);
-        if let SerNode::Inline { class, .. } = node {
-            let actual = self.heap.body(r)?.class();
-            if actual != Some(*class) {
+        let (obj, values) = self.heap.body_and_fields(r)?;
+        let body = match (node, obj) {
+            (SerNode::Inline { class, fields }, ObjBody::Obj { class: actual, .. })
+                if actual == class =>
+            {
+                Body::Object(fields, values)
+            }
+            (SerNode::Inline { class, .. }, obj) => {
                 let table = self.ser.table;
                 return serr(format!(
                     "call-site plan expected {} but found {:?} (analysis violation)",
                     table.class(*class).name,
-                    actual.map(|c| table.class(c).name.clone())
+                    obj.class().map(|c| table.class(c).name.clone())
                 ));
             }
-        }
+            (SerNode::ArrPrim { elem }, obj) => Body::Prims(*elem, obj),
+            (SerNode::ArrRef { elem, .. }, ObjBody::ArrRef { data, .. }) => Body::Refs(elem, data),
+            (_, _) => return serr(format!("length of non-array {r}")),
+        };
         Ok(Some((r, body)))
     }
 
@@ -354,7 +399,6 @@ impl<'w> SerWalk<'w> {
     /// the type information it puts on the wire and the serializer
     /// invocation it counts per object. The payload is `value`'s.
     fn open_dynamic(&mut self, v: Value) -> Result<Option<(ObjRef, Body<'w>)>, SerError> {
-        let stats = self.ser.stats;
         let r = match v {
             Value::Null => {
                 self.msg.write_u8(TAG_NULL);
@@ -368,7 +412,7 @@ impl<'w> SerWalk<'w> {
             }
             Value::Remote(rr) => {
                 self.msg.write_u8(TAG_REMOTE);
-                RmiStats::bump(&stats.type_info_bytes, 1);
+                self.type_info += 1;
                 write_remote(self.msg, rr);
                 return Ok(None);
             }
@@ -377,22 +421,23 @@ impl<'w> SerWalk<'w> {
         if self.back_reference(r)? {
             return Ok(None);
         }
-        let (body, type_info) = match self.heap.body(r)? {
+        let (obj, values) = self.heap.body_and_fields(r)?;
+        let (body, type_info) = match obj {
             ObjBody::Str(s) => {
                 self.msg.write_u8(TAG_STRING);
-                RmiStats::bump(&stats.type_info_bytes, 1);
+                self.type_info += 1;
                 self.msg.write_str(s);
                 return Ok(None);
             }
             ObjBody::Obj { class, .. } => {
                 self.msg.write_u8(TAG_OBJECT);
                 self.msg.write_u32(class.0);
-                (Body::Object(self.ser.class_program(*class)?), OBJECT_TYPE_INFO_BYTES)
+                (Body::Object(self.ser.class_program(*class)?, values), OBJECT_TYPE_INFO_BYTES)
             }
-            ObjBody::ArrRef { elem, .. } => {
+            ObjBody::ArrRef { elem, data } => {
                 self.msg.write_u8(TAG_ARRAY_REF);
                 let ty_bytes = write_ty(self.msg, elem);
-                (Body::Refs(&SerNode::Dynamic), ARRAY_TYPE_INFO_BYTES + ty_bytes)
+                (Body::Refs(&SerNode::Dynamic, data), ARRAY_TYPE_INFO_BYTES + ty_bytes)
             }
             ObjBody::Native { class, .. } => {
                 return serr(format!(
@@ -409,11 +454,11 @@ impl<'w> SerWalk<'w> {
                 };
                 self.msg.write_u8(TAG_ARRAY_PRIM);
                 self.msg.write_u8(prim_elem(kind).1);
-                (Body::Prims(kind), ARRAY_TYPE_INFO_BYTES)
+                (Body::Prims(kind, prims), ARRAY_TYPE_INFO_BYTES)
             }
         };
-        RmiStats::bump(&stats.type_info_bytes, type_info);
-        RmiStats::bump(&stats.ser_invocations, 1);
+        self.type_info += type_info;
+        self.invocations += 1;
         Ok(Some((r, body)))
     }
 }
@@ -431,12 +476,11 @@ fn write_prim(k: PrimKind, v: Value, msg: &mut Message) -> Result<(), SerError> 
 }
 
 fn write_prim_array_payload(
-    heap: &Heap,
-    r: ObjRef,
+    arr: &ObjBody,
     elem: PrimKind,
     msg: &mut Message,
 ) -> Result<(), SerError> {
-    match (heap.body(r)?, elem) {
+    match (arr, elem) {
         (ObjBody::ArrBool(a), PrimKind::Bool) => {
             msg.write_u32(a.len() as u32);
             msg.write_bool_slice(a);
@@ -501,19 +545,24 @@ impl<'w> DeserWalk<'w, '_> {
         let node = resolve(&self.stack, node)?;
         let obj = match self.open(node, reuse)? {
             Opened::Done(v) => return Ok(v),
+            // One slot lookup for the whole object: nothing is collected
+            // inside a walk, so its fields stay where they are while the
+            // nested values allocate. Taken here, not carried in `Opened`:
+            // copied through that enum, the handle cost two store-forwarding
+            // stalls an object.
             Opened::Object { obj, reusing, fields } => {
                 enter(&mut self.stack, node, "deserialization")?;
+                let at = self.heap.fields_ref(obj)?;
                 for (_, slot, sub) in fields {
                     let slot = *slot as usize;
                     let fv = match sub {
                         SerNode::Prim(k) => read_prim(*k, self.r)?,
                         _ => {
-                            let old =
-                                if reusing { self.heap.field(obj, slot)? } else { Value::Null };
+                            let old = if reusing { self.heap.slot(at, slot)? } else { Value::Null };
                             self.value(sub, old)?
                         }
                     };
-                    self.heap.set_field(obj, slot, fv)?;
+                    self.heap.set_slot(at, slot, fv)?;
                 }
                 obj
             }
@@ -629,21 +678,17 @@ impl<'w> DeserWalk<'w, '_> {
 
     /// Same class ⇒ overwrite in place.
     fn object(&mut self, class: ClassId, fields: &'w Fields, reuse: Value) -> Opened<'w> {
-        let (obj, reusing) = self.target(
-            reuse,
-            |b| b.class() == Some(class),
-            |heap| heap.alloc_obj(class, fields.len()),
-        );
-        Opened::Object { obj, reusing, fields }
+        let recycled = self.recycle(reuse, |b| b.class() == Some(class));
+        let obj = recycled.unwrap_or_else(|| self.heap.alloc_obj(class, fields.len()));
+        self.register(obj);
+        Opened::Object { obj, reusing: recycled.is_some(), fields }
     }
 
     fn prim_array(&mut self, elem: PrimKind, reuse: Value) -> Result<Opened<'w>, SerError> {
         let len = self.read_len(prim_elem(elem).0)?;
-        let (obj, _) = self.target(
-            reuse,
-            |b| prim_array_len(b, elem) == Some(len),
-            |heap| heap.alloc_array(&elem.ty(), len),
-        );
+        let recycled = self.recycle(reuse, |b| prim_array_len(b, elem) == Some(len));
+        let obj = recycled.unwrap_or_else(|| self.heap.alloc_array(&elem.ty(), len));
+        self.register(obj);
         read_prim_array_payload(self.heap, obj, elem, self.r)?;
         Ok(Opened::Done(Value::Ref(obj)))
     }
@@ -655,12 +700,11 @@ impl<'w> DeserWalk<'w, '_> {
         reuse: Value,
     ) -> Result<Opened<'w>, SerError> {
         let len = self.read_len(1)?;
-        let (obj, reusing) = self.target(
-            reuse,
-            |b| matches!(b, ObjBody::ArrRef { data, .. } if data.len() == len),
-            |heap| heap.alloc_array(elem_ty, len),
-        );
-        Ok(Opened::Refs { obj, reusing, len, elem })
+        let recycled =
+            self.recycle(reuse, |b| matches!(b, ObjBody::ArrRef { data, .. } if data.len() == len));
+        let obj = recycled.unwrap_or_else(|| self.heap.alloc_array(elem_ty, len));
+        self.register(obj);
+        Ok(Opened::Refs { obj, reusing: recycled.is_some(), len, elem })
     }
 
     /// A length prefix, checked against what is left of the message: a
@@ -675,24 +719,14 @@ impl<'w> DeserWalk<'w, '_> {
         Ok(len)
     }
 
-    /// The object a payload is read into, and whether it is recycled:
-    /// the reuse candidate when it `fits` and was not claimed yet, else
-    /// a `fresh` one. Either way it takes the next wire handle.
-    fn target(
-        &mut self,
-        reuse: Value,
-        fits: impl FnOnce(&ObjBody) -> bool,
-        fresh: impl FnOnce(&mut Heap) -> ObjRef,
-    ) -> (ObjRef, bool) {
-        let (obj, reusing) = match reuse {
-            Value::Ref(old) if self.heap.body(old).is_ok_and(fits) && self.heap.claim(old) => {
-                self.reused += 1;
-                (old, true)
-            }
-            _ => (fresh(self.heap), false),
-        };
-        self.register(obj);
-        (obj, reusing)
+    /// The reuse candidate, claimed, when it `fits` and no wire position
+    /// took it yet; otherwise the caller allocates. Either way the object
+    /// a payload is read into takes the next wire handle (`register`).
+    fn recycle(&mut self, reuse: Value, fits: impl FnOnce(&ObjBody) -> bool) -> Option<ObjRef> {
+        let Value::Ref(old) = reuse else { return None };
+        let claimed = self.heap.claim(old, fits);
+        self.reused += u64::from(claimed);
+        claimed.then_some(old)
     }
 
     fn register(&mut self, obj: ObjRef) {

@@ -20,6 +20,8 @@
 //! module executes them with one walk per direction against a `corm-heap`
 //! heap, updating the `corm-wire` statistics counters.
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod plan;
 

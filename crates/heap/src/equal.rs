@@ -50,10 +50,8 @@ fn eq_rec(ha: &Heap, a: Value, hb: &Heap, b: Value, seen: &mut HashSet<(ObjRef, 
                     s.len() == t.len()
                         && s.iter().zip(t).all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
                 }
-                (
-                    ObjBody::Obj { class: ca, fields: fa },
-                    ObjBody::Obj { class: cb, fields: fb },
-                ) => {
+                (ObjBody::Obj { class: ca, .. }, ObjBody::Obj { class: cb, .. }) => {
+                    let (fa, fb) = (ha.fields_of(oa), hb.fields_of(ob));
                     ca == cb
                         && fa.len() == fb.len()
                         && fa.iter().zip(fb.iter()).all(|(&x, &y)| eq_rec(ha, x, hb, y, seen))
@@ -116,7 +114,8 @@ fn digest_rec(heap: &Heap, v: Value, numbering: &mut HashMap<ObjRef, u32>, h: &m
                         x.to_bits().hash(h);
                     }
                 }
-                ObjBody::Obj { class, fields } => {
+                ObjBody::Obj { class, .. } => {
+                    let fields = heap.fields_of(body);
                     (13u8, class.0, fields.len()).hash(h);
                     for &f in fields.iter() {
                         digest_rec(heap, f, numbering, h);

@@ -64,7 +64,7 @@ impl Heap {
         let mut stack: Vec<ObjRef> = roots.into_iter().filter(|r| self.is_live(*r)).collect();
         stack.extend(self.pinned().filter(|r| self.is_live(*r)));
         while let Some(r) = stack.pop() {
-            let obj = match self.slots_mut().get_mut(r.index()) {
+            let obj = match self.slots.get_mut(r.index()) {
                 Some(Some(o)) => o,
                 _ => continue,
             };
@@ -72,30 +72,19 @@ impl Heap {
                 continue;
             }
             obj.mark = true;
-            match &obj.body {
-                ObjBody::Obj { fields, .. } => {
-                    for v in fields.iter() {
-                        if let Value::Ref(c) = v {
-                            stack.push(*c);
-                        }
-                    }
-                }
-                ObjBody::ArrRef { data, .. } => {
-                    for v in data.iter() {
-                        if let Value::Ref(c) = v {
-                            stack.push(*c);
-                        }
-                    }
-                }
-                _ => {}
-            }
+            let children = match &obj.body {
+                ObjBody::Obj { span, .. } => &self.fields[span.range()],
+                ObjBody::ArrRef { data, .. } => data,
+                _ => continue,
+            };
+            stack.extend(children.iter().filter_map(Value::as_ref));
         }
 
-        // Sweep phase.
+        // Sweep phase: a swept instance's range goes back to the free list
+        // of its length, as its slot goes back to `free`; under audit
+        // neither does.
         let mut report = GcReport::default();
-        let n = self.slots().len();
-        for i in 0..n {
-            let slot = &mut self.slots_mut()[i];
+        for (i, slot) in self.slots.iter_mut().enumerate() {
             match slot {
                 Some(o) if o.mark => {
                     o.mark = false;
@@ -104,10 +93,13 @@ impl Heap {
                 Some(o) => {
                     report.freed += 1;
                     report.freed_bytes += o.body.byte_size();
-                    *slot = None;
                     if !self.audit {
-                        self.free_list_mut().push(i as u32);
+                        if let ObjBody::Obj { span, .. } = &o.body {
+                            self.free_spans.push(span);
+                        }
+                        self.free.push(i as u32);
                     }
+                    *slot = None;
                 }
                 None => {}
             }

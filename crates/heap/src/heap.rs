@@ -1,4 +1,7 @@
-//! The slab heap with allocation accounting.
+//! The heap: a slab of object slots, one arena for every instance's fields,
+//! and allocation accounting.
+
+use std::ops::Range;
 
 use corm_ir::{ClassId, Ty};
 
@@ -17,13 +20,68 @@ pub enum NativeData {
     Uninit,
 }
 
+/// Where an instance's fields sit in its heap's field arena: `len` values
+/// from `at`. Only [`Heap::alloc_obj`] makes one, and it is neither `Clone`
+/// nor `Copy`, so no two bodies hold the same range.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FieldSpan {
+    at: u32,
+    len: u32,
+}
+
+impl FieldSpan {
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.at as usize..self.at as usize + self.len as usize
+    }
+}
+
+/// Swept field ranges by length: entry `n` holds the starts of free ranges
+/// of `n` values. Layouts are fixed, so a range is only ever handed to an
+/// instance of its own length.
+#[derive(Debug, Default)]
+pub(crate) struct FreeSpans(Vec<Vec<u32>>);
+
+impl FreeSpans {
+    fn pop(&mut self, len: usize) -> Option<u32> {
+        self.0.get_mut(len)?.pop()
+    }
+
+    /// Hand `span`'s range back; an empty span has none.
+    pub(crate) fn push(&mut self, span: &FieldSpan) {
+        let len = span.len();
+        if len == 0 {
+            return;
+        }
+        if self.0.len() <= len {
+            self.0.resize_with(len + 1, Vec::new);
+        }
+        self.0[len].push(span.at);
+    }
+}
+
+/// An instance's fields as the deserializer holds them while the heap
+/// allocates: read and written through [`Heap::slot`] / [`Heap::set_slot`],
+/// valid until the next collection. Unlike a [`FieldSpan`] it can be
+/// copied, and it can never become a body.
+#[derive(Debug, Clone, Copy)]
+pub struct FieldsRef {
+    /// The instance, for the error that names it.
+    obj: ObjRef,
+    at: u32,
+    len: u32,
+}
+
 /// The body of a heap object.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum ObjBody {
-    /// An instance of a user class: one slot per field of the layout.
+    /// An instance of a user class: one arena value per field of the layout.
     Obj {
         class: ClassId,
-        fields: Box<[Value]>,
+        span: FieldSpan,
     },
     ArrBool(Vec<bool>),
     ArrI32(Vec<i32>),
@@ -47,7 +105,7 @@ impl ObjBody {
     /// "new MBytes" statistic from the paper's Tables 4, 6 and 8.
     pub fn byte_size(&self) -> u64 {
         16 + match self {
-            ObjBody::Obj { fields, .. } => 8 * fields.len() as u64,
+            ObjBody::Obj { span, .. } => 8 * span.len as u64,
             ObjBody::ArrBool(v) => v.len() as u64,
             ObjBody::ArrI32(v) => 4 * v.len() as u64,
             ObjBody::ArrI64(v) => 8 * v.len() as u64,
@@ -80,7 +138,7 @@ impl ObjBody {
 }
 
 /// One heap slot.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Obj {
     pub body: ObjBody,
     pub(crate) mark: bool,
@@ -146,11 +204,20 @@ fn out_of_bounds(i: usize, len: usize) -> HeapError {
     HeapError(format!("index {i} out of bounds (len {len})"))
 }
 
+#[cold]
+fn no_field(r: ObjRef, slot: usize) -> HeapError {
+    HeapError(format!("field slot {slot} out of range on {r}"))
+}
+
 /// One machine's object heap.
 #[derive(Debug, Default)]
 pub struct Heap {
-    slots: Vec<Option<Obj>>,
-    free: Vec<u32>,
+    pub(crate) slots: Vec<Option<Obj>>,
+    pub(crate) free: Vec<u32>,
+    /// The field arena: every instance's fields, each at its [`FieldSpan`].
+    /// It never shrinks.
+    pub(crate) fields: Vec<Value>,
+    pub(crate) free_spans: FreeSpans,
     /// Objects that must survive GC regardless of local reachability
     /// (exported remote instances, reuse-cache roots).
     pinned: ObjSet,
@@ -161,7 +228,8 @@ pub struct Heap {
     attribution: AllocAttribution,
     pub(crate) pacer: Pacer,
     /// Set by [`Heap::audit_stale_refs`]: a collection is always due, and
-    /// swept slots stay empty instead of going back to `free`.
+    /// swept slots and ranges stay unused instead of going back to `free`
+    /// and `free_spans`.
     pub(crate) audit: bool,
 }
 
@@ -170,6 +238,8 @@ impl Heap {
         Heap {
             slots: Vec::new(),
             free: Vec::new(),
+            fields: Vec::new(),
+            free_spans: FreeSpans::default(),
             pinned: ObjSet::default(),
             claim_epoch: 0,
             stats: HeapStats::default(),
@@ -189,7 +259,15 @@ impl Heap {
         self.attribution
     }
 
+    /// Allocate a string, array or native body. An instance's fields come
+    /// from the arena, so instances are [`Heap::alloc_obj`]'s alone: an
+    /// `Obj` body here can only be one taken out of another slot.
     pub fn alloc(&mut self, body: ObjBody) -> ObjRef {
+        assert!(!matches!(body, ObjBody::Obj { .. }), "instances are allocated by `alloc_obj`");
+        self.insert(body)
+    }
+
+    fn insert(&mut self, body: ObjBody) -> ObjRef {
         let bytes = body.byte_size();
         self.stats.allocs += 1;
         self.stats.alloc_bytes += bytes;
@@ -211,9 +289,24 @@ impl Heap {
         }
     }
 
-    /// Allocate a user-class instance with `nfields` null/zero slots.
+    /// Allocate a user-class instance with `nfields` null slots: a swept
+    /// range of that length, nulled, or fresh values at the arena's end.
+    /// An instance without fields takes no range.
     pub fn alloc_obj(&mut self, class: ClassId, nfields: usize) -> ObjRef {
-        self.alloc(ObjBody::Obj { class, fields: vec![Value::Null; nfields].into_boxed_slice() })
+        let len = u32::try_from(nfields).expect("field count fits u32");
+        let at = match self.free_spans.pop(nfields) {
+            Some(at) => {
+                self.fields[at as usize..][..nfields].fill(Value::Null);
+                at
+            }
+            None if nfields == 0 => 0,
+            None => {
+                let at = self.fields.len();
+                self.fields.resize(at + nfields, Value::Null);
+                u32::try_from(at).expect("field arena holds under 2^32 values")
+            }
+        };
+        self.insert(ObjBody::Obj { class, span: FieldSpan { at, len } })
     }
 
     pub fn alloc_str(&mut self, s: impl Into<Box<str>>) -> ObjRef {
@@ -262,31 +355,81 @@ impl Heap {
         matches!(self.slots.get(r.index()), Some(Some(_)))
     }
 
+    /// The arena slice of instance body `body`, one of this heap's; empty
+    /// for any other body.
+    #[inline]
+    pub(crate) fn fields_of(&self, body: &ObjBody) -> &[Value] {
+        match body {
+            ObjBody::Obj { span, .. } => &self.fields[span.range()],
+            _ => &[],
+        }
+    }
+
     // ----- typed accessors --------------------------------------------------
+
+    /// Arena index of field `slot` of instance `r`; `what` names the access
+    /// in the error for a body that is not an instance.
+    #[inline]
+    fn field_index(&self, r: ObjRef, slot: usize, what: &str) -> Result<usize, HeapError> {
+        match self.body(r)? {
+            ObjBody::Obj { span, .. } if slot < span.len() => Ok(span.at as usize + slot),
+            ObjBody::Obj { .. } => Err(no_field(r, slot)),
+            other => err(format!("field {what} on non-object {other:?}")),
+        }
+    }
 
     #[inline]
     pub fn field(&self, r: ObjRef, slot: usize) -> Result<Value, HeapError> {
+        Ok(self.fields[self.field_index(r, slot, "access")?])
+    }
+
+    #[inline]
+    pub fn set_field(&mut self, r: ObjRef, slot: usize, v: Value) -> Result<(), HeapError> {
+        let i = self.field_index(r, slot, "store")?;
+        self.fields[i] = v;
+        Ok(())
+    }
+
+    /// `r`'s body and, for an instance, its fields (empty for any other
+    /// body): a walk that reads a whole object looks its slot up once.
+    #[inline]
+    pub fn body_and_fields(&self, r: ObjRef) -> Result<(&ObjBody, &[Value]), HeapError> {
+        let body = self.body(r)?;
+        Ok((body, self.fields_of(body)))
+    }
+
+    /// Where instance `r`'s fields sit, for [`Heap::slot`] and
+    /// [`Heap::set_slot`]: a walk that allocates between its reads and
+    /// writes of one object looks its slot up once.
+    #[inline]
+    pub fn fields_ref(&self, r: ObjRef) -> Result<FieldsRef, HeapError> {
         match self.body(r)? {
-            ObjBody::Obj { fields, .. } => fields
-                .get(slot)
-                .copied()
-                .ok_or_else(|| HeapError(format!("field slot {slot} out of range on {r}"))),
+            ObjBody::Obj { span, .. } => Ok(FieldsRef { obj: r, at: span.at, len: span.len }),
             other => err(format!("field access on non-object {other:?}")),
         }
     }
 
     #[inline]
-    pub fn set_field(&mut self, r: ObjRef, slot: usize, v: Value) -> Result<(), HeapError> {
-        match self.body_mut(r)? {
-            ObjBody::Obj { fields, .. } => match fields.get_mut(slot) {
-                Some(f) => {
-                    *f = v;
-                    Ok(())
-                }
-                None => err(format!("field slot {slot} out of range on {r}")),
-            },
-            other => err(format!("field store on non-object {other:?}")),
+    fn slot_index(at: FieldsRef, slot: usize) -> Result<usize, HeapError> {
+        if slot < at.len as usize {
+            Ok(at.at as usize + slot)
+        } else {
+            Err(no_field(at.obj, slot))
         }
+    }
+
+    /// Field `slot` of the instance `at` was taken from.
+    #[inline]
+    pub fn slot(&self, at: FieldsRef, slot: usize) -> Result<Value, HeapError> {
+        Ok(self.fields[Self::slot_index(at, slot)?])
+    }
+
+    /// Store `v` as field `slot` of the instance `at` was taken from.
+    #[inline]
+    pub fn set_slot(&mut self, at: FieldsRef, slot: usize, v: Value) -> Result<(), HeapError> {
+        let i = Self::slot_index(at, slot)?;
+        self.fields[i] = v;
+        Ok(())
     }
 
     #[inline]
@@ -374,28 +517,17 @@ impl Heap {
         });
     }
 
-    /// Claim `r` for the current round: `true` if no claim since
-    /// [`Heap::start_claims`] took it, `false` if one did or `r` dangles.
-    pub fn claim(&mut self, r: ObjRef) -> bool {
+    /// Claim `r` for the current round if its body `fits`, in the one slot
+    /// lookup: `true` if no claim since [`Heap::start_claims`] took it,
+    /// `false` if one did, the body does not fit or `r` dangles.
+    pub fn claim(&mut self, r: ObjRef, fits: impl FnOnce(&ObjBody) -> bool) -> bool {
         match self.slots.get_mut(r.index()) {
-            Some(Some(o)) if o.claimed_in != self.claim_epoch => {
+            Some(Some(o)) if o.claimed_in != self.claim_epoch && fits(&o.body) => {
                 o.claimed_in = self.claim_epoch;
                 true
             }
             _ => false,
         }
-    }
-
-    pub(crate) fn slots(&self) -> &[Option<Obj>] {
-        &self.slots
-    }
-
-    pub(crate) fn slots_mut(&mut self) -> &mut Vec<Option<Obj>> {
-        &mut self.slots
-    }
-
-    pub(crate) fn free_list_mut(&mut self) -> &mut Vec<u32> {
-        &mut self.free
     }
 }
 
@@ -492,6 +624,94 @@ mod tests {
         assert!(h.get(ObjRef(0)).is_err());
     }
 
+    /// The arena range of instance `r`.
+    fn range(h: &Heap, r: ObjRef) -> Range<usize> {
+        match h.body(r).unwrap() {
+            ObjBody::Obj { span, .. } => span.range(),
+            other => panic!("not an instance: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_zero_field_instance_takes_no_range() {
+        let mut h = Heap::new();
+        let wide = h.alloc_obj(OBJECT_CLASS, 2);
+        let empty = h.alloc_obj(OBJECT_CLASS, 0);
+        assert_eq!(h.fields.len(), 2, "no arena value for an instance without fields");
+        assert_eq!(range(&h, empty).len(), 0);
+        assert_eq!(h.field(empty, 0).unwrap_err().0, "field slot 0 out of range on obj#1");
+        assert!(h.set_field(empty, 0, Value::Int(1)).is_err());
+        assert_eq!(h.body_and_fields(empty).unwrap().1, &[]);
+        // Swept, it hands nothing back, and the next one takes nothing.
+        h.gc([wide]);
+        let again = h.alloc_obj(OBJECT_CLASS, 0);
+        assert_eq!(range(&h, again).len(), 0);
+        assert_eq!(h.fields.len(), 2);
+    }
+
+    #[test]
+    fn a_recycled_range_reads_all_null() {
+        let mut h = Heap::new();
+        let old = h.alloc_obj(OBJECT_CLASS, 3);
+        for slot in 0..3 {
+            h.set_field(old, slot, Value::Int(7)).unwrap();
+        }
+        let was = range(&h, old);
+        h.gc([]);
+        let fresh = h.alloc_obj(OBJECT_CLASS, 3);
+        assert_eq!(range(&h, fresh), was, "the swept range is popped, not the arena bumped");
+        assert_eq!(h.body_and_fields(fresh).unwrap().1, &[Value::Null; 3]);
+    }
+
+    #[test]
+    fn a_range_is_recycled_only_for_its_own_length() {
+        let mut h = Heap::new();
+        let three = h.alloc_obj(OBJECT_CLASS, 3);
+        let was = range(&h, three);
+        h.gc([]);
+        let two = h.alloc_obj(OBJECT_CLASS, 2);
+        assert_eq!(range(&h, two), 3..5, "a 2-field instance bumps past the free 3-range");
+        let three = h.alloc_obj(OBJECT_CLASS, 3);
+        assert_eq!(range(&h, three), was);
+    }
+
+    #[test]
+    fn under_audit_a_swept_range_is_never_handed_out_again() {
+        let mut h = Heap::new();
+        h.audit_stale_refs();
+        let stale = h.alloc_obj(OBJECT_CLASS, 2);
+        let was = range(&h, stale);
+        h.gc([]);
+        for _ in 0..4 {
+            let fresh = h.alloc_obj(OBJECT_CLASS, 2);
+            assert!(range(&h, fresh).start >= was.end, "a swept range came back");
+        }
+        assert_eq!(h.fields.len(), 2 + 4 * 2);
+    }
+
+    #[test]
+    fn a_fields_ref_reads_and_writes_its_own_instance_only() {
+        let mut h = Heap::new();
+        let a = h.alloc_obj(OBJECT_CLASS, 2);
+        let b = h.alloc_obj(OBJECT_CLASS, 2);
+        let at = h.fields_ref(a).unwrap();
+        h.set_slot(at, 1, Value::Long(9)).unwrap();
+        assert_eq!(h.field(a, 1).unwrap(), Value::Long(9));
+        assert_eq!(h.slot(at, 1).unwrap(), Value::Long(9));
+        assert_eq!(h.slot(at, 2).unwrap_err().0, "field slot 2 out of range on obj#0");
+        assert!(h.set_slot(at, 2, Value::Int(1)).is_err());
+        assert_eq!(h.body_and_fields(b).unwrap().1, &[Value::Null; 2], "b is untouched");
+        let s = h.alloc_str("s");
+        assert!(h.fields_ref(s).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "instances are allocated by `alloc_obj`")]
+    fn alloc_refuses_an_instance_body() {
+        let mut h = Heap::new();
+        h.alloc(ObjBody::Obj { class: OBJECT_CLASS, span: FieldSpan { at: 0, len: 0 } });
+    }
+
     #[test]
     fn the_claim_stamp_lives_in_the_header_padding() {
         assert_eq!(std::mem::size_of::<Obj>(), 48);
@@ -501,22 +721,32 @@ mod tests {
     #[test]
     fn a_claim_round_claims_each_object_once_across_the_epoch_wrap() {
         let mut h = Heap::new();
+        let any = |_: &ObjBody| true;
         let [a, b] = [0, 1].map(|_| h.alloc_obj(OBJECT_CLASS, 0));
         // Round 1 stamps `a`; unless the wrap clears it, that stamp reads as
         // claimed when the epoch comes round to 1 again.
         h.start_claims();
-        assert!(h.claim(a));
+        assert!(h.claim(a, any));
         h.claim_epoch = u32::MAX - 1;
         h.start_claims();
-        assert!(h.claim(b), "the last round before the wrap claims");
-        assert!(!h.claim(b));
+        assert!(h.claim(b, any), "the last round before the wrap claims");
+        assert!(!h.claim(b, any));
         h.start_claims();
         assert_eq!(h.claim_epoch, 1, "the epoch restarts at 1");
         let c = h.alloc_obj(OBJECT_CLASS, 0);
         for r in [a, b, c] {
-            assert!(h.claim(r), "{r} is unclaimed in a new round");
-            assert!(!h.claim(r), "{r} is claimed once per round");
+            assert!(h.claim(r, any), "{r} is unclaimed in a new round");
+            assert!(!h.claim(r, any), "{r} is claimed once per round");
         }
-        assert!(!h.claim(ObjRef(99)), "a dangling reference is never claimed");
+        assert!(!h.claim(ObjRef(99), any), "a dangling reference is never claimed");
+    }
+
+    #[test]
+    fn a_body_that_does_not_fit_is_left_unclaimed() {
+        let mut h = Heap::new();
+        let a = h.alloc_obj(OBJECT_CLASS, 1);
+        h.start_claims();
+        assert!(!h.claim(a, |b| b.array_len().is_some()), "an instance is no array");
+        assert!(h.claim(a, |b| b.class() == Some(OBJECT_CLASS)), "the refusal took no claim");
     }
 }

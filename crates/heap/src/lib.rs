@@ -10,7 +10,11 @@
 //! Each simulated machine owns one [`Heap`]. Object identity is an
 //! [`ObjRef`] index into the slab; cross-machine references are
 //! [`RemoteRef`]s and are never traced (exported remote objects are pinned
-//! on their owner).
+//! on their owner). Instance fields live in one arena per heap, a
+//! [`FieldSpan`] apiece, so allocating an instance is a pop or a bump, not
+//! a `malloc`; strings and arrays keep buffers of their own.
+
+#![deny(unsafe_code)]
 
 mod equal;
 mod gc;
@@ -20,6 +24,8 @@ mod value;
 
 pub use equal::{deep_equal, deep_equal_across, structure_digest};
 pub use gc::{GcReport, MIN_GC_STEP};
-pub use heap::{AllocAttribution, Heap, HeapError, HeapStats, NativeData, Obj, ObjBody};
+pub use heap::{
+    AllocAttribution, FieldSpan, FieldsRef, Heap, HeapError, HeapStats, NativeData, Obj, ObjBody,
+};
 pub use poison::{poison_graph, POISON_F64, POISON_I32, POISON_I64};
 pub use value::{ObjMap, ObjRef, ObjSet, RemoteRef, Value};

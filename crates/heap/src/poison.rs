@@ -39,10 +39,10 @@ pub fn poison_graph(heap: &mut Heap, root: Value) -> u64 {
         if !seen.insert(r) {
             continue;
         }
-        let Ok(body) = heap.body_mut(r) else { continue };
-        match body {
-            ObjBody::Obj { fields, .. } => {
-                for f in fields.iter_mut() {
+        let Some(Some(obj)) = heap.slots.get_mut(r.index()) else { continue };
+        match &mut obj.body {
+            ObjBody::Obj { span, .. } => {
+                for f in &mut heap.fields[span.range()] {
                     match f {
                         Value::Bool(b) => {
                             *b = true;

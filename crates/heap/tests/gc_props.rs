@@ -48,21 +48,70 @@ fn build(heap: &mut Heap, spec: &GraphSpec) -> (Vec<ObjRef>, Vec<ObjRef>, Vec<Ob
     (refs, roots, pins)
 }
 
-/// Host-side reachability oracle.
+/// Host-side reachability oracle, over instances of any field count.
 fn reachable(heap: &Heap, starts: &[ObjRef]) -> ObjSet {
     let mut seen = ObjSet::default();
     let mut stack: Vec<ObjRef> = starts.to_vec();
     while let Some(r) = stack.pop() {
-        if !seen.insert(r) {
-            continue;
-        }
-        for slot in 0..2 {
-            if let Ok(Value::Ref(c)) = heap.field(r, slot) {
-                stack.push(c);
-            }
+        if seen.insert(r) {
+            let fields = (0..).map_while(|slot| heap.field(r, slot).ok());
+            stack.extend(fields.filter_map(|v| v.as_ref()));
         }
     }
     seen
+}
+
+/// One allocate/collect round on a heap that has seen earlier rounds.
+#[derive(Debug, Clone)]
+struct Round {
+    /// Per object: its field count, the targets of fields 0 and 1 (indices
+    /// into this round's objects followed by the earlier survivors, mod
+    /// their number) and the payload of the fields after them.
+    nodes: Vec<(usize, usize, usize, i32)>,
+    /// Objects of this round that stay rooted in every later round.
+    roots: Vec<usize>,
+}
+
+fn rounds_strategy() -> impl Strategy<Value = Vec<Round>> {
+    let round = (
+        proptest::collection::vec(
+            (0usize..=4, any::<usize>(), any::<usize>(), any::<i32>()),
+            1..30,
+        ),
+        proptest::collection::vec(any::<usize>(), 0..4),
+    )
+        .prop_map(|(nodes, roots)| Round { nodes, roots });
+    proptest::collection::vec(round, 2..6)
+}
+
+/// A value no program writes, distinct per (object, slot).
+fn marker(r: ObjRef, slot: usize) -> Value {
+    Value::Long(((r.0 as i64) << 8) | slot as i64)
+}
+
+/// Write a distinct marker into every field of every instance in `live`,
+/// read them all back, then restore what was there: two instances sharing
+/// an arena slot would read each other's marker.
+fn assert_disjoint(heap: &mut Heap, live: &ObjSet) {
+    let saved: Vec<(ObjRef, Vec<Value>)> = live
+        .iter()
+        .map(|&r| (r, (0..).map_while(|slot| heap.field(r, slot).ok()).collect()))
+        .collect();
+    for (r, fields) in &saved {
+        for slot in 0..fields.len() {
+            heap.set_field(*r, slot, marker(*r, slot)).unwrap();
+        }
+    }
+    for (r, fields) in &saved {
+        for slot in 0..fields.len() {
+            assert_eq!(heap.field(*r, slot).unwrap(), marker(*r, slot), "{r} shares a slot");
+        }
+    }
+    for (r, fields) in saved {
+        for (slot, v) in fields.into_iter().enumerate() {
+            heap.set_field(r, slot, v).unwrap();
+        }
+    }
 }
 
 proptest! {
@@ -120,6 +169,41 @@ proptest! {
         for (&r, &d) in roots.iter().zip(&digests) {
             prop_assert_eq!(structure_digest(&heap, Value::Ref(r)), d,
                 "slot reuse must not touch live objects");
+        }
+    }
+
+    /// Instances of 0 to 4 fields, allocated and collected in rounds on
+    /// one heap, so later rounds take the field ranges earlier ones freed:
+    /// no survivor's graph changes, and no two live instances share a slot.
+    #[test]
+    fn recycled_field_ranges_never_alias_a_survivor(rounds in rounds_strategy()) {
+        let mut heap = Heap::new();
+        let (mut kept, mut digests): (Vec<ObjRef>, Vec<u64>) = (Vec::new(), Vec::new());
+        for round in &rounds {
+            let fresh: Vec<ObjRef> =
+                round.nodes.iter().map(|&(n, ..)| heap.alloc_obj(OBJECT_CLASS, n)).collect();
+            let targets: Vec<ObjRef> = fresh.iter().chain(&kept).copied().collect();
+            for (&obj, &(n, a, b, v)) in fresh.iter().zip(&round.nodes) {
+                for slot in 0..n {
+                    let field = match slot {
+                        0 => Value::Ref(targets[a % targets.len()]),
+                        1 => Value::Ref(targets[b % targets.len()]),
+                        _ => Value::Int(v ^ slot as i32),
+                    };
+                    heap.set_field(obj, slot, field).unwrap();
+                }
+            }
+            for &i in &round.roots {
+                let r = fresh[i % fresh.len()];
+                kept.push(r);
+                digests.push(structure_digest(&heap, Value::Ref(r)));
+            }
+            heap.gc(kept.iter().copied());
+            for (&r, &d) in kept.iter().zip(&digests) {
+                prop_assert_eq!(structure_digest(&heap, Value::Ref(r)), d, "{} changed", r);
+            }
+            let live = reachable(&heap, &kept);
+            assert_disjoint(&mut heap, &live);
         }
     }
 }

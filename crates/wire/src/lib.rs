@@ -6,6 +6,8 @@
 //! cycle-detection handle table that §3.2 eliminates statically, and the
 //! global RMI statistics counters behind Tables 4, 6 and 8.
 
+#![deny(unsafe_code)]
+
 pub mod cycle_table;
 pub mod message;
 pub mod stats;
