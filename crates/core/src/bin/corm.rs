@@ -8,7 +8,7 @@ use std::process::ExitCode;
 
 use corm::{
     compile, run, ArrivalSchedule, FlightDump, LossSpec, MetricsRegistry, OptConfig, RunOptions,
-    RunOutcome, ServeOptions, ServeReport, StallSpec, TimelineSample, TransportKind,
+    RunOutcome, ServeOptions, ServeReport, TimelineSample, TransportKind,
 };
 
 /// The webserver program `corm serve` drives (the app crate sits above
@@ -40,12 +40,11 @@ SHARED flags (run, serve and top):
   --loss-seed N      lossy only: seed for the deterministic fault hash
   --loss-rate R      lossy only: drop AND duplicate each datagram copy with
                      probability R (default 0.05 each, reorder 0.25)
-  --stall EVERY:US   every EVERY-th handled request sleeps US microseconds
   --metrics          print Prometheus text-format metrics to stdout
   --dump-flight PATH write the flight-recorder events as JSON after the run
   --timeline-json PATH
                      write the sampled telemetry timeline as JSON (per-machine
-                     deltas at the 10ms sampler cadence + health findings)
+                     deltas at the 10ms sampler cadence)
 
 run flags:
   --stats            print run statistics (counters, modeled time) to stderr
@@ -124,7 +123,6 @@ struct Common {
     /// The `--loss-*` flags folded into one spec. `None` when no flag was
     /// given (the lossy backend then uses its seeded default model).
     loss: Option<LossSpec>,
-    stall: Option<StallSpec>,
     metrics: bool,
     dump_flight: Option<String>,
     timeline_json: Option<String>,
@@ -140,7 +138,6 @@ impl Common {
             machines,
             transport: TransportKind::default(),
             loss: None,
-            stall: None,
             metrics: false,
             dump_flight: None,
             timeline_json: None,
@@ -163,14 +160,6 @@ impl Common {
                     seed = Some(parse_seed(value(argv, &mut i)).unwrap_or_else(|| usage()))
                 }
                 "--loss-rate" => rate = Some(parsed(argv, &mut i)),
-                "--stall" => {
-                    let spec = value(argv, &mut i);
-                    let Some((every, stall_us)) = spec.split_once(':') else { usage() };
-                    c.stall = Some(StallSpec {
-                        every: every.parse().unwrap_or_else(|_| usage()),
-                        stall_us: stall_us.parse().unwrap_or_else(|_| usage()),
-                    });
-                }
                 "--metrics" => c.metrics = true,
                 "--dump-flight" => c.dump_flight = Some(value(argv, &mut i).to_string()),
                 "--timeline-json" => c.timeline_json = Some(value(argv, &mut i).to_string()),
@@ -197,7 +186,6 @@ impl Common {
         run.machines = self.machines;
         run.transport = self.transport;
         run.loss = self.loss;
-        run.stall = self.stall;
     }
 
     /// Print the metrics and write the artifacts the flags asked for:
@@ -386,27 +374,6 @@ fn print_serve_report(config: OptConfig, seed: u64, requests: usize, report: &Se
             )
         }
     );
-    let health = &report.outcome.timeline.health;
-    if !health.is_empty() {
-        let shown: Vec<String> = health
-            .iter()
-            .take(8)
-            .map(|h| {
-                format!(
-                    "[{:.1}s] m{} {} ({})",
-                    h.t_us as f64 / 1e6,
-                    h.machine,
-                    h.kind.name(),
-                    h.value
-                )
-            })
-            .collect();
-        eprintln!(
-            "health          : {}{}",
-            shown.join(", "),
-            if health.len() > 8 { ", ..." } else { "" }
-        );
-    }
 }
 
 /// One redraw of the `corm top` table, rendered from the timeline rings.
@@ -459,22 +426,6 @@ fn render_top_frame(
             last.pool_resident_bytes as f64 / 1024.0,
             last.pool_outstanding
         );
-    }
-    let health = tl.health_events();
-    if health.is_empty() {
-        let _ = writeln!(s, "health: ok");
-    } else {
-        let _ = writeln!(s, "health ({} finding(s), newest first):", health.len());
-        for h in health.iter().rev().take(5) {
-            let _ = writeln!(
-                s,
-                "  [{:.1} s] m{} {} (value {})",
-                h.t_us as f64 / 1e6,
-                h.machine,
-                h.kind.name(),
-                h.value
-            );
-        }
     }
     s
 }

@@ -52,16 +52,16 @@ pub use corm_ir::{CompileError, Module};
 pub use corm_net::{CostModel, LossSpec, TransportKind};
 pub use corm_obs::{
     attach_measured_wire, phase_report, recorder::esc, render_phase_report, render_prometheus,
-    render_timeline_json, HealthEvent, HealthKind, HistSnapshot, MachineSnapshot, MetricsRegistry,
-    MetricsSnapshot, PhaseTotals, SiteSnapshot, TimelineDoc, TimelineSample,
-    DEFAULT_TIMELINE_INTERVAL_US, TIMELINE_SCHEMA_VERSION,
+    render_timeline_json, HistSnapshot, MachineSnapshot, MetricsRegistry, MetricsSnapshot,
+    PhaseTotals, SiteSnapshot, TimelineDoc, TimelineSample, DEFAULT_TIMELINE_INTERVAL_US,
+    TIMELINE_SCHEMA_VERSION,
 };
 pub use corm_vm::pool::{BufferPool, Lane, PER_KEY_CAP};
 pub use corm_vm::serve::{serve_with, ArrivalSchedule, ServeOptions, ServeReport};
 pub use corm_vm::{
     render_flight_json, render_timeline, to_chrome_trace, write_flight_artifact, AuditSnapshot,
     Cluster, FaultSpec, FlightDump, FlightEvent, FlightKind, Phase, RunOptions, RunOutcome,
-    StallSpec, TraceEvent, TraceKind, VmError, DEFAULT_FLIGHT_CAPACITY,
+    TraceEvent, TraceKind, VmError, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use corm_wire::{StatsSnapshot, COUNTERS};
 pub use explain::{render_explain, render_explain_all_rows, render_explain_json};

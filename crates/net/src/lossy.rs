@@ -43,7 +43,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use corm_obs::recorder::TRANSPORT_LOSSY;
 use corm_obs::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry};
 
 use crate::mesh::lock;
@@ -52,8 +51,7 @@ use crate::receive::ReceiveSide;
 use crate::transport::Transport;
 
 /// The seeded loss model: what the shim does to each datagram copy.
-/// Extends the PR 4/5 fault machinery (`FaultSpec` kills a machine,
-/// `StallSpec` stalls a handler) with link-level faults.
+/// Link-level faults, beside the VM's `FaultSpec` (which kills a machine).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossSpec {
     /// Seed for the per-datagram fault hash.
@@ -73,10 +71,6 @@ pub struct LossSpec {
     pub rto_us: u64,
     /// Cap for the exponential retransmission backoff, µs.
     pub max_rto_us: u64,
-    /// Test hook (PeerGone idempotency regression): deliver the sever
-    /// notification to every survivor *twice*, modeling a transport
-    /// that redundantly reports the same death.
-    pub duplicate_peer_gone: bool,
 }
 
 impl Default for LossSpec {
@@ -90,7 +84,6 @@ impl Default for LossSpec {
             jitter_us: 150,
             rto_us: 2_000,
             max_rto_us: 50_000,
-            duplicate_peer_gone: false,
         }
     }
 }
@@ -252,11 +245,7 @@ impl Shared {
     fn flight_event(&self, machine: u16, peer: u16, kind: FlightKind, req: u64, bytes: usize) {
         if let Some(flight) = &self.flight {
             let (t_us, bytes) = (flight.now_us(), bytes.min(u32::MAX as usize) as u32);
-            let transport = TRANSPORT_LOSSY;
-            flight.record(
-                machine,
-                FlightEvent { t_us, req, site: 0, bytes, kind, peer, flags: 0, transport },
-            );
+            flight.record(machine, FlightEvent { t_us, req, site: 0, bytes, kind, peer, flags: 0 });
         }
     }
 }
@@ -326,9 +315,6 @@ impl Transport for LossyTransport {
         // wait out a retransmit chain to learn its peer is gone.
         if self.shared.rx.sever(machine) {
             let _ = self.events.send(Event::Sever(machine));
-            if self.shared.spec.duplicate_peer_gone {
-                self.shared.rx.announce_death(machine);
-            }
         }
     }
 
@@ -624,21 +610,6 @@ mod tests {
             }
         }
         assert_eq!(mailboxes[1].recv().unwrap(), Packet::Shutdown);
-        t.shutdown();
-    }
-
-    #[test]
-    fn the_duplicate_hook_doubles_peer_gone() {
-        // The test hook models a transport that redundantly reports the
-        // same death: survivors see the notification twice (and only
-        // once per copy, however often `sever` is called).
-        let spec = LossSpec { duplicate_peer_gone: true, ..LossSpec::default() };
-        let (mailboxes, t) = fabric(2, spec);
-        t.sever(1);
-        t.sever(1);
-        assert_eq!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 });
-        assert_eq!(mailboxes[0].recv().unwrap(), Packet::PeerGone { peer: 1 });
-        assert_eq!(mailboxes[0].try_recv().unwrap(), None);
         t.shutdown();
     }
 

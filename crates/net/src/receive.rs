@@ -186,15 +186,10 @@ impl ReceiveSide {
         if self.severed[machine as usize].swap(true, Ordering::AcqRel) {
             return false;
         }
-        self.announce_death(machine);
-        true
-    }
-
-    /// Deliver the death notice for `machine` to every other mailbox.
-    pub fn announce_death(&self, machine: u16) {
         for survivor in (0..self.machines() as u16).filter(|&m| m != machine) {
             self.enqueue(survivor, Packet::PeerGone { peer: machine });
         }
+        true
     }
 
     pub fn shutting_down(&self) -> bool {

@@ -23,8 +23,7 @@
 //!   (measured) from modeled (cost-model) time;
 //! * [`timeline`] — the telemetry timeline plane: a background
 //!   sampler that snapshots every machine's metrics at a fixed
-//!   cadence into bounded rings, plus the health assessor that scans
-//!   those rings for stall/backpressure/pool-leak signatures.
+//!   cadence into bounded rings.
 //!
 //! [`RmiStats`]: corm_wire::RmiStats
 //! [`StatsSnapshot`]: corm_wire::StatsSnapshot
@@ -50,8 +49,7 @@ pub use recorder::{
 };
 pub use report::{attach_measured_wire, phase_report, render_phase_report, PhaseTotals};
 pub use timeline::{
-    render_timeline_json, spawn_sampler, HealthAssessor, HealthEvent, HealthKind, SamplerHandle,
-    TimelineDoc, TimelineSample, TimelineState, DEFAULT_TIMELINE_INTERVAL_US,
-    TIMELINE_SCHEMA_VERSION,
+    render_timeline_json, spawn_sampler, SamplerHandle, TimelineDoc, TimelineSample, TimelineState,
+    DEFAULT_TIMELINE_INTERVAL_US, TIMELINE_SCHEMA_VERSION,
 };
 pub use trace::{render_timeline, Phase, TraceEvent, TraceKind};

@@ -195,8 +195,8 @@ machine_metrics! {
     serve_queue_depth: Gauge, "corm_serve_queue_depth",
         "Requests accepted by the drain loop awaiting a worker";
     /// Pool-ledger entries currently outstanding: buffers checked out
-    /// under a request id and not yet returned or abandoned — monotone
-    /// growth is the pool-leak health signature.
+    /// under a request id and not yet returned or abandoned, about one
+    /// per two-way call in flight (zero once they return: `tests/pool_reuse.rs`).
     pool_outstanding: Gauge, "corm_pool_outstanding",
         "Marshal buffers checked out and not yet returned";
     /// Collections of this machine's heap: the pacer's and `System.gc()`'s.
@@ -256,7 +256,7 @@ impl MetricsRegistry {
     }
 
     /// The registry's timeline plane: per-machine sample rings filled by
-    /// the background sampler plus the run's health findings (DESIGN §7.4).
+    /// the background sampler (DESIGN §7.4).
     pub fn timeline(&self) -> &TimelineState {
         &self.timeline
     }

@@ -17,8 +17,8 @@
 //!   dump taken while other machines are still recording yields only
 //!   whole events, possibly missing the very newest ones.
 //!
-//! The recorder lives in corm-obs, below corm-net, so the transport is
-//! recorded as a small code (`TRANSPORT_*`) rather than a type.
+//! A run has one transport, so a dump names it once
+//! ([`FlightDump::transport`]) and no event repeats it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -45,11 +45,6 @@ pub enum FlightKind {
     /// measured latency in µs, clamped to u32). Recorded by the serving
     /// driver so its flight dump names the exact offending req ids.
     Slo,
-    /// The timeline health assessor flagged this machine (`peer` names
-    /// it, `site` carries the `HealthKind` code, `bytes` the magnitude,
-    /// `req` the sampler tick). A dump containing one of these points
-    /// straight at the stalled/backpressured/leaking machine.
-    Health,
     /// The lossy transport re-sent a datagram after its retransmission
     /// timer fired (`peer` is the destination, `bytes` the frame size,
     /// `req` the request id when the frame carried one). Recorded on the
@@ -62,14 +57,13 @@ pub enum FlightKind {
 }
 
 impl FlightKind {
-    const ALL: [FlightKind; 9] = [
+    const ALL: [FlightKind; 8] = [
         FlightKind::Send,
         FlightKind::Return,
         FlightKind::Handle,
         FlightKind::Local,
         FlightKind::Fail,
         FlightKind::Slo,
-        FlightKind::Health,
         FlightKind::Retransmit,
         FlightKind::DupSuppressed,
     ];
@@ -86,7 +80,6 @@ impl FlightKind {
             FlightKind::Local => "local",
             FlightKind::Fail => "fail",
             FlightKind::Slo => "slo",
-            FlightKind::Health => "health",
             FlightKind::Retransmit => "retransmit",
             FlightKind::DupSuppressed => "dup-suppressed",
         }
@@ -103,30 +96,12 @@ pub const FLAG_ONEWAY: u8 = 1 << 4;
 /// (DESIGN §5.4) rather than a fresh allocation.
 pub const FLAG_POOL_HIT: u8 = 1 << 5;
 
-/// Transport codes (corm-obs sits below corm-net, so the transport kind
-/// crosses as a byte).
-pub const TRANSPORT_CHANNEL: u8 = 0;
-pub const TRANSPORT_TCP: u8 = 1;
-pub const TRANSPORT_REACTOR: u8 = 2;
-pub const TRANSPORT_LOSSY: u8 = 3;
-
-/// Human name for a transport code.
-fn transport_name(code: u8) -> &'static str {
-    match code {
-        TRANSPORT_CHANNEL => "channel",
-        TRANSPORT_TCP => "tcp",
-        TRANSPORT_REACTOR => "reactor",
-        TRANSPORT_LOSSY => "lossy",
-        _ => "unknown",
-    }
-}
-
 /// One recorded RMI event (decoded form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
     /// Microseconds since the cluster epoch, stamped by whoever records
-    /// the event (the VM's instrumentation seam, the sampler, the lossy
-    /// fabric) so one instant carries one `t_us` on every plane.
+    /// the event (the VM's instrumentation seam, the lossy fabric) so one
+    /// instant carries one `t_us` on every plane.
     pub t_us: u64,
     /// Cluster-unique request id (0 when not applicable).
     pub req: u64,
@@ -140,8 +115,6 @@ pub struct FlightEvent {
     pub peer: u16,
     /// `FLAG_*` verdicts in effect for the site's plan.
     pub flags: u8,
-    /// `TRANSPORT_*` code.
-    pub transport: u8,
 }
 
 const WORDS: usize = 4;
@@ -213,10 +186,7 @@ impl FlightRing {
         slot.w[1].store(e.req, Ordering::Relaxed);
         slot.w[2].store(((e.site as u64) << 32) | e.bytes as u64, Ordering::Relaxed);
         slot.w[3].store(
-            e.kind as u64
-                | ((e.peer as u64) << 8)
-                | ((e.flags as u64) << 24)
-                | ((e.transport as u64) << 32),
+            e.kind as u64 | ((e.peer as u64) << 8) | ((e.flags as u64) << 24),
             Ordering::Relaxed,
         );
         slot.gen.store(ticket + 1, Ordering::Release);
@@ -245,7 +215,6 @@ impl FlightRing {
                     kind,
                     peer: ((w[3] >> 8) & 0xffff) as u16,
                     flags: ((w[3] >> 24) & 0xff) as u8,
-                    transport: ((w[3] >> 32) & 0xff) as u8,
                 },
             ));
         }
@@ -264,8 +233,8 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// `epoch` is the cluster's one zero point (`Cluster::start` takes
-    /// it once and hands it to the runtime, this recorder and, through
-    /// it, the sampler), so flight, trace and timeline `t_us` agree.
+    /// it once and hands it to the runtime, this recorder and the
+    /// sampler), so flight, trace and timeline `t_us` agree.
     pub fn new(machines: usize, capacity: usize, epoch: Instant) -> FlightRecorder {
         FlightRecorder { epoch, rings: (0..machines).map(|_| FlightRing::new(capacity)).collect() }
     }
@@ -296,6 +265,9 @@ impl FlightRecorder {
 pub struct FlightDump {
     /// `peer-gone`, `audit-mismatch`, `panic`, or `requested`.
     pub reason: String,
+    /// The run's transport (`TransportKind::label`): one per run, so it
+    /// is said here once and not in every event.
+    pub transport: &'static str,
     /// Request ids known to have failed (empty for `requested` dumps).
     pub failing_reqs: Vec<u64>,
     pub machines: Vec<(u16, Vec<FlightEvent>)>,
@@ -331,8 +303,9 @@ pub fn render_flight_json(d: &FlightDump) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": 1,");
+    let _ = writeln!(s, "  \"schema\": 2,");
     let _ = writeln!(s, "  \"reason\": \"{}\",", esc(&d.reason));
+    let _ = writeln!(s, "  \"transport\": \"{}\",", esc(d.transport));
     let reqs: Vec<String> = d.failing_reqs.iter().map(|r| r.to_string()).collect();
     let _ = writeln!(s, "  \"failing_reqs\": [{}],", reqs.join(", "));
     let _ = writeln!(s, "  \"machines\": [");
@@ -344,7 +317,7 @@ pub fn render_flight_json(d: &FlightDump) -> String {
             let _ = write!(
                 s,
                 "        {{\"t_us\": {}, \"kind\": \"{}\", \"req\": {}, \"site\": {}, \
-                 \"bytes\": {}, \"peer\": {}, \"transport\": \"{}\", \
+                 \"bytes\": {}, \"peer\": {}, \
                  \"args_cycle_table\": {}, \"ret_cycle_table\": {}, \
                  \"arg_reuse\": {}, \"ret_reuse\": {}, \"oneway\": {}, \
                  \"pool_hit\": {}}}",
@@ -354,7 +327,6 @@ pub fn render_flight_json(d: &FlightDump) -> String {
                 e.site,
                 e.bytes,
                 e.peer,
-                transport_name(e.transport),
                 e.flags & FLAG_ARGS_CYCLE_TABLE != 0,
                 e.flags & FLAG_RET_CYCLE_TABLE != 0,
                 e.flags & FLAG_ARG_REUSE != 0,
@@ -385,7 +357,6 @@ mod tests {
             kind,
             peer: 1,
             flags: FLAG_ARGS_CYCLE_TABLE | FLAG_ARG_REUSE,
-            transport: TRANSPORT_TCP,
         }
     }
 
@@ -403,7 +374,6 @@ mod tests {
             assert_eq!(e.bytes, 128);
             assert_eq!(e.kind, FlightKind::Send);
             assert_eq!(e.peer, 1);
-            assert_eq!(e.transport, TRANSPORT_TCP);
             assert!(e.flags & FLAG_ARGS_CYCLE_TABLE != 0);
         }
     }
@@ -467,7 +437,6 @@ mod tests {
                         kind: FlightKind::Send,
                         peer: t as u16,
                         flags: 0,
-                        transport: 0,
                     });
                 }
             }));
@@ -484,35 +453,9 @@ mod tests {
     }
 
     #[test]
-    fn health_kind_roundtrips_through_the_ring() {
-        let ring = FlightRing::new(4);
-        ring.record(FlightEvent {
-            t_us: 0,
-            req: 12, // sampler tick
-            site: 1, // HealthKind::Stall code
-            bytes: 3,
-            kind: FlightKind::Health,
-            peer: 2,
-            flags: 0,
-            transport: TRANSPORT_REACTOR,
-        });
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].kind, FlightKind::Health);
-        assert_eq!(snap[0].kind.name(), "health");
-        assert_eq!(snap[0].peer, 2, "names the offending machine");
-        let dump = FlightDump {
-            reason: "requested".into(),
-            failing_reqs: vec![],
-            machines: vec![(0, snap)],
-        };
-        assert!(render_flight_json(&dump).contains("\"kind\": \"health\""));
-    }
-
-    #[test]
     fn lossy_kinds_and_transport_roundtrip_through_the_ring() {
         let ring = FlightRing::new(4);
-        ring.record(FlightEvent {
+        let retransmit = FlightEvent {
             t_us: 0,
             req: 31,
             site: 2,
@@ -520,32 +463,27 @@ mod tests {
             kind: FlightKind::Retransmit,
             peer: 1,
             flags: 0,
-            transport: TRANSPORT_LOSSY,
-        });
-        ring.record(FlightEvent {
-            t_us: 0,
-            req: 31,
-            site: 2,
-            bytes: 64,
-            kind: FlightKind::DupSuppressed,
-            peer: 0,
-            flags: 0,
-            transport: TRANSPORT_LOSSY,
-        });
+        };
+        ring.record(retransmit);
+        ring.record(FlightEvent { kind: FlightKind::DupSuppressed, peer: 0, ..retransmit });
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].kind, FlightKind::Retransmit);
         assert_eq!(snap[1].kind, FlightKind::DupSuppressed);
-        assert_eq!(transport_name(snap[0].transport), "lossy");
         let dump = FlightDump {
             reason: "requested".into(),
+            transport: "lossy",
             failing_reqs: vec![],
             machines: vec![(0, snap)],
         };
         let json = render_flight_json(&dump);
         assert!(json.contains("\"kind\": \"retransmit\""));
         assert!(json.contains("\"kind\": \"dup-suppressed\""));
-        assert!(json.contains("\"transport\": \"lossy\""));
+        // The transport is the dump's, said once at the top.
+        assert!(json.starts_with(
+            "{\n  \"schema\": 2,\n  \"reason\": \"requested\",\n  \"transport\": \"lossy\",\n"
+        ));
+        assert_eq!(json.matches("\"transport\"").count(), 1);
     }
 
     #[test]
@@ -555,6 +493,7 @@ mod tests {
         rec.record(0, ev(77, FlightKind::Fail));
         let dump = FlightDump {
             reason: "peer-gone".into(),
+            transport: "tcp",
             failing_reqs: vec![77],
             machines: rec.snapshot(),
         };
@@ -573,7 +512,7 @@ mod tests {
         rec.record(0, FlightEvent { flags: FLAG_POOL_HIT, ..ev(5, FlightKind::Send) });
         let snap = rec.snapshot();
         assert!(snap[0].1[0].flags & FLAG_POOL_HIT != 0);
-        let dump = FlightDump { reason: "ok".into(), failing_reqs: vec![], machines: snap };
+        let dump = FlightDump { reason: "ok".into(), machines: snap, ..FlightDump::default() };
         assert!(render_flight_json(&dump).contains("\"pool_hit\": true"));
     }
 }

@@ -1,7 +1,5 @@
 //! The telemetry timeline plane: continuous sampling of every
-//! machine's metrics into bounded per-machine rings, plus a health
-//! assessor that scans recent windows for stall, backpressure, and
-//! pool-leak signatures (DESIGN §7.4).
+//! machine's metrics into bounded per-machine rings (DESIGN §7.4).
 //!
 //! Everything upstream of this module is either a point-in-time
 //! snapshot (Prometheus exposition), a post-hoc artifact (traces,
@@ -31,16 +29,15 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use crate::hist::{HistSnapshot, NBUCKETS};
 use crate::metrics::{MachineSnapshot, MetricsRegistry};
-use crate::recorder::{FlightEvent, FlightKind, FlightRecorder};
 
 /// Version stamp embedded in every rendered `TimelineDoc`.
-pub const TIMELINE_SCHEMA_VERSION: u32 = 2;
+pub const TIMELINE_SCHEMA_VERSION: u32 = 3;
 
 /// Default sampler cadence, µs.
 pub const DEFAULT_TIMELINE_INTERVAL_US: u64 = 10_000;
@@ -49,11 +46,6 @@ pub const DEFAULT_TIMELINE_INTERVAL_US: u64 = 10_000;
 /// cadence this holds ~41s of history per machine; ~100 bytes/sample
 /// keeps a 4-machine cluster under 2 MiB.
 pub const DEFAULT_TIMELINE_CAPACITY: usize = 4096;
-
-/// Health events kept per run (bounded like the rings; a pathological
-/// run emitting more than this keeps the earliest — the onset is the
-/// forensic signal, not the steady state).
-const MAX_HEALTH_EVENTS: usize = 1024;
 
 /// One sampling tick for one machine: counter deltas over the interval
 /// plus gauge values at the tick.
@@ -87,161 +79,14 @@ pub struct TimelineSample {
     pub rtt_p99_us: u64,
 }
 
-/// Health signatures the assessor recognizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthKind {
-    /// Work queued but nothing served for ≥ K consecutive intervals.
-    Stall,
-    /// Serve queue depth strictly growing across the window.
-    Backpressure,
-    /// Pool-ledger outstanding entries strictly growing across the
-    /// window: checkouts are not coming back.
-    PoolLeak,
-}
-
-impl HealthKind {
-    /// Code stored in the flight event's `site` field (the assessor has
-    /// no call site; the signature code rides in its place).
-    pub fn code(self) -> u32 {
-        match self {
-            HealthKind::Stall => 1,
-            HealthKind::Backpressure => 2,
-            HealthKind::PoolLeak => 3,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthKind::Stall => "stall",
-            HealthKind::Backpressure => "backpressure",
-            HealthKind::PoolLeak => "pool-leak",
-        }
-    }
-}
-
-/// One health finding: which machine, what signature, when, and the
-/// magnitude that tripped it (stalled intervals, queue depth, or
-/// outstanding ledger entries, by kind).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthEvent {
-    pub t_us: u64,
-    pub machine: u16,
-    pub kind: HealthKind,
-    pub value: u64,
-}
-
-/// Consecutive no-progress intervals (queue non-empty, nothing served)
-/// before a stall fires: 3 flags an injected stall inside the
-/// 5-interval acceptance bound with margin for sampler jitter.
-const STALL_INTERVALS: usize = 3;
-/// Window over which queue depth must grow strictly monotonically to
-/// flag backpressure.
-const BACKPRESSURE_WINDOW: usize = 5;
-/// Window over which ledger outstanding must grow strictly
-/// monotonically to flag a pool leak.
-const LEAK_WINDOW: usize = 8;
-
-#[derive(Debug, Default)]
-struct MachineHealth {
-    stall_run: usize,
-    stall_active: bool,
-    backpressure_active: bool,
-    leak_active: bool,
-}
-
-/// Scans per-machine timeline windows for health signatures. Episodes
-/// are edge-triggered: each signature fires once when it first trips
-/// and re-arms only after the condition clears, so a long stall is one
-/// event, not one per tick.
-#[derive(Debug)]
-pub struct HealthAssessor {
-    per: Vec<MachineHealth>,
-}
-
-impl HealthAssessor {
-    pub fn new(machines: usize) -> Self {
-        HealthAssessor { per: (0..machines).map(|_| MachineHealth::default()).collect() }
-    }
-
-    /// Feed the most recent samples for `machine` (oldest first, last =
-    /// the tick just taken) and collect any newly-fired events.
-    pub fn assess(&mut self, machine: u16, window: &[TimelineSample]) -> Vec<HealthEvent> {
-        let Some(last) = window.last() else { return Vec::new() };
-        let st = &mut self.per[machine as usize];
-        let mut out = Vec::new();
-
-        // Stall: the machine has work parked in its serve queue but
-        // served nothing this interval. Counting on the *server* side
-        // names the machine that is stuck, not the callers waiting on it.
-        if last.queue_depth > 0 && last.handled == 0 {
-            st.stall_run += 1;
-            if st.stall_run >= STALL_INTERVALS && !st.stall_active {
-                st.stall_active = true;
-                out.push(HealthEvent {
-                    t_us: last.t_us,
-                    machine,
-                    kind: HealthKind::Stall,
-                    value: st.stall_run as u64,
-                });
-            }
-        } else {
-            st.stall_run = 0;
-            st.stall_active = false;
-        }
-
-        // Backpressure: strictly monotone queue growth over the window —
-        // arrivals persistently outpace service.
-        if window.len() >= BACKPRESSURE_WINDOW {
-            let w = &window[window.len() - BACKPRESSURE_WINDOW..];
-            let growing = w.windows(2).all(|p| p[1].queue_depth > p[0].queue_depth);
-            if growing {
-                if !st.backpressure_active {
-                    st.backpressure_active = true;
-                    out.push(HealthEvent {
-                        t_us: last.t_us,
-                        machine,
-                        kind: HealthKind::Backpressure,
-                        value: last.queue_depth,
-                    });
-                }
-            } else {
-                st.backpressure_active = false;
-            }
-        }
-
-        // Pool leak: ledger outstanding strictly growing — checked-out
-        // buffers are not being returned or abandoned.
-        if window.len() >= LEAK_WINDOW {
-            let w = &window[window.len() - LEAK_WINDOW..];
-            let growing = w.windows(2).all(|p| p[1].pool_outstanding > p[0].pool_outstanding);
-            if growing {
-                if !st.leak_active {
-                    st.leak_active = true;
-                    out.push(HealthEvent {
-                        t_us: last.t_us,
-                        machine,
-                        kind: HealthKind::PoolLeak,
-                        value: last.pool_outstanding,
-                    });
-                }
-            } else {
-                st.leak_active = false;
-            }
-        }
-
-        out
-    }
-}
-
 /// The registry-resident timeline store: one bounded sample ring per
-/// machine plus the run's health findings. Owned by [`MetricsRegistry`],
-/// so it is scoped to one run like every other metric.
+/// machine. Owned by [`MetricsRegistry`], so it is scoped to one run
+/// like every other metric.
 #[derive(Debug)]
 pub struct TimelineState {
     interval_us: AtomicU64,
     capacity: usize,
     rings: Vec<Mutex<std::collections::VecDeque<TimelineSample>>>,
-    health: Mutex<Vec<HealthEvent>>,
 }
 
 impl TimelineState {
@@ -256,7 +101,6 @@ impl TimelineState {
             rings: (0..machines)
                 .map(|_| Mutex::new(std::collections::VecDeque::with_capacity(16)))
                 .collect(),
-            health: Mutex::new(Vec::new()),
         }
     }
 
@@ -289,24 +133,11 @@ impl TimelineState {
         r.iter().skip(skip).copied().collect()
     }
 
-    /// Record a health finding (bounded; keeps the earliest).
-    pub fn record_health(&self, ev: HealthEvent) {
-        let mut h = self.health.lock();
-        if h.len() < MAX_HEALTH_EVENTS {
-            h.push(ev);
-        }
-    }
-
-    pub fn health_events(&self) -> Vec<HealthEvent> {
-        self.health.lock().clone()
-    }
-
     /// Plain-value copy of the whole timeline for export.
     pub fn doc(&self) -> TimelineDoc {
         TimelineDoc {
             interval_us: self.interval_us(),
             machines: self.rings.iter().map(|r| r.lock().iter().copied().collect()).collect(),
-            health: self.health_events(),
         }
     }
 }
@@ -319,7 +150,6 @@ pub struct TimelineDoc {
     pub interval_us: u64,
     /// Per-machine samples, oldest first.
     pub machines: Vec<Vec<TimelineSample>>,
-    pub health: Vec<HealthEvent>,
 }
 
 impl TimelineDoc {
@@ -373,19 +203,6 @@ pub fn render_timeline_json(d: &TimelineDoc) -> String {
         }
         let _ = writeln!(s, "      ]");
         let _ = writeln!(s, "    }}{}", if mi + 1 < d.machines.len() { "," } else { "" });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"health\": [");
-    for (hi, h) in d.health.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"t_us\": {}, \"machine\": {}, \"kind\": \"{}\", \"value\": {}}}",
-            h.t_us,
-            h.machine,
-            h.kind.name(),
-            h.value,
-        );
-        let _ = writeln!(s, "{}", if hi + 1 < d.health.len() { "," } else { "" });
     }
     let _ = writeln!(s, "  ]");
     let _ = write!(s, "}}");
@@ -446,48 +263,19 @@ fn delta_sample(t_us: u64, cur: &MachineSnapshot, prev: &MachineSnapshot) -> Tim
     }
 }
 
-/// One sampling pass over every machine: push a delta sample, run the
-/// assessor, emit health findings to the timeline and flight recorder.
-/// Samples are stamped on the flight recorder's clock — the cluster
-/// epoch — so a sample, a flight event and a trace event of one instant
-/// agree on `t_us`.
-fn sample_tick(
-    obs: &MetricsRegistry,
-    flight: &FlightRecorder,
-    prev: &mut [MachineSnapshot],
-    assessor: &mut HealthAssessor,
-    transport_code: u8,
-    tick: u64,
-) {
-    let window = BACKPRESSURE_WINDOW.max(LEAK_WINDOW);
-    for (m, prev_snap) in prev.iter_mut().enumerate().take(obs.num_machines()) {
-        let t_us = flight.now_us();
+/// One sampling pass: push one delta sample per machine. Samples are
+/// stamped on the cluster epoch, so a sample, a flight event and a trace
+/// event of one instant agree on `t_us`.
+fn sample_tick(obs: &MetricsRegistry, epoch: Instant, prev: &mut [MachineSnapshot]) {
+    for (m, prev_snap) in prev.iter_mut().enumerate() {
+        let t_us = epoch.elapsed().as_micros() as u64;
         let cur = obs.machine_snapshot(m as u16);
-        let sample = delta_sample(t_us, &cur, prev_snap);
+        obs.timeline().push(m as u16, delta_sample(t_us, &cur, prev_snap));
         *prev_snap = cur;
-        obs.timeline().push(m as u16, sample);
-        let recent = obs.timeline().recent(m as u16, window);
-        for ev in assessor.assess(m as u16, &recent) {
-            obs.timeline().record_health(ev);
-            flight.record(
-                ev.machine,
-                FlightEvent {
-                    t_us: ev.t_us,
-                    req: tick,
-                    site: ev.kind.code(),
-                    bytes: ev.value.min(u32::MAX as u64) as u32,
-                    kind: FlightKind::Health,
-                    peer: ev.machine,
-                    flags: 0,
-                    transport: transport_code,
-                },
-            );
-        }
     }
 }
 
-/// Spawn the background sampler at `interval`; `transport_code` is the
-/// `TRANSPORT_*` byte stamped into the health flight events it emits.
+/// Spawn the background sampler at `interval`, stamping on `epoch`.
 /// The baseline tick is taken here, on the caller's thread — so it
 /// precedes whatever the caller starts next and the first deltas are
 /// measured from cluster start — then the thread takes one tick per
@@ -495,27 +283,22 @@ fn sample_tick(
 /// totals therefore equal the final counter values.
 pub fn spawn_sampler(
     obs: Arc<MetricsRegistry>,
-    flight: Arc<FlightRecorder>,
+    epoch: Instant,
     interval: Duration,
-    transport_code: u8,
 ) -> SamplerHandle {
     obs.timeline().set_interval_us(interval.as_micros() as u64);
-    let n = obs.num_machines();
-    let mut assessor = HealthAssessor::new(n);
-    let mut prev = vec![MachineSnapshot::default(); n];
-    sample_tick(&obs, &flight, &mut prev, &mut assessor, transport_code, 0);
+    let mut prev = vec![MachineSnapshot::default(); obs.num_machines()];
+    sample_tick(&obs, epoch, &mut prev);
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let handle = std::thread::Builder::new()
         .name("corm-sampler".into())
-        .spawn(move || {
-            for tick in 1.. {
-                std::thread::park_timeout(interval);
-                let stopping = stop2.load(Ordering::Acquire);
-                sample_tick(&obs, &flight, &mut prev, &mut assessor, transport_code, tick);
-                if stopping {
-                    break;
-                }
+        .spawn(move || loop {
+            std::thread::park_timeout(interval);
+            let stopping = stop2.load(Ordering::Acquire);
+            sample_tick(&obs, epoch, &mut prev);
+            if stopping {
+                break;
             }
         })
         .expect("spawn corm-sampler");
@@ -525,7 +308,6 @@ pub fn spawn_sampler(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     fn sample(t_us: u64) -> TimelineSample {
         TimelineSample { t_us, ..TimelineSample::default() }
@@ -542,76 +324,6 @@ mod tests {
         assert_eq!(ts, vec![6, 7, 8, 9]);
         let last_two: Vec<u64> = tl.recent(0, 2).iter().map(|s| s.t_us).collect();
         assert_eq!(last_two, vec![8, 9]);
-    }
-
-    #[test]
-    fn assessor_flags_stall_within_bound_and_names_machine() {
-        // Acceptance criterion: a stalled server is flagged within 5
-        // sampling intervals. `STALL_INTERVALS` fires at 3.
-        let mut ha = HealthAssessor::new(2);
-        let mut window: Vec<TimelineSample> = Vec::new();
-        let mut fired_at = None;
-        for i in 0..5u64 {
-            window.push(TimelineSample { t_us: i * 10_000, queue_depth: 4, ..Default::default() });
-            let evs = ha.assess(1, &window);
-            if let Some(ev) = evs.first() {
-                assert_eq!(ev.kind, HealthKind::Stall);
-                assert_eq!(ev.machine, 1);
-                fired_at = Some(i + 1);
-                break;
-            }
-        }
-        let intervals = fired_at.expect("stall never flagged");
-        assert!(intervals <= 5, "flagged after {intervals} intervals");
-        // The idle machine 0 (empty queue) must stay quiet.
-        let quiet = ha.assess(0, &[TimelineSample::default()]);
-        assert!(quiet.is_empty());
-    }
-
-    #[test]
-    fn stall_is_edge_triggered_and_rearms_after_progress() {
-        let mut ha = HealthAssessor::new(1);
-        let stuck = TimelineSample { queue_depth: 2, handled: 0, ..Default::default() };
-        let moving = TimelineSample { queue_depth: 2, handled: 5, ..Default::default() };
-        let mut events = 0;
-        for _ in 0..10 {
-            events += ha.assess(0, &[stuck]).len();
-        }
-        assert_eq!(events, 1, "a long stall is one episode");
-        assert!(ha.assess(0, &[moving]).is_empty());
-        for _ in 0..3 {
-            events += ha.assess(0, &[stuck]).len();
-        }
-        assert_eq!(events, 2, "re-arms after the stall clears");
-    }
-
-    #[test]
-    fn backpressure_needs_strict_monotone_growth() {
-        let mut ha = HealthAssessor::new(1);
-        let grow: Vec<TimelineSample> = (1..=5)
-            .map(|d| TimelineSample { queue_depth: d, handled: 1, ..Default::default() })
-            .collect();
-        let evs = ha.assess(0, &grow);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, HealthKind::Backpressure);
-        assert_eq!(evs[0].value, 5);
-        // A plateau breaks the signature (and re-arms the episode).
-        let mut flat = grow.clone();
-        flat[4].queue_depth = flat[3].queue_depth;
-        assert!(ha.assess(0, &flat).is_empty());
-    }
-
-    #[test]
-    fn pool_leak_fires_on_ledger_growth() {
-        let mut ha = HealthAssessor::new(1);
-        let grow: Vec<TimelineSample> = (1..=LEAK_WINDOW as u64)
-            .map(|d| TimelineSample { pool_outstanding: d * 2, handled: 1, ..Default::default() })
-            .collect();
-        assert!(ha.assess(0, &grow[..LEAK_WINDOW - 1]).is_empty(), "needs the whole window");
-        let evs = ha.assess(0, &grow);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, HealthKind::PoolLeak);
-        assert_eq!(evs[0].value, 2 * LEAK_WINDOW as u64);
     }
 
     #[test]
@@ -667,79 +379,36 @@ mod tests {
     }
 
     #[test]
-    fn timeline_json_carries_schema_samples_and_health() {
+    fn timeline_json_carries_schema_and_samples() {
         let tl = TimelineState::new(2);
         tl.set_interval_us(10_000);
         tl.push(0, TimelineSample { t_us: 10, started: 2, ..Default::default() });
         tl.push(1, TimelineSample { t_us: 10, handled: 2, queue_depth: 1, ..Default::default() });
-        tl.record_health(HealthEvent {
-            t_us: 30,
-            machine: 1,
-            kind: HealthKind::Backpressure,
-            value: 7,
-        });
         let json = render_timeline_json(&tl.doc());
-        assert!(json.contains("\"schema\": 2"));
+        assert!(json.contains("\"schema\": 3"));
         assert!(json.contains("\"interval_us\": 10000"));
         assert!(json.contains("\"machine\": 1"));
         assert!(json.contains("\"queue_depth\": 1"));
-        assert!(json.contains("\"kind\": \"backpressure\""));
-        assert!(json.contains("\"value\": 7"));
+        assert!(!json.contains("\"health\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn health_kind_codes_are_stable() {
-        assert_eq!(HealthKind::Stall.code(), 1);
-        assert_eq!(HealthKind::Backpressure.code(), 2);
-        assert_eq!(HealthKind::PoolLeak.code(), 3);
-        assert_eq!(HealthKind::Stall.name(), "stall");
-        assert_eq!(HealthKind::PoolLeak.name(), "pool-leak");
     }
 
     #[test]
     fn sampler_thread_samples_and_stops() {
         let obs = Arc::new(MetricsRegistry::new(2));
-        let flight = Arc::new(FlightRecorder::new(2, 64, Instant::now()));
+        let epoch = Instant::now() - Duration::from_millis(5);
         obs.machine(0).requests_started.fetch_add(5, Ordering::Relaxed);
-        let h = spawn_sampler(obs.clone(), flight.clone(), Duration::from_millis(1), 0);
+        let h = spawn_sampler(obs.clone(), epoch, Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(10));
         obs.machine(0).requests_started.fetch_add(7, Ordering::Relaxed);
         h.stop_and_join();
         h.stop_and_join(); // idempotent
         let doc = obs.timeline().doc();
         assert!(doc.machines[0].len() >= 2, "baseline + final tick at minimum");
+        assert!(doc.machines[0][0].t_us >= 5_000, "samples count from the epoch handed in");
         // Delta totals reconstruct the counter exactly.
         assert_eq!(doc.total(0, |s| s.started), 12);
         assert_eq!(doc.total(1, |s| s.started), 0);
         assert_eq!(doc.interval_us, 1_000);
-    }
-
-    #[test]
-    fn sampler_emits_health_flight_events_for_injected_stall() {
-        // Pin the full plumbing: a machine whose gauge shows queued work
-        // and whose invoke counter never moves must produce a Health
-        // flight event naming it within 5 ticks.
-        let obs = Arc::new(MetricsRegistry::new(2));
-        let flight = Arc::new(FlightRecorder::new(2, 64, Instant::now()));
-        obs.machine(1).serve_queue_depth.store(6, Ordering::Relaxed);
-        let h = spawn_sampler(obs.clone(), flight.clone(), Duration::from_millis(1), 2);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut found = None;
-        while Instant::now() < deadline && found.is_none() {
-            std::thread::sleep(Duration::from_millis(2));
-            found = obs.timeline().health_events().first().copied();
-        }
-        h.stop_and_join();
-        let ev = found.expect("stall not flagged");
-        assert_eq!(ev.machine, 1);
-        assert_eq!(ev.kind, HealthKind::Stall);
-        let events = flight.snapshot();
-        let health: Vec<&FlightEvent> =
-            events[1].1.iter().filter(|e| e.kind == FlightKind::Health).collect();
-        assert!(!health.is_empty(), "health event missing from flight ring");
-        assert_eq!(health[0].peer, 1, "flight event names the stalled machine");
-        assert_eq!(health[0].site, HealthKind::Stall.code());
-        assert_eq!(health[0].transport, 2);
     }
 }

@@ -43,6 +43,6 @@ pub use corm_obs::{
 pub use error::VmError;
 pub use runtime::{
     run_program, write_flight_artifact, AuditSnapshot, Cluster, FaultSpec, Milestone, RunOptions,
-    RunOutcome, Runtime, StallSpec,
+    RunOutcome, Runtime,
 };
 pub use serve::{serve, serve_with, ArrivalSchedule, ServeOptions, ServeReport};

@@ -124,8 +124,7 @@ mod tests {
         assert!(matches!(delivered(&w1), Some(Err(e)) if e.contains('1')));
         assert_eq!(delivered(&w2), None, "a call to a live peer must keep waiting");
         assert_eq!(delivered(&w3), Some(Ok(vec![9])), "a reply already delivered stays");
-        // The same death again (what `duplicate_peer_gone` sends over lossy)
-        // fails nothing more; a call toward the dead peer is refused, and
+        // The same death reported again fails nothing more; a call toward the dead peer is refused, and
         // one toward a live peer is not.
         assert!(table.fail(Some(1), &peer_gone(1)).is_empty());
         assert_eq!(table.open(4, 1, &w3), Err(peer_gone(1)));

@@ -509,17 +509,6 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     // home and closes the caller's recycling loop with no server-side pool.
     let (held, reused, gc_due) = (Cell::new(Vec::new()), Cell::new(0), Cell::new(false));
     let result = (|| {
-        // Stall injection (RunOptions::stall): model a slow server by putting
-        // the configured requests to sleep before any processing.
-        if let Some(stall) = rt.stall {
-            if stall.every > 0
-                && stall.stall_us > 0
-                && rt.stall_count.fetch_add(1, Relaxed).is_multiple_of(stall.every)
-            {
-                interp.about_to_wait("the injected stall")?;
-                std::thread::sleep(std::time::Duration::from_micros(stall.stall_us));
-            }
-        }
         let plan =
             plan.ok_or_else(|| VmError::new(format!("no unmarshal plan for site {site}")))?;
         let ser = Serializer::new(&rt.plans, &rt.module.table, &rt.obs.machine(my).stats);

@@ -8,10 +8,7 @@ use corm_codegen::Plans;
 use corm_heap::HeapStats;
 use corm_ir::{CallSiteId, Module};
 use corm_net::{CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, TransportKind};
-use corm_obs::recorder::{
-    FlightEvent, FlightKind, DEFAULT_FLIGHT_CAPACITY, TRANSPORT_CHANNEL, TRANSPORT_LOSSY,
-    TRANSPORT_REACTOR, TRANSPORT_TCP,
-};
+use corm_obs::recorder::{FlightEvent, FlightKind, DEFAULT_FLIGHT_CAPACITY};
 use corm_obs::timeline::{spawn_sampler, SamplerHandle, TimelineDoc, DEFAULT_TIMELINE_INTERVAL_US};
 use corm_obs::{
     render_flight_json, FlightDump, FlightRecorder, MetricsRegistry, MetricsSnapshot, SiteMetrics,
@@ -61,16 +58,11 @@ pub struct RunOptions {
     /// Fault injection: abruptly kill a machine mid-run (see
     /// [`FaultSpec`]). `None` in normal operation.
     pub fault: Option<FaultSpec>,
-    /// Server-side stall injection (see [`StallSpec`]): every N-th
-    /// handled request sleeps before processing. `None` in normal
-    /// operation; `tests/serving.rs` uses it to show that a degraded
-    /// server's backlog lands in the intended-time latency.
-    pub stall: Option<StallSpec>,
     /// Timeline sampler cadence, µs (DESIGN §7.4). A background thread
     /// snapshots every machine's metrics at this interval into the
-    /// registry's bounded rings and runs the health assessor over them.
-    /// On by default; `0` disables sampling — that switch exists for
-    /// `benchmark/`'s `obs.overhead_share` probe, not for production use.
+    /// registry's bounded rings. On by default; `0` disables sampling —
+    /// that switch exists for `benchmark/`'s `obs.overhead_share` probe,
+    /// not for production use.
     pub timeline_interval_us: u64,
     /// Loss model for the lossy transport (DESIGN §5.6): seeded
     /// drop/duplicate/reorder rates and retransmission timing. Ignored
@@ -91,18 +83,6 @@ pub struct FaultSpec {
     pub after_sends: u64,
 }
 
-/// Deterministic server-side slowness: every `every`-th request handled
-/// anywhere in the cluster sleeps `stall_us` before processing. Models a
-/// GC pause / overloaded server for the coordinated-omission and SLO
-/// tests without touching the request path's timing otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallSpec {
-    /// Stall the 1st, `every+1`-th, `2*every+1`-th, ... handled request.
-    pub every: u64,
-    /// How long each stalled request sleeps, in microseconds.
-    pub stall_us: u64,
-}
-
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
@@ -115,7 +95,6 @@ impl Default for RunOptions {
             audit: false,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             fault: None,
-            stall: None,
             timeline_interval_us: DEFAULT_TIMELINE_INTERVAL_US,
             loss: None,
         }
@@ -161,7 +140,7 @@ pub struct Runtime {
     pub barrier: Barrier,
     pub args: Vec<i64>,
     /// The cluster epoch: the zero point of trace, flight and timeline
-    /// timestamps (the sampler stamps on the flight recorder's copy).
+    /// timestamps (the flight recorder and the sampler hold copies).
     pub start: Instant,
     pub output: Mutex<String>,
     pub echo: bool,
@@ -177,18 +156,10 @@ pub struct Runtime {
     /// Request ids whose replies were failed by peer loss or disconnect —
     /// these become [`FlightDump::failing_reqs`].
     pub flight_failed: Mutex<Vec<u64>>,
-    /// Transport code stamped into flight events
-    /// (`corm_obs::recorder::TRANSPORT_*`). The recorder lives below the
-    /// net crate, so the kind is mapped to a byte once, here.
-    pub transport_code: u8,
     /// Fault injection, when requested (see [`FaultSpec`]).
     pub fault: Option<FaultSpec>,
     /// Count of wire requests sent toward the fault victim so far.
     pub fault_sends: std::sync::atomic::AtomicU64,
-    /// Stall injection, when requested (see [`StallSpec`]).
-    pub stall: Option<StallSpec>,
-    /// Count of requests handled since start, for [`StallSpec::every`].
-    pub stall_count: std::sync::atomic::AtomicU64,
     /// Per-call-site marshal-buffer pool (DESIGN §5.4): request buffers
     /// circulate caller → server → reply → caller, so steady-state
     /// marshals allocate nothing. Canary mode rides on `audit`.
@@ -257,6 +228,7 @@ impl Runtime {
     pub fn flight_dump(&self, reason: &str) -> FlightDump {
         FlightDump {
             reason: reason.to_string(),
+            transport: self.net.kind().label(),
             failing_reqs: self.flight_failed.lock().clone(),
             machines: self.flight.snapshot(),
         }
@@ -339,8 +311,8 @@ impl CallCtx<'_> {
             rt.obs.machine(at).rtt_us.record(us);
             scope.rtt_us.record(us);
         }
-        let (bytes, transport) = (bytes.min(u32::MAX as usize) as u32, rt.transport_code);
-        rt.flight.record(at, FlightEvent { t_us, req, site, bytes, kind, peer, flags, transport });
+        let bytes = bytes.min(u32::MAX as usize) as u32;
+        rt.flight.record(at, FlightEvent { t_us, req, site, bytes, kind, peer, flags });
         t_us
     }
 }
@@ -438,8 +410,8 @@ pub struct RunOutcome {
     /// events and failed request ids. Render with
     /// `corm_obs::render_flight_json`.
     pub flight: FlightDump,
-    /// Timeline of the run: per-machine sampled metrics plus health
-    /// findings (empty when [`RunOptions::timeline_interval_us`] is 0).
+    /// Timeline of the run: per-machine sampled metrics (empty when
+    /// [`RunOptions::timeline_interval_us`] is 0).
     /// Render with `corm_obs::render_timeline_json`.
     pub timeline: TimelineDoc,
 }
@@ -475,8 +447,8 @@ impl Cluster {
     /// run yet — call [`Cluster::run_clinits`] before issuing work.
     pub fn start(module: Arc<Module>, plans: Arc<Plans>, opts: &RunOptions) -> Cluster {
         // The one epoch, taken before anything that can record: runtime,
-        // flight recorder and (through it) sampler count from it, so the
-        // trace, flight dump and timeline of a run share a zero point.
+        // flight recorder and sampler count from it, so the trace, flight
+        // dump and timeline of a run share a zero point.
         let start = Instant::now();
         let obs = Arc::new(MetricsRegistry::new(opts.machines));
         // The flight recorder exists before the fabric so the lossy
@@ -506,17 +478,10 @@ impl Cluster {
             tables[to as usize].pending.complete(req, reply)
         }));
 
-        let transport_code = match opts.transport {
-            TransportKind::Channel => TRANSPORT_CHANNEL,
-            TransportKind::Tcp => TRANSPORT_TCP,
-            TransportKind::Reactor => TRANSPORT_REACTOR,
-            TransportKind::Lossy => TRANSPORT_LOSSY,
-        };
         // The sampler starts before any work is issued, so the first
         // tick is the run's baseline and the rings cover the whole run.
         let sampler = (opts.timeline_interval_us > 0).then(|| {
-            let interval = Duration::from_micros(opts.timeline_interval_us);
-            spawn_sampler(obs.clone(), flight.clone(), interval, transport_code)
+            spawn_sampler(obs.clone(), start, Duration::from_micros(opts.timeline_interval_us))
         });
 
         let rt = Arc::new(Runtime {
@@ -537,11 +502,8 @@ impl Cluster {
             audit: opts.audit,
             flight,
             flight_failed: Mutex::new(Vec::new()),
-            transport_code,
             fault: opts.fault,
             fault_sends: std::sync::atomic::AtomicU64::new(0),
-            stall: opts.stall,
-            stall_count: std::sync::atomic::AtomicU64::new(0),
             pool: crate::pool::BufferPool::new(opts.machines, opts.audit),
             sampler,
         });
@@ -844,10 +806,8 @@ fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::S
                 let enq_us = rt.call(my, req, site).phase_begin(Phase::Queue);
                 let item = WorkItem { req, from, site, target_obj, payload, oneway, enq_us };
                 // The site's `serve.thread` verdict, read here and nowhere else.
-                // With stall injection on, every request may block: the injected
-                // sleep is a blocking operation no analysis sees.
-                let on_drain = rt.stall.is_none()
-                    && rt.plans.plan(CallSiteId(site)).is_some_and(|plan| plan.serve_on_drain);
+                let on_drain =
+                    rt.plans.plan(CallSiteId(site)).is_some_and(|plan| plan.serve_on_drain);
                 if oneway {
                     // Long-running spawned work gets its own thread so it
                     // cannot starve the request pool.

@@ -13,9 +13,9 @@
 //! one request is stuck, the requests that *would have* arrived are
 //! simply never sent, so they never appear in the histogram. That
 //! measurement bug is called coordinated omission; recording against
-//! intended time is the standard fix, and
-//! `serving::coordinated_omission` in the integration tests demonstrates
-//! the difference on a deliberately stalled server.
+//! intended time is the standard fix, and `tests/serving.rs`'s
+//! `stalled_server_inflates_intended_latency_while_completions_stay_high`
+//! demonstrates the difference on a server whose handler sleeps.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;

@@ -412,10 +412,13 @@ fn flight_recorder_is_on_by_default() {
     assert!(kinds.contains(&(0, "send")), "caller machine missing send events");
     assert!(kinds.contains(&(1, "handle")), "callee machine missing handle events");
     assert!(kinds.contains(&(0, "return")), "caller machine missing return events");
-    // The dump renders as balanced JSON with the channel transport tag.
+    // The dump renders as balanced JSON naming the channel transport once,
+    // at the top: a run has one transport, so no event repeats it.
     let json = corm::render_flight_json(&out.flight);
-    assert!(json.contains(r#""reason": "ok""#));
-    assert!(json.contains(r#""transport": "channel""#));
+    assert!(json.starts_with(
+        "{\n  \"schema\": 2,\n  \"reason\": \"ok\",\n  \"transport\": \"channel\",\n"
+    ));
+    assert_eq!(json.matches(r#""transport""#).count(), 1, "an event carries the transport");
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 

@@ -1,10 +1,10 @@
 //! Open-loop serving integration tests (DESIGN §8): schedule and
 //! call-counter determinism, the served-every-request rule behind `corm
-//! serve`'s exit code, coordinated-omission safety under an injected
-//! server-side stall, SLO violations surfacing through the flight
-//! recorder, a slave severed under load, and a TCP smoke run.
+//! serve`'s exit code, coordinated-omission safety against a handler
+//! that sleeps, SLO violations surfacing through the flight recorder, a
+//! slave severed under load, and a TCP smoke run.
 
-use corm::{ArrivalSchedule, FaultSpec, OptConfig, ServeOptions, StallSpec, TransportKind};
+use corm::{ArrivalSchedule, FaultSpec, OptConfig, ServeOptions, TransportKind};
 use corm_apps::serve::webserver_serve;
 
 const SEED: u64 = 42;
@@ -102,19 +102,59 @@ fn a_request_that_errors_fails_the_point() {
     assert!(!report.served_all());
 }
 
+/// A service shaped like the webserver whose `getPage` sleeps 100 ms on
+/// the first and then every third hit of each slave.
+const SLEEPING_SERVICE: &str = r#"
+    class Page { int[] body; }
+    remote class Slave {
+        long hits;
+        void init(int npages, int pageSize, int id, int nslaves) { this.hits = 0; }
+        Page getPage(String url) {
+            this.hits = this.hits + 1;
+            if (this.hits % 3 == 1) { System.sleepMicros(100000); }
+            Page p = new Page();
+            p.body = new int[4];
+            return p;
+        }
+        long hitCount() { return this.hits; }
+    }
+    class Master {
+        static void main() {
+            Slave s = new Slave() @ 1;
+            s.init(1, 1, 0, 1);
+            Page p = s.getPage("/page/1");
+            System.println(Str.fromLong(s.hitCount() + p.body.length));
+        }
+    }
+"#;
+
 /// The coordinated-omission claim, demonstrated: a server that stalls
 /// still *completes* every request (a closed-loop harness would report a
 /// healthy p50 and a high completion count), but latency measured
 /// against intended arrival explodes — the backlog is charged to the
-/// server, not silently excused by the throttled clients.
+/// server, not silently excused by the throttled clients. The stall is
+/// the program's own: the analysis sees the sleep, so `getPage` is served
+/// by a worker, as a real blocking handler is.
 #[test]
 fn stalled_server_inflates_intended_latency_while_completions_stay_high() {
     let stall_us = 100_000;
+    let compiled = corm::compile(SLEEPING_SERVICE, OptConfig::ALL).expect("service compiles");
+    let explain = corm::render_explain_json(&compiled);
+    let get_page = explain
+        .split("\"method\": ")
+        .find(|site| site.starts_with("\"Slave.getPage\""))
+        .expect("a getPage call site");
+    assert!(
+        get_page.contains(
+            "{\"aspect\": \"serve.thread\", \"verdict\": \"worker\", \"rule\": \"blocking-builtin\""
+        ),
+        "a sleeping getPage must be a worker site:\n{get_page}"
+    );
+
     let schedule = ArrivalSchedule::generate(SEED, 1_500.0, 120);
     let mut opts = channel_opts(3);
     opts.slo_us = 10_000;
-    opts.run.stall = Some(StallSpec { every: 3, stall_us });
-    let r = webserver_serve(OptConfig::ALL, &schedule, &opts).expect("stalled run");
+    let r = corm::serve(&compiled, &schedule, &opts).expect("stalled run");
 
     // Completion stays high: the closed-loop view looks healthy.
     assert_eq!(r.errors, 0);
