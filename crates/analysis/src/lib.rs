@@ -17,15 +17,11 @@
 //!   where an object escapes if *anything it recursively refers to*
 //!   escapes (Figures 10/11); non-escaping argument and return graphs can
 //!   be recycled between RMIs (§3.3).
-//! * **May-block** ([`blocking`]): can serving a remote method make its
-//!   thread wait? Methods that cannot are served by the machine's drain
-//!   thread itself, as Manta serves non-blocking methods in the upcall.
 //! * **Call-site serializers** ([`shape`]): per call site, the [`SerNode`]
 //!   program of each argument and the return value — what the heap
 //!   analysis proves about the object graph, as the tree the engine in
 //!   `corm-codegen` runs (§3.1).
 
-pub mod blocking;
 pub mod cycles;
 pub mod escape;
 pub mod graph;

@@ -24,13 +24,12 @@ use std::fmt;
 pub struct Decision {
     /// Which aspect of the site this decides: `args.cycle`, `ret.cycle`,
     /// `arg1.reuse` … `argN.reuse` (1-based, matching the analysis
-    /// report), `ret.reuse`, or `serve.thread`.
+    /// report), or `ret.reuse`.
     pub aspect: String,
     /// The claim. Fact level: `may_cycle` / `acyclic` / `reusable` /
     /// `not_reusable`. Applied level (in a corm-codegen `MarshalPlan`):
     /// `cycle_table_kept` / `cycle_table_elided` / `reuse_enabled` /
-    /// `reuse_disabled`. `serve.thread` is `drain` / `worker` at both
-    /// levels: no configuration overrides it.
+    /// `reuse_disabled`.
     pub verdict: &'static str,
     /// The rule that fired (e.g. `revisit`, `nonfresh-element-store`,
     /// `escapes-static-store`, `no-escape`, `config-conservative`).

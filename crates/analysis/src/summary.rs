@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use corm_ir::ssa::build_module_ssa;
 use corm_ir::{CallSiteId, FuncId, MethodId, Module, Ty};
 
-use crate::blocking::{may_block, ServeFinding};
 use crate::cycles::{may_cycle_explained, CycleOptions};
 use crate::escape::{escaping_nodes, explain_reuse, is_reusable};
 use crate::points_to::{analyze_points_to, PointsTo};
@@ -42,13 +41,9 @@ pub struct RemoteSiteInfo {
     /// The caller discards the result — reply degrades to a bare ack.
     pub ret_ignored: bool,
     pub is_spawn: bool,
-    /// May serving the method make its thread wait ([`crate::blocking`])?
-    /// A spawn site counts as may-block: a one-way request is served on a
-    /// thread of its own, whatever its method does.
-    pub may_block: bool,
     /// Fact-level provenance: one [`Decision`] per verdict above
-    /// (`args.cycle`, `ret.cycle`, `arg{i}.reuse`, `ret.reuse`,
-    /// `serve.thread`), each with the rule that fired and a concrete witness.
+    /// (`args.cycle`, `ret.cycle`, `arg{i}.reuse`, `ret.reuse`), each with
+    /// the rule that fired and a concrete witness.
     pub provenance: SiteProvenance,
 }
 
@@ -203,23 +198,6 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
             }
         };
 
-        // Which thread serves the call: the verdict the drain loop acts on.
-        let serve = if cs.is_spawn {
-            ServeFinding {
-                may_block: true,
-                rule: "one-way",
-                witness: "a spawned call is served on a thread of its own".into(),
-            }
-        } else {
-            may_block(m, mid)
-        };
-        provenance.decisions.push(Decision {
-            aspect: "serve.thread".into(),
-            verdict: if serve.may_block { "worker" } else { "drain" },
-            rule: serve.rule,
-            witness: serve.witness,
-        });
-
         sites.insert(
             cs.id,
             RemoteSiteInfo {
@@ -234,7 +212,6 @@ pub fn analyze_module(m: &Module, options: AnalysisOptions) -> AnalysisResult {
                 ret_reusable,
                 ret_ignored: cs.ret_ignored,
                 is_spawn: cs.is_spawn,
-                may_block: serve.may_block,
                 provenance,
             },
         );
@@ -489,33 +466,6 @@ mod tests {
         );
         let ret = p.find("ret.reuse").expect("ret.reuse decision");
         assert_eq!(ret.verdict == "reusable", s.ret_reusable);
-        let serve = p.find("serve.thread").expect("serve.thread decision");
-        assert!(!s.may_block, "`send` only returns its argument");
-        assert_eq!((serve.verdict, serve.rule), ("drain", "no-blocking-operation"));
         assert!(!p.digest().is_empty());
-    }
-
-    /// A spawn site is served on a thread of its own whatever its method
-    /// does; a two-way site of the same method gets the method's verdict.
-    #[test]
-    fn a_spawn_site_is_never_drain_served() {
-        let src = r#"
-            remote class R { void tick() { } }
-            class M {
-                static void main() {
-                    R r = new R();
-                    spawn r.tick();
-                    r.tick();
-                }
-            }
-        "#;
-        let (_m, r) = analyze(src);
-        let verdict = |spawn: bool| {
-            let s = r.sites.values().find(|s| s.is_spawn == spawn).expect("site");
-            let d = s.provenance.find("serve.thread").expect("serve.thread decision");
-            (s.may_block, d.verdict, d.rule)
-        };
-        assert_eq!(verdict(true), (true, "worker", "one-way"));
-        assert_eq!(verdict(false), (false, "drain", "no-blocking-operation"));
     }
 }

@@ -26,12 +26,6 @@ pub struct MarshalPlan {
     /// Reply degrades to a bare ack (return value ignored by the caller).
     pub ret_ignored: bool,
     pub is_spawn: bool,
-    /// The callee cannot block (`serve.thread: drain`), so the receiving
-    /// machine's drain thread serves a two-way request itself instead of
-    /// handing it to a worker. The analysis' verdict under every
-    /// configuration — `class` gets it as Manta's baseline did, so the
-    /// paper's ratio is not bought with it.
-    pub serve_on_drain: bool,
     /// Static estimate of the marshaled argument payload size in bytes.
     /// Primes pooled marshal buffers so steady-state serialization never
     /// reallocates; a guess (arrays use a nominal element count), never a
@@ -39,9 +33,8 @@ pub struct MarshalPlan {
     pub args_wire_size_hint: usize,
     /// Static estimate of the marshaled return payload size in bytes.
     pub ret_wire_size_hint: usize,
-    /// Applied provenance: why this plan keeps/elides the cycle table,
-    /// enables/disables reuse and is served where it is under its
-    /// configuration. Where the analysis decided, its rule and witness are
+    /// Applied provenance: why this plan keeps/elides the cycle table and
+    /// enables/disables reuse under its configuration. Where the analysis decided, its rule and witness are
     /// carried over verbatim; where the configuration decided (e.g. `class`
     /// mode), the rule says so.
     pub provenance: SiteProvenance,
@@ -266,10 +259,6 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
             });
         }
 
-        // Which thread serves the call is the analysis' to say, whatever the
-        // configuration.
-        provenance.decisions.extend(info.provenance.find("serve.thread").cloned());
-
         let args_wire_size_hint = args_size_hint(&args);
         let ret_wire_size_hint = ret.as_ref().map(node_size_hint).unwrap_or(0);
         sites.insert(
@@ -285,7 +274,6 @@ pub fn generate_plans(m: &Module, analysis: &AnalysisResult, config: OptConfig) 
                 ret_reuse,
                 ret_ignored: info.ret_ignored,
                 is_spawn: info.is_spawn,
-                serve_on_drain: !info.may_block,
                 args_wire_size_hint,
                 ret_wire_size_hint,
                 provenance,
@@ -711,10 +699,6 @@ mod tests {
             );
             assert!(plan.provenance.find("ret.cycle").is_some());
             assert!(plan.provenance.find("ret.reuse").is_some());
-            // No row overrides which thread serves the call.
-            let serve = plan.provenance.find("serve.thread").expect("serve.thread");
-            assert!(plan.serve_on_drain, "{}: `send` has an empty body", config.label());
-            assert_eq!((serve.verdict, serve.rule), ("drain", "no-blocking-operation"));
         }
         // Under ALL, the elision is justified by the analysis traversal...
         let (_m, p) = plans_for(ARRAY_SRC, OptConfig::ALL);

@@ -398,8 +398,8 @@ fn render_top_frame(
     );
     let _ = writeln!(
         s,
-        "{:>3} {:>9} {:>9} {:>9} {:>6} {:>6} {:>10} {:>6}",
-        "m", "call/s", "srv/s", "p99(µs)", "infl", "queue", "pool(KiB)", "outst"
+        "{:>3} {:>9} {:>9} {:>9} {:>6} {:>10} {:>6}",
+        "m", "call/s", "srv/s", "p99(µs)", "infl", "pool(KiB)", "outst"
     );
     for m in 0..machines {
         let w = tl.recent(m as u16, 8);
@@ -416,13 +416,12 @@ fn render_top_frame(
         let last: TimelineSample = w.last().copied().unwrap_or_default();
         let _ = writeln!(
             s,
-            "{:>3} {:>9.1} {:>9.1} {:>9} {:>6} {:>6} {:>10.1} {:>6}",
+            "{:>3} {:>9.1} {:>9.1} {:>9} {:>6} {:>10.1} {:>6}",
             m,
             calls as f64 / secs,
             served as f64 / secs,
             p99,
             last.in_flight,
-            last.queue_depth,
             last.pool_resident_bytes as f64 / 1024.0,
             last.pool_outstanding
         );

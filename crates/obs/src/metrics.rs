@@ -161,11 +161,11 @@ machine_metrics! {
     /// User-method execution time on the serving side, µs.
     invoke_us: Histogram, "corm_invoke_microseconds", "Served user-method execution time";
     /// Server-side queueing delay: time an incoming request spent
-    /// between the drain loop enqueuing it and a worker dequeuing it, µs.
-    /// The missing piece of the marshal/wire/unmarshal/invoke split under
-    /// load — on a saturated machine it dominates the round trip.
+    /// between the drain loop receiving it and its handler starting, µs —
+    /// zero-length for a two-way request, which the thread that drained it
+    /// serves; a one-way request's includes the start of its own thread.
     queue_us: Histogram, "corm_queue_microseconds",
-        "Server-side queueing delay between packet arrival and worker pickup";
+        "Server-side queueing delay between packet arrival and handler start";
     /// Request payload bytes leaving this machine.
     payload_bytes: Histogram, "corm_rmi_payload_bytes", "Request payload size";
     /// Two-way RMIs started from this machine (throughput numerator).
@@ -190,10 +190,6 @@ machine_metrics! {
     /// full socket has not taken yet (zero unless a peer is slow to read).
     reactor_queued_bytes: Gauge, "corm_reactor_queued_bytes",
         "Bytes currently buffered in reactor output queues";
-    /// Requests parked in this machine's serve queue: enqueued by the
-    /// drain loop, not yet picked up by a worker.
-    serve_queue_depth: Gauge, "corm_serve_queue_depth",
-        "Requests accepted by the drain loop awaiting a worker";
     /// Pool-ledger entries currently outstanding: buffers checked out
     /// under a request id and not yet returned or abandoned, about one
     /// per two-way call in flight (zero once they return: `tests/pool_reuse.rs`).

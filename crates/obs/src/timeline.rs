@@ -37,7 +37,7 @@ use crate::hist::{HistSnapshot, NBUCKETS};
 use crate::metrics::{MachineSnapshot, MetricsRegistry};
 
 /// Version stamp embedded in every rendered `TimelineDoc`.
-pub const TIMELINE_SCHEMA_VERSION: u32 = 3;
+pub const TIMELINE_SCHEMA_VERSION: u32 = 4;
 
 /// Default sampler cadence, µs.
 pub const DEFAULT_TIMELINE_INTERVAL_US: u64 = 10_000;
@@ -65,8 +65,6 @@ pub struct TimelineSample {
     pub wire_bytes: u64,
     /// Two-way RMIs awaiting a reply (gauge).
     pub in_flight: u64,
-    /// Requests parked in the serve queue (gauge).
-    pub queue_depth: u64,
     /// Bytes parked in this machine's pool shard (gauge).
     pub pool_resident_bytes: u64,
     /// Outstanding pool-ledger entries: buffers checked out under a
@@ -183,7 +181,7 @@ pub fn render_timeline_json(d: &TimelineDoc) -> String {
                 s,
                 "        {{\"t_us\": {}, \"started\": {}, \"completed\": {}, \
                  \"handled\": {}, \"remote_rpcs\": {}, \"wire_bytes\": {}, \
-                 \"in_flight\": {}, \"queue_depth\": {}, \
+                 \"in_flight\": {}, \
                  \"pool_resident_bytes\": {}, \"pool_outstanding\": {}, \
                  \"reactor_queued_bytes\": {}, \"rtt_p99_us\": {}}}",
                 p.t_us,
@@ -193,7 +191,6 @@ pub fn render_timeline_json(d: &TimelineDoc) -> String {
                 p.remote_rpcs,
                 p.wire_bytes,
                 p.in_flight,
-                p.queue_depth,
                 p.pool_resident_bytes,
                 p.pool_outstanding,
                 p.reactor_queued_bytes,
@@ -255,7 +252,6 @@ fn delta_sample(t_us: u64, cur: &MachineSnapshot, prev: &MachineSnapshot) -> Tim
         remote_rpcs: cur.stats.remote_rpcs.saturating_sub(prev.stats.remote_rpcs),
         wire_bytes: cur.stats.wire_bytes.saturating_sub(prev.stats.wire_bytes),
         in_flight: cur.in_flight,
-        queue_depth: cur.serve_queue_depth,
         pool_resident_bytes: cur.pool_resident_bytes,
         pool_outstanding: cur.pool_outstanding,
         reactor_queued_bytes: cur.reactor_queued_bytes,
@@ -334,7 +330,6 @@ mod tests {
             requests_started: 25,
             requests_completed: 20,
             in_flight: 5,
-            serve_queue_depth: 3,
             pool_outstanding: 2,
             ..Default::default()
         };
@@ -343,7 +338,6 @@ mod tests {
         assert_eq!(s.started, 15);
         assert_eq!(s.completed, 12);
         assert_eq!(s.in_flight, 5);
-        assert_eq!(s.queue_depth, 3);
         assert_eq!(s.pool_outstanding, 2);
         assert_eq!(s.rtt_p99_us, 0, "no RTTs this interval");
     }
@@ -383,12 +377,12 @@ mod tests {
         let tl = TimelineState::new(2);
         tl.set_interval_us(10_000);
         tl.push(0, TimelineSample { t_us: 10, started: 2, ..Default::default() });
-        tl.push(1, TimelineSample { t_us: 10, handled: 2, queue_depth: 1, ..Default::default() });
+        tl.push(1, TimelineSample { t_us: 10, handled: 2, ..Default::default() });
         let json = render_timeline_json(&tl.doc());
-        assert!(json.contains("\"schema\": 3"));
+        assert!(json.contains("\"schema\": 4"));
         assert!(json.contains("\"interval_us\": 10000"));
         assert!(json.contains("\"machine\": 1"));
-        assert!(json.contains("\"queue_depth\": 1"));
+        assert!(json.contains("\"handled\": 2"));
         assert!(!json.contains("\"health\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -32,7 +32,7 @@ pub fn call(
         }
         TimeMicros => Ok(Value::Long(interp.rt.now_us() as i64)),
         SleepMicros => {
-            interp.about_to_wait("System.sleepMicros")?;
+            interp.about_to_wait();
             let us = argv[0].as_long().max(0) as u64;
             let sleep = || std::thread::sleep(std::time::Duration::from_micros(us));
             interp.off_lock(guard, |_, g| MutexGuard::unlocked(g, sleep));
@@ -51,7 +51,7 @@ pub fn call(
         ClusterMachines => Ok(Value::Int(interp.rt.machines.len() as i32)),
         ClusterMy => Ok(Value::Int(interp.machine_id() as i32)),
         ClusterBarrier => {
-            interp.about_to_wait("Cluster.barrier")?;
+            interp.about_to_wait();
             // Exactly one thread per machine participates; release the
             // machine lock while parked.
             interp.off_lock(guard, |me, g| MutexGuard::unlocked(g, || me.rt.barrier.wait()));
@@ -118,7 +118,7 @@ pub fn call(
                     machine.cv.notify_all();
                     return Ok(Value::Null);
                 }
-                interp.about_to_wait("Queue.put")?;
+                interp.about_to_wait();
                 interp.off_lock(guard, |_, g| machine.cv.wait(g));
             }
         }
@@ -131,7 +131,7 @@ pub fn call(
                     machine.cv.notify_all();
                     return Ok(v);
                 }
-                interp.about_to_wait("Queue.take")?;
+                interp.about_to_wait();
                 interp.off_lock(guard, |_, g| machine.cv.wait(g));
             }
         }

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-use corm_codegen::AUDIT_ERROR_PREFIX;
 use corm_heap::{ObjBody, Value};
 use corm_ir::{BinKind, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Ty, UnKind};
 use parking_lot::MutexGuard;
@@ -70,10 +69,9 @@ pub struct Interp {
     id: u64,
     /// Where this thread sleeps for the reply to its one outstanding call.
     pub(crate) waiter: Arc<Waiter>,
-    /// This is a drain thread's `Interp`: it serves the handlers whose
-    /// `serve.thread` verdict is `drain`, and must never wait for anything
-    /// but the machine lock (see [`Interp::about_to_wait`]).
-    pub(crate) on_drain: bool,
+    /// This thread holds its machine's drain role (`crate::drain`) and
+    /// hands it on before it waits (see [`Interp::about_to_wait`]).
+    pub(crate) draining: bool,
     /// Steps charged since the last safepoint.
     steps: u64,
 }
@@ -89,7 +87,7 @@ impl Interp {
     pub fn new(rt: Arc<Runtime>, machine: u16) -> Self {
         let machine = rt.machine(machine).clone();
         let (id, waiter) = (parking_key(), Arc::default());
-        Interp { rt, machine, stack: Stack::default(), id, waiter, on_drain: false, steps: 0 }
+        Interp { rt, machine, stack: Stack::default(), id, waiter, draining: false, steps: 0 }
     }
 
     /// The one way a VM thread lets go of the machine lock. `wait` does the
@@ -113,19 +111,13 @@ impl Interp {
     }
 
     /// Called at every point where a VM thread is about to wait — for a
-    /// reply, a queue, the barrier, a sleep — with the operation's name.
-    /// The drain thread reaches one only if the may-block analysis cleared a
-    /// method it should not have: an `analysis-audit` error, not a hang.
-    pub(crate) fn about_to_wait(&self, op: &str) -> VmResult<()> {
-        if !self.on_drain {
-            return Ok(());
+    /// reply, a queue, the barrier, a sleep. A thread that holds its
+    /// machine's drain role hands it on first, so the machine keeps receiving
+    /// while the handler waits (DESIGN §5.7); any other thread just waits.
+    pub(crate) fn about_to_wait(&mut self) {
+        if std::mem::take(&mut self.draining) {
+            self.machine.drain.hand_off(&self.rt, self.machine.id);
         }
-        Err(VmError::new(format!(
-            "{AUDIT_ERROR_PREFIX}: non-blocking claim violated: {op} would make thread {} of \
-             machine {} wait",
-            std::thread::current().name().unwrap_or("?"),
-            self.machine.id
-        )))
     }
 
     pub fn machine_id(&self) -> u16 {

@@ -5,9 +5,9 @@
 //!
 //! * each machine owns a managed heap, per-machine statics, native queue
 //!   table and the per-call-site reuse caches of §3.3;
-//! * a GM-style drain loop per machine receives packets (one drainer, as
-//!   in the paper's modified GM) and hands requests to a small worker
-//!   pool ("a new thread is created to invoke the user's code");
+//! * one thread at a time drains each machine's packets (one drainer, as
+//!   in the paper's modified GM) and serves a two-way request itself; a
+//!   handler about to wait hands the drain role to another thread first;
 //! * remote calls marshal through the corm-codegen serializer programs;
 //!   calls that happen to target a local object still clone their
 //!   arguments through serialization ("the same parameter passing
@@ -22,6 +22,7 @@
 #![deny(unsafe_code)]
 
 pub mod builtins;
+mod drain;
 pub mod error;
 pub mod interp;
 mod link;

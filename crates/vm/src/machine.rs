@@ -9,6 +9,7 @@ use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
 use corm_wire::{DeserTable, SerCycleTable};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::drain::DrainRole;
 use crate::error::{VmError, VmResult};
 use crate::interp::Stack;
 use crate::reply::ReplyTable;
@@ -185,12 +186,14 @@ impl MachineState {
 }
 
 /// One simulated machine: its state under the machine lock, the condvar
-/// `Queue` operations block on, and — beside the lock — the reply table.
+/// `Queue` operations block on, and — beside the lock — the reply table and
+/// the drain role.
 pub struct MachineShared {
     pub id: u16,
     pub state: Mutex<MachineState>,
     pub cv: Condvar,
     pub pending: ReplyTable,
+    pub(crate) drain: DrainRole,
 }
 
 /// A VM thread's stay on a machine: the machine lock, with the thread
@@ -232,8 +235,8 @@ impl MachineShared {
         // cluster-unique id (trace events of one call link across
         // machines by it). 48 bits of counter per machine.
         state.next_req = ((id as u64) << 48) + 1;
-        let pending = ReplyTable::default();
-        MachineShared { id, state: Mutex::new(state), cv: Condvar::new(), pending }
+        let (pending, drain) = (ReplyTable::default(), DrainRole::default());
+        MachineShared { id, state: Mutex::new(state), cv: Condvar::new(), pending, drain }
     }
 }
 

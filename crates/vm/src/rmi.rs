@@ -21,12 +21,13 @@ use corm_obs::SiteMetrics;
 use corm_wire::{DeserTable, Message, MessageReader, RmiStats, SerCycleTable};
 use parking_lot::MutexGuard;
 
+use crate::drain::WorkItem;
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
 use crate::machine::{lend, MachineState, ReuseSlot};
 use crate::pool::Lane;
 use crate::reply::Reply;
-use crate::runtime::{CallCtx, Milestone, WorkItem};
+use crate::runtime::{CallCtx, Milestone};
 use crate::trace::Phase;
 
 /// One half of an RMI — the caller's or the callee's — on the machine it
@@ -319,7 +320,7 @@ fn round_trip(
     to: u16,
     send: impl FnOnce(),
 ) -> Reply {
-    interp.about_to_wait("a round trip to another machine").map_err(|e| e.message)?;
+    interp.about_to_wait();
     if let Err(why) = interp.machine.pending.open(req, to, &interp.waiter) {
         interp.rt.flight_failed.lock().push(req);
         return Err(why);
@@ -333,7 +334,7 @@ fn round_trip(
 }
 
 /// The callee half of an RMI — Figure 1's `Unmarshaler_Example.foo` — on
-/// whichever thread lends its `Interp`: a worker, a one-way request's own
+/// whichever thread lends its `Interp`: a drain thread, a one-way request's own
 /// thread, or the caller itself for a local RPC. Unmarshal the arguments out
 /// of `request`, invoke, refill the caller's argument caches, marshal the
 /// return value: `None` where there is none (void, ignored, one-way). Whose
@@ -498,11 +499,12 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     let plan = rt.plans.plan(CallSiteId(site));
     let mut id = rt.call(my, req, site);
     id.flags = plan.map_or(0, |p| plan_flags(p, oneway, false));
-    // Close the queue phase the drain loop opened (pure waiting: what
-    // dominates a saturated server; zero-length when the drain thread serves
-    // the request itself); the same stamp opens the handle span.
+    // Close the queue phase the drain loop opened (zero-length when the
+    // thread that drained the request serves it; a one-way request's covers
+    // the start of its thread); the same stamp opens the handle span.
     let since = id.phase_end(Phase::Queue, enq_us);
     let request_bytes = payload.len();
+    let draining = interp.draining;
 
     // The request buffer becomes the reply payload — the return marshal, or
     // cleared for a bare ack — so on the channel backend its capacity rides
@@ -524,6 +526,10 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
         gc_due.set(guard.heap.gc_due());
         produced
     })();
+    if draining && !interp.draining {
+        // The handler gave the drain role up: it queues again before its reply leaves.
+        interp.machine.drain.requeue();
+    }
 
     id.milestone(request_bytes, Milestone::Handle { from, since, reused: reused.get() });
     let served = if oneway {
@@ -536,15 +542,7 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
                 ack.clear();
                 (ack, None)
             }
-            // A wait the drain thread refused contradicts this site's
-            // `serve.thread` verdict: the reply carries the claim home.
-            Err(e) => {
-                let e = match plan {
-                    Some(plan) if interp.on_drain => attach_provenance(plan, e),
-                    _ => e,
-                };
-                (Vec::new(), Some(e.message))
-            }
+            Err(e) => (Vec::new(), Some(e.message)),
         };
         rt.net.send(my, from, Packet::Reply { req_id: req, payload, err });
         Ok(())

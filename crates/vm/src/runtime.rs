@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use corm_codegen::Plans;
 use corm_heap::HeapStats;
 use corm_ir::{CallSiteId, Module};
-use corm_net::{CostModel, LossSpec, Mailbox, NetHandle, Packet, RecvError, TransportKind};
+use corm_net::{CostModel, LossSpec, NetHandle, Packet, TransportKind};
 use corm_obs::recorder::{FlightEvent, FlightKind, DEFAULT_FLIGHT_CAPACITY};
 use corm_obs::timeline::{spawn_sampler, SamplerHandle, TimelineDoc, DEFAULT_TIMELINE_INTERVAL_US};
 use corm_obs::{
@@ -20,8 +20,6 @@ use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
 use crate::link::{link, Linked};
 use crate::machine::MachineShared;
-use crate::reply::peer_gone;
-use crate::rmi;
 use crate::trace::{Phase, TraceEvent, TraceKind};
 
 /// Options for one program run.
@@ -34,8 +32,6 @@ pub struct RunOptions {
     /// Echo `System.println` to the host stdout (output is always
     /// captured in [`RunOutcome::output`]).
     pub echo: bool,
-    /// Request/reply worker threads per machine.
-    pub workers_per_machine: usize,
     /// Record an RMI event trace (see [`crate::trace`]).
     pub trace: bool,
     /// Which backend carries the packets (`channel` in-process fabric or
@@ -89,7 +85,6 @@ impl Default for RunOptions {
             machines: 2,
             args: Vec::new(),
             echo: false,
-            workers_per_machine: 3,
             trace: false,
             transport: TransportKind::default(),
             audit: false,
@@ -425,15 +420,14 @@ impl RunOutcome {
     }
 }
 
-/// A booted cluster whose service threads are live but whose `main` has
-/// not run: the runtime, drain loops and worker pools of a program run,
+/// A booted cluster whose drain threads are live but whose `main` has
+/// not run: the runtime and receive sides of a program run,
 /// decoupled from *what* drives them. [`run_program`] is
 /// `start → clinits + main → finish`; the open-loop serving driver
 /// ([`crate::serve`]) instead issues RMIs directly between `start` and
 /// `finish`.
 pub struct Cluster {
     pub rt: Arc<Runtime>,
-    services: Vec<std::thread::JoinHandle<()>>,
     transport: TransportKind,
     /// When bring-up was done (µs): `RunOutcome::wall` counts from here.
     up_us: u64,
@@ -442,8 +436,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Bring up the simulated cluster: transport, machines, one drain
-    /// loop plus a worker pool per machine. Static initializers have NOT
+    /// Bring up the simulated cluster: transport, machines and the first
+    /// drain thread of each machine. Static initializers have NOT
     /// run yet — call [`Cluster::run_clinits`] before issuing work.
     pub fn start(module: Arc<Module>, plans: Arc<Plans>, opts: &RunOptions) -> Cluster {
         // The one epoch, taken before anything that can record: runtime,
@@ -510,34 +504,12 @@ impl Cluster {
         let _panic_guard = PanicFlightGuard { rt: rt.clone() };
         let up_us = rt.now_us();
 
-        // Service threads: one GM-style drain loop per machine plus a
-        // small request worker pool.
-        let mut services = Vec::new();
+        // One GM-style drainer per machine (`crate::drain`).
         for mailbox in mailboxes {
-            let (work_tx, work_rx) = crossbeam::channel::unbounded::<WorkItem>();
-            for _ in 0..opts.workers_per_machine.max(1) {
-                let rt2 = rt.clone();
-                let rx = work_rx.clone();
-                let mid = mailbox.machine();
-                services.push(spawn_vm_thread("corm-worker", move || {
-                    // One `Interp` for the worker's life, lent to each request.
-                    let mut interp = Interp::new(rt2, mid);
-                    while let Ok(item) = rx.recv() {
-                        // Close the queue-depth gauge the drain loop
-                        // opened when it parked this request.
-                        interp.rt.obs.machine(mid).serve_queue_depth.fetch_sub(1, Relaxed);
-                        // A two-way request's failure went home in its reply.
-                        let _ = rmi::serve_request(&mut interp, item);
-                    }
-                }));
-            }
-            let rt2 = rt.clone();
-            services.push(spawn_vm_thread("corm-drain", move || {
-                drain_loop(rt2, mailbox, work_tx);
-            }));
+            rt.machine(mailbox.machine()).drain.start(&rt, mailbox);
         }
 
-        Cluster { rt, services, transport: opts.transport, up_us, _panic_guard }
+        Cluster { rt, transport: opts.transport, up_us, _panic_guard }
     }
 
     /// Static initializers: per machine, in declaration order (each
@@ -556,9 +528,9 @@ impl Cluster {
     }
 
     /// Drain user-spawned threads, shut the network down, join the
-    /// service threads and fold everything into a [`RunOutcome`].
+    /// drain threads and fold everything into a [`RunOutcome`].
     pub fn finish(self, error: Option<VmError>) -> RunOutcome {
-        let Cluster { rt, services, transport, up_us, _panic_guard } = self;
+        let Cluster { rt, transport, up_us, _panic_guard } = self;
 
         // Join user-spawned threads (applications terminate their
         // workers).
@@ -574,12 +546,13 @@ impl Cluster {
 
         let wall = Duration::from_micros(rt.now_us() - up_us);
 
-        // Shut the network down and join the service threads.
+        // Shut the network down and join every drain thread, those a
+        // handoff started mid-run too.
         for i in 0..rt.machines.len() {
             rt.net.send(i as u16, i as u16, Packet::Shutdown);
         }
-        for s in services {
-            let _ = s.join();
+        for m in &rt.machines {
+            m.drain.join();
         }
         // Tear the backend down (joins TCP reader threads; no-op on
         // channel) so measured wire time is final and nothing outlives
@@ -722,106 +695,4 @@ pub(crate) fn spawn_detached(
         }
     });
     rt.spawned.lock().push(handle);
-}
-
-/// Fail the calls of machine `my` that wait on `peer` (on anyone, for
-/// `None`) — an orderly remote error in place of silent quiescence. Each
-/// gets a `Fail` flight event and is remembered for the end-of-run dump.
-fn fail_calls(rt: &Runtime, my: u16, peer: Option<u16>, why: &str) {
-    let failed = rt.machine(my).pending.fail(peer, why);
-    for &req in &failed {
-        rt.call(my, req, 0).milestone(0, Milestone::Fail { peer: peer.unwrap_or(u16::MAX) });
-    }
-    rt.flight_failed.lock().extend(failed);
-}
-
-/// One request on its way from the drain loop to whoever serves it: its
-/// `Packet::Request`, plus the stamp at which the drain loop opened its
-/// queue phase (host-side only; the wire format does not know it).
-pub(crate) struct WorkItem {
-    pub req: u64,
-    pub from: u16,
-    pub site: u32,
-    pub target_obj: u32,
-    pub payload: Vec<u8>,
-    pub oneway: bool,
-    pub enq_us: u64,
-}
-
-/// The per-machine receive loop: exactly one drainer per machine, as in
-/// the paper's modified GM layer. A two-way request whose callee cannot
-/// block is served right here, as Manta serves one in the communication
-/// upcall; the others go to the worker pool, one-way spawns to a thread of
-/// their own; `NewRemote` allocations are served inline. The fabric
-/// completes replies where they arrive (`Cluster::start`), so the `Reply`
-/// arm is only what a fabric without a reply handler would need. The thread
-/// waits only on its mailbox and the machine lock, so the
-/// handlers it serves run to completion in arrival order (DESIGN §5.7).
-fn drain_loop(rt: Arc<Runtime>, mailbox: Mailbox, work_tx: crossbeam::channel::Sender<WorkItem>) {
-    let my = mailbox.machine();
-    // One `Interp` for the thread's life, as a worker has, marked so that a
-    // wait reached on it is an audit error instead of a stalled machine.
-    let mut interp = Interp::new(rt.clone(), my);
-    interp.on_drain = true;
-    loop {
-        let packet = match mailbox.recv() {
-            Ok(p) => p,
-            Err(RecvError::Disconnected) => {
-                // The fabric is gone (not an orderly Shutdown packet):
-                // no reply can ever arrive, so fail every waiter.
-                fail_calls(&rt, my, None, "transport disconnected");
-                break;
-            }
-        };
-        match packet {
-            Packet::Shutdown => break,
-            Packet::PeerGone { peer } => fail_calls(&rt, my, Some(peer), &peer_gone(peer)),
-            Packet::Reply { req_id, payload, err } => {
-                rt.machine(my).pending.complete(req_id, err.map_or(Ok(payload), Err));
-            }
-            // The reply is routed by `from`, and the fabric indexes its
-            // tables by it: a sender that is no machine gets no answer.
-            Packet::NewRemote { from, .. } | Packet::Request { from, .. }
-                if from as usize >= rt.machines.len() =>
-            {
-                let n = rt.machines.len();
-                rt.print(&format!("[machine {my}] dropped a request from machine {from} of {n}\n"));
-            }
-            Packet::NewRemote { req_id, from, class } => {
-                rt.instant(my, TraceKind::NewRemote { class, from });
-                let (payload, err) = if class as usize >= rt.module.table.classes.len() {
-                    (Vec::new(), Some(format!("unknown class id {class}")))
-                } else {
-                    let mut st = rt.machine(my).state.lock();
-                    let obj = st.alloc_zeroed(&rt.module.table, corm_ir::ClassId(class));
-                    st.heap.pin(obj); // exported — lives as long as the run
-                    (obj.0.to_le_bytes().to_vec(), None)
-                };
-                rt.net.send(my, from, Packet::Reply { req_id, payload, err });
-            }
-            Packet::Request { req_id: req, from, site, target_obj, payload, oneway } => {
-                // Queue phase opens the moment the drainer has the
-                // request; the worker (or spawned thread) closes it when
-                // it picks the request up.
-                let enq_us = rt.call(my, req, site).phase_begin(Phase::Queue);
-                let item = WorkItem { req, from, site, target_obj, payload, oneway, enq_us };
-                // The site's `serve.thread` verdict, read here and nowhere else.
-                let on_drain =
-                    rt.plans.plan(CallSiteId(site)).is_some_and(|plan| plan.serve_on_drain);
-                if oneway {
-                    // Long-running spawned work gets its own thread so it
-                    // cannot starve the request pool.
-                    let thread = ("corm-spawn", "one-way request");
-                    spawn_detached(&rt, my, thread, move |interp| rmi::serve_request(interp, item));
-                } else if on_drain {
-                    // The same item through the same function a worker runs: the
-                    // queue phase closes at once. A failure went home in the reply.
-                    let _ = rmi::serve_request(&mut interp, item);
-                } else {
-                    rt.obs.machine(my).serve_queue_depth.fetch_add(1, Relaxed);
-                    let _ = work_tx.send(item);
-                }
-            }
-        }
-    }
 }

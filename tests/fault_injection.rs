@@ -275,9 +275,8 @@ fn requests_from_no_machine_are_dropped_and_the_machine_keeps_serving() {
 
     let (cluster, class, echo, site) = echo_cluster();
     let rt = cluster.rt.clone();
-    // One forged request more than machine 1 has workers, then a forged
-    // allocation, which the drain thread answers itself; last, a real
-    // sender naming a class the program does not have.
+    // Four forged requests, then a forged allocation; last, a real sender
+    // naming a class the program does not have.
     for req_id in 0..4 {
         let forged = Packet::Request {
             req_id,
@@ -294,8 +293,8 @@ fn requests_from_no_machine_are_dropped_and_the_machine_keeps_serving() {
     rt.net.send(0, 1, Packet::NewRemote { req_id: u64::MAX, from: 0, class: u32::MAX });
 
     // Per-pair FIFO: machine 1 drains the forgeries before these calls.
-    // Where one of them killed its drain thread or its workers the calls
-    // never return, hence the bounded wait.
+    // Where one of them killed its drain thread the calls never return,
+    // hence the bounded wait.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let caller = std::thread::spawn(move || {
         allocate_and_echo(&mut Interp::new(rt, 0), (class, echo, site));

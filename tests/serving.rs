@@ -133,23 +133,12 @@ const SLEEPING_SERVICE: &str = r#"
 /// healthy p50 and a high completion count), but latency measured
 /// against intended arrival explodes — the backlog is charged to the
 /// server, not silently excused by the throttled clients. The stall is
-/// the program's own: the analysis sees the sleep, so `getPage` is served
-/// by a worker, as a real blocking handler is.
+/// the program's own: `getPage` sleeps, and hands its machine's drain role
+/// on while it does, as a real blocking handler would.
 #[test]
 fn stalled_server_inflates_intended_latency_while_completions_stay_high() {
     let stall_us = 100_000;
     let compiled = corm::compile(SLEEPING_SERVICE, OptConfig::ALL).expect("service compiles");
-    let explain = corm::render_explain_json(&compiled);
-    let get_page = explain
-        .split("\"method\": ")
-        .find(|site| site.starts_with("\"Slave.getPage\""))
-        .expect("a getPage call site");
-    assert!(
-        get_page.contains(
-            "{\"aspect\": \"serve.thread\", \"verdict\": \"worker\", \"rule\": \"blocking-builtin\""
-        ),
-        "a sleeping getPage must be a worker site:\n{get_page}"
-    );
 
     let schedule = ArrivalSchedule::generate(SEED, 1_500.0, 120);
     let mut opts = channel_opts(3);

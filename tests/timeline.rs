@@ -113,7 +113,7 @@ fn timeline_json_export_is_wellformed() {
 
     assert!(json.starts_with("{\n"));
     assert!(json.trim_end().ends_with('}'));
-    assert!(json.contains("\"schema\": 3"));
+    assert!(json.contains("\"schema\": 4"));
     assert!(!json.contains("\"health\""), "the timeline records, it does not judge");
     assert!(json.contains("\"interval_us\": 1000"));
     for field in [
@@ -126,7 +126,6 @@ fn timeline_json_export_is_wellformed() {
         "\"remote_rpcs\":",
         "\"wire_bytes\":",
         "\"in_flight\":",
-        "\"queue_depth\":",
         "\"pool_resident_bytes\":",
         "\"pool_outstanding\":",
         "\"reactor_queued_bytes\":",
