@@ -3,14 +3,17 @@
 //! Helpers of the `tables` binary, which prints Tables 1–8 in the paper's
 //! format with the paper's own numbers side by side, and the counter
 //! baseline `BENCH_tables.json`, which `tests/baseline.rs` holds the
-//! quick-scale run to with `==`. Timing claims are not made here: they
-//! come from paired runs of the standalone `benchmark/` package;
-//! open-loop serving is `corm serve`.
+//! quick-scale run to with `==`. The paper's time claims are judged on
+//! measured wall time by one rule ([`compare`]); a claim that a change
+//! made the system faster comes from paired runs of the standalone
+//! `benchmark/` package; open-loop serving is `corm serve`.
 //!
 //! Absolute seconds cannot match the paper — the substrate is an
 //! interpreter on a simulated Myrinet, not native Manta code on Pentium
 //! III hardware — so the claim under test is the *shape*: the ordering of
-//! the five configurations and the approximate relative gains.
+//! the five configurations.
+
+use std::cmp::Ordering;
 
 use corm::{esc, OptConfig, RunOptions, RunOutcome, StatsSnapshot, TransportKind, COUNTERS};
 use corm_apps::{AppSpec, ALL_APPS};
@@ -20,16 +23,21 @@ pub mod json;
 /// Cluster size of every table, as in the paper.
 const MACHINES: usize = 2;
 
-/// One measured row of a timing table.
+/// One measured row of a timing table. Every time is in seconds.
 #[derive(Debug, Clone)]
 pub struct MeasuredRow {
     pub config: &'static str,
-    /// Modeled seconds (real work + modeled wire/alloc time) — the
-    /// quantity comparable to the paper's "seconds" columns.
-    pub seconds: f64,
-    /// Real wall seconds of the simulated run.
+    /// Wall time of the fastest rep.
     pub wall: f64,
-    /// Gain over the `class` baseline, percent.
+    /// Wall time of the slowest rep minus that of the fastest.
+    pub spread: f64,
+    /// Reps measured.
+    pub reps: usize,
+    /// The Myrinet stand-in's price of the run's messages and bytes
+    /// ([`corm::CostModel`]): reported beside the wall time, never added to
+    /// it, and judged by no verdict.
+    pub wire: f64,
+    /// Wall gain over the `class` row, percent.
     pub gain: f64,
     pub stats: StatsSnapshot,
 }
@@ -44,44 +52,109 @@ pub struct PaperRow {
 
 /// Run one app at the given scale under all five configurations of the
 /// evaluation legend, repeating `reps` times per configuration, on the
-/// given transport backend.
-///
-/// Reported seconds = (minimum wall across reps) + modeled time. The
-/// modeled component (wire transit + managed-runtime cost model) is
-/// deterministic per configuration; taking the minimum wall strips
-/// host-scheduler noise, which otherwise swamps the optimization deltas
-/// when the simulated machines timeshare few host cores.
+/// given transport backend. Each rep runs every configuration once, so a
+/// burst of host noise lands on all five rather than on whichever ran
+/// during it. The minimum wall time strips that noise; the spread says how
+/// much of it is left.
 pub fn measure_table(
     spec: &AppSpec,
     args: &[i64],
     reps: usize,
     transport: TransportKind,
 ) -> Vec<MeasuredRow> {
-    let mut rows = Vec::new();
-    let mut class_seconds = None;
-    for (name, cfg) in OptConfig::TABLE_ROWS {
-        let mut min_wall = f64::INFINITY;
-        let mut last: Option<RunOutcome> = None;
-        for _ in 0..reps.max(1) {
-            let compiled = spec.compile(cfg);
+    let reps = reps.max(1);
+    let compiled = OptConfig::TABLE_ROWS.map(|(_, cfg)| spec.compile(cfg));
+    let mut walls: [Vec<f64>; 5] = Default::default();
+    let mut last: Vec<RunOutcome> = Vec::new();
+    for _ in 0..reps {
+        last.clear();
+        for (i, (name, _)) in OptConfig::TABLE_ROWS.iter().enumerate() {
             let options = RunOptions {
                 machines: MACHINES,
                 args: args.to_vec(),
                 transport,
                 ..Default::default()
             };
-            let out = corm::run(&compiled, options);
+            let out = corm::run(&compiled[i], options);
             assert!(out.error.is_none(), "{} failed under {name}: {:?}", spec.name, out.error);
-            min_wall = min_wall.min(out.wall.as_secs_f64());
-            last = Some(out);
+            walls[i].push(out.wall.as_secs_f64());
+            last.push(out);
         }
-        let out = last.unwrap();
-        let seconds = min_wall + out.modeled.as_secs_f64();
-        let base = *class_seconds.get_or_insert(seconds);
-        let gain = (base - seconds) / base * 100.0;
-        rows.push(MeasuredRow { config: name, seconds, wall: min_wall, gain, stats: out.stats });
     }
-    rows
+    let min = |w: &[f64]| w.iter().copied().fold(f64::INFINITY, f64::min);
+    let base = min(&walls[0]);
+    let rows = OptConfig::TABLE_ROWS.iter().zip(&walls).zip(last);
+    rows.map(|(((name, _), w), out)| {
+        let (wall, max) = (min(w), w.iter().copied().fold(0.0, f64::max));
+        MeasuredRow {
+            config: name,
+            wall,
+            spread: max - wall,
+            reps,
+            wire: out.modeled.as_secs_f64(),
+            gain: (base - wall) / base * 100.0,
+            stats: out.stats,
+        }
+    })
+    .collect()
+}
+
+// ----- verdicts on measured time ---------------------------------------------
+
+/// Fewest reps per row a time verdict is judged on.
+pub const MIN_REPS: usize = 3;
+
+/// The outcome of one of the paper's claims: `Some(true)` holds,
+/// `Some(false)` fails, `None` is unresolved. A counter claim is exact, so
+/// it is never unresolved.
+pub type Verdict = Option<bool>;
+
+/// The claim "`a` is faster than `b`": unresolved within the bound.
+pub fn faster(a: &MeasuredRow, b: &MeasuredRow) -> Verdict {
+    compare(a, b).filter(|o| o.is_ne()).map(Ordering::is_lt)
+}
+
+/// The claim "`a` takes the same time as `b`": an optimization that does
+/// not help.
+pub fn level(a: &MeasuredRow, b: &MeasuredRow) -> Verdict {
+    compare(a, b).map(Ordering::is_eq)
+}
+
+/// How a verdict prints.
+pub fn label(v: Verdict) -> &'static str {
+    match v {
+        Some(true) => "PASS",
+        Some(false) => "FAIL",
+        None => "UNRESOLVED",
+    }
+}
+
+/// The one rule every time verdict goes through. `a` is faster (`Less`)
+/// when its minimum wall time is below `b`'s by more than the larger of
+/// the two spreads, slower (`Greater`) in the reverse case, and the same
+/// (`Equal`) within that bound. With fewer than [`MIN_REPS`] reps a spread
+/// says nothing about the noise, so there is no ordering (`None`).
+pub fn compare(a: &MeasuredRow, b: &MeasuredRow) -> Option<Ordering> {
+    if a.reps.min(b.reps) < MIN_REPS {
+        return None;
+    }
+    let (bound, d) = (a.spread.max(b.spread), b.wall - a.wall);
+    // Beyond the bound, a positive `d` (a is faster) orders `Less`.
+    Some(if d.abs() <= bound { Ordering::Equal } else { 0f64.total_cmp(&d) })
+}
+
+/// A time claim about rows `a` and `b`, judged by `judge`, with the
+/// evidence in its text.
+pub fn time_claim(
+    claim: &str,
+    a: &MeasuredRow,
+    b: &MeasuredRow,
+    judge: fn(&MeasuredRow, &MeasuredRow) -> Verdict,
+) -> (String, Verdict) {
+    let bound = a.spread.max(b.spread);
+    let evidence =
+        format!("{} {:.6} vs {} {:.6}, bound {bound:.6}", a.config, a.wall, b.config, b.wall);
+    (format!("{claim} ({evidence})"), judge(a, b))
 }
 
 /// One app's measured rows, under its id in `BENCH_tables.json`.
@@ -113,15 +186,15 @@ pub fn format_time_table(title: &str, paper: &[PaperRow], measured: &[MeasuredRo
     let _ = writeln!(s);
     let _ = writeln!(
         s,
-        "| Compiler Optimization | paper s | paper gain | measured s | measured gain | wall s |"
+        "| Compiler Optimization | paper | paper gain | wall min | wall spread | wall gain | modeled wire |"
     );
-    let _ = writeln!(s, "|---|---:|---:|---:|---:|---:|");
+    let _ = writeln!(s, "|---|---:|---:|---:|---:|---:|---:|");
     for (p, m) in paper.iter().zip(measured) {
         debug_assert_eq!(p.config, m.config);
         let _ = writeln!(
             s,
-            "| {} | {:.1} | {:.1}% | {:.4} | {:.1}% | {:.4} |",
-            p.config, p.seconds, p.gain, m.seconds, m.gain, m.wall
+            "| {} | {:.1} | {:.1}% | {:.6} | {:.6} | {:.1}% | {:.6} |",
+            p.config, p.seconds, p.gain, m.wall, m.spread, m.gain, m.wire
         );
     }
     s
@@ -157,15 +230,14 @@ pub fn format_stats_table(title: &str, measured: &[MeasuredRow]) -> String {
     s
 }
 
-/// Shape check: does the measured ordering match the paper's headline
-/// claims? Returns human-readable verdicts.
-pub fn shape_verdicts(table: &str, measured: &[MeasuredRow]) -> Vec<(String, bool)> {
-    let sec = |i: usize| measured[i].seconds;
-    let mut v = Vec::new();
-    // universal: the full optimization stack beats the class baseline
-    v.push((format!("{table}: site+reuse+cycle beats class"), sec(4) < sec(0)));
-    v.push((format!("{table}: site beats class"), sec(1) < sec(0)));
-    v
+/// The two claims every timing table makes: the full stack, and `site`
+/// alone, beat the `class` baseline.
+pub fn shape_verdicts(table: &str, measured: &[MeasuredRow]) -> Vec<(String, Verdict)> {
+    let class = &measured[0];
+    vec![
+        time_claim(&format!("{table}: site+reuse+cycle beats class"), &measured[4], class, faster),
+        time_claim(&format!("{table}: site beats class"), &measured[1], class, faster),
+    ]
 }
 
 // ----- the counter baseline (BENCH_tables.json) -----------------------------
@@ -263,10 +335,64 @@ mod tests {
         let rows = measure_table(&ARRAY2D, ARRAY2D.quick_args, 1, TransportKind::Channel);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0].gain, 0.0);
+        assert!(rows.iter().all(|r| r.reps == 1 && r.spread == 0.0 && r.wire > 0.0));
         let text = format_time_table("Table 2", &PAPER_TABLE2, &rows);
         assert!(text.contains("site + reuse + cycle"));
+        assert!(text.contains("| wall min | wall spread | wall gain | modeled wire |"));
         let stats = format_stats_table("stats", &rows);
         assert!(stats.contains("cycle lookups"));
+    }
+
+    /// A row measured `reps` times: fastest `wall`, slowest `wall + spread`.
+    fn row(wall: f64, spread: f64, reps: usize) -> MeasuredRow {
+        let stats = StatsSnapshot::default();
+        MeasuredRow { config: "x", wall, spread, reps, wire: 0.0, gain: 0.0, stats }
+    }
+
+    #[test]
+    fn a_difference_beyond_both_spreads_passes() {
+        let (a, b) = (row(1.00, 0.02, 5), row(1.10, 0.05, 5));
+        assert_eq!(compare(&a, &b), Some(Ordering::Less));
+        assert_eq!(faster(&a, &b), Some(true));
+    }
+
+    #[test]
+    fn the_reverse_difference_beyond_both_spreads_fails() {
+        let (a, b) = (row(1.10, 0.05, 5), row(1.00, 0.02, 3));
+        assert_eq!(faster(&a, &b), Some(false));
+    }
+
+    #[test]
+    fn overlapping_spreads_are_unresolved() {
+        // 0.06 apart, but the slower row's spread is 0.08: either order holds.
+        let (a, b) = (row(1.00, 0.01, 5), row(1.06, 0.08, 5));
+        assert_eq!(compare(&a, &b), Some(Ordering::Equal));
+        assert_eq!(faster(&a, &b), None);
+        assert_eq!(faster(&b, &a), None);
+    }
+
+    #[test]
+    fn fewer_than_three_reps_is_unresolved_whatever_the_gap() {
+        let (a, b) = (row(1.0, 0.0, 2), row(9.0, 0.0, 5));
+        assert_eq!(compare(&a, &b), None);
+        assert_eq!(faster(&a, &b), None);
+        assert_eq!(level(&a, &b), None);
+    }
+
+    #[test]
+    fn does_not_help_passes_within_the_bound_and_fails_beyond_it_either_way() {
+        let site = row(1.00, 0.04, 5);
+        assert_eq!(level(&row(0.98, 0.01, 5), &site), Some(true));
+        assert_eq!(level(&row(0.90, 0.01, 5), &site), Some(false), "it helped");
+        assert_eq!(level(&row(1.10, 0.01, 5), &site), Some(false), "it hurt");
+    }
+
+    #[test]
+    fn a_time_claim_carries_its_evidence() {
+        let (text, verdict) =
+            time_claim("T9: a beats b", &row(1.0, 0.01, 3), &row(2.0, 0.02, 3), faster);
+        assert_eq!(text, "T9: a beats b (x 1.000000 vs x 2.000000, bound 0.020000)");
+        assert_eq!(verdict, Some(true));
     }
 
     #[test]

@@ -47,7 +47,7 @@ SHARED flags (run, serve and top):
                      deltas at the 10ms sampler cadence)
 
 run flags:
-  --stats            print run statistics (counters, modeled time) to stderr
+  --stats            print run statistics (counters, modeled wire time) to stderr
   --trace            print the RMI timeline and phase attribution to stderr
                      (suppressed by --quiet; trace is still recorded)
   --trace-json PATH  write a Chrome trace-event JSON file (open in Perfetto)
@@ -608,7 +608,7 @@ fn main() -> ExitCode {
                 eprintln!("--- run statistics ({}) ---", common.config.label());
                 eprintln!("transport       : {}", outcome.transport);
                 eprintln!("wall            : {:?}", outcome.wall);
-                eprintln!("modeled         : {:.3} ms", outcome.modeled.as_secs_f64() * 1e3);
+                eprintln!("modeled wire    : {:.3} ms", outcome.modeled.as_secs_f64() * 1e3);
                 if outcome.transport != TransportKind::Channel {
                     eprintln!(
                         "wire (measured) : {:.3} ms",

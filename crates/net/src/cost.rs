@@ -2,41 +2,18 @@
 //!
 //! Calibration follows the paper's own numbers (§3.3, §5): "a single
 //! optimized RMI may cost as little as 40 microseconds" on Myrinet —
-//! i.e. ~20 µs per one-way message — "and object allocation and
-//! deallocation costs about 0.1 microseconds". Myrinet (Boden et al.) is
-//! a gigabit-class network, so the per-byte cost is modeled at 1 Gbit/s.
+//! i.e. ~20 µs per one-way message. Myrinet (Boden et al.) is a
+//! gigabit-class network, so the per-byte cost is modeled at 1 Gbit/s.
 
-/// Network + managed-runtime cost model used to convert measured
-/// operation counts into modeled time.
-///
-/// Our substrate executes serialization in native Rust, which is far
-/// cheaper than Manta's generated Java serializers; the per-operation
-/// costs below reintroduce the managed-runtime overheads the paper
-/// measures, calibrated from the paper's own table deltas:
-///
-/// * `cycle_lookup_ns`: Table 5/7 give (site − site+cycle) /
-///   cycle-lookup-count ≈ 0.97 µs (superoptimizer) and ≈ 2.4 µs
-///   (webserver) per eliminated lookup ⇒ 1 µs.
-/// * `ser_invocation_ns`: the dynamic-dispatch + per-object type-handling
-///   cost of a class-specific serializer invocation; Table 5's
-///   site-vs-class delta over its invocation counts gives ≈ 1–3 µs ⇒
-///   1.5 µs.
-/// * `alloc_cost_ns`: §3.3 states 0.1 µs for raw allocation/deallocation;
-///   the deserialization path additionally pays meta-object lookup and GC
-///   amortization (Table 1's reuse delta) ⇒ 0.4 µs per deserialization
-///   allocation.
+/// Network cost model that converts measured message and byte counts into
+/// modeled wire time. Only the wire is modeled: everything else a run does
+/// is executed, and timed, for real.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Fixed one-way per-message latency in nanoseconds.
     pub latency_ns: u64,
     /// Link bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: u64,
-    /// Modeled cost of one deserialization-side object allocation.
-    pub alloc_cost_ns: u64,
-    /// Modeled cost of one cycle-table lookup (hash + handle insert).
-    pub cycle_lookup_ns: u64,
-    /// Modeled cost of one dynamic serializer invocation.
-    pub ser_invocation_ns: u64,
 }
 
 impl Default for CostModel {
@@ -44,9 +21,6 @@ impl Default for CostModel {
         CostModel {
             latency_ns: 20_000,                   // 20 µs one-way ⇒ ~40 µs RMI
             bandwidth_bytes_per_sec: 125_000_000, // 1 Gbit/s Myrinet
-            alloc_cost_ns: 400,
-            cycle_lookup_ns: 1_000,
-            ser_invocation_ns: 1_500,
         }
     }
 }
@@ -57,28 +31,10 @@ impl CostModel {
         self.latency_ns + bytes.saturating_mul(1_000_000_000) / self.bandwidth_bytes_per_sec
     }
 
-    /// Modeled allocation overhead for `allocs` allocations.
-    pub fn alloc_ns(&self, allocs: u64) -> u64 {
-        allocs * self.alloc_cost_ns
-    }
-
-    /// Modeled managed-runtime overhead for the given operation counts.
-    pub fn runtime_ns(&self, ser_invocations: u64, cycle_lookups: u64, deser_allocs: u64) -> u64 {
-        ser_invocations * self.ser_invocation_ns
-            + cycle_lookups * self.cycle_lookup_ns
-            + deser_allocs * self.alloc_cost_ns
-    }
-
     /// A free, infinitely fast network (for unit tests that only need
     /// functional behaviour).
     pub fn free() -> Self {
-        CostModel {
-            latency_ns: 0,
-            bandwidth_bytes_per_sec: u64::MAX,
-            alloc_cost_ns: 0,
-            cycle_lookup_ns: 0,
-            ser_invocation_ns: 0,
-        }
+        CostModel { latency_ns: 0, bandwidth_bytes_per_sec: u64::MAX }
     }
 }
 
@@ -94,10 +50,6 @@ mod tests {
         // 1 MB transfer ≈ 8 ms at 1 Gbit/s
         let ns = c.message_ns(1_000_000) - c.latency_ns;
         assert_eq!(ns, 8_000_000);
-        // per-op managed-runtime costs are calibrated from table deltas
-        assert_eq!(c.runtime_ns(1, 0, 0), 1_500);
-        assert_eq!(c.runtime_ns(0, 1, 0), 1_000);
-        assert_eq!(c.runtime_ns(0, 0, 1), 400);
     }
 
     #[test]

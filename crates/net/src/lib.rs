@@ -5,10 +5,9 @@
 //! exchange packets over per-machine queues (or, selectably, real
 //! loopback sockets or a seeded lossy fabric — see [`transport`]).
 //! Serialization work is done for real by corm-codegen; only the wire
-//! transit itself is modeled, via a calibrated [`CostModel`] that accrues
-//! *modeled network time* from the actual byte counts. This keeps the
-//! evaluation's shape (who wins, by what factor) a function of real work
-//! performed, while replacing the unavailable hardware.
+//! transit itself is modeled, via a [`CostModel`] that accrues *modeled
+//! network time* from the actual message and byte counts, reported beside
+//! the measured time and never added to it.
 //!
 //! The receive side mirrors the paper's GM setup: exactly one drainer per
 //! machine ("at any time only one thread can drain the network as

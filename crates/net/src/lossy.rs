@@ -217,26 +217,18 @@ struct Shared {
     /// redelivery-accounting exactness hook: equals frames delivered,
     /// not frames arrived.
     frames_charged: Vec<AtomicU64>,
-    retransmits: AtomicU64,
-    dups_suppressed: AtomicU64,
-    obs: Option<Arc<MetricsRegistry>>,
+    obs: Arc<MetricsRegistry>,
     flight: Option<Arc<FlightRecorder>>,
 }
 
 impl Shared {
     fn on_retransmit(&self, from: u16, to: u16, req: u64, bytes: usize) {
-        self.retransmits.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.machine(from).lossy_retransmits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.obs.machine(from).lossy_retransmits.fetch_add(1, Ordering::Relaxed);
         self.flight_event(from, to, FlightKind::Retransmit, req, bytes);
     }
 
     fn on_dup_suppressed(&self, from: u16, to: u16, req: u64, bytes: usize) {
-        self.dups_suppressed.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.machine(to).lossy_dups_suppressed.fetch_add(1, Ordering::Relaxed);
-        }
+        self.obs.machine(to).lossy_dups_suppressed.fetch_add(1, Ordering::Relaxed);
         self.flight_event(to, from, FlightKind::DupSuppressed, req, bytes);
     }
 
@@ -259,13 +251,13 @@ pub(crate) struct LossyTransport {
 }
 
 impl LossyTransport {
-    /// With a registry and flight recorder, retransmit and
-    /// dup-suppression counters land in the registry shards, and each
-    /// one also records a flight event on the involved machine's ring.
+    /// Retransmit and dup-suppression counts land in the registry
+    /// shards; with a flight recorder each one also records a flight
+    /// event on the involved machine's ring.
     pub fn new(
         rx: Arc<ReceiveSide>,
         spec: LossSpec,
-        obs: Option<Arc<MetricsRegistry>>,
+        obs: Arc<MetricsRegistry>,
         flight: Option<Arc<FlightRecorder>>,
     ) -> Arc<LossyTransport> {
         let n = rx.machines();
@@ -273,8 +265,6 @@ impl LossyTransport {
             spec,
             rx,
             frames_charged: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            retransmits: AtomicU64::new(0),
-            dups_suppressed: AtomicU64::new(0),
             obs,
             flight,
         });
@@ -505,19 +495,20 @@ mod tests {
     use crate::receive::{Mailbox, Mailboxes};
     use crate::transport::tests::spin_until;
 
-    /// A bare fabric: no registry, no flight recorder.
+    /// A fabric with its own registry and no flight recorder.
     fn fabric(n: usize, spec: LossSpec) -> (Mailboxes, Arc<LossyTransport>) {
         let (mailboxes, rx) = ReceiveSide::new(n);
-        (mailboxes, LossyTransport::new(rx, spec, None, None))
+        let obs = Arc::new(MetricsRegistry::new(n));
+        (mailboxes, LossyTransport::new(rx, spec, obs, None))
     }
 
     impl LossyTransport {
         fn retransmits(&self) -> u64 {
-            self.shared.retransmits.load(Ordering::Relaxed)
+            self.shared.obs.snapshot().machines.iter().map(|m| m.lossy_retransmits).sum()
         }
 
         fn dups_suppressed(&self) -> u64 {
-            self.shared.dups_suppressed.load(Ordering::Relaxed)
+            self.shared.obs.snapshot().machines.iter().map(|m| m.lossy_dups_suppressed).sum()
         }
 
         fn frames_charged(&self, machine: u16) -> u64 {

@@ -141,29 +141,13 @@ pub struct NetHandle {
 }
 
 impl NetHandle {
-    /// Create the default (channel) fabric for `n` machines. Returns one
-    /// mailbox per machine plus the shared send handle.
-    pub fn new(n: usize, cost: CostModel, obs: Arc<MetricsRegistry>) -> (Mailboxes, NetHandle) {
-        Self::with_kind(TransportKind::Channel, n, cost, obs)
-            .expect("channel transport cannot fail to construct")
-    }
-
-    /// Create the fabric on the selected backend. Socket bring-up can
-    /// fail (socket limits, no loopback) — channel never does.
-    pub fn with_kind(
-        kind: TransportKind,
-        n: usize,
-        cost: CostModel,
-        obs: Arc<MetricsRegistry>,
-    ) -> io::Result<(Mailboxes, NetHandle)> {
-        Self::with_kind_config(kind, n, cost, obs, None, None)
-    }
-
-    /// [`NetHandle::with_kind`] plus backend configuration the VM owns:
-    /// the seeded loss model for the lossy backend (`None` selects
-    /// [`LossSpec::default`]) and the flight recorder that retransmit /
-    /// dup-suppression events land in. Both are ignored by the
-    /// reliable backends.
+    /// Create the fabric for `n` machines on the selected backend: one
+    /// mailbox per machine plus the shared send handle. Socket bring-up can
+    /// fail (socket limits, no loopback) — channel never does. The VM owns
+    /// the rest of the configuration: the seeded loss model for the lossy
+    /// backend (`None` selects [`LossSpec::default`]) and the flight
+    /// recorder that retransmit / dup-suppression events land in. Both are
+    /// ignored by the reliable backends.
     pub fn with_kind_config(
         kind: TransportKind,
         n: usize,
@@ -182,7 +166,7 @@ impl NetHandle {
             TransportKind::Reactor => Mesh::new(rx.clone(), true, Some(obs.clone()))?,
             TransportKind::Lossy => {
                 let loss = loss.unwrap_or_default();
-                LossyTransport::new(rx.clone(), loss, Some(obs.clone()), flight)
+                LossyTransport::new(rx.clone(), loss, obs.clone(), flight)
             }
         };
         let modeled_ns = Arc::new(AtomicU64::new(0));
@@ -231,11 +215,6 @@ impl NetHandle {
         self.modeled_ns.load(Ordering::Relaxed)
     }
 
-    /// Add modeled time from a non-message source (e.g. allocation costs).
-    pub fn add_modeled_ns(&self, ns: u64) {
-        self.modeled_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Measured in-flight wall time for packets received by `machine`
     /// (zero on the channel backend, where nothing crosses a carrier).
     pub fn measured_wire_ns(&self, machine: u16) -> u64 {
@@ -272,7 +251,8 @@ pub(crate) mod tests {
     use std::time::{Duration, Instant};
 
     fn fabric_of(kind: TransportKind, n: usize) -> (Mailboxes, NetHandle) {
-        NetHandle::with_kind(kind, n, CostModel::default(), Arc::new(MetricsRegistry::new(n)))
+        let obs = Arc::new(MetricsRegistry::new(n));
+        NetHandle::with_kind_config(kind, n, CostModel::default(), obs, None, None)
             .expect("fabric construction")
     }
 

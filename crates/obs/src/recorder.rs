@@ -132,8 +132,8 @@ impl Slot {
     }
 }
 
-/// Lock-free single-machine ring. Multi-producer (worker threads of one
-/// machine), snapshot-reader safe.
+/// Lock-free single-machine ring. Multi-producer (every thread that runs
+/// on the machine: drain, handler, spawned), snapshot-reader safe.
 pub struct FlightRing {
     head: AtomicU64,
     slots: Vec<Slot>,

@@ -15,7 +15,8 @@ use crate::trace::{Phase, TraceEvent, TraceKind};
 pub struct PhaseTotals {
     /// Real: argument marshal time at calling sites.
     pub marshal_us: u64,
-    /// Real: server-side work-queue wait of requests handled here.
+    /// Real: server-side wait from drain to handler start of requests
+    /// handled here.
     pub queue_us: u64,
     /// Real: unmarshal time (args on the server, returns on the caller).
     pub unmarshal_us: u64,

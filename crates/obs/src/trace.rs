@@ -14,9 +14,9 @@
 pub enum Phase {
     /// Serializing arguments at the calling site.
     Marshal,
-    /// Sitting in the serving machine's work queue between the drain
-    /// loop receiving the request and a worker picking it up — the
-    /// component that dominates round trips on a saturated server.
+    /// From the drain loop taking the request to its handler starting:
+    /// zero-length when the draining thread serves it, the start of a new
+    /// thread for a one-way request.
     Queue,
     /// Deserializing arguments (server) or the return value (caller).
     Unmarshal,

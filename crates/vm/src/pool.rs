@@ -30,8 +30,8 @@ pub enum Lane {
 }
 
 /// Buffers retained per (site, lane) key. Synchronous RMI needs one per
-/// concurrently in-flight call at the site; a small stack covers the
-/// worker-pool case without letting a hot site hoard memory.
+/// concurrently in-flight call at the site; a small stack covers calls
+/// from several threads without letting a hot site hoard memory.
 pub const PER_KEY_CAP: usize = 4;
 
 #[derive(Default)]

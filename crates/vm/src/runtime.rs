@@ -34,9 +34,10 @@ pub struct RunOptions {
     pub echo: bool,
     /// Record an RMI event trace (see [`crate::trace`]).
     pub trace: bool,
-    /// Which backend carries the packets (`channel` in-process fabric or
-    /// a real loopback TCP mesh). Counters are identical either way;
-    /// only TCP also *measures* wire time.
+    /// Which backend carries the packets: the in-process `channel`, the
+    /// loopback-TCP mesh (`tcp`, or `reactor` on shared event loops), or
+    /// the seeded `lossy` datagram fabric. Counters are identical on all
+    /// four; all but `channel` also *measure* wire time.
     pub transport: TransportKind,
     /// Run the analysis-verdict auditor (DESIGN §10): cycle-freedom
     /// claims are re-checked by a shadow handle table, and reuse-safety
@@ -374,7 +375,8 @@ pub struct RunOutcome {
     pub output: String,
     /// Real wall-clock duration of the run (main + spawned work).
     pub wall: Duration,
-    /// Modeled wire + allocation time (Myrinet cost model).
+    /// Modeled wire time: the run's remote messages and bytes priced by
+    /// the Myrinet [`CostModel`]. Nothing but the wire is modeled.
     pub modeled: Duration,
     /// RMI statistics (Tables 4/6/8 raw counters), summed over the
     /// per-machine shards.
@@ -412,8 +414,7 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// "seconds" in the sense of the paper's tables: real execution time
-    /// plus the modeled time of wire transit and allocation cost that the
+    /// Real execution time plus the modeled time of the wire transit the
     /// simulated cluster does not pay for real.
     pub fn modeled_seconds(&self) -> f64 {
         self.wall.as_secs_f64() + self.modeled.as_secs_f64()
@@ -567,9 +568,9 @@ impl Cluster {
         let measured_wire_ns = rt.net.measured_wire_ns_per_machine();
         let measured_wire = Duration::from_nanos(measured_wire_ns.iter().sum());
 
-        // Aggregate heap statistics and modeled allocation cost. Each
-        // machine's deserialization allocations land in its own shard, so
-        // per-machine metrics attribute them to the heap that paid them.
+        // Aggregate heap statistics. Each machine's deserialization
+        // allocations land in its own shard, so per-machine metrics
+        // attribute them to the heap that paid them.
         let mut heap = HeapStats::default();
         for m in &rt.machines {
             let st = m.state.lock();
@@ -586,19 +587,6 @@ impl Cluster {
             RmiStats::bump(&shard.deser_bytes, hs.deser_bytes);
             RmiStats::bump(&shard.deser_allocs, hs.deser_allocs);
         }
-        // Modeled managed-runtime overhead: dynamic serializer dispatch,
-        // cycle-table lookups and deserialization allocations all
-        // executed at native-Rust speed here, but cost real time on the
-        // paper's Manta/JVM substrate. The per-op costs are calibrated
-        // from the paper's own table deltas (see `corm_net::CostModel`);
-        // this is what makes the three optimizations' gains visible at
-        // the paper's magnitudes.
-        let snap = rt.obs.cluster_snapshot();
-        rt.net.add_modeled_ns(rt.net.cost.runtime_ns(
-            snap.ser_invocations,
-            snap.cycle_lookups,
-            heap.deser_allocs,
-        ));
 
         let modeled = Duration::from_nanos(rt.net.modeled_ns());
         let output = rt.output.lock().clone();

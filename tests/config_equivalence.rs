@@ -313,8 +313,9 @@ fn lu_reuse_counters_do_not_depend_on_the_schedule() {
 /// Cost-model sensitivity: the full stack never loses to `class` on
 /// modeled time, whether the modeled network is the default Myrinet, ten
 /// times faster or ten times slower. Modeled time is a run's messages and
-/// counters priced by a [`CostModel`], so one traced run per configuration
-/// is priced under all three.
+/// wire bytes priced by a [`CostModel`], so the claim is that `all` sends no
+/// more messages and fewer bytes than `class`; one traced run per
+/// configuration is priced under all three.
 #[test]
 fn all_beats_class_on_modeled_time_under_any_cost_model() {
     let run = |cfg: OptConfig| {
@@ -325,16 +326,18 @@ fn all_beats_class_on_modeled_time_under_any_cost_model() {
         out
     };
     let (all, class) = (run(OptConfig::ALL), run(OptConfig::CLASS));
+    assert!(all.stats.messages <= class.stats.messages);
+    assert!(all.stats.wire_bytes < class.stats.wire_bytes);
     let myrinet = CostModel::default();
-    let fast = CostModel { latency_ns: 2_000, bandwidth_bytes_per_sec: 1_250_000_000, ..myrinet };
-    let slow = CostModel { latency_ns: 100_000, bandwidth_bytes_per_sec: 12_500_000, ..myrinet };
+    let fast = CostModel { latency_ns: 2_000, bandwidth_bytes_per_sec: 1_250_000_000 };
+    let slow = CostModel { latency_ns: 100_000, bandwidth_bytes_per_sec: 12_500_000 };
     for (name, cost) in [("myrinet", myrinet), ("fast-net", fast), ("slow-net", slow)] {
         let modeled_ns = |out: &corm::RunOutcome| {
             let wire = corm::phase_report(&out.trace, |bytes| cost.message_ns(bytes));
-            let st = &out.stats;
             wire.values().map(|t| t.wire_modeled_us * 1_000).sum::<u64>()
-                + cost.runtime_ns(st.ser_invocations, st.cycle_lookups, st.deser_allocs)
         };
-        assert!(modeled_ns(&all) < modeled_ns(&class), "[{name}]");
+        // The report prices each message in whole µs, so a few bytes fewer
+        // can round to the same figure.
+        assert!(modeled_ns(&all) <= modeled_ns(&class), "[{name}]");
     }
 }
