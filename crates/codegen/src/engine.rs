@@ -5,7 +5,7 @@
 //! per message, because they are per-RMI (cycle table) or per-call-site
 //! (reuse slot) state owned by the VM.
 
-use corm_heap::{Heap, ObjBody, ObjRef, ObjSet, RemoteRef, Value};
+use corm_heap::{FieldsRef, Heap, ObjBody, ObjRef, ObjSet, RemoteRef, Value};
 use corm_ir::{ClassId, ClassTable, FieldId, Ty};
 use corm_wire::{
     DeserTable, Message, MessageReader, RmiStats, SerCycleTable, ARRAY_TYPE_INFO_BYTES,
@@ -102,35 +102,47 @@ fn audit_check(shadow: &mut Option<ShadowCycleCheck>, r: ObjRef) -> Result<(), S
 type Fields = [(FieldId, u32, SerNode)];
 
 /// Deepest nesting of reference payloads one message may have, on every
-/// path and in both directions. Derived, not inherited (DESIGN §5.3): a
-/// walk keeps one `value` frame per level, the larger of the two takes
-/// 1 681 bytes in the debug profile (304 in release), and half of the
-/// 32 MiB stack every VM thread gets stays with the interpreter above.
+/// path and in both directions (DESIGN §5.3). The walks keep their levels
+/// in a `Vec` on the heap, not on the thread's stack, so the bound caps that
+/// vector — what hostile nesting off the wire can make a receiver hold is
+/// 10 000 frames of 72 bytes or fewer — and nothing else.
 const MAX_DEPTH: usize = 10_000;
 
-/// The one depth guard. Every reference node whose payload holds further
-/// references goes on its walk's stack before the payload is walked —
-/// innermost last, so a [`SerNode::Recur`] indexes it and its length is
-/// the nesting depth.
-fn enter<'w>(
-    stack: &mut Vec<&'w SerNode>,
+/// One nesting level of a walk: the reference node whose payload is being
+/// walked, and what is left of that payload.
+struct Frame<'w, P> {
     node: &'w SerNode,
+    rest: P,
+}
+
+/// The one depth guard. Every reference node whose payload holds further
+/// references goes on its walk's frame stack before the payload is walked
+/// — innermost last, so a [`SerNode::Recur`] indexes it and its length is
+/// the nesting depth.
+#[inline(always)]
+fn enter<'w, P>(
+    frames: &mut Vec<Frame<'w, P>>,
+    node: &'w SerNode,
+    rest: P,
     direction: &str,
 ) -> Result<(), SerError> {
-    if stack.len() >= MAX_DEPTH {
+    if frames.len() >= MAX_DEPTH {
         return serr(format!("{direction} recursion too deep (runaway recursive plan?)"));
     }
-    stack.push(node);
+    frames.push(Frame { node, rest });
     Ok(())
 }
 
-/// The node a [`SerNode::Recur`] stands for; any other node is itself.
-fn resolve<'w>(stack: &[&'w SerNode], node: &'w SerNode) -> Result<&'w SerNode, SerError> {
+/// The node a [`SerNode::Recur`] stands for, counted from the innermost
+/// frame; any other node is itself.
+#[inline(always)]
+fn resolve<'w, P>(frames: &[Frame<'w, P>], node: &'w SerNode) -> Result<&'w SerNode, SerError> {
     let SerNode::Recur { up } = node else { return Ok(node) };
-    stack
+    frames
         .len()
         .checked_sub(*up as usize)
-        .and_then(|i| stack.get(i).copied())
+        .and_then(|i| frames.get(i))
+        .map(|f| f.node)
         .ok_or_else(|| SerError(format!("recursion level {up} underflows plan stack")))
 }
 
@@ -190,7 +202,8 @@ impl<'a> Serializer<'a> {
         out
     }
 
-    /// One [`SerWalk`], and the counts it kept, bumped.
+    /// One [`SerWalk`], and the counts it kept, bumped. A scalar root (a
+    /// ping's) is written before a walk exists.
     fn walk(
         &self,
         heap: &Heap,
@@ -200,17 +213,20 @@ impl<'a> Serializer<'a> {
         msg: &mut Message,
         shadow: &mut Option<ShadowCycleCheck>,
     ) -> Result<(), SerError> {
+        if let SerNode::Prim(k) = node {
+            return write_prim(*k, v, msg);
+        }
         let mut walk = SerWalk {
             ser: self,
             heap,
             cycle,
             msg,
             shadow,
-            stack: Vec::new(),
+            frames: Vec::new(),
             type_info: 0,
             invocations: 0,
         };
-        let out = walk.value(node, v);
+        let out = walk.run(node, v);
         let (type_info, invocations) = (walk.type_info, walk.invocations);
         if type_info > 0 {
             RmiStats::bump(&self.stats.type_info_bytes, type_info);
@@ -233,12 +249,15 @@ impl<'a> Serializer<'a> {
         dtable: &mut Option<DeserTable>,
         reuse: Value,
     ) -> Result<DeserOutcome, SerError> {
+        if let SerNode::Prim(k) = node {
+            return Ok(DeserOutcome { value: read_prim(*k, r)?, reused: 0 });
+        }
         // Without a candidate nothing can be claimed: no round to start.
         if let Value::Ref(_) = reuse {
             heap.start_claims();
         }
-        let mut walk = DeserWalk { ser: self, heap, r, dtable, reused: 0, stack: Vec::new() };
-        let value = walk.value(node, reuse)?;
+        let mut walk = DeserWalk { ser: self, heap, r, dtable, reused: 0, frames: Vec::new() };
+        let value = walk.run(node, reuse)?;
         Ok(DeserOutcome { value, reused: walk.reused })
     }
 
@@ -269,59 +288,87 @@ enum Body<'w> {
     Refs(&'w SerNode, &'w [Value]),
 }
 
+/// What is left to write of the payload a [`SerWalk`] frame is inside of.
+enum SerRest<'w> {
+    /// An instance's rows not yet written, and its fields.
+    Fields { r: ObjRef, rows: std::slice::Iter<'w, (FieldId, u32, SerNode)>, values: &'w [Value] },
+    /// A reference array's elements not yet written, each by `elem`.
+    Elems { elem: &'w SerNode, elems: std::slice::Iter<'w, Value> },
+}
+
 /// One message's serialization: what [`Serializer::serialize_audited`]
-/// was handed, the stack of [`enter`], and the tagged path's counts, which
-/// [`Serializer::walk`] bumps once.
+/// was handed, the frame stack of [`enter`], and the tagged path's counts,
+/// which [`Serializer::walk`] bumps once.
 struct SerWalk<'w> {
     ser: &'w Serializer<'w>,
     heap: &'w Heap,
     cycle: &'w mut Option<SerCycleTable>,
     msg: &'w mut Message,
     shadow: &'w mut Option<ShadowCycleCheck>,
-    stack: Vec<&'w SerNode>,
+    frames: Vec<Frame<'w, SerRest<'w>>>,
     type_info: u64,
     invocations: u64,
 }
 
 impl<'w> SerWalk<'w> {
-    /// Serialize `v` by `node`. The only frame a nesting level keeps on
-    /// the thread's stack, whatever the path: `open` returns before the
-    /// payload is walked and a `Recur` is resolved, not re-entered.
+    /// Serialize `v` by `node`: one loop over the frame stack, which takes
+    /// the next value of the innermost payload, or pops it when none is
+    /// left.
+    fn run(&mut self, node: &'w SerNode, v: Value) -> Result<(), SerError> {
+        self.value(node, v)?;
+        while let Some(top) = self.frames.last_mut() {
+            let next = match &mut top.rest {
+                // A run of primitive fields is written here, not round the loop.
+                SerRest::Fields { r, rows, values } => loop {
+                    let Some((_, slot, sub)) = rows.next() else { break None };
+                    let v = values.get(*slot as usize).copied().ok_or_else(|| {
+                        SerError(format!("field slot {slot} out of range on {r}"))
+                    })?;
+                    match sub {
+                        SerNode::Prim(k) => write_prim(*k, v, self.msg)?,
+                        _ => break Some((sub, v)),
+                    }
+                },
+                SerRest::Elems { elem, elems } => elems.next().map(|&v| (*elem, v)),
+            };
+            match next {
+                Some((sub, v)) => self.value(sub, v)?,
+                None => {
+                    self.frames.pop();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Write `v` by `node` up to its first nested reference; a payload
+    /// that holds references goes on the frame stack for `run` to walk.
+    #[inline(always)]
     fn value(&mut self, node: &'w SerNode, v: Value) -> Result<(), SerError> {
         if let SerNode::Prim(k) = node {
             return write_prim(*k, v, self.msg);
         }
-        let node = resolve(&self.stack, node)?;
+        let node = resolve(&self.frames, node)?;
         let Some((r, body)) = self.open(node, v)? else { return Ok(()) };
         match body {
-            Body::Prims(elem, arr) => return write_prim_array_payload(arr, elem, self.msg),
+            Body::Prims(elem, arr) => write_prim_array_payload(arr, elem, self.msg),
             Body::Object(fields, values) => {
-                enter(&mut self.stack, node, "serialization")?;
-                for (_, slot, sub) in fields {
-                    let fv = values.get(*slot as usize).copied().ok_or_else(|| {
-                        SerError(format!("field slot {slot} out of range on {r}"))
-                    })?;
-                    match sub {
-                        SerNode::Prim(k) => write_prim(*k, fv, self.msg)?,
-                        _ => self.value(sub, fv)?,
-                    }
-                }
+                let rest = SerRest::Fields { r, rows: fields.iter(), values };
+                enter(&mut self.frames, node, rest, "serialization")
             }
             Body::Refs(elem, elems) => {
-                enter(&mut self.stack, node, "serialization")?;
+                let rest = SerRest::Elems { elem, elems: elems.iter() };
+                enter(&mut self.frames, node, rest, "serialization")?;
                 self.msg.write_u32(elems.len() as u32);
-                for &ev in elems {
-                    self.value(elem, ev)?;
-                }
+                Ok(())
             }
         }
-        self.stack.pop();
-        Ok(())
     }
 
     /// Write everything of `v` that precedes a reference payload — which
     /// is all of it for a string, remote reference, null or
     /// back-reference — and name the payload still to come.
+    #[inline(always)]
     fn open(
         &mut self,
         node: &'w SerNode,
@@ -384,6 +431,7 @@ impl<'w> SerWalk<'w> {
     /// back-reference (`true`: nothing more to write); without one the
     /// auditor's shadow table, when armed, checks the claim that let the
     /// plan drop it (strings included, exactly the real table's scope).
+    #[inline(always)]
     fn back_reference(&mut self, r: ObjRef) -> Result<bool, SerError> {
         let Some(table) = self.cycle else {
             return audit_check(self.shadow, r).map(|()| false);
@@ -463,6 +511,7 @@ impl<'w> SerWalk<'w> {
     }
 }
 
+#[inline(always)]
 fn write_prim(k: PrimKind, v: Value, msg: &mut Message) -> Result<(), SerError> {
     match (k, v) {
         (PrimKind::Bool, Value::Bool(b)) => msg.write_bool(b),
@@ -518,8 +567,32 @@ enum Opened<'w> {
     Refs { obj: ObjRef, reusing: bool, len: usize, elem: &'w SerNode },
 }
 
+/// Where a value read for a frame's payload is stored: a field slot of its
+/// instance, or an element of its array.
+#[derive(Clone, Copy)]
+enum Dest {
+    Slot(FieldsRef, u32),
+    Elem(ObjRef, u32),
+}
+
+/// The object a [`DeserWalk`] frame reads into, where it goes when it is
+/// finished (`None`: it is the root), and what is left to read of it.
+struct DeserRest<'w> {
+    obj: ObjRef,
+    reusing: bool,
+    to: Option<Dest>,
+    unread: Unread<'w>,
+}
+
+enum Unread<'w> {
+    /// An instance's rows not yet read, into the fields at `at`.
+    Fields { at: FieldsRef, rows: std::slice::Iter<'w, (FieldId, u32, SerNode)> },
+    /// A reference array's elements `next..len`, each by `elem`.
+    Elems { elem: &'w SerNode, next: u32, len: u32 },
+}
+
 /// One message's deserialization: what [`Serializer::deserialize`] was
-/// handed, the stack of [`enter`], and the reuse accounting.
+/// handed, the frame stack of [`enter`], and the reuse accounting.
 struct DeserWalk<'w, 'm> {
     ser: &'w Serializer<'w>,
     heap: &'w mut Heap,
@@ -532,55 +605,109 @@ struct DeserWalk<'w, 'm> {
     /// wire positions would silently introduce aliasing that the source
     /// graph does not have.
     reused: u64,
-    stack: Vec<&'w SerNode>,
+    frames: Vec<Frame<'w, DeserRest<'w>>>,
 }
 
 impl<'w> DeserWalk<'w, '_> {
-    /// Read one value by `node`, into `reuse` where that fits. One
-    /// frame per nesting level, as [`SerWalk::value`].
-    fn value(&mut self, node: &'w SerNode, reuse: Value) -> Result<Value, SerError> {
-        if let SerNode::Prim(k) = node {
-            return read_prim(*k, self.r);
+    /// Read one value by `node`, into `reuse` where that fits: one loop
+    /// over the frame stack, as [`SerWalk::run`]. A frame is popped when
+    /// its payload is read, and its object stored where it goes.
+    fn run(&mut self, node: &'w SerNode, reuse: Value) -> Result<Value, SerError> {
+        if let Some(v) = self.value(node, reuse, None)? {
+            return Ok(v);
         }
-        let node = resolve(&self.stack, node)?;
-        let obj = match self.open(node, reuse)? {
-            Opened::Done(v) => return Ok(v),
+        while let Some(top) = self.frames.last_mut() {
+            let DeserRest { obj, reusing, unread, .. } = &mut top.rest;
+            let reusing = *reusing;
+            let next = match unread {
+                // A run of primitive fields is read here, not round the loop.
+                Unread::Fields { at, rows } => loop {
+                    match rows.next() {
+                        Some((_, slot, SerNode::Prim(k))) => {
+                            let v = read_prim(*k, self.r)?;
+                            self.heap.set_slot(*at, *slot as usize, v)?;
+                        }
+                        row => break row.map(|(_, slot, sub)| (sub, Dest::Slot(*at, *slot))),
+                    }
+                },
+                Unread::Elems { elem, next, len } if *next < *len => {
+                    *next += 1;
+                    Some((*elem, Dest::Elem(*obj, *next - 1)))
+                }
+                Unread::Elems { .. } => None,
+            };
+            let Some((sub, to)) = next else {
+                let done = self.frames.pop().expect("the frame just read").rest;
+                let v = Value::Ref(done.obj);
+                match done.to {
+                    None => return Ok(v),
+                    Some(to) => self.store(to, v)?,
+                }
+                continue;
+            };
+            let old = if reusing { self.load(to)? } else { Value::Null };
+            if let Some(v) = self.value(sub, old, Some(to))? {
+                self.store(to, v)?;
+            }
+        }
+        unreachable!("the root frame returns the value")
+    }
+
+    /// Read `node`'s value up to its first nested reference, into `reuse`
+    /// where that fits: the whole value, or `None` when an object or
+    /// reference array went on the frame stack to be read into and stored
+    /// at `to` (the caller's, for the root).
+    #[inline(always)]
+    fn value(
+        &mut self,
+        node: &'w SerNode,
+        reuse: Value,
+        to: Option<Dest>,
+    ) -> Result<Option<Value>, SerError> {
+        if let SerNode::Prim(k) = node {
+            return read_prim(*k, self.r).map(Some);
+        }
+        let node = resolve(&self.frames, node)?;
+        let (obj, reusing, unread) = match self.open(node, reuse)? {
+            Opened::Done(v) => return Ok(Some(v)),
             // One slot lookup for the whole object: nothing is collected
             // inside a walk, so its fields stay where they are while the
-            // nested values allocate. Taken here, not carried in `Opened`:
-            // copied through that enum, the handle cost two store-forwarding
-            // stalls an object.
+            // nested values allocate.
             Opened::Object { obj, reusing, fields } => {
-                enter(&mut self.stack, node, "deserialization")?;
                 let at = self.heap.fields_ref(obj)?;
-                for (_, slot, sub) in fields {
-                    let slot = *slot as usize;
-                    let fv = match sub {
-                        SerNode::Prim(k) => read_prim(*k, self.r)?,
-                        _ => {
-                            let old = if reusing { self.heap.slot(at, slot)? } else { Value::Null };
-                            self.value(sub, old)?
-                        }
-                    };
-                    self.heap.set_slot(at, slot, fv)?;
-                }
-                obj
+                (obj, reusing, Unread::Fields { at, rows: fields.iter() })
             }
             Opened::Refs { obj, reusing, len, elem } => {
-                enter(&mut self.stack, node, "deserialization")?;
-                for i in 0..len {
-                    let old = if reusing { self.heap.array_get(obj, i)? } else { Value::Null };
-                    let ev = self.value(elem, old)?;
-                    self.heap.array_set(obj, i, ev)?;
-                }
-                obj
+                // A length off the wire: `read_len` read it as a u32.
+                (obj, reusing, Unread::Elems { elem, next: 0, len: len as u32 })
             }
         };
-        self.stack.pop();
-        Ok(Value::Ref(obj))
+        let rest = DeserRest { obj, reusing, to, unread };
+        enter(&mut self.frames, node, rest, "deserialization")?;
+        Ok(None)
+    }
+
+    /// The value a reuse candidate holds where `to` points.
+    #[inline(always)]
+    fn load(&self, to: Dest) -> Result<Value, SerError> {
+        Ok(match to {
+            Dest::Slot(at, slot) => self.heap.slot(at, slot as usize)?,
+            Dest::Elem(arr, i) => self.heap.array_get(arr, i as usize)?,
+        })
+    }
+
+    /// Store a finished value where it goes.
+    #[inline(always)]
+    fn store(&mut self, to: Dest, v: Value) -> Result<(), SerError> {
+        match to {
+            Dest::Slot(at, slot) => self.heap.set_slot(at, slot as usize, v)?,
+            Dest::Elem(arr, i) => self.heap.array_set(arr, i as usize, v)?,
+        }
+        Ok(())
     }
 
     /// Read `node`'s value up to its first nested reference.
+    #[inline(always)]
     fn open(&mut self, node: &'w SerNode, reuse: Value) -> Result<Opened<'w>, SerError> {
         let tag = match node {
             SerNode::Dynamic => return self.open_dynamic(reuse),
@@ -677,6 +804,7 @@ impl<'w> DeserWalk<'w, '_> {
     }
 
     /// Same class ⇒ overwrite in place.
+    #[inline(always)]
     fn object(&mut self, class: ClassId, fields: &'w Fields, reuse: Value) -> Opened<'w> {
         let recycled = self.recycle(reuse, |b| b.class() == Some(class));
         let obj = recycled.unwrap_or_else(|| self.heap.alloc_obj(class, fields.len()));
@@ -722,6 +850,7 @@ impl<'w> DeserWalk<'w, '_> {
     /// The reuse candidate, claimed, when it `fits` and no wire position
     /// took it yet; otherwise the caller allocates. Either way the object
     /// a payload is read into takes the next wire handle (`register`).
+    #[inline(always)]
     fn recycle(&mut self, reuse: Value, fits: impl FnOnce(&ObjBody) -> bool) -> Option<ObjRef> {
         let Value::Ref(old) = reuse else { return None };
         let claimed = self.heap.claim(old, fits);
@@ -729,6 +858,7 @@ impl<'w> DeserWalk<'w, '_> {
         claimed.then_some(old)
     }
 
+    #[inline(always)]
     fn register(&mut self, obj: ObjRef) {
         if let Some(t) = self.dtable {
             t.register(obj);
@@ -774,6 +904,7 @@ fn read_prim_array_payload(
     Ok(())
 }
 
+#[inline(always)]
 fn read_prim(k: PrimKind, r: &mut MessageReader<'_>) -> Result<Value, SerError> {
     Ok(match k {
         PrimKind::Bool => Value::Bool(r.read_bool()?),
@@ -1188,10 +1319,8 @@ mod tests {
 
     /// One guard bounds the nesting of reference payloads, on the tagged
     /// path (`class`) and through an inlined `Node` whose `next` re-enters
-    /// it (`all`), in both directions — checked on the stack every VM
-    /// thread gets, in the profile tier-1 runs under.
-    #[test]
-    fn nesting_at_the_depth_bound_round_trips_and_one_level_deeper_fails_the_call() {
+    /// it (`all`), in both directions.
+    fn nest_to_the_depth_bound_and_one_level_deeper() {
         const LIST_SRC: &str = r#"
             class Node { Node next; int v; Node(Node n) { this.next = n; } }
             remote class R { void f(Node p) { } }
@@ -1204,64 +1333,76 @@ mod tests {
                 }
             }
         "#;
-        let walks = || {
-            let m = compile_frontend(LIST_SRC).unwrap();
-            let a = analyze_module(&m, AnalysisOptions::default());
-            let node_class = class_id(&m, "Node");
-            // MAX_DEPTH + 1 nodes from `head`, MAX_DEPTH from `head.next`.
-            let mut src = Heap::new();
-            let (mut head, mut second) = (Value::Null, Value::Null);
-            for i in 0..=MAX_DEPTH {
-                let n = src.alloc_obj(node_class, 2);
-                src.set_field(n, 0, head).unwrap();
-                src.set_field(n, 1, Value::Int(i as i32)).unwrap();
-                (second, head) = (head, Value::Ref(n));
+        let m = compile_frontend(LIST_SRC).unwrap();
+        let a = analyze_module(&m, AnalysisOptions::default());
+        let node_class = class_id(&m, "Node");
+        // MAX_DEPTH + 1 nodes from `head`, MAX_DEPTH from `head.next`.
+        let mut src = Heap::new();
+        let (mut head, mut second) = (Value::Null, Value::Null);
+        for i in 0..=MAX_DEPTH {
+            let n = src.alloc_obj(node_class, 2);
+            src.set_field(n, 0, head).unwrap();
+            src.set_field(n, 1, Value::Int(i as i32)).unwrap();
+            (second, head) = (head, Value::Ref(n));
+        }
+        for config in [OptConfig::CLASS, OptConfig::ALL] {
+            let plans = generate_plans(&m, &a, config);
+            let stats = RmiStats::new();
+            let ser = Serializer::new(&plans, &m.table, &stats);
+            let node = &plans.sites.values().find(|pl| !pl.args.is_empty()).unwrap().args[0];
+            let (ct, dt) = (|| Some(SerCycleTable::new()), || Some(DeserTable::new()));
+
+            let mut msg = Message::new();
+            let err = ser.serialize(&src, node, head, &mut ct(), &mut msg).expect_err("over");
+            assert!(err.0.contains("serialization recursion too deep"), "{config:?}: {err}");
+
+            let mut msg = Message::new();
+            ser.serialize(&src, node, second, &mut ct(), &mut msg).expect("at the bound");
+            let mut dst = Heap::new();
+            let copy = ser
+                .deserialize(&mut dst, node, &mut msg.reader(), &mut dt(), Value::Null)
+                .expect("at the bound");
+            // Walk, don't recurse: the copy is as deep as the original.
+            let (mut at, mut len) = (copy.value, 0);
+            while let Value::Ref(n) = at {
+                (at, len) = (dst.field(n, 0).unwrap(), len + 1);
             }
-            for config in [OptConfig::CLASS, OptConfig::ALL] {
-                let plans = generate_plans(&m, &a, config);
-                let stats = RmiStats::new();
-                let ser = Serializer::new(&plans, &m.table, &stats);
-                let node = &plans.sites.values().find(|pl| !pl.args.is_empty()).unwrap().args[0];
-                let (ct, dt) = (|| Some(SerCycleTable::new()), || Some(DeserTable::new()));
+            assert_eq!(len, MAX_DEPTH, "{config:?}");
 
-                let mut msg = Message::new();
-                let err = ser.serialize(&src, node, head, &mut ct(), &mut msg).expect_err("over");
-                assert!(err.0.contains("serialization recursion too deep"), "{config:?}: {err}");
-
-                let mut msg = Message::new();
-                ser.serialize(&src, node, second, &mut ct(), &mut msg).expect("at the bound");
-                let mut dst = Heap::new();
-                let copy = ser
-                    .deserialize(&mut dst, node, &mut msg.reader(), &mut dt(), Value::Null)
-                    .expect("at the bound");
-                // Walk, don't recurse: the copy is as deep as the original.
-                let (mut at, mut len) = (copy.value, 0);
-                while let Value::Ref(n) = at {
-                    (at, len) = (dst.field(n, 0).unwrap(), len + 1);
-                }
-                assert_eq!(len, MAX_DEPTH, "{config:?}");
-
-                // One more object around those bytes, nested by hand.
-                if config == OptConfig::CLASS {
-                    let mut over = vec![TAG_OBJECT];
-                    over.extend(node_class.0.to_le_bytes());
-                    over.extend(msg.as_bytes());
-                    over.extend(0i32.to_le_bytes());
-                    let err = ser
-                        .deserialize(
-                            &mut dst,
-                            node,
-                            &mut MessageReader::new(&over),
-                            &mut dt(),
-                            Value::Null,
-                        )
-                        .expect_err("over");
-                    assert!(err.0.contains("deserialization recursion too deep"), "{err}");
-                }
+            // One more object around those bytes, nested by hand.
+            if config == OptConfig::CLASS {
+                let mut over = vec![TAG_OBJECT];
+                over.extend(node_class.0.to_le_bytes());
+                over.extend(msg.as_bytes());
+                over.extend(0i32.to_le_bytes());
+                let err = ser
+                    .deserialize(
+                        &mut dst,
+                        node,
+                        &mut MessageReader::new(&over),
+                        &mut dt(),
+                        Value::Null,
+                    )
+                    .expect_err("over");
+                assert!(err.0.contains("deserialization recursion too deep"), "{err}");
             }
-        };
+        }
+    }
+
+    /// Checked on the stack every VM thread gets.
+    #[test]
+    fn nesting_at_the_depth_bound_round_trips_and_one_level_deeper_fails_the_call() {
         let vm_stack = std::thread::Builder::new().stack_size(32 * 1024 * 1024);
-        vm_stack.spawn(walks).unwrap().join().unwrap();
+        vm_stack.spawn(nest_to_the_depth_bound_and_one_level_deeper).unwrap().join().unwrap();
+    }
+
+    /// The walks keep their levels on the heap: nesting to the bound needs
+    /// no more of the thread's stack than a flat graph does. A recursive
+    /// walk overflows 256 KiB at a few hundred levels in debug builds.
+    #[test]
+    fn the_depth_bound_holds_on_a_256_kib_stack() {
+        let small = std::thread::Builder::new().stack_size(256 * 1024);
+        small.spawn(nest_to_the_depth_bound_and_one_level_deeper).unwrap().join().unwrap();
     }
 
     /// Bytes off the wire that name a class which cannot cross it (Seneca,
@@ -1302,5 +1443,198 @@ mod tests {
         roundtrip(&ser, &src, &mut dst, &SerNode::Dynamic, Value::Ref(p), true, Value::Null)
             .unwrap();
         assert_eq!(dst.stats.deser_allocs, 1);
+    }
+
+    /// The golden-bytes module: one remote method per graph shape, each
+    /// called on that shape, so a call-site plan is the analysis's own.
+    const GOLDEN_SRC: &str = r#"
+        class Node { Node next; int v; }
+        class Pair { Pair l; Pair r; int v; }
+        class Box { Object x; Object y; Object z; }
+        remote class R {
+            void list(Node n) { }
+            void tree(Pair p) { }
+            void diamond(Pair p) { }
+            void selfLoop(Node n) { }
+            void dyn(Box b) { }
+            void arr(Node[] a) { }
+        }
+        class M {
+            static Pair tree(int depth) {
+                if (depth <= 0) { return null; }
+                Pair p = new Pair();
+                p.v = depth;
+                p.l = tree(depth - 1);
+                p.r = tree(depth - 1);
+                return p;
+            }
+            static void main() {
+                R r = new R();
+                Node a = new Node();
+                a.next = new Node();
+                a.next.next = new Node();
+                r.list(a);
+                r.tree(tree(3));
+                Pair d = new Pair();
+                Pair s = new Pair();
+                d.l = s;
+                d.r = s;
+                r.diamond(d);
+                Node loop = new Node();
+                loop.next = loop;
+                r.selfLoop(loop);
+                Box b = new Box();
+                Object o = "hi";
+                if (a.v > 0) { o = new int[2]; }
+                if (a.v > 1) { o = new Node(); }
+                b.x = o;
+                b.y = o;
+                b.z = o;
+                r.dyn(b);
+                Node[] arr = new Node[3];
+                arr[0] = new Node();
+                arr[2] = arr[0];
+                r.arr(arr);
+            }
+        }
+    "#;
+
+    /// Each golden graph, built by hand in `heap` as `GOLDEN_SRC`'s `main`
+    /// builds it, with the method that carries it.
+    fn golden_graphs(m: &Module, heap: &mut Heap) -> Vec<(&'static str, Value)> {
+        let (node, pair, boxc) = (class_id(m, "Node"), class_id(m, "Pair"), class_id(m, "Box"));
+        let obj = |heap: &mut Heap, class, fields: &[Value]| {
+            let o = heap.alloc_obj(class, fields.len());
+            for (slot, &v) in fields.iter().enumerate() {
+                heap.set_field(o, slot, v).unwrap();
+            }
+            Value::Ref(o)
+        };
+        let mut list = Value::Null;
+        for v in [3, 2, 1] {
+            list = obj(heap, node, &[list, Value::Int(v)]);
+        }
+        fn tree(heap: &mut Heap, pair: ClassId, depth: i32) -> Value {
+            if depth == 0 {
+                return Value::Null;
+            }
+            let (l, r) = (tree(heap, pair, depth - 1), tree(heap, pair, depth - 1));
+            let p = heap.alloc_obj(pair, 3);
+            for (slot, v) in [l, r, Value::Int(depth)].into_iter().enumerate() {
+                heap.set_field(p, slot, v).unwrap();
+            }
+            Value::Ref(p)
+        }
+        let tree = tree(heap, pair, 3);
+        let shared = obj(heap, pair, &[Value::Null, Value::Null, Value::Int(0)]);
+        let diamond = obj(heap, pair, &[shared, shared, Value::Int(0)]);
+        let looped = obj(heap, node, &[Value::Null, Value::Int(9)]);
+        heap.set_field(looped.as_ref().unwrap(), 0, looped).unwrap();
+        let s = Value::Ref(heap.alloc_str("hi"));
+        let ints = heap.alloc_array(&Ty::Int, 2);
+        heap.array_set(ints, 1, Value::Int(-5)).unwrap();
+        let dyn_box = obj(heap, boxc, &[s, Value::Ref(ints), Value::Null]);
+        let elem = obj(heap, node, &[Value::Null, Value::Int(4)]);
+        let arr = heap.alloc_array(&Ty::Class(node), 3);
+        heap.array_set(arr, 0, elem).unwrap();
+        heap.array_set(arr, 2, elem).unwrap();
+        vec![
+            ("list", list),
+            ("tree", tree),
+            ("diamond", diamond),
+            ("selfLoop", looped),
+            ("dyn", dyn_box),
+            ("arr", Value::Ref(arr)),
+        ]
+    }
+
+    /// One line per golden graph under `config`: the message its call
+    /// site's plan writes, in hex, then how many objects a reuse round trip
+    /// recycles and what the walk counted.
+    fn golden_lines(config: OptConfig) -> Vec<String> {
+        let m = compile_frontend(GOLDEN_SRC).unwrap();
+        let a = analyze_module(&m, AnalysisOptions::default());
+        let plans = generate_plans(&m, &a, config);
+        let mut src = Heap::new();
+        let graphs = golden_graphs(&m, &mut src);
+        let mut lines = Vec::new();
+        for (method, v) in graphs {
+            let plan = plans.sites.values().find(|p| m.table.method(p.method).name == method);
+            let plan = plan.unwrap();
+            let (node, table) = (&plan.args[0], plan.args_cycle_table);
+            let stats = RmiStats::new();
+            let ser = Serializer::new(&plans, &m.table, &stats);
+            let mut dst = Heap::new();
+            let (first, _) = roundtrip(&ser, &src, &mut dst, node, v, table, Value::Null).unwrap();
+            assert!(corm_heap::deep_equal_across(&src, v, &dst, first.value), "{method}");
+            let (second, _) = roundtrip(&ser, &src, &mut dst, node, v, table, first.value).unwrap();
+            assert!(corm_heap::deep_equal_across(&src, v, &dst, second.value), "{method}");
+            let mut msg = Message::new();
+            let mut ct = table.then(SerCycleTable::new);
+            ser.serialize(&src, node, v, &mut ct, &mut msg).unwrap();
+            let hex: String = msg.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+            let s = stats.snapshot();
+            lines.push(format!(
+                "{method} {hex} reused={} lookups={} type_info={} invocations={}",
+                second.reused, s.cycle_lookups, s.type_info_bytes, s.ser_invocations
+            ));
+        }
+        lines
+    }
+
+    /// The golden graphs' messages and counts as the recursive walk wrote
+    /// them: a walk may change how it runs, never what it writes, recycles
+    /// or counts.
+    const GOLDEN_CLASS: [&str; 6] = [
+        "list \
+         03070000000307000000030700000000030000000200000001000000 \
+         reused=3 lookups=9 type_info=45 invocations=9",
+        "tree \
+         0308000000030800000003080000000000010000000308000000000001000000\
+         0200000003080000000308000000000001000000030800000000000100000002\
+         00000003000000 \
+         reused=7 lookups=21 type_info=105 invocations=21",
+        "diamond \
+         03080000000308000000000000000000020100000000000000 \
+         reused=2 lookups=9 type_info=30 invocations=6",
+        "selfLoop \
+         0307000000020000000009000000 \
+         reused=1 lookups=6 type_info=15 invocations=3",
+        "dyn \
+         03090000000402000000686905010200000000000000fbffffff00 \
+         reused=2 lookups=9 type_info=24 invocations=6",
+        "arr \
+         060005070000000300000003070000000004000000000201000000 \
+         reused=2 lookups=9 type_info=39 invocations=6",
+    ];
+
+    const GOLDEN_ALL: [&str; 6] = [
+        "list \
+         01010100030000000200000001000000 \
+         reused=3 lookups=0 type_info=0 invocations=0",
+        "tree \
+         0101010000010000000100000100000002000000010100000100000001000001\
+         0000000200000003000000 \
+         reused=7 lookups=21 type_info=0 invocations=0",
+        "diamond \
+         0101000000000000020100000000000000 \
+         reused=2 lookups=9 type_info=0 invocations=0",
+        "selfLoop 01020000000009000000 reused=1 lookups=6 type_info=0 invocations=0",
+        "dyn \
+         010402000000686905010200000000000000fbffffff00 \
+         reused=2 lookups=9 type_info=9 invocations=3",
+        "arr \
+         0103000000010004000000000201000000 \
+         reused=2 lookups=9 type_info=0 invocations=0",
+    ];
+
+    #[test]
+    fn golden_wire_bytes_class() {
+        assert_eq!(golden_lines(OptConfig::CLASS), GOLDEN_CLASS);
+    }
+
+    #[test]
+    fn golden_wire_bytes_all() {
+        assert_eq!(golden_lines(OptConfig::ALL), GOLDEN_ALL);
     }
 }

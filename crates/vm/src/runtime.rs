@@ -653,8 +653,8 @@ pub fn run_program(module: Arc<Module>, plans: Arc<Plans>, opts: RunOptions) -> 
     cluster.finish(error)
 }
 
-/// Spawn a VM thread with a large stack: recursive serializer programs
-/// and deep MiniParty recursion both consume host stack.
+/// Spawn a VM thread with a large stack: deep MiniParty recursion consumes
+/// host stack (the marshal engine's walks keep their levels on the heap).
 pub(crate) fn spawn_vm_thread(
     name: &str,
     f: impl FnOnce() + Send + 'static,

@@ -40,6 +40,7 @@ impl SerCycleTable {
     /// Check whether `obj` was already serialized; if not, assign it the
     /// next handle. Returns `Ok(handle)` for hits, `Err(new_handle)` for
     /// first encounters. Each call is one counted lookup.
+    #[inline]
     pub fn check(&mut self, obj: ObjRef) -> Result<u32, u32> {
         self.lookups += 1;
         let next = self.map.len() as u32;
@@ -81,11 +82,13 @@ impl DeserTable {
         self.objs.clear();
     }
 
+    #[inline]
     pub fn register(&mut self, obj: ObjRef) -> u32 {
         self.objs.push(obj);
         self.objs.len() as u32 - 1
     }
 
+    #[inline]
     pub fn lookup(&self, handle: u32) -> Option<ObjRef> {
         self.objs.get(handle as usize).copied()
     }

@@ -170,6 +170,7 @@ impl<'a> MessageReader<'a> {
         MessageReader { buf, pos: 0 }
     }
 
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -183,40 +184,54 @@ impl<'a> MessageReader<'a> {
         self.remaining() == 0
     }
 
+    /// The next `n` bytes. Inlined into every typed read: the marshal
+    /// engine makes one per field, from another crate.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
-            return werr(format!(
-                "underflow at byte {}/{}: need {n} bytes, have {}",
-                self.pos,
-                self.buf.len(),
-                self.remaining()
-            ));
+            return self.underflow(n);
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[cold]
+    fn underflow<T>(&self, n: usize) -> Result<T, WireError> {
+        werr(format!(
+            "underflow at byte {}/{}: need {n} bytes, have {}",
+            self.pos,
+            self.buf.len(),
+            self.remaining()
+        ))
+    }
+
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn read_bool(&mut self) -> Result<bool, WireError> {
         Ok(self.take(1)?[0] != 0)
     }
 
+    #[inline]
     pub fn read_i32(&mut self) -> Result<i32, WireError> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn read_i64(&mut self) -> Result<i64, WireError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn read_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
