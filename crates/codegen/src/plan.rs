@@ -298,7 +298,7 @@ const OPAQUE_HINT: usize = 64;
 const MAX_WIRE_SIZE_HINT: usize = 64 * 1024;
 
 /// Static wire-size estimate for one argument list (sum of the per-node
-/// hints, clamped to [`MAX_WIRE_SIZE_HINT`]).
+/// hints, clamped to 64 KiB).
 pub fn args_size_hint(args: &[SerNode]) -> usize {
     args.iter().map(node_size_hint).fold(0usize, usize::saturating_add).min(MAX_WIRE_SIZE_HINT)
 }

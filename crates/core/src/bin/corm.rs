@@ -348,14 +348,16 @@ fn print_serve_report(config: OptConfig, seed: u64, requests: usize, report: &Se
         report.service.quantile(0.99),
         report.service.quantile(0.999)
     );
+    // The round trip runs from `Send` to `Return`: the server's phases are
+    // inside it, so it is printed apart from them.
     let m = &report.outcome.metrics;
     eprintln!(
-        "phases (mean µs) : queue {:.0}, marshal {:.0}, wire-rtt {:.0}, unmarshal {:.0}, invoke {:.0}",
+        "phases (mean µs) : queue {:.0}, marshal {:.0}, unmarshal {:.0}, invoke {:.0}; round trip {:.0}",
         m.cluster_hist(|ms| &ms.queue_us).mean(),
         m.cluster_hist(|ms| &ms.marshal_us).mean(),
-        m.cluster_hist(|ms| &ms.rtt_us).mean(),
         m.cluster_hist(|ms| &ms.unmarshal_us).mean(),
         m.cluster_hist(|ms| &ms.invoke_us).mean(),
+        m.cluster_hist(|ms| &ms.rtt_us).mean(),
     );
     eprintln!("slave hits      : {:?}", report.slave_hits);
     eprintln!(

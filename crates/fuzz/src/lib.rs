@@ -21,7 +21,7 @@
 //! that claims reuse-safety has its cached graph poisoned between calls.
 //!
 //! Failing programs are minimized by the delta-debugging shrinker in
-//! [`shrink`] and written out as committable `.mp` regression cases
+//! [`shrink`](mod@shrink) and written out as committable `.mp` regression cases
 //! (see `tests/corpus/`).
 
 pub mod cli;

@@ -46,9 +46,9 @@ impl Hasher for ObjHasher {
     }
 }
 
-/// An identity map over locally minted [`ObjRef`]s (see [`ObjHasher`]).
+/// An identity map over locally minted [`ObjRef`]s (see `ObjHasher`).
 pub type ObjMap<V> = HashMap<ObjRef, V, BuildHasherDefault<ObjHasher>>;
-/// An identity set over locally minted [`ObjRef`]s (see [`ObjHasher`]).
+/// An identity set over locally minted [`ObjRef`]s (see `ObjHasher`).
 pub type ObjSet = HashSet<ObjRef, BuildHasherDefault<ObjHasher>>;
 
 impl std::fmt::Display for ObjRef {

@@ -1,8 +1,9 @@
 //! Fixed-bucket log-linear histograms.
 //!
 //! Latency and payload-size distributions are heavy-tailed; the layout
-//! covers nanoseconds-to-minutes (or bytes-to-gigabytes) with one atomic
-//! add per observation and no allocation on the hot path.
+//! covers nanoseconds-to-minutes (or bytes-to-gigabytes) with two atomic
+//! adds per observation (its bucket and the sum) and no allocation on the
+//! hot path.
 //!
 //! The original layout was pure log2 — one bucket per power of two —
 //! which bounds any reported quantile only to within 2× of the true
@@ -65,23 +66,18 @@ pub(crate) fn bucket_lower(i: usize) -> u64 {
     (sub + SUB_BUCKETS as u64) << (o - MIN_OCTAVE)
 }
 
-/// A lock-free log-linear histogram: [`NBUCKETS`] buckets plus running
-/// sum and count. (The name predates the sub-bucket layout; the buckets
-/// are log2 octaves, each split linearly.)
+/// A lock-free log-linear histogram: [`NBUCKETS`] buckets plus a running
+/// sum; the count is the buckets' total. (The name predates the sub-bucket
+/// layout; the buckets are log2 octaves, each split linearly.)
 #[derive(Debug)]
 pub struct Log2Histogram {
     buckets: [AtomicU64; NBUCKETS],
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Default for Log2Histogram {
     fn default() -> Self {
-        Log2Histogram {
-            buckets: [const { AtomicU64::new(0) }; NBUCKETS],
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
+        Log2Histogram { buckets: [const { AtomicU64::new(0) }; NBUCKETS], sum: AtomicU64::new(0) }
     }
 }
 
@@ -108,7 +104,6 @@ impl Log2Histogram {
     pub fn record(&self, v: u64) {
         self.buckets[Self::index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> HistSnapshot {
@@ -116,11 +111,8 @@ impl Log2Histogram {
         for (b, a) in buckets.iter_mut().zip(&self.buckets) {
             *b = a.load(Ordering::Relaxed);
         }
-        HistSnapshot {
-            buckets,
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
+        let count = buckets.iter().sum();
+        HistSnapshot { buckets, sum: self.sum.load(Ordering::Relaxed), count }
     }
 }
 
@@ -281,6 +273,20 @@ mod tests {
         assert_eq!(s.buckets[5], 1); // 5
         assert_eq!(s.buckets[4 + 7 * SUB_BUCKETS + 3], 1); // 1000
         assert!((s.mean() - 201.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn count_is_the_number_of_records_in_every_bucket_range() {
+        let h = Log2Histogram::new();
+        let values = [0, 0, 700, 1u64 << 40];
+        for v in values {
+            h.record(v);
+        }
+        let s = h.snapshot();
+        assert_eq!(s.count, values.len() as u64);
+        assert_eq!(s.sum, 700 + (1u64 << 40));
+        assert_eq!(s.buckets[0], 2);
+        assert_eq!(s.buckets[NBUCKETS - 1], 1, "the overflow bucket counts too");
     }
 
     #[test]

@@ -153,8 +153,9 @@ machine_metrics! {
         "Buffer capacity currently parked in the marshal pool";
     /// Caller-observed RMI round-trip time, µs.
     rtt_us: Histogram, "corm_rmi_rtt_microseconds", "Caller-observed RMI round-trip time";
-    /// Argument-marshal time at calling sites, µs.
-    marshal_us: Histogram, "corm_marshal_microseconds", "Argument-marshal time at calling sites";
+    /// Marshal time (args on the calling side, replies on the serving
+    /// side), µs.
+    marshal_us: Histogram, "corm_marshal_microseconds", "Marshal time (args and replies)";
     /// Unmarshal time (args on the serving side, returns on the calling
     /// side), µs.
     unmarshal_us: Histogram, "corm_unmarshal_microseconds", "Unmarshal time (args and returns)";

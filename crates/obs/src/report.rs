@@ -13,7 +13,7 @@ use crate::trace::{Phase, TraceEvent, TraceKind};
 /// Per-machine phase totals, in microseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
-    /// Real: argument marshal time at calling sites.
+    /// Real: marshal time (args on the caller, replies on the server).
     pub marshal_us: u64,
     /// Real: server-side wait from drain to handler start of requests
     /// handled here.

@@ -12,7 +12,7 @@
 /// One stage of the RMI pipeline (Figure 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Serializing arguments at the calling site.
+    /// Serializing arguments (caller) or the return value (server).
     Marshal,
     /// From the drain loop taking the request to its handler starting:
     /// zero-length when the draining thread serves it, the start of a new

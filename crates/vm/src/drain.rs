@@ -17,7 +17,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::interp::Interp;
 use crate::reply::peer_gone;
 use crate::rmi;
-use crate::runtime::{spawn_detached, spawn_vm_thread, Milestone, Runtime};
+use crate::runtime::{spawn_detached, spawn_vm_thread, Mark, Milestone, Runtime};
 use crate::trace::{Phase, TraceKind};
 
 /// Who may receive from one machine's mailbox.
@@ -126,14 +126,16 @@ fn drain_thread(rt: Arc<Runtime>, my: u16) {
 fn fail_calls(rt: &Runtime, my: u16, peer: Option<u16>, why: &str) {
     let failed = rt.machine(my).pending.fail(peer, why);
     for &req in &failed {
-        rt.call(my, req, 0).milestone(0, Milestone::Fail { peer: peer.unwrap_or(u16::MAX) });
+        let gone = Milestone::Fail { peer: peer.unwrap_or(u16::MAX) };
+        rt.call(my, req, 0).boundary(&[Mark::At(0, gone)]);
     }
     rt.flight_failed.lock().extend(failed);
 }
 
 /// One request on its way from the drain loop to whoever serves it: its
-/// `Packet::Request`, plus the stamp at which the drain loop opened its
-/// queue phase (host-side only; the wire format does not know it).
+/// `Packet::Request`, plus — for a one-way request, served on a thread of
+/// its own — the stamp at which the drain loop opened its queue phase
+/// (host-side only; the wire format does not know it).
 pub(crate) struct WorkItem {
     pub req: u64,
     pub from: u16,
@@ -141,7 +143,7 @@ pub(crate) struct WorkItem {
     pub target_obj: u32,
     pub payload: Vec<u8>,
     pub oneway: bool,
-    pub enq_us: u64,
+    pub enq_us: Option<u64>,
 }
 
 /// Receive and handle packets for as long as `interp` holds the role: a
@@ -191,10 +193,12 @@ fn drain(interp: &mut Interp) -> bool {
                 rt.net.send(my, from, Packet::Reply { req_id, payload, err });
             }
             Packet::Request { req_id: req, from, site, target_obj, payload, oneway } => {
-                // The queue phase opens the moment the drainer has the
-                // request and closes when its handler starts: at once for a
-                // two-way request, on the new thread for a one-way one.
-                let enq_us = rt.call(my, req, site).phase_begin(Phase::Queue);
+                // A one-way request's queue phase opens the moment the
+                // drainer has it and closes when its handler starts on the
+                // new thread. A two-way request is served right here: its
+                // queue phase is empty, stamped by its handler's start.
+                let queued = || rt.call(my, req, site).boundary(&[Mark::Begin(Phase::Queue)]);
+                let enq_us = oneway.then(queued);
                 let item = WorkItem { req, from, site, target_obj, payload, oneway, enq_us };
                 if oneway {
                     let thread = ("corm-spawn", "one-way request");

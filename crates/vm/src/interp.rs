@@ -3,7 +3,7 @@
 //! One [`Interp`] per VM thread. The interpreter holds its machine's lock
 //! while executing and releases it at blocking points (RMI waits, queue
 //! operations, the cluster barrier) and periodically at safepoints so
-//! concurrent handlers can run — always through [`Interp::off_lock`], which
+//! concurrent handlers can run — always through `Interp::off_lock`, which
 //! leaves the thread's stack with the machine meanwhile. It executes the
 //! linked form of each function (`crate::link`) over one register file per
 //! thread, in which every activation has a window; the register file is the

@@ -43,7 +43,7 @@ pub use corm_obs::{
 };
 pub use error::VmError;
 pub use runtime::{
-    run_program, write_flight_artifact, AuditSnapshot, Cluster, FaultSpec, Milestone, RunOptions,
-    RunOutcome, Runtime,
+    run_program, write_flight_artifact, AuditSnapshot, Cluster, FaultSpec, Mark, Milestone,
+    RunOptions, RunOutcome, Runtime,
 };
 pub use serve::{serve, serve_with, ArrivalSchedule, ServeOptions, ServeReport};

@@ -1,8 +1,11 @@
 //! The RMI dispatch path: marshal → send → unmarshal → invoke → reply,
 //! with the paper's local-RPC cloning semantics and the §3.3 reuse
 //! caches wired into (de)serialization. Each step of Figure 1 is written
-//! once (DESIGN §5.1): [`marshal`] is `serialize_objects`, [`round_trip`]
-//! is `wait(Machine 1)`, [`callee`] is `Unmarshaler_Example.foo`.
+//! once (DESIGN §5.1): `marshal` is `serialize_objects`, `round_trip` is
+//! `wait(Machine 1)`, `callee` is `Unmarshaler_Example.foo`. Each boundary
+//! between two steps of one half of a call is one clock reading (DESIGN
+//! §7.2), shared by the phase that ends, the milestone there and the phase
+//! that begins.
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering::Relaxed;
@@ -27,7 +30,7 @@ use crate::interp::Interp;
 use crate::machine::{lend, MachineState, ReuseSlot};
 use crate::pool::Lane;
 use crate::reply::Reply;
-use crate::runtime::{CallCtx, Milestone};
+use crate::runtime::{CallCtx, Mark, Milestone};
 use crate::trace::Phase;
 
 /// One half of an RMI — the caller's or the callee's — on the machine it
@@ -144,20 +147,22 @@ pub fn remote_call_with_req(
     let ser = Serializer::new(&rt.plans, &rt.module.table, &shard.stats);
     let mut call = Call { id: rt.call(my, req, site.0), plan, ser, caller: my, receiver, oneway };
 
-    let (payload, pool_hit) = call.id.in_phase(Phase::Marshal, || {
-        // A one-way send never sees a reply, so its buffer cannot come back
-        // to the pool: built once, primed to size. Every other one circulates.
-        let (buf, pool_hit) = if oneway {
-            (Vec::with_capacity(plan.args_wire_size_hint), false)
-        } else {
-            // Checked out under the request id: pipelined replies land in
-            // any order, so the pool's ledger decides the slot they refill.
-            rt.pool.checkout_for(my, req, site.0, Lane::Args, plan.args_wire_size_hint, shard)
-        };
-        let cycle_table = plan.args_cycle_table;
-        let payload = marshal(&call, guard, &plan.args, &argv[1..], cycle_table, buf)?;
-        Ok::<_, VmError>((payload, pool_hit))
-    })?;
+    // The marshal phase ends at the next boundary: the `Send`, or the start
+    // of a local call's clone-in — or here, if the marshal fails.
+    let marshal_t0 = call.id.boundary(&[Mark::Begin(Phase::Marshal)]);
+    // A one-way send never sees a reply, so its buffer cannot come back
+    // to the pool: built once, primed to size. Every other one circulates.
+    let (buf, pool_hit) = if oneway {
+        (Vec::with_capacity(plan.args_wire_size_hint), false)
+    } else {
+        // Checked out under the request id: pipelined replies land in
+        // any order, so the pool's ledger decides the slot they refill.
+        rt.pool.checkout_for(my, req, site.0, Lane::Args, plan.args_wire_size_hint, shard)
+    };
+    let payload = marshal(&call, guard, &plan.args, &argv[1..], plan.args_cycle_table, buf)
+        .inspect_err(|_| {
+            call.id.boundary(&[Mark::End(Phase::Marshal, marshal_t0)]);
+        })?;
     call.id.flags = plan_flags(plan, oneway, pool_hit);
 
     let scope = rt.site_metrics(site);
@@ -169,9 +174,9 @@ pub fn remote_call_with_req(
         shard.requests_started.fetch_add(1, Relaxed);
     }
     let result = if receiver.machine == my {
-        local_rpc(interp, guard, &call, scope, payload)
+        local_rpc(interp, guard, &call, scope, payload, marshal_t0)
     } else {
-        wire_rpc(interp, guard, &call, scope, payload)
+        wire_rpc(interp, guard, &call, scope, payload, marshal_t0)
     };
     if !oneway {
         if result.is_ok() {
@@ -201,44 +206,56 @@ pub fn remote_call_with_req(
 /// *one-way* local call unmarshals here, on the caller's thread, and never
 /// refills the argument caches. And the buffers pool by lane: the request's is
 /// back in `Lane::Args` once the clone-in is done with it, the return value
-/// clones through a `Lane::Ret` one — the two payloads differ in size.
+/// clones through a `Lane::Ret` one — the two payloads differ in size. Each
+/// phase is the caller machine's: the clone-in is an unmarshal, the return
+/// value's clone a marshal and an unmarshal.
 fn local_rpc(
     interp: &mut Interp,
     guard: &mut MutexGuard<'_, MachineState>,
     call: &Call<'_>,
     scope: &SiteMetrics,
     request: Vec<u8>,
+    marshal_t0: u64,
 ) -> VmResult<Value> {
     let &Call { id, plan, oneway, .. } = call;
     let (rt, my) = (id.rt, id.at);
     let shard = rt.obs.machine(my);
     RmiStats::bump(&shard.stats.local_rpcs, 1);
-    let since = rt.now_us();
     let bytes = request.len();
 
     // The caller's share — clone in, invoke (or launch, for a spawn), marshal
-    // what comes back — ends in one `Local` milestone, raised or not.
-    let cloned_out = if oneway {
-        id.in_phase(Phase::Unmarshal, || deserialize_args(call, guard, &request)).and_then(
-            |(argv, _)| {
-                interp.spawn(guard, plan.method, argv, ("corm-local-spawn", "spawned rmi"))?;
-                Ok(None)
-            },
-        )
-    } else {
-        callee(
-            interp,
-            guard,
-            call,
-            request,
-            |request, _| rt.pool.put_for(my, id.req, request, shard),
-            || rt.pool.checkout(my, id.site, Lane::Ret, plan.ret_wire_size_hint, shard).0,
-        )
+    // what comes back — runs from the marshal's end to one `Local` milestone,
+    // raised or not.
+    let since =
+        id.boundary(&[Mark::End(Phase::Marshal, marshal_t0), Mark::Begin(Phase::Unmarshal)]);
+    let local = Mark::At(bytes, Milestone::Local { since, scope });
+    if oneway {
+        let argv = deserialize_args(call, guard, &request);
+        id.boundary(&[Mark::End(Phase::Unmarshal, since)]);
+        let thread = ("corm-local-spawn", "spawned rmi");
+        let launched = argv.and_then(|(argv, _)| interp.spawn(guard, plan.method, argv, thread));
+        id.boundary(&[local]);
+        return launched.map(|()| Value::Null);
+    }
+    let (cloned_out, open) = callee(
+        interp,
+        guard,
+        call,
+        request,
+        since,
+        |request, _| rt.pool.put_for(my, id.req, request, shard),
+        || rt.pool.checkout(my, id.site, Lane::Ret, plan.ret_wire_size_hint, shard).0,
+    );
+    let ret_bytes = match cloned_out {
+        Ok(Some(ret_bytes)) => ret_bytes,
+        done => {
+            id.boundary(&[open, local]);
+            return done.map(|_| Value::Null);
+        }
     };
-    id.milestone(bytes, Milestone::Local { since, scope });
-
-    let Some(ret_bytes) = cloned_out? else { return Ok(Value::Null) };
+    let t0 = id.boundary(&[open, local, Mark::Begin(Phase::Unmarshal)]);
     let out = deserialize_ret(call, guard, &ret_bytes);
+    id.boundary(&[Mark::End(Phase::Unmarshal, t0)]);
     rt.pool.put(my, id.site, Lane::Ret, ret_bytes, shard);
     out
 }
@@ -249,6 +266,7 @@ fn wire_rpc(
     call: &Call<'_>,
     scope: &SiteMetrics,
     payload: Vec<u8>,
+    marshal_t0: u64,
 ) -> VmResult<Value> {
     let &Call { id, plan, receiver, oneway, .. } = call;
     let (rt, my, to) = (id.rt, id.at, receiver.machine);
@@ -265,8 +283,9 @@ fn wire_rpc(
         oneway,
     };
     // Lands before the packet leaves: the flight ring exists for calls
-    // whose reply never arrives.
-    let since = id.milestone(bytes, Milestone::Send { to, oneway });
+    // whose reply never arrives. The same stamp ends the marshal.
+    let sent = Mark::At(bytes, Milestone::Send { to, oneway });
+    let since = id.boundary(&[Mark::End(Phase::Marshal, marshal_t0), sent]);
     // Fault injection: the N-th request toward the victim pulls its power
     // cord *before* the packet goes out — it is lost in flight and the
     // survivors are told `PeerGone`. Part of the send, so the call it kills is
@@ -289,15 +308,19 @@ fn wire_rpc(
 
     match result {
         Err(remote_err) => {
-            id.milestone(0, Milestone::Fail { peer: to });
+            id.boundary(&[Mark::At(0, Milestone::Fail { peer: to })]);
             Err(VmError::new(format!("remote exception: {remote_err}")))
         }
         Ok(payload) => {
-            id.milestone(payload.len(), Milestone::Return { from: to, since, scope });
+            let returned = Mark::At(payload.len(), Milestone::Return { from: to, since, scope });
             let out = if plan.ret_ignored || plan.ret.is_none() {
+                id.boundary(&[returned]);
                 Ok(Value::Null)
             } else {
-                id.in_phase(Phase::Unmarshal, || deserialize_ret(call, guard, &payload))
+                let t0 = id.boundary(&[returned, Mark::Begin(Phase::Unmarshal)]);
+                let out = deserialize_ret(call, guard, &payload);
+                id.boundary(&[Mark::End(Phase::Unmarshal, t0)]);
+                out
             };
             // The reply payload is the request buffer coming home (over a
             // socket, a fresh Vec accounted the same): checked in under the
@@ -341,45 +364,58 @@ fn round_trip(
 /// buffers these are is the lender's business: `unmarshaled` gets `request`
 /// back once the arguments are out of it, with the count of cached objects
 /// recycled; `reply_buf` is asked, after the invocation, for one to marshal into.
+///
+/// The lender began the unmarshal phase at stamp `begun`; each later boundary
+/// is one stamp that ends a phase and begins the next. Beside the result comes
+/// the [`Mark::End`] of the phase still open — the reply's marshal, the invoke
+/// when nothing goes back, or the phase that failed — for the lender to stamp
+/// with its own milestone.
 fn callee(
     interp: &mut Interp,
     guard: &mut MutexGuard<'_, MachineState>,
     call: &Call<'_>,
     request: Vec<u8>,
+    begun: u64,
     unmarshaled: impl FnOnce(Vec<u8>, u64),
     reply_buf: impl FnOnce() -> Vec<u8>,
-) -> VmResult<Option<Vec<u8>>> {
+) -> (VmResult<Option<Vec<u8>>>, Mark<'static>) {
     let &Call { id, plan, caller, oneway, .. } = call;
-    let (argv, reused) =
-        id.in_phase(Phase::Unmarshal, || deserialize_args(call, guard, &request))?;
-    unmarshaled(request, reused);
+    let mut open = Mark::End(Phase::Unmarshal, begun);
+    let produced = (|| {
+        let (argv, reused) = deserialize_args(call, guard, &request)?;
+        open = Mark::End(Phase::Invoke, id.boundary(&[open, Mark::Begin(Phase::Invoke)]));
+        unmarshaled(request, reused);
 
-    // Fig. 13's `temp_arr = t`: the roots the plan reuses outlive the invocation
-    // and wait in the cache for this caller's next call. The cache's pin is
-    // taken before the invocation: the handler may overwrite the parameter —
-    // the one frame slot that holds a root — and then allocate, so collect.
-    let f = interp.func_of(plan.method)?;
-    let reused_args = plan.arg_reuse.iter().enumerate().filter(|&(_, &reuse)| reuse);
-    let roots: Vec<(usize, Value)> = reused_args.map(|(arg, _)| (arg, argv[arg + 1])).collect();
-    let pins = || roots.iter().filter_map(|(_, root)| root.as_ref());
-    pins().for_each(|root| guard.heap.pin(root));
-    let ret = id.in_phase(Phase::Invoke, || interp.call_in(guard, f, argv)).inspect_err(|_| {
-        // No `put_reuse` will follow: the graphs are garbage like any dead one.
-        pins().for_each(|root| guard.heap.unpin(root));
-    })?;
-    for &(arg, root) in &roots {
-        guard.put_reuse(ReuseSlot::Arg { site: plan.site, arg, caller }, root);
-    }
-
-    match &plan.ret {
-        Some(node) if !(oneway || plan.ret_ignored) => {
-            let mut buf = reply_buf();
-            buf.clear();
-            let (nodes, cycle_table) = (std::slice::from_ref(node), plan.ret_cycle_table);
-            marshal(call, guard, nodes, &[ret], cycle_table, buf).map(Some)
+        // Fig. 13's `temp_arr = t`: the roots the plan reuses outlive the
+        // invocation and wait in the cache for this caller's next call. The
+        // cache's pin is taken before the invocation: the handler may overwrite
+        // the parameter — the one frame slot that holds a root — and then
+        // allocate, so collect.
+        let f = interp.func_of(plan.method)?;
+        let reused_args = plan.arg_reuse.iter().enumerate().filter(|&(_, &reuse)| reuse);
+        let roots: Vec<(usize, Value)> = reused_args.map(|(arg, _)| (arg, argv[arg + 1])).collect();
+        let pins = || roots.iter().filter_map(|(_, root)| root.as_ref());
+        pins().for_each(|root| guard.heap.pin(root));
+        let ret = interp.call_in(guard, f, argv).inspect_err(|_| {
+            // No `put_reuse` will follow: the graphs are garbage like any dead one.
+            pins().for_each(|root| guard.heap.unpin(root));
+        })?;
+        for &(arg, root) in &roots {
+            guard.put_reuse(ReuseSlot::Arg { site: plan.site, arg, caller }, root);
         }
-        _ => Ok(None),
-    }
+
+        match &plan.ret {
+            Some(node) if !(oneway || plan.ret_ignored) => {
+                open = Mark::End(Phase::Marshal, id.boundary(&[open, Mark::Begin(Phase::Marshal)]));
+                let mut buf = reply_buf();
+                buf.clear();
+                let (nodes, cycle_table) = (std::slice::from_ref(node), plan.ret_cycle_table);
+                marshal(call, guard, nodes, &[ret], cycle_table, buf).map(Some)
+            }
+            _ => Ok(None),
+        }
+    })();
+    (produced, open)
 }
 
 /// One value off the wire through its plan `node` — into the graph cached
@@ -499,39 +535,47 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     let plan = rt.plans.plan(CallSiteId(site));
     let mut id = rt.call(my, req, site);
     id.flags = plan.map_or(0, |p| plan_flags(p, oneway, false));
-    // Close the queue phase the drain loop opened (zero-length when the
-    // thread that drained the request serves it; a one-way request's covers
-    // the start of its thread); the same stamp opens the handle span.
-    let since = id.phase_end(Phase::Queue, enq_us);
     let request_bytes = payload.len();
     let draining = interp.draining;
 
     // The request buffer becomes the reply payload — the return marshal, or
     // cleared for a bare ack — so on the channel backend its capacity rides
     // home and closes the caller's recycling loop with no server-side pool.
-    let (held, reused, gc_due) = (Cell::new(Vec::new()), Cell::new(0), Cell::new(false));
-    let result = (|| {
-        let plan =
-            plan.ok_or_else(|| VmError::new(format!("no unmarshal plan for site {site}")))?;
+    let (held, reused) = (Cell::new(Vec::new()), Cell::new(0));
+    let unmarshaled = |request, n| {
+        held.set(request);
+        reused.set(n);
+    };
+    let call = plan.map(|plan| {
         let ser = Serializer::new(&rt.plans, &rt.module.table, &rt.obs.machine(my).stats);
         let class = rt.module.table.method(plan.method).owner;
         let receiver = RemoteRef { machine: my, obj: ObjRef(target_obj), class };
-        let call = Call { id, plan, ser, caller: from, receiver, oneway };
-        let unmarshaled = |request, n| {
-            held.set(request);
-            reused.set(n);
-        };
+        Call { id, plan, ser, caller: from, receiver, oneway }
+    });
+    let (result, open, since, gc_due) = {
         let guard = &mut rt.machine(my).enter();
-        let produced = callee(interp, guard, &call, payload, unmarshaled, || held.take());
-        gc_due.set(guard.heap.gc_due());
-        produced
-    })();
+        // The handler starts, under the machine lock: one stamp closes the
+        // queue phase — the drain loop's, for a one-way request on its own
+        // thread; an empty one for a request its drainer serves — and opens
+        // the unmarshal and the handle span.
+        let queue = enq_us.map_or(Mark::Empty(Phase::Queue), |t0| Mark::End(Phase::Queue, t0));
+        let since = id.boundary(&[queue, Mark::Begin(Phase::Unmarshal)]);
+        let (result, open) = match &call {
+            Some(call) => callee(interp, guard, call, payload, since, unmarshaled, || held.take()),
+            None => {
+                let e = VmError::new(format!("no unmarshal plan for site {site}"));
+                (Err(e), Mark::End(Phase::Unmarshal, since))
+            }
+        };
+        (result, open, since, guard.heap.gc_due())
+    };
     if draining && !interp.draining {
         // The handler gave the drain role up: it queues again before its reply leaves.
         interp.machine.drain.requeue();
     }
 
-    id.milestone(request_bytes, Milestone::Handle { from, since, reused: reused.get() });
+    let handled = Milestone::Handle { from, since, reused: reused.get() };
+    id.boundary(&[open, Mark::At(request_bytes, handled)]);
     let served = if oneway {
         result.map(drop)
     } else {
@@ -550,7 +594,7 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
     // The request's pacing point: its arguments are garbage now. The collection
     // it may owe runs here, after the reply has left, so the pause is not in
     // the caller's round trip; the lock is retaken only when one was due.
-    if gc_due.get() {
+    if gc_due {
         interp.pace_gc(&mut rt.machine(my).enter());
     }
     served

@@ -183,15 +183,19 @@ impl Runtime {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Read the clock once and, with tracing on, log `kind(t_us)` at that
-    /// reading. Clock read and sequence number happen *under the trace
-    /// lock*, so `seq` and `t_us` order agree, and whatever else is fed
-    /// from the returned stamp agrees with the trace to the microsecond.
-    fn stamp(&self, machine: u16, kind: impl FnOnce(u64) -> Option<TraceKind>) -> u64 {
+    /// Read the clock once and, with tracing on, log `kinds(t_us)` at that
+    /// reading, in order. Clock read and sequence numbers happen *under the
+    /// trace lock*, taken once, so `seq` and `t_us` order agree, and whatever
+    /// else is fed from the returned stamp agrees with the trace to the
+    /// microsecond.
+    fn stamp<K>(&self, machine: u16, kinds: impl FnOnce(u64) -> K) -> u64
+    where
+        K: IntoIterator<Item = TraceKind>,
+    {
         let Some(tr) = &self.trace else { return self.now_us() };
         let mut events = tr.lock();
         let t_us = self.now_us();
-        if let Some(kind) = kind(t_us) {
+        for kind in kinds(t_us) {
             let seq = events.len() as u64;
             events.push(TraceEvent { t_us, seq, machine, kind });
         }
@@ -202,7 +206,7 @@ impl Runtime {
     /// remote allocation); with tracing off it costs no clock read.
     pub fn instant(&self, machine: u16, kind: TraceKind) {
         if self.trace.is_some() {
-            self.stamp(machine, |_| Some(kind));
+            self.stamp(machine, |_| [kind]);
         }
     }
 
@@ -245,63 +249,41 @@ pub struct CallCtx<'a> {
 }
 
 impl CallCtx<'_> {
-    /// Open a phase; [`phase_end`](Self::phase_end) takes the stamp back.
-    pub fn phase_begin(&self, phase: Phase) -> u64 {
-        let Self { rt, at, req, site, .. } = *self;
-        rt.stamp(at, |_| Some(TraceKind::PhaseBegin { phase, req, site }))
-    }
-
-    /// Close the phase opened at `t0`: one stamp ends both the trace span
-    /// and the phase histogram's sample, so the histogram sums equal the
-    /// trace's phase report exactly.
-    pub fn phase_end(&self, phase: Phase, t0: u64) -> u64 {
-        let Self { rt, at, req, site, .. } = *self;
-        let t1 = rt.stamp(at, |_| Some(TraceKind::PhaseEnd { phase, req, site }));
+    /// Stamp one boundary between adjacent steps of this half of the RMI
+    /// (DESIGN §7.2): the clock is read once, and that reading is what every
+    /// one of `marks` is stamped with — the phase that ends, the milestone
+    /// at that point, the phase that begins. With tracing on they are logged
+    /// in order under one acquisition of the trace lock, so a boundary's
+    /// events have consecutive `seq`. A phase's histogram sample and its
+    /// trace span come from the same two stamps, so the histogram sums equal
+    /// the trace's phase report exactly. Returns the reading: the `t0` of a
+    /// phase begun here, the `since` of a later milestone.
+    pub fn boundary(&self, marks: &[Mark<'_>]) -> u64 {
+        let Self { rt, at, .. } = *self;
+        let t_us = rt.stamp(at, |t| marks.iter().flat_map(move |&m| self.traced(m, t)).flatten());
         let shard = rt.obs.machine(at);
-        let hist = match phase {
+        let hist = |phase| match phase {
             Phase::Marshal => &shard.marshal_us,
             Phase::Queue => &shard.queue_us,
             Phase::Unmarshal => &shard.unmarshal_us,
             Phase::Invoke => &shard.invoke_us,
         };
-        hist.record(t1.saturating_sub(t0));
-        t1
+        for &mark in marks {
+            match mark {
+                Mark::Begin(_) => {}
+                Mark::End(phase, t0) => hist(phase).record(t_us.saturating_sub(t0)),
+                Mark::Empty(phase) => hist(phase).record(0),
+                Mark::At(bytes, m) => self.landed(bytes, m, t_us),
+            }
+        }
+        t_us
     }
 
-    /// Run `f` as a phase. It ends when `f` returns, before the caller
-    /// can `?` the result away — so a failing marshal or a remote
-    /// exception still closes its span and lands in its histogram.
-    pub fn in_phase<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let t0 = self.phase_begin(phase);
-        let out = f();
-        self.phase_end(phase, t0);
-        out
-    }
-
-    /// Record milestone `m`, whose payload is `bytes` long: one stamp feeds
-    /// the flight ring, the trace log and — for `Return` and `Local` — the
-    /// RTT histograms. Returns it: a `Send`'s is the `since` of its `Return`.
-    pub fn milestone(&self, bytes: usize, m: Milestone<'_>) -> u64 {
-        use Milestone::*;
+    /// Milestone `m` reached at `t_us`: its flight event and, for a call's
+    /// last milestone on its caller, its RTT samples.
+    fn landed(&self, bytes: usize, m: Milestone<'_>, t_us: u64) {
         let Self { rt, at, req, site, flags } = *self;
-        let (kind, peer, since, scope) = match m {
-            Send { to, .. } => (FlightKind::Send, to, 0, None),
-            Return { from, since, scope } => (FlightKind::Return, from, since, Some(scope)),
-            Handle { from, since, .. } => (FlightKind::Handle, from, since, None),
-            Local { since, scope } => (FlightKind::Local, at, since, Some(scope)),
-            Fail { peer } => (FlightKind::Fail, peer, 0, None),
-            Slo { server } => (FlightKind::Slo, server, 0, None),
-        };
-        let t_us = rt.stamp(at, |t| {
-            let (us, bytes) = (t.saturating_sub(since), bytes as u64);
-            Some(match m {
-                Send { to, oneway } => TraceKind::RmiSend { req, site, to, bytes, oneway },
-                Return { .. } => TraceKind::RmiReturn { req, site, us, reply_bytes: bytes },
-                Handle { reused, .. } => TraceKind::Handle { req, site, us, reused },
-                Local { .. } => TraceKind::LocalRpc { req, site, us },
-                Fail { .. } | Slo { .. } => return None,
-            })
-        });
+        let (kind, peer, since, scope) = m.parts(at);
         if let Some(scope) = scope {
             let us = t_us.saturating_sub(since);
             rt.obs.machine(at).rtt_us.record(us);
@@ -309,13 +291,52 @@ impl CallCtx<'_> {
         }
         let bytes = bytes.min(u32::MAX as usize) as u32;
         rt.flight.record(at, FlightEvent { t_us, req, site, bytes, kind, peer, flags });
-        t_us
+    }
+
+    /// The trace events `mark` logs at stamp `t_us`: at most two.
+    fn traced(&self, mark: Mark<'_>, t_us: u64) -> [Option<TraceKind>; 2] {
+        use Milestone::*;
+        let Self { req, site, .. } = *self;
+        let begin = |phase| Some(TraceKind::PhaseBegin { phase, req, site });
+        let end = |phase| Some(TraceKind::PhaseEnd { phase, req, site });
+        let (bytes, m) = match mark {
+            Mark::Begin(phase) => return [begin(phase), None],
+            Mark::End(phase, _) => return [end(phase), None],
+            Mark::Empty(phase) => return [begin(phase), end(phase)],
+            Mark::At(bytes, m) => (bytes as u64, m),
+        };
+        let (.., since, _) = m.parts(self.at);
+        let us = t_us.saturating_sub(since);
+        let kind = match m {
+            Send { to, oneway } => TraceKind::RmiSend { req, site, to, bytes, oneway },
+            Return { .. } => TraceKind::RmiReturn { req, site, us, reply_bytes: bytes },
+            Handle { reused, .. } => TraceKind::Handle { req, site, us, reused },
+            Local { .. } => TraceKind::LocalRpc { req, site, us },
+            Fail { .. } | Slo { .. } => return [None, None],
+        };
+        [Some(kind), None]
     }
 }
 
-/// What [`CallCtx::milestone`] records. `since` is the stamp a duration
-/// is measured from; `scope` is the call site's metrics, resolved once
-/// per RMI by the caller.
+/// One event at a boundary of an RMI half, stamped by [`CallCtx::boundary`].
+#[derive(Clone, Copy)]
+pub enum Mark<'a> {
+    /// A phase begins.
+    Begin(Phase),
+    /// The phase begun at stamp `t0` ends: its span closes and its
+    /// histogram gets the sample.
+    End(Phase, u64),
+    /// A phase that begins and ends at this stamp: the queue of a two-way
+    /// request, which the thread that drained it serves.
+    Empty(Phase),
+    /// Milestone `m`, whose payload is `bytes` long.
+    At(usize, Milestone<'a>),
+}
+
+/// A milestone of an RMI: one stamp feeds the flight ring, the trace log
+/// and — for `Return` and `Local` — the RTT histograms. `since` is the
+/// stamp a duration is measured from; `scope` is the call site's metrics,
+/// resolved once per RMI by the caller.
 #[derive(Clone, Copy)]
 pub enum Milestone<'a> {
     /// The request left for `to`.
@@ -332,6 +353,22 @@ pub enum Milestone<'a> {
     /// The serving driver measured a latency (µs, in place of `bytes`)
     /// over its SLO for a call served by `server`. Flight ring only.
     Slo { server: u16 },
+}
+
+impl<'a> Milestone<'a> {
+    /// Its flight kind and peer, the stamp its duration runs from and, for
+    /// a caller's milestone that ends the RMI, the site scope whose RTT it is.
+    fn parts(self, at: u16) -> (FlightKind, u16, u64, Option<&'a SiteMetrics>) {
+        use Milestone::*;
+        match self {
+            Send { to, .. } => (FlightKind::Send, to, 0, None),
+            Return { from, since, scope } => (FlightKind::Return, from, since, Some(scope)),
+            Handle { from, since, .. } => (FlightKind::Handle, from, since, None),
+            Local { since, scope } => (FlightKind::Local, at, since, Some(scope)),
+            Fail { peer } => (FlightKind::Fail, peer, 0, None),
+            Slo { server } => (FlightKind::Slo, server, 0, None),
+        }
+    }
 }
 
 /// Write a flight dump into `$CORM_FLIGHT_DIR` (if set) under a unique
@@ -425,7 +462,7 @@ impl RunOutcome {
 /// not run: the runtime and receive sides of a program run,
 /// decoupled from *what* drives them. [`run_program`] is
 /// `start → clinits + main → finish`; the open-loop serving driver
-/// ([`crate::serve`]) instead issues RMIs directly between `start` and
+/// ([`crate::serve()`]) instead issues RMIs directly between `start` and
 /// `finish`.
 pub struct Cluster {
     pub rt: Arc<Runtime>,

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
 use crate::rmi;
-use crate::runtime::{spawn_vm_thread, Cluster, Milestone, RunOptions, RunOutcome};
+use crate::runtime::{spawn_vm_thread, Cluster, Mark, Milestone, RunOptions, RunOutcome};
 
 /// The service entry points the driver resolves in the loaded module, by
 /// name. Any compiled module shaped like the paper's webserver can be
@@ -496,7 +496,7 @@ fn client_loop(sh: &DriveShared) {
                 if lat > sh.slo_us {
                     sh.violations.lock().push(req);
                     let missed = Milestone::Slo { server: (target + 1) as u16 };
-                    sh.rt.call(0, req, sh.call.0 .0).milestone(lat as usize, missed);
+                    sh.rt.call(0, req, sh.call.0 .0).boundary(&[Mark::At(lat as usize, missed)]);
                 }
             }
             Err(_) => {

@@ -259,6 +259,110 @@ fn phase_histograms_equal_the_trace_phase_report_for_every_app() {
     }
 }
 
+/// One RMI half's events, in recording order, each as a label: `+phase` and
+/// `-phase` for a span's begin and end, the milestone's name otherwise.
+fn halves(events: &[TraceEvent]) -> HashMap<(u16, u64), Vec<(&'static str, &TraceEvent)>> {
+    let mut halves: HashMap<(u16, u64), Vec<(&'static str, &TraceEvent)>> = HashMap::new();
+    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
+    sorted.sort_by_key(|e| e.seq);
+    for e in sorted {
+        let (label, req) = match e.kind {
+            TraceKind::PhaseBegin { phase, req, .. } => {
+                (["+marshal", "+queue", "+unmarshal", "+invoke"][phase as usize], req)
+            }
+            TraceKind::PhaseEnd { phase, req, .. } => {
+                (["-marshal", "-queue", "-unmarshal", "-invoke"][phase as usize], req)
+            }
+            TraceKind::RmiSend { req, .. } => ("send", req),
+            TraceKind::RmiReturn { req, .. } => ("return", req),
+            TraceKind::Handle { req, .. } => ("handle", req),
+            TraceKind::LocalRpc { req, .. } => ("local", req),
+            TraceKind::NewRemote { .. } | TraceKind::Gc { .. } => continue,
+        };
+        halves.entry((e.machine, req)).or_default().push((label, e));
+    }
+    halves
+}
+
+/// Each boundary between adjacent steps of an RMI half is one clock
+/// reading: the phase that ends, the milestone there and the phase that
+/// begins carry the same `t_us`, and were logged with consecutive `seq`.
+/// A half is its list of boundaries, in order; nothing else is logged.
+fn assert_one_stamp_per_boundary(half: &[(&'static str, &TraceEvent)], boundaries: &[&[&str]]) {
+    let labels: Vec<&str> = half.iter().map(|(l, _)| *l).collect();
+    assert_eq!(labels, boundaries.concat(), "events of one RMI half");
+    let mut events = half.iter().map(|(_, e)| *e);
+    for boundary in boundaries {
+        let stamped: Vec<&TraceEvent> = events.by_ref().take(boundary.len()).collect();
+        for pair in stamped.windows(2) {
+            assert_eq!(pair[0].t_us, pair[1].t_us, "{boundary:?}: two clock readings");
+            assert_eq!(pair[0].seq + 1, pair[1].seq, "{boundary:?}: logged apart");
+        }
+    }
+}
+
+#[test]
+fn a_boundary_is_one_stamp() {
+    let src = r#"
+        remote class Pong { int ping(int x) { return x + 1; } }
+        class M {
+            static void main() {
+                Pong far = new Pong() @ 1;
+                Pong near = new Pong() @ 0;
+                int seq = 0;
+                for (int i = 0; i < 300; i++) { seq = far.ping(seq); }
+                for (int i = 0; i < 20; i++) { seq = near.ping(seq); }
+                System.println(Str.fromLong(seq));
+            }
+        }
+    "#;
+    let out = traced_run(src, 2, OptConfig::ALL);
+    assert_eq!(out.output, "320\n");
+    let halves = halves(&out.trace);
+    let (mut wire, mut local) = (0, 0);
+    for e in &out.trace {
+        match e.kind {
+            TraceKind::RmiSend { req, to, oneway: false, .. } => {
+                wire += 1;
+                assert_one_stamp_per_boundary(
+                    &halves[&(e.machine, req)],
+                    &[
+                        &["+marshal"],
+                        &["-marshal", "send"],
+                        &["return", "+unmarshal"],
+                        &["-unmarshal"],
+                    ],
+                );
+                assert_one_stamp_per_boundary(
+                    &halves[&(to, req)],
+                    &[
+                        &["+queue", "-queue", "+unmarshal"],
+                        &["-unmarshal", "+invoke"],
+                        &["-invoke", "+marshal"],
+                        &["-marshal", "handle"],
+                    ],
+                );
+            }
+            TraceKind::LocalRpc { req, .. } => {
+                local += 1;
+                assert_one_stamp_per_boundary(
+                    &halves[&(e.machine, req)],
+                    &[
+                        &["+marshal"],
+                        &["-marshal", "+unmarshal"],
+                        &["-unmarshal", "+invoke"],
+                        &["-invoke", "+marshal"],
+                        &["-marshal", "local", "+unmarshal"],
+                        &["-unmarshal"],
+                    ],
+                );
+            }
+            _ => {}
+        }
+    }
+    assert_eq!((wire, local), (300, 20));
+}
+
 /// A phase that fails still closes: a remote exception (null dereference
 /// in the callee) leaves a `PhaseEnd` for every `PhaseBegin` and an
 /// invoke sample for every handled request.
