@@ -611,7 +611,16 @@ struct DeserWalk<'w, 'm> {
 impl<'w> DeserWalk<'w, '_> {
     /// Read one value by `node`, into `reuse` where that fits: one loop
     /// over the frame stack, as [`SerWalk::run`]. A frame is popped when
-    /// its payload is read, and its object stored where it goes.
+    /// its payload is read, and its object stored where it goes — unless it
+    /// was recycled, and so is there already.
+    ///
+    /// A recycled object is the candidate `load` read from that very slot or
+    /// element before the walk descended into it, and only its pop writes
+    /// there: a walk writes only the objects on its frames, and claim stamps
+    /// keep one candidate from filling two positions. It is the *child's*
+    /// flag that decides: a recycled parent may be given a fresh child. A
+    /// value read whole (a recycled primitive array among them) is stored
+    /// without a test, which measured faster than comparing it with `old`.
     fn run(&mut self, node: &'w SerNode, reuse: Value) -> Result<Value, SerError> {
         if let Some(v) = self.value(node, reuse, None)? {
             return Ok(v);
@@ -638,10 +647,10 @@ impl<'w> DeserWalk<'w, '_> {
             };
             let Some((sub, to)) = next else {
                 let done = self.frames.pop().expect("the frame just read").rest;
-                let v = Value::Ref(done.obj);
                 match done.to {
-                    None => return Ok(v),
-                    Some(to) => self.store(to, v)?,
+                    None => return Ok(Value::Ref(done.obj)),
+                    Some(_) if done.reusing => {}
+                    Some(to) => self.store(to, Value::Ref(done.obj))?,
                 }
                 continue;
             };
@@ -1627,6 +1636,99 @@ mod tests {
          0103000000010004000000000201000000 \
          reused=2 lookups=9 type_info=0 invocations=0",
     ];
+
+    /// A reuse round trip of `sent` (in `src`) into `candidate` (in `dst`)
+    /// by the site plan of `GOLDEN_SRC`'s `method` under `all`: the result
+    /// must equal what was sent. Returns how many objects were recycled.
+    fn reuse_round_trip(
+        m: &Module,
+        src: &Heap,
+        dst: &mut Heap,
+        method: &str,
+        sent: Value,
+        candidate: Value,
+    ) -> u64 {
+        let a = analyze_module(m, AnalysisOptions::default());
+        let plans = generate_plans(m, &a, OptConfig::ALL);
+        let plan = plans.sites.values().find(|p| m.table.method(p.method).name == method);
+        let plan = plan.unwrap();
+        let stats = RmiStats::new();
+        let ser = Serializer::new(&plans, &m.table, &stats);
+        let table = plan.args_cycle_table;
+        let (out, _) = roundtrip(&ser, src, dst, &plan.args[0], sent, table, candidate).unwrap();
+        assert!(
+            corm_heap::deep_equal_across(src, sent, dst, out.value),
+            "{method}: the result is not the graph that was sent"
+        );
+        out.reused
+    }
+
+    /// An instance of `class` with `fields`, in `heap`.
+    fn obj(heap: &mut Heap, class: ClassId, fields: &[Value]) -> Value {
+        let o = heap.alloc_obj(class, fields.len());
+        for (slot, &v) in fields.iter().enumerate() {
+            heap.set_field(o, slot, v).unwrap();
+        }
+        Value::Ref(o)
+    }
+
+    /// A `Node` list holding `values`, head first.
+    fn list(m: &Module, heap: &mut Heap, values: &[i32]) -> Value {
+        let node = class_id(m, "Node");
+        values.iter().rev().fold(Value::Null, |next, &v| obj(heap, node, &[next, Value::Int(v)]))
+    }
+
+    /// The message's list is longer than the candidate's: the last node is
+    /// fresh, and it must be hung into the recycled node before it.
+    #[test]
+    fn a_longer_list_hangs_its_fresh_tail_into_a_recycled_node() {
+        let m = compile_frontend(GOLDEN_SRC).unwrap();
+        let (mut src, mut dst) = (Heap::new(), Heap::new());
+        let sent = list(&m, &mut src, &[10, 20, 30]);
+        let candidate = list(&m, &mut dst, &[1, 2]);
+        assert_eq!(reuse_round_trip(&m, &src, &mut dst, "list", sent, candidate), 2);
+    }
+
+    /// The message's list is shorter than the candidate's: its null
+    /// terminator must be stored into a recycled node, which held a node.
+    #[test]
+    fn a_shorter_list_stores_its_terminator_into_a_recycled_node() {
+        let m = compile_frontend(GOLDEN_SRC).unwrap();
+        let (mut src, mut dst) = (Heap::new(), Heap::new());
+        let sent = list(&m, &mut src, &[10, 20]);
+        let candidate = list(&m, &mut dst, &[1, 2, 3]);
+        assert_eq!(reuse_round_trip(&m, &src, &mut dst, "list", sent, candidate), 2);
+    }
+
+    /// The candidate's two positions hold one shared child, the message's
+    /// two distinct ones: the first recycles it, the second gets a fresh
+    /// object, which must replace the shared child there.
+    #[test]
+    fn a_shared_child_of_the_candidate_fills_one_position_only() {
+        let m = compile_frontend(GOLDEN_SRC).unwrap();
+        let pair = class_id(&m, "Pair");
+        let (mut src, mut dst) = (Heap::new(), Heap::new());
+        let leaf = |heap: &mut Heap, v| obj(heap, pair, &[Value::Null, Value::Null, Value::Int(v)]);
+        let (l, r) = (leaf(&mut src, 1), leaf(&mut src, 2));
+        let sent = obj(&mut src, pair, &[l, r, Value::Int(3)]);
+        let shared = leaf(&mut dst, 0);
+        let candidate = obj(&mut dst, pair, &[shared, shared, Value::Int(0)]);
+        assert_eq!(reuse_round_trip(&m, &src, &mut dst, "tree", sent, candidate), 2);
+    }
+
+    /// An `Object`-typed field whose candidate is of another class: the
+    /// field gets a fresh object, which must replace the candidate's.
+    #[test]
+    fn an_object_field_of_another_class_gets_a_fresh_object() {
+        let m = compile_frontend(GOLDEN_SRC).unwrap();
+        let boxc = class_id(&m, "Box");
+        let (mut src, mut dst) = (Heap::new(), Heap::new());
+        let node = list(&m, &mut src, &[4]);
+        let sent = obj(&mut src, boxc, &[node, Value::Null, Value::Null]);
+        let other = obj(&mut dst, class_id(&m, "Pair"), &[Value::Null, Value::Null, Value::Int(4)]);
+        let candidate = obj(&mut dst, boxc, &[other, Value::Null, Value::Null]);
+        assert_eq!(reuse_round_trip(&m, &src, &mut dst, "dyn", sent, candidate), 1);
+    }
 
     #[test]
     fn golden_wire_bytes_class() {

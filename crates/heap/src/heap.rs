@@ -209,6 +209,14 @@ fn no_field(r: ObjRef, slot: usize) -> HeapError {
     HeapError(format!("field slot {slot} out of range on {r}"))
 }
 
+/// Kept out of line, so the accessors that can fail with it inline whole
+/// into the marshal engine's walk.
+#[cold]
+#[inline(never)]
+fn dangling<T>(r: ObjRef) -> Result<T, HeapError> {
+    err(format!("dangling reference {r}"))
+}
+
 /// One machine's object heap.
 #[derive(Debug, Default)]
 pub struct Heap {
@@ -325,11 +333,11 @@ impl Heap {
         self.alloc(body)
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, r: ObjRef) -> Result<&Obj, HeapError> {
         match self.slots.get(r.index()) {
             Some(Some(o)) => Ok(o),
-            _ => err(format!("dangling reference {r}")),
+            _ => dangling(r),
         }
     }
 
@@ -337,11 +345,11 @@ impl Heap {
     pub fn get_mut(&mut self, r: ObjRef) -> Result<&mut Obj, HeapError> {
         match self.slots.get_mut(r.index()) {
             Some(Some(o)) => Ok(o),
-            _ => err(format!("dangling reference {r}")),
+            _ => dangling(r),
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn body(&self, r: ObjRef) -> Result<&ObjBody, HeapError> {
         Ok(&self.get(r)?.body)
     }
@@ -392,7 +400,7 @@ impl Heap {
 
     /// `r`'s body and, for an instance, its fields (empty for any other
     /// body): a walk that reads a whole object looks its slot up once.
-    #[inline]
+    #[inline(always)]
     pub fn body_and_fields(&self, r: ObjRef) -> Result<(&ObjBody, &[Value]), HeapError> {
         let body = self.body(r)?;
         Ok((body, self.fields_of(body)))
@@ -520,6 +528,7 @@ impl Heap {
     /// Claim `r` for the current round if its body `fits`, in the one slot
     /// lookup: `true` if no claim since [`Heap::start_claims`] took it,
     /// `false` if one did, the body does not fit or `r` dangles.
+    #[inline(always)]
     pub fn claim(&mut self, r: ObjRef, fits: impl FnOnce(&ObjBody) -> bool) -> bool {
         match self.slots.get_mut(r.index()) {
             Some(Some(o)) if o.claimed_in != self.claim_epoch && fits(&o.body) => {

@@ -127,6 +127,9 @@ pub(crate) struct Inbound {
     /// Index of the reactor thread that pumps this stream.
     pub owner: usize,
     frames: FrameBuf,
+    /// What [`pump`] reads the socket into: zeroed once, at bring-up, not
+    /// once a readiness hint.
+    chunk: Box<[u8]>,
     pub dirty: Arc<AtomicBool>,
     /// The stream ended (EOF, error, corrupt frame, or mailbox gone).
     pub done: bool,
@@ -304,14 +307,13 @@ impl FrameBuf {
 /// made progress. EOF, a corrupt frame, or an I/O error marks the
 /// stream done and, outside an orderly shutdown, reports the peer dead.
 pub(crate) fn pump(core: &Core, ib: &mut Inbound) -> bool {
-    let mut chunk = [0u8; READ_CHUNK];
     let mut progress = false;
     while !ib.done {
-        match (&ib.stream).read(&mut chunk) {
+        match (&ib.stream).read(&mut ib.chunk) {
             Ok(0) => core.finish(ib, true),
             Ok(n) => {
                 progress = true;
-                ib.frames.extend(&chunk[..n]);
+                ib.frames.extend(&ib.chunk[..n]);
                 core.forward_frames(ib);
             }
             // A drained nonblocking socket, or a blocking read timing
@@ -433,6 +435,7 @@ impl Mesh {
                             me: j as u16,
                             owner,
                             frames: FrameBuf::default(),
+                            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
                             dirty,
                             done: false,
                         });
