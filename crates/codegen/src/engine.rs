@@ -1018,7 +1018,7 @@ pub fn roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{generate_plans, OptConfig, Plans};
+    use crate::plan::{compile, generate_plans, OptConfig, Plans};
     use corm_analysis::{analyze_module, AnalysisOptions};
     use corm_heap::NativeData;
     use corm_ir::{compile_frontend, Module};
@@ -1041,9 +1041,7 @@ mod tests {
                 }
             }
         "#;
-        let m = compile_frontend(src).unwrap();
-        let a = analyze_module(&m, AnalysisOptions::default());
-        let p = generate_plans(&m, &a, config);
+        let (m, _, p) = compile(src, config).unwrap();
         (m, p, RmiStats::new())
     }
 
@@ -1561,9 +1559,7 @@ mod tests {
     /// site's plan writes, in hex, then how many objects a reuse round trip
     /// recycles and what the walk counted.
     fn golden_lines(config: OptConfig) -> Vec<String> {
-        let m = compile_frontend(GOLDEN_SRC).unwrap();
-        let a = analyze_module(&m, AnalysisOptions::default());
-        let plans = generate_plans(&m, &a, config);
+        let (m, _, plans) = compile(GOLDEN_SRC, config).unwrap();
         let mut src = Heap::new();
         let graphs = golden_graphs(&m, &mut src);
         let mut lines = Vec::new();

@@ -27,4 +27,4 @@ pub mod plan;
 
 pub use corm_analysis::{PrimKind, SerNode};
 pub use engine::{DeserOutcome, SerError, Serializer, ShadowCycleCheck, AUDIT_ERROR_PREFIX};
-pub use plan::{describe_plan, generate_plans, EngineMode, MarshalPlan, OptConfig, Plans};
+pub use plan::{compile, describe_plan, generate_plans, EngineMode, MarshalPlan, OptConfig, Plans};

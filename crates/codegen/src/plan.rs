@@ -3,8 +3,9 @@
 
 use std::collections::HashMap;
 
-use corm_analysis::{AnalysisResult, Decision, PrimKind, SerNode, SiteProvenance};
-use corm_ir::{CallSiteId, ClassKind, MethodId, Module, Ty};
+use corm_analysis::cycles::CycleOptions;
+use corm_analysis::{AnalysisOptions, AnalysisResult, Decision, PrimKind, SerNode, SiteProvenance};
+use corm_ir::{CallSiteId, ClassKind, CompileError, MethodId, Module, Ty};
 
 /// The complete marshaling strategy for one remote call site.
 #[derive(Debug, Clone)]
@@ -141,6 +142,19 @@ impl Plans {
     pub fn plan(&self, site: CallSiteId) -> Option<&MarshalPlan> {
         self.sites.get(&site)
     }
+}
+
+/// The compile path, once: the front end, the heap analyses with the options
+/// `config` implies, then the serializer programs.
+pub fn compile(
+    src: &str,
+    config: OptConfig,
+) -> Result<(Module, AnalysisResult, Plans), CompileError> {
+    let module = corm_ir::compile_frontend(src)?;
+    let cycle = CycleOptions { assume_acyclic_self_lists: config.list_extension };
+    let analysis = corm_analysis::analyze_module(&module, AnalysisOptions { cycle });
+    let plans = generate_plans(&module, &analysis, config);
+    Ok((module, analysis, plans))
 }
 
 /// Generate all serializer programs for `m` under `config`, consuming the
@@ -463,18 +477,10 @@ fn prim_name(k: PrimKind) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corm_analysis::{analyze_module, AnalysisOptions};
-    use corm_ir::{compile_frontend, ClassId};
+    use corm_ir::ClassId;
 
     fn plans_for(src: &str, config: OptConfig) -> (Module, Plans) {
-        let m = compile_frontend(src).unwrap();
-        let opts = AnalysisOptions {
-            cycle: corm_analysis::cycles::CycleOptions {
-                assume_acyclic_self_lists: config.list_extension,
-            },
-        };
-        let a = analyze_module(&m, opts);
-        let p = generate_plans(&m, &a, config);
+        let (m, _, p) = compile(src, config).unwrap();
         (m, p)
     }
 

@@ -104,16 +104,7 @@ impl Compiled {
 /// Compile MiniParty source under an optimization configuration: front
 /// end, SSA, heap/cycle/escape analyses, serializer codegen.
 pub fn compile(src: &str, config: OptConfig) -> Result<Compiled, CompileError> {
-    let module = corm_ir::compile_frontend(src)?;
-    let analysis = corm_analysis::analyze_module(
-        &module,
-        AnalysisOptions {
-            cycle: corm_analysis::cycles::CycleOptions {
-                assume_acyclic_self_lists: config.list_extension,
-            },
-        },
-    );
-    let plans = corm_codegen::generate_plans(&module, &analysis, config);
+    let (module, analysis, plans) = corm_codegen::compile(src, config)?;
     Ok(Compiled {
         module: Arc::new(module),
         analysis: Arc::new(analysis),

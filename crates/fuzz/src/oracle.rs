@@ -15,7 +15,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use corm_analysis::AnalysisOptions;
 use corm_codegen::{OptConfig, Plans, AUDIT_ERROR_PREFIX};
 use corm_ir::Module;
 use corm_net::{LossSpec, TransportKind};
@@ -74,20 +73,9 @@ fn fail(kind: FailureKind, context: impl Into<String>, detail: impl Into<String>
     OracleFailure { kind, context: context.into(), detail: detail.into() }
 }
 
-/// Compile MiniParty source under one configuration (mirrors
-/// `corm::compile`; `corm-fuzz` cannot depend on the facade crate
-/// because the facade's CLI depends on `corm-fuzz`).
+/// Compile MiniParty source under one configuration.
 fn compile(src: &str, config: OptConfig) -> Result<(Arc<Module>, Arc<Plans>), String> {
-    let module = corm_ir::compile_frontend(src).map_err(|e| e.to_string())?;
-    let analysis = corm_analysis::analyze_module(
-        &module,
-        AnalysisOptions {
-            cycle: corm_analysis::cycles::CycleOptions {
-                assume_acyclic_self_lists: config.list_extension,
-            },
-        },
-    );
-    let plans = corm_codegen::generate_plans(&module, &analysis, config);
+    let (module, _, plans) = corm_codegen::compile(src, config).map_err(|e| e.to_string())?;
     Ok((Arc::new(module), Arc::new(plans)))
 }
 

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use corm_analysis::AnalysisOptions;
 use corm_codegen::{OptConfig, Plans, AUDIT_ERROR_PREFIX};
 use corm_fuzz::spec::{CallSpec, ProgramSpec, ShapeSpec, Variant};
 use corm_ir::Module;
@@ -12,16 +11,7 @@ use corm_net::TransportKind;
 use corm_vm::{run_program, RunOptions, RunOutcome};
 
 fn compile(src: &str, config: OptConfig) -> (Module, Plans) {
-    let module = corm_ir::compile_frontend(src).expect("compile");
-    let analysis = corm_analysis::analyze_module(
-        &module,
-        AnalysisOptions {
-            cycle: corm_analysis::cycles::CycleOptions {
-                assume_acyclic_self_lists: config.list_extension,
-            },
-        },
-    );
-    let plans = corm_codegen::generate_plans(&module, &analysis, config);
+    let (module, _, plans) = corm_codegen::compile(src, config).expect("compile");
     (module, plans)
 }
 

@@ -3,8 +3,9 @@
 
 use std::collections::HashMap;
 
+use crate::ast::AstTy;
 use crate::cfg::Function;
-use crate::Span;
+use crate::{CompileError, Span};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -221,6 +222,24 @@ impl ClassTable {
 
     pub fn class_named(&self, name: &str) -> Option<ClassId> {
         self.class_by_name.get(name).copied()
+    }
+
+    /// The type `t` names, in a declaration at `span`.
+    pub fn resolve_ty(&self, t: &AstTy, span: Span) -> Result<Ty, CompileError> {
+        Ok(match t {
+            AstTy::Void => Ty::Void,
+            AstTy::Bool => Ty::Bool,
+            AstTy::Int => Ty::Int,
+            AstTy::Long => Ty::Long,
+            AstTy::Double => Ty::Double,
+            AstTy::Str => Ty::Str,
+            AstTy::Object => Ty::Class(OBJECT_CLASS),
+            AstTy::Named(n) => Ty::Class(
+                self.class_named(n)
+                    .ok_or_else(|| CompileError::new(span, format!("unknown type `{n}`")))?,
+            ),
+            AstTy::Array(e) => self.resolve_ty(e, span)?.array_of(),
+        })
     }
 
     /// Is `sub` the same class as `sup` or a (transitive) subclass of it?

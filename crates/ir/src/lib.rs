@@ -29,6 +29,7 @@ pub mod opt;
 pub mod parser;
 pub mod pretty;
 pub mod resolve;
+pub mod scalar;
 pub mod ssa;
 pub mod token;
 

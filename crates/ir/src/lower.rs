@@ -12,6 +12,7 @@ use crate::ast::*;
 use crate::cfg::*;
 use crate::classes::*;
 use crate::resolve::ResolvedProgram;
+use crate::scalar;
 use crate::{CompileError, Span};
 
 /// Lower a resolved program into a [`Module`].
@@ -409,7 +410,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
             if self.ret == Ty::Void {
                 self.terminate(Terminator::Ret(None));
             } else {
-                let c = default_const(&self.ret);
+                let c = scalar::zero(&self.ret);
                 let r = self.new_reg(self.ret.clone());
                 self.blocks[i].0.push(Instr::Const { dst: r, v: c });
                 self.blocks[i].1 = Some(Terminator::Ret(Some(r)));
@@ -446,7 +447,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 Ok(())
             }
             Stmt::VarDecl { ty, name, init, span } => {
-                let ty = self.resolve_ty(ty, *span)?;
+                let ty = self.lw.table.resolve_ty(ty, *span)?;
                 if ty == Ty::Void {
                     return Err(CompileError::new(*span, "variables cannot have type void"));
                 }
@@ -458,7 +459,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                         self.emit(Instr::Move { dst: r, src: v });
                     }
                     None => {
-                        self.emit(Instr::Const { dst: r, v: default_const(&ty) });
+                        self.emit(Instr::Const { dst: r, v: scalar::zero(&ty) });
                     }
                 }
                 self.declare(name, r, *span)
@@ -604,25 +605,6 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         Ok(r)
     }
 
-    fn resolve_ty(&self, t: &AstTy, span: Span) -> Result<Ty, CompileError> {
-        Ok(match t {
-            AstTy::Void => Ty::Void,
-            AstTy::Bool => Ty::Bool,
-            AstTy::Int => Ty::Int,
-            AstTy::Long => Ty::Long,
-            AstTy::Double => Ty::Double,
-            AstTy::Str => Ty::Str,
-            AstTy::Object => Ty::Class(OBJECT_CLASS),
-            AstTy::Named(n) => Ty::Class(
-                self.lw
-                    .table
-                    .class_named(n)
-                    .ok_or_else(|| CompileError::new(span, format!("unknown type `{n}`")))?,
-            ),
-            AstTy::Array(e) => self.resolve_ty(e, span)?.array_of(),
-        })
-    }
-
     // ----- expressions ----------------------------------------------------
 
     fn expr(&mut self, e: &Expr) -> Result<(Reg, Ty), CompileError> {
@@ -691,7 +673,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 self.lower_new(class, args, placement.as_deref(), e.span)
             }
             ExprKind::NewArray { elem, dims, extra_dims } => {
-                let base = self.resolve_ty(elem, e.span)?;
+                let base = self.lw.table.resolve_ty(elem, e.span)?;
                 let mut full = base;
                 for _ in 0..(dims.len() + extra_dims) {
                     full = full.array_of();
@@ -707,7 +689,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 Ok((r, full))
             }
             ExprKind::Cast { ty, expr } => {
-                let to = self.resolve_ty(ty, e.span)?;
+                let to = self.lw.table.resolve_ty(ty, e.span)?;
                 let (r, from) = self.expr(expr)?;
                 self.lower_cast(r, &from, &to, e.span)
             }
@@ -1500,16 +1482,6 @@ fn unify_numeric(a: &Ty, b: &Ty) -> Ty {
         Ty::Long
     } else {
         Ty::Int
-    }
-}
-
-fn default_const(ty: &Ty) -> Const {
-    match ty {
-        Ty::Bool => Const::Bool(false),
-        Ty::Int => Const::Int(0),
-        Ty::Long => Const::Long(0),
-        Ty::Double => Const::Double(0.0),
-        _ => Const::Null,
     }
 }
 

@@ -4,7 +4,9 @@
 //! compiler, so the straight-line quality of the lowered code is part of
 //! the substrate. These passes keep the interpreted IR lean:
 //!
-//! * local constant folding and propagation (per basic block),
+//! * local constant folding and propagation (per basic block), computed by
+//!   [`crate::scalar`], the semantics the interpreter runs too; what it leaves
+//!   undefined (a division by zero) stays for the interpreter to raise,
 //! * branch simplification (`branch const` → `jump`),
 //! * unreachable-block elimination,
 //! * dead pure-instruction elimination.
@@ -21,6 +23,7 @@ use std::collections::HashMap;
 
 use crate::cfg::*;
 use crate::classes::Module;
+use crate::scalar;
 
 /// Statistics from one optimization run (used by tests and reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,59 +69,31 @@ fn fold_constants(f: &mut Function, stats: &mut OptStats) {
     for b in &mut f.blocks {
         let mut env: HashMap<Reg, Const> = HashMap::new();
         for instr in &mut b.instrs {
-            match instr {
+            let folded = match *instr {
                 Instr::Const { dst, v } => {
-                    env.insert(*dst, *v);
+                    env.insert(dst, v);
+                    continue;
                 }
-                Instr::Move { dst, src } => {
-                    let (dst, src) = (*dst, *src);
-                    match env.get(&src).copied() {
-                        Some(c) => {
-                            *instr = Instr::Const { dst, v: c };
-                            env.insert(dst, c);
-                            stats.folded += 1;
-                        }
-                        None => {
-                            env.remove(&dst);
-                        }
-                    }
+                Instr::Move { src, .. } => env.get(&src).copied(),
+                Instr::Un { op, a, .. } => env.get(&a).and_then(|&va| scalar::unary(op, va)),
+                Instr::Bin { op, a, b, .. } => match (env.get(&a), env.get(&b)) {
+                    (Some(&va), Some(&vb)) => scalar::binary(op, va, vb),
+                    _ => None,
+                },
+                Instr::Cast { src, ref to, .. } => {
+                    env.get(&src).and_then(|&vs| scalar::convert(vs, to))
                 }
-                Instr::Un { dst, op, a } => {
-                    let (dst, op, a) = (*dst, *op, *a);
-                    if let Some(c) = env.get(&a).copied().and_then(|va| fold_un(op, va)) {
-                        *instr = Instr::Const { dst, v: c };
-                        env.insert(dst, c);
-                        stats.folded += 1;
-                        continue;
-                    }
+                _ => None,
+            };
+            let Some(dst) = instr.def() else { continue };
+            match folded {
+                Some(v) => {
+                    *instr = Instr::Const { dst, v };
+                    env.insert(dst, v);
+                    stats.folded += 1;
+                }
+                None => {
                     env.remove(&dst);
-                }
-                Instr::Bin { dst, op, a, b } => {
-                    let (dst, op, a, b) = (*dst, *op, *a, *b);
-                    if let (Some(va), Some(vb)) = (env.get(&a).copied(), env.get(&b).copied()) {
-                        if let Some(c) = fold_bin(op, va, vb) {
-                            *instr = Instr::Const { dst, v: c };
-                            env.insert(dst, c);
-                            stats.folded += 1;
-                            continue;
-                        }
-                    }
-                    env.remove(&dst);
-                }
-                Instr::Cast { dst, src, to } => {
-                    let (dst, src, to) = (*dst, *src, to.clone());
-                    if let Some(c) = env.get(&src).copied().and_then(|vs| fold_cast(vs, &to)) {
-                        *instr = Instr::Const { dst, v: c };
-                        env.insert(dst, c);
-                        stats.folded += 1;
-                        continue;
-                    }
-                    env.remove(&dst);
-                }
-                other => {
-                    if let Some(d) = other.def() {
-                        env.remove(&d);
-                    }
                 }
             }
         }
@@ -130,96 +105,6 @@ fn fold_constants(f: &mut Function, stats: &mut OptStats) {
             }
         }
     }
-}
-
-fn fold_un(op: UnKind, a: Const) -> Option<Const> {
-    Some(match (op, a) {
-        (UnKind::Neg, Const::Int(x)) => Const::Int(x.wrapping_neg()),
-        (UnKind::Neg, Const::Long(x)) => Const::Long(x.wrapping_neg()),
-        (UnKind::Neg, Const::Double(x)) => Const::Double(-x),
-        (UnKind::Not, Const::Bool(b)) => Const::Bool(!b),
-        _ => return None,
-    })
-}
-
-fn fold_bin(op: BinKind, a: Const, b: Const) -> Option<Const> {
-    use BinKind::*;
-    Some(match (a, b) {
-        (Const::Int(x), Const::Int(y)) => match op {
-            Add => Const::Int(x.wrapping_add(y)),
-            Sub => Const::Int(x.wrapping_sub(y)),
-            Mul => Const::Int(x.wrapping_mul(y)),
-            Div if y != 0 => Const::Int(x.wrapping_div(y)),
-            Rem if y != 0 => Const::Int(x.wrapping_rem(y)),
-            Eq => Const::Bool(x == y),
-            Ne => Const::Bool(x != y),
-            Lt => Const::Bool(x < y),
-            Le => Const::Bool(x <= y),
-            Gt => Const::Bool(x > y),
-            Ge => Const::Bool(x >= y),
-            BitAnd => Const::Int(x & y),
-            BitOr => Const::Int(x | y),
-            BitXor => Const::Int(x ^ y),
-            Shl => Const::Int(x.wrapping_shl(y as u32 & 31)),
-            Shr => Const::Int(x.wrapping_shr(y as u32 & 31)),
-            _ => return None,
-        },
-        (Const::Long(x), Const::Long(y)) => match op {
-            Add => Const::Long(x.wrapping_add(y)),
-            Sub => Const::Long(x.wrapping_sub(y)),
-            Mul => Const::Long(x.wrapping_mul(y)),
-            Div if y != 0 => Const::Long(x.wrapping_div(y)),
-            Rem if y != 0 => Const::Long(x.wrapping_rem(y)),
-            Eq => Const::Bool(x == y),
-            Ne => Const::Bool(x != y),
-            Lt => Const::Bool(x < y),
-            Le => Const::Bool(x <= y),
-            Gt => Const::Bool(x > y),
-            Ge => Const::Bool(x >= y),
-            BitAnd => Const::Long(x & y),
-            BitOr => Const::Long(x | y),
-            BitXor => Const::Long(x ^ y),
-            Shl => Const::Long(x.wrapping_shl(y as u32 & 63)),
-            Shr => Const::Long(x.wrapping_shr(y as u32 & 63)),
-            _ => return None,
-        },
-        (Const::Double(x), Const::Double(y)) => match op {
-            Add => Const::Double(x + y),
-            Sub => Const::Double(x - y),
-            Mul => Const::Double(x * y),
-            Div => Const::Double(x / y),
-            Rem => Const::Double(x % y),
-            Eq => Const::Bool(x == y),
-            Ne => Const::Bool(x != y),
-            Lt => Const::Bool(x < y),
-            Le => Const::Bool(x <= y),
-            Gt => Const::Bool(x > y),
-            Ge => Const::Bool(x >= y),
-            _ => return None,
-        },
-        (Const::Bool(x), Const::Bool(y)) => match op {
-            Eq => Const::Bool(x == y),
-            Ne => Const::Bool(x != y),
-            _ => return None,
-        },
-        _ => return None,
-    })
-}
-
-fn fold_cast(v: Const, to: &crate::classes::Ty) -> Option<Const> {
-    use crate::classes::Ty;
-    Some(match (v, to) {
-        (Const::Int(x), Ty::Long) => Const::Long(x as i64),
-        (Const::Int(x), Ty::Double) => Const::Double(x as f64),
-        (Const::Int(x), Ty::Int) => Const::Int(x),
-        (Const::Long(x), Ty::Int) => Const::Int(x as i32),
-        (Const::Long(x), Ty::Double) => Const::Double(x as f64),
-        (Const::Long(x), Ty::Long) => Const::Long(x),
-        (Const::Double(x), Ty::Int) => Const::Int(x as i32),
-        (Const::Double(x), Ty::Long) => Const::Long(x as i64),
-        (Const::Double(x), Ty::Double) => Const::Double(x),
-        _ => return None,
-    })
 }
 
 /// Drop blocks unreachable from the entry (their instructions vanish; the

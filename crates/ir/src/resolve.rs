@@ -246,26 +246,6 @@ impl Resolver {
         Ok(())
     }
 
-    fn resolve_ty(&self, t: &AstTy, span: Span) -> Result<Ty, CompileError> {
-        Ok(match t {
-            AstTy::Void => Ty::Void,
-            AstTy::Bool => Ty::Bool,
-            AstTy::Int => Ty::Int,
-            AstTy::Long => Ty::Long,
-            AstTy::Double => Ty::Double,
-            AstTy::Str => Ty::Str,
-            AstTy::Object => Ty::Class(OBJECT_CLASS),
-            AstTy::Named(n) => {
-                let id = self
-                    .table
-                    .class_named(n)
-                    .ok_or_else(|| CompileError::new(span, format!("unknown type `{n}`")))?;
-                Ty::Class(id)
-            }
-            AstTy::Array(e) => self.resolve_ty(e, span)?.array_of(),
-        })
-    }
-
     fn declare_members(&mut self, ast: &AstProgram) -> Result<(), CompileError> {
         for (ci, c) in ast.classes.iter().enumerate() {
             let id = self.table.class_named(&c.name).unwrap();
@@ -276,7 +256,7 @@ impl Resolver {
                 if seen.insert(f.name.clone(), ()).is_some() {
                     return Err(CompileError::new(f.span, format!("duplicate field `{}`", f.name)));
                 }
-                let ty = self.resolve_ty(&f.ty, f.span)?;
+                let ty = self.table.resolve_ty(&f.ty, f.span)?;
                 if ty == Ty::Void {
                     return Err(CompileError::new(f.span, "fields cannot have type void"));
                 }
@@ -322,9 +302,9 @@ impl Resolver {
                 let params = m
                     .params
                     .iter()
-                    .map(|(t, _)| self.resolve_ty(t, m.span))
+                    .map(|(t, _)| self.table.resolve_ty(t, m.span))
                     .collect::<Result<Vec<_>, _>>()?;
-                let ret = self.resolve_ty(&m.ret, m.span)?;
+                let ret = self.table.resolve_ty(&m.ret, m.span)?;
                 let mid = self.add_method(
                     id,
                     &m.name,

@@ -10,6 +10,7 @@
 
 use crate::cfg::*;
 use crate::classes::Ty;
+use crate::scalar;
 
 /// A phi node: `dst = phi [(pred_block, value), ...]`.
 #[derive(Debug, Clone)]
@@ -235,7 +236,6 @@ pub fn build_ssa(f: &Function) -> SsaFunction {
     struct Renamer<'a> {
         f: &'a Function,
         dom: &'a Dominators,
-        preds: Vec<Vec<BlockId>>,
         stacks: Vec<Vec<Reg>>,
         var_tys: Vec<Ty>,
         orig_of: Vec<Reg>,
@@ -402,7 +402,6 @@ pub fn build_ssa(f: &Function) -> SsaFunction {
     let mut ren = Renamer {
         f,
         dom: &dom,
-        preds: f.preds(),
         stacks: vec![Vec::new(); n_orig],
         var_tys: Vec::new(),
         orig_of: Vec::new(),
@@ -424,24 +423,11 @@ pub fn build_ssa(f: &Function) -> SsaFunction {
             let sv = ren.fresh(orig);
             ren.stacks[v].push(sv);
             // Materialize as a Const default at function entry.
-            let c = match f.reg_ty(orig) {
-                Ty::Bool => Const::Bool(false),
-                Ty::Int => Const::Int(0),
-                Ty::Long => Const::Long(0),
-                Ty::Double => Const::Double(0.0),
-                _ => Const::Null,
-            };
-            ren.out[f.entry.index()].instrs.push(Instr::Const { dst: sv, v: c });
+            let v = scalar::zero(f.reg_ty(orig));
+            ren.out[f.entry.index()].instrs.push(Instr::Const { dst: sv, v });
         }
     }
-    // Move the implicit defs in front of the real entry instructions.
-    ren.out[f.entry.index()].instrs.rotate_right(0); // placeholder (kept in order below)
-
-    // The implicit Const defs were appended to the entry block before the
-    // walk emits the real instructions after them — because `walk` pushes
-    // onto the same vec, ordering is: implicit defs first, then renamed
-    // entry instructions. That is exactly what we want.
-    let _ = &ren.preds;
+    // The walk appends the renamed entry instructions after these defs.
     ren.walk(f.entry, &phi_for);
 
     let ssa = SsaFunction {

@@ -144,15 +144,7 @@ pub fn call(
             let s = str_of(guard, argv[0])?;
             Ok(Value::Int(s.chars().count() as i32))
         }
-        StrHash => {
-            let s = str_of(guard, argv[0])?;
-            // Java's String.hashCode
-            let mut h: i32 = 0;
-            for c in s.chars() {
-                h = h.wrapping_mul(31).wrapping_add(c as i32);
-            }
-            Ok(Value::Int(h))
-        }
+        StrHash => Ok(Value::Int(string_hash(str_of(guard, argv[0])?))),
         StrEquals => {
             let a = str_of(guard, argv[0])?.to_string();
             let eq = match argv[1] {
@@ -220,8 +212,15 @@ fn next_rng(interp: &Interp, guard: &mut MutexGuard<'_, MachineState>, v: Value)
     }
 }
 
-/// splitmix64 — small, fast, good-enough PRNG for the workloads.
-fn splitmix64(state: &mut u64) -> u64 {
+/// Java's `String.hashCode`: what `Str.hashCode` returns, and how `serve`
+/// routes a URL, as the in-language master does.
+pub(crate) fn string_hash(s: &str) -> i32 {
+    s.chars().fold(0i32, |h, c| h.wrapping_mul(31).wrapping_add(c as i32))
+}
+
+/// splitmix64 — small, fast, good-enough PRNG for the workloads and for
+/// `serve`'s arrival schedule.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -222,9 +222,7 @@ mod tests {
     /// Run `src` on two machines: how many drain threads each started, and
     /// the outcome. `finish` has joined every one of them.
     fn run(src: &str) -> ([usize; 2], RunOutcome) {
-        let module = corm_ir::compile_frontend(src).unwrap();
-        let analysis = corm_analysis::analyze_module(&module, Default::default());
-        let plans = corm_codegen::generate_plans(&module, &analysis, corm_codegen::OptConfig::ALL);
+        let (module, _, plans) = corm_codegen::compile(src, corm_codegen::OptConfig::ALL).unwrap();
         let opts = RunOptions { timeline_interval_us: 0, ..Default::default() };
         let c = Cluster::start(Arc::new(module), Arc::new(plans), &opts);
         assert_eq!(c.run_clinits(), None);

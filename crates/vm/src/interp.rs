@@ -15,12 +15,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use corm_heap::{ObjBody, Value};
+use corm_ir::scalar::{self, compare, double_arith, int_arith, long_arith};
 use corm_ir::{BinKind, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Ty, UnKind};
 use parking_lot::MutexGuard;
 
 use crate::builtins;
 use crate::error::{VmError, VmResult};
-use crate::link::{CallArgs, Linked, Op};
+use crate::link::{scalar_of, value_of, CallArgs, Linked, Op};
 use crate::machine::{MachineShared, MachineState};
 use crate::reply::Waiter;
 use crate::rmi;
@@ -313,14 +314,15 @@ impl Interp {
                 }
             }};
         }
-        // A numeric conversion on its static type, the tagged cast otherwise.
+        // A numeric conversion; the tagged cast raises what it declines.
         macro_rules! convert {
-            ($dst:expr, $src:expr, $from:ident => $to:ident as $t:ty) => {
-                match reg!($src) {
-                    Value::$from(x) => reg!($dst) = Value::$to(x as $t),
-                    v => reg!($dst) = self.cast(guard, v, &Ty::$to)?,
-                }
-            };
+            ($dst:expr, $src:expr, $to:ident) => {{
+                let v = reg!($src);
+                reg!($dst) = match scalar_of(v).and_then(|a| scalar::convert(a, &Ty::$to)) {
+                    Some(c) => value_of(c),
+                    None => self.cast(guard, v, &Ty::$to)?,
+                };
+            }};
         }
         loop {
             let op = &lk.code[pc];
@@ -360,12 +362,12 @@ impl Interp {
                 Op::CmpDouble { dst, op, a, b } => {
                     typed!(dst, op, reg!(a), reg!(b), Double, compare => Bool)
                 }
-                Op::IntToLong { dst, src } => convert!(dst, src, Int => Long as i64),
-                Op::IntToDouble { dst, src } => convert!(dst, src, Int => Double as f64),
-                Op::LongToInt { dst, src } => convert!(dst, src, Long => Int as i32),
-                Op::LongToDouble { dst, src } => convert!(dst, src, Long => Double as f64),
-                Op::DoubleToInt { dst, src } => convert!(dst, src, Double => Int as i32),
-                Op::DoubleToLong { dst, src } => convert!(dst, src, Double => Long as i64),
+                Op::IntToLong { dst, src } => convert!(dst, src, Long),
+                Op::IntToDouble { dst, src } => convert!(dst, src, Double),
+                Op::LongToInt { dst, src } => convert!(dst, src, Int),
+                Op::LongToDouble { dst, src } => convert!(dst, src, Double),
+                Op::DoubleToInt { dst, src } => convert!(dst, src, Int),
+                Op::DoubleToLong { dst, src } => convert!(dst, src, Long),
                 Op::GetField { dst, obj, slot } => {
                     let r = self.localize(reg!(obj))?;
                     reg!(dst) = guard.heap.field(r, slot as usize).map_err(|e| self.err(e.0))?;
@@ -661,72 +663,47 @@ impl Interp {
     }
 
     fn unop(&self, op: UnKind, v: Value) -> VmResult<Value> {
-        Ok(match (op, v) {
-            (UnKind::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-            (UnKind::Neg, Value::Long(x)) => Value::Long(x.wrapping_neg()),
-            (UnKind::Neg, Value::Double(x)) => Value::Double(-x),
-            (UnKind::Not, Value::Bool(b)) => Value::Bool(!b),
-            (op, v) => return Err(self.err(format!("bad unary {op:?} on {v:?}"))),
-        })
+        let out = scalar_of(v).and_then(|a| scalar::unary(op, a));
+        out.map(value_of).ok_or_else(|| self.err(format!("bad unary {op:?} on {v:?}")))
     }
 
     /// The tagged binary operator: what every typed op falls back to.
     fn binop(&self, op: BinKind, a: Value, b: Value) -> VmResult<Value> {
-        use BinKind::*;
-        let division_by_zero = || self.err("division by zero");
+        use Value::{Bool, Double, Int, Long};
         // Numeric promotion (operands arrive same-typed from lowering,
         // but mixed Int/Long appear via compound-assign narrowing paths).
-        match (a, b) {
-            (Value::Int(x), Value::Int(y)) => match compare(op, x, y) {
-                Some(c) => Ok(Value::Bool(c)),
-                None => int_arith(op, x, y).map(Value::Int).ok_or_else(division_by_zero),
-            },
-            (Value::Long(_), _) | (_, Value::Long(_))
-                if matches!(a, Value::Long(_) | Value::Int(_))
-                    && matches!(b, Value::Long(_) | Value::Int(_)) =>
-            {
-                let (x, y) = (a.as_long(), b.as_long());
-                match compare(op, x, y) {
-                    Some(c) => Ok(Value::Bool(c)),
-                    None => long_arith(op, x, y).map(Value::Long).ok_or_else(division_by_zero),
-                }
+        let (x, y) = match (a, b) {
+            (Int(x), Int(y)) => (Const::Int(x), Const::Int(y)),
+            (Int(_) | Long(_), Int(_) | Long(_)) => {
+                (Const::Long(a.as_long()), Const::Long(b.as_long()))
             }
-            (Value::Double(_) | Value::Int(_) | Value::Long(_), Value::Double(_))
-            | (Value::Double(_), Value::Int(_) | Value::Long(_)) => {
-                let (x, y) = (a.as_double(), b.as_double());
-                match compare(op, x, y) {
-                    Some(c) => Ok(Value::Bool(c)),
-                    None => double_arith(op, x, y)
-                        .map(Value::Double)
-                        .ok_or_else(|| self.err(format!("bad double op {op:?}"))),
-                }
+            (Int(_) | Long(_) | Double(_), Int(_) | Long(_) | Double(_)) => {
+                (Const::Double(a.as_double()), Const::Double(b.as_double()))
             }
-            (Value::Bool(x), Value::Bool(y)) => match op {
-                Eq => Ok(Value::Bool(x == y)),
-                Ne => Ok(Value::Bool(x != y)),
-                other => Err(self.err(format!("bad boolean op {other:?}"))),
-            },
+            (Bool(x), Bool(y)) => (Const::Bool(x), Const::Bool(y)),
             // Reference identity.
-            (a, b) => match op {
-                Eq => Ok(Value::Bool(ref_eq(a, b))),
-                Ne => Ok(Value::Bool(!ref_eq(a, b))),
-                other => Err(self.err(format!("bad operands for {other:?}: {a:?}, {b:?}"))),
-            },
-        }
+            (a, b) => {
+                return match op {
+                    BinKind::Eq => Ok(Value::Bool(ref_eq(a, b))),
+                    BinKind::Ne => Ok(Value::Bool(!ref_eq(a, b))),
+                    other => Err(self.err(format!("bad operands for {other:?}: {a:?}, {b:?}"))),
+                }
+            }
+        };
+        scalar::binary(op, x, y).map(value_of).ok_or_else(|| {
+            self.err(match x {
+                Const::Double(_) => format!("bad double op {op:?}"),
+                Const::Bool(_) => format!("bad boolean op {op:?}"),
+                _ => "division by zero".to_string(),
+            })
+        })
     }
 
     fn cast(&self, guard: &MutexGuard<'_, MachineState>, v: Value, to: &Ty) -> VmResult<Value> {
+        if let Some(c) = scalar_of(v).and_then(|a| scalar::convert(a, to)) {
+            return Ok(value_of(c));
+        }
         Ok(match (v, to) {
-            // numeric conversions
-            (Value::Int(x), Ty::Int) => Value::Int(x),
-            (Value::Int(x), Ty::Long) => Value::Long(x as i64),
-            (Value::Int(x), Ty::Double) => Value::Double(x as f64),
-            (Value::Long(x), Ty::Int) => Value::Int(x as i32),
-            (Value::Long(x), Ty::Long) => Value::Long(x),
-            (Value::Long(x), Ty::Double) => Value::Double(x as f64),
-            (Value::Double(x), Ty::Int) => Value::Int(x as i32),
-            (Value::Double(x), Ty::Long) => Value::Long(x as i64),
-            (Value::Double(x), Ty::Double) => Value::Double(x),
             // reference casts
             (Value::Null, t) if t.is_ref() => Value::Null,
             (Value::Ref(r), Ty::Class(c)) => {
@@ -771,78 +748,6 @@ impl Interp {
             }
         })
     }
-}
-
-// ----- arithmetic, once ------------------------------------------------------
-//
-// `binop`'s same-typed arms and the typed ops call these; `None` is an operator
-// the helper does not compute, or a result the caller raises as an error.
-
-/// `x op y` for a comparison `op`.
-#[inline]
-fn compare<T: PartialOrd>(op: BinKind, x: T, y: T) -> Option<bool> {
-    use BinKind::*;
-    Some(match op {
-        Eq => x == y,
-        Ne => x != y,
-        Lt => x < y,
-        Le => x <= y,
-        Gt => x > y,
-        Ge => x >= y,
-        _ => return None,
-    })
-}
-
-/// `x op y` for an arithmetic or bitwise `op` on ints; `None` on division by zero.
-#[inline]
-fn int_arith(op: BinKind, x: i32, y: i32) -> Option<i32> {
-    use BinKind::*;
-    Some(match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
-        Div if y != 0 => x.wrapping_div(y),
-        Rem if y != 0 => x.wrapping_rem(y),
-        BitAnd => x & y,
-        BitOr => x | y,
-        BitXor => x ^ y,
-        Shl => x.wrapping_shl(y as u32 & 31),
-        Shr => x.wrapping_shr(y as u32 & 31),
-        Div | Rem | Eq | Ne | Lt | Le | Gt | Ge => return None,
-    })
-}
-
-/// `x op y` for an arithmetic or bitwise `op` on longs; `None` on division by zero.
-#[inline]
-fn long_arith(op: BinKind, x: i64, y: i64) -> Option<i64> {
-    use BinKind::*;
-    Some(match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
-        Div if y != 0 => x.wrapping_div(y),
-        Rem if y != 0 => x.wrapping_rem(y),
-        BitAnd => x & y,
-        BitOr => x | y,
-        BitXor => x ^ y,
-        Shl => x.wrapping_shl(y as u32 & 63),
-        Shr => x.wrapping_shr(y as u32 & 63),
-        Div | Rem | Eq | Ne | Lt | Le | Gt | Ge => return None,
-    })
-}
-
-/// `x op y` for an arithmetic `op` on doubles; `None` for a bitwise one.
-#[inline]
-fn double_arith(op: BinKind, x: f64, y: f64) -> Option<f64> {
-    use BinKind::*;
-    Some(match op {
-        Add => x + y,
-        Sub => x - y,
-        Mul => x * y,
-        Div => x / y,
-        Rem => x % y,
-        _ => return None,
-    })
 }
 
 fn ref_eq(a: Value, b: Value) -> bool {

@@ -246,6 +246,33 @@ pub(crate) fn link(module: &Module) -> Box<[Linked]> {
     module.funcs.iter().map(|f| link_function(module, f)).collect()
 }
 
+/// The value of a scalar constant. A string literal is an object of the
+/// machine's heap, made where it is run.
+#[inline]
+pub(crate) fn value_of(c: Const) -> Value {
+    match c {
+        Const::Null => Value::Null,
+        Const::Bool(b) => Value::Bool(b),
+        Const::Int(x) => Value::Int(x),
+        Const::Long(x) => Value::Long(x),
+        Const::Double(x) => Value::Double(x),
+        Const::Str(_) => unreachable!("a string literal is a heap object"),
+    }
+}
+
+/// The constant of a scalar value, what `corm_ir::scalar` computes on;
+/// `None` for a reference.
+#[inline]
+pub(crate) fn scalar_of(v: Value) -> Option<Const> {
+    Some(match v {
+        Value::Bool(b) => Const::Bool(b),
+        Value::Int(x) => Const::Int(x),
+        Value::Long(x) => Const::Long(x),
+        Value::Double(x) => Const::Double(x),
+        _ => return None,
+    })
+}
+
 fn comparison(op: BinKind) -> bool {
     use BinKind::*;
     matches!(op, Eq | Ne | Lt | Le | Gt | Ge)
@@ -389,14 +416,8 @@ impl Linker<'_> {
         let ty = |r: Reg| f.reg_ty(r);
         let other = || Op::Other(Box::new(instr.clone()));
         match *instr {
-            Instr::Const { dst, v } => match v {
-                Const::Null => Op::Const { dst, v: Value::Null },
-                Const::Bool(b) => Op::Const { dst, v: Value::Bool(b) },
-                Const::Int(x) => Op::Const { dst, v: Value::Int(x) },
-                Const::Long(x) => Op::Const { dst, v: Value::Long(x) },
-                Const::Double(x) => Op::Const { dst, v: Value::Double(x) },
-                Const::Str(_) => other(),
-            },
+            Instr::Const { v: Const::Str(_), .. } => other(),
+            Instr::Const { dst, v } => Op::Const { dst, v: value_of(v) },
             Instr::Move { dst, src } => Op::Move { dst, src },
             Instr::Un { dst, op, a } => Op::Un { dst, op, a },
             Instr::Bin { dst, op, a, b } => match (ty(a), ty(b), comparison(op)) {

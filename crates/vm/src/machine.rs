@@ -5,13 +5,14 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 
 use corm_heap::{GcReport, Heap, ObjRef, Value};
-use corm_ir::{CallSiteId, ClassId, ClassTable, Ty};
+use corm_ir::{scalar, CallSiteId, ClassId, ClassTable};
 use corm_wire::{DeserTable, SerCycleTable};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::drain::DrainRole;
 use crate::error::{VmError, VmResult};
 use crate::interp::Stack;
+use crate::link::value_of;
 use crate::reply::ReplyTable;
 
 /// A native blocking queue (`Queue` builtin).
@@ -76,7 +77,7 @@ impl MachineState {
         let mut defaults = vec![Value::Null; table.num_statics];
         for f in &table.fields {
             if let Some(sid) = f.static_id {
-                defaults[sid.index()] = zero_value(&f.ty);
+                defaults[sid.index()] = value_of(scalar::zero(&f.ty));
             }
         }
         defaults
@@ -108,7 +109,7 @@ impl MachineState {
         let layout = &table.class(class).layout;
         let obj = self.heap.alloc_obj(class, layout.len());
         for (slot, &fid) in layout.iter().enumerate() {
-            let v = zero_value(&table.field(fid).ty);
+            let v = value_of(scalar::zero(&table.field(fid).ty));
             // fresh objects always have valid slots
             self.heap.set_field(obj, slot, v).expect("fresh object slot");
         }
@@ -237,17 +238,6 @@ impl MachineShared {
         state.next_req = ((id as u64) << 48) + 1;
         let (pending, drain) = (ReplyTable::default(), DrainRole::default());
         MachineShared { id, state: Mutex::new(state), cv: Condvar::new(), pending, drain }
-    }
-}
-
-/// The zero/default value of a MiniParty type.
-pub fn zero_value(ty: &Ty) -> Value {
-    match ty {
-        Ty::Bool => Value::Bool(false),
-        Ty::Int => Value::Int(0),
-        Ty::Long => Value::Long(0),
-        Ty::Double => Value::Double(0.0),
-        _ => Value::Null,
     }
 }
 

@@ -27,6 +27,7 @@ use corm_ir::{CallSiteId, ClassId, MethodId, Module};
 use corm_obs::{FlightDump, HistSnapshot, Log2Histogram};
 use parking_lot::Mutex;
 
+use crate::builtins::{splitmix64, string_hash};
 use crate::error::{VmError, VmResult};
 use crate::interp::Interp;
 use crate::rmi;
@@ -59,14 +60,6 @@ pub struct ArrivalSchedule {
     pub rate_rps: f64,
     pub arrivals_us: Vec<u64>,
     pub pages: Vec<u32>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform in [0, 1) from the top 53 bits.
@@ -164,16 +157,6 @@ impl ServeReport {
     pub fn served_all(&self) -> bool {
         self.errors == 0 && self.misses == 0 && self.completed as usize == self.intended
     }
-}
-
-/// Java's `String.hashCode`, mirroring the `StrHash` builtin: the driver
-/// routes URLs exactly as the in-language master does.
-fn java_string_hash(s: &str) -> i32 {
-    let mut h: i32 = 0;
-    for c in s.chars() {
-        h = h.wrapping_mul(31).wrapping_add(c as i32);
-    }
-    h
 }
 
 /// Resolve the single call site whose plan invokes `method` — the
@@ -340,7 +323,7 @@ fn drive(
         let mut guard = machine0.state.lock();
         for pg in 0..NPAGES {
             let url = format!("/page/{pg}");
-            let mut route = java_string_hash(&url) % nslaves as i32;
+            let mut route = string_hash(&url) % nslaves as i32;
             if route < 0 {
                 route += nslaves as i32;
             }
@@ -529,15 +512,10 @@ mod tests {
     #[test]
     fn java_hash_matches_the_reference_values() {
         // Reference values from java.lang.String.hashCode.
-        assert_eq!(java_string_hash(""), 0);
-        assert_eq!(java_string_hash("a"), 97);
-        assert_eq!(java_string_hash("ab"), 97 * 31 + 98);
-        assert_eq!(java_string_hash("/page/0"), {
-            let mut h: i32 = 0;
-            for c in "/page/0".chars() {
-                h = h.wrapping_mul(31).wrapping_add(c as i32);
-            }
-            h
-        });
+        assert_eq!(string_hash(""), 0);
+        assert_eq!(string_hash("a"), 97);
+        assert_eq!(string_hash("ab"), 97 * 31 + 98);
+        assert_eq!(string_hash("/page/0"), 2062213535);
+        assert_eq!(string_hash("polygenelubricants"), i32::MIN); // wraps
     }
 }

@@ -1,10 +1,34 @@
-//! Differential testing of the interpreter's arithmetic semantics:
-//! pseudo-random expression trees are rendered to MiniParty, executed on
-//! the VM, and compared against a host-side evaluator implementing Java's
-//! `long` semantics (wrapping arithmetic, masked shifts).
+//! Differential testing of MiniParty's arithmetic semantics: pseudo-random
+//! expression trees are rendered to MiniParty, run on the VM, and compared
+//! against a host-side evaluator implementing Java's `long` semantics
+//! (wrapping arithmetic, masked shifts). The host evaluator shares no code
+//! with the compiler or the VM: it is the oracle.
+//!
+//! Each case runs twice. Once with its inputs as literals: the constant
+//! folder (`corm_ir::opt`) computes all of an expression at compile time
+//! except what lies past a `pick` call. Once with its inputs read by
+//! `Cluster.arg` at run time, which nothing can fold: the interpreter
+//! computes it. Both paths call `corm_ir::scalar`, and both must agree with
+//! the oracle.
 
 use corm::{compile_and_run, OptConfig, RunOptions};
 use proptest::prelude::*;
+
+/// Run `src` on one machine, `Cluster.arg(i)` reading `args[i]`: its output,
+/// or the error it raised.
+fn run(src: &str, args: &[i64]) -> Result<String, String> {
+    let opts = RunOptions { machines: 1, args: args.to_vec(), ..Default::default() };
+    let out = compile_and_run(src, OptConfig::CLASS, opts).map_err(|e| e.to_string())?;
+    match out.error {
+        Some(e) => Err(format!("{e:?}")),
+        None => Ok(out.output),
+    }
+}
+
+/// `main` with `body` as its body.
+fn main_with(body: &str) -> String {
+    format!("class M {{ static void main() {{ {body} }} }}")
+}
 
 #[derive(Debug, Clone)]
 enum E {
@@ -136,7 +160,7 @@ fn render_const(v: i64) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn long_arithmetic_matches_java_semantics(
@@ -144,58 +168,73 @@ proptest! {
         vars in [(-10_000i64..10_000), (-10_000i64..10_000), (-10_000i64..10_000)],
     ) {
         let expected = eval(&e, &vars);
-        let src = format!(
-            r#"
-            class M {{
-                static long pick(boolean c, long a, long b) {{
-                    if (c) {{ return a; }}
-                    return b;
+        let program = |inputs: [String; 3]| {
+            let [v0, v1, v2] = inputs;
+            format!(
+                r#"
+                class M {{
+                    static long pick(boolean c, long a, long b) {{
+                        if (c) {{ return a; }}
+                        return b;
+                    }}
+                    static void main() {{
+                        long v0 = {v0};
+                        long v1 = {v1};
+                        long v2 = {v2};
+                        long result = {};
+                        System.println(Str.fromLong(result));
+                    }}
                 }}
-                static void main() {{
-                    long v0 = {};
-                    long v1 = {};
-                    long v2 = {};
-                    long result = {};
-                    System.println(Str.fromLong(result));
-                }}
-            }}
-            "#,
-            render_const(vars[0]),
-            render_const(vars[1]),
-            render_const(vars[2]),
-            render(&e),
-        );
-        let out = compile_and_run(&src, OptConfig::CLASS, RunOptions { machines: 1, ..Default::default() })
-            .expect("compile failed");
-        prop_assert!(out.error.is_none(), "{:?}\n{src}", out.error);
-        prop_assert_eq!(out.output.trim(), expected.to_string(), "\nsource:\n{}", src);
+                "#,
+                render(&e),
+            )
+        };
+        let literal = program(vars.map(render_const));
+        let runtime = program([0, 1, 2].map(|i| format!("Cluster.arg({i})")));
+        for (src, args) in [(literal, &[][..]), (runtime, &vars[..])] {
+            let out = run(&src, args);
+            prop_assert_eq!(out.as_deref().map(str::trim), Ok(&*expected.to_string()), "\nsource:\n{}", src);
+        }
     }
 }
 
-/// Deterministic spot checks of Java-specific corner semantics.
+/// Deterministic spot checks of Java-specific corner semantics, on `int` and
+/// on `long`: each `a op b` once from literals, once from `Cluster.arg`.
 #[test]
 fn corner_semantics() {
-    let cases = [
-        // (expression, expected)
-        ("9223372036854775807 + 1", i64::MIN.to_string()), // wrap
-        ("(0 - 7) / 2", "-3".to_string()),                 // trunc toward zero
-        ("(0 - 7) % 2", "-1".to_string()),                 // sign of dividend
-        ("1 << 64", "1".to_string()),                      // masked shift
-        ("(0 - 8) >> 1", "-4".to_string()),                // arithmetic shift
-        ("5 / 2", "2".to_string()),
+    let cases: [(&str, i64, &str, i64, i64); 15] = [
+        // (type, a, op, b, expected)
+        ("long", i64::MAX, "+", 1, i64::MIN), // wrap
+        ("int", i32::MAX as i64, "+", 1, i32::MIN as i64),
+        ("long", i64::MIN, "-", 1, i64::MAX),
+        ("int", 65536, "*", 65536, 0),
+        ("long", -7, "/", 2, -3), // truncation toward zero
+        ("int", -7, "/", 2, -3),
+        ("long", -7, "%", 2, -1), // the sign of the dividend
+        ("int", -7, "%", 2, -1),
+        ("long", 1, "<<", 64, 1), // masked shift
+        ("long", 1, "<<", 33, 1 << 33),
+        ("int", 1, "<<", 33, 2),
+        ("int", 1, "<<", 32, 1),
+        ("long", -8, ">>", 1, -4), // arithmetic shift
+        ("int", -8, ">>", 33, -4),
+        ("long", 5, "/", 2, 2),
     ];
-    for (expr, expected) in cases {
-        let src = format!(
-            r#"class M {{ static void main() {{ long r = {expr}; System.println(Str.fromLong(r)); }} }}"#
-        );
-        let out = compile_and_run(
-            &src,
-            OptConfig::CLASS,
-            RunOptions { machines: 1, ..Default::default() },
-        )
-        .unwrap();
-        assert!(out.error.is_none(), "{expr}: {:?}", out.error);
-        assert_eq!(out.output.trim(), expected, "expr: {expr}");
+    for (ty, a, op, b, expected) in cases {
+        // A negative literal renders as `0 - n`; `MIN` as `MIN + 1 - 1`.
+        let lit = |v: i64| match v {
+            v if v >= 0 => format!("(({ty}) {v})"),
+            i64::MIN => format!("(0 - ({ty}) {} - 1)", i64::MAX),
+            v => format!("(0 - ({ty}) {})", -v),
+        };
+        let read = |i: usize| format!("(({ty}) Cluster.arg({i}))");
+        for (x, y, args) in [(lit(a), lit(b), vec![]), (read(0), read(1), vec![a, b])] {
+            let src = main_with(&format!(
+                "{ty} a = {x}; {ty} b = {y}; {ty} r = a {op} b; System.println(Str.fromLong(r));"
+            ));
+            let out = run(&src, &args);
+            assert_eq!(out.as_deref().map(str::trim), Ok(&*expected.to_string()), "{src}");
+        }
     }
 }
 
@@ -213,35 +252,35 @@ fn double_semantics() {
             }
         }
     "#;
-    let out =
-        compile_and_run(src, OptConfig::CLASS, RunOptions { machines: 1, ..Default::default() })
-            .unwrap();
-    assert!(out.error.is_none(), "{:?}", out.error);
-    assert_eq!(out.output, format!("inf\nnan\n{}\n", 0.1f64 + 0.2f64));
+    assert_eq!(run(src, &[]), Ok(format!("inf\nnan\n{}\n", 0.1f64 + 0.2f64)));
 }
 
-/// Int (32-bit) narrowing casts.
+/// Int (32-bit) narrowing casts and int wrap, once from literals, once from
+/// `Cluster.arg`.
 #[test]
 fn int_narrowing() {
-    let src = r#"
-        class M {
-            static void main() {
-                long big = 4294967296 + 5; // 2^32 + 5
-                int narrowed = (int) big;
-                System.println(Str.fromLong(narrowed));
-                int wrap = 2147483647;
-                wrap += 1;
-                System.println(Str.fromLong(wrap));
-                double d = 3.99;
-                System.println(Str.fromLong((int) d));
-                double neg = 0.0 - 3.99;
-                System.println(Str.fromLong((int) neg));
-            }
-        }
-    "#;
-    let out =
-        compile_and_run(src, OptConfig::CLASS, RunOptions { machines: 1, ..Default::default() })
-            .unwrap();
-    assert!(out.error.is_none(), "{:?}", out.error);
-    assert_eq!(out.output, "5\n-2147483648\n3\n-3\n");
+    let args = [4294967296, i32::MAX as i64, 399];
+    let literals = ["4294967296", "2147483647", "3.99"];
+    let reads = ["Cluster.arg(0)", "(int) Cluster.arg(1)", "(double) Cluster.arg(2) / 100.0"];
+    for (inputs, args) in [(literals, &[][..]), (reads, &args[..])] {
+        let [big, max, d] = inputs;
+        let src = main_with(&format!(
+            r#"
+            long big = {big} + 5; // 2^32 + 5
+            int narrowed = (int) big;
+            System.println(Str.fromLong(narrowed));
+            int wrap = {max};
+            wrap += 1;
+            System.println(Str.fromLong(wrap));
+            double d = {d};
+            System.println(Str.fromLong((int) d));
+            double neg = 0.0 - d;
+            System.println(Str.fromLong((int) neg));
+            long far = (long) (d * 1e30);
+            System.println(Str.fromLong(far));
+            "#
+        ));
+        let out = run(&src, args);
+        assert_eq!(out.as_deref(), Ok("5\n-2147483648\n3\n-3\n9223372036854775807\n"), "{src}");
+    }
 }
