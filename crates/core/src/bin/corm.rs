@@ -23,7 +23,7 @@ fn usage() -> ! {
   corm analyze <file.mp> [--config CFG]             analysis report + marshalers
   corm ir <file.mp>                                 lowered IR + SSA dump
   corm graph <file.mp>                              points-to heap graph
-  corm fuzz [--seed N|0xHEX] [--iters N] [--shrink] [--out DIR] [--loss-rate R] [--emit-corpus DIR]
+  corm fuzz [--seed N|0xHEX] [--iters N] [--shrink] [--out DIR] [--loss-rate R]
   corm serve [SHARED] [--rate RPS[,RPS...]] [--requests N] [--seed N] [--clients N] [--slo-us N]
   corm top   [SHARED] [--rate RPS] [--seconds S] [--seed N] [--clients N] [--refresh-ms MS]
 
@@ -89,14 +89,6 @@ fn parse_config(s: &str) -> Option<OptConfig> {
     Some(cfg)
 }
 
-/// Seeds read naturally in hex (`0xFA11`) or decimal.
-fn parse_seed(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
 /// The value of the flag at `argv[*i]`, or the usage exit.
 fn value<'a>(argv: &'a [String], i: &mut usize) -> &'a str {
     *i += 1;
@@ -157,7 +149,9 @@ impl Common {
                 "--machines" => c.machines = parsed(argv, &mut i),
                 "--transport" => c.transport = parsed(argv, &mut i),
                 "--loss-seed" => {
-                    seed = Some(parse_seed(value(argv, &mut i)).unwrap_or_else(|| usage()))
+                    seed = Some(
+                        corm_fuzz::cli::parse_u64(value(argv, &mut i)).unwrap_or_else(|_| usage()),
+                    )
                 }
                 "--loss-rate" => rate = Some(parsed(argv, &mut i)),
                 "--metrics" => c.metrics = true,
@@ -172,11 +166,8 @@ impl Common {
                 eprintln!("--loss-seed/--loss-rate need --transport lossy");
                 usage();
             }
-            let seed = seed.unwrap_or(LossSpec::default().seed);
-            c.loss = Some(match rate {
-                Some(r) => LossSpec::seeded(seed, r),
-                None => LossSpec { seed, ..LossSpec::default() },
-            });
+            let d = LossSpec::default();
+            c.loss = Some(LossSpec::seeded(seed.unwrap_or(d.seed), rate.unwrap_or(d.rate)));
         }
         (c, rest)
     }

@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! corm fuzz [--seed 0xC0DE] [--iters 200] [--shrink] [--out DIR] [--loss-rate 0.25]
-//! corm fuzz --emit-corpus DIR
 //! ```
 //!
 //! Exit code 0 when every iteration passes the differential oracle;
 //! 1 on the first failure (the failing program — shrunk when `--shrink`
-//! is given — is written to `--out`, default `fuzz-artifacts/`).
+//! is given — is written to `--out`, default `fuzz-artifacts/`). A
+//! failing program copied into `tests/corpus/` joins the regression corpus.
 
 use std::path::PathBuf;
 
-use crate::corpus::corpus;
 use crate::gen::{gen_spec, iter_rng};
 use crate::oracle::{check_spec_with_loss, OracleOutcome};
 use crate::shrink::shrink;
@@ -22,18 +21,18 @@ struct Cli {
     iters: u64,
     do_shrink: bool,
     out: PathBuf,
-    emit_corpus: Option<PathBuf>,
     /// Drop/duplicate rate for the oracle's lossy-transport rows; the
     /// fault plan is seeded from `--seed` so a failing iteration is
     /// replayable. `None` keeps the backend's default plan.
     loss_rate: Option<f64>,
 }
 
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let r = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
+/// A number in hex (`0xC0DE`) or decimal — how seeds read naturally; the
+/// `corm` driver's `--loss-seed` parses with it too.
+pub fn parse_u64(s: &str) -> Result<u64, String> {
+    let r = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     };
     r.map_err(|_| format!("invalid number: {s}"))
 }
@@ -44,7 +43,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         iters: 100,
         do_shrink: false,
         out: PathBuf::from("fuzz-artifacts"),
-        emit_corpus: None,
         loss_rate: None,
     };
     let mut it = args.iter();
@@ -55,7 +53,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--iters" => cli.iters = parse_u64(val()?)?,
             "--shrink" => cli.do_shrink = true,
             "--out" => cli.out = PathBuf::from(val()?),
-            "--emit-corpus" => cli.emit_corpus = Some(PathBuf::from(val()?)),
             "--loss-rate" => {
                 let v = val()?;
                 let rate: f64 = v.parse().map_err(|_| format!("invalid rate: {v}"))?;
@@ -71,7 +68,8 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
-const USAGE: &str = "usage: corm fuzz [--seed N|0xHEX] [--iters N] [--shrink] [--out DIR] [--loss-rate F]\n       corm fuzz --emit-corpus DIR";
+const USAGE: &str =
+    "usage: corm fuzz [--seed N|0xHEX] [--iters N] [--shrink] [--out DIR] [--loss-rate F]";
 
 fn write_artifact(dir: &PathBuf, name: &str, contents: &str) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -81,29 +79,13 @@ fn write_artifact(dir: &PathBuf, name: &str, contents: &str) -> std::io::Result<
 }
 
 /// Comment block with the per-site provenance digests of `src` — makes
-/// corpus entries and failure artifacts self-explaining: the analysis
-/// decisions the program exercises ride along with it.
+/// failure artifacts (and so corpus entries) self-explaining: the
+/// analysis decisions the program exercises ride along with it.
 fn provenance_comment(src: &str) -> String {
     crate::oracle::site_provenance_digests(src)
         .iter()
         .map(|l| format!("// provenance: {l}\n"))
         .collect()
-}
-
-fn emit_corpus(dir: &PathBuf) -> i32 {
-    for (name, desc, spec) in corpus() {
-        let src = spec.render();
-        let body =
-            format!("// corm-fuzz corpus: {name} — {desc}\n{}{src}", provenance_comment(&src));
-        match write_artifact(dir, &format!("{name}.mp"), &body) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error writing {name}: {e}");
-                return 1;
-            }
-        }
-    }
-    0
 }
 
 /// Run the fuzz loop. Returns the process exit code.
@@ -115,15 +97,11 @@ pub fn fuzz_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if let Some(dir) = &cli.emit_corpus {
-        return emit_corpus(dir);
-    }
-
     let loss = cli.loss_rate.map(|rate| corm_net::LossSpec::seeded(cli.seed, rate));
     if let Some(spec) = &loss {
         println!(
             "[corm fuzz] lossy rows use seeded fault plan: rate {}, seed {:#x}",
-            spec.drop_rate, spec.seed
+            spec.rate, spec.seed
         );
     }
     let mut totals = OracleOutcome::default();

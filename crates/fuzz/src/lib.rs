@@ -21,11 +21,10 @@
 //! that claims reuse-safety has its cached graph poisoned between calls.
 //!
 //! Failing programs are minimized by the delta-debugging shrinker in
-//! [`shrink`](mod@shrink) and written out as committable `.mp` regression cases
-//! (see `tests/corpus/`).
+//! [`shrink`](mod@shrink) and written out as `.mp` programs; one copied
+//! into `tests/corpus/` replays there as a regression case.
 
 pub mod cli;
-pub mod corpus;
 pub mod gen;
 pub mod oracle;
 pub mod rng;

@@ -80,16 +80,12 @@ fn compile(src: &str, config: OptConfig) -> Result<(Arc<Module>, Arc<Plans>), St
 }
 
 /// One digest line per remote call site, in site order — what oracle
-/// failures and fuzz artifacts embed so the offending site's analysis
+/// failures, fuzz artifacts and corpus files embed so a site's analysis
 /// decisions travel with the report.
-fn provenance_lines(plans: &Plans) -> String {
+fn site_digests(plans: &Plans) -> Vec<String> {
     let mut sites: Vec<_> = plans.sites.values().collect();
     sites.sort_by_key(|p| p.site);
-    sites
-        .iter()
-        .map(|p| format!("  site {}: {}", p.site.0, p.provenance.digest()))
-        .collect::<Vec<_>>()
-        .join("\n")
+    sites.iter().map(|p| format!("site {}: {}", p.site.0, p.provenance.digest())).collect()
 }
 
 /// Per-site provenance digests of `src` under the full optimization
@@ -98,11 +94,7 @@ fn provenance_lines(plans: &Plans) -> String {
 /// lines; compile errors degrade to a single explanatory line.
 pub fn site_provenance_digests(src: &str) -> Vec<String> {
     match compile(src, OptConfig::ALL) {
-        Ok((_, plans)) => {
-            let mut sites: Vec<_> = plans.sites.values().collect();
-            sites.sort_by_key(|p| p.site);
-            sites.iter().map(|p| format!("site {}: {}", p.site.0, p.provenance.digest())).collect()
-        }
+        Ok((_, plans)) => site_digests(&plans),
         Err(e) => vec![format!("provenance unavailable (compile failed): {e}")],
     }
 }
@@ -148,7 +140,8 @@ pub fn check_source_with_loss(
         // Every failure report names the analysis decisions behind the
         // plans that produced the disagreement.
         let with_prov = |detail: String| {
-            format!("{detail}\nanalysis provenance ({label}):\n{}", provenance_lines(&plans))
+            let sites: Vec<_> = site_digests(&plans).iter().map(|l| format!("  {l}")).collect();
+            format!("{detail}\nanalysis provenance ({label}):\n{}", sites.join("\n"))
         };
 
         let mut transport_runs: Vec<(TransportKind, RunOutcome)> = Vec::new();

@@ -1,7 +1,7 @@
 //! Deterministic splitmix64 RNG — no external crates, stable across
 //! platforms, so a seed printed in CI reproduces the exact program.
 
-/// Splitmix64 (Steele, Lea & Flood; the JDK `SplittableRandom` mixer).
+/// [`corm_vm::builtins::splitmix64`] as a stream.
 #[derive(Debug, Clone)]
 pub struct SplitMix(u64);
 
@@ -11,11 +11,7 @@ impl SplitMix {
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        corm_vm::builtins::splitmix64(&mut self.0)
     }
 
     /// Uniform in `0..n` (`n > 0`). Modulo bias is irrelevant for fuzzing.

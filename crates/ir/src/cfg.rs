@@ -197,6 +197,17 @@ pub enum Terminator {
     Ret(Option<Reg>),
 }
 
+impl Terminator {
+    /// The blocks control may pass to — of a lowered or an SSA block alike.
+    pub fn succs(&self) -> Vec<BlockId> {
+        match self {
+            Terminator::Jump(t) => vec![*t],
+            Terminator::Branch { t, f, .. } => vec![*t, *f],
+            Terminator::Ret(_) => vec![],
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 pub struct Block {
     pub instrs: Vec<Instr>,
@@ -236,11 +247,7 @@ impl Function {
 
     /// Successor blocks of `b`.
     pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
-        match &self.block(b).term {
-            Terminator::Jump(t) => vec![*t],
-            Terminator::Branch { t, f, .. } => vec![*t, *f],
-            Terminator::Ret(_) => vec![],
-        }
+        self.block(b).term.succs()
     }
 
     /// Predecessor map for all blocks.

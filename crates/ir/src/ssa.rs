@@ -47,11 +47,7 @@ impl SsaFunction {
     }
 
     pub fn succs(&self, b: BlockId) -> Vec<BlockId> {
-        match &self.block(b).term {
-            Terminator::Jump(t) => vec![*t],
-            Terminator::Branch { t, f, .. } => vec![*t, *f],
-            Terminator::Ret(_) => vec![],
-        }
+        self.block(b).term.succs()
     }
 
     /// Check the single-definition invariant; returns the offending SSA

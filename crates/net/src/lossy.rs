@@ -52,50 +52,42 @@ use crate::transport::Transport;
 
 /// The seeded loss model: what the shim does to each datagram copy.
 /// Link-level faults, beside the VM's `FaultSpec` (which kills a machine).
+/// The reorder rate (0.25) and the link's timing (30 µs propagation, up
+/// to 150 µs reorder jitter, a 2 ms retransmit timeout backing off to
+/// 50 ms) are fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossSpec {
     /// Seed for the per-datagram fault hash.
     pub seed: u64,
-    /// Probability a datagram copy is dropped in flight.
-    pub drop_rate: f64,
-    /// Probability an accepted copy is delivered twice.
-    pub dup_rate: f64,
-    /// Probability a copy gets extra (reordering) delay on top of the
-    /// base propagation delay.
-    pub reorder_rate: f64,
-    /// Base one-way propagation delay, µs.
-    pub delay_us: u64,
-    /// Maximum extra delay for reordered copies, µs.
-    pub jitter_us: u64,
-    /// Initial retransmission timeout, µs.
-    pub rto_us: u64,
-    /// Cap for the exponential retransmission backoff, µs.
-    pub max_rto_us: u64,
+    /// Probability a datagram copy is dropped in flight, and,
+    /// independently, that an accepted copy is delivered twice.
+    pub rate: f64,
 }
 
 impl Default for LossSpec {
     fn default() -> LossSpec {
-        LossSpec {
-            seed: 0x5EED,
-            drop_rate: 0.05,
-            dup_rate: 0.05,
-            reorder_rate: 0.25,
-            delay_us: 30,
-            jitter_us: 150,
-            rto_us: 2_000,
-            max_rto_us: 50_000,
-        }
+        LossSpec { seed: 0x5EED, rate: 0.05 }
     }
 }
 
 impl LossSpec {
-    /// The CLI's `--loss-seed S --loss-rate R` shorthand: drop and
-    /// duplicate each with probability `R`, keep the default reorder
-    /// rate and timing.
+    /// The CLI's `--loss-seed S --loss-rate R`.
     pub fn seeded(seed: u64, rate: f64) -> LossSpec {
-        LossSpec { seed, drop_rate: rate, dup_rate: rate, ..LossSpec::default() }
+        LossSpec { seed, rate }
     }
 }
+
+/// Probability a copy gets extra (reordering) delay on top of the base
+/// propagation delay.
+const REORDER_RATE: f64 = 0.25;
+/// Base one-way propagation delay, µs.
+const DELAY_US: u64 = 30;
+/// Maximum extra delay for reordered copies, µs.
+const JITTER_US: u64 = 150;
+/// Initial retransmission timeout, µs.
+const RTO_US: u64 = 2_000;
+/// Cap for the exponential retransmission backoff, µs.
+const MAX_RTO_US: u64 = 50_000;
 
 /// After this many dropped transmission attempts of one datagram the
 /// shim delivers unconditionally, bounding the worst-case retransmit
@@ -353,22 +345,22 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
                            exempt: bool| {
         let now = Instant::now();
         let delay_of = |salt_attempt: u32| {
-            let mut us = spec.delay_us;
+            let mut us = DELAY_US;
             if !exempt
-                && decide(spec.seed, from, to, seq, salt_attempt, SALT_REORDER) < spec.reorder_rate
+                && decide(spec.seed, from, to, seq, salt_attempt, SALT_REORDER) < REORDER_RATE
             {
                 let frac = decide(spec.seed, from, to, seq, salt_attempt, SALT_JITTER);
-                us += (spec.jitter_us as f64 * frac) as u64;
+                us += (JITTER_US as f64 * frac) as u64;
             }
             Duration::from_micros(us)
         };
         let dropped = !exempt
             && attempt <= FORCE_DELIVER_AFTER
-            && decide(spec.seed, from, to, seq, attempt, SALT_DROP) < spec.drop_rate;
+            && decide(spec.seed, from, to, seq, attempt, SALT_DROP) < spec.rate;
         if !dropped {
             let copy = || Item::Data { from, to, seq, body: body.to_vec(), req, exempt };
             push(heap, tick, now + delay_of(attempt), copy());
-            if !exempt && decide(spec.seed, from, to, seq, attempt, SALT_DUP) < spec.dup_rate {
+            if !exempt && decide(spec.seed, from, to, seq, attempt, SALT_DUP) < spec.rate {
                 // The duplicate takes an independently-jittered path
                 // (salted with the attempt's complement) so it can land
                 // before or after the primary.
@@ -394,12 +386,12 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
                     rx.acks_sent += 1;
                     let ack_dropped = !exempt
                         && decide(spec.seed, from, to, seq, rx.acks_sent as u32, SALT_ACK_DROP)
-                            < spec.drop_rate;
+                            < spec.rate;
                     if !ack_dropped {
                         push(
                             &mut heap,
                             &mut tick,
-                            now + Duration::from_micros(spec.delay_us),
+                            now + Duration::from_micros(DELAY_US),
                             Item::Ack { from: to, to: from, seq },
                         );
                     }
@@ -436,7 +428,7 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
                     schedule_copies(
                         &mut heap, &mut tick, from, to, seq, attempt, &body, req, exempt,
                     );
-                    let next_rto = (rto_us * 2).min(spec.max_rto_us);
+                    let next_rto = (rto_us * 2).min(MAX_RTO_US);
                     push(
                         &mut heap,
                         &mut tick,
@@ -465,8 +457,8 @@ fn fabric_loop(shared: Arc<Shared>, events: mpsc::Receiver<Event>) {
                 push(
                     &mut heap,
                     &mut tick,
-                    Instant::now() + Duration::from_micros(spec.rto_us),
-                    Item::RetxCheck { from, to, seq, attempt: 1, rto_us: spec.rto_us },
+                    Instant::now() + Duration::from_micros(RTO_US),
+                    Item::RetxCheck { from, to, seq, attempt: 1, rto_us: RTO_US },
                 );
                 schedule_copies(&mut heap, &mut tick, from, to, seq, 1, &body, req, exempt);
             }
@@ -535,20 +527,9 @@ mod tests {
         got
     }
 
-    fn fast() -> LossSpec {
-        LossSpec {
-            delay_us: 20,
-            jitter_us: 100,
-            rto_us: 500,
-            max_rto_us: 5_000,
-            ..LossSpec::default()
-        }
-    }
-
     #[test]
     fn at_most_once_is_exactly_once_in_order_under_heavy_faults() {
-        let spec = LossSpec { drop_rate: 0.3, dup_rate: 0.3, reorder_rate: 0.5, ..fast() };
-        let (mailboxes, t) = fabric(2, spec);
+        let (mailboxes, t) = fabric(2, LossSpec::seeded(0x5EED, 0.3));
         const N: u64 = 200;
         for i in 0..N {
             t.deliver(0, 1, reply(i));
@@ -586,8 +567,7 @@ mod tests {
 
     #[test]
     fn shutdown_packet_is_sequenced_and_never_lost() {
-        let spec = LossSpec { drop_rate: 0.3, dup_rate: 0.3, reorder_rate: 0.5, ..fast() };
-        let (mailboxes, t) = fabric(2, spec);
+        let (mailboxes, t) = fabric(2, LossSpec::seeded(0x5EED, 0.3));
         for i in 0..50u64 {
             t.deliver(0, 1, reply(i));
         }
@@ -605,11 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn seeded_spec_sets_both_rates_and_keeps_the_default_timing() {
-        let spec = LossSpec::seeded(42, 0.2);
-        assert_eq!(
-            spec,
-            LossSpec { seed: 42, drop_rate: 0.2, dup_rate: 0.2, ..LossSpec::default() }
-        );
+    fn seeded_sets_the_rate_over_the_default_plan() {
+        assert_eq!(LossSpec::seeded(42, 0.2), LossSpec { seed: 42, rate: 0.2 });
+        assert_eq!(LossSpec::default(), LossSpec { seed: 0x5EED, rate: 0.05 });
     }
 }

@@ -8,7 +8,7 @@
 //! [`Packet::wire_bytes`] before the backend is invoked, so byte
 //! counters are identical across backends by construction.
 
-use corm_wire::WireError;
+use corm_wire::{MessageReader, WireError};
 
 /// A network packet. Payloads are serialized messages produced by
 /// corm-codegen; the transport treats them as opaque bytes.
@@ -193,83 +193,47 @@ impl Packet {
     }
 
     /// Decode a frame body produced by [`Packet::encode_body`]. Returns
-    /// the packet and the sender's timestamp.
+    /// the packet and the sender's timestamp. Every failure — a short
+    /// field, an unknown tag, trailing bytes — names its byte offset.
     pub fn decode_body(buf: &[u8]) -> Result<(Packet, u64), WireError> {
-        let mut r = Cursor { buf, pos: 0 };
-        let ts_ns = r.u64()?;
-        let packet = match r.u8()? {
-            TAG_REQUEST => {
-                let req_id = r.u64()?;
-                let from = r.u16()?;
-                let site = r.u32()?;
-                let target_obj = r.u32()?;
-                let oneway = r.u8()? != 0;
-                let payload = r.bytes()?;
-                Packet::Request { req_id, from, site, target_obj, payload, oneway }
-            }
-            TAG_REPLY => {
-                let req_id = r.u64()?;
-                let err = if r.u8()? != 0 {
-                    let raw = r.bytes()?;
-                    Some(String::from_utf8_lossy(&raw).into_owned())
+        let mut r = MessageReader::new(buf);
+        let ts_ns = r.read_u64()?;
+        // Struct fields are evaluated in the order written: wire order.
+        let packet = match r.read_u8()? {
+            TAG_REQUEST => Packet::Request {
+                req_id: r.read_u64()?,
+                from: r.read_u16()?,
+                site: r.read_u32()?,
+                target_obj: r.read_u32()?,
+                oneway: r.read_bool()?,
+                payload: r.read_bytes()?.to_vec(),
+            },
+            TAG_REPLY => Packet::Reply {
+                req_id: r.read_u64()?,
+                err: if r.read_bool()? {
+                    Some(String::from_utf8_lossy(r.read_bytes()?).into_owned())
                 } else {
                     None
-                };
-                let payload = r.bytes()?;
-                Packet::Reply { req_id, payload, err }
-            }
-            TAG_NEW_REMOTE => {
-                let req_id = r.u64()?;
-                let from = r.u16()?;
-                let class = r.u32()?;
-                Packet::NewRemote { req_id, from, class }
-            }
+                },
+                payload: r.read_bytes()?.to_vec(),
+            },
+            TAG_NEW_REMOTE => Packet::NewRemote {
+                req_id: r.read_u64()?,
+                from: r.read_u16()?,
+                class: r.read_u32()?,
+            },
             TAG_SHUTDOWN => Packet::Shutdown,
-            TAG_PEER_GONE => Packet::PeerGone { peer: r.u16()? },
-            t => return Err(WireError(format!("unknown packet tag {t}"))),
+            TAG_PEER_GONE => Packet::PeerGone { peer: r.read_u16()? },
+            t => return Err(WireError(format!("unknown packet tag {t} at byte {}", r.pos() - 1))),
         };
-        if r.pos != buf.len() {
-            return Err(WireError(format!("{} trailing bytes after packet", buf.len() - r.pos)));
+        if !r.is_exhausted() {
+            return Err(WireError(format!(
+                "{} trailing bytes after packet at byte {}",
+                r.remaining(),
+                r.pos()
+            )));
         }
         Ok((packet, ts_ns))
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| WireError("length overflow".into()))?;
-        if end > self.buf.len() {
-            return Err(WireError("truncated packet".into()));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
     }
 }
 
@@ -318,6 +282,25 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Packet::decode_body(&[]).is_err());
         assert!(Packet::decode_body(&[0; 9]).is_err()); // truncated request
+
+        // A short frame fails at the offset of the field it cuts: the
+        // request's payload starts at byte 32, the reply's (after its
+        // 5-byte error text) at byte 31.
+        let request = Packet::Request {
+            req_id: 1,
+            from: 2,
+            site: 3,
+            target_obj: 4,
+            payload: vec![7; 5],
+            oneway: false,
+        };
+        let body = request.encode_body(0).unwrap();
+        let err = Packet::decode_body(&body[..body.len() - 2]).unwrap_err();
+        assert_eq!(err.0, "underflow at byte 32/35: need 5 bytes, have 3");
+        let reply = Packet::Reply { req_id: 5, payload: vec![9; 100], err: Some("kaput".into()) };
+        let body = reply.encode_body(0).unwrap();
+        let err = Packet::decode_body(&body[..body.len() - 1]).unwrap_err();
+        assert_eq!(err.0, "underflow at byte 31/130: need 100 bytes, have 99");
         let mut body = Packet::Shutdown.encode_body(0).unwrap();
         body[8] = 99; // unknown tag
         assert!(Packet::decode_body(&body).is_err());

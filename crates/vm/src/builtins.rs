@@ -218,9 +218,10 @@ pub(crate) fn string_hash(s: &str) -> i32 {
     s.chars().fold(0i32, |h, c| h.wrapping_mul(31).wrapping_add(c as i32))
 }
 
-/// splitmix64 — small, fast, good-enough PRNG for the workloads and for
-/// `serve`'s arrival schedule.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64 (Steele, Lea & Flood; the JDK `SplittableRandom` mixer) —
+/// small, fast, good-enough PRNG for the workloads, for `serve`'s arrival
+/// schedule and for the fuzzer's program generator.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -217,6 +217,11 @@ impl<'a> MessageReader<'a> {
     }
 
     #[inline]
+    pub fn read_u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+
+    #[inline]
     pub fn read_i32(&mut self) -> Result<i32, WireError> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -224,6 +229,11 @@ impl<'a> MessageReader<'a> {
     #[inline]
     pub fn read_u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+
+    #[inline]
+    pub fn read_u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     #[inline]
@@ -236,9 +246,15 @@ impl<'a> MessageReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn read_str(&mut self) -> Result<String, WireError> {
+    /// A `u32` length, then that many bytes, borrowed from the buffer.
+    #[inline]
+    pub fn read_bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.read_u32()? as usize;
-        let bytes = self.take(n)?;
+        self.take(n)
+    }
+
+    pub fn read_str(&mut self) -> Result<String, WireError> {
+        let bytes = self.read_bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError("invalid UTF-8".into()))
     }
 

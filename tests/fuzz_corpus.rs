@@ -2,36 +2,32 @@
 //! differential oracle as ordinary regression tests.
 //!
 //! Each file is a minimized program that once exposed (or guards against)
-//! a cross-config divergence; `corm fuzz --emit-corpus tests/corpus`
-//! regenerates the set from `corm_fuzz::corpus`.
+//! a cross-config divergence. The files are the corpus: it grows by
+//! copying a shrunk failing program from `corm fuzz --out DIR` here.
 
 use std::path::PathBuf;
 
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
-}
-
-#[test]
-fn corpus_is_committed_and_nonempty() {
-    let dir = corpus_dir();
-    let n = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "mp"))
-        .count();
-    assert!(n >= 10, "expected >= 10 corpus programs, found {n}");
-}
-
-#[test]
-fn corpus_passes_differential_oracle() {
-    let dir = corpus_dir();
+fn corpus_files() -> Vec<PathBuf> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("corpus dir")
+        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|x| x == "mp"))
         .collect();
     files.sort();
+    files
+}
+
+#[test]
+fn corpus_is_committed_and_nonempty() {
+    let n = corpus_files().len();
+    assert!(n >= 10, "expected >= 10 corpus programs, found {n}");
+}
+
+#[test]
+fn corpus_passes_differential_oracle() {
+    let files = corpus_files();
     assert!(!files.is_empty());
     for path in files {
         let src = std::fs::read_to_string(&path).expect("read corpus file");
@@ -42,24 +38,21 @@ fn corpus_passes_differential_oracle() {
 }
 
 #[test]
-fn emitted_corpus_matches_builtin_set() {
-    // The committed files must stay in sync with `corm_fuzz::corpus`.
-    for (name, _desc, spec) in corm_fuzz::corpus::corpus() {
-        let path = corpus_dir().join(format!("{name}.mp"));
-        let on_disk = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing corpus file {}: {e}", path.display()));
-        let rendered = spec.render();
-        assert!(
-            on_disk.contains(&rendered),
-            "{} drifted from corm_fuzz::corpus — regenerate with `corm fuzz --emit-corpus tests/corpus`",
-            path.display()
-        );
-        // Every committed entry is self-explaining: the analysis
-        // provenance digest of its call sites rides along as comments.
-        assert!(
-            on_disk.contains("// provenance: site "),
-            "{} lacks the provenance digest comment — regenerate with `corm fuzz --emit-corpus tests/corpus`",
-            path.display()
+fn corpus_provenance_comments_match_the_analysis() {
+    // Every committed entry is self-explaining: its `// provenance:`
+    // lines are the analysis verdicts of its call sites, as the compiler
+    // reaches them today. A verdict that moves must move here too.
+    for path in corpus_files() {
+        let src = std::fs::read_to_string(&path).expect("read corpus file");
+        let on_file: Vec<&str> =
+            src.lines().filter_map(|l| l.strip_prefix("// provenance: ")).collect();
+        let expected = corm_fuzz::oracle::site_provenance_digests(&src);
+        assert_eq!(
+            on_file,
+            expected,
+            "{}: provenance comments drifted from the analysis; expected:\n{}",
+            path.display(),
+            expected.iter().map(|l| format!("// provenance: {l}\n")).collect::<String>()
         );
     }
 }
