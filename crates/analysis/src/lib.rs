@@ -32,6 +32,6 @@ pub mod summary;
 
 pub use graph::{HeapGraph, HeapNode, NodeId, NodeSet};
 pub use points_to::{analyze_points_to, PointsTo};
-pub use provenance::{Decision, SiteProvenance};
+pub use provenance::{Decision, Finding, SiteProvenance};
 pub use shape::{PrimKind, SerNode};
 pub use summary::{analyze_module, AnalysisOptions, AnalysisResult, RemoteSiteInfo};

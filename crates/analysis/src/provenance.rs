@@ -11,31 +11,47 @@
 //! chain blocking reuse) that a human can check against the heap graph
 //! dump.
 //!
-//! The analysis stores fact-level decisions (`may_cycle`, `reusable`)
-//! in [`crate::RemoteSiteInfo::provenance`]; corm-codegen rewrites them
-//! into the *applied* verdicts (`cycle_table_elided`, `reuse_enabled`,
-//! …) for the configuration it generates plans for.
+//! The analyses return one [`Finding`] per verdict, which
+//! [`crate::RemoteSiteInfo`] keeps; corm-codegen builds from the findings
+//! the *applied* [`Decision`]s (`cycle_table_elided`, `reuse_enabled`, …)
+//! of the configuration it generates plans for.
 
 use std::fmt;
 
-/// One recorded analysis (or codegen) decision for one aspect of a
-/// remote call site.
+/// One analysis verdict: whether the property holds (the graph may cycle;
+/// the graph is reusable), the rule that decided it, and the evidence.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    pub holds: bool,
+    /// The rule that fired (e.g. `revisit`, `nonfresh-element-store`,
+    /// `escapes-static-store`, `no-escape`, `void-return`).
+    pub rule: &'static str,
+    /// A heap path for a cycle risk, an escape chain for a blocked reuse, a
+    /// traversal summary for a negative result.
+    pub witness: String,
+}
+
+impl Finding {
+    pub fn new(holds: bool, rule: &'static str, witness: impl Into<String>) -> Finding {
+        Finding { holds, rule, witness: witness.into() }
+    }
+}
+
+/// The decision a marshal plan applies for one aspect of a remote call
+/// site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// Which aspect of the site this decides: `args.cycle`, `ret.cycle`,
     /// `arg1.reuse` … `argN.reuse` (1-based, matching the analysis
     /// report), or `ret.reuse`.
     pub aspect: String,
-    /// The claim. Fact level: `may_cycle` / `acyclic` / `reusable` /
-    /// `not_reusable`. Applied level (in a corm-codegen `MarshalPlan`):
     /// `cycle_table_kept` / `cycle_table_elided` / `reuse_enabled` /
     /// `reuse_disabled`.
     pub verdict: &'static str,
-    /// The rule that fired (e.g. `revisit`, `nonfresh-element-store`,
-    /// `escapes-static-store`, `no-escape`, `config-conservative`).
+    /// The [`Finding`]'s rule where the analysis decided, or the
+    /// configuration's (e.g. `config-conservative`).
     pub rule: &'static str,
-    /// Concrete evidence: a heap path for cycle claims, an escape chain
-    /// for reuse claims, a traversal summary for negative results.
+    /// The [`Finding`]'s witness, or why the configuration decided.
     pub witness: String,
 }
 
@@ -45,7 +61,7 @@ impl fmt::Display for Decision {
     }
 }
 
-/// Every decision recorded for one remote call site.
+/// Every decision a marshal plan applies at one remote call site.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteProvenance {
     pub decisions: Vec<Decision>,
@@ -89,13 +105,13 @@ mod tests {
             decisions: vec![
                 Decision {
                     aspect: "args.cycle".into(),
-                    verdict: "may_cycle",
+                    verdict: "cycle_table_kept",
                     rule: "revisit",
                     witness: "n3 reached twice".into(),
                 },
                 Decision {
                     aspect: "arg1.reuse".into(),
-                    verdict: "reusable",
+                    verdict: "reuse_enabled",
                     rule: "no-escape",
                     witness: "2 nodes, disjoint from escaping set".into(),
                 },
@@ -106,7 +122,10 @@ mod tests {
     #[test]
     fn digest_is_one_line() {
         let p = sample();
-        assert_eq!(p.digest(), "args.cycle=may_cycle(revisit); arg1.reuse=reusable(no-escape)");
+        assert_eq!(
+            p.digest(),
+            "args.cycle=cycle_table_kept(revisit); arg1.reuse=reuse_enabled(no-escape)"
+        );
         assert!(!p.digest().contains('\n'));
     }
 
@@ -116,7 +135,7 @@ mod tests {
         assert_eq!(p.find("args.cycle").unwrap().rule, "revisit");
         assert!(p.find("ret.cycle").is_none());
         let r = p.render("  ");
-        assert!(r.contains("  args.cycle: may_cycle [rule: revisit] — n3 reached twice"));
+        assert!(r.contains("  args.cycle: cycle_table_kept [rule: revisit] — n3 reached twice"));
         assert_eq!(r.lines().count(), 2);
     }
 }

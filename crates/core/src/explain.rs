@@ -2,13 +2,14 @@
 //! call site's marshal plan.
 //!
 //! The analyses record *why* they decided what they decided (a
-//! [`Decision`] per aspect: verdict, the rule that fired, and a witness
-//! such as the heap path proving a cycle risk or the escape chain
-//! blocking reuse). Codegen rewrites those facts into the verdicts a given
-//! [`OptConfig`] actually applies. This module turns the applied provenance
-//! into the human report behind `corm explain` and its `--json` machine
-//! form.
+//! [`Finding`] per verdict: whether it holds, the rule that fired, and a
+//! witness such as the heap path proving a cycle risk or the escape chain
+//! blocking reuse). Codegen builds from the findings the [`Decision`]s a
+//! given [`OptConfig`] actually applies. This module turns the applied
+//! provenance into the human report behind `corm explain` and its `--json`
+//! machine form.
 //!
+//! [`Finding`]: corm_analysis::Finding
 //! [`Decision`]: corm_analysis::Decision
 
 use std::fmt::Write;

@@ -43,7 +43,7 @@ use std::sync::Arc;
 pub mod explain;
 
 pub use corm_analysis::{
-    AnalysisOptions, AnalysisResult, Decision, RemoteSiteInfo, SiteProvenance,
+    AnalysisOptions, AnalysisResult, Decision, Finding, RemoteSiteInfo, SiteProvenance,
 };
 pub use corm_codegen::AUDIT_ERROR_PREFIX;
 pub use corm_codegen::{describe_plan, EngineMode, MarshalPlan, OptConfig, Plans};

@@ -119,7 +119,8 @@ fn genuinely_cyclic_programs_keep_the_table() {
         .values()
         .find(|s| compiled.module.table.method(s.method).name == "probe")
         .unwrap();
-    assert!(site.args_may_cycle, "soundness: a real cycle must be detected");
+    assert!(site.args_cycle.holds, "soundness: a real cycle must be detected");
+    assert_eq!(site.args_cycle.rule, "revisit");
     let out = run(&compiled, RunOptions { machines: 2, ..Default::default() });
     assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.output, "2\n");
@@ -149,7 +150,8 @@ fn shared_argument_pairs_keep_the_table() {
         .values()
         .find(|s| compiled.module.table.method(s.method).name == "bar")
         .unwrap();
-    assert!(site.args_may_cycle, "Fig 8: aliased argument pair requires the table");
+    assert!(site.args_cycle.holds, "Fig 8: aliased argument pair requires the table");
+    assert_eq!(site.args_cycle.rule, "revisit");
     let out = run(&compiled, RunOptions { machines: 2, ..Default::default() });
     assert_eq!(out.output, "5\n", "sharing must survive the wire");
 }
@@ -185,7 +187,8 @@ fn reuse_disabled_when_callee_stores_argument() {
         .values()
         .find(|s| compiled.module.table.method(s.method).name == "keep")
         .expect("keep site");
-    assert!(!site.arg_reusable[0], "escaping argument must not be reuse-cached");
+    assert!(!site.arg_reuse[0].holds, "escaping argument must not be reuse-cached");
+    assert_eq!(site.arg_reuse[0].rule, "escapes-remote-field");
     let out = run(&compiled, RunOptions { machines: 2, ..Default::default() });
     assert_eq!(out.output, "2\n");
     assert_eq!(out.stats.reused_objs, 0);
@@ -321,13 +324,13 @@ fn superopt_program_sites_are_acyclic_only_after_the_cfg_optimizer() {
         let a = corm_analysis::analyze_module(m, Default::default());
         [25, 29, 31].map(|site| {
             let info = &a.sites[&CallSiteId(site)];
-            let d = info.provenance.find("args.cycle").expect("args.cycle decision");
-            (m.table.method(info.method).name.clone(), d.verdict, d.rule)
+            let f = &info.args_cycle;
+            (m.table.method(info.method).name.clone(), f.holds, f.rule)
         })
     };
-    let expect = |verdict, rule| {
-        ["configure", "submit", "submit"].map(|method| (method.to_string(), verdict, rule))
+    let expect = |holds, rule| {
+        ["configure", "submit", "submit"].map(|method| (method.to_string(), holds, rule))
     };
-    assert_eq!(verdicts(&optimized), expect("acyclic", "traversal-complete"));
-    assert_eq!(verdicts(&lowered), expect("may_cycle", "nonfresh-element-store"));
+    assert_eq!(verdicts(&optimized), expect(false, "traversal-complete"));
+    assert_eq!(verdicts(&lowered), expect(true, "nonfresh-element-store"));
 }
