@@ -11,9 +11,26 @@
 //! undefined (division by zero, `<` on booleans, a bitwise op on doubles,
 //! operands of different types). The folder leaves such an instruction for
 //! the interpreter, which raises it.
+//!
+//! [`mix`] is the `Rng` builtin's splitmix64 step; the rest of the workspace
+//! hashes and draws seeded streams with it too.
 
 use crate::cfg::{BinKind, Const, UnKind};
 use crate::classes::Ty;
+
+/// splitmix64's increment, the golden ratio in 64 bits.
+pub const GOLDEN_GAMMA: u64 = 0x9E3779B97F4A7C15;
+
+/// The splitmix64 finalizer (Steele, Lea & Flood; the JDK
+/// `SplittableRandom` mixer) of `z + GOLDEN_GAMMA`: the value a splitmix64
+/// stream in state `z` draws next.
+#[inline]
+pub fn mix(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
 
 /// What a field, a static or a register of type `ty` holds before anything
 /// is stored in it.

@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use corm_ir::scalar::mix;
 use corm_obs::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry};
 
 use crate::mesh::lock;
@@ -98,15 +99,8 @@ const FORCE_DELIVER_AFTER: u32 = 6;
 /// Idle park time of the fabric thread when nothing is scheduled.
 const IDLE: Duration = Duration::from_millis(50);
 
-/// splitmix64 finalizer: the per-datagram fault hash.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform [0,1) decision value for one (datagram copy, question).
+/// Uniform [0,1) decision value for one (datagram copy, question): the
+/// per-datagram fault hash.
 fn decide(seed: u64, from: u16, to: u16, seq: u64, attempt: u32, salt: u64) -> f64 {
     let link = ((from as u64) << 16) | to as u64;
     let h = mix(seed ^ mix(link) ^ mix(seq) ^ mix(attempt as u64) ^ mix(salt.wrapping_mul(0xA5)));

@@ -253,9 +253,14 @@ impl<'a> MessageReader<'a> {
         self.take(n)
     }
 
+    /// A [`read_bytes`](Self::read_bytes) body that must be UTF-8; the
+    /// error names the offset of the first invalid byte.
     pub fn read_str(&mut self) -> Result<String, WireError> {
         let bytes = self.read_bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError("invalid UTF-8".into()))
+        let (start, len) = (self.pos - bytes.len(), self.buf.len());
+        std::str::from_utf8(bytes).map(str::to_owned).map_err(|e| {
+            WireError(format!("invalid UTF-8 at byte {}/{len}", start + e.valid_up_to()))
+        })
     }
 
     pub fn read_f64_into(&mut self, out: &mut [f64]) -> Result<(), WireError> {
@@ -363,6 +368,13 @@ mod tests {
         m.write_u8(b'i');
         let err = m.reader().read_str().unwrap_err();
         assert_eq!(err.0, "underflow at byte 4/6: need 100 bytes, have 2");
+        // A whole body whose second byte is not UTF-8.
+        let mut m = Message::new();
+        m.write_u32(2);
+        m.write_u8(b'h');
+        m.write_u8(0xFF);
+        let err = m.reader().read_str().unwrap_err();
+        assert_eq!(err.0, "invalid UTF-8 at byte 5/6");
     }
 
     #[test]
