@@ -13,7 +13,6 @@
 //! counters touch [`corm_wire::RmiStats`] — the Tables 4/6/8 counters
 //! and the transport-equivalence contract are unchanged by pooling.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 
 use corm_obs::MachineMetrics;
@@ -37,53 +36,91 @@ pub const PER_KEY_CAP: usize = 4;
 #[derive(Default)]
 struct Entry {
     bufs: Vec<Vec<u8>>,
-    /// Allocations charged as working-set build-up. Stops growing at
-    /// [`PER_KEY_CAP`]: a miss past that point means buffers are being
-    /// lost faster than they return — the leak the alloc gate exists to
-    /// catch.
+    /// Allocations charged as working-set build-up, up to [`PER_KEY_CAP`]:
+    /// a miss past that point is a buffer lost — the leak the gate catches.
     allocated: usize,
 }
 
-/// One shard per machine, so checkouts never contend across machines
-/// (same sharding discipline as the metrics registry).
+impl Entry {
+    fn take(&mut self, hint: usize, metrics: &MachineMetrics) -> (Vec<u8>, bool) {
+        if let Some(buf) = self.bufs.pop() {
+            metrics.pool_hits.fetch_add(1, Relaxed);
+            metrics.pool_resident_bytes.fetch_sub(buf.capacity() as u64, Relaxed);
+            debug_assert!(buf.is_empty());
+            (buf, true)
+        } else {
+            metrics.pool_misses.fetch_add(1, Relaxed);
+            if self.allocated < PER_KEY_CAP {
+                self.allocated += 1;
+                metrics.pool_cold_misses.fetch_add(1, Relaxed);
+            }
+            (Vec::with_capacity(hint), false)
+        }
+    }
+
+    fn give(&mut self, mut buf: Vec<u8>, canary: bool, metrics: &MachineMetrics) {
+        if self.bufs.len() >= PER_KEY_CAP {
+            return;
+        }
+        if canary {
+            canary_fill(&mut buf);
+        } else {
+            buf.clear();
+        }
+        metrics.pool_resident_bytes.fetch_add(buf.capacity() as u64, Relaxed);
+        self.bufs.push(buf);
+    }
+}
+
+/// One machine's pool behind one lock: checkouts never contend across
+/// machines, and each operation locks once.
+#[derive(Default)]
 struct Shard {
-    slots: Mutex<HashMap<(u32, Lane), Entry>>,
-    /// Outstanding checkouts keyed by request id: request `r`'s buffer
-    /// was checked out under `ledger[r]`. With pipelined transports,
-    /// replies for one call site can arrive out of order relative to
-    /// other sites' checkouts on the same machine; resolving the
-    /// check-in key through the ledger (instead of trusting call-stack
-    /// attribution at completion time) guarantees every buffer returns
-    /// to the exact slot it left, no matter the completion order.
-    ledger: Mutex<HashMap<u64, (u32, Lane)>>,
+    /// `slots[site][lane]`. A site is the caller's own compile-time call
+    /// site, never a number read off the wire; the `Vec` grows the first
+    /// time a site is used.
+    slots: Vec<[Entry; 2]>,
+    /// Outstanding checkouts as `(request id, site, lane)`. Replies can
+    /// complete in any order; resolving the check-in key through the ledger
+    /// (instead of trusting call-stack attribution at completion time)
+    /// returns every buffer to the exact slot it left. It holds one entry
+    /// per VM thread with a call in flight, so it is searched linearly.
+    ledger: Vec<(u64, u32, Lane)>,
+}
+
+impl Shard {
+    fn entry(&mut self, site: u32, lane: Lane) -> &mut Entry {
+        if self.slots.len() <= site as usize {
+            self.slots.resize_with(site as usize + 1, Default::default);
+        }
+        &mut self.slots[site as usize][lane as usize]
+    }
+
+    /// Remove request `req_id`'s ledger entry and return its key.
+    fn settle(&mut self, req_id: u64, metrics: &MachineMetrics) -> Option<(u32, Lane)> {
+        let at = self.ledger.iter().position(|&(r, ..)| r == req_id)?;
+        let (_, site, lane) = self.ledger.swap_remove(at);
+        metrics.pool_outstanding.fetch_sub(1, Relaxed);
+        Some((site, lane))
+    }
 }
 
 pub struct BufferPool {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
     /// Canary-fill recycled buffers (tied to `RunOptions::audit`): spare
-    /// capacity is painted with [`corm_wire::CANARY_BYTE`] on check-in,
-    /// so a marshal that ever exposed recycled bytes would emit
-    /// deterministic sentinels instead of the previous call's payload.
+    /// capacity is painted with [`corm_wire::CANARY_BYTE`] on check-in, so
+    /// recycled bytes a marshal exposed would read as sentinels.
     canary: bool,
 }
 
 impl BufferPool {
     pub fn new(machines: usize, canary: bool) -> Self {
-        BufferPool {
-            shards: (0..machines)
-                .map(|_| Shard {
-                    slots: Mutex::new(HashMap::new()),
-                    ledger: Mutex::new(HashMap::new()),
-                })
-                .collect(),
-            canary,
-        }
+        BufferPool { shards: (0..machines).map(|_| Mutex::default()).collect(), canary }
     }
 
     /// Take a cleared buffer for `(site, lane)` on `machine`, allocating
-    /// `hint` bytes of capacity on a miss. Returns the buffer and
-    /// whether it was a pool hit (threaded into the flight recorder as
-    /// `FLAG_POOL_HIT`).
+    /// `hint` bytes of capacity on a miss. Returns the buffer and whether
+    /// it was a pool hit (the flight recorder's `FLAG_POOL_HIT`).
     pub fn checkout(
         &self,
         machine: u16,
@@ -92,53 +129,19 @@ impl BufferPool {
         hint: usize,
         metrics: &MachineMetrics,
     ) -> (Vec<u8>, bool) {
-        let mut slots = self.shards[machine as usize].slots.lock();
-        let e = slots.entry((site, lane)).or_default();
-        if let Some(buf) = e.bufs.pop() {
-            metrics.pool_hits.fetch_add(1, Relaxed);
-            metrics.pool_resident_bytes.fetch_sub(buf.capacity() as u64, Relaxed);
-            debug_assert!(buf.is_empty());
-            (buf, true)
-        } else {
-            metrics.pool_misses.fetch_add(1, Relaxed);
-            if e.allocated < PER_KEY_CAP {
-                e.allocated += 1;
-                metrics.pool_cold_misses.fetch_add(1, Relaxed);
-            }
-            (Vec::with_capacity(hint), false)
-        }
+        self.shards[machine as usize].lock().entry(site, lane).take(hint, metrics)
     }
 
     /// Check a buffer back in. The buffer is cleared (capacity kept); in
     /// canary mode its spare capacity is sentinel-painted first. Buffers
     /// beyond the per-key cap are dropped.
-    pub fn put(
-        &self,
-        machine: u16,
-        site: u32,
-        lane: Lane,
-        mut buf: Vec<u8>,
-        metrics: &MachineMetrics,
-    ) {
-        let mut slots = self.shards[machine as usize].slots.lock();
-        let e = slots.entry((site, lane)).or_default();
-        if e.bufs.len() >= PER_KEY_CAP {
-            return;
-        }
-        if self.canary {
-            canary_fill(&mut buf);
-        } else {
-            buf.clear();
-        }
-        metrics.pool_resident_bytes.fetch_add(buf.capacity() as u64, Relaxed);
-        e.bufs.push(buf);
+    pub fn put(&self, machine: u16, site: u32, lane: Lane, buf: Vec<u8>, metrics: &MachineMetrics) {
+        self.shards[machine as usize].lock().entry(site, lane).give(buf, self.canary, metrics);
     }
 
-    /// [`BufferPool::checkout`] for a buffer that will travel with
-    /// request `req_id` and come back with its reply: the (site, lane)
-    /// key is recorded in the per-machine ledger so the matching
-    /// [`BufferPool::put_for`] lands in the right slot even when
-    /// pipelined replies complete out of order.
+    /// [`BufferPool::checkout`] for a buffer that travels with request
+    /// `req_id` and comes back with its reply: the ledger records the key,
+    /// so the matching [`BufferPool::put_for`] lands in the right slot.
     pub fn checkout_for(
         &self,
         machine: u16,
@@ -148,38 +151,34 @@ impl BufferPool {
         hint: usize,
         metrics: &MachineMetrics,
     ) -> (Vec<u8>, bool) {
-        let out = self.checkout(machine, site, lane, hint, metrics);
-        if self.shards[machine as usize].ledger.lock().insert(req_id, (site, lane)).is_none() {
-            metrics.pool_outstanding.fetch_add(1, Relaxed);
-        }
+        let mut shard = self.shards[machine as usize].lock();
+        let out = shard.entry(site, lane).take(hint, metrics);
+        // A request id checked out again keeps one entry, under its latest key.
+        shard.settle(req_id, metrics);
+        shard.ledger.push((req_id, site, lane));
+        metrics.pool_outstanding.fetch_add(1, Relaxed);
         out
     }
 
-    /// Check request `req_id`'s buffer back in under the key its
-    /// checkout recorded, consuming the ledger entry. A buffer with no
-    /// ledger entry (a double check-in, or a checkout that never went
-    /// through [`BufferPool::checkout_for`]) is dropped rather than
-    /// guessed into some slot.
+    /// Check request `req_id`'s buffer back in under the key its checkout
+    /// recorded, consuming the ledger entry. A buffer with no entry (a
+    /// double check-in, or no [`BufferPool::checkout_for`]) is dropped.
     pub fn put_for(&self, machine: u16, req_id: u64, buf: Vec<u8>, metrics: &MachineMetrics) {
-        let key = self.shards[machine as usize].ledger.lock().remove(&req_id);
-        if let Some((site, lane)) = key {
-            metrics.pool_outstanding.fetch_sub(1, Relaxed);
-            self.put(machine, site, lane, buf, metrics);
+        let mut shard = self.shards[machine as usize].lock();
+        if let Some((site, lane)) = shard.settle(req_id, metrics) {
+            shard.entry(site, lane).give(buf, self.canary, metrics);
         }
     }
 
     /// Forget request `req_id`'s outstanding checkout: its buffer is
     /// lost (failed call, severed peer) and will never be checked in.
     pub fn abandon(&self, machine: u16, req_id: u64, metrics: &MachineMetrics) {
-        if self.shards[machine as usize].ledger.lock().remove(&req_id).is_some() {
-            metrics.pool_outstanding.fetch_sub(1, Relaxed);
-        }
+        self.shards[machine as usize].lock().settle(req_id, metrics);
     }
 
-    /// Outstanding request-keyed checkouts on `machine` (test hook: the
-    /// ledger must drain back to empty when every call completes).
+    /// Ledger entries on `machine`: 0 once every call has completed.
     pub fn outstanding(&self, machine: u16) -> usize {
-        self.shards[machine as usize].ledger.lock().len()
+        self.shards[machine as usize].lock().ledger.len()
     }
 }
 

@@ -1,7 +1,9 @@
 //! Offline shim for `crossbeam`: an unbounded MPMC channel with
 //! clonable senders *and* receivers, and crossbeam's disconnect
 //! semantics (`recv` errors once the queue is empty and every sender
-//! has been dropped).
+//! has been dropped). As in the real crate, a send or a disconnect
+//! wakes a receiver only when one is asleep in `recv`, so an uncontended
+//! send makes no futex call.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -11,6 +13,10 @@ pub mod channel {
     struct Inner<T> {
         items: VecDeque<T>,
         senders: usize,
+        /// Receivers asleep in `recv`. Changed only under the lock, so a
+        /// sender that sees 0 knows nobody can miss its item: a receiver
+        /// checks the queue under the same lock before it counts itself.
+        sleepers: usize,
     }
 
     struct Shared<T> {
@@ -47,7 +53,7 @@ pub mod channel {
 
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner { items: VecDeque::new(), senders: 1 }),
+            inner: Mutex::new(Inner { items: VecDeque::new(), senders: 1, sleepers: 0 }),
             cv: Condvar::new(),
         });
         (Sender(shared.clone()), Receiver(shared))
@@ -57,11 +63,14 @@ pub mod channel {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut inner = self.0.inner.lock().unwrap_or_else(|p| p.into_inner());
             inner.items.push_back(value);
+            let asleep = inner.sleepers > 0;
             drop(inner);
             // One item, one receiver: each checks the queue under the lock
             // before it sleeps, so a wake-up cannot be lost, and the rest
             // of an idle pool is not woken to find the queue empty again.
-            self.0.cv.notify_one();
+            if asleep {
+                self.0.cv.notify_one();
+            }
             Ok(())
         }
     }
@@ -77,9 +86,9 @@ pub mod channel {
         fn drop(&mut self) {
             let mut inner = self.0.inner.lock().unwrap_or_else(|p| p.into_inner());
             inner.senders -= 1;
-            let last = inner.senders == 0;
+            let wake = inner.senders == 0 && inner.sleepers > 0;
             drop(inner);
-            if last {
+            if wake {
                 // Wake blocked receivers so they observe the disconnect.
                 self.0.cv.notify_all();
             }
@@ -98,7 +107,9 @@ pub mod channel {
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.sleepers += 1;
                 inner = self.0.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
+                inner.sleepers -= 1;
             }
         }
 
@@ -197,6 +208,42 @@ pub mod channel {
             rest.sort_unstable();
             assert_eq!(rest, [2, 3, 4]);
             sleepers.into_iter().for_each(|t| t.join().unwrap());
+        }
+
+        /// How long a test waits for a result before it calls the wakeup
+        /// lost. A pass returns as soon as the result is there.
+        const LOST: std::time::Duration = std::time::Duration::from_secs(60);
+
+        #[test]
+        fn ping_pong_over_two_channels_loses_no_wakeup() {
+            const ROUNDS: u32 = 20_000;
+            let (ping_tx, ping_rx) = unbounded::<u32>();
+            let (pong_tx, pong_rx) = unbounded::<u32>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let echo = std::thread::spawn(move || {
+                while let Ok(v) = ping_rx.recv() {
+                    pong_tx.send(v + 1).unwrap();
+                }
+            });
+            std::thread::spawn(move || {
+                let mut v = 0;
+                for _ in 0..ROUNDS {
+                    ping_tx.send(v).unwrap();
+                    v = pong_rx.recv().unwrap();
+                }
+                done_tx.send(v).unwrap();
+            });
+            assert_eq!(done_rx.recv_timeout(LOST), Ok(ROUNDS), "a round trip lost its wakeup");
+            echo.join().unwrap();
+        }
+
+        #[test]
+        fn an_item_sent_before_recv_is_received() {
+            let (tx, rx) = unbounded::<u32>();
+            tx.send(9).unwrap();
+            let (got_tx, got_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || got_tx.send(rx.recv()).unwrap());
+            assert_eq!(got_rx.recv_timeout(LOST), Ok(Ok(9)));
         }
 
         #[test]

@@ -1,9 +1,11 @@
 //! Offline shim for `parking_lot`: `Mutex`, `MutexGuard` and `Condvar`
 //! over `std::sync`, with parking_lot's no-poisoning behavior (a
-//! panicked holder does not poison the lock for everyone else).
+//! panicked holder does not poison the lock for everyone else), and
+//! parking_lot's notify that makes no syscall when no thread waits.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
@@ -86,26 +88,41 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-pub struct Condvar(std::sync::Condvar);
+/// A condition variable that, like parking_lot's, makes no call into the
+/// OS when nobody waits: it counts the threads inside [`Condvar::wait`], and
+/// a notify with the count at 0 returns at once. No wakeup is lost as long
+/// as every notifier changes its condition under the mutex the waiters
+/// hold: a waiter counts itself before that mutex is released, so a
+/// notifier that locks it afterwards sees the count.
+pub struct Condvar {
+    cv: std::sync::Condvar,
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
+        Condvar { cv: std::sync::Condvar::new(), waiters: AtomicUsize::new(0) }
     }
 
     /// Block until notified, releasing `guard`'s lock while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard released");
-        let inner = self.0.wait(inner).unwrap_or_else(|p| p.into_inner());
+        self.waiters.fetch_add(1, Relaxed);
+        let inner = self.cv.wait(inner).unwrap_or_else(|p| p.into_inner());
+        self.waiters.fetch_sub(1, Relaxed);
         guard.inner = Some(inner);
     }
 
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Relaxed) > 0 {
+            self.cv.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Relaxed) > 0 {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -165,6 +182,37 @@ mod tests {
         }
         t.join().unwrap();
         assert!(*done);
+    }
+
+    /// Two threads take turns through one `Mutex<u32>`: each waits, in a
+    /// loop on the predicate, until the counter has its parity, then bumps
+    /// it and notifies. A lost wakeup stalls both, and the test fails at
+    /// the timeout instead of hanging the suite.
+    #[test]
+    fn ping_pong_with_predicate_loops_loses_no_wakeup() {
+        const ROUNDS: u32 = 20_000;
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for parity in 0..2 {
+            let (pair, done) = (pair.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                let (m, cv) = &*pair;
+                let mut n = m.lock();
+                while *n < 2 * ROUNDS {
+                    while *n % 2 != parity {
+                        cv.wait(&mut n);
+                    }
+                    *n += 1;
+                    cv.notify_one();
+                }
+                done.send(*n).unwrap();
+            });
+        }
+        let lost = std::time::Duration::from_secs(60);
+        for _ in 0..2 {
+            let n = done_rx.recv_timeout(lost).expect("a wakeup was lost");
+            assert!(n >= 2 * ROUNDS);
+        }
     }
 
     #[test]

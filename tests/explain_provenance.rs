@@ -148,6 +148,21 @@ fn explain_verdicts_agree_with_runtime_auditor() {
             }
         }
     }
+    // The apps' `revisit` sites are acyclic at run time; these two corpus
+    // programs send a graph that does cycle, so a cycle verdict that wrongly
+    // said "acyclic" elides a table the shadow table then catches.
+    for name in ["cyclic_list_echo", "self_loop_keep"] {
+        let path = format!("{}/../../tests/corpus/{name}.mp", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect("read corpus file");
+        let mut class_output = None; // `TABLE_ROWS` starts with `class`
+        for (cfg_name, cfg) in OptConfig::TABLE_ROWS {
+            let c = corm::compile(&src, cfg).expect("corpus program compiles");
+            let out = run(&c, RunOptions { machines: 2, audit: true, ..Default::default() });
+            assert!(out.error.is_none(), "{name} under {cfg_name}: {}", out.error.unwrap());
+            let class_output = class_output.get_or_insert_with(|| out.output.clone());
+            assert_eq!(&out.output, class_output, "{name} under {cfg_name}: output diverged");
+        }
+    }
 }
 
 /// Audit failures cross-link back to the compile-time decision: break the
