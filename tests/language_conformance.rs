@@ -376,3 +376,118 @@ fn spawned_local_thread_joins_before_exit() {
         "from thread\n",
     );
 }
+
+/// Classes every `front_end_errors_are_pinned` row may use; line 1 of each
+/// program, so a row's error sits on line 2.
+const ERROR_PRELUDE: &str = "class A { int x; static int s; A(int v) { } void f(int v) { } } \
+    remote class R { int x; R() { } }";
+
+/// The members of `M` beside `main`: an instance field and method, and a
+/// static method.
+const ERROR_MEMBERS: &str = "int k; void h() { } static void g() { }";
+
+/// Every error path of name, field, static and element resolution, of
+/// operator typing and of argument lowering, with its exact position and
+/// text: a row is the body of `M.main` and the error it must produce.
+#[test]
+fn front_end_errors_are_pinned() {
+    let rows: &[(&str, &str)] = &[
+        // names
+        ("int v = y;", "2:40: unknown variable `y`"),
+        ("y = 1;", "2:32: unknown variable `y`"),
+        ("int v = k;", "2:40: unknown variable `k`"),
+        // fields on a class, a primitive, String and an array
+        ("A a = new A(1); int v = a.z;", "2:57: no field `z` on `A`"),
+        ("A a = new A(1); a.z = 1;", "2:49: no field `z` on `A`"),
+        ("int i = 0; int v = i.z;", "2:52: no field `z` on int"),
+        ("int i = 0; i.z = 1;", "2:44: no field `z` on int"),
+        (r#"String t = "t"; int v = t.z;"#, "2:57: no field `z` on String"),
+        ("int[] a = new int[1]; int v = a.z;", "2:63: no field `z` on int[]"),
+        // remote fields, read and written
+        (
+            "R r = new R(); int v = r.x;",
+            "2:56: field access on remote objects is not allowed; use accessor methods",
+        ),
+        (
+            "R r = new R(); r.x = 1;",
+            "2:48: field access on remote objects is not allowed; use accessor methods",
+        ),
+        (
+            "R r = new R(); r.x++;",
+            "2:48: field access on remote objects is not allowed; use accessor methods",
+        ),
+        // `length` is read-only
+        ("int[] a = new int[1]; a.length = 1;", "2:55: no field `length` on int[]"),
+        ("int[] a = new int[1]; a.length++;", "2:55: no field `length` on int[]"),
+        ("int[] a = new int[1]; a.length += 1;", "2:55: no field `length` on int[]"),
+        // elements
+        ("int i = 0; int v = i[0];", "2:52: indexing a non-array"),
+        ("int i = 0; i[0] = 1;", "2:44: indexing a non-array"),
+        (
+            "int[] a = new int[1]; int v = a[1.5];",
+            "2:64: type mismatch: expected int, found double",
+        ),
+        ("int[] a = new int[1]; a[true] = 1;", "2:56: type mismatch: expected int, found boolean"),
+        // statics and class names
+        ("int v = A.t;", "2:41: no static field `t` on `A`"),
+        ("A.t = 1;", "2:33: no static field `t` on `A`"),
+        ("int v = Nope.t;", "2:40: unknown variable `Nope`"),
+        ("Nope.t = 1;", "2:32: unknown variable `Nope`"),
+        ("Object o = new Nope();", "2:43: unknown class `Nope`"),
+        ("Nope.g();", "2:32: unknown variable `Nope`"),
+        ("int A = 1; int v = A.s;", "2:52: no field `s` on int"),
+        ("A.nope();", "2:33: no method `nope` on `A`"),
+        ("M.h();", "2:33: `M.h` is an instance method"),
+        // arity and argument types
+        ("A a = new A();", "2:38: constructor expects 1 arguments, got 0"),
+        ("A a = new A(1, 2);", "2:38: constructor expects 1 arguments, got 2"),
+        ("A a = new A(1.5);", "2:44: type mismatch: expected int, found double"),
+        ("A a = new A(1); a.f();", "2:49: `f` expects 1 arguments, got 0"),
+        ("A a = new A(1); a.f(true);", "2:52: type mismatch: expected int, found boolean"),
+        ("g(1);", "2:32: `g` expects 0 arguments, got 1"),
+        ("M.g(1);", "2:33: `g` expects 0 arguments, got 1"),
+        (
+            r#"String t = "t"; int n = t.length(1);"#,
+            "2:57: `String.length` expects 0 arguments, got 1",
+        ),
+        (
+            r#"String t = "t"; int n = t.charAt();"#,
+            "2:57: `String.charAt` expects 1 arguments, got 0",
+        ),
+        (
+            r#"String t = "t"; int n = t.charAt(1.5);"#,
+            "2:65: type mismatch: expected int, found double",
+        ),
+        // operator typing
+        ("boolean b = true; int v = b + 1;", "2:60: arithmetic requires numeric operands"),
+        (r#"int v = 1 * "s";"#, "2:42: arithmetic requires numeric operands"),
+        ("boolean c = true < 1;", "2:49: comparison requires numeric operands"),
+        ("double d = 1.0; long v = d & 1;", "2:59: bitwise operators require integral operands"),
+        ("int v = 1 << 2.0;", "2:42: bitwise operators require integral operands"),
+        ("boolean c = 1 == true;", "2:46: incomparable operand types"),
+        (r#"boolean c = "s" != 1;"#, "2:48: incomparable operand types"),
+        ("boolean b = true; b += 1;", "2:52: compound assignment requires numeric operands"),
+        (r#"int i = 0; i -= "s";"#, "2:45: compound assignment requires numeric operands"),
+        ("boolean b = true; b++;", "2:51: ++/-- requires a numeric operand"),
+        ("int i = 0; (i + 1)++;", "2:46: invalid assignment target"),
+        ("boolean c = !1;", "2:44: `!` requires a boolean operand"),
+        ("int v = -true;", "2:40: negation requires a numeric operand"),
+        // a parse error inside a binary expression
+        ("int v = 1 + * 2;", "2:44: expected an expression, found Star"),
+        ("int v = 1 < 2 ||;", "2:48: expected an expression, found Semi"),
+    ];
+    let mut wrong = Vec::new();
+    for &(body, want) in rows {
+        let src = format!(
+            "{ERROR_PRELUDE}\nclass M {{ static void main() {{ {body} }} {ERROR_MEMBERS} }}"
+        );
+        let got = match corm::compile(&src, OptConfig::CLASS) {
+            Ok(_) => "compiles".to_string(),
+            Err(e) => e.to_string(),
+        };
+        if got != want {
+            wrong.push(format!("        ({body:?}, {got:?}),"));
+        }
+    }
+    assert!(wrong.is_empty(), "rows that differ, as they read now:\n{}", wrong.join("\n"));
+}
