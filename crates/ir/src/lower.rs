@@ -94,10 +94,10 @@ impl<'a> Lowerer<'a> {
             let name = format!("{}.<clinit>", ast_class.name);
             let fid = self.lower_synthetic(cid, &name, move |fb| {
                 for (field, init) in &static_inits {
-                    let fld = fb.lw.table.field(*field).clone();
+                    let place = fb.static_place(*field);
                     let (r, t) = fb.expr(init)?;
-                    let r = fb.coerce(r, &t, &fld.ty, init.span)?;
-                    fb.emit(Instr::SetStatic { sid: fld.static_id.unwrap(), val: r });
+                    let r = fb.coerce(r, &t, &place.ty(fb), init.span)?;
+                    fb.store_place(&place, r);
                 }
                 Ok(())
             })?;
@@ -356,14 +356,10 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         for (name, init) in inits {
             let this = self.this_reg(init.span)?;
             let fid = self.lw.table.find_instance_field(self.class, &name).unwrap();
-            let fld = self.lw.table.field(fid).clone();
+            let place = self.field_place(this, fid);
             let (v, vt) = self.expr(&init)?;
-            let v = self.coerce(v, &vt, &fld.ty, init.span)?;
-            self.emit(Instr::SetField {
-                obj: this,
-                field: FieldRef { field: fid, slot: fld.slot as u32 },
-                val: v,
-            });
+            let v = self.coerce(v, &vt, &place.ty(self), init.span)?;
+            self.store_place(&place, v);
         }
         Ok(())
     }
@@ -645,24 +641,14 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 let r = self.this_reg(e.span)?;
                 Ok((r, self.reg_ty(r)))
             }
-            ExprKind::Ident(name) => self.lower_ident(name, e.span),
+            ExprKind::Ident(_) | ExprKind::Field { .. } | ExprKind::Index { .. } => {
+                let place = self.lower_place(e, false)?;
+                Ok(self.load_place(&place))
+            }
             ExprKind::Unary(op, a) => self.lower_unary(*op, a, e.span),
             ExprKind::Binary(op, a, b) => self.lower_binary(*op, a, b, e.span),
             ExprKind::Assign { target, op, value } => self.lower_assign(target, *op, value, e.span),
             ExprKind::IncDec { target, inc, pre } => self.lower_incdec(target, *inc, *pre, e.span),
-            ExprKind::Field { obj, name } => self.lower_field_load(obj, name, e.span),
-            ExprKind::Index { arr, idx } => {
-                let (a, at) = self.expr(arr)?;
-                let elem = at
-                    .elem()
-                    .cloned()
-                    .ok_or_else(|| CompileError::new(e.span, "indexing a non-array"))?;
-                let (i, it) = self.expr(idx)?;
-                let i = self.coerce(i, &it, &Ty::Int, idx.span)?;
-                let dst = self.new_reg(elem.clone());
-                self.emit(Instr::ArrLoad { dst, arr: a, idx: i });
-                Ok((dst, elem))
-            }
             ExprKind::Call { recv, name, args } => {
                 match self.lower_call(recv.as_deref(), name, args, e.span, true, false)? {
                     Some(rt) => Ok(rt),
@@ -694,34 +680,6 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 self.lower_cast(r, &from, &to, e.span)
             }
         }
-    }
-
-    fn lower_ident(&mut self, name: &str, span: Span) -> Result<(Reg, Ty), CompileError> {
-        if let Some(r) = self.lookup(name) {
-            return Ok((r, self.reg_ty(r)));
-        }
-        // Implicit `this.field`
-        if !self.is_static {
-            if let Some(fid) = self.lw.table.find_instance_field(self.class, name) {
-                let fld = self.lw.table.field(fid).clone();
-                let this = self.this_reg(span)?;
-                let dst = self.new_reg(fld.ty.clone());
-                self.emit(Instr::GetField {
-                    dst,
-                    obj: this,
-                    field: FieldRef { field: fid, slot: fld.slot as u32 },
-                });
-                return Ok((dst, fld.ty));
-            }
-        }
-        // Static field of the enclosing class.
-        if let Some(fid) = self.lw.table.find_static_field(self.class, name) {
-            let fld = self.lw.table.field(fid).clone();
-            let dst = self.new_reg(fld.ty.clone());
-            self.emit(Instr::GetStatic { dst, sid: fld.static_id.unwrap() });
-            return Ok((dst, fld.ty));
-        }
-        Err(CompileError::new(span, format!("unknown variable `{name}`")))
     }
 
     fn lower_unary(&mut self, op: UnOp, a: &Expr, span: Span) -> Result<(Reg, Ty), CompileError> {
@@ -775,64 +733,53 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
 
         let (ra, ta) = self.expr(a)?;
         let (rb, tb) = self.expr(b)?;
-        let kind = bin_kind(op);
-
-        match op {
-            BinOp::Eq | BinOp::Ne => {
-                // Numeric comparison with unification, or reference identity.
-                if ta.is_numeric() && tb.is_numeric() {
-                    let common = unify_numeric(&ta, &tb);
-                    let ra = self.coerce(ra, &ta, &common, span)?;
-                    let rb = self.coerce(rb, &tb, &common, span)?;
-                    let dst = self.new_reg(Ty::Bool);
-                    self.emit(Instr::Bin { dst, op: kind, a: ra, b: rb });
-                    Ok((dst, Ty::Bool))
-                } else if (ta.is_ref() && tb.is_ref()) || (ta == Ty::Bool && tb == Ty::Bool) {
-                    let dst = self.new_reg(Ty::Bool);
-                    self.emit(Instr::Bin { dst, op: kind, a: ra, b: rb });
-                    Ok((dst, Ty::Bool))
-                } else {
-                    Err(CompileError::new(span, "incomparable operand types"))
-                }
-            }
+        let numeric = ta.is_numeric() && tb.is_numeric();
+        let integral = |t: &Ty| matches!(t, Ty::Int | Ty::Long);
+        let (ok, message) = match op {
+            BinOp::Eq | BinOp::Ne => (
+                numeric || (ta.is_ref() && tb.is_ref()) || (ta == Ty::Bool && tb == Ty::Bool),
+                "incomparable operand types",
+            ),
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                if !(ta.is_numeric() && tb.is_numeric()) {
-                    return Err(CompileError::new(span, "comparison requires numeric operands"));
-                }
-                let common = unify_numeric(&ta, &tb);
-                let ra = self.coerce(ra, &ta, &common, span)?;
-                let rb = self.coerce(rb, &tb, &common, span)?;
-                let dst = self.new_reg(Ty::Bool);
-                self.emit(Instr::Bin { dst, op: kind, a: ra, b: rb });
-                Ok((dst, Ty::Bool))
+                (numeric, "comparison requires numeric operands")
             }
             BinOp::Shl | BinOp::Shr | BinOp::BitAnd | BinOp::BitOr | BinOp::BitXor => {
-                if !matches!(ta, Ty::Int | Ty::Long) || !matches!(tb, Ty::Int | Ty::Long) {
-                    return Err(CompileError::new(
-                        span,
-                        "bitwise operators require integral operands",
-                    ));
-                }
-                let common = unify_numeric(&ta, &tb);
-                let ra = self.coerce(ra, &ta, &common, span)?;
-                let rb = self.coerce(rb, &tb, &common, span)?;
-                let dst = self.new_reg(common.clone());
-                self.emit(Instr::Bin { dst, op: kind, a: ra, b: rb });
-                Ok((dst, common))
+                (integral(&ta) && integral(&tb), "bitwise operators require integral operands")
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                if !(ta.is_numeric() && tb.is_numeric()) {
-                    return Err(CompileError::new(span, "arithmetic requires numeric operands"));
-                }
-                let common = unify_numeric(&ta, &tb);
-                let ra = self.coerce(ra, &ta, &common, span)?;
-                let rb = self.coerce(rb, &tb, &common, span)?;
-                let dst = self.new_reg(common.clone());
-                self.emit(Instr::Bin { dst, op: kind, a: ra, b: rb });
-                Ok((dst, common))
+                (numeric, "arithmetic requires numeric operands")
             }
             BinOp::And | BinOp::Or => unreachable!(),
+        };
+        if !ok {
+            return Err(CompileError::new(span, message));
         }
+        self.emit_bin(op, (ra, ta), (rb, tb), span)
+    }
+
+    /// Widen numeric operands to their common type and emit `op`. The
+    /// operands of `==`/`!=` may instead be two references or two booleans,
+    /// left as they are. A comparison yields `boolean`, the rest the common
+    /// type; the caller has checked the operand types.
+    fn emit_bin(
+        &mut self,
+        op: BinOp,
+        (a, ta): (Reg, Ty),
+        (b, tb): (Reg, Ty),
+        span: Span,
+    ) -> Result<(Reg, Ty), CompileError> {
+        let (a, b, common) = if ta.is_numeric() && tb.is_numeric() {
+            let common = unify_numeric(&ta, &tb);
+            (self.coerce(a, &ta, &common, span)?, self.coerce(b, &tb, &common, span)?, common)
+        } else {
+            (a, b, Ty::Bool)
+        };
+        let comparison =
+            matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge);
+        let ty = if comparison { Ty::Bool } else { common };
+        let dst = self.new_reg(ty.clone());
+        self.emit(Instr::Bin { dst, op: bin_kind(op), a, b });
+        Ok((dst, ty))
     }
 
     fn lower_assign(
@@ -842,25 +789,19 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         value: &Expr,
         span: Span,
     ) -> Result<(Reg, Ty), CompileError> {
-        let place = self.lower_place(target)?;
-        let cur = |fb: &mut Self, p: &Place| fb.load_place(p);
+        let place = self.lower_place(target, true)?;
         let (v, vt) = match op {
             None => self.expr(value)?,
             Some(bop) => {
-                let (old, oldt) = cur(self, &place);
+                let (old, oldt) = self.load_place(&place);
                 let (rv, rt) = self.expr(value)?;
-                let common = unify_numeric(&oldt, &rt);
                 if !(oldt.is_numeric() && rt.is_numeric()) {
                     return Err(CompileError::new(
                         span,
                         "compound assignment requires numeric operands",
                     ));
                 }
-                let a = self.coerce(old, &oldt, &common, span)?;
-                let b = self.coerce(rv, &rt, &common, span)?;
-                let dst = self.new_reg(common.clone());
-                self.emit(Instr::Bin { dst, op: bin_kind(bop), a, b });
-                (dst, common)
+                self.emit_bin(bop, (old, oldt), (rv, rt), span)?
             }
         };
         let target_ty = place.ty(self);
@@ -900,7 +841,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         pre: bool,
         span: Span,
     ) -> Result<(Reg, Ty), CompileError> {
-        let place = self.lower_place(target)?;
+        let place = self.lower_place(target, true)?;
         let (loaded, ty) = self.load_place(&place);
         if !matches!(ty, Ty::Int | Ty::Long | Ty::Double) {
             return Err(CompileError::new(span, "++/-- requires a numeric operand"));
@@ -958,63 +899,6 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         Ok((dst, to.clone()))
     }
 
-    fn lower_field_load(
-        &mut self,
-        obj: &Expr,
-        name: &str,
-        span: Span,
-    ) -> Result<(Reg, Ty), CompileError> {
-        // `ClassName.staticField`
-        if let ExprKind::Ident(cls_name) = &obj.kind {
-            if self.lookup(cls_name).is_none() {
-                if let Some(cid) = self.lw.table.class_named(cls_name) {
-                    let fid = self.lw.table.find_static_field(cid, name).ok_or_else(|| {
-                        CompileError::new(span, format!("no static field `{name}` on `{cls_name}`"))
-                    })?;
-                    let fld = self.lw.table.field(fid).clone();
-                    let dst = self.new_reg(fld.ty.clone());
-                    self.emit(Instr::GetStatic { dst, sid: fld.static_id.unwrap() });
-                    return Ok((dst, fld.ty));
-                }
-            }
-        }
-        let (o, ot) = self.expr(obj)?;
-        if name == "length" && ot.elem().is_some() {
-            let dst = self.new_reg(Ty::Int);
-            self.emit(Instr::ArrLen { dst, arr: o });
-            return Ok((dst, Ty::Int));
-        }
-        match &ot {
-            Ty::Class(c) => {
-                let cls = self.lw.table.class(*c);
-                if cls.is_remote && !matches!(obj.kind, ExprKind::This) {
-                    return Err(CompileError::new(
-                        span,
-                        "field access on remote objects is not allowed; use accessor methods",
-                    ));
-                }
-                let fid = self.lw.table.find_instance_field(*c, name).ok_or_else(|| {
-                    CompileError::new(
-                        span,
-                        format!("no field `{name}` on `{}`", self.lw.table.class(*c).name),
-                    )
-                })?;
-                let fld = self.lw.table.field(fid).clone();
-                let dst = self.new_reg(fld.ty.clone());
-                self.emit(Instr::GetField {
-                    dst,
-                    obj: o,
-                    field: FieldRef { field: fid, slot: fld.slot as u32 },
-                });
-                Ok((dst, fld.ty))
-            }
-            _ => Err(CompileError::new(
-                span,
-                format!("no field `{name}` on {}", self.lw.table.ty_name(&ot)),
-            )),
-        }
-    }
-
     fn lower_new(
         &mut self,
         class: &str,
@@ -1048,21 +932,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
 
         if let Some(ctor) = self.lw.table.find_ctor(cid) {
             let meth = self.lw.table.method(ctor).clone();
-            if meth.params.len() != args.len() {
-                return Err(CompileError::new(
-                    span,
-                    format!(
-                        "constructor expects {} arguments, got {}",
-                        meth.params.len(),
-                        args.len()
-                    ),
-                ));
-            }
-            let mut arg_regs = vec![dst];
-            for (a, pt) in args.iter().zip(meth.params.iter()) {
-                let (r, t) = self.expr(a)?;
-                arg_regs.push(self.coerce(r, &t, pt, a.span)?);
-            }
+            let arg_regs = self.lower_args("constructor", &meth.params, args, Some(dst), span)?;
             let target = if matches!(meth.body, MethodBody::Native(_)) {
                 let MethodBody::Native(b) = meth.body else { unreachable!() };
                 CallTarget::Builtin(b)
@@ -1132,24 +1002,17 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         is_spawn: bool,
     ) -> Result<Option<(Reg, Ty)>, CompileError> {
         // Case 1: static call through a class name.
-        if let Some(r) = recv {
-            if let ExprKind::Ident(cls_name) = &r.kind {
-                if self.lookup(cls_name).is_none() {
-                    if let Some(cid) = self.lw.table.class_named(cls_name) {
-                        let mid = self.lw.table.find_method(cid, name).ok_or_else(|| {
-                            CompileError::new(span, format!("no method `{name}` on `{cls_name}`"))
-                        })?;
-                        let meth = self.lw.table.method(mid).clone();
-                        if !meth.is_static {
-                            return Err(CompileError::new(
-                                span,
-                                format!("`{cls_name}.{name}` is an instance method"),
-                            ));
-                        }
-                        return self.emit_call(None, mid, args, span, want_result, is_spawn);
-                    }
-                }
+        if let Some((cid, cls_name)) = recv.and_then(|r| self.class_qualifier(r)) {
+            let mid = self.lw.table.find_method(cid, name).ok_or_else(|| {
+                CompileError::new(span, format!("no method `{name}` on `{cls_name}`"))
+            })?;
+            if !self.lw.table.method(mid).is_static {
+                return Err(CompileError::new(
+                    span,
+                    format!("`{cls_name}.{name}` is an instance method"),
+                ));
             }
+            return self.emit_call(None, mid, args, span, want_result, is_spawn);
         }
 
         match recv {
@@ -1164,14 +1027,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                     self.emit_call(None, mid, args, span, want_result, is_spawn)
                 } else {
                     let this = self.this_reg(span)?;
-                    self.emit_call(
-                        Some((this, Ty::Class(self.class), true)),
-                        mid,
-                        args,
-                        span,
-                        want_result,
-                        is_spawn,
-                    )
+                    self.emit_call(Some((this, true)), mid, args, span, want_result, is_spawn)
                 }
             }
             Some(robj) => {
@@ -1194,7 +1050,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                         }
                         let recv_is_this = matches!(robj.kind, ExprKind::This);
                         self.emit_call(
-                            Some((o, ot.clone(), recv_is_this)),
+                            Some((o, recv_is_this)),
                             mid,
                             args,
                             span,
@@ -1213,7 +1069,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
 
     fn emit_call(
         &mut self,
-        recv: Option<(Reg, Ty, bool)>,
+        recv: Option<(Reg, bool)>,
         mid: MethodId,
         args: &[Expr],
         span: Span,
@@ -1221,25 +1077,8 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         is_spawn: bool,
     ) -> Result<Option<(Reg, Ty)>, CompileError> {
         let meth = self.lw.table.method(mid).clone();
-        if meth.params.len() != args.len() {
-            return Err(CompileError::new(
-                span,
-                format!(
-                    "`{}` expects {} arguments, got {}",
-                    meth.name,
-                    meth.params.len(),
-                    args.len()
-                ),
-            ));
-        }
-        let mut arg_regs = Vec::with_capacity(args.len() + 1);
-        if let Some((r, _, _)) = recv {
-            arg_regs.push(r);
-        }
-        for (a, pt) in args.iter().zip(meth.params.iter()) {
-            let (r, t) = self.expr(a)?;
-            arg_regs.push(self.coerce(r, &t, pt, a.span)?);
-        }
+        let callee = format!("`{}`", meth.name);
+        let arg_regs = self.lower_args(&callee, &meth.params, args, recv.map(|(r, _)| r), span)?;
 
         let owner_cls = self.lw.table.class(meth.owner).clone();
         let target = match meth.body {
@@ -1248,7 +1087,7 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 if meth.is_static {
                     CallTarget::Static(mid)
                 } else if owner_cls.is_remote {
-                    let recv_is_this = recv.map(|(_, _, t)| t).unwrap_or(false);
+                    let recv_is_this = recv.is_some_and(|(_, t)| t);
                     if recv_is_this {
                         // Calls through `this` stay local (the object is by
                         // definition on the executing machine).
@@ -1299,17 +1138,8 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
             "substring" => (Builtin::StrSubstring, vec![Ty::Int, Ty::Int], Ty::Str),
             _ => return Err(CompileError::new(span, format!("no method `{name}` on String"))),
         };
-        if params.len() != args.len() {
-            return Err(CompileError::new(
-                span,
-                format!("`String.{name}` expects {} arguments, got {}", params.len(), args.len()),
-            ));
-        }
-        let mut arg_regs = vec![recv];
-        for (a, pt) in args.iter().zip(params.iter()) {
-            let (r, t) = self.expr(a)?;
-            arg_regs.push(self.coerce(r, &t, pt, a.span)?);
-        }
+        let arg_regs =
+            self.lower_args(&format!("`String.{name}`"), &params, args, Some(recv), span)?;
         let produces = want_result && ret != Ty::Void;
         let dst = if produces { Some(self.new_reg(ret.clone())) } else { None };
         let site = self.new_call_site(None, false, !produces, false, span);
@@ -1317,9 +1147,48 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
         Ok(dst.map(|d| (d, ret)))
     }
 
-    // ----- places (assignable locations) -----------------------------------
+    /// Check `args` against `params` and lower each one, widened to its
+    /// parameter type, after `lead` (the receiver, if any). `callee` names
+    /// the callee in the arity error.
+    fn lower_args(
+        &mut self,
+        callee: &str,
+        params: &[Ty],
+        args: &[Expr],
+        lead: Option<Reg>,
+        span: Span,
+    ) -> Result<Vec<Reg>, CompileError> {
+        if params.len() != args.len() {
+            return Err(CompileError::new(
+                span,
+                format!("{callee} expects {} arguments, got {}", params.len(), args.len()),
+            ));
+        }
+        let mut regs: Vec<Reg> = lead.into_iter().collect();
+        for (a, pt) in args.iter().zip(params) {
+            let (r, t) = self.expr(a)?;
+            regs.push(self.coerce(r, &t, pt, a.span)?);
+        }
+        Ok(regs)
+    }
 
-    fn lower_place(&mut self, e: &Expr) -> Result<Place, CompileError> {
+    /// The class a bare identifier names when no variable in scope has
+    /// that name: the qualifier of `ClassName.m()` and `ClassName.field`.
+    fn class_qualifier<'e>(&self, e: &'e Expr) -> Option<(ClassId, &'e str)> {
+        let ExprKind::Ident(cls_name) = &e.kind else { return None };
+        if self.lookup(cls_name).is_some() {
+            return None;
+        }
+        self.lw.table.class_named(cls_name).map(|cid| (cid, cls_name.as_str()))
+    }
+
+    // ----- places (named locations) -----------------------------------------
+
+    /// Resolve a variable, field, static or array element to the location
+    /// it names, for a read or, with `write`, for a store. An array's
+    /// `length` is a place only for reads; a store to it fails as a field
+    /// the array does not have.
+    fn lower_place(&mut self, e: &Expr, write: bool) -> Result<Place, CompileError> {
         match &e.kind {
             ExprKind::Ident(name) => {
                 if let Some(r) = self.lookup(name) {
@@ -1328,38 +1197,28 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 if !self.is_static {
                     if let Some(fid) = self.lw.table.find_instance_field(self.class, name) {
                         let this = self.this_reg(e.span)?;
-                        let fld = self.lw.table.field(fid).clone();
-                        return Ok(Place::Field {
-                            obj: this,
-                            fref: FieldRef { field: fid, slot: fld.slot as u32 },
-                            ty: fld.ty,
-                        });
+                        return Ok(self.field_place(this, fid));
                     }
                 }
                 if let Some(fid) = self.lw.table.find_static_field(self.class, name) {
-                    let fld = self.lw.table.field(fid).clone();
-                    return Ok(Place::Static { sid: fld.static_id.unwrap(), ty: fld.ty });
+                    return Ok(self.static_place(fid));
                 }
                 Err(CompileError::new(e.span, format!("unknown variable `{name}`")))
             }
             ExprKind::Field { obj, name } => {
-                // `ClassName.staticField` as a place
-                if let ExprKind::Ident(cls_name) = &obj.kind {
-                    if self.lookup(cls_name).is_none() {
-                        if let Some(cid) = self.lw.table.class_named(cls_name) {
-                            let fid =
-                                self.lw.table.find_static_field(cid, name).ok_or_else(|| {
-                                    CompileError::new(
-                                        e.span,
-                                        format!("no static field `{name}` on `{cls_name}`"),
-                                    )
-                                })?;
-                            let fld = self.lw.table.field(fid).clone();
-                            return Ok(Place::Static { sid: fld.static_id.unwrap(), ty: fld.ty });
-                        }
-                    }
+                if let Some((cid, cls_name)) = self.class_qualifier(obj) {
+                    let fid = self.lw.table.find_static_field(cid, name).ok_or_else(|| {
+                        CompileError::new(
+                            e.span,
+                            format!("no static field `{name}` on `{cls_name}`"),
+                        )
+                    })?;
+                    return Ok(self.static_place(fid));
                 }
                 let (o, ot) = self.expr(obj)?;
+                if name == "length" && ot.elem().is_some() && !write {
+                    return Ok(Place::Len(o));
+                }
                 let Ty::Class(c) = &ot else {
                     return Err(CompileError::new(
                         e.span,
@@ -1374,17 +1233,9 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                     ));
                 }
                 let fid = self.lw.table.find_instance_field(*c, name).ok_or_else(|| {
-                    CompileError::new(
-                        e.span,
-                        format!("no field `{name}` on `{}`", self.lw.table.class(*c).name),
-                    )
+                    CompileError::new(e.span, format!("no field `{name}` on `{}`", cls.name))
                 })?;
-                let fld = self.lw.table.field(fid).clone();
-                Ok(Place::Field {
-                    obj: o,
-                    fref: FieldRef { field: fid, slot: fld.slot as u32 },
-                    ty: fld.ty,
-                })
+                Ok(self.field_place(o, fid))
             }
             ExprKind::Index { arr, idx } => {
                 let (a, at) = self.expr(arr)?;
@@ -1398,6 +1249,20 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
             }
             _ => Err(CompileError::new(e.span, "invalid assignment target")),
         }
+    }
+
+    fn field_place(&self, obj: Reg, fid: FieldId) -> Place {
+        let fld = self.lw.table.field(fid);
+        Place::Field {
+            obj,
+            fref: FieldRef { field: fid, slot: fld.slot as u32 },
+            ty: fld.ty.clone(),
+        }
+    }
+
+    fn static_place(&self, fid: FieldId) -> Place {
+        let fld = self.lw.table.field(fid);
+        Place::Static { sid: fld.static_id.unwrap(), ty: fld.ty.clone() }
     }
 
     fn load_place(&mut self, p: &Place) -> (Reg, Ty) {
@@ -1418,6 +1283,11 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
                 self.emit(Instr::ArrLoad { dst, arr: *arr, idx: *idx });
                 (dst, ty.clone())
             }
+            Place::Len(arr) => {
+                let dst = self.new_reg(Ty::Int);
+                self.emit(Instr::ArrLen { dst, arr: *arr });
+                (dst, Ty::Int)
+            }
         }
     }
 
@@ -1431,21 +1301,25 @@ impl<'a, 'b> FuncBuilder<'a, 'b> {
             Place::Elem { arr, idx, .. } => {
                 self.emit(Instr::ArrStore { arr: *arr, idx: *idx, val: v })
             }
+            Place::Len(_) => unreachable!("`length` is a place only for reads"),
         }
     }
 }
 
+/// A named location; `Len`, an array's `length`, is read-only.
 enum Place {
     Local(Reg),
     Field { obj: Reg, fref: FieldRef, ty: Ty },
     Static { sid: StaticId, ty: Ty },
     Elem { arr: Reg, idx: Reg, ty: Ty },
+    Len(Reg),
 }
 
 impl Place {
     fn ty(&self, fb: &FuncBuilder) -> Ty {
         match self {
             Place::Local(r) => fb.reg_ty(*r),
+            Place::Len(_) => Ty::Int,
             Place::Field { ty, .. } | Place::Static { ty, .. } | Place::Elem { ty, .. } => {
                 ty.clone()
             }
