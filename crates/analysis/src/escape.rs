@@ -28,18 +28,20 @@ use crate::points_to::PointsTo;
 use crate::provenance::Finding;
 
 /// One category of escape roots: the rule a reuse finding names when the
-/// graph reaches it, and what the roots are.
+/// graph reaches it, and everything reachable from the roots (the roots
+/// included).
 #[derive(Debug, Clone)]
 pub struct RootCategory {
     pub rule: &'static str,
     pub what: &'static str,
-    pub roots: NodeSet,
+    pub reach: NodeSet,
 }
 
 /// The escape roots shared by every function, one category each: statics,
 /// the queue blob, and the fields of remote-class instances (which
 /// survive across invocations). [`explain_reuse`] checks them in this
 /// order, so the most global category a graph reaches names the witness.
+/// Each category's closure is computed here, once per module.
 pub fn global_root_categories(m: &Module, g: &HeapGraph) -> [RootCategory; 3] {
     let remote_fields = g
         .nodes
@@ -50,25 +52,25 @@ pub fn global_root_categories(m: &Module, g: &HeapGraph) -> [RootCategory; 3] {
         RootCategory {
             rule: "escapes-static-store",
             what: "a static variable",
-            roots: g.statics.iter().flatten().copied().collect(),
+            reach: g.reachable(g.statics.iter().flatten().copied()),
         },
         RootCategory {
             rule: "escapes-thread-queue",
             what: "the thread-handoff queue blob",
-            roots: g.blob.clone(),
+            reach: g.reachable(g.blob.iter().copied()),
         },
         RootCategory {
             rule: "escapes-remote-field",
             what: "a field of a remote-class instance",
-            roots: remote_fields.copied().collect(),
+            reach: g.reachable(remote_fields.copied()),
         },
     ]
 }
 
 /// Nodes that escape *every* function: the union of the global root
-/// categories.
+/// categories' closures.
 pub fn global_escape_roots(globals: &[RootCategory]) -> NodeSet {
-    globals.iter().flat_map(|c| c.roots.iter().copied()).collect()
+    globals.iter().flat_map(|c| c.reach.iter().copied()).collect()
 }
 
 /// The escaping-node set of function `f`: everything reachable from the
@@ -97,11 +99,10 @@ pub fn explain_reuse(pt: &PointsTo, globals: &[RootCategory], f: FuncId, pts: &N
     let returned = RootCategory {
         rule: "escapes-returned",
         what: "the enclosing function's return value",
-        roots: pt.ret_pts[f.index()].clone(),
+        reach: g.reachable(pt.ret_pts[f.index()].iter().copied()),
     };
     for c in globals.iter().chain([&returned]) {
-        let escaping = g.reachable(c.roots.iter().copied());
-        if let Some(&hit) = reach.intersection(&escaping).next() {
+        if let Some(&hit) = reach.intersection(&c.reach).next() {
             let witness = format!("{hit} is reachable both from the parameter and from {}", c.what);
             return Finding::new(false, c.rule, witness);
         }
