@@ -177,7 +177,12 @@ pub mod channel {
             assert_eq!(total, 5050);
         }
 
+        /// How long a test waits for a result before it calls the wakeup
+        /// lost. A pass returns as soon as the result is there.
+        const LOST: std::time::Duration = std::time::Duration::from_secs(60);
+
         /// Four receivers asleep in `recv`, each reporting what it got.
+        /// Returns once the channel counts all four as sleepers.
         fn four_blocked_receivers<T: Send + 'static>(
             rx: &Receiver<T>,
         ) -> (std::sync::mpsc::Receiver<Result<T, RecvError>>, Vec<std::thread::JoinHandle<()>>)
@@ -189,6 +194,11 @@ pub mod channel {
                     std::thread::spawn(move || got.send(rx.recv()).unwrap())
                 })
                 .collect();
+            let deadline = std::time::Instant::now() + LOST;
+            while rx.0.inner.lock().unwrap().sleepers < 4 {
+                assert!(std::time::Instant::now() < deadline, "four receivers never slept");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
             (got_rx, sleepers)
         }
 
@@ -197,22 +207,19 @@ pub mod channel {
             let (tx, rx) = unbounded::<u32>();
             let (got, sleepers) = four_blocked_receivers(&rx);
             tx.send(1).unwrap();
-            assert_eq!(got.recv().unwrap(), Ok(1));
+            assert_eq!(got.recv_timeout(LOST), Ok(Ok(1)));
             // The other three were handed nothing and are still in `recv`:
             // they return only with the three items sent next.
             assert!(got.try_recv().is_err(), "one item reached two receivers");
             for i in 2..=4 {
                 tx.send(i).unwrap();
             }
-            let mut rest: Vec<u32> = (0..3).map(|_| got.recv().unwrap().unwrap()).collect();
+            let mut rest: Vec<u32> =
+                (0..3).map(|_| got.recv_timeout(LOST).unwrap().unwrap()).collect();
             rest.sort_unstable();
             assert_eq!(rest, [2, 3, 4]);
             sleepers.into_iter().for_each(|t| t.join().unwrap());
         }
-
-        /// How long a test waits for a result before it calls the wakeup
-        /// lost. A pass returns as soon as the result is there.
-        const LOST: std::time::Duration = std::time::Duration::from_secs(60);
 
         #[test]
         fn ping_pong_over_two_channels_loses_no_wakeup() {
@@ -255,7 +262,7 @@ pub mod channel {
             assert!(got.try_recv().is_err(), "a sender is left: nobody may return yet");
             drop(tx2);
             for _ in 0..4 {
-                assert_eq!(got.recv().unwrap(), Err(RecvError));
+                assert_eq!(got.recv_timeout(LOST), Ok(Err(RecvError)));
             }
             sleepers.into_iter().for_each(|t| t.join().unwrap());
         }
