@@ -472,9 +472,10 @@ fn front_end_errors_are_pinned() {
         ("int i = 0; (i + 1)++;", "2:46: invalid assignment target"),
         ("boolean c = !1;", "2:44: `!` requires a boolean operand"),
         ("int v = -true;", "2:40: negation requires a numeric operand"),
-        // a parse error inside a binary expression
-        ("int v = 1 + * 2;", "2:44: expected an expression, found Star"),
-        ("int v = 1 < 2 ||;", "2:48: expected an expression, found Semi"),
+        // parse errors name a token by its text
+        ("int v = 1 + * 2;", "2:44: expected an expression, found `*`"),
+        ("int v = 1 < 2 ||;", "2:48: expected an expression, found `;`"),
+        ("int v = (1 + 2;", "2:46: expected `)`, found `;`"),
     ];
     let mut wrong = Vec::new();
     for &(body, want) in rows {
