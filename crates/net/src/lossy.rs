@@ -218,12 +218,15 @@ impl Shared {
         self.flight_event(to, from, FlightKind::DupSuppressed, req, bytes);
     }
 
-    /// Record `kind` on `machine`'s flight ring, stamped on the
+    /// Record `kind` among `machine`'s flight records, stamped on the
     /// recorder's clock (the cluster epoch the VM's events share).
     fn flight_event(&self, machine: u16, peer: u16, kind: FlightKind, req: u64, bytes: usize) {
         if let Some(flight) = &self.flight {
             let (t_us, bytes) = (flight.now_us(), bytes.min(u32::MAX as usize) as u32);
-            flight.record(machine, FlightEvent { t_us, req, site: 0, bytes, kind, peer, flags: 0 });
+            flight.record(
+                machine,
+                FlightEvent { t_us, req, bytes, kind, peer, ..Default::default() },
+            );
         }
     }
 }

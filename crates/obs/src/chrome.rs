@@ -13,28 +13,18 @@
 //! become async instants), so begin/end pairs are always balanced and
 //! the file is guaranteed to load.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
-use crate::trace::{Phase, TraceEvent, TraceKind};
+use crate::trace::{walk, TraceEvent, TraceKind};
 
 /// Export `events` as a Chrome trace-event JSON document.
 pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| (e.t_us, e.machine, e.seq));
-
     // Request ids that complete (have an RmiReturn): only those get a
     // balanced b/e async pair.
-    let returned: HashSet<u64> = sorted
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::RmiReturn { req, .. } => Some(req),
-            _ => None,
-        })
-        .collect();
-    // Open phase spans: (machine, req, phase) -> begin timestamp.
-    let mut open: HashMap<(u16, u64, Phase), u64> = HashMap::new();
+    let returns = events.iter().filter(|e| matches!(e.kind, TraceKind::RmiReturn { .. }));
+    let returned: HashSet<u64> = returns.filter_map(|e| e.kind.req()).collect();
 
-    let machines: BTreeSet<u16> = sorted.iter().map(|e| e.machine).collect();
+    let machines: BTreeSet<u16> = events.iter().map(|e| e.machine).collect();
     let mut records: Vec<String> = machines
         .iter()
         .map(|m| {
@@ -44,7 +34,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
         })
         .collect();
 
-    for e in sorted {
+    for (e, t0) in walk(events) {
         let (pid, ts) = (e.machine, e.t_us);
         records.push(match e.kind {
             TraceKind::RmiSend { req, site, to, bytes, .. } if returned.contains(&req) => format!(
@@ -65,12 +55,9 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                 r#"{{"name":"local rpc site {site}","cat":"rmi","ph":"X","pid":{pid},"tid":0,"ts":{},"dur":{us},"args":{{"req":{req}}}}}"#,
                 ts.saturating_sub(us)
             ),
-            TraceKind::PhaseBegin { phase, req, .. } => {
-                open.insert((e.machine, req, phase), ts);
-                continue;
-            }
+            TraceKind::PhaseBegin { .. } => continue,
             TraceKind::PhaseEnd { phase, req, site } => {
-                let Some(t0) = open.remove(&(e.machine, req, phase)) else { continue };
+                let Some(t0) = t0 else { continue };
                 format!(
                     r#"{{"name":"{}","cat":"phase","ph":"X","pid":{pid},"tid":0,"ts":{t0},"dur":{},"args":{{"req":{req},"site":{site}}}}}"#,
                     phase.name(),
@@ -93,6 +80,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Phase;
 
     fn ev(t_us: u64, seq: u64, machine: u16, kind: TraceKind) -> TraceEvent {
         TraceEvent { t_us, seq, machine, kind }

@@ -18,7 +18,7 @@ use crate::interp::Interp;
 use crate::reply::peer_gone;
 use crate::rmi;
 use crate::runtime::{spawn_detached, spawn_vm_thread, Mark, Milestone, Runtime};
-use crate::trace::{Phase, TraceKind};
+use crate::trace::Phase;
 
 /// Who may receive from one machine's mailbox.
 #[derive(Default)]
@@ -181,7 +181,7 @@ fn drain(interp: &mut Interp) -> bool {
                 rt.print(&format!("[machine {my}] dropped a request from machine {from} of {n}\n"));
             }
             Packet::NewRemote { req_id, from, class } => {
-                rt.instant(my, TraceKind::NewRemote { class, from });
+                rt.call(my, req_id, class).boundary(&[Mark::At(0, Milestone::NewRemote { from })]);
                 let (payload, err) = if class as usize >= rt.module.table.classes.len() {
                     (Vec::new(), Some(format!("unknown class id {class}")))
                 } else {

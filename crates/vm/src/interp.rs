@@ -25,8 +25,7 @@ use crate::link::{scalar_of, value_of, CallArgs, Linked, Op};
 use crate::machine::{MachineShared, MachineState};
 use crate::reply::Waiter;
 use crate::rmi;
-use crate::runtime::{spawn_detached, Runtime};
-use crate::trace::TraceKind;
+use crate::runtime::{spawn_detached, Mark, Milestone, Runtime};
 
 /// Thread name and failure label of a local `spawn`'s thread.
 const USER_SPAWN: (&str, &str) = ("corm-user-spawn", "spawned thread");
@@ -615,8 +614,8 @@ impl Interp {
         shard.gc_runs.fetch_add(1, Relaxed);
         shard.gc_pause_us.record(pause_us);
         shard.heap_live_bytes.store(guard.heap.stats.live_bytes(), Relaxed);
-        let kind = TraceKind::Gc { freed: report.freed, live: report.live, pause_us };
-        self.rt.instant(self.machine_id(), kind);
+        let gc = Milestone::Gc { pause_us, freed: report.freed };
+        self.rt.call(self.machine_id(), 0, 0).boundary(&[Mark::At(report.live as usize, gc)]);
     }
 
     // ----- value helpers ---------------------------------------------------

@@ -282,9 +282,9 @@ fn wire_rpc(
         payload,
         oneway,
     };
-    // Lands before the packet leaves: the flight ring exists for calls
+    // Lands before the packet leaves: the flight record exists for calls
     // whose reply never arrives. The same stamp ends the marshal.
-    let sent = Mark::At(bytes, Milestone::Send { to, oneway });
+    let sent = Mark::At(bytes, Milestone::Send { to });
     let since = id.boundary(&[Mark::End(Phase::Marshal, marshal_t0), sent]);
     // Fault injection: the N-th request toward the victim pulls its power
     // cord *before* the packet goes out — it is lost in flight and the
