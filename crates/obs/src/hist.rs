@@ -37,19 +37,10 @@ const MAX_OCTAVE: usize = 32;
 /// the overflow bucket.
 pub const NBUCKETS: usize = SUB_BUCKETS + (MAX_OCTAVE - MIN_OCTAVE) * SUB_BUCKETS + 1;
 
-/// Inclusive upper bound of bucket `i` (the Prometheus `le` label);
-/// `None` for the overflow bucket (`+Inf`).
+/// Inclusive upper bound of bucket `i` (the Prometheus `le` label), one
+/// below the next bucket's lower bound; `None` for the overflow bucket (`+Inf`).
 pub fn bucket_le(i: usize) -> Option<u64> {
-    if i < SUB_BUCKETS {
-        return Some(i as u64);
-    }
-    if i >= NBUCKETS - 1 {
-        return None;
-    }
-    let k = i - SUB_BUCKETS;
-    let o = k / SUB_BUCKETS + MIN_OCTAVE;
-    let sub = (k % SUB_BUCKETS) as u64;
-    Some(((sub + SUB_BUCKETS as u64 + 1) << (o - MIN_OCTAVE)) - 1)
+    (i < NBUCKETS - 1).then(|| bucket_lower(i + 1) - 1)
 }
 
 /// Inclusive lower bound of bucket `i`.
