@@ -33,7 +33,7 @@ const USER_SPAWN: (&str, &str) = ("corm-user-spawn", "spawned thread");
 /// Steps between safepoints: the quantum trades interpreter overhead against
 /// lock-handoff latency for concurrent RMI handlers; 512 keeps a machine
 /// responsive while a local compute thread spins.
-const QUANTUM: u64 = 512;
+pub(crate) const QUANTUM: u64 = 512;
 
 /// The deepest a thread's frame stack grows.
 const MAX_FRAMES: usize = 4096;
@@ -323,6 +323,76 @@ impl Interp {
                 };
             }};
         }
+        // The tagged array accesses: what every typed one falls back to.
+        macro_rules! load {
+            ($dst:expr, $arr:expr, $idx:expr) => {{
+                let (r, i) = (self.obj_of(reg!($arr))?, self.index_of(reg!($idx))?);
+                reg!($dst) = guard.heap.array_get(r, i).map_err(|e| self.err(e.0))?;
+            }};
+        }
+        macro_rules! store {
+            ($arr:expr, $idx:expr, $val:expr) => {{
+                let (r, i) = (self.obj_of(reg!($arr))?, self.index_of(reg!($idx))?);
+                let v = reg!($val);
+                guard.heap.array_set(r, i, v).map_err(|e| self.err(e.0))?;
+            }};
+        }
+        // An access typed by its array's element type: one match on that
+        // body (`ObjBody::$body`), an element of tag `$tag`, and the tagged
+        // access on anything else, which raises the untyped errors. A
+        // negative index is out of range of `get`.
+        macro_rules! typed_load {
+            ($dst:expr, $arr:expr, $idx:expr, $body:ident, $tag:ident) => {{
+                let hit = match (reg!($arr), reg!($idx)) {
+                    (Value::Ref(r), Value::Int(i)) => match guard.heap.body(r) {
+                        Ok(ObjBody::$body(a)) => a.get(i as usize).copied(),
+                        _ => None,
+                    },
+                    _ => None,
+                };
+                match hit {
+                    Some(x) => reg!($dst) = Value::$tag(x),
+                    None => load!($dst, $arr, $idx),
+                }
+            }};
+        }
+        macro_rules! typed_store {
+            ($arr:expr, $idx:expr, $val:expr, $body:ident, $tag:ident) => {{
+                let done = match (reg!($arr), reg!($idx), reg!($val)) {
+                    (Value::Ref(r), Value::Int(i), Value::$tag(x)) => {
+                        match guard.heap.body_mut(r) {
+                            Ok(ObjBody::$body(a)) => a.get_mut(i as usize).map(|e| *e = x),
+                            _ => None,
+                        }
+                    }
+                    _ => None,
+                };
+                if done.is_none() {
+                    store!($arr, $idx, $val)
+                }
+            }};
+        }
+        // A fused compare-and-branch: the int compare when both operands
+        // hold ints, else the tagged `binop` and the branch's own check, so
+        // a result or error is the unfused pair's.
+        macro_rules! branch {
+            ($op:expr, $x:expr, $y:expr, $t:expr, $f:expr, $steps:expr) => {{
+                let (x, y) = ($x, $y);
+                let taken = match (x, y) {
+                    (Value::Int(p), Value::Int(q)) => compare($op, p, q),
+                    _ => None,
+                };
+                let taken = match taken {
+                    Some(b) => b,
+                    None => match self.binop($op, x, y)? {
+                        Value::Bool(b) => b,
+                        v => return Err(self.err(format!("branch on non-boolean {v:?}"))),
+                    },
+                };
+                self.charge(guard, $steps);
+                pc = if taken { $t } else { $f } as usize;
+            }};
+        }
         loop {
             let op = &lk.code[pc];
             pc += 1;
@@ -343,11 +413,23 @@ impl Interp {
                 Op::BinIntImm { dst, op, a, imm } => {
                     typed!(dst, op, reg!(a), Value::Int(imm), Int, int_arith => Int)
                 }
+                Op::AddIntImm { dst, a, imm } => {
+                    typed!(dst, BinKind::Add, reg!(a), Value::Int(imm), Int, int_arith => Int)
+                }
                 Op::BinLong { dst, op, a, b } => {
                     typed!(dst, op, reg!(a), reg!(b), Long, long_arith => Long)
                 }
                 Op::BinDouble { dst, op, a, b } => {
                     typed!(dst, op, reg!(a), reg!(b), Double, double_arith => Double)
+                }
+                Op::AddDouble { dst, a, b } => {
+                    typed!(dst, BinKind::Add, reg!(a), reg!(b), Double, double_arith => Double)
+                }
+                Op::SubDouble { dst, a, b } => {
+                    typed!(dst, BinKind::Sub, reg!(a), reg!(b), Double, double_arith => Double)
+                }
+                Op::MulDouble { dst, a, b } => {
+                    typed!(dst, BinKind::Mul, reg!(a), reg!(b), Double, double_arith => Double)
                 }
                 Op::CmpInt { dst, op, a, b } => {
                     typed!(dst, op, reg!(a), reg!(b), Int, compare => Bool)
@@ -378,14 +460,13 @@ impl Interp {
                 }
                 Op::GetStatic { dst, sid } => reg!(dst) = guard.statics[sid as usize],
                 Op::SetStatic { sid, val } => guard.statics[sid as usize] = reg!(val),
-                Op::ArrLoad { dst, arr, idx } => {
-                    let (r, i) = (self.obj_of(reg!(arr))?, self.index_of(reg!(idx))?);
-                    reg!(dst) = guard.heap.array_get(r, i).map_err(|e| self.err(e.0))?;
-                }
-                Op::ArrStore { arr, idx, val } => {
-                    let (r, i) = (self.obj_of(reg!(arr))?, self.index_of(reg!(idx))?);
-                    let v = reg!(val);
-                    guard.heap.array_set(r, i, v).map_err(|e| self.err(e.0))?;
+                Op::ArrLoad { dst, arr, idx } => load!(dst, arr, idx),
+                Op::ArrStore { arr, idx, val } => store!(arr, idx, val),
+                Op::ArrLoadInt { dst, arr, idx } => typed_load!(dst, arr, idx, ArrI32, Int),
+                Op::ArrLoadDouble { dst, arr, idx } => typed_load!(dst, arr, idx, ArrF64, Double),
+                Op::ArrStoreInt { arr, idx, val } => typed_store!(arr, idx, val, ArrI32, Int),
+                Op::ArrStoreDouble { arr, idx, val } => {
+                    typed_store!(arr, idx, val, ArrF64, Double)
                 }
                 Op::ArrLen { dst, arr } => {
                     let r = self.obj_of(reg!(arr))?;
@@ -421,6 +502,10 @@ impl Interp {
                     };
                     self.charge(guard, steps);
                     pc = if b { t } else { f } as usize;
+                }
+                Op::BrInt { op, a, b, t, f, steps } => branch!(op, reg!(a), reg!(b), t, f, steps),
+                Op::BrIntImm { op, a, imm, t, f, steps } => {
+                    branch!(op, reg!(a), Value::Int(imm), t, f, steps)
                 }
                 Op::Ret { src, steps } => {
                     self.charge(guard, steps);
@@ -806,6 +891,164 @@ mod tests {
         assert_eq!(e.trace, ["M.f"]);
         drop(interp);
         c.finish(None);
+    }
+
+    #[test]
+    fn a_fused_branch_on_another_tag_raises_the_tagged_error() {
+        // bb0: [r1 = 3;] r2 = r0 < r1; branch r2 ? bb1 : bb2
+        // bb1: r3 = 1; ret r3    bb2: ret r0
+        let body = |imm: bool| {
+            move |m: &mut Module| {
+                let f = m.funcs.iter_mut().find(|f| f.name == "M.f").unwrap();
+                f.reg_tys = vec![Ty::Int, Ty::Int, Ty::Bool, Ty::Int];
+                let three = Instr::Const { dst: Reg(1), v: Const::Int(3) };
+                let lt = Instr::Bin { dst: Reg(2), op: BinKind::Lt, a: Reg(0), b: Reg(1) };
+                let branch = Terminator::Branch {
+                    cond: Reg(2),
+                    t: corm_ir::BlockId(1),
+                    f: corm_ir::BlockId(2),
+                };
+                let one = Instr::Const { dst: Reg(3), v: Const::Int(1) };
+                f.blocks = vec![
+                    Block { instrs: if imm { vec![three, lt] } else { vec![lt] }, term: branch },
+                    Block { instrs: vec![one], term: Terminator::Ret(Some(Reg(3))) },
+                    Block { instrs: vec![], term: Terminator::Ret(Some(Reg(0))) },
+                ];
+                f.entry = corm_ir::BlockId(0);
+            }
+        };
+        let src = "class M { static int f(int a) { return a; } static void main() { } }";
+        // `r1` read before anything writes it.
+        let c = cluster(src, body(false));
+        let f = func(&c, "M.f");
+        assert!(matches!(c.rt.linked[f.index()].code[0], Op::BrInt { .. }));
+        let mut interp = Interp::new(c.rt.clone(), 0);
+        let e = interp.run_function(f, vec![Value::Int(5)]).unwrap_err();
+        assert_eq!(e.message, "bad operands for Lt: Int(5), Null");
+        assert_eq!(e.trace, ["M.f"]);
+        drop(interp);
+        c.finish(None);
+        // An immediate against another tag: the tagged compare decides, or raises.
+        let c = cluster(src, body(true));
+        let f = func(&c, "M.f");
+        assert!(matches!(c.rt.linked[f.index()].code[0], Op::BrIntImm { imm: 3, .. }));
+        let mut interp = Interp::new(c.rt.clone(), 0);
+        assert_eq!(interp.run_function(f, vec![Value::Long(5)]), Ok(Value::Long(5)));
+        assert_eq!(interp.run_function(f, vec![Value::Long(2)]), Ok(Value::Int(1)));
+        let e = interp.run_function(f, vec![Value::Bool(true)]).unwrap_err();
+        assert_eq!(e.message, "bad operands for Lt: Bool(true), Int(3)");
+        drop(interp);
+        c.finish(None);
+    }
+
+    #[test]
+    fn a_typed_array_access_raises_the_tagged_errors() {
+        let src = "class M {
+            static double ld(double[] a, int i) { return a[i]; }
+            static void sd(double[] a, int i, double v) { a[i] = v; }
+            static int li(int[] a, int i) { return a[i]; }
+            static void si(int[] a, int i, int v) { a[i] = v; }
+            static void main() { } }";
+        let names = ["M.ld", "M.sd", "M.li", "M.si"];
+        let typed = cluster(src, |_| {});
+        // The same bodies with each array an `Object`: the tagged accesses.
+        let tagged = cluster(src, |m| {
+            for f in m.funcs.iter_mut().filter(|f| names.contains(&f.name.as_str())) {
+                f.reg_tys[0] = Ty::Class(corm_ir::OBJECT_CLASS);
+            }
+        });
+        fn first<'c>(c: &'c Cluster, name: &str) -> &'c Op {
+            &c.rt.linked[func(c, name).index()].code[0]
+        }
+        assert!(matches!(first(&typed, "M.ld"), Op::ArrLoadDouble { .. }));
+        assert!(matches!(first(&typed, "M.sd"), Op::ArrStoreDouble { .. }));
+        assert!(matches!(first(&typed, "M.li"), Op::ArrLoadInt { .. }));
+        assert!(matches!(first(&typed, "M.si"), Op::ArrStoreInt { .. }));
+        assert!(matches!(first(&tagged, "M.ld"), Op::ArrLoad { .. }));
+        assert!(matches!(first(&tagged, "M.sd"), Op::ArrStore { .. }));
+
+        // A `double[]` and an `int[]` of two, a string, null, a scalar.
+        #[derive(Clone, Copy)]
+        enum Arg {
+            A,
+            I,
+            S,
+            Null,
+            V(Value),
+        }
+        let run = |c: &Cluster, name: &str, args: &[Arg]| {
+            let mut interp = Interp::new(c.rt.clone(), 0);
+            let machine = interp.machine.clone();
+            let mut guard = machine.enter();
+            let (a, i) =
+                (guard.heap.alloc_array(&Ty::Double, 2), guard.heap.alloc_array(&Ty::Int, 2));
+            let s = guard.heap.alloc_str("s");
+            let args = args.iter().map(|arg| match *arg {
+                Arg::A => Value::Ref(a),
+                Arg::I => Value::Ref(i),
+                Arg::S => Value::Ref(s),
+                Arg::Null => Value::Null,
+                Arg::V(v) => v,
+            });
+            let out = interp.call_in(&mut guard, func(c, name), args.collect());
+            // The string's id is the one that varies run to run.
+            out.map_err(|e| e.message.replace(&s.to_string(), "s"))
+        };
+        use Arg::{Null, A, I, S, V};
+        let (int, double) = (|x| V(Value::Int(x)), |x| V(Value::Double(x)));
+        let cases: &[(&str, &[Arg], Result<Value, &str>)] = &[
+            ("M.ld", &[A, int(1)], Ok(Value::Double(0.0))),
+            ("M.ld", &[Null, int(0)], Err("null dereference")),
+            ("M.ld", &[A, int(-1)], Err("negative index -1")),
+            ("M.ld", &[A, int(2)], Err("index 2 out of bounds (len 2)")),
+            ("M.ld", &[A, V(Value::Long(0))], Err("expected int, found Long(0)")),
+            ("M.ld", &[int(7), int(0)], Err("expected object, found Int(7)")),
+            ("M.ld", &[S, int(0)], Err("indexing non-array s")),
+            ("M.ld", &[I, int(0)], Ok(Value::Int(0))),
+            ("M.sd", &[A, int(1), double(2.5)], Ok(Value::Null)),
+            ("M.sd", &[Null, int(0), double(1.0)], Err("null dereference")),
+            ("M.sd", &[A, int(-1), double(1.0)], Err("negative index -1")),
+            ("M.sd", &[A, int(2), double(1.0)], Err("index 2 out of bounds (len 2)")),
+            (
+                "M.sd",
+                &[A, int(0), int(1)],
+                Err("type mismatch storing Int(1) into ArrF64([0.0, 0.0])"),
+            ),
+            ("M.sd", &[S, int(0), double(1.0)], Err("indexing non-array s")),
+            (
+                "M.sd",
+                &[I, int(0), double(1.0)],
+                Err("type mismatch storing Double(1.0) into ArrI32([0, 0])"),
+            ),
+            ("M.li", &[I, int(1)], Ok(Value::Int(0))),
+            ("M.li", &[Null, int(0)], Err("null dereference")),
+            ("M.li", &[I, int(-3)], Err("negative index -3")),
+            ("M.li", &[I, int(9)], Err("index 9 out of bounds (len 2)")),
+            ("M.li", &[S, int(0)], Err("indexing non-array s")),
+            ("M.li", &[A, int(0)], Ok(Value::Double(0.0))),
+            ("M.si", &[I, int(1), int(4)], Ok(Value::Null)),
+            ("M.si", &[Null, int(0), int(4)], Err("null dereference")),
+            ("M.si", &[I, int(-1), int(4)], Err("negative index -1")),
+            ("M.si", &[I, int(2), int(4)], Err("index 2 out of bounds (len 2)")),
+            (
+                "M.si",
+                &[I, int(0), double(4.0)],
+                Err("type mismatch storing Double(4.0) into ArrI32([0, 0])"),
+            ),
+            ("M.si", &[S, int(0), int(4)], Err("indexing non-array s")),
+        ];
+        for (name, args, want) in cases {
+            let got = run(&typed, name, args);
+            assert_eq!(
+                got.as_ref().map(|v| *v).map_err(|e| e.as_str()),
+                *want,
+                "{name} {}",
+                args.len()
+            );
+            assert_eq!(got, run(&tagged, name, args), "{name}: typed and tagged agree");
+        }
+        typed.finish(None);
+        tagged.finish(None);
     }
 
     #[test]
