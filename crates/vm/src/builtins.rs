@@ -35,7 +35,7 @@ pub fn call(
             interp.about_to_wait();
             let us = argv[0].as_long().max(0) as u64;
             let sleep = || std::thread::sleep(std::time::Duration::from_micros(us));
-            interp.off_lock(guard, |_, g| MutexGuard::unlocked(g, sleep));
+            interp.unlocked(guard, || (), |_| sleep());
             Ok(Value::Null)
         }
         Gc => {
@@ -54,7 +54,7 @@ pub fn call(
             interp.about_to_wait();
             // Exactly one thread per machine participates; release the
             // machine lock while parked.
-            interp.off_lock(guard, |me, g| MutexGuard::unlocked(g, || me.rt.barrier.wait()));
+            interp.unlocked(guard, || (), |me| me.rt.barrier.wait());
             Ok(Value::Null)
         }
         ClusterArg => {
@@ -110,29 +110,27 @@ pub fn call(
         QueuePut => {
             let q = queue_id(interp, guard, argv[0])?;
             let v = argv[1];
-            let machine = interp.machine.clone();
             loop {
                 let queue = guard.queue(q)?;
                 if queue.items.len() < queue.cap {
                     queue.items.push_back(v);
-                    machine.cv.notify_all();
+                    guard.wake |= guard.queue_sleepers > 0;
                     return Ok(Value::Null);
                 }
                 interp.about_to_wait();
-                interp.off_lock(guard, |_, g| machine.cv.wait(g));
+                queue_wait(interp, guard);
             }
         }
         QueueTake => {
             let q = queue_id(interp, guard, argv[0])?;
-            let machine = interp.machine.clone();
             loop {
                 let queue = guard.queue(q)?;
                 if let Some(v) = queue.items.pop_front() {
-                    machine.cv.notify_all();
+                    guard.wake |= guard.queue_sleepers > 0;
                     return Ok(v);
                 }
                 interp.about_to_wait();
-                interp.off_lock(guard, |_, g| machine.cv.wait(g));
+                queue_wait(interp, guard);
             }
         }
         QueueSize => {
@@ -194,6 +192,14 @@ fn str_of<'a>(guard: &'a MutexGuard<'_, MachineState>, v: Value) -> Result<&'a s
         Value::Null => Err(VmError::new("null dereference on String")),
         other => Err(VmError::new(format!("expected String, found {other:?}"))),
     }
+}
+
+/// Sleep on the machine's condvar until a `Queue.put` or `take` wakes the
+/// machine's queue sleepers, counted meanwhile so that one does.
+fn queue_wait(interp: &mut Interp, guard: &mut MutexGuard<'_, MachineState>) {
+    guard.queue_sleepers += 1;
+    interp.off_lock(guard, |me, g| me.machine.cv.wait(g));
+    guard.queue_sleepers -= 1;
 }
 
 fn queue_id(interp: &Interp, guard: &MutexGuard<'_, MachineState>, v: Value) -> VmResult<u32> {

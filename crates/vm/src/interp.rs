@@ -2,9 +2,10 @@
 //!
 //! One [`Interp`] per VM thread. The interpreter holds its machine's lock
 //! while executing and releases it at blocking points (RMI waits, queue
-//! operations, the cluster barrier) and periodically at safepoints so
-//! concurrent handlers can run — always through `Interp::off_lock`, which
-//! leaves the thread's stack with the machine meanwhile. It executes the
+//! operations, the cluster barrier), and at safepoints to a thread that is
+//! acquiring it, so concurrent handlers can run — always through
+//! `Interp::off_lock`, which leaves the thread's stack with the machine
+//! meanwhile. It executes the
 //! linked form of each function (`crate::link`) over one register file per
 //! thread, in which every activation has a window; the register file is the
 //! union of the live frames' registers, so it gives the garbage collector
@@ -96,11 +97,17 @@ impl Interp {
     /// machine, where a sibling that collects meanwhile finds its registers.
     /// The `Vec`s move out and back, so parking allocates nothing and copies
     /// no register; a thread with no frame (a harness caller) leaves nothing.
+    /// A `Queue` wake still pending is delivered as the thread lets go — here,
+    /// before `wait`, for a condvar wait; [`Interp::unlocked`] delivers it
+    /// after the unlock.
     pub(crate) fn off_lock<T>(
         &mut self,
         guard: &mut MutexGuard<'_, MachineState>,
         wait: impl FnOnce(&Interp, &mut MutexGuard<'_, MachineState>) -> T,
     ) -> T {
+        if std::mem::take(&mut guard.wake) {
+            self.machine.cv.notify_all();
+        }
         if self.stack.frames.is_empty() {
             return wait(self, guard);
         }
@@ -108,6 +115,29 @@ impl Interp {
         let out = wait(self, guard);
         self.stack = guard.parked.remove(&self.id).expect("a parked stack waits for its thread");
         out
+    }
+
+    /// Let go of the machine lock for a `send`, then a `wait`, through
+    /// [`Interp::off_lock`]. A pending `Queue` wake is delivered between the
+    /// two: after the unlock, so the thread it wakes does not find the lock
+    /// still held, and after the send, so a woken sibling that takes the CPU
+    /// does not hold up a packet another machine is waiting for.
+    pub(crate) fn unlocked<T>(
+        &mut self,
+        guard: &mut MutexGuard<'_, MachineState>,
+        send: impl FnOnce(),
+        wait: impl FnOnce(&Interp) -> T,
+    ) -> T {
+        let wake = std::mem::take(&mut guard.wake);
+        self.off_lock(guard, |me, g| {
+            MutexGuard::unlocked(g, || {
+                send();
+                if wake {
+                    me.machine.cv.notify_all();
+                }
+                wait(me)
+            })
+        })
     }
 
     /// Called at every point where a VM thread is about to wait — for a
@@ -268,13 +298,19 @@ impl Interp {
         }
     }
 
-    /// Briefly release the machine lock so drain handlers and sibling threads
-    /// can make progress. Out of line: it is one charge in many of the loop
-    /// it interrupts.
+    /// Let go of the machine lock only for a thread that wants it: deliver a
+    /// pending `Queue` wake after the unlock and yield to the sleeper it
+    /// wakes, or else hand the lock to a thread acquiring it, if any. With
+    /// neither, a safepoint makes no syscall and parks nothing. Out of line:
+    /// it is one charge in many of the loop it interrupts.
     #[cold]
     #[inline(never)]
     fn safepoint(&mut self, guard: &mut MutexGuard<'_, MachineState>) {
-        self.off_lock(guard, |_, g| MutexGuard::unlocked(g, std::thread::yield_now));
+        if guard.wake {
+            self.unlocked(guard, || (), |_| std::thread::yield_now());
+        } else if MutexGuard::contended(guard) {
+            self.off_lock(guard, |_, g| MutexGuard::bump(g));
+        }
     }
 
     /// Execute until the frame stack returns to `depth` frames. Returns the

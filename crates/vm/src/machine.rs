@@ -60,6 +60,13 @@ pub struct MachineState {
     /// borrows them with [`lend`] and puts them back.
     pub(crate) ser_table: SerCycleTable,
     pub(crate) deser_table: DeserTable,
+    /// Threads asleep in `Queue.put` or `take`, on `MachineShared::cv`.
+    pub(crate) queue_sleepers: usize,
+    /// A `Queue.put` or `take` changed a queue while a thread slept in one:
+    /// `MachineShared::cv` is notified once the holder lets go of the lock
+    /// (DESIGN §5.9 lists where), not while it still holds it, which a woken
+    /// sibling would only block on.
+    pub(crate) wake: bool,
 }
 
 /// Lend a table the machine keeps to one message, reset. What it leaves
@@ -95,6 +102,8 @@ impl MachineState {
             lit_strings: HashMap::new(),
             ser_table: SerCycleTable::new(),
             deser_table: DeserTable::new(),
+            queue_sleepers: 0,
+            wake: false,
         }
     }
 
@@ -199,26 +208,36 @@ pub struct MachineShared {
 
 /// A VM thread's stay on a machine: the machine lock, with the thread
 /// counted in [`MachineState::active_threads`] until the guard drops —
-/// on every path out. Blocking operations release the lock through it and
+/// on every path out — and a `Queue` wake still pending then delivered
+/// after the unlock. Blocking operations release the lock through it and
 /// stay counted.
-pub struct Entered<'a>(MutexGuard<'a, MachineState>);
+pub struct Entered<'a> {
+    guard: Option<MutexGuard<'a, MachineState>>,
+    cv: &'a Condvar,
+}
 
 impl<'a> Deref for Entered<'a> {
     type Target = MutexGuard<'a, MachineState>;
     fn deref(&self) -> &Self::Target {
-        &self.0
+        self.guard.as_ref().expect("entered")
     }
 }
 
 impl DerefMut for Entered<'_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
+        self.guard.as_mut().expect("entered")
     }
 }
 
 impl Drop for Entered<'_> {
     fn drop(&mut self) {
-        self.0.active_threads -= 1;
+        let mut guard = self.guard.take().expect("entered");
+        guard.active_threads -= 1;
+        let wake = std::mem::take(&mut guard.wake);
+        drop(guard);
+        if wake {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -227,7 +246,7 @@ impl MachineShared {
     pub fn enter(&self) -> Entered<'_> {
         let mut guard = self.state.lock();
         guard.active_threads += 1;
-        Entered(guard)
+        Entered { guard: Some(guard), cv: &self.cv }
     }
 
     pub fn with_statics(id: u16, statics: Vec<Value>) -> Self {

@@ -299,7 +299,7 @@ fn wire_rpc(
         rt.net.send(my, to, packet);
     };
     if oneway {
-        interp.off_lock(guard, |_, g| MutexGuard::unlocked(g, send));
+        interp.unlocked(guard, send, |_| ());
         return Ok(Value::Null);
     }
     shard.in_flight.fetch_add(1, Relaxed);
@@ -348,12 +348,7 @@ fn round_trip(
         interp.rt.flight_failed.lock().push(req);
         return Err(why);
     }
-    interp.off_lock(guard, |me, g| {
-        MutexGuard::unlocked(g, || {
-            send();
-            me.waiter.wait()
-        })
-    })
+    interp.unlocked(guard, send, |me| me.waiter.wait())
 }
 
 /// The callee half of an RMI — Figure 1's `Unmarshaler_Example.foo` — on
@@ -552,7 +547,7 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
         let receiver = RemoteRef { machine: my, obj: ObjRef(target_obj), class };
         Call { id, plan, ser, caller: from, receiver, oneway }
     });
-    let (result, open, since, gc_due) = {
+    let (result, open, since, gc_due, wake) = {
         let guard = &mut rt.machine(my).enter();
         // The handler starts, under the machine lock: one stamp closes the
         // queue phase — the drain loop's, for a one-way request on its own
@@ -567,7 +562,8 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
                 (Err(e), Mark::End(Phase::Unmarshal, since))
             }
         };
-        (result, open, since, guard.heap.gc_due())
+        // A `Queue` wake the handler left is delivered once its reply has left.
+        (result, open, since, guard.heap.gc_due(), std::mem::take(&mut guard.wake))
     };
     if draining && !interp.draining {
         // The handler gave the drain role up: it queues again before its reply leaves.
@@ -591,6 +587,9 @@ pub(crate) fn serve_request(interp: &mut Interp, item: WorkItem) -> VmResult<()>
         rt.net.send(my, from, Packet::Reply { req_id: req, payload, err });
         Ok(())
     };
+    if wake {
+        interp.machine.cv.notify_all();
+    }
     // The request's pacing point: its arguments are garbage now. The collection
     // it may owe runs here, after the reply has left, so the pause is not in
     // the caller's round trip; the lock is retaken only when one was due.

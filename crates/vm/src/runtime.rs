@@ -1,6 +1,7 @@
 //! Cluster assembly and program execution.
 
-use std::sync::atomic::Ordering::Relaxed;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -137,7 +138,9 @@ pub struct Runtime {
     pub barrier: Barrier,
     pub args: Vec<i64>,
     pub output: Mutex<String>,
-    pub echo: bool,
+    /// Echo `System.println` to the host stdout; cleared when stdout is a
+    /// pipe its reader has closed.
+    pub echo: AtomicBool,
     /// Join handles of user `spawn` threads.
     pub spawned: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Analysis-verdict auditing (see [`RunOptions::audit`]).
@@ -185,11 +188,19 @@ impl Runtime {
         CallCtx { rt: self, at, req, site, flags: 0 }
     }
 
+    /// Capture `s` in [`Runtime::output`] and echo it, if asked to. A closed
+    /// pipe (`corm run … | head -1`) stops the echo, not the program; any
+    /// other write error stops it too, with one line on stderr.
     pub fn print(&self, s: &str) {
         let mut out = self.output.lock();
         out.push_str(s);
-        if self.echo {
-            print!("{s}");
+        if self.echo.load(Relaxed) {
+            if let Err(e) = std::io::stdout().lock().write_all(s.as_bytes()) {
+                self.echo.store(false, Relaxed);
+                if e.kind() != std::io::ErrorKind::BrokenPipe {
+                    eprintln!("program output no longer echoed: {e}");
+                }
+            }
         }
     }
 
@@ -481,7 +492,7 @@ impl Cluster {
             barrier: Barrier::new(opts.machines),
             args: opts.args.clone(),
             output: Mutex::new(String::new()),
-            echo: opts.echo,
+            echo: AtomicBool::new(opts.echo),
             spawned: Mutex::new(Vec::new()),
             audit: opts.audit,
             flight,

@@ -1,0 +1,38 @@
+//! The `corm` binary as a shell pipeline sees it.
+
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Stdio};
+
+/// `corm run many.mp | head -1`: the reader takes one line and closes the
+/// pipe while the program still prints. The echo stops; the run does not
+/// panic and exits as it would have.
+#[test]
+fn a_closed_stdout_pipe_stops_the_echo_without_a_panic() {
+    let program = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("many_lines.mp");
+    // 200 000 lines, far more than a pipe buffers: the program is still
+    // printing when the reader goes.
+    let src = r#"
+        class Main {
+            static void main() {
+                for (int i = 0; i < 200000; i++) { System.println(Str.fromLong(i)); }
+            }
+        }
+    "#;
+    std::fs::write(&program, src).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_corm"))
+        .arg("run")
+        .arg(&program)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("corm starts");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert_eq!(first, "0\n");
+    // The reader is dropped: the pipe is closed.
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(status.success(), "{status}; stderr: {stderr}");
+}

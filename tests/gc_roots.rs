@@ -9,6 +9,10 @@
 
 use corm::{compile, OptConfig, RunOptions};
 
+/// How long a run may take before the test calls it hung. A pass returns as
+/// soon as the run is done.
+const LOST: std::time::Duration = std::time::Duration::from_secs(60);
+
 /// What every program shares: the chain, its builder and its walker.
 const CHAIN: &str = r#"
     class Node {
@@ -203,6 +207,78 @@ fn a_thread_at_a_safepoint_yield_keeps_its_frames_rooted() {
         }
     "#;
     holder_keeps_its_chain(program, 1, 10);
+}
+
+/// A spinner never starves a thread coming back from any release path. The
+/// spinner never waits, so a thread on its machine gets the lock back only at
+/// the spinner's safepoints, which let go only to a thread acquiring the lock:
+/// each way back — out of `Queue.take`, out of `Queue.put` on a full queue, out
+/// of `sleepMicros`, out of a round trip, and a spawned thread's first entry —
+/// must be counted as acquiring, and a `Queue` wake the spinner made must be
+/// delivered at its safepoint. A way back that is not counted hangs the run,
+/// which fails at the deadline.
+#[test]
+fn a_spinning_sibling_never_starves_a_thread_coming_back_to_the_lock() {
+    const SPINNER: &str = r#"
+        remote class Echo {
+            int ping(int x) { return x; }
+        }
+        class Spinner {
+            Queue q;
+            boolean stop;
+            Spinner() {
+                this.q = new Queue(1);
+                this.stop = false;
+            }
+            void spin() {
+                long spins = 0;
+                while (!this.stop) { spins++; }
+                System.println("spun");
+            }
+            void putThenSpin() { this.q.put(null); this.spin(); }
+            void takeThenSpin() { this.q.take(); this.spin(); }
+            void spawnThenSpin() {
+                Spinner me = this;
+                spawn me.halt();
+                this.spin();
+            }
+            void halt() { this.stop = true; }
+        }
+    "#;
+    let cases = [
+        ("Queue.take", "spawn s.putThenSpin(); s.q.take(); s.stop = true;"),
+        (
+            "Queue.put on a full queue",
+            "s.q.put(null); spawn s.takeThenSpin(); s.q.put(null); s.stop = true;",
+        ),
+        (
+            "sleepMicros",
+            "spawn s.putThenSpin(); s.q.take(); System.sleepMicros(1000); s.stop = true;",
+        ),
+        (
+            "a round trip",
+            "Echo e = new Echo() @ 1; spawn s.putThenSpin(); s.q.take(); e.ping(7); s.stop = true;",
+        ),
+        ("a spawned thread's first entry", "spawn s.spawnThenSpin();"),
+    ];
+    for (path, back) in cases {
+        let main =
+            format!("class Main {{ static void main() {{ Spinner s = new Spinner(); {back} }} }}");
+        let compiled = compile(&format!("{SPINNER}{main}"), OptConfig::ALL)
+            .unwrap_or_else(|e| panic!("{path}: {e}"));
+        for run in 0..5 {
+            let (done_tx, done) = std::sync::mpsc::channel();
+            let c = compiled.clone();
+            let opts = RunOptions { machines: 2, ..Default::default() };
+            // (The receiver is gone only if the deadline already failed the test.)
+            std::thread::spawn(move || drop(done_tx.send(corm::run(&c, opts))));
+            let out = done.recv_timeout(LOST).unwrap_or_else(|_| {
+                panic!("{path}, run {run}: starved, no outcome after {LOST:?}")
+            });
+            assert!(out.error.is_none(), "{path}, run {run}: {}", out.error.unwrap());
+            assert_eq!(out.output, "spun\n", "{path}, run {run}");
+        }
+    }
 }
 
 /// The register file holds exactly the live frames' registers: a callee's
