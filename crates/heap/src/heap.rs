@@ -359,6 +359,18 @@ impl Heap {
         Ok(&mut self.get_mut(r)?.body)
     }
 
+    /// `r`'s body, `None` where [`Heap::body`] errs: for a fast path that
+    /// hands any refusal to the checked access, and builds no error itself.
+    #[inline(always)]
+    pub fn checked_body(&self, r: ObjRef) -> Option<&ObjBody> {
+        self.slots.get(r.index())?.as_ref().map(|o| &o.body)
+    }
+
+    #[inline(always)]
+    pub fn checked_body_mut(&mut self, r: ObjRef) -> Option<&mut ObjBody> {
+        self.slots.get_mut(r.index())?.as_mut().map(|o| &mut o.body)
+    }
+
     pub fn is_live(&self, r: ObjRef) -> bool {
         matches!(self.slots.get(r.index()), Some(Some(_)))
     }
@@ -375,20 +387,49 @@ impl Heap {
 
     // ----- typed accessors --------------------------------------------------
 
+    /// Arena index of field `slot` of instance `r`, `None` for a dangling
+    /// `r`, a body that is not an instance or a slot it does not have.
+    #[inline(always)]
+    fn checked_field_index(&self, r: ObjRef, slot: usize) -> Option<usize> {
+        match self.checked_body(r)? {
+            ObjBody::Obj { span, .. } if slot < span.len() => Some(span.at as usize + slot),
+            _ => None,
+        }
+    }
+
     /// Arena index of field `slot` of instance `r`; `what` names the access
     /// in the error for a body that is not an instance.
     #[inline]
     fn field_index(&self, r: ObjRef, slot: usize, what: &str) -> Result<usize, HeapError> {
-        match self.body(r)? {
-            ObjBody::Obj { span, .. } if slot < span.len() => Ok(span.at as usize + slot),
-            ObjBody::Obj { .. } => Err(no_field(r, slot)),
-            other => err(format!("field {what} on non-object {other:?}")),
+        self.checked_field_index(r, slot).ok_or_else(|| self.field_error(r, slot, what))
+    }
+
+    #[cold]
+    fn field_error(&self, r: ObjRef, slot: usize, what: &str) -> HeapError {
+        match self.body(r) {
+            Err(e) => e,
+            Ok(ObjBody::Obj { .. }) => no_field(r, slot),
+            Ok(other) => HeapError(format!("field {what} on non-object {other:?}")),
         }
     }
 
     #[inline]
     pub fn field(&self, r: ObjRef, slot: usize) -> Result<Value, HeapError> {
         Ok(self.fields[self.field_index(r, slot, "access")?])
+    }
+
+    /// Field `slot` of instance `r`, `None` where [`Heap::field`] errs.
+    #[inline(always)]
+    pub fn checked_field(&self, r: ObjRef, slot: usize) -> Option<Value> {
+        self.checked_field_index(r, slot).map(|i| self.fields[i])
+    }
+
+    /// Field `slot` of instance `r` to store into, `None` where
+    /// [`Heap::set_field`] errs.
+    #[inline(always)]
+    pub fn checked_field_mut(&mut self, r: ObjRef, slot: usize) -> Option<&mut Value> {
+        let i = self.checked_field_index(r, slot)?;
+        Some(&mut self.fields[i])
     }
 
     #[inline]

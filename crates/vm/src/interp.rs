@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-use corm_heap::{ObjBody, Value};
+use corm_heap::{Heap, ObjBody, ObjRef, Value};
 use corm_ir::scalar::{self, compare, double_arith, int_arith, long_arith};
 use corm_ir::{BinKind, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Ty, UnKind};
 use parking_lot::MutexGuard;
@@ -47,7 +47,8 @@ const MAX_BUILTIN_ARGS: usize = 3;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Frame {
     pub(crate) func: FuncId,
-    /// Where the activation resumes; kept up to date only across a call.
+    /// Where the activation resumes; kept up to date only across a call and
+    /// an op the typed loop hands to the step.
     pub(crate) pc: u32,
     pub(crate) base: u32,
     /// Register in the *caller's* window receiving the return value.
@@ -314,253 +315,174 @@ impl Interp {
     }
 
     /// Execute until the frame stack returns to `depth` frames. Returns the
-    /// value produced by the activation that started at `depth`.
+    /// value produced by the activation that started at `depth`. The typed
+    /// loop ([`run_typed`]) runs the top activation from its frame's `pc` up
+    /// to the first op it declines; [`Interp::step`] runs that one and leaves
+    /// a frame on top — the same, a callee's or the caller's — at the pc to
+    /// go on from.
     fn run_loop(
         &mut self,
         guard: &mut MutexGuard<'_, MachineState>,
         depth: usize,
     ) -> VmResult<Value> {
         let rt = self.rt.clone();
-        let linked = &rt.linked;
-        let top = *self.stack.frames.last().expect("active frame");
-        let (mut lk, mut pc, mut base) =
-            (&linked[top.func.index()], top.pc as usize, top.base as usize);
+        let machine = self.machine_id();
+        loop {
+            let top = *self.stack.frames.last().expect("active frame");
+            let (lk, base) = (&rt.linked[top.func.index()], top.base as usize);
+            let window = &mut self.stack.regs[base..];
+            let (pc, steps) =
+                run_typed(&lk.code, top.pc as usize, window, &mut guard.heap, self.steps, machine);
+            self.steps = steps;
+            if let Some(value) = self.step(guard, &rt.linked, lk, pc, base, depth)? {
+                return Ok(value);
+            }
+        }
+    }
+
+    /// Run the op at `pc` of `lk`, the top activation's code (its window at
+    /// `base`), on the tagged path: the op the typed loop declined. A miss
+    /// raises its error here, and a charge that reaches the quantum takes
+    /// its safepoint. Returns the value of the activation at `depth` when it
+    /// returns; otherwise leaves the frame on top at the pc to go on from.
+    #[inline(never)]
+    fn step(
+        &mut self,
+        guard: &mut MutexGuard<'_, MachineState>,
+        linked: &[Linked],
+        lk: &Linked,
+        pc: usize,
+        base: usize,
+        depth: usize,
+    ) -> VmResult<Option<Value>> {
         // The current window's register `r`, readable and writable.
         macro_rules! reg {
             ($r:expr) => {
                 self.stack.regs[base + $r.index()]
             };
         }
-        // A binary op on its static type: `$f` on the payloads when both
-        // operands hold tag `$tag`, its result tagged `$out`. Otherwise the
-        // tagged `binop`, which also raises whatever `$f` declined, so results
-        // and errors are the untyped ones. The result is a scalar until it is
-        // stored, never a `Value` assembled on the stack.
-        macro_rules! typed {
-            ($dst:expr, $op:expr, $x:expr, $y:expr, $tag:ident, $f:ident => $out:ident) => {{
-                let (x, y) = ($x, $y);
-                let v = match (x, y) {
-                    (Value::$tag(p), Value::$tag(q)) => $f($op, p, q),
-                    _ => None,
-                };
-                match v {
-                    Some(v) => reg!($dst) = Value::$out(v),
-                    None => reg!($dst) = self.binop($op, x, y)?,
-                }
+        macro_rules! bin {
+            ($dst:expr, $op:expr, $x:expr, $y:expr) => {{
+                let v = self.binop($op, $x, $y)?;
+                reg!($dst) = v;
             }};
         }
-        // A numeric conversion; the tagged cast raises what it declines.
         macro_rules! convert {
             ($dst:expr, $src:expr, $to:ident) => {{
-                let v = reg!($src);
-                reg!($dst) = match scalar_of(v).and_then(|a| scalar::convert(a, &Ty::$to)) {
-                    Some(c) => value_of(c),
-                    None => self.cast(guard, v, &Ty::$to)?,
-                };
+                let v = self.cast(guard, reg!($src), &Ty::$to)?;
+                reg!($dst) = v;
             }};
         }
-        // The tagged array accesses: what every typed one falls back to.
-        macro_rules! load {
-            ($dst:expr, $arr:expr, $idx:expr) => {{
-                let (r, i) = (self.obj_of(reg!($arr))?, self.index_of(reg!($idx))?);
-                reg!($dst) = guard.heap.array_get(r, i).map_err(|e| self.err(e.0))?;
-            }};
-        }
-        macro_rules! store {
-            ($arr:expr, $idx:expr, $val:expr) => {{
-                let (r, i) = (self.obj_of(reg!($arr))?, self.index_of(reg!($idx))?);
-                let v = reg!($val);
-                guard.heap.array_set(r, i, v).map_err(|e| self.err(e.0))?;
-            }};
-        }
-        // An access typed by its array's element type: one match on that
-        // body (`ObjBody::$body`), an element of tag `$tag`, and the tagged
-        // access on anything else, which raises the untyped errors. A
-        // negative index is out of range of `get`.
-        macro_rules! typed_load {
-            ($dst:expr, $arr:expr, $idx:expr, $body:ident, $tag:ident) => {{
-                let hit = match (reg!($arr), reg!($idx)) {
-                    (Value::Ref(r), Value::Int(i)) => match guard.heap.body(r) {
-                        Ok(ObjBody::$body(a)) => a.get(i as usize).copied(),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                match hit {
-                    Some(x) => reg!($dst) = Value::$tag(x),
-                    None => load!($dst, $arr, $idx),
-                }
-            }};
-        }
-        macro_rules! typed_store {
-            ($arr:expr, $idx:expr, $val:expr, $body:ident, $tag:ident) => {{
-                let done = match (reg!($arr), reg!($idx), reg!($val)) {
-                    (Value::Ref(r), Value::Int(i), Value::$tag(x)) => {
-                        match guard.heap.body_mut(r) {
-                            Ok(ObjBody::$body(a)) => a.get_mut(i as usize).map(|e| *e = x),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                };
-                if done.is_none() {
-                    store!($arr, $idx, $val)
-                }
-            }};
-        }
-        // A fused compare-and-branch: the int compare when both operands
-        // hold ints, else the tagged `binop` and the branch's own check, so
-        // a result or error is the unfused pair's.
-        macro_rules! branch {
-            ($op:expr, $x:expr, $y:expr, $t:expr, $f:expr, $steps:expr) => {{
-                let (x, y) = ($x, $y);
-                let taken = match (x, y) {
-                    (Value::Int(p), Value::Int(q)) => compare($op, p, q),
-                    _ => None,
-                };
-                let taken = match taken {
-                    Some(b) => b,
-                    None => match self.binop($op, x, y)? {
-                        Value::Bool(b) => b,
-                        v => return Err(self.err(format!("branch on non-boolean {v:?}"))),
-                    },
-                };
-                self.charge(guard, $steps);
-                pc = if taken { $t } else { $f } as usize;
-            }};
-        }
-        loop {
-            let op = &lk.code[pc];
-            pc += 1;
-            match *op {
-                Op::Const { dst, v } => reg!(dst) = v,
-                Op::Move { dst, src } => reg!(dst) = reg!(src),
-                Op::Un { dst, op, a } => {
-                    let v = self.unop(op, reg!(a))?;
-                    reg!(dst) = v;
-                }
-                Op::Bin { dst, op, a, b } => {
-                    let v = self.binop(op, reg!(a), reg!(b))?;
-                    reg!(dst) = v;
-                }
-                Op::BinInt { dst, op, a, b } => {
-                    typed!(dst, op, reg!(a), reg!(b), Int, int_arith => Int)
-                }
-                Op::BinIntImm { dst, op, a, imm } => {
-                    typed!(dst, op, reg!(a), Value::Int(imm), Int, int_arith => Int)
-                }
-                Op::AddIntImm { dst, a, imm } => {
-                    typed!(dst, BinKind::Add, reg!(a), Value::Int(imm), Int, int_arith => Int)
-                }
-                Op::BinLong { dst, op, a, b } => {
-                    typed!(dst, op, reg!(a), reg!(b), Long, long_arith => Long)
-                }
-                Op::BinDouble { dst, op, a, b } => {
-                    typed!(dst, op, reg!(a), reg!(b), Double, double_arith => Double)
-                }
-                Op::AddDouble { dst, a, b } => {
-                    typed!(dst, BinKind::Add, reg!(a), reg!(b), Double, double_arith => Double)
-                }
-                Op::SubDouble { dst, a, b } => {
-                    typed!(dst, BinKind::Sub, reg!(a), reg!(b), Double, double_arith => Double)
-                }
-                Op::MulDouble { dst, a, b } => {
-                    typed!(dst, BinKind::Mul, reg!(a), reg!(b), Double, double_arith => Double)
-                }
-                Op::CmpInt { dst, op, a, b } => {
-                    typed!(dst, op, reg!(a), reg!(b), Int, compare => Bool)
-                }
-                Op::CmpIntImm { dst, op, a, imm } => {
-                    typed!(dst, op, reg!(a), Value::Int(imm), Int, compare => Bool)
-                }
-                Op::CmpLong { dst, op, a, b } => {
-                    typed!(dst, op, reg!(a), reg!(b), Long, compare => Bool)
-                }
-                Op::CmpDouble { dst, op, a, b } => {
-                    typed!(dst, op, reg!(a), reg!(b), Double, compare => Bool)
-                }
-                Op::IntToLong { dst, src } => convert!(dst, src, Long),
-                Op::IntToDouble { dst, src } => convert!(dst, src, Double),
-                Op::LongToInt { dst, src } => convert!(dst, src, Int),
-                Op::LongToDouble { dst, src } => convert!(dst, src, Double),
-                Op::DoubleToInt { dst, src } => convert!(dst, src, Int),
-                Op::DoubleToLong { dst, src } => convert!(dst, src, Long),
-                Op::GetField { dst, obj, slot } => {
-                    let r = self.localize(reg!(obj))?;
-                    reg!(dst) = guard.heap.field(r, slot as usize).map_err(|e| self.err(e.0))?;
-                }
-                Op::SetField { obj, slot, val } => {
-                    let r = self.localize(reg!(obj))?;
-                    let v = reg!(val);
-                    guard.heap.set_field(r, slot as usize, v).map_err(|e| self.err(e.0))?;
-                }
-                Op::GetStatic { dst, sid } => reg!(dst) = guard.statics[sid as usize],
-                Op::SetStatic { sid, val } => guard.statics[sid as usize] = reg!(val),
-                Op::ArrLoad { dst, arr, idx } => load!(dst, arr, idx),
-                Op::ArrStore { arr, idx, val } => store!(arr, idx, val),
-                Op::ArrLoadInt { dst, arr, idx } => typed_load!(dst, arr, idx, ArrI32, Int),
-                Op::ArrLoadDouble { dst, arr, idx } => typed_load!(dst, arr, idx, ArrF64, Double),
-                Op::ArrStoreInt { arr, idx, val } => typed_store!(arr, idx, val, ArrI32, Int),
-                Op::ArrStoreDouble { arr, idx, val } => {
-                    typed_store!(arr, idx, val, ArrF64, Double)
-                }
-                Op::ArrLen { dst, arr } => {
-                    let r = self.obj_of(reg!(arr))?;
-                    let n = guard.heap.array_len(r).map_err(|e| self.err(e.0))?;
-                    reg!(dst) = Value::Int(n as i32);
-                }
-                Op::CallDirect { func, call, steps } => {
-                    self.charge(guard, steps);
-                    let callee = &linked[func.index()];
-                    base = self.push_call(callee, func, pc, base, &lk.calls[call as usize])?;
-                    (lk, pc) = (callee, callee.entry as usize);
-                }
-                Op::CallVirtual { decl, vslot, call, steps } => {
-                    self.charge(guard, steps);
-                    let call = &lk.calls[call as usize];
-                    let recv = call.args.first().map_or(Value::Null, |r| reg!(r));
-                    let func = self.func_of(self.dispatch(guard, recv, decl, vslot)?)?;
-                    let callee = &linked[func.index()];
-                    base = self.push_call(callee, func, pc, base, call)?;
-                    (lk, pc) = (callee, callee.entry as usize);
-                }
-                Op::Jump { to, steps } => {
-                    self.steps += steps as u64;
-                    pc = to as usize;
-                }
-                Op::Loop { to, steps } => {
-                    self.charge(guard, steps);
-                    pc = to as usize;
-                }
-                Op::Branch { cond, t, f, steps } => {
-                    let Value::Bool(b) = reg!(cond) else {
-                        return Err(self.err(format!("branch on non-boolean {:?}", reg!(cond))));
-                    };
-                    self.charge(guard, steps);
-                    pc = if b { t } else { f } as usize;
-                }
-                Op::BrInt { op, a, b, t, f, steps } => branch!(op, reg!(a), reg!(b), t, f, steps),
-                Op::BrIntImm { op, a, imm, t, f, steps } => {
-                    branch!(op, reg!(a), Value::Int(imm), t, f, steps)
-                }
-                Op::Ret { src, steps } => {
-                    self.charge(guard, steps);
-                    let value = src.map_or(Value::Null, |r| reg!(r));
-                    let done = self.stack.frames.pop().expect("active frame");
-                    self.stack.regs.truncate(done.base as usize);
-                    if self.stack.frames.len() == depth {
-                        return Ok(value);
-                    }
-                    let caller = *self.stack.frames.last().expect("a caller");
-                    lk = &linked[caller.func.index()];
-                    (pc, base) = (caller.pc as usize, caller.base as usize);
-                    if let Some(dst) = done.ret_dst {
-                        reg!(dst) = value;
-                    }
-                }
-                Op::Other(ref instr) => self.exec(guard, instr)?,
+        let mut next = pc + 1;
+        match lk.code[pc] {
+            ref op @ (Op::Const { .. } | Op::Move { .. }) => {
+                unreachable!("the typed loop runs every {op:?}")
             }
+            Op::Un { dst, op, a } => {
+                let v = self.unop(op, reg!(a))?;
+                reg!(dst) = v;
+            }
+            Op::Bin { dst, op, a, b }
+            | Op::BinInt { dst, op, a, b }
+            | Op::BinLong { dst, op, a, b }
+            | Op::BinDouble { dst, op, a, b }
+            | Op::CmpInt { dst, op, a, b }
+            | Op::CmpLong { dst, op, a, b }
+            | Op::CmpDouble { dst, op, a, b } => bin!(dst, op, reg!(a), reg!(b)),
+            Op::BinIntImm { dst, op, a, imm } | Op::CmpIntImm { dst, op, a, imm } => {
+                bin!(dst, op, reg!(a), Value::Int(imm))
+            }
+            Op::AddIntImm { dst, a, imm } => bin!(dst, BinKind::Add, reg!(a), Value::Int(imm)),
+            Op::AddDouble { dst, a, b } => bin!(dst, BinKind::Add, reg!(a), reg!(b)),
+            Op::SubDouble { dst, a, b } => bin!(dst, BinKind::Sub, reg!(a), reg!(b)),
+            Op::MulDouble { dst, a, b } => bin!(dst, BinKind::Mul, reg!(a), reg!(b)),
+            Op::IntToLong { dst, src } | Op::DoubleToLong { dst, src } => convert!(dst, src, Long),
+            Op::IntToDouble { dst, src } | Op::LongToDouble { dst, src } => {
+                convert!(dst, src, Double)
+            }
+            Op::LongToInt { dst, src } | Op::DoubleToInt { dst, src } => convert!(dst, src, Int),
+            Op::GetField { dst, obj, slot } => {
+                let r = self.localize(reg!(obj))?;
+                reg!(dst) = guard.heap.field(r, slot as usize).map_err(|e| self.err(e.0))?;
+            }
+            Op::SetField { obj, slot, val } => {
+                let r = self.localize(reg!(obj))?;
+                let v = reg!(val);
+                guard.heap.set_field(r, slot as usize, v).map_err(|e| self.err(e.0))?;
+            }
+            Op::GetStatic { dst, sid } => reg!(dst) = guard.statics[sid as usize],
+            Op::SetStatic { sid, val } => guard.statics[sid as usize] = reg!(val),
+            Op::ArrLoad { dst, arr, idx }
+            | Op::ArrLoadInt { dst, arr, idx }
+            | Op::ArrLoadDouble { dst, arr, idx } => {
+                let (r, i) = (self.obj_of(reg!(arr))?, self.index_of(reg!(idx))?);
+                reg!(dst) = guard.heap.array_get(r, i).map_err(|e| self.err(e.0))?;
+            }
+            Op::ArrStore { arr, idx, val }
+            | Op::ArrStoreInt { arr, idx, val }
+            | Op::ArrStoreDouble { arr, idx, val } => {
+                let (r, i) = (self.obj_of(reg!(arr))?, self.index_of(reg!(idx))?);
+                let v = reg!(val);
+                guard.heap.array_set(r, i, v).map_err(|e| self.err(e.0))?;
+            }
+            Op::ArrLen { dst, arr } => {
+                let r = self.obj_of(reg!(arr))?;
+                let n = guard.heap.array_len(r).map_err(|e| self.err(e.0))?;
+                reg!(dst) = Value::Int(n as i32);
+            }
+            Op::CallDirect { func, call, steps } => {
+                self.charge(guard, steps);
+                self.push_call(&linked[func.index()], func, next, base, &lk.calls[call as usize])?;
+                return Ok(None);
+            }
+            Op::CallVirtual { decl, vslot, call, steps } => {
+                self.charge(guard, steps);
+                let call = &lk.calls[call as usize];
+                let recv = call.args.first().map_or(Value::Null, |r| reg!(r));
+                let func = self.func_of(self.dispatch(guard, recv, decl, vslot)?)?;
+                self.push_call(&linked[func.index()], func, next, base, call)?;
+                return Ok(None);
+            }
+            Op::Jump { to, steps } => {
+                self.steps += steps as u64;
+                next = to as usize;
+            }
+            Op::Loop { to, steps } => {
+                self.charge(guard, steps);
+                next = to as usize;
+            }
+            Op::Branch { cond, t, f, steps } => {
+                let b = self.test(reg!(cond))?;
+                self.charge(guard, steps);
+                next = if b { t } else { f } as usize;
+            }
+            Op::BrInt { op, a, b, t, f, steps } => {
+                let b = self.test(self.binop(op, reg!(a), reg!(b))?)?;
+                self.charge(guard, steps);
+                next = if b { t } else { f } as usize;
+            }
+            Op::BrIntImm { op, a, imm, t, f, steps } => {
+                let b = self.test(self.binop(op, reg!(a), Value::Int(imm))?)?;
+                self.charge(guard, steps);
+                next = if b { t } else { f } as usize;
+            }
+            Op::Ret { src, steps } => {
+                self.charge(guard, steps);
+                let value = src.map_or(Value::Null, |r| reg!(r));
+                let done = self.stack.frames.pop().expect("active frame");
+                self.stack.regs.truncate(done.base as usize);
+                if self.stack.frames.len() == depth {
+                    return Ok(Some(value));
+                }
+                if let Some(dst) = done.ret_dst {
+                    self.set(dst, value);
+                }
+                return Ok(None);
+            }
+            Op::Other(ref instr) => self.exec(guard, instr)?,
         }
+        self.stack.frames.last_mut().expect("active frame").pc = next as u32;
+        Ok(None)
     }
 
     /// What has no op of its own: string literals, allocation, non-numeric
@@ -772,13 +694,19 @@ impl Interp {
     /// refs only when they live on this machine (`this` inside remote
     /// methods).
     #[inline]
-    fn localize(&self, v: Value) -> VmResult<corm_heap::ObjRef> {
+    fn localize(&self, v: Value) -> VmResult<ObjRef> {
+        local(v, self.machine_id()).ok_or_else(|| match v {
+            Value::Remote(_) => self.err("field access on a remote object"),
+            Value::Null => self.err("null dereference"),
+            other => self.err(format!("expected object, found {other:?}")),
+        })
+    }
+
+    /// A branch's condition.
+    fn test(&self, v: Value) -> VmResult<bool> {
         match v {
-            Value::Ref(r) => Ok(r),
-            Value::Remote(rr) if rr.machine == self.machine_id() => Ok(rr.obj),
-            Value::Remote(_) => Err(self.err("field access on a remote object")),
-            Value::Null => Err(self.err("null dereference")),
-            other => Err(self.err(format!("expected object, found {other:?}"))),
+            Value::Bool(b) => Ok(b),
+            v => Err(self.err(format!("branch on non-boolean {v:?}"))),
         }
     }
 
@@ -868,6 +796,210 @@ impl Interp {
             }
         })
     }
+}
+
+/// The object `v` denotes to a field access on `machine`: a local ref, or a
+/// remote one that lives there (`this` inside a remote method).
+#[inline(always)]
+fn local(v: Value, machine: u16) -> Option<ObjRef> {
+    match v {
+        Value::Ref(r) => Some(r),
+        Value::Remote(rr) if rr.machine == machine => Some(rr.obj),
+        _ => None,
+    }
+}
+
+/// The typed loop: the fast case of each op that needs no more than the
+/// current window, the heap and the quantum, over locals the compiler keeps
+/// in registers. It stops at the first op it declines — a tag miss, a
+/// division by zero, an index out of range, a dangling ref, a call, a
+/// return, `Other`, a charge that would reach [`QUANTUM`] — without running
+/// it, and returns that op's pc and the steps charged by then.
+/// [`Interp::step`] runs that op on the tagged path, which raises whatever
+/// this declined, so no op has two fast cases. It neither allocates nor lets
+/// go of the lock: no collector sees the window it borrows.
+#[inline(never)]
+fn run_typed(
+    code: &[Op],
+    mut pc: usize,
+    regs: &mut [Value],
+    heap: &mut Heap,
+    mut steps: u64,
+    machine: u16,
+) -> (usize, u64) {
+    macro_rules! reg {
+        ($r:expr) => {
+            regs[$r.index()]
+        };
+    }
+    // Go on at `$to`, `$steps` charged; a charge that reaches the quantum is
+    // the step's, which takes the safepoint.
+    macro_rules! goto {
+        ($to:expr, $steps:expr) => {{
+            let charged = steps + $steps as u64;
+            if charged >= QUANTUM {
+                break;
+            }
+            (steps, pc) = (charged, $to as usize);
+            continue;
+        }};
+    }
+    // `$f` on the payloads when both operands hold tag `$tag`, its result
+    // tagged `$out`; the result is a scalar until it is stored.
+    macro_rules! typed {
+        ($dst:expr, $op:expr, $x:expr, $y:expr, $tag:ident, $f:ident => $out:ident) => {{
+            let (Value::$tag(p), Value::$tag(q)) = ($x, $y) else { break };
+            let Some(v) = $f($op, p, q) else { break };
+            reg!($dst) = Value::$out(v);
+        }};
+    }
+    macro_rules! convert {
+        ($dst:expr, $src:expr, $to:ident) => {{
+            let Some(c) = scalar_of(reg!($src)).and_then(|a| scalar::convert(a, &Ty::$to)) else {
+                break;
+            };
+            reg!($dst) = value_of(c);
+        }};
+    }
+    // An element of an array whose body matches `$body` (binding `$elems`),
+    // at an int index in range; a negative index is out of range of `get`.
+    macro_rules! load {
+        ($dst:expr, $arr:expr, $idx:expr, $body:pat => $elems:expr, $wrap:expr) => {{
+            let (Value::Ref(r), Value::Int(i)) = (reg!($arr), reg!($idx)) else { break };
+            let Some($body) = heap.checked_body(r) else { break };
+            let Some(&x) = $elems.get(i as usize) else { break };
+            reg!($dst) = $wrap(x);
+        }};
+    }
+    macro_rules! store {
+        ($arr:expr, $idx:expr, $val:expr, $body:pat => $elems:expr, $v:pat => $x:expr) => {{
+            let (Value::Ref(r), Value::Int(i), $v) = (reg!($arr), reg!($idx), reg!($val)) else {
+                break;
+            };
+            let Some($body) = heap.checked_body_mut(r) else { break };
+            let Some(e) = $elems.get_mut(i as usize) else { break };
+            *e = $x;
+        }};
+    }
+    loop {
+        match code[pc] {
+            Op::Const { dst, v } => reg!(dst) = v,
+            Op::Move { dst, src } => reg!(dst) = reg!(src),
+            Op::BinInt { dst, op, a, b } => {
+                typed!(dst, op, reg!(a), reg!(b), Int, int_arith => Int)
+            }
+            Op::BinIntImm { dst, op, a, imm } => {
+                typed!(dst, op, reg!(a), Value::Int(imm), Int, int_arith => Int)
+            }
+            Op::AddIntImm { dst, a, imm } => {
+                typed!(dst, BinKind::Add, reg!(a), Value::Int(imm), Int, int_arith => Int)
+            }
+            Op::BinLong { dst, op, a, b } => {
+                typed!(dst, op, reg!(a), reg!(b), Long, long_arith => Long)
+            }
+            Op::BinDouble { dst, op, a, b } => {
+                typed!(dst, op, reg!(a), reg!(b), Double, double_arith => Double)
+            }
+            Op::AddDouble { dst, a, b } => {
+                typed!(dst, BinKind::Add, reg!(a), reg!(b), Double, double_arith => Double)
+            }
+            Op::SubDouble { dst, a, b } => {
+                typed!(dst, BinKind::Sub, reg!(a), reg!(b), Double, double_arith => Double)
+            }
+            Op::MulDouble { dst, a, b } => {
+                typed!(dst, BinKind::Mul, reg!(a), reg!(b), Double, double_arith => Double)
+            }
+            // Reference identity (`p != null`): the untyped op's one case the
+            // loop runs, as `binop` decides it for two references.
+            Op::Bin { dst, op: op @ (BinKind::Eq | BinKind::Ne), a, b } => {
+                let (x, y) = (reg!(a), reg!(b));
+                if !(is_ref(x) && is_ref(y)) {
+                    break;
+                }
+                reg!(dst) = Value::Bool(ref_eq(x, y) == (op == BinKind::Eq));
+            }
+            Op::CmpInt { dst, op, a, b } => typed!(dst, op, reg!(a), reg!(b), Int, compare => Bool),
+            Op::CmpIntImm { dst, op, a, imm } => {
+                typed!(dst, op, reg!(a), Value::Int(imm), Int, compare => Bool)
+            }
+            Op::CmpLong { dst, op, a, b } => {
+                typed!(dst, op, reg!(a), reg!(b), Long, compare => Bool)
+            }
+            Op::CmpDouble { dst, op, a, b } => {
+                typed!(dst, op, reg!(a), reg!(b), Double, compare => Bool)
+            }
+            Op::IntToLong { dst, src } => convert!(dst, src, Long),
+            Op::IntToDouble { dst, src } => convert!(dst, src, Double),
+            Op::LongToInt { dst, src } => convert!(dst, src, Int),
+            Op::LongToDouble { dst, src } => convert!(dst, src, Double),
+            Op::DoubleToInt { dst, src } => convert!(dst, src, Int),
+            Op::DoubleToLong { dst, src } => convert!(dst, src, Long),
+            Op::GetField { dst, obj, slot } => {
+                let Some(r) = local(reg!(obj), machine) else { break };
+                let Some(v) = heap.checked_field(r, slot as usize) else { break };
+                reg!(dst) = v;
+            }
+            Op::SetField { obj, slot, val } => {
+                let Some(r) = local(reg!(obj), machine) else { break };
+                let Some(field) = heap.checked_field_mut(r, slot as usize) else { break };
+                *field = reg!(val);
+            }
+            Op::ArrLoad { dst, arr, idx } => {
+                load!(dst, arr, idx, ObjBody::ArrRef { data, .. } => data, |v| v)
+            }
+            Op::ArrLoadInt { dst, arr, idx } => {
+                load!(dst, arr, idx, ObjBody::ArrI32(a) => a, Value::Int)
+            }
+            Op::ArrLoadDouble { dst, arr, idx } => {
+                load!(dst, arr, idx, ObjBody::ArrF64(a) => a, Value::Double)
+            }
+            Op::ArrStore { arr, idx, val } => store!(
+                arr, idx, val,
+                ObjBody::ArrRef { data, .. } => data,
+                v @ (Value::Null | Value::Ref(_) | Value::Remote(_)) => v
+            ),
+            Op::ArrStoreInt { arr, idx, val } => {
+                store!(arr, idx, val, ObjBody::ArrI32(a) => a, Value::Int(x) => x)
+            }
+            Op::ArrStoreDouble { arr, idx, val } => {
+                store!(arr, idx, val, ObjBody::ArrF64(a) => a, Value::Double(x) => x)
+            }
+            Op::ArrLen { dst, arr } => {
+                let Value::Ref(r) = reg!(arr) else { break };
+                let Some(n) = heap.checked_body(r).and_then(ObjBody::array_len) else { break };
+                reg!(dst) = Value::Int(n as i32);
+            }
+            Op::Jump { to, steps } | Op::Loop { to, steps } => goto!(to, steps),
+            Op::Branch { cond, t, f, steps } => {
+                let Value::Bool(b) = reg!(cond) else { break };
+                goto!(if b { t } else { f }, steps)
+            }
+            Op::BrInt { op, a, b, t, f, steps } => {
+                let (Value::Int(x), Value::Int(y)) = (reg!(a), reg!(b)) else { break };
+                let Some(taken) = compare(op, x, y) else { break };
+                goto!(if taken { t } else { f }, steps)
+            }
+            Op::BrIntImm { op, a, imm, t, f, steps } => {
+                let Value::Int(x) = reg!(a) else { break };
+                let Some(taken) = compare(op, x, imm) else { break };
+                goto!(if taken { t } else { f }, steps)
+            }
+            Op::Un { .. }
+            | Op::Bin { .. }
+            | Op::GetStatic { .. }
+            | Op::SetStatic { .. }
+            | Op::CallDirect { .. }
+            | Op::CallVirtual { .. }
+            | Op::Ret { .. }
+            | Op::Other(_) => break,
+        }
+        pc += 1;
+    }
+    (pc, steps)
+}
+
+fn is_ref(v: Value) -> bool {
+    matches!(v, Value::Null | Value::Ref(_) | Value::Remote(_))
 }
 
 fn ref_eq(a: Value, b: Value) -> bool {
@@ -1085,6 +1217,94 @@ mod tests {
         }
         typed.finish(None);
         tagged.finish(None);
+    }
+
+    #[test]
+    fn a_miss_deep_in_a_hot_loop_raises_the_tagged_error_with_its_frames() {
+        // Each kernel misses once, at iteration `k` of a loop three calls
+        // deep, well past the first safepoints: a zero divisor, a null
+        // `double[]`, another machine's object, a null receiver of a store.
+        let c = cluster(
+            "class Node { int v; }
+             class M {
+               static int div(int n, int k) {
+                 int s = 0;
+                 for (int i = 0; i < n; i++) { s = s + 1000 / (k - i); }
+                 return s;
+               }
+               static int load(int n, int k) {
+                 double[] a = new double[1];
+                 int s = 0;
+                 for (int i = 0; i < n; i++) {
+                   double[] d = a;
+                   if (i == k) { d = null; }
+                   if (d[0] < 1.0) { s++; }
+                 }
+                 return s;
+               }
+               static int get(Node far, int n, int k) {
+                 Node a = new Node();
+                 a.v = 3;
+                 int s = 0;
+                 for (int i = 0; i < n; i++) {
+                   Node o = a;
+                   if (i == k) { o = far; }
+                   s = s + o.v;
+                 }
+                 return s;
+               }
+               static int set(int n, int k) {
+                 Node a = new Node();
+                 for (int i = 0; i < n; i++) {
+                   Node o = a;
+                   if (i == k) { o = null; }
+                   o.v = i;
+                 }
+                 return a.v;
+               }
+               static int mid(int which, Node far, int n, int k) {
+                 if (which == 0) { return M.div(n, k); }
+                 if (which == 1) { return M.load(n, k); }
+                 if (which == 2) { return M.get(far, n, k); }
+                 return M.set(n, k);
+               }
+               static int run(int which, Node far, int n, int k) { return M.mid(which, far, n, k); }
+               static void main() { } }",
+            |_| {},
+        );
+        let has = |name: &str, op: fn(&Op) -> bool| {
+            c.rt.linked[func(&c, name).index()].code.iter().any(op)
+        };
+        assert!(has("M.div", |op| matches!(op, Op::BinInt { op: BinKind::Div, .. })));
+        assert!(has("M.load", |op| matches!(op, Op::ArrLoadDouble { .. })));
+        assert!(has("M.get", |op| matches!(op, Op::GetField { .. })));
+        assert!(has("M.set", |op| matches!(op, Op::SetField { .. })));
+        let far = Value::Remote(corm_heap::RemoteRef {
+            machine: 1,
+            obj: ObjRef(0),
+            class: corm_ir::OBJECT_CLASS,
+        });
+        let (n, k) = (10_000, 6_000);
+        let mut interp = Interp::new(c.rt.clone(), 0);
+        let run = func(&c, "M.run");
+        let mut call = |which: i32, k: i32| {
+            let args = vec![Value::Int(which), far, Value::Int(n), Value::Int(k)];
+            interp.run_function(run, args).map_err(|e| (e.message, e.trace))
+        };
+        let cases: [(&str, &str, i32); 4] = [
+            ("division by zero", "M.div", 7069),
+            ("null dereference", "M.load", 10_000),
+            ("field access on a remote object", "M.get", 30_000),
+            ("null dereference", "M.set", 9_999),
+        ];
+        for (which, (message, hot, ran)) in (0..).zip(cases) {
+            let trace = vec![hot.to_string(), "M.mid".to_string(), "M.run".to_string()];
+            assert_eq!(call(which, k), Err((message.to_string(), trace)), "{hot}");
+            // Past its last iteration nothing misses: the loop ran to the end.
+            assert_eq!(call(which, n), Ok(Value::Int(ran)), "{hot}");
+        }
+        drop(interp);
+        c.finish(None);
     }
 
     #[test]

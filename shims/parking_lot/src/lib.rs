@@ -358,7 +358,10 @@ mod tests {
         let trier = std::thread::spawn(move || {
             let mut tried = false;
             while !stop2.load(Relaxed) {
-                if m2.try_lock().is_some() {
+                // A take counts only while the holder still bumps: `stop` is
+                // set before the holder's guard drops, so a take after that
+                // drop reads it (the unlock orders the store before it).
+                if m2.try_lock().is_some_and(|_g| !stop2.load(Relaxed)) {
                     took2.fetch_add(1, Relaxed);
                 }
                 if !tried {

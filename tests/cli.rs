@@ -36,3 +36,31 @@ fn a_closed_stdout_pipe_stops_the_echo_without_a_panic() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(status.success(), "{status}; stderr: {stderr}");
 }
+
+/// The interpreter kernels of `examples/miniparty/kernels.mp`, each at a small
+/// N, print the result they always printed: the spin loop crosses many
+/// safepoint quanta, LU's elimination runs the element-typed array ops and
+/// loads from a `double[][]`, and `Isa.exec` field reads, a call and a return
+/// per program run. The `us:` line after it is a timing and is not compared.
+#[test]
+fn the_interpreter_kernels_print_their_pinned_results() {
+    let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/miniparty/kernels.mp");
+    let cases = [
+        ("0,20000", "spin: -1384630489899236607"),
+        ("1,24", "lu: 584.0177781853594"),
+        ("2,1000", "exec: 999000"),
+    ];
+    for (args, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_corm"))
+            .args(["run", kernels, "--machines", "1", "--args", args])
+            .output()
+            .expect("corm starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args}: {}; stderr: {stderr}", out.status);
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 2, "{args}: {stdout}");
+        assert_eq!(lines[0], want, "{args}");
+        assert!(lines[1].starts_with("us: "), "{args}: {stdout}");
+    }
+}

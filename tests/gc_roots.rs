@@ -7,11 +7,22 @@
 //! silent alias of the sibling's fresh nodes, and audited, where it is a
 //! `dangling reference` error and every pacing point collects besides.
 
-use corm::{compile, OptConfig, RunOptions};
+use corm::{compile, Compiled, OptConfig, RunOptions, RunOutcome};
 
 /// How long a run may take before the test calls it hung. A pass returns as
 /// soon as the run is done.
 const LOST: std::time::Duration = std::time::Duration::from_secs(60);
+
+/// `corm::run` on a thread of its own, within [`LOST`]: a run that hangs —
+/// a thread starved of the machine lock — fails the test named by `ctx`
+/// instead of hanging the suite.
+fn run_within_deadline(compiled: &Compiled, opts: RunOptions, ctx: &str) -> RunOutcome {
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let c = compiled.clone();
+    // (The receiver is gone only if the deadline already failed the test.)
+    std::thread::spawn(move || drop(done_tx.send(corm::run(&c, opts))));
+    done.recv_timeout(LOST).unwrap_or_else(|_| panic!("{ctx}: starved, no outcome after {LOST:?}"))
+}
 
 /// What every program shares: the chain, its builder and its walker.
 const CHAIN: &str = r#"
@@ -49,8 +60,8 @@ fn holder_keeps_its_chain(program: &str, machines: usize, runs: usize) {
     for audit in [false, true] {
         for run in 0..runs {
             let opts = RunOptions { machines, audit, ..Default::default() };
-            let out = corm::run(&compiled, opts);
             let ctx = format!("run {run}, audit {audit}");
+            let out = run_within_deadline(&compiled, opts, &ctx);
             assert!(out.error.is_none(), "{ctx}: {}", out.error.unwrap());
             assert_eq!(out.output, "100\n", "{ctx}");
             assert!(out.heap.gc_runs > 0, "{ctx}: the sibling's System.gc() did not collect");
@@ -267,14 +278,8 @@ fn a_spinning_sibling_never_starves_a_thread_coming_back_to_the_lock() {
         let compiled = compile(&format!("{SPINNER}{main}"), OptConfig::ALL)
             .unwrap_or_else(|e| panic!("{path}: {e}"));
         for run in 0..5 {
-            let (done_tx, done) = std::sync::mpsc::channel();
-            let c = compiled.clone();
             let opts = RunOptions { machines: 2, ..Default::default() };
-            // (The receiver is gone only if the deadline already failed the test.)
-            std::thread::spawn(move || drop(done_tx.send(corm::run(&c, opts))));
-            let out = done.recv_timeout(LOST).unwrap_or_else(|_| {
-                panic!("{path}, run {run}: starved, no outcome after {LOST:?}")
-            });
+            let out = run_within_deadline(&compiled, opts, &format!("{path}, run {run}"));
             assert!(out.error.is_none(), "{path}, run {run}: {}", out.error.unwrap());
             assert_eq!(out.output, "spun\n", "{path}, run {run}");
         }
