@@ -95,13 +95,24 @@ fn value<'a>(argv: &'a [String], i: &mut usize) -> &'a str {
     argv.get(*i).map(String::as_str).unwrap_or_else(|| usage())
 }
 
-/// [`value`], parsed; a value that does not parse is the usage exit.
+/// The usage exit for a value of `flag` that does not parse, naming it.
+fn bad(flag: &str) -> ! {
+    eprintln!("bad {flag} value");
+    usage()
+}
+
+/// [`value`], parsed; a value that does not parse is [`bad`].
 fn parsed<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
     let flag = &argv[*i];
-    value(argv, i).parse().unwrap_or_else(|_| {
-        eprintln!("bad {flag} value");
-        usage()
-    })
+    value(argv, i).parse().unwrap_or_else(|_| bad(flag))
+}
+
+/// [`value`] as a comma list, empty items skipped, each parsed; an item that
+/// does not parse is [`bad`].
+fn parsed_list<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> Vec<T> {
+    let flag = &argv[*i];
+    let items = value(argv, i).split(',').filter(|s| !s.is_empty());
+    items.map(|s| s.parse().unwrap_or_else(|_| bad(flag))).collect()
 }
 
 /// The flags `run`, `serve` and `top` share, parsed once.
@@ -140,18 +151,14 @@ impl Common {
         while i < argv.len() {
             match argv[i].as_str() {
                 "--config" => {
-                    c.config = parse_config(value(argv, &mut i)).unwrap_or_else(|| {
-                        eprintln!("bad --config value");
-                        usage()
-                    });
+                    c.config = parse_config(value(argv, &mut i)).unwrap_or_else(|| bad("--config"));
                     c.config_explicit = true;
                 }
                 "--machines" => c.machines = parsed(argv, &mut i),
                 "--transport" => c.transport = parsed(argv, &mut i),
                 "--loss-seed" => {
-                    seed = Some(
-                        corm_fuzz::cli::parse_u64(value(argv, &mut i)).unwrap_or_else(|_| usage()),
-                    )
+                    let v = corm_fuzz::cli::parse_u64(value(argv, &mut i));
+                    seed = Some(v.unwrap_or_else(|_| bad("--loss-seed")));
                 }
                 "--loss-rate" => rate = Some(parsed(argv, &mut i)),
                 "--metrics" => c.metrics = true,
@@ -234,10 +241,7 @@ fn serve_flags(
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--rate" => {
-                let list = value(&rest, &mut i).split(',');
-                rates = list.map(|r| r.parse().unwrap_or_else(|_| usage())).collect();
-            }
+            "--rate" => rates = parsed_list(&rest, &mut i),
             "--seed" => seed = parsed(&rest, &mut i),
             "--clients" => opts.clients = parsed(&rest, &mut i),
             _ if own(&rest, &mut i, &mut opts) => {}
@@ -264,7 +268,8 @@ fn serve_main(argv: &[String]) -> ExitCode {
         }
         true
     });
-    if opts.run.machines < 2 || rates.iter().any(|&r| r <= 0.0) || requests == 0 {
+    let bad_rate = rates.is_empty() || rates.iter().any(|&r| r <= 0.0);
+    if opts.run.machines < 2 || bad_rate || requests == 0 {
         eprintln!("serve needs --machines >= 2, every --rate > 0 and --requests > 0");
         return ExitCode::from(2);
     }
@@ -532,13 +537,7 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--args" => {
-                args = value(&rest, &mut i)
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
+            "--args" => args = parsed_list(&rest, &mut i),
             "--stats" => stats = true,
             "--quiet" => quiet = true,
             "--trace" => trace = true,

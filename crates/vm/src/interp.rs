@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
+use corm_analysis::PrimKind;
 use corm_heap::{Heap, ObjBody, ObjRef, Value};
 use corm_ir::scalar::{self, compare, double_arith, int_arith, long_arith};
 use corm_ir::{BinKind, CallTarget, ClassKind, Const, FuncId, Instr, MethodId, Reg, Ty, UnKind};
@@ -367,40 +368,24 @@ impl Interp {
                 reg!($dst) = v;
             }};
         }
-        macro_rules! convert {
-            ($dst:expr, $src:expr, $to:ident) => {{
-                let v = self.cast(guard, reg!($src), &Ty::$to)?;
-                reg!($dst) = v;
-            }};
-        }
         let mut next = pc + 1;
         match lk.code[pc] {
             ref op @ (Op::Const { .. } | Op::Move { .. }) => {
                 unreachable!("the typed loop runs every {op:?}")
             }
-            Op::Un { dst, op, a } => {
-                let v = self.unop(op, reg!(a))?;
-                reg!(dst) = v;
-            }
             Op::Bin { dst, op, a, b }
             | Op::BinInt { dst, op, a, b }
             | Op::BinLong { dst, op, a, b }
-            | Op::BinDouble { dst, op, a, b }
-            | Op::CmpInt { dst, op, a, b }
-            | Op::CmpLong { dst, op, a, b }
-            | Op::CmpDouble { dst, op, a, b } => bin!(dst, op, reg!(a), reg!(b)),
-            Op::BinIntImm { dst, op, a, imm } | Op::CmpIntImm { dst, op, a, imm } => {
-                bin!(dst, op, reg!(a), Value::Int(imm))
-            }
+            | Op::BinDouble { dst, op, a, b } => bin!(dst, op, reg!(a), reg!(b)),
+            Op::BinIntImm { dst, op, a, imm } => bin!(dst, op, reg!(a), Value::Int(imm)),
             Op::AddIntImm { dst, a, imm } => bin!(dst, BinKind::Add, reg!(a), Value::Int(imm)),
             Op::AddDouble { dst, a, b } => bin!(dst, BinKind::Add, reg!(a), reg!(b)),
             Op::SubDouble { dst, a, b } => bin!(dst, BinKind::Sub, reg!(a), reg!(b)),
             Op::MulDouble { dst, a, b } => bin!(dst, BinKind::Mul, reg!(a), reg!(b)),
-            Op::IntToLong { dst, src } | Op::DoubleToLong { dst, src } => convert!(dst, src, Long),
-            Op::IntToDouble { dst, src } | Op::LongToDouble { dst, src } => {
-                convert!(dst, src, Double)
+            Op::Convert { dst, src, to } => {
+                let v = self.cast(guard, reg!(src), &to.ty())?;
+                reg!(dst) = v;
             }
-            Op::LongToInt { dst, src } | Op::DoubleToInt { dst, src } => convert!(dst, src, Int),
             Op::GetField { dst, obj, slot } => {
                 let r = self.localize(reg!(obj))?;
                 reg!(dst) = guard.heap.field(r, slot as usize).map_err(|e| self.err(e.0))?;
@@ -410,8 +395,6 @@ impl Interp {
                 let v = reg!(val);
                 guard.heap.set_field(r, slot as usize, v).map_err(|e| self.err(e.0))?;
             }
-            Op::GetStatic { dst, sid } => reg!(dst) = guard.statics[sid as usize],
-            Op::SetStatic { sid, val } => guard.statics[sid as usize] = reg!(val),
             Op::ArrLoad { dst, arr, idx }
             | Op::ArrLoadInt { dst, arr, idx }
             | Op::ArrLoadDouble { dst, arr, idx } => {
@@ -444,10 +427,6 @@ impl Interp {
                 return Ok(None);
             }
             Op::Jump { to, steps } => {
-                self.steps += steps as u64;
-                next = to as usize;
-            }
-            Op::Loop { to, steps } => {
                 self.charge(guard, steps);
                 next = to as usize;
             }
@@ -485,10 +464,16 @@ impl Interp {
         Ok(None)
     }
 
-    /// What has no op of its own: string literals, allocation, non-numeric
-    /// casts, builtin and remote calls, `spawn`.
+    /// What has no op of its own: unary operators, statics, string literals,
+    /// allocation, non-numeric casts, builtin and remote calls, `spawn`.
     fn exec(&mut self, guard: &mut MutexGuard<'_, MachineState>, instr: &Instr) -> VmResult<()> {
         match instr {
+            Instr::Un { dst, op, a } => {
+                let v = self.unop(*op, self.reg(*a))?;
+                self.set(*dst, v);
+            }
+            Instr::GetStatic { dst, sid } => self.set(*dst, guard.statics[sid.0 as usize]),
+            Instr::SetStatic { sid, val } => guard.statics[sid.0 as usize] = self.reg(*val),
             Instr::Const { dst, v: Const::Str(id) } => {
                 // String literals are interned per machine.
                 let obj = match guard.lit_strings.get(&id.0) {
@@ -812,9 +797,10 @@ fn local(v: Value, machine: u16) -> Option<ObjRef> {
 /// The typed loop: the fast case of each op that needs no more than the
 /// current window, the heap and the quantum, over locals the compiler keeps
 /// in registers. It stops at the first op it declines — a tag miss, a
-/// division by zero, an index out of range, a dangling ref, a call, a
-/// return, `Other`, a charge that would reach [`QUANTUM`] — without running
-/// it, and returns that op's pc and the steps charged by then.
+/// division by zero, a comparison no branch fused, an index out of range, a
+/// dangling ref, a call, a return, `Other`, a charge that would reach
+/// [`QUANTUM`] — without running it, and returns that op's pc and the steps
+/// charged by then.
 /// [`Interp::step`] runs that op on the tagged path, which raises whatever
 /// this declined, so no op has two fast cases. It neither allocates nor lets
 /// go of the lock: no collector sees the window it borrows.
@@ -845,12 +831,12 @@ fn run_typed(
         }};
     }
     // `$f` on the payloads when both operands hold tag `$tag`, its result
-    // tagged `$out`; the result is a scalar until it is stored.
+    // tagged the same; the result is a scalar until it is stored.
     macro_rules! typed {
-        ($dst:expr, $op:expr, $x:expr, $y:expr, $tag:ident, $f:ident => $out:ident) => {{
+        ($dst:expr, $op:expr, $x:expr, $y:expr, $tag:ident, $f:ident) => {{
             let (Value::$tag(p), Value::$tag(q)) = ($x, $y) else { break };
             let Some(v) = $f($op, p, q) else { break };
-            reg!($dst) = Value::$out(v);
+            reg!($dst) = Value::$tag(v);
         }};
     }
     macro_rules! convert {
@@ -885,29 +871,25 @@ fn run_typed(
         match code[pc] {
             Op::Const { dst, v } => reg!(dst) = v,
             Op::Move { dst, src } => reg!(dst) = reg!(src),
-            Op::BinInt { dst, op, a, b } => {
-                typed!(dst, op, reg!(a), reg!(b), Int, int_arith => Int)
-            }
+            Op::BinInt { dst, op, a, b } => typed!(dst, op, reg!(a), reg!(b), Int, int_arith),
             Op::BinIntImm { dst, op, a, imm } => {
-                typed!(dst, op, reg!(a), Value::Int(imm), Int, int_arith => Int)
+                typed!(dst, op, reg!(a), Value::Int(imm), Int, int_arith)
             }
             Op::AddIntImm { dst, a, imm } => {
-                typed!(dst, BinKind::Add, reg!(a), Value::Int(imm), Int, int_arith => Int)
+                typed!(dst, BinKind::Add, reg!(a), Value::Int(imm), Int, int_arith)
             }
-            Op::BinLong { dst, op, a, b } => {
-                typed!(dst, op, reg!(a), reg!(b), Long, long_arith => Long)
-            }
+            Op::BinLong { dst, op, a, b } => typed!(dst, op, reg!(a), reg!(b), Long, long_arith),
             Op::BinDouble { dst, op, a, b } => {
-                typed!(dst, op, reg!(a), reg!(b), Double, double_arith => Double)
+                typed!(dst, op, reg!(a), reg!(b), Double, double_arith)
             }
             Op::AddDouble { dst, a, b } => {
-                typed!(dst, BinKind::Add, reg!(a), reg!(b), Double, double_arith => Double)
+                typed!(dst, BinKind::Add, reg!(a), reg!(b), Double, double_arith)
             }
             Op::SubDouble { dst, a, b } => {
-                typed!(dst, BinKind::Sub, reg!(a), reg!(b), Double, double_arith => Double)
+                typed!(dst, BinKind::Sub, reg!(a), reg!(b), Double, double_arith)
             }
             Op::MulDouble { dst, a, b } => {
-                typed!(dst, BinKind::Mul, reg!(a), reg!(b), Double, double_arith => Double)
+                typed!(dst, BinKind::Mul, reg!(a), reg!(b), Double, double_arith)
             }
             // Reference identity (`p != null`): the untyped op's one case the
             // loop runs, as `binop` decides it for two references.
@@ -918,22 +900,15 @@ fn run_typed(
                 }
                 reg!(dst) = Value::Bool(ref_eq(x, y) == (op == BinKind::Eq));
             }
-            Op::CmpInt { dst, op, a, b } => typed!(dst, op, reg!(a), reg!(b), Int, compare => Bool),
-            Op::CmpIntImm { dst, op, a, imm } => {
-                typed!(dst, op, reg!(a), Value::Int(imm), Int, compare => Bool)
-            }
-            Op::CmpLong { dst, op, a, b } => {
-                typed!(dst, op, reg!(a), reg!(b), Long, compare => Bool)
-            }
-            Op::CmpDouble { dst, op, a, b } => {
-                typed!(dst, op, reg!(a), reg!(b), Double, compare => Bool)
-            }
-            Op::IntToLong { dst, src } => convert!(dst, src, Long),
-            Op::IntToDouble { dst, src } => convert!(dst, src, Double),
-            Op::LongToInt { dst, src } => convert!(dst, src, Int),
-            Op::LongToDouble { dst, src } => convert!(dst, src, Double),
-            Op::DoubleToInt { dst, src } => convert!(dst, src, Int),
-            Op::DoubleToLong { dst, src } => convert!(dst, src, Long),
+            // One case per target type, each storing a result of a known tag:
+            // one case for a run-time `to` assembled the result on the stack,
+            // and the spin kernel's loop read about 4 ns an iteration slower.
+            Op::Convert { dst, src, to } => match to {
+                PrimKind::I32 => convert!(dst, src, Int),
+                PrimKind::I64 => convert!(dst, src, Long),
+                PrimKind::F64 => convert!(dst, src, Double),
+                PrimKind::Bool => break,
+            },
             Op::GetField { dst, obj, slot } => {
                 let Some(r) = local(reg!(obj), machine) else { break };
                 let Some(v) = heap.checked_field(r, slot as usize) else { break };
@@ -969,7 +944,7 @@ fn run_typed(
                 let Some(n) = heap.checked_body(r).and_then(ObjBody::array_len) else { break };
                 reg!(dst) = Value::Int(n as i32);
             }
-            Op::Jump { to, steps } | Op::Loop { to, steps } => goto!(to, steps),
+            Op::Jump { to, steps } => goto!(to, steps),
             Op::Branch { cond, t, f, steps } => {
                 let Value::Bool(b) = reg!(cond) else { break };
                 goto!(if b { t } else { f }, steps)
@@ -984,10 +959,10 @@ fn run_typed(
                 let Some(taken) = compare(op, x, imm) else { break };
                 goto!(if taken { t } else { f }, steps)
             }
-            Op::Un { .. }
-            | Op::Bin { .. }
-            | Op::GetStatic { .. }
-            | Op::SetStatic { .. }
+            // No fast case: the step runs these. Every op an arm above names
+            // has one, and `op_histogram_of_the_apps` holds each to being
+            // linked in the five apps.
+            Op::Bin { .. }
             | Op::CallDirect { .. }
             | Op::CallVirtual { .. }
             | Op::Ret { .. }
@@ -1212,6 +1187,96 @@ mod tests {
                 *want,
                 "{name} {}",
                 args.len()
+            );
+            assert_eq!(got, run(&tagged, name, args), "{name}: typed and tagged agree");
+        }
+        typed.finish(None);
+        tagged.finish(None);
+    }
+
+    #[test]
+    fn an_unfused_compare_and_a_convert_raise_the_tagged_errors() {
+        let src = "class M {
+            static boolean ci(int a, int b) { return a < b; }
+            static boolean ck(int a) { return a >= 3; }
+            static boolean cl(long a, long b) { return a > b; }
+            static boolean cd(double a, double b) { return a <= b; }
+            static long il(int a) { return (long) a; }
+            static double id(int a) { return (double) a; }
+            static int li(long a) { return (int) a; }
+            static double ld(long a) { return (double) a; }
+            static int di(double a) { return (int) a; }
+            static long dl(double a) { return (long) a; }
+            static void main() { } }";
+        let names =
+            ["M.ci", "M.ck", "M.cl", "M.cd", "M.il", "M.id", "M.li", "M.ld", "M.di", "M.dl"];
+        let typed = cluster(src, |_| {});
+        // The same bodies with each parameter an `Object`: the tagged `binop`
+        // and `cast` run from `Bin` and `Other`.
+        let tagged = cluster(src, |m| {
+            for f in m.funcs.iter_mut().filter(|f| names.contains(&f.name.as_str())) {
+                for p in f.params.clone() {
+                    f.reg_tys[p.index()] = Ty::Class(corm_ir::OBJECT_CLASS);
+                }
+            }
+        });
+        let first = |c: &Cluster, name: &str| c.rt.linked[func(c, name).index()].code[0].clone();
+        let lt = |op: &Op, want: BinKind| match *op {
+            Op::BinInt { op, .. } | Op::BinLong { op, .. } | Op::BinDouble { op, .. } => op == want,
+            Op::BinIntImm { op, imm, .. } => op == want && imm == 3,
+            _ => false,
+        };
+        let ops = [BinKind::Lt, BinKind::Ge, BinKind::Gt, BinKind::Le];
+        for (name, op) in names.iter().zip(ops) {
+            assert!(lt(&first(&typed, name), op), "{name}: {:?}", first(&typed, name));
+        }
+        for name in &names[4..] {
+            assert!(matches!(first(&typed, name), Op::Convert { .. }), "{name}");
+            assert!(matches!(first(&tagged, name), Op::Other(_)), "{name}");
+        }
+        assert!(matches!(first(&tagged, "M.ci"), Op::Bin { op: BinKind::Lt, .. }));
+
+        use Value::{Bool, Double, Int, Long, Null};
+        let cases: &[(&str, &[Value], Result<Value, &str>)] = &[
+            ("M.ci", &[Int(1), Int(2)], Ok(Bool(true))),
+            ("M.ci", &[Int(1), Long(1)], Ok(Bool(false))),
+            ("M.ci", &[Bool(true), Int(1)], Err("bad operands for Lt: Bool(true), Int(1)")),
+            ("M.ci", &[Int(1), Null], Err("bad operands for Lt: Int(1), Null")),
+            ("M.ck", &[Int(3)], Ok(Bool(true))),
+            ("M.ck", &[Double(2.5)], Ok(Bool(false))),
+            ("M.ck", &[Bool(false)], Err("bad operands for Ge: Bool(false), Int(3)")),
+            ("M.cl", &[Long(2), Long(1)], Ok(Bool(true))),
+            ("M.cl", &[Int(2), Long(2)], Ok(Bool(false))),
+            ("M.cl", &[Null, Null], Err("bad operands for Gt: Null, Null")),
+            ("M.cl", &[Bool(true), Long(1)], Err("bad operands for Gt: Bool(true), Long(1)")),
+            ("M.cd", &[Double(1.0), Double(2.0)], Ok(Bool(true))),
+            ("M.cd", &[Int(1), Double(0.5)], Ok(Bool(false))),
+            ("M.cd", &[Bool(true), Bool(true)], Err("bad boolean op Le")),
+            ("M.il", &[Int(-5)], Ok(Long(-5))),
+            ("M.il", &[Double(2.7)], Ok(Long(2))),
+            ("M.il", &[Bool(true)], Err("invalid cast of Bool(true) to long")),
+            ("M.id", &[Int(3)], Ok(Double(3.0))),
+            ("M.id", &[Null], Err("invalid cast of Null to double")),
+            ("M.li", &[Long(1 << 32 | 7)], Ok(Int(7))),
+            ("M.li", &[Bool(false)], Err("invalid cast of Bool(false) to int")),
+            ("M.ld", &[Long(4)], Ok(Double(4.0))),
+            ("M.ld", &[Null], Err("invalid cast of Null to double")),
+            ("M.di", &[Double(-2.9)], Ok(Int(-2))),
+            ("M.di", &[Long(9)], Ok(Int(9))),
+            ("M.di", &[Bool(true)], Err("invalid cast of Bool(true) to int")),
+            ("M.dl", &[Double(1e30)], Ok(Long(i64::MAX))),
+            ("M.dl", &[Null], Err("invalid cast of Null to long")),
+        ];
+        let run = |c: &Cluster, name: &str, args: &[Value]| {
+            let mut interp = Interp::new(c.rt.clone(), 0);
+            interp.run_function(func(c, name), args.to_vec()).map_err(|e| e.message)
+        };
+        for (name, args, want) in cases {
+            let got = run(&typed, name, args);
+            assert_eq!(
+                got.as_ref().map_err(|e| e.as_str()),
+                want.as_ref().map_err(|e| *e),
+                "{name}"
             );
             assert_eq!(got, run(&tagged, name, args), "{name}: typed and tagged agree");
         }

@@ -1,40 +1,46 @@
 //! The linked form of a function: what `Interp::run_loop` executes.
 //!
 //! `Cluster::start` links every function of the module once. The CFG stays
-//! what the analyses read; the interpreter walks this instead:
+//! what the analyses read; the interpreter walks this instead. The rule for
+//! the op set: an [`Op`] variant exists for a fast case that `run_typed` runs,
+//! or for control flow (calls, returns, jumps, branches). Everything else is
+//! [`Op::Other`], the one escape to `Interp::exec`. What the linker does:
 //!
 //! * one op array per function, blocks laid out in index order, a jump to the
 //!   next block elided, a jump into an empty block that only jumps on threaded
-//!   to where it leads, and every other target a pc (a backward one is
-//!   [`Op::Loop`]);
-//! * arithmetic, comparisons, numeric casts, field and array accesses typed by the
-//!   register types the type checker settled (`Function::reg_tys`), each
-//!   with the tagged path as its checked fallback, so a register holding
-//!   another tag at run time gets exactly the untyped result or error;
+//!   to where it leads, and every other target a pc;
+//! * arithmetic, comparisons, numeric casts ([`Op::Convert`]), field and array
+//!   accesses typed by the register types the type checker settled
+//!   (`Function::reg_tys`), each with the tagged path as its checked fallback,
+//!   so a register holding another tag at run time gets exactly the untyped
+//!   result or error. A comparison is a [`Op::BinInt`], [`Op::BinLong`], …
+//!   with its operator: the typed loop declines it and the tagged `binop`
+//!   runs it, unless a branch fuses it;
 //! * static calls and constructors resolved to their function
 //!   ([`Op::CallDirect`]);
 //! * a peephole over single-use temporaries: `t = op …; y = t` is
-//!   `y = op …`, `k = const int; z = a op k` is [`Op::BinIntImm`] (or
-//!   [`Op::CmpIntImm`]), and `t = x; … z = t op b` is `z = x op b` (copy
-//!   coalescing: `t` a primitive of `x`'s type, `x` unwritten in between);
+//!   `y = op …`, `k = const int; z = a op k` is [`Op::BinIntImm`], and
+//!   `t = x; … z = t op b` is `z = x op b` (copy coalescing: `t` a primitive
+//!   of `x`'s type, `x` unwritten in between);
 //! * an int compare read only by its block's branch fused with it
 //!   ([`Op::BrInt`], [`Op::BrIntImm`]);
 //! * element-typed accesses to `int[]` and `double[]` registers
 //!   ([`Op::ArrLoadDouble`], …) and per-operator forms of `i + k` and of
 //!   double `+ - *`;
-//! * safepoints at block ends, each charged its block's instruction count;
+//! * safepoints at block ends, each charged its block's instruction count:
+//!   every jump, branch, call and return;
 //! * loop rotation: a back edge into a fused test that only a few
 //!   primitive-writing ops precede runs a copy of that head, charged the
-//!   latch's steps and the head's at its branch, in place of [`Op::Loop`].
+//!   latch's steps and the head's at its branch, in place of a [`Op::Jump`].
 //!
-//! What has no typed form — string literals, `new`, reference casts, remote
-//! and builtin calls, `spawn` — is [`Op::Other`], the one escape to
-//! `Interp::exec`.
+//! Unary operators, statics, string literals, `new`, reference casts, remote
+//! and builtin calls and `spawn` have no fast case: they are [`Op::Other`].
 
+use corm_analysis::PrimKind;
 use corm_heap::Value;
 use corm_ir::{
     BinKind, BlockId, CallTarget, Const, FuncId, Function, Instr, MethodId, Module, Reg,
-    Terminator, Ty, UnKind,
+    Terminator, Ty,
 };
 
 use crate::interp::QUANTUM;
@@ -70,11 +76,6 @@ pub(crate) enum Op {
     Move {
         dst: Reg,
         src: Reg,
-    },
-    Un {
-        dst: Reg,
-        op: UnKind,
-        a: Reg,
     },
     /// Operands of no one numeric type: the tagged `binop`.
     Bin {
@@ -129,53 +130,11 @@ pub(crate) enum Op {
         a: Reg,
         b: Reg,
     },
-    CmpInt {
-        dst: Reg,
-        op: BinKind,
-        a: Reg,
-        b: Reg,
-    },
-    CmpIntImm {
-        dst: Reg,
-        op: BinKind,
-        a: Reg,
-        imm: i32,
-    },
-    CmpLong {
-        dst: Reg,
-        op: BinKind,
-        a: Reg,
-        b: Reg,
-    },
-    CmpDouble {
-        dst: Reg,
-        op: BinKind,
-        a: Reg,
-        b: Reg,
-    },
-    IntToLong {
+    /// A cast of a primitive register to the primitive type `to`.
+    Convert {
         dst: Reg,
         src: Reg,
-    },
-    IntToDouble {
-        dst: Reg,
-        src: Reg,
-    },
-    LongToInt {
-        dst: Reg,
-        src: Reg,
-    },
-    LongToDouble {
-        dst: Reg,
-        src: Reg,
-    },
-    DoubleToInt {
-        dst: Reg,
-        src: Reg,
-    },
-    DoubleToLong {
-        dst: Reg,
-        src: Reg,
+        to: PrimKind,
     },
     GetField {
         dst: Reg,
@@ -185,14 +144,6 @@ pub(crate) enum Op {
     SetField {
         obj: Reg,
         slot: u32,
-        val: Reg,
-    },
-    GetStatic {
-        dst: Reg,
-        sid: u32,
-    },
-    SetStatic {
-        sid: u32,
         val: Reg,
     },
     ArrLoad {
@@ -243,13 +194,7 @@ pub(crate) enum Op {
         call: u32,
         steps: u32,
     },
-    /// A forward jump: charged, no safepoint.
     Jump {
-        to: u32,
-        steps: u32,
-    },
-    /// A backward jump: charged, and a safepoint.
-    Loop {
         to: u32,
         steps: u32,
     },
@@ -259,7 +204,7 @@ pub(crate) enum Op {
         f: u32,
         steps: u32,
     },
-    /// `CmpInt` and the `Branch` that is its one reader, fused.
+    /// A `BinInt` comparison and the `Branch` that is its one reader, fused.
     BrInt {
         op: BinKind,
         a: Reg,
@@ -289,7 +234,6 @@ impl Op {
         match self {
             Op::Const { dst, .. }
             | Op::Move { dst, .. }
-            | Op::Un { dst, .. }
             | Op::Bin { dst, .. }
             | Op::BinInt { dst, .. }
             | Op::BinIntImm { dst, .. }
@@ -299,18 +243,8 @@ impl Op {
             | Op::AddDouble { dst, .. }
             | Op::SubDouble { dst, .. }
             | Op::MulDouble { dst, .. }
-            | Op::CmpInt { dst, .. }
-            | Op::CmpIntImm { dst, .. }
-            | Op::CmpLong { dst, .. }
-            | Op::CmpDouble { dst, .. }
-            | Op::IntToLong { dst, .. }
-            | Op::IntToDouble { dst, .. }
-            | Op::LongToInt { dst, .. }
-            | Op::LongToDouble { dst, .. }
-            | Op::DoubleToInt { dst, .. }
-            | Op::DoubleToLong { dst, .. }
+            | Op::Convert { dst, .. }
             | Op::GetField { dst, .. }
-            | Op::GetStatic { dst, .. }
             | Op::ArrLoad { dst, .. }
             | Op::ArrLoadInt { dst, .. }
             | Op::ArrLoadDouble { dst, .. }
@@ -517,26 +451,27 @@ pub(crate) fn link_function(module: &Module, f: &Function) -> Linked {
             Terminator::Jump(t) => match target(t).index() {
                 h if h == b + 1 => carry = steps,
                 // A back edge into a lone test runs a copy of it, charged the
-                // latch's steps and the head's at its branch.
-                h if h <= b => {
-                    // A block that jumps to itself (`h == b`) has no head linked yet.
+                // latch's steps and the head's at its branch. A forward jump,
+                // or a block that jumps to itself, has no head linked yet.
+                h => {
                     let head = block_pc.get(h + 1).map(|&end| &code[block_pc[h]..end]);
                     match head.and_then(|head| rotation(f, head, steps)) {
                         Some(copy) => code.extend(copy),
-                        None => code.push(Op::Loop { to: h as u32, steps }),
+                        None => code.push(Op::Jump { to: h as u32, steps }),
                     }
                 }
-                h => code.push(Op::Jump { to: h as u32, steps }),
             },
             Terminator::Branch { cond, t, f: e } => {
                 let (t, f) = (target(t).0, target(e).0);
-                // A compare whose one reader is this branch, the block's last op.
-                let fusable = code.len() > block_pc[b] && single(cond);
+                // An int compare whose one reader is this branch, the block's last op.
+                let fusable = |dst: Reg, op: BinKind| {
+                    code.len() > block_pc[b] && single(cond) && dst == cond && comparison(op)
+                };
                 let fused = match code.last() {
-                    Some(&Op::CmpInt { dst, op, a, b }) if fusable && dst == cond => {
+                    Some(&Op::BinInt { dst, op, a, b }) if fusable(dst, op) => {
                         Some(Op::BrInt { op, a, b, t, f, steps })
                     }
-                    Some(&Op::CmpIntImm { dst, op, a, imm }) if fusable && dst == cond => {
+                    Some(&Op::BinIntImm { dst, op, a, imm }) if fusable(dst, op) => {
                         Some(Op::BrIntImm { op, a, imm, t, f, steps })
                     }
                     _ => None,
@@ -552,7 +487,7 @@ pub(crate) fn link_function(module: &Module, f: &Function) -> Linked {
     // Block ids to pcs.
     for op in &mut code {
         match op {
-            Op::Jump { to, .. } | Op::Loop { to, .. } => *to = block_pc[*to as usize] as u32,
+            Op::Jump { to, .. } => *to = block_pc[*to as usize] as u32,
             Op::Branch { t, f, .. } | Op::BrInt { t, f, .. } | Op::BrIntImm { t, f, .. } => {
                 *t = block_pc[*t as usize] as u32;
                 *f = block_pc[*f as usize] as u32;
@@ -589,41 +524,27 @@ impl Linker<'_> {
             Instr::Const { v: Const::Str(_), .. } => other(),
             Instr::Const { dst, v } => Op::Const { dst, v: value_of(v) },
             Instr::Move { dst, src } => Op::Move { dst, src },
-            Instr::Un { dst, op, a } => Op::Un { dst, op, a },
-            Instr::Bin { dst, op, a, b } => match (ty(a), ty(b), comparison(op)) {
-                (Ty::Int, Ty::Int, false) => match (imm(b), op) {
+            Instr::Bin { dst, op, a, b } => match (ty(a), ty(b)) {
+                (Ty::Int, Ty::Int) => match (imm(b), op) {
                     (Some(imm), BinKind::Add) => Op::AddIntImm { dst, a, imm },
                     (Some(imm), _) => Op::BinIntImm { dst, op, a, imm },
                     (None, _) => Op::BinInt { dst, op, a, b },
                 },
-                (Ty::Int, Ty::Int, true) => match imm(b) {
-                    Some(imm) => Op::CmpIntImm { dst, op, a, imm },
-                    None => Op::CmpInt { dst, op, a, b },
-                },
-                (Ty::Long, Ty::Long, false) => Op::BinLong { dst, op, a, b },
-                (Ty::Long, Ty::Long, true) => Op::CmpLong { dst, op, a, b },
-                (Ty::Double, Ty::Double, false) => match op {
+                (Ty::Long, Ty::Long) => Op::BinLong { dst, op, a, b },
+                (Ty::Double, Ty::Double) => match op {
                     BinKind::Add => Op::AddDouble { dst, a, b },
                     BinKind::Sub => Op::SubDouble { dst, a, b },
                     BinKind::Mul => Op::MulDouble { dst, a, b },
                     _ => Op::BinDouble { dst, op, a, b },
                 },
-                (Ty::Double, Ty::Double, true) => Op::CmpDouble { dst, op, a, b },
                 _ => Op::Bin { dst, op, a, b },
             },
-            Instr::Cast { dst, src, ref to } => match (ty(src), to) {
-                (Ty::Int, Ty::Long) => Op::IntToLong { dst, src },
-                (Ty::Int, Ty::Double) => Op::IntToDouble { dst, src },
-                (Ty::Long, Ty::Int) => Op::LongToInt { dst, src },
-                (Ty::Long, Ty::Double) => Op::LongToDouble { dst, src },
-                (Ty::Double, Ty::Int) => Op::DoubleToInt { dst, src },
-                (Ty::Double, Ty::Long) => Op::DoubleToLong { dst, src },
+            Instr::Cast { dst, src, ref to } => match (PrimKind::of(ty(src)), PrimKind::of(to)) {
+                (Some(_), Some(to)) => Op::Convert { dst, src, to },
                 _ => other(),
             },
             Instr::GetField { dst, obj, field } => Op::GetField { dst, obj, slot: field.slot },
             Instr::SetField { obj, field, val } => Op::SetField { obj, slot: field.slot, val },
-            Instr::GetStatic { dst, sid } => Op::GetStatic { dst, sid: sid.0 },
-            Instr::SetStatic { sid, val } => Op::SetStatic { sid: sid.0, val },
             Instr::ArrLoad { dst, arr, idx } => match elem(arr) {
                 Some(Ty::Int) => Op::ArrLoadInt { dst, arr, idx },
                 Some(Ty::Double) => Op::ArrLoadDouble { dst, arr, idx },
@@ -652,7 +573,12 @@ impl Linker<'_> {
                 self.calls.push(CallArgs { dst, args: args.clone().into() });
                 op
             }
-            Instr::New { .. } | Instr::NewArray { .. } | Instr::Spawn { .. } => other(),
+            Instr::Un { .. }
+            | Instr::GetStatic { .. }
+            | Instr::SetStatic { .. }
+            | Instr::New { .. }
+            | Instr::NewArray { .. }
+            | Instr::Spawn { .. } => other(),
         }
     }
 }
@@ -696,13 +622,19 @@ mod tests {
 
     /// An op with an int immediate operand.
     fn immediate(op: &Op) -> bool {
-        matches!(
-            op,
-            Op::BinIntImm { .. }
-                | Op::AddIntImm { .. }
-                | Op::CmpIntImm { .. }
-                | Op::BrIntImm { .. }
-        )
+        matches!(op, Op::BinIntImm { .. } | Op::AddIntImm { .. } | Op::BrIntImm { .. })
+    }
+
+    /// The jumps that go backwards, as (their pc, the pc they jump to).
+    fn back_jumps(l: &Linked) -> Vec<(usize, usize)> {
+        l.code
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, op)| match *op {
+                Op::Jump { to, .. } if to as usize <= pc => Some((pc, to as usize)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The fused branches that jump backwards: each the copied test of a
@@ -847,10 +779,10 @@ mod tests {
             .count();
         assert!(forwarding >= 2, "the CFG keeps its forwarding blocks");
         let l = link_function(&m, f);
-        let hops = |to: u32| matches!(l.code[to as usize], Op::Jump { .. } | Op::Loop { .. });
+        let hops = |to: u32| matches!(l.code[to as usize], Op::Jump { .. });
         for op in l.code.iter() {
             match *op {
-                Op::Jump { to, .. } | Op::Loop { to, .. } => assert!(!hops(to)),
+                Op::Jump { to, .. } => assert!(!hops(to)),
                 Op::Branch { t, f, .. } => assert!(!hops(t) && !hops(f)),
                 _ => {}
             }
@@ -873,7 +805,7 @@ mod tests {
         .unwrap();
         let f = m.funcs.iter().find(|f| f.name == "Build.spin").unwrap();
         let l = link_function(&m, f);
-        assert!(l.code.iter().all(|op| !matches!(op, Op::Loop { .. })), "the back edge is rotated");
+        assert!(back_jumps(&l).is_empty(), "the back edge is rotated: {:?}", l.code);
         let [(at, head, steps)] = back_tests(&l)[..] else { panic!("one back-edge: {:?}", l.code) };
         assert_eq!(at + 1 - head, 8, "ops an iteration: {:?}", &l.code[head..=at]);
         assert_eq!(steps, 16, "an iteration is charged its CFG steps");
@@ -897,13 +829,13 @@ mod tests {
         for name in ["M.calls", "M.allocs", "M.refs"] {
             let l = link(name);
             assert!(back_tests(&l).is_empty(), "{name} is not rotated: {:?}", l.code);
-            assert!(l.code.iter().any(|op| matches!(op, Op::Loop { .. })), "{name}: {:?}", l.code);
+            assert_eq!(back_jumps(&l).len(), 1, "{name} jumps back to its test: {:?}", l.code);
         }
         // An `ArrLen` or a primitive `GetField` before the test is copied.
         for name in ["M.len", "M.field"] {
             let l = link(name);
             assert_eq!(back_tests(&l).len(), 1, "{name} is rotated: {:?}", l.code);
-            assert!(l.code.iter().all(|op| !matches!(op, Op::Loop { .. })), "{name}: {:?}", l.code);
+            assert!(back_jumps(&l).is_empty(), "{name} has no back jump: {:?}", l.code);
         }
     }
 
@@ -947,8 +879,9 @@ mod tests {
 
     /// The five apps, linked: a static op histogram and its top adjacent
     /// pairs (`cargo test -p corm-vm op_histogram -- --nocapture`), what
-    /// each rule of this module must have left no instance of, and the
-    /// linked length of two hot loops.
+    /// each rule of this module must have left no instance of, every op
+    /// with a fast case linked at least once, and the linked length of two
+    /// hot loops.
     #[test]
     fn op_histogram_of_the_apps() {
         let apps = [
@@ -977,7 +910,7 @@ mod tests {
                     }
                     match *op {
                         // No back edge jumps to a test that it could have run a copy of.
-                        Op::Loop { to, .. } => {
+                        Op::Jump { to, .. } if to as usize <= pc => {
                             let head = &l.code[to as usize..];
                             let test =
                                 head.iter().position(|op| !writes_a_primitive(f, op)).unwrap();
@@ -995,7 +928,8 @@ mod tests {
                         Op::Branch { cond, .. } => {
                             let single = defs[cond.index()] == 1 && uses[cond.index()] == 1;
                             let fusable = matches!(l.code[pc - 1],
-                                Op::CmpInt { dst, .. } | Op::CmpIntImm { dst, .. } if dst == cond);
+                                Op::BinInt { dst, op, .. } | Op::BinIntImm { dst, op, .. }
+                                    if dst == cond && comparison(op));
                             assert!(!(single && fusable), "{app} {}: pc {pc} {op:?}", f.name);
                         }
                         _ => {}
@@ -1015,6 +949,22 @@ mod tests {
         ranked.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         println!("top adjacent pairs:");
         ranked.iter().take(12).for_each(|(pair, n)| println!("  {n:5}  {pair}"));
+
+        // An op exists for a fast case the apps run: each variant an arm of
+        // `run_typed` names before the arm that declines is linked.
+        let typed = include_str!("interp.rs");
+        let typed = &typed[typed.find("\nfn run_typed(").unwrap()..];
+        let typed =
+            &typed[typed.find("match code[pc]").unwrap()..typed.find("// No fast case").unwrap()];
+        let fast: Vec<&str> = typed
+            .split("Op::")
+            .skip(1)
+            .map(|s| &s[..s.find(|c: char| !c.is_ascii_alphanumeric()).unwrap()])
+            .collect();
+        assert!(fast.len() >= 20, "run_typed's arms: {fast:?}");
+        for op in fast {
+            assert!(ops.contains_key(op), "no app links {op}, which run_typed has a fast case for");
+        }
 
         // The innermost loop of `func` that runs an op `has` picks.
         let loop_of = |func: &str, has: fn(&Op) -> bool| {

@@ -64,3 +64,23 @@ fn the_interpreter_kernels_print_their_pinned_results() {
         assert!(lines[1].starts_with("us: "), "{args}: {stdout}");
     }
 }
+
+/// A value of a flag that does not parse is the usage exit, and the error
+/// names the flag: a list-valued one (`--args`, `--rate`) too.
+#[test]
+fn a_bad_flag_value_names_the_flag() {
+    let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/miniparty/kernels.mp");
+    let cases: [(&[&str], &str); 3] = [
+        (&["run", kernels, "--args", "1,x"], "bad --args value"),
+        (&["run", kernels, "--transport", "lossy", "--loss-seed", "zz"], "bad --loss-seed value"),
+        (&["serve", "--rate", "1,x"], "bad --rate value"),
+    ];
+    for (args, want) in cases {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_corm")).args(args).output().expect("corm starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert_eq!(stderr.lines().next(), Some(want), "{args:?}: stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}

@@ -48,6 +48,17 @@ enum E {
     Neg(Box<E>),
     /// `cond ? a : b` rendered via an if statement helper
     Pick(Box<E>, Box<E>, Box<E>),
+    /// `a op b` for the comparison `CMP[k]`, 1 or 0 through `b2l`: a
+    /// compare whose one reader is a call, so no branch fuses it
+    Cmp(usize, Box<E>, Box<E>),
+}
+
+/// The six comparisons, as MiniParty spells them.
+const CMP: [&str; 6] = ["==", "!=", "<", "<=", ">", ">="];
+
+/// The oracle of `a CMP[k] b`.
+fn compare(k: usize, a: i64, b: i64) -> bool {
+    [a == b, a != b, a < b, a <= b, a > b, a >= b][k]
 }
 
 fn expr_strategy() -> impl Strategy<Value = E> {
@@ -70,6 +81,11 @@ fn expr_strategy() -> impl Strategy<Value = E> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Shl(a.into(), b.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Shr(a.into(), b.into())),
             inner.clone().prop_map(|a| E::Neg(a.into())),
+            (0..CMP.len(), inner.clone(), inner.clone()).prop_map(|(k, a, b)| E::Cmp(
+                k,
+                a.into(),
+                b.into()
+            )),
             (inner.clone(), inner.clone(), inner).prop_map(|(c, a, b)| E::Pick(
                 c.into(),
                 a.into(),
@@ -98,6 +114,7 @@ fn render(e: &E) -> String {
         E::Pick(c, a, b) => {
             format!("pick({} > 0, {}, {})", render(c), render(a), render(b))
         }
+        E::Cmp(k, a, b) => format!("b2l({} {} {})", render(a), CMP[*k], render(b)),
     }
 }
 
@@ -123,6 +140,7 @@ fn eval(e: &E, vars: &[i64; 3]) -> i64 {
                 eval(b, vars)
             }
         }
+        E::Cmp(k, a, b) => compare(*k, eval(a, vars), eval(b, vars)) as i64,
     }
 }
 
@@ -142,7 +160,8 @@ fn renderable(e: &E) -> bool {
         | E::Or(a, b)
         | E::Xor(a, b)
         | E::Shl(a, b)
-        | E::Shr(a, b) => renderable(a) && renderable(b),
+        | E::Shr(a, b)
+        | E::Cmp(_, a, b) => renderable(a) && renderable(b),
         E::Neg(a) => renderable(a),
         E::Pick(c, a, b) => renderable(c) && renderable(a) && renderable(b),
     }
@@ -176,6 +195,10 @@ proptest! {
                     static long pick(boolean c, long a, long b) {{
                         if (c) {{ return a; }}
                         return b;
+                    }}
+                    static long b2l(boolean c) {{
+                        if (c) {{ return (long) 1; }}
+                        return (long) 0;
                     }}
                     static void main() {{
                         long v0 = {v0};
