@@ -15,7 +15,6 @@
 //! bit-for-bit, so tests verify *correctness* under every optimization
 //! configuration, not merely cross-configuration agreement.
 
-pub mod equivalence;
 pub mod oracle;
 pub mod serve;
 

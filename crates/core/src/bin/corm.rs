@@ -39,7 +39,7 @@ SHARED flags (run, serve and top):
                      dedup and holdback); all but channel measure wire time
   --loss-seed N      lossy only: seed for the deterministic fault hash
   --loss-rate R      lossy only: drop AND duplicate each datagram copy with
-                     probability R (default 0.05 each, reorder 0.25)
+                     probability R in [0, 0.9] (default 0.05 each, reorder 0.25)
   --metrics          print Prometheus text-format metrics to stdout
   --dump-flight PATH write the flight-recorder events as JSON after the run
   --timeline-json PATH
@@ -107,6 +107,23 @@ fn parsed<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> T {
     value(argv, i).parse().unwrap_or_else(|_| bad(flag))
 }
 
+/// [`value`] in hex (`0xC0DE`) or decimal; a value that does not parse is [`bad`].
+fn parsed_u64(argv: &[String], i: &mut usize) -> u64 {
+    let flag = &argv[*i];
+    corm_fuzz::cli::parse_u64(value(argv, i)).unwrap_or_else(|| bad(flag))
+}
+
+/// `--loss-rate`: the probability of each fault, in [0, 0.9] on every
+/// subcommand. Above that nearly every copy is dropped until the forced
+/// attempt; a negative rate or NaN would silently mean "no faults".
+fn loss_rate(argv: &[String], i: &mut usize) -> f64 {
+    let rate: f64 = parsed(argv, i);
+    if !(0.0..=0.9).contains(&rate) {
+        bad("--loss-rate");
+    }
+    rate
+}
+
 /// [`value`] as a comma list, empty items skipped, each parsed; an item that
 /// does not parse is [`bad`].
 fn parsed_list<T: std::str::FromStr>(argv: &[String], i: &mut usize) -> Vec<T> {
@@ -156,11 +173,8 @@ impl Common {
                 }
                 "--machines" => c.machines = parsed(argv, &mut i),
                 "--transport" => c.transport = parsed(argv, &mut i),
-                "--loss-seed" => {
-                    let v = corm_fuzz::cli::parse_u64(value(argv, &mut i));
-                    seed = Some(v.unwrap_or_else(|_| bad("--loss-seed")));
-                }
-                "--loss-rate" => rate = Some(parsed(argv, &mut i)),
+                "--loss-seed" => seed = Some(parsed_u64(argv, &mut i)),
+                "--loss-rate" => rate = Some(loss_rate(argv, &mut i)),
                 "--metrics" => c.metrics = true,
                 "--dump-flight" => c.dump_flight = Some(value(argv, &mut i).to_string()),
                 "--timeline-json" => c.timeline_json = Some(value(argv, &mut i).to_string()),
@@ -519,12 +533,35 @@ fn top_main(argv: &[String]) -> ExitCode {
     finish_serve(&common, &report)
 }
 
+/// `corm fuzz`: the differential fuzz loop of `corm_fuzz::cli`.
+fn fuzz_main(argv: &[String]) -> ExitCode {
+    let (mut seed, mut iters, mut shrink) = (1u64, 100u64, false);
+    let (mut out, mut rate) = ("fuzz-artifacts", None);
+    let mut i = 0;
+    while i < argv.len() {
+        match argv[i].as_str() {
+            "--seed" => seed = parsed_u64(argv, &mut i),
+            "--iters" => iters = parsed_u64(argv, &mut i),
+            "--shrink" => shrink = true,
+            "--out" => out = value(argv, &mut i),
+            "--loss-rate" => rate = Some(loss_rate(argv, &mut i)),
+            other => {
+                eprintln!("unknown fuzz flag {other}");
+                usage();
+            }
+        }
+        i += 1;
+    }
+    let code = corm_fuzz::cli::fuzz_main(seed, iters, shrink, out.as_ref(), rate);
+    ExitCode::from(code as u8)
+}
+
 fn main() -> ExitCode {
     // `fuzz`, `serve` and `top` take no <file.mp> operand — intercept
     // them before the positional parser.
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("fuzz") => return ExitCode::from(corm_fuzz::cli::fuzz_main(&argv[1..]) as u8),
+        Some("fuzz") => return fuzz_main(&argv[1..]),
         Some("serve") => return serve_main(&argv[1..]),
         Some("top") => return top_main(&argv[1..]),
         _ if argv.len() < 2 => usage(),

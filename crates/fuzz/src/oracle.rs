@@ -1,16 +1,20 @@
-//! The differential oracle: one program, fifteen runs, one verdict.
+//! The differential oracle: one program, run several ways, one verdict.
 //!
-//! Every check compiles the program once per paper configuration and
-//! runs each compilation under three transport backends — channel, TCP
-//! and the seeded-fault lossy fabric — with the analysis-verdict
-//! auditor enabled ([`corm_vm::RunOptions::audit`]). A disagreement
-//! anywhere — output, per-machine counters, audit — is a bug in exactly
-//! one of serializer codegen, the heap analyses, or the transport
-//! layer, which is what makes the oracle a useful fuzz target. The
-//! lossy rows double as an end-to-end proof of exactly-once delivery:
-//! all accounting happens above the retransmission machinery, so even
-//! under injected drop/duplicate/reorder faults the counters must be
-//! bit-identical to the reliable backends.
+//! [`check`] compiles the program once per paper configuration
+//! (`OptConfig::TABLE_ROWS`, all five, in table order) and runs each
+//! compilation under every transport of a [`Matrix`], always with the
+//! analysis-verdict auditor on ([`corm_vm::RunOptions::audit`]). A
+//! disagreement anywhere — output, per-machine counters, audit — is a bug in
+//! exactly one of serializer codegen, the heap analyses, or the transport
+//! layer, which is what makes the oracle a useful fuzz target. Lossy rows
+//! double as an end-to-end proof of exactly-once delivery: all accounting
+//! happens above the retransmission machinery, so even under injected
+//! drop/duplicate/reorder faults the counters must be bit-identical to the
+//! reliable backends.
+//!
+//! It is the workspace's one "run it several ways and compare" harness: the
+//! fuzzer, the corpus replay and the equivalence suites under `tests/` all
+//! call [`check`], each with its own [`Matrix`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -19,13 +23,39 @@ use corm_codegen::{OptConfig, Plans, AUDIT_ERROR_PREFIX};
 use corm_ir::Module;
 use corm_net::{LossSpec, TransportKind};
 use corm_vm::{run_program, RunOptions, RunOutcome};
-use corm_wire::StatsSnapshot;
+use corm_wire::{StatsSnapshot, COUNTERS};
 
-use crate::spec::ProgramSpec;
+/// What [`check`] runs a program under, besides the five configurations.
+#[derive(Debug, Clone, Copy)]
+pub struct Matrix<'a> {
+    /// Cluster size of every run.
+    pub machines: usize,
+    /// `Cluster.arg` values of every run.
+    pub args: &'a [i64],
+    /// The carriers each configuration runs over; the first is the one the
+    /// others are compared with.
+    pub transports: &'a [TransportKind],
+    /// Fault plan for lossy rows; `None` is the backend's default plan, and
+    /// reliable backends ignore it.
+    pub loss: Option<LossSpec>,
+}
+
+impl Matrix<'static> {
+    /// The fuzzer's matrix: two machines, no arguments, channel, TCP and
+    /// lossy under the default fault plan.
+    pub const FUZZ: Matrix<'static> = Matrix {
+        machines: 2,
+        args: &[],
+        transports: &[TransportKind::Channel, TransportKind::Tcp, TransportKind::Lossy],
+        loss: None,
+    };
+}
 
 /// Aggregate evidence from a passing oracle check.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct OracleOutcome {
+    /// The output every run printed.
+    pub output: String,
     /// Total runs performed (configs × transports).
     pub runs: usize,
     /// Shadow cycle tables instantiated across all runs — how often a
@@ -39,7 +69,7 @@ pub struct OracleOutcome {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The generated program failed to compile (a generator bug).
+    /// The program failed to compile (for a generated one, a generator bug).
     Compile,
     /// A run ended in a VM error that is not an audit violation.
     RunError,
@@ -47,7 +77,7 @@ pub enum FailureKind {
     AuditViolation,
     /// Outputs differ across configurations or transports.
     OutputDivergence,
-    /// Per-machine counters differ between the two transports.
+    /// Per-machine counters or audit evidence differ between two transports.
     CounterDivergence,
     /// A cross-config counter monotonicity was violated.
     InvariantViolation,
@@ -99,39 +129,39 @@ pub fn site_provenance_digests(src: &str) -> Vec<String> {
     }
 }
 
-fn audited_run(
-    module: Arc<Module>,
-    plans: Arc<Plans>,
-    transport: TransportKind,
-    loss: Option<LossSpec>,
-) -> RunOutcome {
-    run_program(
-        module,
-        plans,
-        RunOptions { machines: 2, transport, audit: true, loss, ..Default::default() },
-    )
+/// The comparison rule for two runs of one compilation: the same output,
+/// the same counters on every machine (a shard is what that machine sent and
+/// served, so a count moved between machines is a difference too) and the
+/// same audit evidence. The error is the kind and the first difference.
+fn compare(a: &RunOutcome, b: &RunOutcome) -> Result<(), (FailureKind, String)> {
+    if a.output != b.output {
+        let detail = format!("output:\n{}\nvs\n{}", a.output, b.output);
+        return Err((FailureKind::OutputDivergence, detail));
+    }
+    let shards = a.metrics.machines.iter().zip(&b.metrics.machines);
+    for (m, (x, y)) in shards.enumerate() {
+        for c in COUNTERS {
+            let (x, y) = ((c.get)(&x.stats), (c.get)(&y.stats));
+            if x != y {
+                return Err((
+                    FailureKind::CounterDivergence,
+                    format!("machine {m} {}: {x} vs {y}", c.name),
+                ));
+            }
+        }
+    }
+    if a.audit != b.audit {
+        let detail = format!("audit counters differ: {:?} vs {:?}", a.audit, b.audit);
+        return Err((FailureKind::CounterDivergence, detail));
+    }
+    Ok(())
 }
 
-fn machine_stats(out: &RunOutcome) -> Vec<StatsSnapshot> {
-    out.metrics.machines.iter().map(|m| m.stats).collect()
-}
-
-/// Run the full differential check on MiniParty source with the
-/// default fault plan (`LossSpec::default`) on the lossy rows.
-pub fn check_source(src: &str) -> Result<OracleOutcome, OracleFailure> {
-    check_source_with_loss(src, None)
-}
-
-/// [`check_source`] with an explicit fault plan for the lossy transport
-/// rows — the nightly high-loss sweep passes aggressive rates here.
-/// `None` selects the backend's default plan; reliable backends ignore
-/// the spec either way.
-pub fn check_source_with_loss(
-    src: &str,
-    loss: Option<LossSpec>,
-) -> Result<OracleOutcome, OracleFailure> {
+/// Run `src` under every configuration × every transport of `matrix`,
+/// audited, and check that the runs agree and that the counters obey the
+/// paper's cross-config invariants.
+pub fn check(src: &str, matrix: &Matrix) -> Result<OracleOutcome, OracleFailure> {
     let mut outcome = OracleOutcome::default();
-    let mut first: Option<(String, String)> = None; // (label, output)
     let mut per_config: Vec<(&'static str, StatsSnapshot)> = Vec::new();
 
     for (label, cfg) in OptConfig::TABLE_ROWS {
@@ -144,84 +174,56 @@ pub fn check_source_with_loss(
             format!("{detail}\nanalysis provenance ({label}):\n{}", sites.join("\n"))
         };
 
-        let mut transport_runs: Vec<(TransportKind, RunOutcome)> = Vec::new();
-        for transport in [TransportKind::Channel, TransportKind::Tcp, TransportKind::Lossy] {
-            let ctx = format!("{label} / {transport:?}");
-            let out = audited_run(module.clone(), plans.clone(), transport, loss);
+        let mut base: Option<RunOutcome> = None;
+        for &transport in matrix.transports {
+            let out = run_program(
+                module.clone(),
+                plans.clone(),
+                RunOptions {
+                    machines: matrix.machines,
+                    args: matrix.args.to_vec(),
+                    transport,
+                    audit: true,
+                    loss: matrix.loss,
+                    ..Default::default()
+                },
+            );
             if let Some(err) = &out.error {
                 let kind = if err.message.contains(AUDIT_ERROR_PREFIX) {
                     FailureKind::AuditViolation
                 } else {
                     FailureKind::RunError
                 };
-                return Err(fail(
-                    kind,
-                    ctx,
-                    with_prov(format!("{err}\noutput so far:\n{}", out.output)),
-                ));
+                let detail = format!("{err}\noutput so far:\n{}", out.output);
+                return Err(fail(kind, format!("{label} / {transport:?}"), with_prov(detail)));
             }
             outcome.runs += 1;
             outcome.shadow_tables += out.audit.shadow_tables;
             outcome.shadow_checks += out.audit.shadow_checks;
             outcome.poisoned_values += out.audit.poisoned_values;
-            transport_runs.push((transport, out));
-        }
-
-        // Transports must agree bit-for-bit: output, per-machine counter
-        // shards, and the audit evidence itself.
-        let (_, base) = &transport_runs[0];
-        for (transport, out) in &transport_runs[1..] {
-            let ctx = format!("{label} / Channel vs {transport:?}");
-            if out.output != base.output {
-                return Err(fail(
-                    FailureKind::OutputDivergence,
-                    ctx,
-                    with_prov(format!(
-                        "channel output:\n{}\n{} output:\n{}",
-                        base.output,
-                        transport.label(),
-                        out.output
-                    )),
-                ));
-            }
-            if machine_stats(out) != machine_stats(base) {
-                return Err(fail(
-                    FailureKind::CounterDivergence,
-                    ctx,
-                    with_prov(format!(
-                        "per-machine stats differ\nchannel: {:?}\nother:   {:?}",
-                        machine_stats(base),
-                        machine_stats(out)
-                    )),
-                ));
-            }
-            if out.audit != base.audit {
-                return Err(fail(
-                    FailureKind::CounterDivergence,
-                    ctx,
-                    with_prov(format!(
-                        "audit counters differ: {:?} vs {:?}",
-                        base.audit, out.audit
-                    )),
-                ));
+            // Transports must agree bit-for-bit.
+            match &base {
+                None => base = Some(out),
+                Some(base) => compare(base, &out).map_err(|(kind, detail)| {
+                    let ctx = format!("{label} / {:?} vs {transport:?}", base.transport);
+                    fail(kind, ctx, with_prov(detail))
+                })?,
             }
         }
+        let base = base.expect("a matrix names at least one transport");
 
         // Outputs must also agree across configurations.
-        match &first {
-            None => first = Some((label.to_string(), base.output.clone())),
-            Some((first_label, expected)) => {
-                if base.output != *expected {
-                    return Err(fail(
-                        FailureKind::OutputDivergence,
-                        format!("{first_label} vs {label}"),
-                        with_prov(format!(
-                            "{first_label} output:\n{expected}\n{label} output:\n{}",
-                            base.output
-                        )),
-                    ));
-                }
+        if let Some(&(first, _)) = per_config.first() {
+            if base.output != outcome.output {
+                let detail = format!(
+                    "{first} output:\n{}\n{label} output:\n{}",
+                    outcome.output, base.output
+                );
+                let ctx = format!("{first} vs {label}");
+                return Err(fail(FailureKind::OutputDivergence, ctx, with_prov(detail)));
             }
+        } else {
+            outcome.output = base.output;
         }
         per_config.push((label, base.stats));
     }
@@ -282,25 +284,11 @@ fn check_invariants(rows: &[(&'static str, StatsSnapshot)]) -> Result<(), (Strin
     Ok(())
 }
 
-/// Render a spec and run the differential check on it.
-pub fn check_spec(spec: &ProgramSpec) -> Result<OracleOutcome, OracleFailure> {
-    check_source(&spec.render())
-}
-
-/// Render a spec and run the differential check with an explicit fault
-/// plan for the lossy rows.
-pub fn check_spec_with_loss(
-    spec: &ProgramSpec,
-    loss: Option<LossSpec>,
-) -> Result<OracleOutcome, OracleFailure> {
-    check_source_with_loss(&spec.render(), loss)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{gen_spec, iter_rng};
-    use crate::spec::{CallSpec, ShapeSpec, Variant};
+    use crate::spec::{CallSpec, ProgramSpec, ShapeSpec, Variant};
 
     #[test]
     fn generated_programs_compile_under_every_config() {
@@ -327,7 +315,8 @@ mod tests {
                 variant: Variant::Echo,
             }],
         };
-        let report = check_spec(&spec).unwrap_or_else(|f| panic!("oracle failed: {f}"));
+        let report =
+            check(&spec.render(), &Matrix::FUZZ).unwrap_or_else(|f| panic!("oracle failed: {f}"));
         assert_eq!(report.runs, 15, "5 configs x 3 transports");
     }
 
@@ -368,8 +357,57 @@ mod tests {
                 variant: Variant::Digest,
             }],
         };
-        let report = check_spec(&spec).unwrap_or_else(|f| panic!("oracle failed: {f}"));
+        let report =
+            check(&spec.render(), &Matrix::FUZZ).unwrap_or_else(|f| panic!("oracle failed: {f}"));
         // The reuse rows must actually have exercised the poisoner.
         assert!(report.poisoned_values > 0, "expected reuse caches to be poisoned: {report:?}");
+    }
+
+    /// The comparison rule, on two runs of one compilation: a drift of one on
+    /// any counter of machine 1 is a counter divergence naming that machine
+    /// and that counter, and a different output is an output divergence.
+    #[test]
+    fn compare_names_the_first_machine_and_counter_that_differ() {
+        // No `..Default::default()`: a new StatsSnapshot field stops this
+        // compiling until it is given a value COUNTERS must then find.
+        let literal = StatsSnapshot {
+            local_rpcs: 1,
+            remote_rpcs: 2,
+            reused_objs: 3,
+            cycle_lookups: 4,
+            ser_invocations: 5,
+            wire_bytes: 6,
+            type_info_bytes: 7,
+            messages: 8,
+            deser_bytes: 9,
+            deser_allocs: 10,
+        };
+        let seen: Vec<u64> = COUNTERS.iter().map(|c| *(c.get)(&literal)).collect();
+        assert_eq!(seen, (1..=10).collect::<Vec<u64>>(), "every counter once, in row order");
+
+        let spec = ProgramSpec {
+            shapes: vec![ShapeSpec::List { len: 4, cyclic: true, seed: 3 }],
+            calls: vec![CallSpec {
+                shape: 0,
+                target: 1,
+                reps: 2,
+                mutate: true,
+                variant: Variant::Echo,
+            }],
+        };
+        let (module, plans) = compile(&spec.render(), OptConfig::ALL).unwrap();
+        let opts = || RunOptions { machines: 2, ..Default::default() };
+        let run = || run_program(module.clone(), plans.clone(), opts());
+        let (a, mut b) = (run(), run());
+        assert_eq!(compare(&a, &b), Ok(()));
+        for c in COUNTERS {
+            let was = *(c.get)(&b.metrics.machines[1].stats);
+            *(c.get_mut)(&mut b.metrics.machines[1].stats) += 1;
+            let want = format!("machine 1 {}: {was} vs {}", c.name, was + 1);
+            assert_eq!(compare(&a, &b), Err((FailureKind::CounterDivergence, want)));
+            *(c.get_mut)(&mut b.metrics.machines[1].stats) = was;
+        }
+        b.output.push_str("x\n");
+        assert_eq!(compare(&a, &b).map_err(|(kind, _)| kind), Err(FailureKind::OutputDivergence));
     }
 }

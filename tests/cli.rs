@@ -66,14 +66,26 @@ fn the_interpreter_kernels_print_their_pinned_results() {
 }
 
 /// A value of a flag that does not parse is the usage exit, and the error
-/// names the flag: a list-valued one (`--args`, `--rate`) too.
+/// names the flag: a list-valued one (`--args`, `--rate`) too, and `fuzz`'s,
+/// which the same parser reads. `--loss-rate` is a probability in [0, 0.9]
+/// on every subcommand: above it nearly every copy is dropped, and a negative
+/// rate or NaN would mean no faults at all.
 #[test]
 fn a_bad_flag_value_names_the_flag() {
     let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/miniparty/kernels.mp");
-    let cases: [(&[&str], &str); 3] = [
+    let lossy = ["run", kernels, "--transport", "lossy"];
+    let cases: [(&[&str], &str); 11] = [
         (&["run", kernels, "--args", "1,x"], "bad --args value"),
-        (&["run", kernels, "--transport", "lossy", "--loss-seed", "zz"], "bad --loss-seed value"),
+        (&[&lossy[..], &["--loss-seed", "zz"]].concat(), "bad --loss-seed value"),
+        (&[&lossy[..], &["--loss-rate", "7"]].concat(), "bad --loss-rate value"),
+        (&[&lossy[..], &["--loss-rate", "-1"]].concat(), "bad --loss-rate value"),
+        (&[&lossy[..], &["--loss-rate", "nan"]].concat(), "bad --loss-rate value"),
         (&["serve", "--rate", "1,x"], "bad --rate value"),
+        (&["fuzz", "--seed", "zz"], "bad --seed value"),
+        (&["fuzz", "--iters", "-3"], "bad --iters value"),
+        (&["fuzz", "--loss-rate", "1.5"], "bad --loss-rate value"),
+        (&["fuzz", "--seed"], "usage:"),
+        (&["fuzz", "--bogus"], "unknown fuzz flag --bogus"),
     ];
     for (args, want) in cases {
         let out =
@@ -83,4 +95,23 @@ fn a_bad_flag_value_names_the_flag() {
         assert_eq!(stderr.lines().next(), Some(want), "{args:?}: stderr: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
+}
+
+/// `corm fuzz` with a hex seed runs its iterations through the oracle and
+/// ends with the summary line: 15 audited runs an iteration.
+#[test]
+fn a_short_fuzz_run_passes_and_prints_its_summary() {
+    let out = Command::new(env!("CARGO_BIN_EXE_corm"))
+        .args(["fuzz", "--seed", "0xC0DE", "--iters", "2"])
+        .output()
+        .expect("corm starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}; stderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let last = stdout.lines().last().unwrap_or_default();
+    assert!(last.starts_with("[corm fuzz] 2 iterations passed (30 runs): "), "{stdout}");
 }

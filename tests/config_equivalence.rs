@@ -3,33 +3,23 @@
 //! byte-identical program output — the optimizations change performance,
 //! never semantics.
 //!
-//! Programs here are generated from seeded templates so each run covers a
-//! family of object-graph shapes and call patterns.
+//! Each program here runs through the differential oracle,
+//! `corm_fuzz::check`, on the channel: all five configurations, audited, the
+//! output equal across them and the paper's cross-config counter invariants
+//! held (equal message and call counts, cycle elision only removing lookups,
+//! reuse only removing allocations, `site` never out-sending `class`).
+//! Programs are generated from seeded templates so each run covers a family
+//! of object-graph shapes and call patterns; the ablations below compare
+//! named configurations directly.
 
-use corm::{compile_and_run, CostModel, OptConfig, RunOptions};
+use corm::{compile_and_run, CostModel, OptConfig, RunOptions, TransportKind};
+use corm_fuzz::{check, Matrix};
 
-const ALL_CONFIGS: [(&str, OptConfig); 5] = [
-    ("class", OptConfig::CLASS),
-    ("site", OptConfig::SITE),
-    ("site+cycle", OptConfig::SITE_CYCLE),
-    ("site+reuse", OptConfig::SITE_REUSE),
-    ("all", OptConfig::ALL),
-];
-
+/// The output `src` prints under every configuration, audited, on `machines`
+/// machines over the channel; panics with the oracle's verdict otherwise.
 fn assert_equivalent(src: &str, machines: usize) -> String {
-    let mut reference: Option<(String, String)> = None;
-    for (name, cfg) in ALL_CONFIGS {
-        let out = compile_and_run(src, cfg, RunOptions { machines, ..Default::default() })
-            .expect("compile failed");
-        assert!(out.error.is_none(), "[{name}] {:?}\noutput: {}", out.error, out.output);
-        match &reference {
-            None => reference = Some((name.to_string(), out.output)),
-            Some((ref_name, ref_out)) => {
-                assert_eq!(&out.output, ref_out, "config {name} disagrees with {ref_name}");
-            }
-        }
-    }
-    reference.unwrap().1
+    let matrix = Matrix { machines, args: &[], transports: &[TransportKind::Channel], loss: None };
+    check(src, &matrix).unwrap_or_else(|f| panic!("{f}")).output
 }
 
 /// Seeded structural generator: builds a MiniParty program that
@@ -208,8 +198,8 @@ fn primitive_signature_sweep() {
     }
 }
 
-/// Stats sanity across configurations: identical RPC counts for a
-/// deterministic, poll-free program.
+/// Stats sanity across configurations: identical message and RPC counts
+/// for a deterministic, poll-free program (the oracle's invariants).
 #[test]
 fn rpc_counts_identical_across_configs() {
     let src = r#"
@@ -226,17 +216,7 @@ fn rpc_counts_identical_across_configs() {
             }
         }
     "#;
-    let mut counts = Vec::new();
-    for (name, cfg) in ALL_CONFIGS {
-        let out =
-            compile_and_run(src, cfg, RunOptions { machines: 2, ..Default::default() }).unwrap();
-        assert!(out.error.is_none(), "[{name}] {:?}", out.error);
-        counts.push((name, out.stats.remote_rpcs, out.stats.local_rpcs));
-    }
-    for w in counts.windows(2) {
-        assert_eq!(w[0].1, w[1].1, "{} vs {}", w[0].0, w[1].0);
-        assert_eq!(w[0].2, w[1].2, "{} vs {}", w[0].0, w[1].0);
-    }
+    assert_equivalent(src, 2);
 }
 
 /// Reuse-cache defeat: the array size alternates on every RMI, so the

@@ -4,8 +4,9 @@
 //! the marshal-plan booleans, and the runtime auditor (DESIGN §10) never
 //! contradicts a recorded `cycle_table_elided` or `reuse_enabled` claim.
 
-use corm::{run, OptConfig, RunOptions};
+use corm::{run, OptConfig, RunOptions, TransportKind};
 use corm_apps::ALL_APPS;
+use corm_fuzz::{check, Matrix};
 
 #[test]
 fn every_site_has_full_provenance_under_all_rows() {
@@ -154,13 +155,9 @@ fn explain_verdicts_agree_with_runtime_auditor() {
     for name in ["cyclic_list_echo", "self_loop_keep"] {
         let path = format!("{}/../../tests/corpus/{name}.mp", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(&path).expect("read corpus file");
-        let mut class_output = None; // `TABLE_ROWS` starts with `class`
-        for (cfg_name, cfg) in OptConfig::TABLE_ROWS {
-            let c = corm::compile(&src, cfg).expect("corpus program compiles");
-            let out = run(&c, RunOptions { machines: 2, audit: true, ..Default::default() });
-            assert!(out.error.is_none(), "{name} under {cfg_name}: {}", out.error.unwrap());
-            let class_output = class_output.get_or_insert_with(|| out.output.clone());
-            assert_eq!(&out.output, class_output, "{name} under {cfg_name}: output diverged");
+        let channel = Matrix { transports: &[TransportKind::Channel], ..Matrix::FUZZ };
+        if let Err(f) = check(&src, &channel) {
+            panic!("{name}: {f}");
         }
     }
 }

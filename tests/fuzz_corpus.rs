@@ -31,7 +31,7 @@ fn corpus_passes_differential_oracle() {
     assert!(!files.is_empty());
     for path in files {
         let src = std::fs::read_to_string(&path).expect("read corpus file");
-        if let Err(f) = corm_fuzz::check_source(&src) {
+        if let Err(f) = corm_fuzz::check(&src, &corm_fuzz::Matrix::FUZZ) {
             panic!("corpus program {} failed the oracle: {f}", path.display());
         }
     }

@@ -5,22 +5,50 @@
 //! lossy datagram fabric (seeded drop/duplicate/reorder faults healed
 //! by retransmission, dedup and holdback, DESIGN §16).
 //!
-//! All counter accounting happens in `NetHandle::send` before the
-//! backend carries the packet and no app's RMIs depend on timing, so for
-//! all five apps *every per-machine counter* is asserted bit-equal —
-//! see `corm_apps::equivalence`.
+//! The invariance tests run each app through the differential oracle,
+//! `corm_fuzz::check`, at quick scale over the channel and one wire carrier:
+//! all five configurations, audited, the output equal everywhere and equal to
+//! the host-side oracle's, every per-machine counter and the audit evidence
+//! bit-equal across the two carriers, and the paper's cross-config counter
+//! invariants held. All counter accounting happens in `NetHandle::send` before
+//! the backend carries the packet, every RMI of every app is data-driven
+//! (spawned workers are awaited with a blocking `join()`, not polled) and a
+//! reuse slot belongs to one caller (DESIGN §4.3), so no counter depends on
+//! the carrier's latency or on the schedule; the comparison is `==`.
 //!
 //! Tests are prefixed `tcp_` / `reactor_` / `lossy_` so CI can shard
 //! the sweep across a backend matrix with a plain name filter.
 
-use corm::{LossSpec, OptConfig, RunOptions, TransportKind};
-use corm_apps::equivalence::{assert_equivalent, run_under};
+use corm::{LossSpec, OptConfig, RunOptions, RunOutcome, TransportKind};
 use corm_apps::{AppSpec, ALL_APPS, ARRAY2D, LINKED_LIST, LU, SUPEROPT, WEBSERVER};
+use corm_fuzz::{check, Matrix, OracleOutcome};
 
-fn check_all_configs(spec: &AppSpec, wire: TransportKind) {
-    for (_, config) in OptConfig::TABLE_ROWS {
-        assert_equivalent(spec, config, TransportKind::Channel, wire);
-    }
+/// `spec` at quick scale through the oracle over the channel and `wire`; the
+/// output all runs agreed on must be the host-side oracle's.
+fn check_all_configs(spec: &AppSpec, wire: TransportKind) -> OracleOutcome {
+    let matrix = Matrix {
+        machines: spec.machines,
+        args: spec.quick_args,
+        transports: &[TransportKind::Channel, wire],
+        loss: None,
+    };
+    let outcome = check(spec.source, &matrix).unwrap_or_else(|f| panic!("{}: {f}", spec.name));
+    let expected = spec.expected_output(spec.quick_args, spec.machines);
+    assert_eq!(outcome.output, expected, "{} diverged from the host-side oracle", spec.name);
+    outcome
+}
+
+/// One unaudited run of `spec` at quick scale, which must not fail.
+fn run_on(spec: &AppSpec, config: OptConfig, transport: TransportKind) -> RunOutcome {
+    let opts = RunOptions {
+        machines: spec.machines,
+        args: spec.quick_args.to_vec(),
+        transport,
+        ..Default::default()
+    };
+    let out = corm::run(&spec.compile(config), opts);
+    assert!(out.error.is_none(), "{} errored under {transport}: {:?}", spec.name, out.error);
+    out
 }
 
 macro_rules! invariance_tests {
@@ -37,7 +65,6 @@ macro_rules! invariance_tests {
 invariance_tests! {
     tcp_linked_list_is_transport_invariant => LINKED_LIST, TransportKind::Tcp;
     tcp_array2d_is_transport_invariant => ARRAY2D, TransportKind::Tcp;
-    tcp_lu_is_transport_invariant => LU, TransportKind::Tcp;
     tcp_superopt_is_transport_invariant => SUPEROPT, TransportKind::Tcp;
     tcp_webserver_is_transport_invariant => WEBSERVER, TransportKind::Tcp;
     reactor_linked_list_is_transport_invariant => LINKED_LIST, TransportKind::Reactor;
@@ -52,12 +79,19 @@ invariance_tests! {
     lossy_webserver_is_transport_invariant => WEBSERVER, TransportKind::Lossy;
 }
 
+#[test]
+fn tcp_lu_is_transport_invariant() {
+    // The audit is on: LU's reuse rows poison what their caches hold before
+    // each unmarshal overwrites it.
+    let outcome = check_all_configs(&LU, TransportKind::Tcp);
+    assert!(outcome.poisoned_values > 0, "the audit poisoned nothing");
+}
+
 fn output_matches_the_oracle(wire: TransportKind) {
-    // Not only backend-vs-backend agreement: the wire run reproduces the
-    // host-side oracle bit-for-bit, same as channel runs do elsewhere.
+    // The full stack alone, unaudited: a wire run reproduces the host-side
+    // oracle bit-for-bit, as channel runs do elsewhere.
     for spec in ALL_APPS {
-        let run = run_under(&spec, OptConfig::ALL, wire);
-        assert_eq!(run.error, None, "{} errored under {wire}", spec.name);
+        let run = run_on(&spec, OptConfig::ALL, wire);
         assert_eq!(
             run.output,
             spec.expected_output(spec.quick_args, spec.machines),
@@ -118,18 +152,18 @@ fn lossy_at_most_once_is_exactly_once_under_seeded_faults() {
 
 #[test]
 fn tcp_measures_wire_time_and_channel_does_not() {
-    let tcp = run_under(&ARRAY2D, OptConfig::ALL, TransportKind::Tcp);
-    assert!(tcp.measured_wire_ns > 0, "TCP must record real in-flight time");
-    let chan = run_under(&ARRAY2D, OptConfig::ALL, TransportKind::Channel);
-    assert_eq!(chan.measured_wire_ns, 0, "channel delivery is a pointer move");
+    let wire_ns = |t| run_on(&ARRAY2D, OptConfig::ALL, t).measured_wire_ns.iter().sum::<u64>();
+    assert!(wire_ns(TransportKind::Tcp) > 0, "TCP must record real in-flight time");
+    assert_eq!(wire_ns(TransportKind::Channel), 0, "channel delivery is a pointer move");
 }
 
 #[test]
 fn reactor_measures_wire_time() {
     // Frames are timestamped when they enter the outbound buffer, so
     // time spent parked there behind a full socket is charged too.
-    let run = run_under(&ARRAY2D, OptConfig::ALL, TransportKind::Reactor);
-    assert!(run.measured_wire_ns > 0, "reactor must record real in-flight time");
+    let run = run_on(&ARRAY2D, OptConfig::ALL, TransportKind::Reactor);
+    let wire_ns: u64 = run.measured_wire_ns.iter().sum();
+    assert!(wire_ns > 0, "reactor must record real in-flight time");
 }
 
 fn pool_checkouts_match(wire: TransportKind) {
@@ -145,22 +179,8 @@ fn pool_checkouts_match(wire: TransportKind) {
     // payloads on the read side, so parked capacity legitimately
     // differs.
     for spec in &ALL_APPS {
-        let compiled = spec.compile(OptConfig::ALL);
-        let mut runs = Vec::new();
-        for transport in [TransportKind::Channel, wire] {
-            let out = corm::run(
-                &compiled,
-                RunOptions {
-                    machines: spec.machines,
-                    args: spec.quick_args.to_vec(),
-                    transport,
-                    ..Default::default()
-                },
-            );
-            assert!(out.error.is_none(), "{} errored under {transport:?}", spec.name);
-            runs.push(out);
-        }
-        let (chan, other) = (&runs[0], &runs[1]);
+        let chan = run_on(spec, OptConfig::ALL, TransportKind::Channel);
+        let other = run_on(spec, OptConfig::ALL, wire);
         for (m, (a, b)) in chan.metrics.machines.iter().zip(&other.metrics.machines).enumerate() {
             assert_eq!(
                 a.pool_hits + a.pool_misses,
@@ -203,24 +223,10 @@ fn lossy_pool_checkouts_match_across_backends_for_poll_free_apps() {
 fn modeled_time_is_backend_independent_for_poll_free_apps() {
     // Modeled wire time is a pure function of the (deterministic)
     // counters, so it cannot depend on the carrier.
-    let compiled = ARRAY2D.compile(OptConfig::ALL);
-    let mut modeled = Vec::new();
-    for transport in
+    let [chan, tcp, reactor, lossy] =
         [TransportKind::Channel, TransportKind::Tcp, TransportKind::Reactor, TransportKind::Lossy]
-    {
-        let out = corm::run(
-            &compiled,
-            RunOptions {
-                machines: ARRAY2D.machines,
-                args: ARRAY2D.quick_args.to_vec(),
-                transport,
-                ..Default::default()
-            },
-        );
-        assert!(out.error.is_none());
-        modeled.push(out.modeled);
-    }
-    assert_eq!(modeled[0], modeled[1], "tcp modeled time diverged");
-    assert_eq!(modeled[0], modeled[2], "reactor modeled time diverged");
-    assert_eq!(modeled[0], modeled[3], "lossy modeled time diverged");
+            .map(|t| run_on(&ARRAY2D, OptConfig::ALL, t).modeled);
+    assert_eq!(chan, tcp, "tcp modeled time diverged");
+    assert_eq!(chan, reactor, "reactor modeled time diverged");
+    assert_eq!(chan, lossy, "lossy modeled time diverged");
 }
